@@ -400,7 +400,8 @@ def _class_roster(rng: random.Random, writer: _Writer, sizes: Sizes) -> Generate
     """Each community shares one quote text in several id/case variants.
     Community c's bridge quote is a near-duplicate of community c+1's text with
     a planted cosine of 0.9 to it; ``bridges`` members of c also annotate it.
-    About 5% of replies go to another community."""
+    Replies go into threads on community texts, about 5% of them into another
+    community's."""
     authors, community = _authors(sizes)
     members = {c: [a for a in authors if community[a] == c] for c in range(sizes.communities)}
     records: list[dict] = []
@@ -424,12 +425,14 @@ def _class_roster(rng: random.Random, writer: _Writer, sizes: Sizes) -> Generate
             vectors[bridge[c]] = _planted(rng, base[nxt], _BRIDGE_COS)
         for a in authors:
             rd.annotate(a, rng.choice(variants[community[a]]))
-        for c in range(sizes.communities):
-            for a in rng.sample(members[c], sizes.bridges):
-                rd.annotate(a, bridge[c])
+        # replies go only into threads on community texts; replies into bridge
+        # threads would move the attention network's size by ~10% between seeds
         by_home: dict[int, list[str]] = {c: [] for c in range(sizes.communities)}
         for art in rd.artifacts:
             by_home[community[art["author_id"]]].append(art["id"])
+        for c in range(sizes.communities):
+            for a in rng.sample(members[c], sizes.bridges):
+                rd.annotate(a, bridge[c])
         n_replies = sizes.replies * sizes.authors
         crossing = set(rng.sample(range(n_replies), max(1, round(0.05 * n_replies))))
         k = 0

@@ -12,9 +12,13 @@ at a time:
 * ``aicnet metrics CORPUS --level network --out DIR``;
 * ``aicnet compare CORPUS r1 r2``.
 
-It reports the median wall time of each, and the highest median child peak RSS
-over the three commands. Children get ``PYTHONHASHSEED=0`` and an absolute
-``PYTHONPATH`` to ``src``, so runs work from any directory.
+It reports the median paced wall time of each, and the highest child peak RSS
+of one more run of each command. Each timed child also times a fixed loop of
+Python string and dict work just before and just after its work. The child's
+wall time, less the loops, is scaled by ``NOMINAL_LOOP_S`` over the loops' mean
+time. That takes out the host's speed swings, which the loop shares with the
+work. Children get ``PYTHONHASHSEED=0`` and an absolute ``PYTHONPATH`` to
+``src``, so runs work from any directory.
 
 ``--trace 1`` (traced run). Runs the three commands in-process in a child
 (``layers.py``) and reports per-layer self times and counts.
@@ -62,6 +66,38 @@ SETUP_CODE = ("import aicnet.cli; from aicnet.textpipe import default_noun_lexic
 # what the installed ``aicnet`` console script runs
 CLI_CODE = "import sys; from aicnet.cli import main; sys.exit(main())"
 
+# A shared 2-vCPU VM runs up to 1.5x slower for seconds at a time, and a whole
+# run can fall in a slow or a fast phase. A fixed loop of string and dict work,
+# like the program's own, timed in the same process right before and after the
+# work, slows with it. So the work's wall time is reported at the speed where
+# the loop takes NOMINAL_LOOP_S: about its median on the VM that baseline.json
+# was measured on. (A pure arithmetic loop tracked the slow phases less well.)
+NOMINAL_LOOP_S = 0.045
+LOOP_FILE = "loop_s"
+LOOP_CODE = (
+    "from time import perf_counter as _now\n"
+    "def _loop():\n"
+    "    t = _now(); d = {}\n"
+    "    for i in range(60000):\n"
+    "        k = str(i * 7919 % 100003)\n"
+    "        d[k] = d.get(k, 0) + len(k)\n"
+    "    sorted(d)\n"
+    "    return _now() - t\n"
+    "_before = _loop()\n"
+    "try:\n"
+    "    {code}\n"
+    "finally:\n"
+    "    _after = _loop()\n"
+    f"    with open({LOOP_FILE!r}, 'w') as _f:\n"
+    "        _f.write(repr(_before) + ' ' + repr(_after))\n"
+)
+
+
+def paced(code: str) -> str:
+    """One line of child code, between two timed runs of the reference loop."""
+    return LOOP_CODE.replace("{code}", code)
+
+
 class BenchError(Exception):
     """The benchmark cannot run here (no sources, a failed generator)."""
 
@@ -108,15 +144,22 @@ def child_env(hash_seed: str = HASH_SEED) -> dict[str, str]:
 @dataclass
 class Sample:
     code: int
-    wall_s: float
+    wall_s: float  # less the reference loops, in a paced child
     rss_mb: float
     digest: str
+    loop_s: float | None = None  # mean reference-loop time, in a paced child
+
+    @property
+    def paced_s(self) -> float:
+        return self.wall_s * NOMINAL_LOOP_S / self.loop_s if self.loop_s else self.wall_s
 
 
 def run_child(argv: list[str], work: Path, out_dir: Path | None = None,
               hash_seed: str = HASH_SEED) -> Sample:
-    """Run one child to completion; wall time, peak RSS and output digest."""
-    stdout_path, stderr_path = work / "stdout", work / "stderr"
+    """Run one child to completion; wall time, peak RSS, output digest and, if
+    the child ran ``paced`` code, its reference-loop times."""
+    stdout_path, stderr_path, loop_path = work / "stdout", work / "stderr", work / LOOP_FILE
+    loop_path.unlink(missing_ok=True)
     with stdout_path.open("wb") as out, stderr_path.open("wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *argv], cwd=work, env=child_env(hash_seed),
@@ -132,15 +175,20 @@ def run_child(argv: list[str], work: Path, out_dir: Path | None = None,
     if code != 0:
         tail = stderr_path.read_text(encoding="utf-8", errors="replace")[-2000:]
         print(f"child {argv[-6:]} exited {code}: {tail}", file=sys.stderr)
-    return Sample(code, wall, usage.ru_maxrss / 1024.0, digest(stdout_path.read_bytes(), out_dir))
+    loops = [float(x) for x in loop_path.read_text().split()] if loop_path.is_file() else []
+    return Sample(code, wall - sum(loops), usage.ru_maxrss / 1024.0,
+                  digest(stdout_path.read_bytes(), out_dir),
+                  statistics.fmean(loops) if loops else None)
 
 
-def run_command(inputs: Inputs, command: str, work: Path, hash_seed: str = HASH_SEED) -> Sample:
+def run_command(inputs: Inputs, command: str, work: Path, hash_seed: str = HASH_SEED,
+                pace: bool = True) -> Sample:
     out_dir = inputs.out_dir(command)
     if out_dir is not None:  # start empty, so the digest sees only this run's files
         shutil.rmtree(out_dir)
         out_dir.mkdir()
-    return run_child(["-c", CLI_CODE, *inputs.argv(command)], work, out_dir, hash_seed)
+    code = paced(CLI_CODE) if pace else CLI_CODE
+    return run_child(["-c", code, *inputs.argv(command)], work, out_dir, hash_seed)
 
 
 @dataclass
@@ -183,7 +231,7 @@ def timed(inputs: Inputs, expected: dict[str, str] | None, seconds: float, work:
     start = time.perf_counter()
     while not rounds or time.perf_counter() - start + statistics.median(rounds) <= seconds:
         began = time.perf_counter()
-        setup = run_child(["-c", SETUP_CODE], work)
+        setup = run_child(["-c", paced(SETUP_CODE)], work)
         tally.add(setup.code == 0, f"set-up child exit {setup.code}")
         samples["setup"].append(setup)
         for c in COMMANDS:
@@ -197,23 +245,33 @@ def timed(inputs: Inputs, expected: dict[str, str] | None, seconds: float, work:
     if expected is not None:
         for c in COMMANDS:
             tally.add(expected.get(c) == first[c], f"{c} output differs from reference.json")
+    # peak RSS from one run of each command without the reference loops, whose
+    # dict would otherwise stay in the child's heap
+    rss: dict[str, float] = {}
+    for c in COMMANDS:
+        s = run_command(inputs, c, work, pace=False)
+        tally.add(s.code == 0 and s.digest == first[c],
+                  f"{c} without the loops exit {s.code} or output differs")
+        rss[c] = s.rss_mb
     run_oracle(inputs, work, tally)
     other = run_command(inputs, "metrics_node", work, CHECK_HASH_SEED)
     tally.add(other.code == 0 and other.digest == first["metrics_node"],
               f"metrics_node under PYTHONHASHSEED={CHECK_HASH_SEED} exit {other.code} or output differs")
 
-    def median(command: str, field: str) -> float:
-        return statistics.median(getattr(s, field) for s in samples[command])
+    def median(command: str) -> float:
+        return statistics.median(s.paced_s for s in samples[command])
 
-    print(f"{len(rounds)} rounds in {elapsed:.1f} s", file=sys.stderr)
+    print(f"{len(rounds)} rounds in {elapsed:.1f} s; per command: paced s / wall s / loop ms",
+          file=sys.stderr)
     for command, runs in samples.items():
-        print(f"  {command:16}" + " ".join(f"{s.wall_s:.3f}" for s in runs), file=sys.stderr)
+        print(f"  {command:16}" + " ".join(f"{s.paced_s:.3f}/{s.wall_s:.3f}/{s.loop_s * 1e3:.0f}"
+                                            for s in runs if s.loop_s), file=sys.stderr)
     return {
-        "metrics_node_s": {"value": median("metrics_node", "wall_s"), "unit": "s"},
-        "metrics_network_s": {"value": median("metrics_network", "wall_s"), "unit": "s"},
-        "compare_s": {"value": median("compare", "wall_s"), "unit": "s"},
-        "peak_rss_mb": {"value": max(median(c, "rss_mb") for c in COMMANDS), "unit": "MB"},
-        "setup_s": {"value": median("setup", "wall_s"), "unit": "s"},
+        "metrics_node_s": {"value": median("metrics_node"), "unit": "s"},
+        "metrics_network_s": {"value": median("metrics_network"), "unit": "s"},
+        "compare_s": {"value": median("compare"), "unit": "s"},
+        "peak_rss_mb": {"value": max(rss.values()), "unit": "MB"},
+        "setup_s": {"value": median("setup"), "unit": "s"},
     }
 
 
