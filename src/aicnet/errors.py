@@ -78,6 +78,25 @@ class MissingEmbedding(AicnetError):
         super().__init__(detail or f"no embedding stored for quote {quote_id!r}")
 
 
+class EmbeddingFileError(AicnetError):
+    """A malformed embedding file, located by line (JSONL) or byte offset (binary)."""
+
+    def __init__(self, where: str, reason: str):
+        self.where = where
+        self.reason = reason
+        super().__init__(f"embeddings {where}: {reason}")
+
+
+class InvalidVector(AicnetError):
+    """A vector that parses but cannot be used: a non-finite component, or a
+    second vector for the same quote id."""
+
+    def __init__(self, quote_id: str, reason: str):
+        self.quote_id = quote_id
+        self.reason = reason
+        super().__init__(f"vector for {quote_id!r} {reason}")
+
+
 class EmptyText(AicnetError):
     def __init__(self) -> None:
         super().__init__("cannot embed empty text")

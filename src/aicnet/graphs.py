@@ -18,8 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Corpus, Quote, Reading, thread_root
-from .semantic import EmbeddingStore, joint_pairs
+from .errors import CyclicThread, DanglingParent, DimensionMismatch, ZeroVector
+from .semantic import EmbeddingStore, quote_similarity
 from .textpipe import NounTagger, WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
@@ -51,15 +54,6 @@ class WeightedGraph:
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edges
-
-    def neighbors(self, v: str) -> set[str]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
 
     def degree(self, v: str) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
@@ -109,13 +103,95 @@ def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote
     return set(quotes.values())
 
 
-def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
-    """One representative per normalized text (smallest quote id), so a pair of
-    identical-text quotes held by both authors contributes once, not four times."""
-    best: dict[str, Quote] = {}
-    for q in sorted(quotes, key=lambda q: q.id):
-        best.setdefault(q.normalized_text, q)
-    return set(best.values())
+def _root_quotes(reading: Reading) -> dict[str, str | None]:
+    """Artifact id -> quote id of its thread's root annotation, for every
+    artifact of the reading, walking each reply chain once."""
+    by_id = {a.id: a for a in reading.artifacts}
+    root: dict[str, str | None] = {}
+    for art in reading.artifacts:
+        chain: list[str] = []
+        cur = art
+        while cur.id not in root and cur.kind == "reply":
+            chain.append(cur.id)
+            parent = by_id.get(cur.parent_id or "")
+            if parent is None:
+                raise DanglingParent(cur.id)
+            if parent.id in chain:
+                raise CyclicThread(art.id)
+            cur = parent
+        quote_id = root.setdefault(cur.id, cur.quote_id)
+        for artifact_id in chain:
+            root[artifact_id] = quote_id
+    return root
+
+
+# cosines this far below tau are rejected without the scalar check; the margin
+# covers cosine()'s 1e-9 snap to 1.0 plus any rounding difference between the
+# row product and the scalar dot product
+_PREFILTER_MARGIN = 1e-8
+
+
+def _confirmed_pairs(
+    quotes: list[Quote], holders: list[set[str]], store: EmbeddingStore, tau: float
+) -> list[dict[int, float]]:
+    """For each quote (listed by id), the later quotes it pairs with at >= tau,
+    mapped to their similarity; every quote also pairs with itself at 1.0.
+
+    Same-text pairs are common references at exactly 1.0. The others are
+    prefiltered with one row product per quote and confirmed with
+    :func:`quote_similarity`, so every kept value is the scalar one. Vectors
+    are read only for quotes that face a different-text quote across two
+    authors, the only quotes whose vectors the pairwise definition consults.
+    """
+    n = len(quotes)
+    codes_of: dict[str, int] = {}
+    codes = np.array(
+        [codes_of.setdefault(q.normalized_text, len(codes_of)) for q in quotes], dtype=np.int64
+    )
+    per_text = np.bincount(codes)
+    solo: Counter = Counter(next(iter(h)) for h in holders if len(h) == 1)
+    # quote i faces a different-text quote held by someone else unless every
+    # quote outside its text group is held by i's sole holder alone
+    need = [
+        len(codes_of) > 1
+        and (len(h) > 1 or n - solo[next(iter(h))] - per_text[code] + 1 > 0)
+        for h, code in zip(holders, codes)
+    ]
+    with_vector = np.flatnonzero(need)
+    x, norms = _stacked([quotes[i].id for i in with_vector], store)
+    rank = {int(i): r for r, i in enumerate(with_vector)}
+    cut = tau - _PREFILTER_MARGIN
+
+    partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
+    for i in range(n):
+        hits = {int(j): 1.0 for j in np.flatnonzero(codes[i + 1 :] == codes[i]) + i + 1}
+        r = rank.get(i)
+        if r is not None:
+            row = (x[r + 1 :] @ x[r]) / (norms[r + 1 :] * norms[r])
+            for j in with_vector[r + 1 :][~(row < cut)]:  # NaN rows go to the scalar check
+                j = int(j)
+                if j not in hits:
+                    sim = quote_similarity(quotes[i], quotes[j], store)
+                    if sim >= tau:
+                        hits[j] = sim
+        for j, sim in hits.items():
+            partners[i][j] = partners[j][i] = sim
+    return partners
+
+
+def _stacked(quote_ids: list[str], store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+    """The quotes' vectors as rows and their norms, with the checks
+    :func:`cosine` makes: one dimension, no zero vector."""
+    vectors = [store.get(qid) for qid in quote_ids]
+    for qid, vec in zip(quote_ids, vectors):
+        if vec.shape != vectors[0].shape:
+            raise DimensionMismatch(qid, vectors[0].shape[0], vec.shape[0])
+    x = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, 0))
+    norms = np.linalg.norm(x, axis=1)
+    for qid, norm in zip(quote_ids, norms):
+        if norm == 0.0:
+            raise ZeroVector(qid)
+    return x, norms
 
 
 def build_an(
@@ -128,19 +204,56 @@ def build_an(
     """Joint-attention network: edge weight is the sum of similarity scores
     over the authors' joint quote pairs.
 
+    An author attends the quotes they annotated and the root quotes of the
+    threads they replied in, one quote per normalized text (smallest id). A
+    joint pair of authors u, v is an unordered quote pair {p, q} with p
+    attended by u and q by v, and similarity >= ``tau``
+    (:func:`quote_similarity`); a quote both attend pairs with itself at 1.0.
+
+    One pass per reading: thread roots are resolved once, each distinct quote
+    pair's similarity is thresholded once (a row product per quote, then the
+    scalar check near and above ``tau``), and each author pair sums its joint
+    pairs in (quote_a, quote_b) id order. The result is identical, weights
+    included, to calling :func:`joint_pairs` for every author pair.
+
     Nodes are the reading's active authors; pass ``roster`` to include inactive
     authors as isolates for cross-reading comparability.
     """
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
     authors = sorted(reading.active_authors() | (roster or set()))
     g = WeightedGraph(nodes=set(authors))
-    attended = {
-        a: _dedupe_by_text(attention_quotes(a, reading, corpus)) for a in authors
-    }
-    for i, u in enumerate(authors):
-        for v in authors[i + 1 :]:
-            pairs = joint_pairs(attended[u], attended[v], store, tau)
-            if pairs:
-                g.add_edge(u, v, sum(p.similarity for p in pairs))
+
+    root = _root_quotes(reading)
+    attended: dict[str, set[str]] = {a: set() for a in authors}
+    for art in reading.artifacts:
+        quote_id = root[art.id]
+        if quote_id is not None and quote_id in reading.quotes:
+            attended[art.author_id].add(quote_id)
+    held: dict[str, dict[str, str]] = {}  # author -> normalized text -> quote id
+    for author, quote_ids in attended.items():
+        by_text = held[author] = {}
+        for quote_id in sorted(quote_ids):
+            by_text.setdefault(reading.quotes[quote_id].normalized_text, quote_id)
+
+    ids = sorted({qid for by_text in held.values() for qid in by_text.values()})
+    index = {qid: i for i, qid in enumerate(ids)}
+    holders: list[set[str]] = [set() for _ in ids]
+    quotes_of: dict[str, set[int]] = {}
+    for author, by_text in held.items():
+        quotes_of[author] = {index[qid] for qid in by_text.values()}
+        for i in quotes_of[author]:
+            holders[i].add(author)
+    partners = _confirmed_pairs([reading.quotes[qid] for qid in ids], holders, store, tau)
+
+    for k, u in enumerate(authors):
+        for v in authors[k + 1 :]:
+            joint: dict[tuple[int, int], float] = {}
+            for i in quotes_of[u]:
+                for j in partners[i].keys() & quotes_of[v]:
+                    joint[(i, j) if i < j else (j, i)] = partners[i][j]
+            if joint:
+                g.add_edge(u, v, sum(joint[key] for key in sorted(joint)))
     return g
 
 

@@ -11,6 +11,9 @@ Embedding file formats:
 * Binary: magic bytes ``AICEMB01``, then two little-endian uint32 (dimension,
   record count), then per record a little-endian uint16 id byte-length, the
   UTF-8 id, and ``dimension`` little-endian float32 components.
+
+Every vector must be finite, non-zero, of one shared dimension, and given once
+per quote id.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import Quote, normalize_text
-from .errors import DimensionMismatch, EmptyText, MissingEmbedding, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    EmbeddingFileError,
+    EmptyText,
+    InvalidVector,
+    MissingEmbedding,
+    ZeroVector,
+)
 
 _MAGIC = b"AICEMB01"
 
@@ -64,10 +74,14 @@ def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStor
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for quote_id, vec in records:
+        if quote_id in vectors:
+            raise InvalidVector(quote_id, "is given twice")
         if dim is None:
             dim = int(vec.shape[0])
         elif vec.shape[0] != dim:
             raise DimensionMismatch(quote_id, dim, int(vec.shape[0]))
+        if not np.isfinite(vec).all():
+            raise InvalidVector(quote_id, "has a non-finite component")
         if not np.any(vec):
             raise ZeroVector(quote_id)
         vectors[quote_id] = vec.astype(np.float64)
@@ -78,14 +92,20 @@ def load_embeddings(path: str | Path, known_quote_ids: set[str] | None = None) -
     """Load a vector file (JSONL or binary, sniffed by magic bytes).
 
     Ids not present in ``known_quote_ids`` (when given) are kept but reported
-    through a :class:`UserWarning` listing the orphans.
+    through a :class:`UserWarning` listing the orphans. A malformed file raises
+    :class:`EmbeddingFileError` naming the line or byte offset; a duplicate id
+    or a non-finite component raises :class:`InvalidVector`.
     """
     path = Path(path)
     raw = path.read_bytes()
     if raw.startswith(_MAGIC):
         store = _validated_store(_read_binary(raw))
     else:
-        store = _validated_store(_read_jsonl(raw.decode("utf-8")))
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EmbeddingFileError(f"byte {exc.start}", "not valid UTF-8") from None
+        store = _validated_store(_read_jsonl(text))
     if known_quote_ids is not None:
         orphans = sorted(set(store.vectors) - known_quote_ids)
         if orphans:
@@ -94,20 +114,45 @@ def load_embeddings(path: str | Path, known_quote_ids: set[str] | None = None) -
 
 
 def _read_jsonl(text: str) -> Iterable[tuple[str, np.ndarray]]:
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        yield str(rec["quote_id"]), np.asarray(rec["vector"], dtype=np.float64)
+        where = f"line {lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EmbeddingFileError(where, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(rec, dict) or "quote_id" not in rec or "vector" not in rec:
+            raise EmbeddingFileError(where, "expected an object with 'quote_id' and 'vector'")
+        try:
+            vec = np.asarray(rec["vector"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            vec = None
+        if vec is None or vec.ndim != 1:
+            raise EmbeddingFileError(where, "'vector' must be a list of numbers")
+        yield str(rec["quote_id"]), vec
 
 
 def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
-    dim, count = struct.unpack_from("<II", raw, len(_MAGIC))
-    offset = len(_MAGIC) + 8
-    for _ in range(count):
+    def need(offset: int, size: int, what: str) -> None:
+        if offset + size > len(raw):
+            raise EmbeddingFileError(
+                f"byte {offset}", f"truncated {what}: {size} bytes needed, {len(raw) - offset} left"
+            )
+
+    offset = len(_MAGIC)
+    need(offset, 8, "header")
+    dim, count = struct.unpack_from("<II", raw, offset)
+    offset += 8
+    for index in range(count):
+        need(offset, 2, f"record {index}")
         (id_len,) = struct.unpack_from("<H", raw, offset)
         offset += 2
-        quote_id = raw[offset : offset + id_len].decode("utf-8")
+        need(offset, id_len + 4 * dim, f"record {index}")
+        try:
+            quote_id = raw[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise EmbeddingFileError(f"byte {offset}", "quote id is not valid UTF-8") from None
         offset += id_len
         vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset).astype(np.float64)
         offset += 4 * dim

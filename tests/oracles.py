@@ -1,8 +1,9 @@
-"""Brute-force metric oracles, kept independent of the library's algorithms.
+"""Brute-force oracles, kept independent of the library's algorithms.
 
 Distances come from per-source BFS; shortest-path counts come from powers of
 the adjacency matrix (walks of length dist(s, t) are exactly the shortest
-paths). Only sensible for small graphs.
+paths). The attention-network oracle is the pairwise definition: one
+:func:`joint_pairs` call per author pair. Only sensible for small inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +12,40 @@ from itertools import combinations
 
 import numpy as np
 
-from aicnet.graphs import WeightedGraph
+from aicnet.corpus import Corpus, Quote, Reading
+from aicnet.graphs import WeightedGraph, attention_quotes
+from aicnet.semantic import EmbeddingStore, joint_pairs
+
+
+def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
+    """One representative per normalized text (smallest quote id), so a pair of
+    identical-text quotes held by both authors contributes once, not four times."""
+    best: dict[str, Quote] = {}
+    for q in sorted(quotes, key=lambda q: q.id):
+        best.setdefault(q.normalized_text, q)
+    return set(best.values())
+
+
+def oracle_build_an(
+    reading: Reading,
+    corpus: Corpus,
+    store: EmbeddingStore,
+    tau: float = 0.8,
+    roster: set[str] | None = None,
+) -> WeightedGraph:
+    """Attention network by definition: for every author pair, the sum of the
+    similarities of their joint quote pairs, in (quote_a, quote_b) order."""
+    authors = sorted(reading.active_authors() | (roster or set()))
+    g = WeightedGraph(nodes=set(authors))
+    attended = {
+        a: _dedupe_by_text(attention_quotes(a, reading, corpus)) for a in authors
+    }
+    for i, u in enumerate(authors):
+        for v in authors[i + 1 :]:
+            pairs = joint_pairs(attended[u], attended[v], store, tau)
+            if pairs:
+                g.add_edge(u, v, sum(p.similarity for p in pairs))
+    return g
 
 
 def _index(g: WeightedGraph) -> tuple[list[str], np.ndarray]:

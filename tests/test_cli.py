@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,40 @@ def test_binary_embeddings_through_cli(sample, tmp_path, capsys):
     graph = read_graphml(out / "r1_an.graphml")
     # float32 storage wiggles similarities, not the common-reference edge set
     assert set(graph.edges) == set(gt1.expected_an.edges)
+
+
+def _truncated_binary(good: Path, path: Path) -> None:
+    save_embeddings(load_embeddings(good), path, format="binary")
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _edited_jsonl(edit):
+    def write(good: Path, path: Path) -> None:
+        lines = good.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return write
+
+
+@pytest.mark.parametrize("write, message", [
+    (_truncated_binary, r"byte \d+: truncated"),
+    (_edited_jsonl(lambda ls: ls[:1] + [ls[1][:-5]] + ls[2:]), "line 2: invalid JSON"),
+    (_edited_jsonl(lambda ls: ls[:1] + [ls[1].replace('"quote_id"', '"qid"')] + ls[2:]),
+     "line 2: expected an object"),
+    (_edited_jsonl(lambda ls: ls[:1] + [ls[1].replace('"vector"', '"vec"')] + ls[2:]),
+     "line 2: expected an object"),
+    (_edited_jsonl(lambda ls: [re.sub(r"\[[^,\]]+", "[NaN", ls[0], count=1)] + ls[1:]),
+     "non-finite"),
+    (_edited_jsonl(lambda ls: ls + ls[:1]), "given twice"),
+], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id"])
+def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
+    corpus_path, emb_path, _ = sample
+    bad = tmp_path / "bad_emb"
+    write(emb_path, bad)
+    code, _, err = run_cli(capsys, "build", str(corpus_path), "--reading", "r1",
+                           "--network", "an", "--embeddings", str(bad),
+                           "--out", str(tmp_path / "out"))
+    assert code == 1, err
+    assert re.search(message, err), err
 
 
 def test_missing_input_file_is_input_error(tmp_path, capsys):

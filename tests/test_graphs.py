@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,13 @@ from aicnet.graphs import (
     non_isolated_subgraph,
     project,
 )
-from aicnet.semantic import EmbeddingStore, embed_quotes
+from aicnet.errors import DimensionMismatch, MissingEmbedding, ZeroVector
+from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
+from aicnet.synth import SynthParams, generate
 from aicnet.textpipe import WordSelectionParams
 
 from conftest import mk_corpus
+from oracles import oracle_build_an
 
 
 def _figure_corpus():
@@ -344,3 +349,159 @@ def test_builders_insensitive_to_artifact_order():
     for g1, g2 in zip(before, after):
         assert g1.nodes == g2.nodes
         assert g1.edges == g2.edges
+
+
+# -- one-pass attention network against the pairwise oracle -------------------
+
+_AN_TEXTS = ["alpha beta", "Alpha  BETA", " alpha beta\n", "gamma", "delta epsilon", "zeta"]
+
+
+def _planted(base: np.ndarray, cos: float, seed: int) -> np.ndarray:
+    """A vector whose cosine with ``base`` is ``cos`` up to rounding."""
+    u = base / np.linalg.norm(base)
+    w = np.random.default_rng(seed).standard_normal(base.shape[0])
+    w -= (w @ u) * u
+    w /= np.linalg.norm(w)
+    return cos * u + np.sqrt(max(0.0, 1.0 - cos * cos)) * w
+
+
+@st.composite
+def an_readings(draw):
+    """A reading with twinned texts under different ids, deep reply threads,
+    roster isolates, and vectors planted at tau +- 1e-16 and +- 1e-12 with
+    non-unit lengths."""
+    tau = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    n_quotes = draw(st.integers(1, 7))
+    quotes, vectors = [], {}
+    for i in range(n_quotes):
+        qid = f"q{i}"
+        quotes.append((qid, "r1", draw(st.sampled_from(_AN_TEXTS))))
+        if i and draw(st.booleans()):
+            base = vectors[f"q{draw(st.integers(0, i - 1))}"]
+            delta = draw(st.sampled_from([-1e-12, -1e-16, 0.0, 1e-16, 1e-12]))
+            vec = _planted(base, min(1.0, tau + delta), draw(st.integers(0, 2**16)))
+        else:
+            vec = np.array(draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4)), dtype=float)
+            vec[0] += not vec.any()
+        vectors[qid] = vec * draw(st.sampled_from([1.0, 0.3, 7.0]))
+
+    authors = [f"s{i}" for i in range(draw(st.integers(1, 6)))]
+    annotations, replies, ids = [], [], []
+    for j in range(draw(st.integers(1, 14))):
+        aid, author = f"a{j}", draw(st.sampled_from(authors))
+        if not ids or draw(st.integers(0, 2)) == 0:
+            annotations.append((aid, "r1", author, f"q{draw(st.integers(0, n_quotes - 1))}", "note"))
+        else:
+            # half of the replies extend the newest artifact, so threads grow deep
+            parent = ids[-1] if draw(st.booleans()) else draw(st.sampled_from(ids))
+            replies.append((aid, "r1", author, parent, "reply"))
+        ids.append(aid)
+    corpus = mk_corpus(quotes=quotes, annotations=annotations, replies=replies)
+    roster = set(draw(st.lists(st.sampled_from(authors + ["x1", "x2"]), max_size=3)))
+    return corpus, EmbeddingStore(dim=4, vectors=vectors), tau, roster
+
+
+@settings(max_examples=300, deadline=None)
+@given(an_readings())
+def test_build_an_equals_pairwise_oracle(case):
+    corpus, store, tau, roster = case
+    reading = corpus.readings["r1"]
+    got = build_an(reading, corpus, store, tau, roster=roster)
+    want = oracle_build_an(reading, corpus, store, tau, roster=roster)
+    assert got.nodes == want.nodes
+    assert got.edges == want.edges  # exact floats, no tolerance
+    assert list(got.edges) == list(want.edges)  # and the same edge order
+
+
+def test_build_an_sums_in_quote_pair_order():
+    # float addition is not associative: these three cosines sum to different
+    # values left to right and right to left
+    corpus = mk_corpus(
+        quotes=[("q0", "r1", "zero"), ("q1", "r1", "one"), ("q2", "r1", "two"),
+                ("q3", "r1", "three")],
+        annotations=[("a0", "r1", "B", "q0", "w"), ("a1", "r1", "A", "q1", "x"),
+                     ("a2", "r1", "A", "q2", "y"), ("a3", "r1", "A", "q3", "z")],
+    )
+    store = EmbeddingStore(dim=4, vectors={
+        "q0": np.array([1.0, 0.0, 0.0, 0.0]),
+        "q1": np.array([3.0, 4.0, 1.0, 1.0]),
+        "q2": np.array([2.0, 1.0, 0.0, -1.0]),
+        "q3": np.array([4.0, 2.0, 1.0, -1.0]),
+    })
+    reading = corpus.readings["r1"]
+    q = reading.quotes
+    sims = [quote_similarity(q["q0"], q[qid], store) for qid in ("q1", "q2", "q3")]
+    assert sum(sims) != sum(reversed(sims))
+    g = build_an(reading, corpus, store, 0.5)
+    assert g.edges == {("A", "B"): sum(sims)}
+    assert g.edges == oracle_build_an(reading, corpus, store, 0.5).edges
+
+
+def _two_author_corpus():
+    return mk_corpus(
+        quotes=[("q1", "r1", "first passage"), ("q2", "r1", "second passage")],
+        annotations=[("a1", "r1", "A", "q1", "x"), ("a2", "r1", "B", "q2", "y")],
+    )
+
+
+@pytest.mark.parametrize("vectors, error", [
+    ({"q1": np.array([1.0, 0.0])}, MissingEmbedding),
+    ({"q1": np.array([1.0, 0.0]), "q2": np.zeros(2)}, ZeroVector),
+    ({"q1": np.array([1.0, 0.0]), "q2": np.array([1.0, 0.0, 0.0])}, DimensionMismatch),
+])
+def test_build_an_vector_errors_match_oracle(vectors, error):
+    corpus = _two_author_corpus()
+    reading = corpus.readings["r1"]
+    store = EmbeddingStore(dim=2, vectors=vectors)
+    with pytest.raises(error):
+        oracle_build_an(reading, corpus, store, 0.8)
+    with pytest.raises(error):
+        build_an(reading, corpus, store, 0.8)
+
+
+def test_build_an_reads_no_vector_the_oracle_skips():
+    # one active author's quotes never meet another author's quotes
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "first passage"), ("q2", "r1", "second passage")],
+        annotations=[("a1", "r1", "A", "q1", "x"), ("a2", "r1", "A", "q2", "y")],
+    )
+    reading = corpus.readings["r1"]
+    store = EmbeddingStore(dim=2, vectors={})
+    want = oracle_build_an(reading, corpus, store, 0.8, roster={"Z"})
+    got = build_an(reading, corpus, store, 0.8, roster={"Z"})
+    assert (got.nodes, got.edges) == (want.nodes, want.edges) == ({"A", "Z"}, {})
+
+
+def test_build_an_compares_each_quote_pair_once(monkeypatch):
+    import aicnet.graphs as graphs
+    import aicnet.semantic as semantic
+
+    params = SynthParams(
+        n_authors=24, n_quotes=10,
+        attention_blocks=tuple(tuple(f"a{i:02d}" for i in range(b, b + 4)) for b in range(1, 25, 4)),
+        seed=3,
+    )
+    corpus, store, gt = generate(params)
+    reading = corpus.readings["r1"]
+    calls: Counter = Counter()
+    jp_calls = []
+
+    def counting_similarity(q1, q2, s):
+        calls[frozenset((q1.id, q2.id))] += 1
+        return quote_similarity(q1, q2, s)
+
+    def counting_joint_pairs(*args, **kwargs):
+        jp_calls.append(args)
+        return joint_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "quote_similarity", counting_similarity)
+    monkeypatch.setattr(semantic, "joint_pairs", counting_joint_pairs)
+    assert len(reading.active_authors()) >= 20
+    g = build_an(reading, corpus, store, 0.8)
+    assert set(g.edges) == set(gt.expected_an.edges)
+    # a low threshold sends the unrelated synthetic texts to the scalar check
+    loose = build_an(reading, corpus, store, 0.05)
+    assert jp_calls == []
+    assert sum(calls.values()) > 0
+    assert max(calls.values()) == 1
+    assert loose.edges == oracle_build_an(reading, corpus, store, 0.05).edges

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aicnet.corpus import Quote
-from aicnet.errors import DimensionMismatch, EmptyText, MissingEmbedding, ZeroVector
+from aicnet.errors import (
+    AicnetError,
+    DimensionMismatch,
+    EmbeddingFileError,
+    EmptyText,
+    InvalidVector,
+    MissingEmbedding,
+    ZeroVector,
+)
 from aicnet.semantic import (
     EmbeddingStore,
     cosine,
@@ -87,6 +95,78 @@ def test_binary_round_trip(tmp_path):
     assert set(again.vectors) == set(store.vectors)
     for qid in store.vectors:
         np.testing.assert_allclose(again.vectors[qid], store.vectors[qid], rtol=1e-6)
+
+
+@pytest.mark.parametrize("component", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_load_rejects_non_finite_component(tmp_path, component):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
+        + '{"quote_id": "q2", "vector": [0.5, %s]}\n' % component
+    )
+    with pytest.raises(InvalidVector, match="'q2'"):
+        load_embeddings(path)
+
+
+def test_load_rejects_non_finite_binary_component(tmp_path):
+    store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, np.nan])})
+    path = tmp_path / "emb.bin"
+    save_embeddings(store, path, format="binary")
+    with pytest.raises(InvalidVector, match="'q1'"):
+        load_embeddings(path)
+
+
+def test_load_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
+        + json.dumps({"quote_id": "q1", "vector": [0.0, 1.0]}) + "\n"
+    )
+    with pytest.raises(InvalidVector, match="'q1'"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("line, where", [
+    ('{"quote_id": "q2", "vector": [1.0, ', "line 3"),
+    ('{"vector": [1.0, 0.0]}', "line 3"),
+    ('{"quote_id": "q2"}', "line 3"),
+    ('["q2", [1.0, 0.0]]', "line 3"),
+    ('{"quote_id": "q2", "vector": ["a", "b"]}', "line 3"),
+    ('{"quote_id": "q2", "vector": 1.0}', "line 3"),
+])
+def test_load_jsonl_faults_name_the_line(tmp_path, line, where):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n\n" + line + "\n")
+    with pytest.raises(EmbeddingFileError, match=where):
+        load_embeddings(path)
+
+
+def test_load_rejects_non_utf8_jsonl(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_bytes(b'{"quote_id": "q\xff", "vector": [1.0]}\n')
+    with pytest.raises(EmbeddingFileError, match="byte 15"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("cut", [9, 14, 18, 21, 30])
+def test_load_truncated_binary_names_the_offset(tmp_path, cut):
+    store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, 2.0]), "q2": np.array([3.0, 4.0])})
+    path = tmp_path / "emb.bin"
+    save_embeddings(store, path, format="binary")
+    path.write_bytes(path.read_bytes()[:cut])  # full file: 16 + 2 * (2 + 2 + 8) = 40 bytes
+    with pytest.raises(EmbeddingFileError, match=r"byte \d+: truncated"):
+        load_embeddings(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=64), st.booleans())
+def test_load_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data, binary):
+    path = tmp_path_factory.mktemp("emb") / "emb.bin"
+    path.write_bytes((b"AICEMB01" if binary else b"") + data)
+    try:
+        load_embeddings(path)
+    except AicnetError:
+        pass
 
 
 def test_hash_embed_deterministic():
