@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import (
     AicnetError,
+    CorpusEncodingError,
     CyclicThread,
     DanglingParent,
     EmptyCorpus,
@@ -127,8 +128,8 @@ def _records_from_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict] | Par
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield ParseError(lineno, f"invalid JSON ({exc.msg})")
+        except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
+            yield ParseError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
         if not isinstance(rec, dict):
             yield ParseError(lineno, "record is not a JSON object")
@@ -138,9 +139,7 @@ def _records_from_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict] | Par
 
 def _records_from_csv(text: str) -> Iterator[tuple[int, dict] | ParseError]:
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
-        return
-    while True:
+    while True:  # the first next() reads the header, which can fail too
         try:
             rec = next(reader)
         except StopIteration:
@@ -213,7 +212,11 @@ def _iter_parsed(
     """Yield (line, record) pairs; parse failures are yielded (not raised) so
     callers can either stop at the first or collect all of them."""
     # decode manually: read_text would newline-translate inside quoted CSV fields
-    text = Path(path).read_bytes().decode("utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        yield CorpusEncodingError(str(path), exc.start)
+        return
     if format == "jsonl":
         raw: Iterator[tuple[int, dict] | ParseError] = _records_from_jsonl(text.splitlines())
     elif format == "csv":

@@ -20,6 +20,15 @@ class ParseError(AicnetError):
         super().__init__(f"line {line}: {reason}")
 
 
+class CorpusEncodingError(AicnetError):
+    """A corpus file whose bytes are not UTF-8, located by byte offset."""
+
+    def __init__(self, path: str, offset: int):
+        self.path = path
+        self.offset = offset
+        super().__init__(f"{path}: byte {offset}: not valid UTF-8")
+
+
 class EmptyCorpus(AicnetError):
     def __init__(self) -> None:
         super().__init__("corpus file contains no records")

@@ -2,9 +2,9 @@
 
 Every measure runs on the unweighted skeleton of the graph: weights carry
 display meaning only, and distances are hop counts, so nodes of a fully
-connected component score closeness 1.00. A weighted-distance variant
-(distance = 1/weight) exists behind the ``weighted`` flag for exploration; it
-is not used by any report.
+connected component score closeness 1.00. Node measures build the graph's
+adjacency once and make one pass over all nodes: one BFS per node for
+closeness, Brandes (2001) for betweenness.
 
 Null conventions: a measure whose denominator is zero is ``None``, never NaN,
 and isolated or absent nodes get ``None`` in node reports.
@@ -12,47 +12,12 @@ and isolated or absent nodes get ``None`` in node reports.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import UnknownNode
 from .graphs import WeightedGraph, non_isolated_subgraph
-
-
-def _bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(adj[v]):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def _dijkstra_distances(g: WeightedGraph, source: str) -> dict[str, float]:
-    # weighted mode: distance of an edge is 1/weight
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.nodes}
-    for (u, v), w in g.edges.items():
-        adj[u].append((v, 1.0 / w))
-        adj[v].append((u, 1.0 / w))
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    done: set[str] = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for w, cost in sorted(adj[v]):
-            nd = d + cost
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
 
 
 def transitivity(g: WeightedGraph) -> float | None:
@@ -79,114 +44,88 @@ def degree_centralization(g: WeightedGraph) -> float | None:
     return sum(d_max - d for d in degrees) / ((n - 1) * (n - 2))
 
 
-def closeness(g: WeightedGraph, v: str, weighted: bool = False) -> float | None:
+def _closeness_from(adj: dict[str, set[str]], source: str) -> float | None:
+    """(k-1) / sum of hop distances from source to the k-1 other nodes it
+    reaches, by a level-by-level BFS. The sum is an integer, so neighbour
+    order does not matter. None for an isolate."""
+    seen = {source}
+    frontier = seen
+    reached = total = depth = 0
+    while frontier:
+        depth += 1
+        frontier = set().union(*(adj[v] for v in frontier)) - seen
+        seen |= frontier
+        reached += len(frontier)
+        total += depth * len(frontier)
+    return reached / total if total else None
+
+
+def closeness_all(g: WeightedGraph) -> dict[str, float | None]:
+    """Component-normalized closeness of every node of g (see :func:`closeness`)."""
+    adj = g.adjacency()
+    return {v: _closeness_from(adj, v) for v in adj}
+
+
+def closeness(g: WeightedGraph, v: str) -> float | None:
     """Component-normalized closeness: (k-1) / sum of distances to the k-1
     other nodes of v's component. None for isolates."""
     if v not in g.nodes:
         raise UnknownNode(v)
-    if g.degree(v) == 0:
-        return None
-    if weighted:
-        dist: Mapping[str, float] = _dijkstra_distances(g, v)
-    else:
-        dist = _bfs_distances(g.adjacency(), v)
-    total = sum(d for node, d in dist.items() if node != v)
-    k = len(dist)
-    if total == 0:
-        return None  # unreachable: degree >= 1 implies a neighbor at distance > 0
-    return (k - 1) / total
+    return _closeness_from(g.adjacency(), v)
 
 
-def _brandes_raw(adj: dict[str, set[str]]) -> dict[str, float]:
-    """Betweenness accumulation over unordered pairs (already halved)."""
-    raw = {v: 0.0 for v in adj}
-    for source in sorted(adj):
-        stack: list[str] = []
-        preds: dict[str, list[str]] = {v: [] for v in adj}
-        sigma = {v: 0 for v in adj}
-        dist = {v: -1 for v in adj}
-        sigma[source] = 1
-        dist[source] = 0
+def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
+    """Betweenness of every node of g, normalized by (n-1)(n-2)/2 with n
+    counting the non-isolated nodes. None for isolates and when n < 3.
+
+    Brandes' accumulation over unordered pairs, with sources and neighbour
+    lists in sorted order so every float is summed in a fixed order.
+    """
+    adj = g.adjacency()
+    out: dict[str, float | None] = dict.fromkeys(adj)
+    nodes = sorted(v for v, neigh in adj.items() if neigh)
+    n = len(nodes)
+    denom = (n - 1) * (n - 2) / 2.0
+    if denom == 0:
+        return out
+    neighbors = {v: sorted(adj[v]) for v in nodes}
+    raw = dict.fromkeys(nodes, 0.0)
+    for source in nodes:
+        order: list[str] = []
+        preds: dict[str, list[str]] = {source: []}
+        sigma = {source: 1}
+        dist = {source: 0}
         queue = deque([source])
         while queue:
             v = queue.popleft()
-            stack.append(v)
-            for w in sorted(adj[v]):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
+            order.append(v)
+            next_dist = dist[v] + 1
+            for w in neighbors[v]:
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = next_dist
                     queue.append(w)
-                if dist[w] == dist[v] + 1:
+                    sigma[w] = sigma[v]
+                    preds[w] = [v]
+                elif dw == next_dist:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = {v: 0.0 for v in adj}
-        while stack:
-            w = stack.pop()
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order[1:]):
             for v in preds[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                raw[w] += delta[w]
-    return {v: value / 2.0 for v, value in raw.items()}
+            raw[w] += delta[w]
+    for v in nodes:
+        out[v] = raw[v] / 2.0 / denom
+    return out
 
 
-def _brandes_raw_weighted(g: WeightedGraph) -> dict[str, float]:
-    """Dijkstra-based variant for the weighted-distance mode (distance = 1/weight).
-
-    Two phases per source: final distances first, then path counting over the
-    shortest-path DAG those distances induce (ties matched within 1e-12).
-    """
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.nodes}
-    for (u, v), w in g.edges.items():
-        adj[u].append((v, 1.0 / w))
-        adj[v].append((u, 1.0 / w))
-    raw = {v: 0.0 for v in g.nodes}
-    for source in sorted(g.nodes):
-        dist = _dijkstra_distances(g, source)
-        order = sorted(dist, key=lambda v: (dist[v], v))
-        sigma = {v: 0.0 for v in dist}
-        preds: dict[str, list[str]] = {v: [] for v in dist}
-        sigma[source] = 1.0
-        for v in order:
-            for w, cost in sorted(adj[v]):
-                if w in dist and abs(dist[v] + cost - dist[w]) <= 1e-12:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = {v: 0.0 for v in dist}
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != source:
-                raw[w] += delta[w]
-    return {v: value / 2.0 for v, value in raw.items()}
-
-
-def betweenness(g: WeightedGraph, v: str, weighted: bool = False) -> float | None:
+def betweenness(g: WeightedGraph, v: str) -> float | None:
     """Betweenness normalized by (n-1)(n-2)/2, n counting the non-isolated
     nodes of the network. None for isolates and when n < 3."""
     if v not in g.nodes:
         raise UnknownNode(v)
-    sub = non_isolated_subgraph(g)
-    if v not in sub.nodes:
-        return None
-    n = len(sub.nodes)
-    denom = (n - 1) * (n - 2) / 2.0
-    if denom == 0:
-        return None
-    raw = _brandes_raw_weighted(sub) if weighted else _brandes_raw(sub.adjacency())
-    return raw[v] / denom
-
-
-def _all_betweenness(g: WeightedGraph) -> dict[str, float | None]:
-    """Per-node normalized betweenness for every node of g (one traversal set)."""
-    out: dict[str, float | None] = {v: None for v in g.nodes}
-    sub = non_isolated_subgraph(g)
-    n = len(sub.nodes)
-    denom = (n - 1) * (n - 2) / 2.0
-    if denom == 0:
-        return out
-    raw = _brandes_raw(sub.adjacency())
-    for v in sub.nodes:
-        out[v] = raw[v] / denom
-    return out
+    return betweenness_all(g)[v]
 
 
 # -- reports -------------------------------------------------------------------
@@ -217,20 +156,18 @@ def node_report(
 ) -> list[NodeMetricsRow]:
     """One row per roster author, sorted by author id: closeness in the
     attention network, betweenness in the interaction and creation networks."""
-    in_btw = _all_betweenness(in_)
-    cn_btw = _all_betweenness(cn)
-    rows = []
-    for author in sorted(roster):
-        clo = closeness(an, author) if author in an.nodes else None
-        rows.append(
-            NodeMetricsRow(
-                author_id=author,
-                an_closeness=clo,
-                in_betweenness=in_btw.get(author),
-                cn_betweenness=cn_btw.get(author),
-            )
+    an_clo = closeness_all(an)
+    in_btw = betweenness_all(in_)
+    cn_btw = betweenness_all(cn)
+    return [
+        NodeMetricsRow(
+            author_id=author,
+            an_closeness=an_clo.get(author),
+            in_betweenness=in_btw.get(author),
+            cn_betweenness=cn_btw.get(author),
         )
-    return rows
+        for author in sorted(roster)
+    ]
 
 
 def network_report(

@@ -228,7 +228,6 @@ class WordSelectionParams:
     drop_lowest: int = 5
     top_k: int = 70
     stopwords: frozenset[str] = frozenset()
-    removal_aggregate: Literal["max", "mean"] = "max"
 
     def __post_init__(self) -> None:
         if self.min_frequency < 1:
@@ -256,9 +255,8 @@ def select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectio
     1. noun lemmas of every artifact body (annotations and replies alike);
     2. keep lemmas whose reading-wide count >= ``min_frequency``;
     3. score each (lemma, artifact) occurrence with tf-idf;
-    4. drop the ``drop_lowest`` lemmas with the smallest aggregate score
-       (``removal_aggregate`` over the lemma's artifacts; ties broken by
-       lemma, ascending);
+    4. drop the ``drop_lowest`` lemmas with the smallest max score over
+       their artifacts (ties broken by lemma, ascending);
     5. rank the surviving (lemma, artifact) pairs by score descending (ties:
        lemma, then artifact id) and keep the first ``top_k``;
     6. map pairs to (lemma, author), keeping the max score per pair.
@@ -291,10 +289,7 @@ def select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectio
             pair_scores[(lemma, art.id)] = (score, art.author_id)
             per_lemma[lemma].append(score)
 
-    if params.removal_aggregate == "max":
-        aggregate = {lemma: max(scores) for lemma, scores in per_lemma.items()}
-    else:
-        aggregate = {lemma: sum(scores) / len(scores) for lemma, scores in per_lemma.items()}
+    aggregate = {lemma: max(scores) for lemma, scores in per_lemma.items()}
     dropped = {
         lemma
         for lemma, _ in sorted(aggregate.items(), key=lambda kv: (kv[1], kv[0]))[: params.drop_lowest]

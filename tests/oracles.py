@@ -4,16 +4,23 @@ Distances come from per-source BFS; shortest-path counts come from powers of
 the adjacency matrix (walks of length dist(s, t) are exactly the shortest
 paths). The attention-network oracle is the pairwise definition: one
 :func:`joint_pairs` call per author pair. Only sensible for small inputs.
+
+The node-report oracle is the per-author implementation the library used
+before its one-pass measures: one sorted BFS per author, each on a freshly
+built adjacency, and Brandes with neighbours sorted at every visit. The
+library's report must equal it with ``==``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from aicnet.corpus import Corpus, Quote, Reading
-from aicnet.graphs import WeightedGraph, attention_quotes
+from aicnet.graphs import WeightedGraph, attention_quotes, non_isolated_subgraph
+from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, joint_pairs
 
 
@@ -151,3 +158,84 @@ def oracle_betweenness(g: WeightedGraph, v: str) -> float | None:
         through = int(powers[d_sv][s, i]) * int(powers[d_vt][i, t])
         raw += through / sigma_st
     return raw / denom
+
+
+def _sorted_bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in sorted(adj[v]):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _per_author_closeness(g: WeightedGraph, v: str) -> float | None:
+    if g.degree(v) == 0:
+        return None
+    dist = _sorted_bfs_distances(g.adjacency(), v)
+    total = sum(d for node, d in dist.items() if node != v)
+    return (len(dist) - 1) / total
+
+
+def _brandes_raw(adj: dict[str, set[str]]) -> dict[str, float]:
+    """Betweenness accumulation over unordered pairs (already halved)."""
+    raw = {v: 0.0 for v in adj}
+    for source in sorted(adj):
+        stack: list[str] = []
+        preds: dict[str, list[str]] = {v: [] for v in adj}
+        sigma = {v: 0 for v in adj}
+        dist = {v: -1 for v in adj}
+        sigma[source] = 1
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in sorted(adj[v]):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {v: 0.0 for v in adj}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                raw[w] += delta[w]
+    return {v: value / 2.0 for v, value in raw.items()}
+
+
+def _all_betweenness(g: WeightedGraph) -> dict[str, float | None]:
+    out: dict[str, float | None] = {v: None for v in g.nodes}
+    sub = non_isolated_subgraph(g)
+    n = len(sub.nodes)
+    denom = (n - 1) * (n - 2) / 2.0
+    if denom == 0:
+        return out
+    raw = _brandes_raw(sub.adjacency())
+    for v in sub.nodes:
+        out[v] = raw[v] / denom
+    return out
+
+
+def oracle_node_report(
+    an: WeightedGraph, in_: WeightedGraph, cn: WeightedGraph, roster: set[str]
+) -> list[NodeMetricsRow]:
+    """Node report with closeness computed author by author."""
+    in_btw = _all_betweenness(in_)
+    cn_btw = _all_betweenness(cn)
+    return [
+        NodeMetricsRow(
+            author_id=author,
+            an_closeness=_per_author_closeness(an, author) if author in an.nodes else None,
+            in_betweenness=in_btw.get(author),
+            cn_betweenness=cn_btw.get(author),
+        )
+        for author in sorted(roster)
+    ]

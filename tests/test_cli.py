@@ -83,6 +83,15 @@ def test_validate_empty_file(tmp_path, capsys):
     assert "no records" in out
 
 
+def test_validate_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    data = b'{"record": "quote", "id": "q1", "reading_id": "r1", "text": "caf\xe9"}\n'
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert f"byte {data.index(0xE9)}: not valid UTF-8" in out + err
+
+
 def test_stats_table_layout(sample, capsys):
     corpus_path, _, _ = sample
     code, out, _ = run_cli(capsys, "stats", str(corpus_path))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet.corpus import (
@@ -15,6 +15,8 @@ from aicnet.corpus import (
     validate_file,
 )
 from aicnet.errors import (
+    AicnetError,
+    CorpusEncodingError,
     CyclicThread,
     DanglingParent,
     EmptyCorpus,
@@ -156,6 +158,31 @@ def test_validate_file_survives_malformed_line(tmp_path, jsonl_file):
     errors = validate_file(broken)
     kinds = {type(e) for e in errors}
     assert kinds == {ParseError, MissingQuote}  # both reported, not just the first
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_non_utf8_corpus_names_the_byte_offset(tmp_path, format):
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(b"record,id\nquote,q\xff1\n")
+    with pytest.raises(CorpusEncodingError, match=r"byte 17: not valid UTF-8") as info:
+        load_corpus(path, format)
+    assert info.value.offset == 17
+    assert [str(e) for e in validate_file(path, format)] == [str(info.value)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=96), st.sampled_from(["jsonl", "csv"]))
+@example(b"\r\x00", "csv")  # the header row itself is malformed
+@example(b"1" * 5000, "jsonl")  # longer than Python's int-parsing limit
+@example(b"[" * 100_000, "jsonl")  # nested deeper than the recursion limit
+def test_load_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data, format):
+    path = tmp_path_factory.mktemp("corpus") / f"corpus.{format}"
+    path.write_bytes(data)
+    assert all(isinstance(e, AicnetError) for e in validate_file(path, format))
+    try:
+        load_corpus(path, format)
+    except AicnetError:
+        pass
 
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aicnet.errors import UnknownNode
-from aicnet.graphs import WeightedGraph
+from aicnet.graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from aicnet.metrics import (
     betweenness,
     closeness,
@@ -16,11 +18,13 @@ from aicnet.metrics import (
     node_report,
     transitivity,
 )
+from aicnet.synth import generate, random_params
 
 from oracles import (
     oracle_betweenness,
     oracle_centralization,
     oracle_closeness,
+    oracle_node_report,
     oracle_transitivity,
 )
 
@@ -308,15 +312,6 @@ def test_reweighting_changes_nothing():
             assert betweenness(g, v) == betweenness(h, v)
 
 
-def test_weighted_mode_exists_and_differs():
-    # distance = 1/weight: the heavy edge is the short way around
-    g = _graph([("a", "b", 1.0), ("b", "c", 4.0), ("a", "c", 1.0)])
-    plain = closeness(g, "b")
-    heavy = closeness(g, "b", weighted=True)
-    assert plain == 1.0
-    assert heavy != plain
-
-
 # -- reports ----------------------------------------------------------------------
 
 def test_node_report_rows():
@@ -353,3 +348,73 @@ def test_network_report_null_when_no_triples():
     rows = network_report({"r1": (an, an, an)})
     assert rows[0].an_transitivity is None
     assert rows[0].cn_transitivity is None
+
+
+# -- one-pass node report against the per-author oracle ----------------------------
+
+_POOL = [f"s{i:02d}" for i in range(40)]
+
+
+@st.composite
+def component_graphs(draw):
+    """Disjoint components over a shuffled slice of the author pool: isolates,
+    2-node components, stars and random blobs."""
+    names = draw(st.permutations(_POOL))[: draw(st.integers(0, len(_POOL)))]
+    g = WeightedGraph(nodes=set(names))
+    while names:
+        kind = draw(st.sampled_from(["isolate", "pair", "star", "blob"]))
+        size = {"isolate": 1, "pair": 2}.get(kind) or draw(st.integers(3, 24))
+        part, names = names[:size], names[size:]
+        if kind == "star":
+            candidates = [(part[0], leaf) for leaf in part[1:]]
+        else:
+            candidates = [(u, v) for i, u in enumerate(part) for v in part[i + 1 :]]
+        for u, v in candidates:
+            if kind in ("pair", "star") or draw(st.booleans()):
+                g.add_edge(u, v, draw(st.sampled_from([0.5, 1.0, 3.25])))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_graphs(), component_graphs(), component_graphs(),
+       st.sets(st.sampled_from(_POOL + ["absent1", "absent2"])))
+def test_node_report_equals_per_author_oracle(an, in_, cn, roster):
+    assert node_report(an, in_, cn, roster) == oracle_node_report(an, in_, cn, roster)
+
+
+def _synth_graphs(seed):
+    corpus, store, _ = generate(random_params(seed, max_authors=24))
+    for reading in corpus.readings.values():
+        graphs = (build_an(reading, corpus, store), build_in(reading, corpus),
+                  project(build_cn_bipartite(reading, corpus)))
+        yield graphs, corpus.authors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_node_report_equals_oracle_on_synthetic_readings(seed):
+    for graphs, roster in _synth_graphs(seed):
+        assert node_report(*graphs, roster) == oracle_node_report(*graphs, roster)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_node_report_equals_oracle_on_larger_random_graphs(seed):
+    # 20-30 nodes give enough shortest paths that summing Brandes' terms in
+    # another order changes low bits
+    graphs = [random_graph(7000 + 3 * seed + k, max_n=30) for k in range(3)]
+    roster = set().union(*(g.nodes for g in graphs)) | {"absent"}
+    assert node_report(*graphs, roster) == oracle_node_report(*graphs, roster)
+
+
+def test_node_report_builds_one_adjacency_per_graph(monkeypatch):
+    calls: dict[int, int] = {}
+    plain = WeightedGraph.adjacency
+
+    def counted(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return plain(self)
+
+    (graphs, roster), *_ = _synth_graphs(4)
+    assert all(g.edges for g in graphs)
+    monkeypatch.setattr(WeightedGraph, "adjacency", counted)
+    node_report(*graphs, roster)
+    assert all(calls.get(id(g), 0) <= 1 for g in graphs), calls
