@@ -21,7 +21,7 @@ class ParseError(AicnetError):
 
 
 class CorpusEncodingError(AicnetError):
-    """A corpus file whose bytes are not UTF-8, located by byte offset."""
+    """A corpus or word-list file whose bytes are not UTF-8, located by byte offset."""
 
     def __init__(self, path: str, offset: int):
         self.path = path

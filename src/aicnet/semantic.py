@@ -93,19 +93,15 @@ def load_embeddings(path: str | Path, known_quote_ids: set[str] | None = None) -
 
     Ids not present in ``known_quote_ids`` (when given) are kept but reported
     through a :class:`UserWarning` listing the orphans. A malformed file raises
-    :class:`EmbeddingFileError` naming the line or byte offset; a duplicate id
-    or a non-finite component raises :class:`InvalidVector`.
+    :class:`EmbeddingFileError` naming the file and the line or byte offset; a
+    duplicate id or a non-finite component raises :class:`InvalidVector`.
     """
     path = Path(path)
     raw = path.read_bytes()
-    if raw.startswith(_MAGIC):
-        store = _validated_store(_read_binary(raw))
-    else:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EmbeddingFileError(f"byte {exc.start}", "not valid UTF-8") from None
-        store = _validated_store(_read_jsonl(text))
+    try:
+        store = _validated_store(_read_binary(raw) if raw.startswith(_MAGIC) else _read_jsonl(raw))
+    except EmbeddingFileError as exc:
+        raise EmbeddingFileError(f"{path} {exc.where}", exc.reason) from None
     if known_quote_ids is not None:
         orphans = sorted(set(store.vectors) - known_quote_ids)
         if orphans:
@@ -113,15 +109,19 @@ def load_embeddings(path: str | Path, known_quote_ids: set[str] | None = None) -
     return store
 
 
-def _read_jsonl(text: str) -> Iterable[tuple[str, np.ndarray]]:
+def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFileError(f"byte {exc.start}", "not valid UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         where = f"line {lineno}"
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EmbeddingFileError(where, f"invalid JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
+            raise EmbeddingFileError(where, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(rec, dict) or "quote_id" not in rec or "vector" not in rec:
             raise EmbeddingFileError(where, "expected an object with 'quote_id' and 'vector'")
         try:

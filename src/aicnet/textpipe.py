@@ -16,13 +16,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .corpus import Artifact, Reading
-from .errors import UndefinedIdf
+from .errors import CorpusEncodingError, UndefinedIdf
 
-# A tagger decides whether a lemmatized token is a noun.
 NounTagger = Callable[["Token"], bool]
+"""Decides whether a lemmatized token is a noun.
+
+The pipeline calls it once per distinct surface per reading and reuses the
+verdict for every occurrence, so it must be a pure function of its ``Token``.
+"""
 
 _TOKEN = re.compile(r"\w+(?:['-]\w+)*", re.UNICODE)
 
@@ -77,9 +81,16 @@ class Token:
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Read a one-term-per-line word file (blank lines and '#' comments skipped)."""
+    """Read a one-term-per-line word file (blank lines and '#' comments skipped).
+
+    Bytes that are not UTF-8 raise :class:`CorpusEncodingError` naming the offset.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusEncodingError(str(path), exc.start) from None
     terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         term = line.strip().lower()
         if term and not term.startswith("#"):
             terms.add(term)
@@ -106,7 +117,7 @@ def tokenize(text: str) -> list[str]:
     Internal hyphens and apostrophes are kept ("co-construction"), leading and
     trailing ones are not ("dancers'" -> "dancers"). Order is preserved.
     """
-    return [m.group(0) for m in _TOKEN.finditer(text.lower())]
+    return _TOKEN.findall(text.lower())
 
 
 def lemmatize(surface: str, lexicon: frozenset[str] | None = None) -> str:
@@ -176,21 +187,49 @@ def filter_nouns(tokens: list[Token], tagger: NounTagger | None = None) -> list[
     return [t for t in tokens if tagger(t)]
 
 
+def _noun_lookup(tagger: NounTagger | None,
+                 extra_stopwords: frozenset[str]) -> Callable[[list[str]], Iterator[str | None]]:
+    """A surface -> noun-lemma map that lemmatizes and tags each distinct surface once.
+
+    The returned function maps each surface to its lemma, or to ``None`` when
+    the tagger rejects it or the lemma is an extra stopword. Its memo lives as
+    long as the function does.
+    """
+    if tagger is None:
+        tagger = make_default_tagger()
+    memo: dict[str, str | None] = {}
+
+    def lookup(surfaces: list[str]) -> Iterator[str | None]:
+        for surface in dict.fromkeys(surfaces):
+            if surface not in memo:
+                lemma = lemmatize(surface)
+                noun = tagger(Token(surface, lemma, "other")) and lemma not in extra_stopwords
+                memo[surface] = lemma if noun else None
+        return map(memo.__getitem__, surfaces)
+
+    return lookup
+
+
 def noun_lemmas(text: str, tagger: NounTagger | None = None,
                 extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Full pipeline for one text: noun lemmas in order of appearance."""
-    tokens = tag_tokens(tokenize(text), tagger)
-    return [t.lemma for t in filter_nouns(tokens) if t.lemma not in extra_stopwords]
+    lookup = _noun_lookup(tagger, extra_stopwords)
+    return [lemma for lemma in lookup(tokenize(text)) if lemma is not None]
 
 
 # -- tf-idf over a reading ----------------------------------------------------
 
 def _documents(reading: Reading, tagger: NounTagger | None,
                extra_stopwords: frozenset[str] = frozenset()) -> list[tuple[Artifact, Counter]]:
-    """Noun-lemma counts per artifact; artifacts with no nouns are not documents."""
+    """Noun-lemma counts per artifact; artifacts with no nouns are not documents.
+
+    Each distinct surface of the reading is lemmatized and tagged once.
+    """
+    lookup = _noun_lookup(tagger, extra_stopwords)
     docs = []
     for art in reading.artifacts:
-        counts = Counter(noun_lemmas(art.body, tagger, extra_stopwords))
+        counts = Counter(lookup(tokenize(art.body)))
+        del counts[None]  # rejected surfaces; Counter ignores a missing key
         if counts:
             docs.append((art, counts))
     return docs
@@ -268,28 +307,28 @@ def select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectio
     n_docs = len(docs)
 
     totals: Counter = Counter()
-    for _, counts in docs:
-        totals.update(counts)
-    candidates = {lemma for lemma, count in totals.items() if count >= params.min_frequency}
-    if not candidates:
-        return []
-
     df: Counter = Counter()
     for _, counts in docs:
-        df.update(lemma for lemma in counts if lemma in candidates)
+        totals.update(counts)
+        df.update(counts.keys())
+    # candidates: lemmas at or above the frequency floor, with their idf
+    idf = {
+        lemma: math.log(n_docs / df[lemma])
+        for lemma, count in totals.items() if count >= params.min_frequency
+    }
+    if not idf:
+        return []
 
-    # (lemma, artifact) scores for every occurrence pair
+    # (lemma, artifact) scores for every occurrence pair, and each lemma's max
     pair_scores: dict[tuple[str, str], tuple[float, str]] = {}
-    per_lemma: dict[str, list[float]] = {lemma: [] for lemma in candidates}
+    aggregate: dict[str, float] = {}
     for art, counts in docs:
-        for lemma in counts:
-            if lemma not in candidates:
-                continue
-            score = counts[lemma] * math.log(n_docs / df[lemma])
-            pair_scores[(lemma, art.id)] = (score, art.author_id)
-            per_lemma[lemma].append(score)
+        for lemma, tf in counts.items():
+            if lemma in idf:
+                score = tf * idf[lemma]
+                pair_scores[(lemma, art.id)] = (score, art.author_id)
+                aggregate[lemma] = max(aggregate.get(lemma, score), score)
 
-    aggregate = {lemma: max(scores) for lemma, scores in per_lemma.items()}
     dropped = {
         lemma
         for lemma, _ in sorted(aggregate.items(), key=lambda kv: (kv[1], kv[0]))[: params.drop_lowest]

@@ -13,15 +13,24 @@ library's report must equal it with ``==``.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 from itertools import combinations
 
 import numpy as np
 
-from aicnet.corpus import Corpus, Quote, Reading
+from aicnet.corpus import Artifact, Corpus, Quote, Reading
 from aicnet.graphs import WeightedGraph, attention_quotes, non_isolated_subgraph
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, joint_pairs
+from aicnet.textpipe import (
+    NounTagger,
+    SelectedWord,
+    WordSelectionParams,
+    filter_nouns,
+    tag_tokens,
+    tokenize,
+)
 
 
 def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
@@ -238,4 +247,72 @@ def oracle_node_report(
             cn_betweenness=cn_btw.get(author),
         )
         for author in sorted(roster)
+    ]
+
+
+def oracle_noun_lemmas(text: str, tagger: NounTagger | None = None,
+                       extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
+    """Noun lemmas of one text, token by token."""
+    tokens = tag_tokens(tokenize(text), tagger)
+    return [t.lemma for t in filter_nouns(tokens) if t.lemma not in extra_stopwords]
+
+
+def oracle_documents(reading: Reading, tagger: NounTagger | None = None,
+                     extra_stopwords: frozenset[str] = frozenset()) -> list[tuple[Artifact, Counter]]:
+    """Noun-lemma counts per artifact, skipping artifacts with no nouns."""
+    docs = []
+    for art in reading.artifacts:
+        counts = Counter(oracle_noun_lemmas(art.body, tagger, extra_stopwords))
+        if counts:
+            docs.append((art, counts))
+    return docs
+
+
+def oracle_select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectionParams(),
+                           tagger: NounTagger | None = None) -> list[SelectedWord]:
+    """Word selection with one logarithm per (lemma, artifact) pair."""
+    docs = oracle_documents(reading, tagger, params.stopwords)
+    n_docs = len(docs)
+
+    totals: Counter = Counter()
+    for _, counts in docs:
+        totals.update(counts)
+    candidates = {lemma for lemma, count in totals.items() if count >= params.min_frequency}
+    if not candidates:
+        return []
+
+    df: Counter = Counter()
+    for _, counts in docs:
+        df.update(lemma for lemma in counts if lemma in candidates)
+
+    pair_scores: dict[tuple[str, str], tuple[float, str]] = {}
+    per_lemma: dict[str, list[float]] = {lemma: [] for lemma in candidates}
+    for art, counts in docs:
+        for lemma in counts:
+            if lemma not in candidates:
+                continue
+            score = counts[lemma] * math.log(n_docs / df[lemma])
+            pair_scores[(lemma, art.id)] = (score, art.author_id)
+            per_lemma[lemma].append(score)
+
+    aggregate = {lemma: max(scores) for lemma, scores in per_lemma.items()}
+    dropped = {
+        lemma
+        for lemma, _ in sorted(aggregate.items(), key=lambda kv: (kv[1], kv[0]))[: params.drop_lowest]
+    }
+
+    ranked = sorted(
+        ((lemma, art_id, score, author) for (lemma, art_id), (score, author) in pair_scores.items()
+         if lemma not in dropped),
+        key=lambda item: (-item[2], item[0], item[1]),
+    )[: params.top_k]
+
+    best: dict[tuple[str, str], float] = {}
+    for lemma, _, score, author in ranked:
+        key = (lemma, author)
+        if key not in best or score > best[key]:
+            best[key] = score
+    return [
+        SelectedWord(lemma, author, score)
+        for (lemma, author), score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     ]

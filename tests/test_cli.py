@@ -466,7 +466,11 @@ def _edited_jsonl(edit):
     (_edited_jsonl(lambda ls: [re.sub(r"\[[^,\]]+", "[NaN", ls[0], count=1)] + ls[1:]),
      "non-finite"),
     (_edited_jsonl(lambda ls: ls + ls[:1]), "given twice"),
-], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id"])
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[" + "1" * 5000, ls[1], count=1)]
+                   + ls[2:]),
+     r"bad_emb line 2: invalid JSON \(Exceeds the limit"),
+], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
+        "long_integer"])
 def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
     corpus_path, emb_path, _ = sample
     bad = tmp_path / "bad_emb"
@@ -476,6 +480,18 @@ def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, mess
                            "--out", str(tmp_path / "out"))
     assert code == 1, err
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("flag", ["--stopwords", "--noun-lexicon"])
+def test_non_utf8_word_list_is_input_error(sample, tmp_path, capsys, flag):
+    corpus_path, _, _ = sample
+    words = tmp_path / "words.txt"
+    words.write_bytes("pedagogy\nété\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "metrics", str(corpus_path), "--level", "network",
+                           flag, str(words))
+    assert code == 1, err
+    assert f"{words}: byte 9: not valid UTF-8" in err
+    assert "corpus" not in err
 
 
 def test_missing_input_file_is_input_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet.corpus import Quote
@@ -29,6 +29,10 @@ from aicnet.semantic import (
     quote_similarity,
     save_embeddings,
 )
+
+# a JSONL vector line past the integer-digit limit, and one past the recursion limit
+_LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
+_DEEP_LINE = '{"quote_id": "q2", "vector": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 # cosine of these two was computed once with the shipped embedder and frozen
 _UNRELATED_A = "the history of ballet in the nineteenth century"
@@ -133,6 +137,8 @@ def test_load_rejects_duplicate_id(tmp_path):
     ('["q2", [1.0, 0.0]]', "line 3"),
     ('{"quote_id": "q2", "vector": ["a", "b"]}', "line 3"),
     ('{"quote_id": "q2", "vector": 1.0}', "line 3"),
+    pytest.param(_LONG_INT_LINE, "line 3: invalid JSON", id="long_int"),
+    pytest.param(_DEEP_LINE, "line 3: invalid JSON", id="deep"),
 ])
 def test_load_jsonl_faults_name_the_line(tmp_path, line, where):
     path = tmp_path / "emb.jsonl"
@@ -160,6 +166,8 @@ def test_load_truncated_binary_names_the_offset(tmp_path, cut):
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=64), st.booleans())
+@example(_LONG_INT_LINE.encode(), False)
+@example(_DEEP_LINE.encode(), False)
 def test_load_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data, binary):
     path = tmp_path_factory.mktemp("emb") / "emb.bin"
     path.write_bytes((b"AICEMB01" if binary else b"") + data)

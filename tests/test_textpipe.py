@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aicnet.errors import AicnetError
+from aicnet.synth import generate, random_params
 from aicnet.textpipe import (
     Token,
     WordSelectionParams,
+    _documents,
     filter_nouns,
     lemmatize,
+    load_wordlist,
+    make_default_tagger,
     noun_lemmas,
     select_cn_words,
     tag_tokens,
@@ -21,6 +27,7 @@ from aicnet.textpipe import (
 )
 
 from conftest import mk_corpus
+from oracles import oracle_documents, oracle_noun_lemmas, oracle_select_cn_words
 
 LN2 = math.log(2.0)
 LN43 = math.log(4.0 / 3.0)
@@ -261,3 +268,105 @@ def test_tfidf_zero_iff_absent_or_everywhere(reading):
                 assert score > 0.0
     for art, _ in docs:
         assert tfidf("zzz-not-present", art, reading) == 0.0
+
+
+# -- the one-lookup-per-surface path against the per-token oracle ---------------
+
+# inflections (-ies/-es/-ing/-ed), irregular plurals, internal hyphens and
+# apostrophes, non-ASCII letters, stopwords and suffix-rule nouns
+_SURFACES = [
+    "bodies", "body", "studies", "classes", "boxes", "heroes", "dancing", "danced", "dance",
+    "moving", "stopped", "children", "child", "people", "analyses", "criteria", "media",
+    "leaves", "news", "series", "co-construction", "co-constructions", "learner's",
+    "rock'n'roll", "café", "cafés", "naïveté", "Ökologie", "ÉTUDES", "straße", "pedagogy",
+    "pedagogies", "movement", "movements", "intertextuality", "the", "about", "because",
+    "ballet", "rhythm", "rhythms", "tempo", "tempos", "costume", "costumed", "x", "is", "bus",
+]
+_SEPARATORS = [" ", "  ", ", ", ". ", "\n", " -", "' ", " \"", "; "]
+
+_texts = st.lists(
+    st.tuples(st.one_of(st.sampled_from(_SURFACES), st.text(max_size=8)),
+              st.sampled_from(_SEPARATORS)),
+    max_size=25,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+@st.composite
+def _selection_inputs(draw):
+    n_authors = draw(st.integers(1, 3))
+    bodies = draw(st.lists(_texts, min_size=1, max_size=6))
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[(f"d{i}", "r1", f"a{draw(st.integers(1, n_authors))}", "q1", body)
+                     for i, body in enumerate(bodies)],
+    )
+    lemmas = sorted({lemmatize(w) for body in bodies for w in tokenize(body)})
+    stop = frozenset(draw(st.lists(st.sampled_from(lemmas), max_size=3))) if lemmas else frozenset()
+    params = WordSelectionParams(min_frequency=draw(st.integers(1, 3)),
+                                 drop_lowest=draw(st.integers(0, 3)),
+                                 top_k=draw(st.integers(1, 20)), stopwords=stop)
+    tagger = None
+    if draw(st.booleans()):
+        nouns = draw(st.lists(st.sampled_from(lemmas), max_size=8)) if lemmas else []
+        tagger = make_default_tagger(noun_lexicon=frozenset(nouns))
+    return corpus.readings["r1"], params, tagger
+
+
+def _assert_matches_oracle(reading, params, tagger):
+    stop = params.stopwords
+    for art in reading.artifacts:
+        assert noun_lemmas(art.body, tagger, stop) == oracle_noun_lemmas(art.body, tagger, stop)
+    got = [(art.id, counts) for art, counts in _documents(reading, tagger, stop)]
+    want = [(art.id, counts) for art, counts in oracle_documents(reading, tagger, stop)]
+    assert got == want
+    assert select_cn_words(reading, params, tagger) == oracle_select_cn_words(reading, params, tagger)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_selection_inputs())
+def test_selection_equals_per_token_oracle(inputs):
+    _assert_matches_oracle(*inputs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_selection_equals_oracle_on_synthetic_corpora(seed):
+    corpus, _, _ = generate(random_params(seed))
+    for reading in corpus.readings.values():
+        for params in (WordSelectionParams(), WordSelectionParams(min_frequency=1, drop_lowest=0)):
+            _assert_matches_oracle(reading, params, None)
+
+
+def test_tagger_called_once_per_distinct_surface_per_reading():
+    corpus, _, _ = generate(random_params(3))
+    corpus.readings["r2"] = _cn_reading()
+    base = make_default_tagger()
+    for reading in corpus.readings.values():
+        calls: Counter = Counter()
+
+        def counting(token: Token) -> bool:
+            calls[token.surface] += 1
+            return base(token)
+
+        selection = select_cn_words(reading, WordSelectionParams(), counting)
+        assert selection == oracle_select_cn_words(reading, WordSelectionParams(), base)
+        surfaces = {s for art in reading.artifacts for s in tokenize(art.body)}
+        assert calls == Counter(surfaces)
+
+
+# -- word lists ------------------------------------------------------------------
+
+def test_load_wordlist_skips_blanks_and_comments(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("# heading\n\n  Ballet \r\nrhythm\n#tempo\n", encoding="utf-8")
+    assert load_wordlist(path) == frozenset({"ballet", "rhythm"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=64))
+def test_load_wordlist_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("words") / "words.txt"
+    path.write_bytes(data)
+    try:
+        load_wordlist(path)
+    except AicnetError:
+        pass
