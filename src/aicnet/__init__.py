@@ -11,6 +11,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
     thread_root,
+    thread_roots,
 )
 from .graphs import (
     BipartiteGraph,
@@ -19,7 +20,6 @@ from .graphs import (
     build_an,
     build_cn_bipartite,
     build_in,
-    non_isolated_subgraph,
     project,
 )
 from .metrics import (
@@ -48,7 +48,6 @@ from .textpipe import (
     SelectedWord,
     Token,
     WordSelectionParams,
-    filter_nouns,
     lemmatize,
     select_cn_words,
     tfidf,
@@ -63,10 +62,9 @@ __all__ = [
     "SelectedWord", "StatsTable", "SynthParams", "Token", "VerificationReport",
     "WeightedGraph", "WordSelectionParams", "attention_quotes", "betweenness",
     "build_an", "build_cn_bipartite", "build_in", "closeness", "cosine",
-    "degree_centralization", "descriptive_stats", "embed_quotes", "filter_nouns",
-    "generate", "hash_embed", "joint_pairs", "lemmatize", "load_corpus",
-    "load_embeddings", "network_report", "node_report", "non_isolated_subgraph",
-    "project", "quote_similarity", "save_corpus", "save_embeddings",
-    "select_cn_words", "thread_root", "tfidf", "tokenize", "transitivity",
-    "verify",
+    "degree_centralization", "descriptive_stats", "embed_quotes", "generate",
+    "hash_embed", "joint_pairs", "lemmatize", "load_corpus", "load_embeddings",
+    "network_report", "node_report", "project", "quote_similarity",
+    "save_corpus", "save_embeddings", "select_cn_words", "thread_root",
+    "thread_roots", "tfidf", "tokenize", "transitivity", "verify",
 ]

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -225,26 +225,6 @@ def _stats_display(table: StatsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stats_json(table: StatsTable) -> dict:
-    return {
-        "readings": [
-            {
-                "reading_id": r.reading_id,
-                "posts": r.posts,
-                "replies": r.replies,
-                "avg_words_per_post": r.avg_words_per_post,
-            }
-            for r in table.rows
-        ],
-        "summary": {
-            "posts_mean": table.posts_mean,
-            "posts_sd": table.posts_sd,
-            "replies_mean": table.replies_mean,
-            "replies_sd": table.replies_sd,
-        },
-    }
-
-
 def _node_table(rows: list[metrics.NodeMetricsRow]) -> str:
     lines = [
         _csv_line(["Student"] + [r.author_id for r in rows]),
@@ -292,7 +272,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "stats.csv").write_text(_stats_display(table), encoding="utf-8")
-        _write_json(args.out / "stats.json", _stats_json(table))
+        summary = asdict(table)
+        _write_json(args.out / "stats.json", {"readings": summary.pop("rows"), "summary": summary})
     return 0
 
 
@@ -373,16 +354,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         sys.stdout.write(_network_table(rows))
         if cfg.out_dir:
             (cfg.out_dir / "metrics_network.csv").write_text(_network_table(rows), encoding="utf-8")
-            payload = [
-                {
-                    "reading_id": r.reading_id,
-                    "an_transitivity": r.an_transitivity,
-                    "in_centralization": r.in_centralization,
-                    "cn_transitivity": r.cn_transitivity,
-                }
-                for r in rows
-            ]
-            _write_json(cfg.out_dir / "metrics_network.json", payload)
+            _write_json(cfg.out_dir / "metrics_network.json", [asdict(r) for r in rows])
         return 0
 
     roster = set(loaded.authors)
@@ -395,16 +367,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         sys.stdout.write(_node_table(rows))
         if cfg.out_dir:
             (cfg.out_dir / f"metrics_node_{rid}.csv").write_text(_node_table(rows), encoding="utf-8")
-            payload = [
-                {
-                    "author_id": r.author_id,
-                    "an_closeness": r.an_closeness,
-                    "in_betweenness": r.in_betweenness,
-                    "cn_betweenness": r.cn_betweenness,
-                }
-                for r in rows
-            ]
-            _write_json(cfg.out_dir / f"metrics_node_{rid}.json", payload)
+            _write_json(cfg.out_dir / f"metrics_node_{rid}.json", [asdict(r) for r in rows])
     return 0
 
 

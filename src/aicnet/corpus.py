@@ -76,10 +76,6 @@ class Artifact:
     parent_id: str | None = None
     ts: str | None = None
 
-    @property
-    def is_annotation(self) -> bool:
-        return self.kind == "annotation"
-
 
 @dataclass
 class Reading:
@@ -253,29 +249,17 @@ def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list
             corpus.authors.add(item.author_id)
 
     for reading in corpus.readings.values():
-        by_id = {a.id: a for a in reading.artifacts}
+        roots = thread_roots(reading)
+        cycles: list[AicnetError] = []
         for art in reading.artifacts:
-            if art.kind == "annotation":
-                if art.quote_id not in reading.quotes:
-                    errors.append(MissingQuote(art.id))
-            else:
-                if art.parent_id not in by_id:
-                    errors.append(DanglingParent(art.id))
-        # reply chains must be acyclic and end at an annotation
-        for art in reading.artifacts:
-            if art.kind != "reply":
-                continue
-            seen = {art.id}
-            cur = art
-            while cur.kind == "reply":
-                parent = by_id.get(cur.parent_id or "")
-                if parent is None:
-                    break  # already reported as DanglingParent
-                if parent.id in seen:
-                    errors.append(CyclicThread(art.id))
-                    break
-                seen.add(parent.id)
-                cur = parent
+            root = roots[art.id]
+            if art.kind == "annotation" and art.quote_id not in reading.quotes:
+                errors.append(MissingQuote(art.id))
+            elif isinstance(root, DanglingParent) and root.artifact_id == art.id:
+                errors.append(root)
+            elif isinstance(root, CyclicThread):
+                cycles.append(root)
+        errors += cycles
     return corpus, errors
 
 
@@ -365,27 +349,47 @@ def save_corpus(corpus: Corpus, path: str | Path, format: Format = "jsonl") -> N
 
 # -- thread resolution --------------------------------------------------------
 
-def thread_root(artifact: Artifact, corpus: Corpus) -> Artifact:
-    """Resolve a reply chain to the annotation at its head.
+def thread_roots(reading: Reading) -> dict[str, Artifact | AicnetError]:
+    """Every artifact of the reading mapped to the annotation at the head of
+    its reply chain, or to the error the chain hits.
 
-    Annotations resolve to themselves. Cycles (guarded at load time, re-checked
-    here) raise :class:`CyclicThread`.
+    Annotations map to themselves. A chain that reaches a missing parent maps
+    to :class:`DanglingParent` naming the reply whose parent is missing; a
+    chain that enters a cycle maps to :class:`CyclicThread` naming the
+    artifact itself. Each chain is walked once: a walk stops at the first
+    artifact already mapped.
     """
-    reading = corpus.reading(artifact.reading_id)
     by_id = {a.id: a for a in reading.artifacts}
-    if artifact.id not in by_id:
+    roots: dict[str, Artifact | AicnetError] = {}
+    for art in reading.artifacts:
+        chain: dict[str, None] = {}  # replies walked from art, in order
+        cur = art
+        while cur.id not in roots:
+            if cur.kind == "annotation":
+                roots[cur.id] = cur
+            elif cur.id in chain:
+                roots[cur.id] = CyclicThread(cur.id)
+            elif (parent := by_id.get(cur.parent_id or "")) is None:
+                roots[cur.id] = DanglingParent(cur.id)
+            else:
+                chain[cur.id] = None
+                cur = parent
+        end = roots[cur.id]
+        for member in chain:
+            roots[member] = CyclicThread(member) if isinstance(end, CyclicThread) else end
+    return roots
+
+
+def thread_root(artifact: Artifact, corpus: Corpus) -> Artifact:
+    """The annotation at the head of the artifact's reply chain (see
+    :func:`thread_roots`); raises the chain's error, or
+    :class:`UnknownArtifact`."""
+    root = thread_roots(corpus.reading(artifact.reading_id)).get(artifact.id)
+    if root is None:
         raise UnknownArtifact(artifact.id)
-    seen = set()
-    cur = artifact
-    while cur.kind == "reply":
-        if cur.id in seen:
-            raise CyclicThread(artifact.id)
-        seen.add(cur.id)
-        parent = by_id.get(cur.parent_id or "")
-        if parent is None:
-            raise DanglingParent(cur.id)
-        cur = parent
-    return cur
+    if isinstance(root, AicnetError):
+        raise root
+    return root
 
 
 # -- descriptive statistics ---------------------------------------------------

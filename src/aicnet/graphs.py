@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Quote, Reading, thread_root
-from .errors import CyclicThread, DanglingParent, DimensionMismatch, ZeroVector
+from .corpus import Corpus, Quote, Reading, thread_roots
+from .errors import AicnetError, DimensionMismatch, ZeroVector
 from .semantic import EmbeddingStore, quote_similarity
 from .textpipe import NounTagger, WordSelectionParams, select_cn_words
 
@@ -77,52 +77,28 @@ class BipartiteGraph:
     word_nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
 
-    def words_of(self, author: str) -> set[str]:
-        return {lemma for a, lemma in self.edges if a == author}
 
-
-def non_isolated_subgraph(g: WeightedGraph) -> WeightedGraph:
-    """Nodes with degree >= 1 and their edges; the input is untouched."""
-    connected = {v for key in g.edges for v in key}
-    return WeightedGraph(nodes=connected, edges=dict(g.edges))
+def _attended(reading: Reading, authors: list[str]) -> dict[str, set[str]]:
+    """Ids of the quotes each author attended to: the quotes of their own
+    annotations and the root quotes of the threads they replied in. Raises the
+    error of the first of their artifacts whose reply chain is broken."""
+    roots = thread_roots(reading)
+    attended: dict[str, set[str]] = {a: set() for a in authors}
+    for art in reading.artifacts:
+        if art.author_id not in attended:
+            continue
+        root = roots[art.id]
+        if isinstance(root, AicnetError):
+            raise root
+        if root.quote_id in reading.quotes:
+            attended[art.author_id].add(root.quote_id)
+    return attended
 
 
 def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote]:
     """Quotes the author attended to: own annotations' quotes plus, for every
     reply they wrote, the quote of the thread's root annotation."""
-    quotes: dict[str, Quote] = {}
-    for art in reading.artifacts:
-        if art.author_id != author:
-            continue
-        if art.kind == "annotation":
-            quote_id = art.quote_id
-        else:
-            quote_id = thread_root(art, corpus).quote_id
-        if quote_id is not None and quote_id in reading.quotes:
-            quotes[quote_id] = reading.quotes[quote_id]
-    return set(quotes.values())
-
-
-def _root_quotes(reading: Reading) -> dict[str, str | None]:
-    """Artifact id -> quote id of its thread's root annotation, for every
-    artifact of the reading, walking each reply chain once."""
-    by_id = {a.id: a for a in reading.artifacts}
-    root: dict[str, str | None] = {}
-    for art in reading.artifacts:
-        chain: list[str] = []
-        cur = art
-        while cur.id not in root and cur.kind == "reply":
-            chain.append(cur.id)
-            parent = by_id.get(cur.parent_id or "")
-            if parent is None:
-                raise DanglingParent(cur.id)
-            if parent.id in chain:
-                raise CyclicThread(art.id)
-            cur = parent
-        quote_id = root.setdefault(cur.id, cur.quote_id)
-        for artifact_id in chain:
-            root[artifact_id] = quote_id
-    return root
+    return {reading.quotes[qid] for qid in _attended(reading, [author])[author]}
 
 
 # cosines this far below tau are rejected without the scalar check; the margin
@@ -224,14 +200,8 @@ def build_an(
     authors = sorted(reading.active_authors() | (roster or set()))
     g = WeightedGraph(nodes=set(authors))
 
-    root = _root_quotes(reading)
-    attended: dict[str, set[str]] = {a: set() for a in authors}
-    for art in reading.artifacts:
-        quote_id = root[art.id]
-        if quote_id is not None and quote_id in reading.quotes:
-            attended[art.author_id].add(quote_id)
     held: dict[str, dict[str, str]] = {}  # author -> normalized text -> quote id
-    for author, quote_ids in attended.items():
+    for author, quote_ids in _attended(reading, authors).items():
         by_text = held[author] = {}
         for quote_id in sorted(quote_ids):
             by_text.setdefault(reading.quotes[quote_id].normalized_text, quote_id)
@@ -294,13 +264,18 @@ def build_cn_bipartite(
 
 def project(bg: BipartiteGraph) -> WeightedGraph:
     """Learner-learner projection: authors are connected when they share at
-    least one word; edge weight is the number of shared words."""
+    least one word; edge weight is the number of shared words. Edges are
+    added in sorted author-pair order."""
     g = WeightedGraph(nodes=set(bg.author_nodes))
-    words = {a: bg.words_of(a) for a in bg.author_nodes}
-    authors = sorted(bg.author_nodes)
-    for i, u in enumerate(authors):
-        for v in authors[i + 1 :]:
-            shared = len(words[u] & words[v])
-            if shared:
-                g.add_edge(u, v, float(shared))
+    authors_of: dict[str, list[str]] = {}
+    for author, word in bg.edges:
+        if author in bg.author_nodes:
+            authors_of.setdefault(word, []).append(author)
+    shared: Counter = Counter()
+    for authors in authors_of.values():
+        authors.sort()
+        for i, u in enumerate(authors):
+            shared.update((u, v) for v in authors[i + 1 :])
+    for (u, v), count in sorted(shared.items()):
+        g.add_edge(u, v, float(count))
     return g

@@ -17,29 +17,27 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import UnknownNode
-from .graphs import WeightedGraph, non_isolated_subgraph
+from .graphs import WeightedGraph
 
 
 def transitivity(g: WeightedGraph) -> float | None:
     """Global clustering coefficient: 3 x triangles / connected triples,
-    on the skeleton without isolates. None when no triples exist."""
-    sub = non_isolated_subgraph(g)
-    adj = sub.adjacency()
+    on the skeleton. None when no triples exist; isolates add none."""
+    adj = g.adjacency()
     wedges = sum(len(n) * (len(n) - 1) // 2 for n in adj.values())
     if wedges == 0:
         return None
-    closed = sum(len(adj[u] & adj[v]) for u, v in sub.edges)  # 3 per triangle
+    closed = sum(len(adj[u] & adj[v]) for u, v in g.edges)  # 3 per triangle
     return closed / wedges
 
 
 def degree_centralization(g: WeightedGraph) -> float | None:
     """Freeman degree centralization over the skeleton without isolates:
     sum(d_max - d_i) / ((n-1)(n-2)). None when fewer than 3 nodes remain."""
-    sub = non_isolated_subgraph(g)
-    n = len(sub.nodes)
+    degrees = [len(neigh) for neigh in g.adjacency().values() if neigh]
+    n = len(degrees)
     if n < 3:
         return None
-    degrees = [len(neigh) for neigh in sub.adjacency().values()]
     d_max = max(degrees)
     return sum(d_max - d for d in degrees) / ((n - 1) * (n - 2))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 from .corpus import Artifact, Reading
 from .errors import CorpusEncodingError, UndefinedIdf
@@ -165,26 +165,6 @@ def make_default_tagger(
         return token.lemma.endswith(_NOUN_SUFFIXES) and len(token.lemma) > 5
 
     return tagger
-
-
-def tag_tokens(surfaces: Iterable[str], tagger: NounTagger | None = None,
-               lexicon: frozenset[str] | None = None) -> list[Token]:
-    """Lemmatize surfaces and attach the tagger's noun/other verdicts."""
-    if tagger is None:
-        tagger = make_default_tagger()
-    tokens = []
-    for surface in surfaces:
-        probe = Token(surface, lemmatize(surface, lexicon), "other")
-        pos: Literal["noun", "other"] = "noun" if tagger(probe) else "other"
-        tokens.append(Token(probe.surface, probe.lemma, pos))
-    return tokens
-
-
-def filter_nouns(tokens: list[Token], tagger: NounTagger | None = None) -> list[Token]:
-    """Keep only tokens the tagger marks as nouns."""
-    if tagger is None:
-        return [t for t in tokens if t.pos == "noun"]
-    return [t for t in tokens if tagger(t)]
 
 
 def _noun_lookup(tagger: NounTagger | None,

@@ -11,6 +11,7 @@ import pytest
 
 import aicnet
 from aicnet.corpus import Artifact, Corpus, Quote, Reading
+from aicnet.errors import CyclicThread, DanglingParent
 
 
 def mk_corpus(
@@ -44,6 +45,38 @@ def mk_corpus(
         )
         corpus.authors.add(author)
     return corpus
+
+
+def broken_chain_corpus() -> Corpus:
+    """One reading whose reply chains break in every way a chain can.
+
+    ``ok1`` is a valid reply to ``a2``; ``c3`` leads into the 2-cycle
+    ``c1`` <-> ``c2``; ``s1`` replies to itself; ``d2`` -> ``d1`` ends at a
+    missing parent. Author A writes only valid artifacts, B-G one broken
+    reply each, H one annotation.
+    """
+    return mk_corpus(
+        quotes=[("q1", "r1", "first passage"), ("q2", "r1", "second passage")],
+        annotations=[("a1", "r1", "A", "q1", "note"), ("a2", "r1", "H", "q2", "note")],
+        replies=[
+            ("ok1", "r1", "A", "a2", "reply"),
+            ("c3", "r1", "B", "c1", "reply"),
+            ("c1", "r1", "C", "c2", "reply"),
+            ("c2", "r1", "D", "c1", "reply"),
+            ("s1", "r1", "E", "s1", "reply"),
+            ("d2", "r1", "F", "d1", "reply"),
+            ("d1", "r1", "G", "gone", "reply"),
+        ],
+    )
+
+
+# artifact id -> its thread root's id, or the (error, artifact id) its chain hits
+BROKEN_CHAIN_ROOTS: dict[str, str | tuple[type, str]] = {
+    "a1": "a1", "a2": "a2", "ok1": "a2",
+    "c3": (CyclicThread, "c3"), "c1": (CyclicThread, "c1"), "c2": (CyclicThread, "c2"),
+    "s1": (CyclicThread, "s1"),
+    "d2": (DanglingParent, "d1"), "d1": (DanglingParent, "d1"),
+}
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

@@ -3,7 +3,8 @@
 Distances come from per-source BFS; shortest-path counts come from powers of
 the adjacency matrix (walks of length dist(s, t) are exactly the shortest
 paths). The attention-network oracle is the pairwise definition: one
-:func:`joint_pairs` call per author pair. Only sensible for small inputs.
+:func:`joint_pairs` call per author pair, with thread roots found by walking
+each artifact's reply chain on its own. Only sensible for small inputs.
 
 The node-report oracle is the per-author implementation the library used
 before its one-pass measures: one sorted BFS per author, each on a freshly
@@ -20,17 +21,46 @@ from itertools import combinations
 import numpy as np
 
 from aicnet.corpus import Artifact, Corpus, Quote, Reading
-from aicnet.graphs import WeightedGraph, attention_quotes, non_isolated_subgraph
+from aicnet.errors import CyclicThread, DanglingParent
+from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, joint_pairs
 from aicnet.textpipe import (
     NounTagger,
     SelectedWord,
+    Token,
     WordSelectionParams,
-    filter_nouns,
-    tag_tokens,
+    lemmatize,
+    make_default_tagger,
     tokenize,
 )
+
+
+def oracle_thread_root(artifact: Artifact, reading: Reading) -> Artifact:
+    """Follow one reply chain parent by parent to its annotation."""
+    by_id = {a.id: a for a in reading.artifacts}
+    seen = set()
+    cur = artifact
+    while cur.kind == "reply":
+        if cur.id in seen:
+            raise CyclicThread(artifact.id)
+        seen.add(cur.id)
+        parent = by_id.get(cur.parent_id or "")
+        if parent is None:
+            raise DanglingParent(cur.id)
+        cur = parent
+    return cur
+
+
+def oracle_attention_quotes(author: str, reading: Reading) -> set[Quote]:
+    """The quotes of the author's annotations and of their threads' roots."""
+    quotes = set()
+    for art in reading.artifacts:
+        if art.author_id == author:
+            quote_id = oracle_thread_root(art, reading).quote_id
+            if quote_id in reading.quotes:
+                quotes.add(reading.quotes[quote_id])
+    return quotes
 
 
 def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
@@ -54,7 +84,7 @@ def oracle_build_an(
     authors = sorted(reading.active_authors() | (roster or set()))
     g = WeightedGraph(nodes=set(authors))
     attended = {
-        a: _dedupe_by_text(attention_quotes(a, reading, corpus)) for a in authors
+        a: _dedupe_by_text(oracle_attention_quotes(a, reading)) for a in authors
     }
     for i, u in enumerate(authors):
         for v in authors[i + 1 :]:
@@ -222,7 +252,7 @@ def _brandes_raw(adj: dict[str, set[str]]) -> dict[str, float]:
 
 def _all_betweenness(g: WeightedGraph) -> dict[str, float | None]:
     out: dict[str, float | None] = {v: None for v in g.nodes}
-    sub = non_isolated_subgraph(g)
+    sub = _non_isolated(g)
     n = len(sub.nodes)
     denom = (n - 1) * (n - 2) / 2.0
     if denom == 0:
@@ -253,8 +283,14 @@ def oracle_node_report(
 def oracle_noun_lemmas(text: str, tagger: NounTagger | None = None,
                        extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Noun lemmas of one text, token by token."""
-    tokens = tag_tokens(tokenize(text), tagger)
-    return [t.lemma for t in filter_nouns(tokens) if t.lemma not in extra_stopwords]
+    if tagger is None:
+        tagger = make_default_tagger()
+    lemmas = []
+    for surface in tokenize(text):
+        token = Token(surface, lemmatize(surface), "other")
+        if tagger(token) and token.lemma not in extra_stopwords:
+            lemmas.append(token.lemma)
+    return lemmas
 
 
 def oracle_documents(reading: Reading, tagger: NounTagger | None = None,
@@ -316,3 +352,17 @@ def oracle_select_cn_words(reading: Reading, params: WordSelectionParams = WordS
         SelectedWord(lemma, author, score)
         for (lemma, author), score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     ]
+
+
+def oracle_project(bg: BipartiteGraph) -> WeightedGraph:
+    """Projection by author pairs: each pair in sorted order counts the words
+    both hold, scanning the edges once per author."""
+    g = WeightedGraph(nodes=set(bg.author_nodes))
+    words = {a: {lemma for author, lemma in bg.edges if author == a} for a in bg.author_nodes}
+    authors = sorted(bg.author_nodes)
+    for i, u in enumerate(authors):
+        for v in authors[i + 1 :]:
+            shared = len(words[u] & words[v])
+            if shared:
+                g.add_edge(u, v, float(shared))
+    return g

@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet.corpus import (
+    Artifact,
+    Reading,
     descriptive_stats,
     load_corpus,
     normalize_text,
     save_corpus,
     thread_root,
+    thread_roots,
     validate_file,
 )
 from aicnet.errors import (
@@ -22,10 +25,12 @@ from aicnet.errors import (
     EmptyCorpus,
     MissingQuote,
     ParseError,
+    UnknownArtifact,
     UnknownReading,
 )
 
-from conftest import mk_corpus
+from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
+from oracles import oracle_thread_root
 
 
 def _minimal_records() -> list[dict]:
@@ -217,6 +222,80 @@ def test_thread_root_identity_and_idempotence(jsonl_file):
     root = thread_root(rep1, corpus)
     assert root.id == "a1"
     assert thread_root(root, corpus) is root
+
+
+def test_validate_file_lists_each_broken_chain(tmp_path):
+    path = tmp_path / "broken.jsonl"
+    save_corpus(broken_chain_corpus(), path)
+    errors = validate_file(path)
+    assert [(type(e), e.artifact_id) for e in errors] == [
+        (DanglingParent, "d1"),
+        (CyclicThread, "c3"), (CyclicThread, "c1"), (CyclicThread, "c2"), (CyclicThread, "s1"),
+    ]
+    with pytest.raises(DanglingParent) as exc:
+        load_corpus(path)
+    assert exc.value.artifact_id == "d1"
+
+
+def test_thread_root_on_broken_chains():
+    corpus = broken_chain_corpus()
+    reading = corpus.readings["r1"]
+    roots = thread_roots(reading)
+    assert set(roots) == set(BROKEN_CHAIN_ROOTS)
+    for art in reading.artifacts:
+        want = BROKEN_CHAIN_ROOTS[art.id]
+        if isinstance(want, str):
+            assert thread_root(art, corpus) is roots[art.id] is reading.artifact_by_id(want)
+            continue
+        error, artifact_id = want
+        with pytest.raises(error) as exc:
+            thread_root(art, corpus)
+        assert exc.value.artifact_id == artifact_id
+        assert (type(roots[art.id]), roots[art.id].artifact_id) == want
+
+
+def test_thread_root_unknown_artifact():
+    corpus = broken_chain_corpus()
+    stranger = Artifact(id="zz", author_id="A", reading_id="r1", kind="reply",
+                        body="", parent_id="a1")
+    with pytest.raises(UnknownArtifact):
+        thread_root(stranger, corpus)
+
+
+@st.composite
+def reply_forests(draw):
+    """Artifacts whose parents are drawn at random: valid threads, cycles,
+    self-replies and missing parents, in any reading order."""
+    n = draw(st.integers(1, 14))
+    ids = [f"x{i}" for i in range(n)]
+    artifacts = []
+    for aid in ids:
+        if draw(st.booleans()):
+            artifacts.append(Artifact(id=aid, author_id="A", reading_id="r1",
+                                      kind="annotation", body="b", quote_id="q1"))
+        else:
+            parent = draw(st.sampled_from(ids + ["gone"]))
+            artifacts.append(Artifact(id=aid, author_id="A", reading_id="r1",
+                                      kind="reply", body="", parent_id=parent))
+    return Reading(id="r1", title="r1", artifacts=artifacts)
+
+
+def _outcome(resolve):
+    try:
+        return resolve()
+    except (CyclicThread, DanglingParent) as exc:
+        return type(exc), exc.artifact_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply_forests())
+def test_thread_roots_equal_one_walk_per_artifact(reading):
+    roots = thread_roots(reading)
+    assert sorted(roots) == sorted(a.id for a in reading.artifacts)
+    for art in reading.artifacts:
+        got = roots[art.id]
+        got = got if isinstance(got, Artifact) else (type(got), got.artifact_id)
+        assert got == _outcome(lambda: oracle_thread_root(art, reading))
 
 
 def test_stats_hand_counted():

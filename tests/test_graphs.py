@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +17,18 @@ from aicnet.graphs import (
     build_an,
     build_cn_bipartite,
     build_in,
-    non_isolated_subgraph,
     project,
 )
+from aicnet.corpus import load_corpus, thread_roots
 from aicnet.errors import DimensionMismatch, MissingEmbedding, ZeroVector
 from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
 from aicnet.synth import SynthParams, generate
 from aicnet.textpipe import WordSelectionParams
 
-from conftest import mk_corpus
-from oracles import oracle_build_an
+from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
+from oracles import oracle_build_an, oracle_project
+
+DATA = Path(__file__).parent / "data"
 
 
 def _figure_corpus():
@@ -83,6 +86,59 @@ def test_attention_quotes_deduplicates():
         annotations=[("a1", "r1", "A", "q1", "x"), ("a2", "r1", "A", "q1", "y")],
     )
     assert {q.id for q in attention_quotes("A", corpus.readings["r1"], corpus)} == {"q1"}
+
+
+def _first_broken(artifacts):
+    return next(w for w in (BROKEN_CHAIN_ROOTS[a.id] for a in artifacts) if not isinstance(w, str))
+
+
+def test_attention_quotes_raises_only_for_own_broken_chains():
+    corpus = broken_chain_corpus()
+    reading = corpus.readings["r1"]
+    for author in sorted(corpus.authors):
+        own = [a for a in reading.artifacts if a.author_id == author]
+        if all(isinstance(BROKEN_CHAIN_ROOTS[a.id], str) for a in own):
+            roots = [reading.artifact_by_id(BROKEN_CHAIN_ROOTS[a.id]) for a in own]
+            want = {reading.quotes[root.quote_id] for root in roots}
+            assert attention_quotes(author, reading, corpus) == want
+            continue
+        error, artifact_id = _first_broken(own)
+        with pytest.raises(error) as exc:
+            attention_quotes(author, reading, corpus)
+        assert exc.value.artifact_id == artifact_id
+
+
+def test_build_an_raises_first_broken_chain_in_reading_order():
+    corpus = broken_chain_corpus()
+    reading = corpus.readings["r1"]
+    store = embed_quotes(reading.quotes.values(), 16)
+    artifacts = list(reading.artifacts)
+    for shift in range(len(artifacts)):
+        reading.artifacts = artifacts[shift:] + artifacts[:shift]
+        error, artifact_id = _first_broken(reading.artifacts)
+        with pytest.raises(error) as exc:
+            build_an(reading, corpus, store)
+        assert exc.value.artifact_id == artifact_id
+
+
+def test_thread_roots_runs_once_per_reading(monkeypatch):
+    import aicnet.corpus as corpus_mod
+    import aicnet.graphs as graphs
+
+    calls = []
+
+    def counting(reading):
+        calls.append(reading.id)
+        return thread_roots(reading)
+
+    monkeypatch.setattr(corpus_mod, "thread_roots", counting)
+    monkeypatch.setattr(graphs, "thread_roots", counting)
+    corpus = load_corpus(DATA / "sample_corpus.jsonl")
+    assert sorted(calls) == sorted(corpus.readings) == ["r1", "r2"]
+    for reading in corpus.readings.values():
+        calls.clear()
+        build_an(reading, corpus, embed_quotes(reading.quotes.values(), 16))
+        assert calls == [reading.id]
 
 
 def test_build_an_figure_construction():
@@ -226,25 +282,6 @@ def test_project_full_overlap():
     assert g.edges == {("A", "B"): 3.0}
 
 
-def test_non_isolated_subgraph():
-    g = WeightedGraph(nodes={"A", "B", "C"})
-    assert non_isolated_subgraph(g).nodes == set()
-    g.add_edge("A", "B", 0.8)
-    sub = non_isolated_subgraph(g)
-    assert sub.nodes == {"A", "B"}
-    assert sub.edges == {("A", "B"): 0.8}
-    assert g.nodes == {"A", "B", "C"}  # original untouched
-
-
-def test_non_isolated_subgraph_star_plus_isolate():
-    g = WeightedGraph(nodes={"lonely"})
-    for leaf in ("a", "b", "c"):
-        g.add_edge("hub", leaf, 1.0)
-    sub = non_isolated_subgraph(g)
-    assert sub.nodes == {"hub", "a", "b", "c"}
-    assert sub.edges == g.edges
-
-
 # -- properties ----------------------------------------------------------------
 
 _TEXTS = [
@@ -320,6 +357,24 @@ def test_project_matches_common_neighbor_count(edges):
                 1 for w in bg.word_nodes if (u, w) in bg.edges and (v, w) in bg.edges
             )
             assert (g.weight(u, v) or 0) == count
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Author-word graphs whose edges may name authors outside author_nodes."""
+    authors = draw(st.sets(st.sampled_from("ABCDEFG"), max_size=7))
+    edges = draw(st.sets(st.tuples(st.sampled_from("ABCDEFGX"),
+                                   st.sampled_from(["v", "w", "x", "y", "z", "zz"])),
+                         max_size=30))
+    return BipartiteGraph(author_nodes=authors, word_nodes={w for _, w in edges}, edges=edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs())
+def test_project_equals_author_pair_oracle(bg):
+    got, want = project(bg), oracle_project(bg)
+    assert got.nodes == want.nodes
+    assert list(got.edges.items()) == list(want.edges.items())  # same insertion order
 
 
 def test_builders_insensitive_to_artifact_order():

@@ -382,6 +382,16 @@ def test_node_report_equals_per_author_oracle(an, in_, cn, roster):
     assert node_report(an, in_, cn, roster) == oracle_node_report(an, in_, cn, roster)
 
 
+@settings(max_examples=200, deadline=None)
+@given(component_graphs(), st.integers(1, 4))
+def test_isolates_change_no_network_measure(g, extra):
+    bare = WeightedGraph(nodes={v for key in g.edges for v in key}, edges=dict(g.edges))
+    padded = g.copy()
+    padded.nodes |= {f"iso{i}" for i in range(extra)}
+    assert transitivity(padded) == transitivity(bare)
+    assert degree_centralization(padded) == degree_centralization(bare)
+
+
 def _synth_graphs(seed):
     corpus, store, _ = generate(random_params(seed, max_authors=24))
     for reading in corpus.readings.values():

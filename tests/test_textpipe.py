@@ -15,13 +15,11 @@ from aicnet.textpipe import (
     Token,
     WordSelectionParams,
     _documents,
-    filter_nouns,
     lemmatize,
     load_wordlist,
     make_default_tagger,
     noun_lemmas,
     select_cn_words,
-    tag_tokens,
     tfidf,
     tokenize,
 )
@@ -62,24 +60,22 @@ def test_lemmatize(surface, lemma):
     assert lemmatize(surface) == lemma
 
 
-def test_filter_nouns_empty():
-    assert filter_nouns([]) == []
+def test_noun_lemmas_empty():
+    assert noun_lemmas("") == []
 
 
-def test_filter_nouns_suffix_heuristic():
-    tokens = tag_tokens(["movement", "move", "intertextuality"])
-    kept = [t.lemma for t in filter_nouns(tokens)]
-    assert kept == ["movement", "intertextuality"]  # "move" is tagged other
+def test_noun_lemmas_suffix_heuristic():
+    # "move" is tagged other
+    assert noun_lemmas("movement move intertextuality") == ["movement", "intertextuality"]
 
 
-def test_filter_nouns_drops_stopwords():
-    tokens = tag_tokens(["the", "about", "them", "because"])
-    assert filter_nouns(tokens) == []
+def test_noun_lemmas_drops_stopwords():
+    assert noun_lemmas("the about them because") == []
 
 
-def test_filter_nouns_custom_tagger():
-    tokens = [Token("zorp", "zorp", "other")]
-    assert filter_nouns(tokens, tagger=lambda t: True) == tokens
+def test_noun_lemmas_custom_tagger():
+    # the tagger alone decides: one that accepts everything keeps stopwords too
+    assert noun_lemmas("the zorps", tagger=lambda t: True) == ["the", "zorp"]
 
 
 def _cn_reading():
