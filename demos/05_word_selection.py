@@ -17,7 +17,7 @@ def main() -> None:
         "d3": ("ana", "rhythm rhythm waltz waltz waltz and the history of costume"),
         "d4": ("ben", "pedagogy again, with rhythm and costume and costume everywhere"),
     }
-    reading = Reading(id="r1", title="r1")
+    reading = Reading(id="r1")
     reading.quotes["q1"] = Quote(id="q1", reading_id="r1", text="a passage")
     for art_id, (author, body) in bodies.items():
         reading.artifacts.append(

@@ -13,46 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import export, metrics, synth
-from .corpus import Corpus, StatsTable, descriptive_stats, load_corpus, save_corpus
-from .errors import AicnetError, MissingEmbedding, UnknownReading
+from .corpus import Corpus, Reading, StatsTable, descriptive_stats, load_corpus, save_corpus
+from .errors import AicnetError, MissingEmbedding
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
-from .textpipe import (
-    NounTagger,
-    WordSelectionParams,
-    load_wordlist,
-    make_default_tagger,
-)
+from .textpipe import WordSelectionParams, load_wordlist, make_default_tagger
 
 _FORMATS = ("graphml", "dot", "csv", "json")
-
-
-@dataclass
-class RunConfig:
-    corpus_path: Path
-    input_format: str
-    embeddings_path: Path | None
-    embedder: str  # "file" | "hash"
-    dim: int
-    tau: float
-    word_params: WordSelectionParams
-    tagger: NounTagger | None
-    out_dir: Path | None
-
-
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("AICNET_NO_COLOR")
-
-
-def _paint(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _use_color() else text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +54,8 @@ def _at_least(minimum: int, label: str):
     return convert
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_network_flags(p: argparse.ArgumentParser) -> None:
+    """The settings of the three network builders."""
     p.add_argument("--threshold", type=_positive_threshold, default=0.8,
                    help="similarity threshold for joint quotes (default 0.8)")
     p.add_argument("--min-freq", type=_at_least(1, "--min-freq"), default=5,
@@ -90,17 +64,20 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="how many lowest-scoring words to drop (default 5)")
     p.add_argument("--top-words", type=_at_least(1, "--top-words"), default=70,
                    help="ranked word pairs to keep (default 70)")
-    p.add_argument("--stopwords", type=Path, default=None,
+    p.add_argument("--dim", type=_at_least(8, "--dim"), default=256,
+                   help="hash-embedder dimension (default 256)")
+
+
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    """The word lists and vectors that go with a corpus file."""
+    p.add_argument("--stopwords", type=load_wordlist, default=frozenset(),
                    help="extra stopword file, one term per line")
-    p.add_argument("--noun-lexicon", type=Path, default=None,
+    p.add_argument("--noun-lexicon", type=load_wordlist, default=None,
                    help="replacement noun lexicon file, one term per line")
     p.add_argument("--embeddings", type=Path, default=None,
                    help="precomputed quote-vector file (JSONL or binary)")
     p.add_argument("--embedder", choices=("file", "hash"), default=None,
                    help="vector source; defaults to file when --embeddings is given, hash otherwise")
-    p.add_argument("--dim", type=_at_least(8, "--dim"), default=256,
-                   help="hash-embedder dimension (default 256)")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,19 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of graphml,dot,csv,json")
     p.add_argument("--roster", choices=("active", "all"), default="active",
                    help="node set: the reading's active authors, or every corpus author")
-    _add_pipeline_flags(p)
+    _add_network_flags(p)
+    _add_corpus_flags(p)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("metrics", help="node- or network-level measure tables")
     p.add_argument("corpus", type=Path)
     p.add_argument("--level", choices=("node", "network"), required=True)
     p.add_argument("--reading", default=None, help="restrict to one reading")
-    _add_pipeline_flags(p)
+    _add_network_flags(p)
+    _add_corpus_flags(p)
+    p.add_argument("--out", type=Path, default=None, help="output directory")
 
     p = sub.add_parser("compare", help="compare two readings")
     p.add_argument("corpus", type=Path)
     p.add_argument("reading_a")
     p.add_argument("reading_b")
-    _add_pipeline_flags(p)
+    _add_network_flags(p)
+    _add_corpus_flags(p)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("--seed", type=int, default=0)
@@ -149,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-overlap", default="",
                    help='planted shared words as "a:b=2,c:d=1"')
     p.add_argument("--reading-id", default="r1")
-    _add_pipeline_flags(p)
+    _add_network_flags(p)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
 
     return parser
 
@@ -158,42 +141,31 @@ def _corpus_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    stop_extra = load_wordlist(args.stopwords) if args.stopwords else frozenset()
-    tagger = None
-    if args.noun_lexicon:
-        tagger = make_default_tagger(noun_lexicon=load_wordlist(args.noun_lexicon))
-    word_params = WordSelectionParams(
-        min_frequency=args.min_freq,
-        drop_lowest=args.drop_lowest,
-        top_k=args.top_words,
-        stopwords=stop_extra,
-    )
-    embedder = args.embedder or ("file" if args.embeddings else "hash")
-    corpus_path = getattr(args, "corpus", Path("."))
-    return RunConfig(
-        corpus_path=corpus_path,
-        input_format=_corpus_format(corpus_path),
-        embeddings_path=args.embeddings,
-        embedder=embedder,
-        dim=args.dim,
-        tau=args.threshold,
-        word_params=word_params,
-        tagger=tagger,
-        out_dir=args.out,
-    )
+def _store_for(args: argparse.Namespace, corpus: Corpus,
+               readings: list[Reading]) -> EmbeddingStore:
+    """Quote vectors from ``--embeddings``, or hash vectors for the quotes of
+    ``readings`` alone; orphan vectors are reported against every corpus quote."""
+    if args.embedder == "hash" or (args.embedder is None and args.embeddings is None):
+        return embed_quotes([q for r in readings for q in r.quotes.values()], args.dim)
+    if args.embeddings is None:
+        raise MissingEmbedding(
+            "", detail="attention network needs --embeddings when --embedder file is set"
+        )
+    known = {qid for r in corpus.readings.values() for qid in r.quotes}
+    return load_embeddings(args.embeddings, known)
 
 
-def _store_for(cfg: RunConfig, corpus: Corpus) -> EmbeddingStore:
-    if cfg.embedder == "file":
-        if cfg.embeddings_path is None:
-            raise MissingEmbedding(
-                "", detail="attention network needs --embeddings when --embedder file is set"
-            )
-        known = {qid for r in corpus.readings.values() for qid in r.quotes}
-        return load_embeddings(cfg.embeddings_path, known)
-    all_quotes = [q for r in corpus.readings.values() for q in r.quotes.values()]
-    return embed_quotes(all_quotes, cfg.dim)
+def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: str,
+             store: EmbeddingStore | None, roster: set[str] | None = None) -> WeightedGraph:
+    """One of the reading's three networks ("an", "in" or "cn"), built with the
+    command's flags; only the AN reads ``store``."""
+    if which == "an":
+        return build_an(reading, corpus, store, args.threshold, roster=roster)
+    if which == "in":
+        return build_in(reading, corpus, roster=roster)
+    params = WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords)
+    tagger = make_default_tagger(args.noun_lexicon)
+    return project(build_cn_bipartite(reading, corpus, params, tagger, roster=roster))
 
 
 # -- display formatting ---------------------------------------------------------
@@ -255,13 +227,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     errors = corpus_mod.validate_file(args.corpus, _corpus_format(args.corpus))
     if errors:
         for err in errors:
-            print(_paint(f"error: {err}", "31"))
+            print(f"error: {err}")
         print(f"{len(errors)} problem(s) found")
         return 1
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     n_artifacts = sum(len(r.artifacts) for r in loaded.readings.values())
-    print(_paint(f"ok: {len(loaded.readings)} reading(s), {n_artifacts} artifact(s), "
-                 f"{len(loaded.authors)} author(s)", "32"))
+    print(f"ok: {len(loaded.readings)} reading(s), {n_artifacts} artifact(s), "
+          f"{len(loaded.authors)} author(s)")
     return 0
 
 
@@ -277,48 +249,36 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_network(cfg: RunConfig, corpus: Corpus, reading_id: str, which: str,
-                   roster: set[str] | None = None) -> WeightedGraph:
-    reading = corpus.reading(reading_id)
-    if which == "an":
-        return build_an(reading, corpus, _store_for(cfg, corpus), cfg.tau, roster=roster)
-    if which == "in":
-        return build_in(reading, corpus, roster=roster)
-    return project(build_cn_bipartite(reading, corpus, cfg.word_params, cfg.tagger,
-                                      roster=roster))
-
-
 def cmd_build(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     requested = [f.strip() for f in args.format.split(",") if f.strip()]
     unknown = [f for f in requested if f not in _FORMATS]
     if unknown:
         raise AicnetError(f"unknown export format(s): {', '.join(unknown)}")
-    if cfg.out_dir is None:
-        raise AicnetError("build requires --out")
-    loaded = load_corpus(cfg.corpus_path, cfg.input_format)
+    loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     roster = set(loaded.authors) if args.roster == "all" else None
-    graph = _build_network(cfg, loaded, args.reading, args.network, roster)
+    reading = loaded.reading(args.reading)
+    store = _store_for(args, loaded, [reading]) if args.network == "an" else None
+    graph = _network(args, loaded, reading, args.network, store, roster)
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     stem = f"{args.reading}_{args.network}"
     written: list[Path] = []
     for fmt in requested:
         if fmt == "graphml":
-            path = cfg.out_dir / f"{stem}.graphml"
+            path = args.out / f"{stem}.graphml"
             export.write_graphml(graph, path, name=stem)
             written.append(path)
         elif fmt == "dot":
-            path = cfg.out_dir / f"{stem}.dot"
+            path = args.out / f"{stem}.dot"
             export.write_dot(graph, path, name=stem)
             written.append(path)
         elif fmt == "json":
-            path = cfg.out_dir / f"{stem}.json"
+            path = args.out / f"{stem}.json"
             export.write_json(graph, path, name=stem)
             written.append(path)
         else:
-            edges = cfg.out_dir / f"{stem}_edges.csv"
-            nodes = cfg.out_dir / f"{stem}_nodes.csv"
+            edges = args.out / f"{stem}_edges.csv"
+            nodes = args.out / f"{stem}_nodes.csv"
             export.write_csv(graph, edges, nodes)
             written += [edges, nodes]
     for path in written:
@@ -326,35 +286,29 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reading_graphs(cfg: RunConfig, corpus: Corpus, reading_id: str,
-                    store: EmbeddingStore) -> tuple[WeightedGraph, WeightedGraph, WeightedGraph]:
-    reading = corpus.reading(reading_id)
-    an = build_an(reading, corpus, store, cfg.tau)
-    in_ = build_in(reading, corpus)
-    cn = project(build_cn_bipartite(reading, corpus, cfg.word_params, cfg.tagger))
-    return an, in_, cn
+def _reading_networks(args: argparse.Namespace, corpus: Corpus,
+                      reading_ids: list[str]) -> dict[str, tuple[WeightedGraph, ...]]:
+    """The (AN, IN, CN) triple of each named reading; unknown ids are input errors."""
+    readings = [corpus.reading(rid) for rid in dict.fromkeys(reading_ids)]
+    store = _store_for(args, corpus, readings)
+    return {r.id: tuple(_network(args, corpus, r, which, store) for which in ("an", "in", "cn"))
+            for r in readings}
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    loaded = load_corpus(cfg.corpus_path, cfg.input_format)
-    reading_ids = sorted(loaded.readings)
-    if args.reading is not None:
-        if args.reading not in loaded.readings:
-            raise UnknownReading(args.reading)
-        reading_ids = [args.reading]
-    store = _store_for(cfg, loaded)
-    graphs = {rid: _reading_graphs(cfg, loaded, rid, store) for rid in reading_ids}
+    loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
+    reading_ids = sorted(loaded.readings) if args.reading is None else [args.reading]
+    graphs = _reading_networks(args, loaded, reading_ids)
 
-    if cfg.out_dir:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
 
     if args.level == "network":
         rows = metrics.network_report(graphs)
         sys.stdout.write(_network_table(rows))
-        if cfg.out_dir:
-            (cfg.out_dir / "metrics_network.csv").write_text(_network_table(rows), encoding="utf-8")
-            _write_json(cfg.out_dir / "metrics_network.json", [asdict(r) for r in rows])
+        if args.out:
+            (args.out / "metrics_network.csv").write_text(_network_table(rows), encoding="utf-8")
+            _write_json(args.out / "metrics_network.json", [asdict(r) for r in rows])
         return 0
 
     roster = set(loaded.authors)
@@ -365,21 +319,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             print()
         print(f"# reading {rid}")
         sys.stdout.write(_node_table(rows))
-        if cfg.out_dir:
-            (cfg.out_dir / f"metrics_node_{rid}.csv").write_text(_node_table(rows), encoding="utf-8")
-            _write_json(cfg.out_dir / f"metrics_node_{rid}.json", [asdict(r) for r in rows])
+        if args.out:
+            (args.out / f"metrics_node_{rid}.csv").write_text(_node_table(rows), encoding="utf-8")
+            _write_json(args.out / f"metrics_node_{rid}.json", [asdict(r) for r in rows])
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    loaded = load_corpus(cfg.corpus_path, cfg.input_format)
-    for rid in (args.reading_a, args.reading_b):
-        if rid not in loaded.readings:
-            raise UnknownReading(rid)
-    store = _store_for(cfg, loaded)
-    graphs_a = _reading_graphs(cfg, loaded, args.reading_a, store)
-    graphs_b = _reading_graphs(cfg, loaded, args.reading_b, store)
+    loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
+    graphs = _reading_networks(args, loaded, [args.reading_a, args.reading_b])
+    graphs_a, graphs_b = graphs[args.reading_a], graphs[args.reading_b]
 
     net_a = metrics.network_report({args.reading_a: graphs_a})[0]
     net_b = metrics.network_report({args.reading_b: graphs_b})[0]
@@ -446,20 +395,16 @@ def _parse_overlap(spec: str) -> dict[tuple[str, str], int]:
         part = part.strip()
         if not part:
             continue
-        pair, sep, count = part.partition("=")
-        if not sep:
-            raise AicnetError(f"bad overlap {part!r}; expected author:author=count")
-        x, sep2, y = pair.partition(":")
-        if not sep2:
-            raise AicnetError(f"bad overlap {part!r}; expected author:author=count")
-        overlap[(x.strip(), y.strip())] = int(count)
+        pair, _, count = part.partition("=")
+        try:
+            (key,) = _parse_pairs(pair)
+            overlap[key] = int(count)
+        except (AicnetError, ValueError):
+            raise AicnetError(f"bad overlap {part!r}; expected author:author=count") from None
     return overlap
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if cfg.out_dir is None:
-        raise AicnetError("synth requires --out")
     blocks = _parse_blocks(args.blocks, args.authors)
     block_authors = sorted({a for b in blocks for a in b})
     n_authors = len(block_authors) if args.blocks else args.authors
@@ -471,21 +416,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
         vocab_overlap=_parse_overlap(args.vocab_overlap),
         seed=args.seed,
     )
+    word_params = WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words)
     generated, store, gt = synth.generate(
-        params, cfg.word_params, cfg.tau, cfg.dim, reading_id=args.reading_id
+        params, word_params, args.threshold, args.dim, reading_id=args.reading_id
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    save_corpus(generated, cfg.out_dir / "corpus.jsonl")
-    save_embeddings(store, cfg.out_dir / "embeddings.jsonl")
+    args.out.mkdir(parents=True, exist_ok=True)
+    save_corpus(generated, args.out / "corpus.jsonl")
+    save_embeddings(store, args.out / "embeddings.jsonl")
     payload = {
         "expected_an": export.graph_to_json(gt.expected_an, "expected_an"),
         "expected_in": export.graph_to_json(gt.expected_in, "expected_in"),
         "expected_cn_edges": [list(pair) for pair in sorted(gt.expected_cn_edges)],
         "seed": params.seed,
     }
-    _write_json(cfg.out_dir / "ground_truth.json", payload)
+    _write_json(args.out / "ground_truth.json", payload)
     for name in ("corpus.jsonl", "embeddings.jsonl", "ground_truth.json"):
-        print((cfg.out_dir / name).as_posix())
+        print((args.out / name).as_posix())
     return 0
 
 
@@ -500,15 +446,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)  # word-list flags load their files here
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: --help, or a flag error already reported
+        return int(exc.code or 0)
     except (AicnetError, OSError) as exc:
-        print(_paint(f"error: {exc}", "31"), file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - invariant violations surface as exit 2
         print(f"internal error: {exc}", file=sys.stderr)

@@ -82,7 +82,6 @@ class Reading:
     """A single discourse episode: its quotes plus the artifacts written about them."""
 
     id: str
-    title: str
     quotes: dict[str, Quote] = field(default_factory=dict)
     artifacts: list[Artifact] = field(default_factory=list)
 
@@ -236,7 +235,7 @@ def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list
     seen_ids: dict[str, set[str]] = {}
 
     for lineno, item in records:
-        reading = corpus.readings.setdefault(item.reading_id, Reading(id=item.reading_id, title=item.reading_id))
+        reading = corpus.readings.setdefault(item.reading_id, Reading(id=item.reading_id))
         ids = seen_ids.setdefault(item.reading_id, set())
         if item.id in ids:
             errors.append(ParseError(lineno, f"duplicate id {item.id!r} in reading {item.reading_id!r}"))
@@ -263,8 +262,9 @@ def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list
     return corpus, errors
 
 
-def validate_file(path: str | Path, format: Format = "jsonl") -> list[AicnetError]:
-    """Collect every validation error in the file (empty list means clean)."""
+def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
+    """The assembled corpus and every validation error, in the order
+    :func:`validate_file` documents."""
     errors: list[AicnetError] = []
     records: list[tuple[int, Quote | Artifact]] = []
     for item in _iter_parsed(path, format):
@@ -273,25 +273,27 @@ def validate_file(path: str | Path, format: Format = "jsonl") -> list[AicnetErro
         else:
             records.append(item)
     if not records and not errors:
-        return [EmptyCorpus()]
-    _, semantic_errors = _assemble(records)
-    return errors + semantic_errors
+        return Corpus(), [EmptyCorpus()]
+    corpus, semantic_errors = _assemble(records)
+    return corpus, errors + semantic_errors
+
+
+def validate_file(path: str | Path, format: Format = "jsonl") -> list[AicnetError]:
+    """Collect every validation error in the file (empty list means clean).
+
+    The order is: record parse errors in file order, then duplicate ids in
+    file order, then for each reading (by first appearance) its missing
+    quotes and dangling parents in artifact order, then its cycles.
+    """
+    return _collect(path, format)[1]
 
 
 def load_corpus(path: str | Path, format: Format = "jsonl") -> Corpus:
     """Load and fully validate a corpus file.
 
-    Raises the first error encountered (in file order); use
-    :func:`validate_file` to collect all of them.
+    Raises the first error :func:`validate_file` lists.
     """
-    records: list[tuple[int, Quote | Artifact]] = []
-    for item in _iter_parsed(path, format):
-        if isinstance(item, AicnetError):
-            raise item
-        records.append(item)
-    if not records:
-        raise EmptyCorpus()
-    corpus, errors = _assemble(records)
+    corpus, errors = _collect(path, format)
     if errors:
         raise errors[0]
     return corpus

@@ -111,16 +111,6 @@ class EmptyText(AicnetError):
         super().__init__("cannot embed empty text")
 
 
-# -- text pipeline ------------------------------------------------------------
-
-class UndefinedIdf(AicnetError):
-    """A lemma occurs in an artifact yet in no document: internal inconsistency."""
-
-    def __init__(self, lemma: str):
-        self.lemma = lemma
-        super().__init__(f"lemma {lemma!r} has tf > 0 but df = 0")
-
-
 # -- graphs and metrics -------------------------------------------------------
 
 class UnknownNode(AicnetError):

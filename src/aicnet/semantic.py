@@ -51,9 +51,6 @@ class EmbeddingStore:
     dim: int
     vectors: dict[str, np.ndarray]
 
-    def __contains__(self, quote_id: str) -> bool:
-        return quote_id in self.vectors
-
     def get(self, quote_id: str) -> np.ndarray:
         try:
             return self.vectors[quote_id]

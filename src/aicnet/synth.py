@@ -269,7 +269,7 @@ def generate(
             quote_id=art.quote_id, parent_id=art.parent_id,
         ))
 
-    reading = Reading(id=reading_id, title=reading_id, quotes=quotes, artifacts=finished)
+    reading = Reading(id=reading_id, quotes=quotes, artifacts=finished)
     corpus = Corpus(readings={reading_id: reading}, authors=set(authors))
     store = EmbeddingStore(dim=dim, vectors={q.id: hash_embed(q.text, dim) for q in quotes.values()})
 
@@ -317,10 +317,14 @@ def verify(
     tau: float = 0.8,
     word_params: WordSelectionParams = WordSelectionParams(),
     reading_id: str | None = None,
-    tol: float = 1e-9,
 ) -> VerificationReport:
     """Run the real builders over a generated corpus and diff the networks
-    against the planted ground truth (empty diff means pass)."""
+    against the planted ground truth (empty diff means pass).
+
+    AN weights are sums of float similarities, so they may miss the planted
+    counts by rounding and are compared within 1e-9; IN weights must match
+    exactly, and CN is compared by edge set.
+    """
     if reading_id is None:
         if len(corpus.readings) != 1:
             raise ValueError("reading_id required for multi-reading corpora")
@@ -341,7 +345,7 @@ def verify(
         if (pair in cn_expected.edges) != (pair in cn.edges)  # edge set only
     ]
     return VerificationReport(
-        an_diffs=_diff_graphs(gt.expected_an, an, tol),
+        an_diffs=_diff_graphs(gt.expected_an, an, 1e-9),
         in_diffs=_diff_graphs(gt.expected_in, in_, 0.0),
         cn_diffs=cn_diffs,
     )

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator
 
 from .corpus import Artifact, Reading
-from .errors import CorpusEncodingError, UndefinedIdf
+from .errors import CorpusEncodingError
 
 NounTagger = Callable[["Token"], bool]
 """Decides whether a lemmatized token is a noun.
@@ -77,7 +77,6 @@ _NOUN_SUFFIXES = (
 class Token:
     surface: str
     lemma: str
-    pos: Literal["noun", "other"]
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
@@ -120,15 +119,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def lemmatize(surface: str, lexicon: frozenset[str] | None = None) -> str:
+def lemmatize(surface: str) -> str:
     """Map a lowercase surface form to its lemma.
 
     Irregular forms come from a fixed table; plurals fall to suffix rules
     (-ies, -es, -s); -ing/-ed are stripped only when the resulting stem is a
-    known word in ``lexicon``. Unchanged when no rule applies.
+    known word in the bundled noun lexicon. Unchanged when no rule applies.
     """
-    if lexicon is None:
-        lexicon = default_noun_lexicon()
+    lexicon = default_noun_lexicon()
     if surface in _IRREGULAR:
         return _IRREGULAR[surface]
     if surface in lexicon:
@@ -149,13 +147,11 @@ def lemmatize(surface: str, lexicon: frozenset[str] | None = None) -> str:
     return surface
 
 
-def make_default_tagger(
-    noun_lexicon: frozenset[str] | None = None,
-    stopwords: frozenset[str] | None = None,
-) -> NounTagger:
-    """Lexicon-plus-suffix tagger. Stopwords are never nouns."""
+def make_default_tagger(noun_lexicon: frozenset[str] | None = None) -> NounTagger:
+    """Lexicon-plus-suffix tagger over ``noun_lexicon`` (the bundled one when
+    ``None``). Bundled stopwords are never nouns."""
     nouns = noun_lexicon if noun_lexicon is not None else default_noun_lexicon()
-    stops = stopwords if stopwords is not None else default_stopwords()
+    stops = default_stopwords()
 
     def tagger(token: Token) -> bool:
         if token.surface in stops or token.lemma in stops:
@@ -183,7 +179,7 @@ def _noun_lookup(tagger: NounTagger | None,
         for surface in dict.fromkeys(surfaces):
             if surface not in memo:
                 lemma = lemmatize(surface)
-                noun = tagger(Token(surface, lemma, "other")) and lemma not in extra_stopwords
+                noun = tagger(Token(surface, lemma)) and lemma not in extra_stopwords
                 memo[surface] = lemma if noun else None
         return map(memo.__getitem__, surfaces)
 
@@ -215,15 +211,15 @@ def _documents(reading: Reading, tagger: NounTagger | None,
     return docs
 
 
-def tfidf(lemma: str, artifact: Artifact, reading: Reading,
-          tagger: NounTagger | None = None) -> float:
+def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
     """Raw term frequency times ln(N / df).
 
     Documents are the reading's artifacts with at least one noun lemma;
     N is their count and df the number containing ``lemma``. Zero when the
-    lemma does not occur in ``artifact``.
+    lemma does not occur in ``artifact``; otherwise ``artifact`` is one of
+    the df documents, so df >= 1.
     """
-    docs = _documents(reading, tagger)
+    docs = _documents(reading, None)
     tf = 0
     for art, counts in docs:
         if art.id == artifact.id:
@@ -232,8 +228,6 @@ def tfidf(lemma: str, artifact: Artifact, reading: Reading,
     if tf == 0:
         return 0.0
     df = sum(1 for _, counts in docs if lemma in counts)
-    if df == 0:
-        raise UndefinedIdf(lemma)
     return tf * math.log(len(docs) / df)
 
 

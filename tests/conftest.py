@@ -28,7 +28,7 @@ def mk_corpus(
     corpus = Corpus()
 
     def reading(rid: str) -> Reading:
-        return corpus.readings.setdefault(rid, Reading(id=rid, title=rid))
+        return corpus.readings.setdefault(rid, Reading(id=rid))
 
     for qid, rid, text in quotes:
         reading(rid).quotes[qid] = Quote(id=qid, reading_id=rid, text=text)

@@ -287,7 +287,7 @@ def oracle_noun_lemmas(text: str, tagger: NounTagger | None = None,
         tagger = make_default_tagger()
     lemmas = []
     for surface in tokenize(text):
-        token = Token(surface, lemmatize(surface), "other")
+        token = Token(surface, lemmatize(surface))
         if tagger(token) and token.lemma not in extra_stopwords:
             lemmas.append(token.lemma)
     return lemmas

@@ -372,6 +372,105 @@ def test_synth_rejects_single_author(tmp_path, capsys):
     assert "--authors" in err
 
 
+@pytest.mark.parametrize("spec", ["s01:s02=x", "s01:s02="])
+def test_synth_bad_overlap_count_is_input_error(tmp_path, capsys, spec):
+    code, _, err = run_cli(capsys, "synth", "--vocab-overlap", spec, "--out", str(tmp_path / "x"))
+    assert code == 1, err
+    assert f"bad overlap {spec!r}" in err
+
+
+def test_unused_flags_are_rejected(sample, tmp_path, capsys):
+    corpus_path, _, _ = sample
+    out = str(tmp_path / "x")
+    for argv in (["compare", str(corpus_path), "r1", "r2", "--out", out],
+                 ["synth", "--embeddings", str(corpus_path), "--out", out]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+
+def test_no_escape_codes_on_a_terminal(jsonl_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    broken = jsonl_file([{"id": "rep9", "reading_id": "r1", "author_id": "B", "kind": "reply",
+                          "parent_id": "missing", "body": ""}])
+    for argv in (["validate", str(broken)],
+                 ["metrics", str(tmp_path / "nope.jsonl"), "--level", "node"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "\x1b" not in out + err
+
+
+_OPTIONS = {
+    "validate": set(),
+    "stats": {"--reading", "--out"},
+    "build": {"--reading", "--network", "--format", "--roster", "--threshold", "--min-freq",
+              "--drop-lowest", "--top-words", "--dim", "--stopwords", "--noun-lexicon",
+              "--embeddings", "--embedder", "--out"},
+    "metrics": {"--level", "--reading", "--threshold", "--min-freq", "--drop-lowest",
+                "--top-words", "--dim", "--stopwords", "--noun-lexicon", "--embeddings",
+                "--embedder", "--out"},
+    "compare": {"--threshold", "--min-freq", "--drop-lowest", "--top-words", "--dim",
+                "--stopwords", "--noun-lexicon", "--embeddings", "--embedder"},
+    "synth": {"--seed", "--authors", "--quotes", "--blocks", "--reply-edges", "--vocab-overlap",
+              "--reading-id", "--threshold", "--min-freq", "--drop-lowest", "--top-words",
+              "--dim", "--out"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    import argparse
+
+    from aicnet.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert options == _OPTIONS
+
+
+def _three_readings(tmp_path):
+    """Three readings of 3, 2 and 4 quotes over one roster, saved as one file."""
+    blocks = (("s01", "s02"), ("s03",))
+    parts = []
+    for i, n_quotes in enumerate((3, 2, 4), start=1):
+        corpus, _, _ = generate(
+            SynthParams(n_authors=3, n_quotes=n_quotes, attention_blocks=blocks, seed=20 + i),
+            reading_id=f"r{i}", id_prefix=f"r{i}-",
+        )
+        part = tmp_path / f"part{i}.jsonl"
+        save_corpus(corpus, part)
+        parts.append(part.read_bytes())
+    path = tmp_path / "three.jsonl"
+    path.write_bytes(b"".join(parts))
+    return path
+
+
+def test_hash_embedder_embeds_only_the_built_readings(tmp_path, capsys, monkeypatch):
+    import aicnet.semantic as semantic
+
+    path = _three_readings(tmp_path)
+    corpus = load_corpus(path)
+    embedded: list[str] = []
+    real = semantic.hash_embed
+
+    def counting(text: str, dim: int = 256):
+        embedded.append(text)
+        return real(text, dim)
+
+    monkeypatch.setattr(semantic, "hash_embed", counting)
+    for argv, rids in (
+        (["compare", str(path), "r1", "r3"], ("r1", "r3")),
+        (["build", str(path), "--reading", "r2", "--network", "an", "--out", str(tmp_path / "b")],
+         ("r2",)),
+        (["metrics", str(path), "--level", "network"], ("r1", "r2", "r3")),
+    ):
+        embedded.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert sorted(embedded) == sorted(
+            q.text for rid in rids for q in corpus.readings[rid].quotes.values())
+
+
 def _word_corpus(jsonl_file):
     body_a = "pedagogy " * 5 + "rhythm " * 5
     body_b = "pedagogy " * 5 + "rhythm " * 5
@@ -521,6 +620,18 @@ def test_custom_noun_lexicon(jsonl_file, tmp_path, capsys):
     assert code == 0
     graph = read_graphml(out / "r1_cn.graphml")
     assert graph.edges == {("A", "B"): 1.0}
+
+
+def test_empty_noun_lexicon_means_no_lexicon_nouns(jsonl_file, tmp_path, capsys):
+    corpus_path = _word_corpus(jsonl_file)
+    lexicon = tmp_path / "nouns.txt"
+    lexicon.write_text("")  # neither pedagogy nor rhythm has a noun suffix
+    out = tmp_path / "lex"
+    code, _, err = run_cli(capsys, "build", str(corpus_path), "--reading", "r1",
+                           "--network", "cn", "--drop-lowest", "0",
+                           "--noun-lexicon", str(lexicon), "--out", str(out))
+    assert code == 0, err
+    assert read_graphml(out / "r1_cn.graphml").edges == {}
 
 
 def _run_subprocess(args: list[str], cwd: Path) -> subprocess.CompletedProcess:

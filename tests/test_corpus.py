@@ -237,6 +237,60 @@ def test_validate_file_lists_each_broken_chain(tmp_path):
     assert exc.value.artifact_id == "d1"
 
 
+def _reply(aid: str, parent: str, reading_id: str = "r1") -> dict:
+    return {"id": aid, "reading_id": reading_id, "author_id": "B", "kind": "reply",
+            "parent_id": parent, "body": ""}
+
+
+_GHOST_NOTE = {"id": "a2", "reading_id": "r1", "author_id": "B", "kind": "annotation",
+               "quote_id": "ghost", "body": "x"}
+
+# the malformed corpora of the tests above, as JSONL records
+_MALFORMED_RECORDS = {
+    "dangling_parent": _minimal_records() + [_reply("rep1", "nope")],
+    "missing_quote": [dict(_GHOST_NOTE, id="a1")],
+    "cross_reading_parent": _minimal_records() + [
+        {"record": "quote", "id": "q2", "reading_id": "r2", "text": "Other reading."},
+        {"id": "b1", "reading_id": "r2", "author_id": "B", "kind": "annotation",
+         "quote_id": "q2", "body": "note"},
+        _reply("rep1", "a1", "r2"),
+    ],
+    "cycle": _minimal_records() + [_reply("rep1", "rep2"), _reply("rep2", "rep1")],
+    "empty": [],
+    "annotation_empty_body": [dict(_minimal_records()[1], body="   ")],
+    "duplicate_id": _minimal_records() + [dict(_minimal_records()[1], author_id="B")],
+    "dangling_and_missing_quote": _minimal_records() + [_reply("rep1", "nope"), _GHOST_NOTE],
+}
+
+
+def _malformed_file(case: str, tmp_path, jsonl_file) -> tuple:
+    if case in _MALFORMED_RECORDS:
+        return jsonl_file(_MALFORMED_RECORDS[case]), "jsonl"
+    if case == "malformed_line":
+        path = jsonl_file(_minimal_records() + [_GHOST_NOTE])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + "{not json\n" + lines[2])
+        return path, "jsonl"
+    if case == "broken_chains":
+        path = tmp_path / "broken.jsonl"
+        save_corpus(broken_chain_corpus(), path)
+        return path, "jsonl"
+    format = case.removeprefix("non_utf8_")
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(b"record,id\nquote,q\xff1\n")
+    return path, format
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_RECORDS, "malformed_line", "broken_chains",
+                                  "non_utf8_jsonl", "non_utf8_csv"])
+def test_load_corpus_raises_the_first_validation_error(case, tmp_path, jsonl_file):
+    path, format = _malformed_file(case, tmp_path, jsonl_file)
+    first = validate_file(path, format)[0]
+    with pytest.raises(AicnetError) as info:
+        load_corpus(path, format)
+    assert (type(info.value), str(info.value)) == (type(first), str(first))
+
+
 def test_thread_root_on_broken_chains():
     corpus = broken_chain_corpus()
     reading = corpus.readings["r1"]
@@ -277,7 +331,7 @@ def reply_forests(draw):
             parent = draw(st.sampled_from(ids + ["gone"]))
             artifacts.append(Artifact(id=aid, author_id="A", reading_id="r1",
                                       kind="reply", body="", parent_id=parent))
-    return Reading(id="r1", title="r1", artifacts=artifacts)
+    return Reading(id="r1", artifacts=artifacts)
 
 
 def _outcome(resolve):
