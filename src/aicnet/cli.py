@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -144,7 +145,8 @@ def _corpus_format(path: Path) -> str:
 def _store_for(args: argparse.Namespace, corpus: Corpus,
                readings: list[Reading]) -> EmbeddingStore:
     """Quote vectors from ``--embeddings``, or hash vectors for the quotes of
-    ``readings`` alone; orphan vectors are reported against every corpus quote."""
+    ``readings`` alone; orphan vectors are reported against every corpus quote,
+    as one ``warning:`` line on stderr."""
     if args.embedder == "hash" or (args.embedder is None and args.embeddings is None):
         return embed_quotes([q for r in readings for q in r.quotes.values()], args.dim)
     if args.embeddings is None:
@@ -152,7 +154,12 @@ def _store_for(args: argparse.Namespace, corpus: Corpus,
             "", detail="attention network needs --embeddings when --embedder file is set"
         )
     known = {qid for r in corpus.readings.values() for qid in r.quotes}
-    return load_embeddings(args.embeddings, known)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        store = load_embeddings(args.embeddings, known)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return store
 
 
 def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: str,
@@ -224,13 +231,15 @@ def _write_json(path: Path, payload: object) -> None:
 # -- commands -------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    errors = corpus_mod.validate_file(args.corpus, _corpus_format(args.corpus))
-    if errors:
+    try:
+        loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
+    except AicnetError:
+        # a broken file is read a second time, to list every problem
+        errors = corpus_mod.validate_file(args.corpus, _corpus_format(args.corpus))
         for err in errors:
             print(f"error: {err}")
         print(f"{len(errors)} problem(s) found")
         return 1
-    loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     n_artifacts = sum(len(r.artifacts) for r in loaded.readings.values())
     print(f"ok: {len(loaded.readings)} reading(s), {n_artifacts} artifact(s), "
           f"{len(loaded.authors)} author(s)")

@@ -187,10 +187,16 @@ def _fnv1a(data: bytes) -> int:
 def hash_embed(text: str, dim: int = 256) -> np.ndarray:
     """Deterministic n-gram hashing embedder (test-time stand-in for a model).
 
-    Character 3-to-5-grams of the normalized text (wrapped in sentinel bytes)
-    are hashed with 64-bit FNV-1a into ``dim`` signed buckets; the count vector
-    is then L2-normalized. Identical normalized texts give identical vectors on
-    every platform.
+    Byte 3-to-5-grams of the UTF-8 normalized text (wrapped in sentinel bytes)
+    are hashed with 64-bit FNV-1a into ``dim`` buckets, each gram adding +1 or,
+    when bit 63 of its hash is set, -1; the count vector is then L2-normalized.
+    Identical normalized texts give identical vectors on every platform.
+
+    All windows are hashed at once: FNV-1a step ``k`` folds byte ``i + k`` into
+    the hash of the window starting at ``i``, with uint64 products wrapping
+    mod 2**64, and the 4- and 5-gram hashes continue the 3-gram ones. The
+    bucket sums are small integers, so the vector equals the one a per-gram
+    loop gives, bit for bit.
     """
     if dim < 8:
         raise ValueError("embedding dimension must be >= 8")
@@ -198,13 +204,19 @@ def hash_embed(text: str, dim: int = 256) -> np.ndarray:
     if not normalized:
         raise EmptyText()
     marked = "\x02" + normalized + "\x03"
-    vec = np.zeros(dim, dtype=np.float64)
     encoded = marked.encode("utf-8")
-    for n in (3, 4, 5):
-        for i in range(len(encoded) - n + 1):
-            h = _fnv1a(encoded[i : i + n])
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            vec[h % dim] += sign
+    data = np.frombuffer(encoded, dtype=np.uint8).astype(np.uint64)
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    grams = []
+    for k in range(5):
+        m = len(data) - k
+        h = (h[:m] ^ data[k : k + m]) * np.uint64(_FNV_PRIME)
+        if k >= 2:
+            grams.append(h)
+    hashes = np.concatenate(grams)
+    signs = 1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64)
+    buckets = (hashes % np.uint64(dim)).astype(np.intp)
+    vec = np.bincount(buckets, weights=signs, minlength=dim)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         # all buckets cancelled; salt with the whole string so no text maps to zero
@@ -215,8 +227,18 @@ def hash_embed(text: str, dim: int = 256) -> np.ndarray:
 
 
 def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
-    """Hash-embed every quote's text into a store."""
-    vectors = {q.id: hash_embed(q.text, dim) for q in quotes}
+    """Hash-embed every quote's text into a store.
+
+    Each distinct normalized text is hashed once: twin quotes, whose texts
+    differ only in case or whitespace, share one vector object.
+    """
+    by_text: dict[str, np.ndarray] = {}
+    vectors: dict[str, np.ndarray] = {}
+    for q in quotes:
+        key = q.normalized_text
+        if key not in by_text:
+            by_text[key] = hash_embed(q.text, dim)
+        vectors[q.id] = by_text[key]
     return EmbeddingStore(dim=dim, vectors=vectors)
 
 

@@ -36,7 +36,7 @@ from .graphs import (
     edge_key,
     project,
 )
-from .semantic import EmbeddingStore, cosine, hash_embed
+from .semantic import EmbeddingStore, cosine, embed_quotes, hash_embed
 from .textpipe import WordSelectionParams, default_noun_lexicon, lemmatize
 
 _MAX_TEXT_TRIES = 200
@@ -271,7 +271,7 @@ def generate(
 
     reading = Reading(id=reading_id, quotes=quotes, artifacts=finished)
     corpus = Corpus(readings={reading_id: reading}, authors=set(authors))
-    store = EmbeddingStore(dim=dim, vectors={q.id: hash_embed(q.text, dim) for q in quotes.values()})
+    store = embed_quotes(quotes.values(), dim)
 
     # ground truth straight from the plan
     texts_attended: dict[str, set[int]] = {a: {block_of[a]} for a in authors}

@@ -10,6 +10,11 @@ The node-report oracle is the per-author implementation the library used
 before its one-pass measures: one sorted BFS per author, each on a freshly
 built adjacency, and Brandes with neighbours sorted at every visit. The
 library's report must equal it with ``==``.
+
+The hash-embed oracle is the per-gram embedder the library used before it
+hashed all n-gram windows at once: one FNV-1a loop per 3-, 4- and 5-gram,
+each adding its sign into a bucket. The library's vectors must equal it with
+``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from itertools import combinations
 
 import numpy as np
 
-from aicnet.corpus import Artifact, Corpus, Quote, Reading
-from aicnet.errors import CyclicThread, DanglingParent
+from aicnet.corpus import Artifact, Corpus, Quote, Reading, normalize_text
+from aicnet.errors import CyclicThread, DanglingParent, EmptyText
 from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, joint_pairs
@@ -366,3 +371,41 @@ def oracle_project(bg: BipartiteGraph) -> WeightedGraph:
             if shared:
                 g.add_edge(u, v, float(shared))
     return g
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+
+def _fnv1a(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def oracle_hash_embed(text: str, dim: int = 256) -> np.ndarray:
+    """The hashing embedder one gram at a time: each 3-, 4- and 5-gram of the
+    marked UTF-8 text is hashed on its own and adds its sign to its bucket."""
+    if dim < 8:
+        raise ValueError("embedding dimension must be >= 8")
+    normalized = normalize_text(text)
+    if not normalized:
+        raise EmptyText()
+    marked = "\x02" + normalized + "\x03"
+    vec = np.zeros(dim, dtype=np.float64)
+    encoded = marked.encode("utf-8")
+    for n in (3, 4, 5):
+        for i in range(len(encoded) - n + 1):
+            h = _fnv1a(encoded[i : i + n])
+            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+            vec[h % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        # all buckets cancelled; salt with the whole string so no text maps to zero
+        h = _fnv1a(encoded)
+        vec[h % dim] = 1.0
+        norm = 1.0
+    return vec / norm

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from aicnet.cli import main
-from aicnet.corpus import load_corpus, save_corpus
+from aicnet.corpus import load_corpus, normalize_text, save_corpus
 from aicnet.export import read_graphml
 from aicnet.semantic import load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
@@ -90,6 +90,23 @@ def test_validate_non_utf8_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert f"byte {data.index(0xE9)}: not valid UTF-8" in out + err
+
+
+def test_validate_reads_a_clean_file_once(sample, capsys, monkeypatch):
+    import aicnet.corpus as corpus_mod
+
+    corpus_path, _, _ = sample
+    passes = []
+    real = corpus_mod._collect
+
+    def counting(path, format):
+        passes.append(path)
+        return real(path, format)
+
+    monkeypatch.setattr(corpus_mod, "_collect", counting)
+    code, out, _ = run_cli(capsys, "validate", str(corpus_path))
+    assert code == 0 and out.startswith("ok:")
+    assert len(passes) == 1
 
 
 def test_stats_table_layout(sample, capsys):
@@ -467,8 +484,21 @@ def test_hash_embedder_embeds_only_the_built_readings(tmp_path, capsys, monkeypa
         embedded.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert sorted(embedded) == sorted(
-            q.text for rid in rids for q in corpus.readings[rid].quotes.values())
+        # one hash per distinct normalized text: twin quotes share a vector
+        assert sorted(normalize_text(t) for t in embedded) == sorted(
+            {q.normalized_text for rid in rids for q in corpus.readings[rid].quotes.values()})
+
+
+def test_orphan_vectors_warn_on_one_stderr_line(tmp_path, capsys):
+    data = Path(__file__).parent / "data"
+    lines = (data / "sample_embeddings.jsonl").read_text(encoding="utf-8").splitlines()
+    ghost = dict(json.loads(lines[0]), quote_id="ghost")
+    emb = tmp_path / "emb.jsonl"
+    emb.write_text("\n".join(lines + [json.dumps(ghost)]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "metrics", str(data / "sample_corpus.jsonl"),
+                             "--level", "network", "--embeddings", str(emb))
+    assert code == 0 and out.startswith("Reading,")
+    assert err == "warning: embeddings for unknown quote ids: ghost\n"
 
 
 def _word_corpus(jsonl_file):

@@ -23,12 +23,14 @@ from aicnet.errors import (
 from aicnet.semantic import (
     EmbeddingStore,
     cosine,
+    embed_quotes,
     hash_embed,
     joint_pairs,
     load_embeddings,
     quote_similarity,
     save_embeddings,
 )
+from oracles import oracle_hash_embed
 
 # a JSONL vector line past the integer-digit limit, and one past the recursion limit
 _LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
@@ -211,6 +213,46 @@ def test_hash_embed_unit_norm(text, dim):
     vec = hash_embed(text, dim)
     assert vec.shape == (dim,)
     assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-9
+
+
+# ASCII, a 2-byte and a 3-byte letter, a 4-byte emoji, and whitespace the
+# normalizer collapses; marked texts shorter than 5 bytes have no 4- or 5-grams
+_EMBED_TEXT = st.text(alphabet=st.sampled_from("abXZ 09.é漢🙂\t\n"), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EMBED_TEXT.filter(lambda t: t.strip()), st.sampled_from([8, 13, 256, 1024]))
+@example("a", 8)
+@example("ab", 13)
+@example("é", 1024)
+@example("🙂", 256)
+@example("Grand   Jete\n", 256)
+def test_hash_embed_equals_per_gram_oracle(text, dim):
+    assert np.array_equal(hash_embed(text, dim), oracle_hash_embed(text, dim))
+
+
+def test_hash_embed_all_cancel_salt_branch():
+    # the six n-grams of "\x02ahb\x03" cancel to a zero count vector at dim 8
+    vec = hash_embed("ahb", 8)
+    assert np.count_nonzero(vec) == 1
+    assert np.array_equal(vec, oracle_hash_embed("ahb", 8))
+
+
+def test_embed_quotes_twins_share_one_vector(monkeypatch):
+    import aicnet.semantic as semantic
+
+    hashed: list[str] = []
+    real = semantic.hash_embed
+
+    def counting(text: str, dim: int = 256):
+        hashed.append(text)
+        return real(text, dim)
+
+    monkeypatch.setattr(semantic, "hash_embed", counting)
+    store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64)
+    assert np.array_equal(store.get("q1"), store.get("q2"))
+    assert np.array_equal(store.get("q1"), real("grand jete", 64))
+    assert len(hashed) == 2
 
 
 def test_cosine_self_is_one():
