@@ -259,7 +259,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    requested = [f.strip() for f in args.format.split(",") if f.strip()]
+    requested = list(dict.fromkeys(f.strip() for f in args.format.split(",") if f.strip()))
+    if not requested:
+        raise AicnetError("no export format given")
     unknown = [f for f in requested if f not in _FORMATS]
     if unknown:
         raise AicnetError(f"unknown export format(s): {', '.join(unknown)}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, Quote, Reading, thread_roots
-from .errors import AicnetError, DimensionMismatch, ZeroVector
+from .errors import AicnetError
 from .semantic import EmbeddingStore, quote_similarity
 from .textpipe import NounTagger, WordSelectionParams, select_cn_words
 
@@ -113,61 +113,43 @@ def _confirmed_pairs(
     """For each quote (listed by id), the later quotes it pairs with at >= tau,
     mapped to their similarity; every quote also pairs with itself at 1.0.
 
-    Same-text pairs are common references at exactly 1.0. The others are
-    prefiltered with one row product per quote and confirmed with
-    :func:`quote_similarity`, so every kept value is the scalar one. Vectors
-    are read only for quotes that face a different-text quote across two
-    authors, the only quotes whose vectors the pairwise definition consults.
+    * A pair is scored only when two different authors hold its two quotes
+      (``len(holders[i] | holders[j]) >= 2``): the pairs :func:`joint_pairs`
+      consults. Same-text pairs count 1.0 and read no vector, since twin ids
+      may carry different vectors.
+    * A row product per quote only prefilters; every kept value comes from
+      :func:`quote_similarity`. A quote whose vector is missing, not of
+      ``store.dim`` components, or zero gets a NaN row, which the prefilter
+      never rejects, so the scalar rule raises that vector's error.
     """
     n = len(quotes)
-    codes_of: dict[str, int] = {}
-    codes = np.array(
-        [codes_of.setdefault(q.normalized_text, len(codes_of)) for q in quotes], dtype=np.int64
-    )
-    per_text = np.bincount(codes)
-    solo: Counter = Counter(next(iter(h)) for h in holders if len(h) == 1)
-    # quote i faces a different-text quote held by someone else unless every
-    # quote outside its text group is held by i's sole holder alone
-    need = [
-        len(codes_of) > 1
-        and (len(h) > 1 or n - solo[next(iter(h))] - per_text[code] + 1 > 0)
-        for h, code in zip(holders, codes)
-    ]
-    with_vector = np.flatnonzero(need)
-    x, norms = _stacked([quotes[i].id for i in with_vector], store)
-    rank = {int(i): r for r, i in enumerate(with_vector)}
+    texts = np.array([q.normalized_text for q in quotes], dtype=object)
+    # a quote's one holder, or None when several authors hold it: two authors
+    # hold a pair unless both quotes have the same one holder
+    sole = np.array([next(iter(h)) if len(h) == 1 else None for h in holders], dtype=object)
+    x = np.full((n, store.dim), np.nan)
+    for i, q in enumerate(quotes):
+        vec = store.vectors.get(q.id)
+        if vec is not None and vec.shape == (store.dim,):
+            x[i] = vec
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = np.nan
     cut = tau - _PREFILTER_MARGIN
 
     partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
     for i in range(n):
-        hits = {int(j): 1.0 for j in np.flatnonzero(codes[i + 1 :] == codes[i]) + i + 1}
-        r = rank.get(i)
-        if r is not None:
-            row = (x[r + 1 :] @ x[r]) / (norms[r + 1 :] * norms[r])
-            for j in with_vector[r + 1 :][~(row < cut)]:  # NaN rows go to the scalar check
-                j = int(j)
-                if j not in hits:
-                    sim = quote_similarity(quotes[i], quotes[j], store)
-                    if sim >= tau:
-                        hits[j] = sim
+        later = np.arange(i + 1, n)
+        other = texts[i + 1 :] != texts[i]
+        hits = {int(j): 1.0 for j in later[~other]}
+        scored = later[other & ((sole[i + 1 :] != sole[i]) | (sole[i] is None))]
+        row = (x[scored] @ x[i]) / (norms[scored] * norms[i])
+        for j in scored[~(row < cut)]:  # NaN rows go to the scalar check
+            sim = quote_similarity(quotes[i], quotes[j], store)
+            if sim >= tau:
+                hits[int(j)] = sim
         for j, sim in hits.items():
             partners[i][j] = partners[j][i] = sim
     return partners
-
-
-def _stacked(quote_ids: list[str], store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
-    """The quotes' vectors as rows and their norms, with the checks
-    :func:`cosine` makes: one dimension, no zero vector."""
-    vectors = [store.get(qid) for qid in quote_ids]
-    for qid, vec in zip(quote_ids, vectors):
-        if vec.shape != vectors[0].shape:
-            raise DimensionMismatch(qid, vectors[0].shape[0], vec.shape[0])
-    x = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, 0))
-    norms = np.linalg.norm(x, axis=1)
-    for qid, norm in zip(quote_ids, norms):
-        if norm == 0.0:
-            raise ZeroVector(qid)
-    return x, norms
 
 
 def build_an(
@@ -187,10 +169,16 @@ def build_an(
     (:func:`quote_similarity`); a quote both attend pairs with itself at 1.0.
 
     One pass per reading: thread roots are resolved once, each distinct quote
-    pair's similarity is thresholded once (a row product per quote, then the
-    scalar check near and above ``tau``), and each author pair sums its joint
-    pairs in (quote_a, quote_b) id order. The result is identical, weights
-    included, to calling :func:`joint_pairs` for every author pair.
+    pair that two authors hold is thresholded once (a row product per quote,
+    then the scalar check near and above ``tau``), and each author pair sums
+    its joint pairs in (quote_a, quote_b) id order. The result is identical,
+    weights and edge order included, to calling :func:`joint_pairs` for every
+    author pair.
+
+    A missing, mis-sized or zero vector raises the error
+    :func:`quote_similarity` raises, exactly when the pairwise definition
+    reads it: that of the first defective different-text pair, in
+    (quote_a, quote_b) id order, among the pairs two authors hold.
 
     Nodes are the reading's active authors; pass ``roster`` to include inactive
     authors as isolates for cross-reading comparability.

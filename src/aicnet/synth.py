@@ -25,6 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .corpus import Artifact, Corpus, Quote, Reading
 from .errors import InfeasibleParams
 from .graphs import (
@@ -36,7 +38,7 @@ from .graphs import (
     edge_key,
     project,
 )
-from .semantic import EmbeddingStore, cosine, embed_quotes, hash_embed
+from .semantic import EmbeddingStore, cosine, hash_embed
 from .textpipe import WordSelectionParams, default_noun_lexicon, lemmatize
 
 _MAX_TEXT_TRIES = 200
@@ -137,24 +139,21 @@ def _stable_words() -> list[str]:
 
 
 def _block_texts(blocks: int, rng: random.Random, pool: list[str], tau: float,
-                 dim: int) -> list[str]:
-    """Distinct quote texts whose pairwise hash-embedding cosine stays below tau."""
-    texts: list[str] = []
-    vectors = []
+                 dim: int) -> dict[str, np.ndarray]:
+    """Distinct quote texts mapped to their hash embeddings, each pair's cosine below tau."""
+    chosen: dict[str, np.ndarray] = {}
     for _ in range(blocks):
         for _attempt in range(_MAX_TEXT_TRIES):
-            words = rng.sample(pool, 8)
-            text = " ".join(words)
-            if text in texts:
+            text = " ".join(rng.sample(pool, 8))
+            if text in chosen:
                 continue
             vec = hash_embed(text, dim)
-            if all(cosine(vec, other) < tau for other in vectors):
-                texts.append(text)
-                vectors.append(vec)
+            if all(cosine(vec, other) < tau for other in chosen.values()):
+                chosen[text] = vec
                 break
         else:
             raise InfeasibleParams("could not draw quote texts below the similarity threshold")
-    return texts
+    return chosen
 
 
 def generate(
@@ -196,7 +195,8 @@ def generate(
         pair: [next(word_iter) for _ in range(count)] for pair, count in sorted(overlap.items())
     }
 
-    texts = _block_texts(len(blocks), rng, pool, tau, dim)
+    vector_of = _block_texts(len(blocks), rng, pool, tau, dim)
+    texts = list(vector_of)
 
     # quotes: round-robin over blocks, each quote carrying its block's text
     width = len(str(params.n_quotes))
@@ -271,7 +271,7 @@ def generate(
 
     reading = Reading(id=reading_id, quotes=quotes, artifacts=finished)
     corpus = Corpus(readings={reading_id: reading}, authors=set(authors))
-    store = embed_quotes(quotes.values(), dim)
+    store = EmbeddingStore(dim=dim, vectors={q.id: vector_of[q.text] for q in quotes.values()})
 
     # ground truth straight from the plan
     texts_attended: dict[str, set[int]] = {a: {block_of[a]} for a in authors}

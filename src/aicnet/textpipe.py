@@ -14,7 +14,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -98,8 +97,7 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def _bundled(name: str) -> frozenset[str]:
-    text = resources.files("aicnet.data").joinpath(name).read_text(encoding="utf-8")
-    return frozenset(t.strip().lower() for t in text.splitlines() if t.strip())
+    return load_wordlist(Path(__file__).parent / "data" / name)
 
 
 def default_stopwords() -> frozenset[str]:

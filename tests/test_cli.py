@@ -177,6 +177,26 @@ def test_build_in_reply_free_reading(jsonl_file, tmp_path, capsys):
     assert graph.edges == {}
 
 
+@pytest.mark.parametrize("formats", ["", ",", " , "])
+def test_build_rejects_an_empty_format_list(sample, tmp_path, capsys, formats):
+    corpus_path, _, _ = sample
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "build", str(corpus_path), "--reading", "r1",
+                             "--network", "in", "--format", formats, "--out", str(out_dir))
+    assert (code, out, err) == (1, "", "error: no export format given\n")
+    assert not out_dir.exists()
+
+
+def test_build_writes_a_repeated_format_once(sample, tmp_path, capsys):
+    corpus_path, _, _ = sample
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "build", str(corpus_path), "--reading", "r1", "--network",
+                           "in", "--format", "json,dot,json", "--out", str(out_dir))
+    assert code == 0
+    assert out.splitlines() == [(out_dir / "r1_in.json").as_posix(),
+                                (out_dir / "r1_in.dot").as_posix()]
+
+
 def test_build_rejects_top_words_zero(sample, tmp_path, capsys):
     corpus_path, _, _ = sample
     code, _, err = run_cli(
@@ -281,6 +301,18 @@ def test_metrics_network_level_two_rows(sample, capsys):
     assert lines[0] == "Reading,AN transitivity,IN centralization,CN transitivity"
     assert len(lines) == 3
     assert lines[1].startswith("r1,") and lines[2].startswith("r2,")
+
+
+def test_metrics_network_level_reading_with_only_a_quote(jsonl_file, capsys):
+    path = jsonl_file([
+        {"record": "quote", "id": "q1", "reading_id": "r1", "text": "First passage."},
+        {"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation",
+         "quote_id": "q1", "body": "x"},
+        {"record": "quote", "id": "q9", "reading_id": "r2", "text": "Lonely passage."},
+    ])
+    code, out, err = run_cli(capsys, "metrics", str(path), "--level", "network")
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["r1,na,na,na", "r2,na,na,na"]
 
 
 def test_compare_self_is_all_zero(sample, capsys):

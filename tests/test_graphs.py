@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from aicnet.graphs import (
     project,
 )
 from aicnet.corpus import load_corpus, thread_roots
-from aicnet.errors import DimensionMismatch, MissingEmbedding, ZeroVector
+from aicnet.errors import AicnetError, DimensionMismatch, MissingEmbedding, ZeroVector
 from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
 from aicnet.synth import SynthParams, generate
 from aicnet.textpipe import WordSelectionParams
@@ -499,6 +500,34 @@ def _two_author_corpus():
     )
 
 
+def _outcome(build, reading, corpus, store, tau, roster):
+    """The graph's nodes and edges in order, or the class of the input error."""
+    try:
+        g = build(reading, corpus, store, tau, roster=roster)
+    except AicnetError as exc:
+        return type(exc)
+    return g.nodes, list(g.edges.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(an_readings(), st.data())
+def test_build_an_with_one_defective_vector_equals_oracle(case, data):
+    corpus, store, tau, roster = case
+    reading = corpus.readings["r1"]
+    qid = data.draw(st.sampled_from(sorted(store.vectors)))
+    defect = data.draw(st.sampled_from(["missing", "zero", "short"]))
+    vectors = dict(store.vectors)
+    if defect == "missing":
+        del vectors[qid]
+    else:
+        vectors[qid] = np.zeros(4) if defect == "zero" else vectors[qid][:3]
+    store = EmbeddingStore(dim=4, vectors=vectors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero norm must not reach numpy's division
+        got = _outcome(build_an, reading, corpus, store, tau, roster)
+    assert got == _outcome(oracle_build_an, reading, corpus, store, tau, roster)
+
+
 @pytest.mark.parametrize("vectors, error", [
     ({"q1": np.array([1.0, 0.0])}, MissingEmbedding),
     ({"q1": np.array([1.0, 0.0]), "q2": np.zeros(2)}, ZeroVector),
@@ -525,6 +554,13 @@ def test_build_an_reads_no_vector_the_oracle_skips():
     want = oracle_build_an(reading, corpus, store, 0.8, roster={"Z"})
     got = build_an(reading, corpus, store, 0.8, roster={"Z"})
     assert (got.nodes, got.edges) == (want.nodes, want.edges) == ({"A", "Z"}, {})
+
+
+def test_build_an_reading_without_artifacts_keeps_roster_isolates():
+    corpus = mk_corpus(quotes=[("q1", "r1", "first passage")], annotations=[])
+    g = build_an(corpus.readings["r1"], corpus, EmbeddingStore(dim=0, vectors={}), 0.8,
+                 roster={"a", "b"})
+    assert (g.nodes, g.edges) == ({"a", "b"}, {})
 
 
 def test_build_an_compares_each_quote_pair_once(monkeypatch):

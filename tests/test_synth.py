@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from aicnet.corpus import save_corpus
@@ -155,3 +158,28 @@ def test_id_prefix_and_reading_id():
     assert set(corpus.readings) == {"week3"}
     assert all(q.startswith("w3-") for q in corpus.readings["week3"].quotes)
     assert verify(corpus, store, gt, reading_id="week3").passed
+
+
+def test_generate_hashes_each_text_once(monkeypatch):
+    import aicnet.semantic as semantic
+    import aicnet.synth as synth
+
+    real = semantic.hash_embed
+    hashed: Counter = Counter()
+
+    def counting(text: str, dim: int = 256):
+        hashed[text] += 1
+        return real(text, dim)
+
+    monkeypatch.setattr(semantic, "hash_embed", counting)
+    monkeypatch.setattr(synth, "hash_embed", counting)
+    params = SynthParams(
+        n_authors=6, n_quotes=7,
+        attention_blocks=(("s01", "s02"), ("s03", "s04"), ("s05", "s06")), seed=4,
+    )
+    corpus, store, _ = generate(params)
+    quotes = corpus.readings["r1"].quotes.values()
+    assert {q.text for q in quotes} <= set(hashed)
+    assert max(hashed.values()) == 1
+    for q in quotes:
+        assert np.array_equal(store.get(q.id), real(q.text, store.dim))
