@@ -17,6 +17,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import export, metrics, synth
@@ -26,7 +27,16 @@ from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, proje
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
 from .textpipe import WordSelectionParams, load_wordlist, make_default_tagger
 
-_FORMATS = ("graphml", "dot", "csv", "json")
+# the writers of the one-file export formats; csv writes an edge and a node file
+_WRITERS = {"graphml": export.write_graphml, "dot": export.write_dot, "json": export.write_json}
+_FORMATS = (*_WRITERS, "csv")
+
+# (display label, report field) of each measure, in display order
+_NODE_MEASURES = (("AN Closeness", "an_closeness"), ("IN Betweenness", "in_betweenness"),
+                  ("CN Betweenness", "cn_betweenness"))
+_NETWORK_MEASURES = (("AN transitivity", "an_transitivity"),
+                     ("IN centralization", "in_centralization"),
+                     ("CN transitivity", "cn_transitivity"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--authors", type=_at_least(2, "--authors"), default=4)
+    p.add_argument("--authors", type=_at_least(2, "--authors"), default=None,
+                   help="number of authors (default 4); with --blocks, must match the block authors")
     p.add_argument("--quotes", type=_at_least(1, "--quotes"), default=None,
                    help="number of quotes (default: one per attention block)")
     p.add_argument("--blocks", default=None,
@@ -177,51 +188,48 @@ def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: 
 
 # -- display formatting ---------------------------------------------------------
 
-def _fmt2(value: float | None) -> str:
-    return "na" if value is None else f"{value:.2f}"
+def _fmt(value: float | None, digits: int = 2) -> str:
+    return "na" if value is None else f"{value:.{digits}f}"
 
 
-def _fmt1(value: float | None) -> str:
-    return "na" if value is None else f"{value:.1f}"
-
-
-def _csv_line(cells: list[str]) -> str:
-    return ",".join(cells)
+def _table(rows: list[list[str]]) -> str:
+    """CSV-style display lines, one per row; an empty row is a blank line."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _stats_display(table: StatsTable) -> str:
-    lines = [
-        _csv_line(["Reading"] + [r.reading_id for r in table.rows]),
-        _csv_line(["Posts"] + [str(r.posts) for r in table.rows]),
-        _csv_line(["Replies"] + [str(r.replies) for r in table.rows]),
-        _csv_line(["Average words per post"] + [_fmt1(r.avg_words_per_post) for r in table.rows]),
-        "",
-        _csv_line(["Posts mean", _fmt1(table.posts_mean)]),
-        _csv_line(["Posts sd", _fmt1(table.posts_sd)]),
-        _csv_line(["Replies mean", _fmt1(table.replies_mean)]),
-        _csv_line(["Replies sd", _fmt1(table.replies_sd)]),
-    ]
-    return "\n".join(lines) + "\n"
+    rows = table.rows
+    return _table([
+        ["Reading", *(r.reading_id for r in rows)],
+        ["Posts", *(str(r.posts) for r in rows)],
+        ["Replies", *(str(r.replies) for r in rows)],
+        ["Average words per post", *(_fmt(r.avg_words_per_post, 1) for r in rows)],
+        [],
+        ["Posts mean", _fmt(table.posts_mean, 1)],
+        ["Posts sd", _fmt(table.posts_sd, 1)],
+        ["Replies mean", _fmt(table.replies_mean, 1)],
+        ["Replies sd", _fmt(table.replies_sd, 1)],
+    ])
 
 
 def _node_table(rows: list[metrics.NodeMetricsRow]) -> str:
-    lines = [
-        _csv_line(["Student"] + [r.author_id for r in rows]),
-        _csv_line(["AN Closeness"] + [_fmt2(r.an_closeness) for r in rows]),
-        _csv_line(["IN Betweenness"] + [_fmt2(r.in_betweenness) for r in rows]),
-        _csv_line(["CN Betweenness"] + [_fmt2(r.cn_betweenness) for r in rows]),
-    ]
-    return "\n".join(lines) + "\n"
+    return _table([["Student", *(r.author_id for r in rows)],
+                   *([label, *(_fmt(getattr(r, field)) for r in rows)]
+                     for label, field in _NODE_MEASURES)])
 
 
 def _network_table(rows: list[metrics.NetworkMetricsRow]) -> str:
-    lines = [_csv_line(["Reading", "AN transitivity", "IN centralization", "CN transitivity"])]
-    for r in rows:
-        lines.append(_csv_line([
-            r.reading_id, _fmt2(r.an_transitivity), _fmt2(r.in_centralization),
-            _fmt2(r.cn_transitivity),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _table([["Reading", *(label for label, _ in _NETWORK_MEASURES)],
+                   *([r.reading_id, *(_fmt(getattr(r, field)) for _, field in _NETWORK_MEASURES)]
+                     for r in rows)])
+
+
+def _compared(row_a: object, row_b: object,
+              measures: tuple[tuple[str, str], ...]) -> Iterator[list[str]]:
+    """One ``[label, a, b, b - a]`` row per measure of two report rows."""
+    for label, field in measures:
+        va, vb = getattr(row_a, field), getattr(row_b, field)
+        yield [label, _fmt(va), _fmt(vb), _fmt(None if va is None or vb is None else vb - va)]
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -249,17 +257,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     table = descriptive_stats(loaded, args.reading)
-    sys.stdout.write(_stats_display(table))
+    display = _stats_display(table)
+    sys.stdout.write(display)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "stats.csv").write_text(_stats_display(table), encoding="utf-8")
+        (args.out / "stats.csv").write_text(display, encoding="utf-8")
         summary = asdict(table)
         _write_json(args.out / "stats.json", {"readings": summary.pop("rows"), "summary": summary})
     return 0
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    requested = list(dict.fromkeys(f.strip() for f in args.format.split(",") if f.strip()))
+    requested = list(dict.fromkeys(_listed(args.format)))
     if not requested:
         raise AicnetError("no export format given")
     unknown = [f for f in requested if f not in _FORMATS]
@@ -275,23 +284,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     stem = f"{args.reading}_{args.network}"
     written: list[Path] = []
     for fmt in requested:
-        if fmt == "graphml":
-            path = args.out / f"{stem}.graphml"
-            export.write_graphml(graph, path, name=stem)
-            written.append(path)
-        elif fmt == "dot":
-            path = args.out / f"{stem}.dot"
-            export.write_dot(graph, path, name=stem)
-            written.append(path)
-        elif fmt == "json":
-            path = args.out / f"{stem}.json"
-            export.write_json(graph, path, name=stem)
-            written.append(path)
-        else:
-            edges = args.out / f"{stem}_edges.csv"
-            nodes = args.out / f"{stem}_nodes.csv"
+        if fmt == "csv":
+            edges, nodes = args.out / f"{stem}_edges.csv", args.out / f"{stem}_nodes.csv"
             export.write_csv(graph, edges, nodes)
             written += [edges, nodes]
+        else:
+            path = args.out / f"{stem}.{fmt}"
+            _WRITERS[fmt](graph, path, name=stem)
+            written.append(path)
     for path in written:
         print(path.as_posix())
     return 0
@@ -316,83 +316,58 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.level == "network":
         rows = metrics.network_report(graphs)
-        sys.stdout.write(_network_table(rows))
+        table = _network_table(rows)
+        sys.stdout.write(table)
         if args.out:
-            (args.out / "metrics_network.csv").write_text(_network_table(rows), encoding="utf-8")
+            (args.out / "metrics_network.csv").write_text(table, encoding="utf-8")
             _write_json(args.out / "metrics_network.json", [asdict(r) for r in rows])
         return 0
 
     roster = set(loaded.authors)
     for i, rid in enumerate(reading_ids):
-        an, in_, cn = graphs[rid]
-        rows = metrics.node_report(an, in_, cn, roster)
+        rows = metrics.node_report(*graphs[rid], roster)
+        table = _node_table(rows)
         if i:
             print()
         print(f"# reading {rid}")
-        sys.stdout.write(_node_table(rows))
+        sys.stdout.write(table)
         if args.out:
-            (args.out / f"metrics_node_{rid}.csv").write_text(_node_table(rows), encoding="utf-8")
+            (args.out / f"metrics_node_{rid}.csv").write_text(table, encoding="utf-8")
             _write_json(args.out / f"metrics_node_{rid}.json", [asdict(r) for r in rows])
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
-    graphs = _reading_networks(args, loaded, [args.reading_a, args.reading_b])
-    graphs_a, graphs_b = graphs[args.reading_a], graphs[args.reading_b]
+    a, b = args.reading_a, args.reading_b
+    graphs = _reading_networks(args, loaded, [a, b])
+    net = {r.reading_id: r for r in metrics.network_report(graphs)}
+    sys.stdout.write(_table([["Measure", a, b, "delta"],
+                             *_compared(net[a], net[b], _NETWORK_MEASURES)]))
 
-    net_a = metrics.network_report({args.reading_a: graphs_a})[0]
-    net_b = metrics.network_report({args.reading_b: graphs_b})[0]
-
-    def delta(x: float | None, y: float | None) -> float | None:
-        return None if x is None or y is None else y - x
-
-    print(_csv_line(["Measure", args.reading_a, args.reading_b, "delta"]))
-    for label, va, vb in (
-        ("AN transitivity", net_a.an_transitivity, net_b.an_transitivity),
-        ("IN centralization", net_a.in_centralization, net_b.in_centralization),
-        ("CN transitivity", net_a.cn_transitivity, net_b.cn_transitivity),
-    ):
-        print(_csv_line([label, _fmt2(va), _fmt2(vb), _fmt2(delta(va, vb))]))
-
-    roster_a = loaded.reading(args.reading_a).active_authors()
-    roster_b = loaded.reading(args.reading_b).active_authors()
+    roster_a = loaded.reading(a).active_authors()
+    roster_b = loaded.reading(b).active_authors()
     if not roster_a & roster_b:
         print("warning: the two readings share no authors", file=sys.stderr)
     roster = roster_a | roster_b
-    rows_a = {r.author_id: r for r in metrics.node_report(*graphs_a, roster)}
-    rows_b = {r.author_id: r for r in metrics.node_report(*graphs_b, roster)}
-
-    print()
-    print(_csv_line(["Student", "Measure", args.reading_a, args.reading_b, "delta"]))
+    rows_a = {r.author_id: r for r in metrics.node_report(*graphs[a], roster)}
+    rows_b = {r.author_id: r for r in metrics.node_report(*graphs[b], roster)}
+    lines = [[], ["Student", "Measure", a, b, "delta"]]
     for author in sorted(roster):
-        ra, rb = rows_a[author], rows_b[author]
-        for label, va, vb in (
-            ("AN Closeness", ra.an_closeness, rb.an_closeness),
-            ("IN Betweenness", ra.in_betweenness, rb.in_betweenness),
-            ("CN Betweenness", ra.cn_betweenness, rb.cn_betweenness),
-        ):
-            print(_csv_line([author, label, _fmt2(va), _fmt2(vb), _fmt2(delta(va, vb))]))
+        lines += ([author, *row] for row in _compared(rows_a[author], rows_b[author],
+                                                      _NODE_MEASURES))
+    sys.stdout.write(_table(lines))
     return 0
 
 
-def _parse_blocks(spec: str | None, n_authors: int) -> tuple[tuple[str, ...], ...]:
-    if spec is None:
-        return (tuple(f"s{i + 1:02d}" for i in range(n_authors)),)
-    blocks = []
-    for part in spec.split("|"):
-        authors = tuple(a.strip() for a in part.split(",") if a.strip())
-        if authors:
-            blocks.append(authors)
-    return tuple(blocks)
+def _listed(spec: str, sep: str = ",") -> list[str]:
+    """The stripped, non-empty items of a ``sep``-separated list."""
+    return [item.strip() for item in spec.split(sep) if item.strip()]
 
 
 def _parse_pairs(spec: str) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _listed(spec):
         x, sep, y = part.partition(":")
         if not sep or not x or not y:
             raise AicnetError(f"bad pair {part!r}; expected author:author")
@@ -402,10 +377,7 @@ def _parse_pairs(spec: str) -> tuple[tuple[str, str], ...]:
 
 def _parse_overlap(spec: str) -> dict[tuple[str, str], int]:
     overlap: dict[tuple[str, str], int] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _listed(spec):
         pair, _, count = part.partition("=")
         try:
             (key,) = _parse_pairs(pair)
@@ -416,11 +388,12 @@ def _parse_overlap(spec: str) -> dict[tuple[str, str], int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    blocks = _parse_blocks(args.blocks, args.authors)
-    block_authors = sorted({a for b in blocks for a in b})
-    n_authors = len(block_authors) if args.blocks else args.authors
+    if args.blocks is None:
+        blocks = (tuple(f"s{i + 1:02d}" for i in range(args.authors or 4)),)
+    else:
+        blocks = tuple(tuple(block) for block in map(_listed, args.blocks.split("|")) if block)
     params = synth.SynthParams(
-        n_authors=n_authors,
+        n_authors=args.authors or sum(map(len, blocks)),
         n_quotes=args.quotes if args.quotes is not None else len(blocks),
         attention_blocks=blocks,
         reply_edges=_parse_pairs(args.reply_edges),

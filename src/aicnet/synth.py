@@ -209,38 +209,9 @@ def generate(
         quotes[quote.id] = quote
         quote_pools[block_idx].append(quote)
 
-    # one annotation per author on a quote of their block
-    annotation_of: dict[str, Artifact] = {}
-    artifacts: list[Artifact] = []
-    for block_idx, block in enumerate(blocks):
-        for j, author in enumerate(sorted(block)):
-            quote = quote_pools[block_idx][j % len(quote_pools[block_idx])]
-            art = Artifact(
-                id=f"{id_prefix}a-{author}", author_id=author, reading_id=reading_id,
-                kind="annotation", body="", quote_id=quote.id,
-            )
-            annotation_of[author] = art
-            artifacts.append(art)
-
-    for i, (x, y) in enumerate(params.reply_edges):
-        artifacts.append(
-            Artifact(
-                id=f"{id_prefix}rep{i + 1:03d}", author_id=y, reading_id=reading_id,
-                kind="reply", body="", parent_id=annotation_of[x].id,
-            )
-        )
-
     # planted words score tf * ln(N/2); N must exceed the planted df of 2
-    pad_art: Artifact | None = None
-    if n_planted and len(artifacts) < 3:
-        first = authors[0]
-        pad_art = Artifact(
-            id=f"{id_prefix}pad", author_id=first, reading_id=reading_id,
-            kind="annotation", body="", quote_id=annotation_of[first].quote_id,
-        )
-        artifacts.append(pad_art)
-
-    n_docs = len(artifacts)
+    pad = bool(n_planted) and len(authors) + len(params.reply_edges) < 3
+    n_docs = len(authors) + len(params.reply_edges) + pad
     decoy_reps = max(1, math.ceil(word_params.min_frequency / n_docs))
     planted_reps = math.ceil(word_params.min_frequency / 2)
     # noun filler would clear a frequency floor of 1, so use it only above that
@@ -260,16 +231,35 @@ def generate(
             planted_for[x].extend([w] * planted_reps)
             planted_for[y].extend([w] * planted_reps)
 
-    finished: list[Artifact] = []
-    for art in artifacts:
-        extra = planted_for[art.author_id] if art.kind == "annotation" and art is not pad_art else []
-        finished.append(Artifact(
-            id=art.id, author_id=art.author_id, reading_id=art.reading_id,
-            kind=art.kind, body=body_tokens(list(extra)),
-            quote_id=art.quote_id, parent_id=art.parent_id,
+    # one annotation per author on a quote of their block, then the replies and the pad
+    annotation_of: dict[str, Artifact] = {}
+    artifacts: list[Artifact] = []
+    for block_idx, block in enumerate(blocks):
+        for j, author in enumerate(sorted(block)):
+            quote = quote_pools[block_idx][j % len(quote_pools[block_idx])]
+            annotation_of[author] = Artifact(
+                id=f"{id_prefix}a-{author}", author_id=author, reading_id=reading_id,
+                kind="annotation", body=body_tokens(planted_for[author]),
+                quote_id=quote.id,
+            )
+            artifacts.append(annotation_of[author])
+
+    for i, (x, y) in enumerate(params.reply_edges):
+        artifacts.append(
+            Artifact(
+                id=f"{id_prefix}rep{i + 1:03d}", author_id=y, reading_id=reading_id,
+                kind="reply", body=body_tokens([]), parent_id=annotation_of[x].id,
+            )
+        )
+
+    if pad:
+        first = authors[0]
+        artifacts.append(Artifact(
+            id=f"{id_prefix}pad", author_id=first, reading_id=reading_id,
+            kind="annotation", body=body_tokens([]), quote_id=annotation_of[first].quote_id,
         ))
 
-    reading = Reading(id=reading_id, quotes=quotes, artifacts=finished)
+    reading = Reading(id=reading_id, quotes=quotes, artifacts=artifacts)
     corpus = Corpus(readings={reading_id: reading}, authors=set(authors))
     store = EmbeddingStore(dim=dim, vectors={q.id: vector_of[q.text] for q in quotes.values()})
 

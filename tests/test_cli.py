@@ -12,7 +12,7 @@ import pytest
 
 from aicnet.cli import main
 from aicnet.corpus import load_corpus, normalize_text, save_corpus
-from aicnet.export import read_graphml
+from aicnet.export import read_dot, read_graphml, read_json
 from aicnet.semantic import load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
 
@@ -160,6 +160,19 @@ def test_build_an_matches_ground_truth(sample, tmp_path, capsys):
     for name in ("r1_an.graphml", "r1_an.dot", "r1_an.json", "r1_an_edges.csv", "r1_an_nodes.csv"):
         assert (out_dir / name).exists()
         assert name in out
+
+
+def test_build_writes_each_format_its_reader_reads_back(sample, tmp_path, capsys):
+    corpus_path, emb_path, (gt1, _) = sample
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "build", str(corpus_path), "--reading", "r1", "--network", "an",
+        "--embeddings", str(emb_path), "--format", "graphml,dot,json", "--out", str(out_dir),
+    )
+    assert code == 0, err
+    for reader, suffix in ((read_graphml, "graphml"), (read_dot, "dot"), (read_json, "json")):
+        graph = reader(out_dir / f"r1_an.{suffix}")
+        assert (graph.nodes, graph.edges) == (gt1.expected_an.nodes, gt1.expected_an.edges)
 
 
 def test_build_in_reply_free_reading(jsonl_file, tmp_path, capsys):
@@ -349,6 +362,16 @@ def test_compare_disjoint_rosters_warns(tmp_path, capsys):
         assert line.endswith(",na")
 
 
+def test_compare_layout_matches_golden(capsys):
+    tests = Path(__file__).parent
+    code, out, err = run_cli(
+        capsys, "compare", str(tests / "data" / "sample_corpus.jsonl"), "r1", "r2",
+        "--embeddings", str(tests / "data" / "sample_embeddings.jsonl"),
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (tests / "golden" / "compare_r1_r2.txt").read_bytes()
+
+
 def test_compare_unknown_reading(sample, capsys):
     corpus_path, _, _ = sample
     code, _, err = run_cli(capsys, "compare", str(corpus_path), "r1", "nope")
@@ -413,6 +436,27 @@ def test_synth_emits_verifiable_files(tmp_path, capsys):
     )
     report = verify(corpus, store, gt)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("argv, authors", [
+    ([], 4),
+    (["--authors", "6"], 6),
+    (["--blocks", "a,b|c,d,e"], 5),
+    (["--authors", "5", "--blocks", "a,b|c,d,e"], 5),
+])
+def test_synth_authors_count(tmp_path, capsys, argv, authors):
+    code, _, err = run_cli(capsys, "synth", *argv, "--out", str(tmp_path / "x"))
+    assert code == 0, err
+    assert len(load_corpus(tmp_path / "x" / "corpus.jsonl").authors) == authors
+
+
+def test_synth_authors_must_match_the_blocks(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code, _, err = run_cli(capsys, "synth", "--authors", "3", "--blocks", "a,b|c,d,e",
+                           "--out", str(out_dir))
+    assert code == 1
+    assert err == "error: blocks cover 5 authors, n_authors says 3\n"
+    assert not out_dir.exists()
 
 
 def test_synth_rejects_single_author(tmp_path, capsys):

@@ -11,7 +11,7 @@ from aicnet.corpus import save_corpus
 from aicnet.errors import InfeasibleParams
 from aicnet.semantic import save_embeddings
 from aicnet.synth import SynthParams, generate, random_params, verify
-from aicnet.textpipe import WordSelectionParams
+from aicnet.textpipe import WordSelectionParams, select_cn_words
 
 
 def test_two_authors_shared_quote():
@@ -115,6 +115,17 @@ def test_generate_respects_custom_word_params():
     word_params = WordSelectionParams(min_frequency=4, drop_lowest=2, top_k=10)
     corpus, store, gt = generate(params, word_params)
     assert verify(corpus, store, gt, word_params=word_params).passed
+
+
+def test_planted_words_score_above_zero_in_a_two_annotation_reading():
+    # both annotations hold every planted word, so a third document keeps ln(N / df) > 0
+    params = SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+                         vocab_overlap={("A", "B"): 2}, seed=4)
+    corpus, _, gt = generate(params)
+    selected = select_cn_words(corpus.readings["r1"])
+    assert gt.expected_cn_edges == {("A", "B")}
+    assert {s.author_id for s in selected} == {"A", "B"}
+    assert all(s.score > 0 for s in selected)
 
 
 def test_infeasible_params():

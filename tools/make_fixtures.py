@@ -136,13 +136,18 @@ def freeze_goldens(corpus_path: Path, emb_path: Path) -> None:
         (["metrics", str(corpus_path), "--level", "network",
           "--embeddings", str(emb_path), "--out", str(GOLDEN)], None),
         (["stats", str(corpus_path), "--out", str(GOLDEN)], None),
+        (["compare", str(corpus_path), "r1", "r2", "--embeddings", str(emb_path)],
+         GOLDEN / "compare_r1_r2.txt"),
     ]
-    for args, _ in runs:
+    for args, stdout_golden in runs:
         result = subprocess.run(
             [sys.executable, "-m", "aicnet.cli", *args],
             capture_output=True, check=True,
         )
-        sys.stdout.buffer.write(result.stdout)
+        if stdout_golden is None:
+            sys.stdout.buffer.write(result.stdout)
+        else:
+            stdout_golden.write_bytes(result.stdout)
     for leftover in GOLDEN.glob("*.json"):
         leftover.unlink()  # goldens are the display CSVs only
 

@@ -61,14 +61,34 @@ MUTANTS: list[Mutant] = [
            (_AN + "test_build_an_reading_without_artifacts_keeps_roster_isolates",
             "tests/test_cli.py::test_metrics_network_level_reading_with_only_a_quote")),
     # build --format: a repeated format written twice
-    Mutant("src/aicnet/cli.py",
-           'list(dict.fromkeys(f.strip() for f in args.format.split(",") if f.strip()))',
-           '[f.strip() for f in args.format.split(",") if f.strip()]',
+    Mutant("src/aicnet/cli.py", "list(dict.fromkeys(_listed(args.format)))",
+           "_listed(args.format)",
            ("tests/test_cli.py::test_build_writes_a_repeated_format_once",)),
     # build --format: an empty list accepted
     Mutant("src/aicnet/cli.py",
            '    if not requested:\n        raise AicnetError("no export format given")\n', "",
            ("tests/test_cli.py::test_build_rejects_an_empty_format_list",)),
+    # build: one format written by another format's writer
+    Mutant("src/aicnet/cli.py", '"dot": export.write_dot', '"dot": export.write_json',
+           ("tests/test_cli.py::test_build_writes_each_format_its_reader_reads_back",)),
+    # compare: the delta taken as a - b
+    Mutant("src/aicnet/cli.py", "else vb - va", "else va - vb",
+           ("tests/test_cli.py::test_compare_layout_matches_golden",)),
+    # node tables: two measures listed in swapped order
+    Mutant("src/aicnet/cli.py",
+           '(("AN Closeness", "an_closeness"), ("IN Betweenness", "in_betweenness"),',
+           '(("IN Betweenness", "in_betweenness"), ("AN Closeness", "an_closeness"),',
+           ("tests/test_acceptance.py::test_criterion_09_report_formats",
+            "tests/test_cli.py::test_compare_layout_matches_golden")),
+    # synth --authors: ignored when --blocks is given
+    Mutant("src/aicnet/cli.py", "n_authors=args.authors or sum(map(len, blocks))",
+           "n_authors=sum(map(len, blocks))",
+           ("tests/test_cli.py::test_synth_authors_must_match_the_blocks",)),
+    # synth: no pad artifact for a two-document reading with planted words
+    Mutant("src/aicnet/synth.py",
+           "pad = bool(n_planted) and len(authors) + len(params.reply_edges) < 3",
+           "pad = bool(n_planted) and len(authors) + len(params.reply_edges) < 2",
+           ("tests/test_synth.py::test_planted_words_score_above_zero_in_a_two_annotation_reading",)),
     # synth: the kept block texts hashed a second time for the store
     Mutant("src/aicnet/synth.py", "vectors={q.id: vector_of[q.text] for",
            "vectors={q.id: hash_embed(q.text, dim) for",
