@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
@@ -22,7 +21,7 @@ from typing import Iterator
 from . import corpus as corpus_mod
 from . import export, metrics, synth
 from .corpus import Corpus, Reading, StatsTable, descriptive_stats, load_corpus, save_corpus
-from .errors import AicnetError, MissingEmbedding
+from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
 from .textpipe import WordSelectionParams, load_wordlist, make_default_tagger
@@ -86,9 +85,8 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noun-lexicon", type=load_wordlist, default=None,
                    help="replacement noun lexicon file, one term per line")
     p.add_argument("--embeddings", type=Path, default=None,
-                   help="precomputed quote-vector file (JSONL or binary)")
-    p.add_argument("--embedder", choices=("file", "hash"), default=None,
-                   help="vector source; defaults to file when --embeddings is given, hash otherwise")
+                   help="precomputed quote-vector file (JSONL or binary); "
+                        "without it, quotes get hash vectors of --dim components")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,20 +154,15 @@ def _corpus_format(path: Path) -> str:
 def _store_for(args: argparse.Namespace, corpus: Corpus,
                readings: list[Reading]) -> EmbeddingStore:
     """Quote vectors from ``--embeddings``, or hash vectors for the quotes of
-    ``readings`` alone; orphan vectors are reported against every corpus quote,
-    as one ``warning:`` line on stderr."""
-    if args.embedder == "hash" or (args.embedder is None and args.embeddings is None):
-        return embed_quotes([q for r in readings for q in r.quotes.values()], args.dim)
+    ``readings`` alone; vectors of no corpus quote are kept and reported as one
+    ``warning:`` line on stderr."""
     if args.embeddings is None:
-        raise MissingEmbedding(
-            "", detail="attention network needs --embeddings when --embedder file is set"
-        )
+        return embed_quotes([q for r in readings for q in r.quotes.values()], args.dim)
+    store = load_embeddings(args.embeddings)
     known = {qid for r in corpus.readings.values() for qid in r.quotes}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        store = load_embeddings(args.embeddings, known)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    orphans = sorted(set(store.vectors) - known)
+    if orphans:
+        print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", file=sys.stderr)
     return store
 
 

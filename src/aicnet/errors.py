@@ -82,9 +82,9 @@ class ZeroVector(AicnetError):
 
 
 class MissingEmbedding(AicnetError):
-    def __init__(self, quote_id: str, detail: str | None = None):
+    def __init__(self, quote_id: str):
         self.quote_id = quote_id
-        super().__init__(detail or f"no embedding stored for quote {quote_id!r}")
+        super().__init__(f"no embedding stored for quote {quote_id!r}")
 
 
 class EmbeddingFileError(AicnetError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, Quote, Reading, thread_roots
-from .errors import AicnetError
+from .errors import AicnetError, DanglingParent
 from .semantic import EmbeddingStore, quote_similarity
 from .textpipe import NounTagger, WordSelectionParams, select_cn_words
 
@@ -224,7 +224,9 @@ def build_in(reading: Reading, corpus: Corpus, roster: set[str] | None = None) -
     for art in reading.artifacts:
         if art.kind != "reply":
             continue
-        parent = by_id[art.parent_id]  # validated at load
+        parent = by_id.get(art.parent_id)
+        if parent is None:
+            raise DanglingParent(art.id)
         if parent.author_id == art.author_id:
             continue
         events[edge_key(art.author_id, parent.author_id)] += 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -52,10 +51,16 @@ class EmbeddingStore:
     vectors: dict[str, np.ndarray]
 
     def get(self, quote_id: str) -> np.ndarray:
-        try:
-            return self.vectors[quote_id]
-        except KeyError:
-            raise MissingEmbedding(quote_id) from None
+        """The vector of ``quote_id``; a missing one, one not of ``dim``
+        components or an all-zero one raises the error naming the quote."""
+        vec = self.vectors.get(quote_id)
+        if vec is None:
+            raise MissingEmbedding(quote_id)
+        if vec.shape != (self.dim,):
+            raise DimensionMismatch(quote_id, self.dim, int(vec.size))
+        if not np.any(vec):
+            raise ZeroVector(quote_id)
+        return vec
 
 
 @dataclass(frozen=True)
@@ -85,25 +90,19 @@ def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStor
     return EmbeddingStore(dim=dim or 0, vectors=vectors)
 
 
-def load_embeddings(path: str | Path, known_quote_ids: set[str] | None = None) -> EmbeddingStore:
+def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a vector file (JSONL or binary, sniffed by magic bytes).
 
-    Ids not present in ``known_quote_ids`` (when given) are kept but reported
-    through a :class:`UserWarning` listing the orphans. A malformed file raises
-    :class:`EmbeddingFileError` naming the file and the line or byte offset; a
-    duplicate id or a non-finite component raises :class:`InvalidVector`.
+    A malformed file raises :class:`EmbeddingFileError` naming the file and the
+    line or byte offset; a duplicate id or a non-finite component raises
+    :class:`InvalidVector`.
     """
     path = Path(path)
     raw = path.read_bytes()
     try:
-        store = _validated_store(_read_binary(raw) if raw.startswith(_MAGIC) else _read_jsonl(raw))
+        return _validated_store(_read_binary(raw) if raw.startswith(_MAGIC) else _read_jsonl(raw))
     except EmbeddingFileError as exc:
         raise EmbeddingFileError(f"{path} {exc.where}", exc.reason) from None
-    if known_quote_ids is not None:
-        orphans = sorted(set(store.vectors) - known_quote_ids)
-        if orphans:
-            warnings.warn(f"embeddings for unknown quote ids: {', '.join(orphans)}", stacklevel=2)
-    return store
 
 
 def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:

@@ -235,15 +235,6 @@ def test_an_without_embeddings_falls_back_to_hash(sample, tmp_path, capsys):
     assert code == 0
 
 
-def test_an_with_file_embedder_needs_path(sample, capsys, tmp_path):
-    corpus_path, _, _ = sample
-    code, _, err = run_cli(capsys, "build", str(corpus_path), "--reading", "r1",
-                           "--network", "an", "--embedder", "file",
-                           "--out", str(tmp_path / "x"))
-    assert code == 1
-    assert "--embeddings" in err
-
-
 def test_metrics_node_level_matches_module(sample, tmp_path, capsys):
     from aicnet import metrics as m
     from aicnet.graphs import build_an, build_cn_bipartite, build_in, project
@@ -498,12 +489,12 @@ _OPTIONS = {
     "stats": {"--reading", "--out"},
     "build": {"--reading", "--network", "--format", "--roster", "--threshold", "--min-freq",
               "--drop-lowest", "--top-words", "--dim", "--stopwords", "--noun-lexicon",
-              "--embeddings", "--embedder", "--out"},
+              "--embeddings", "--out"},
     "metrics": {"--level", "--reading", "--threshold", "--min-freq", "--drop-lowest",
                 "--top-words", "--dim", "--stopwords", "--noun-lexicon", "--embeddings",
-                "--embedder", "--out"},
+                "--out"},
     "compare": {"--threshold", "--min-freq", "--drop-lowest", "--top-words", "--dim",
-                "--stopwords", "--noun-lexicon", "--embeddings", "--embedder"},
+                "--stopwords", "--noun-lexicon", "--embeddings"},
     "synth": {"--seed", "--authors", "--quotes", "--blocks", "--reply-edges", "--vocab-overlap",
               "--reading-id", "--threshold", "--min-freq", "--drop-lowest", "--top-words",
               "--dim", "--out"},
@@ -575,6 +566,28 @@ def test_orphan_vectors_warn_on_one_stderr_line(tmp_path, capsys):
                              "--level", "network", "--embeddings", str(emb))
     assert code == 0 and out.startswith("Reading,")
     assert err == "warning: embeddings for unknown quote ids: ghost\n"
+
+
+def test_embeddings_flag_alone_picks_the_vectors(jsonl_file, tmp_path, capsys):
+    corpus = jsonl_file([
+        {"record": "quote", "id": "q1", "reading_id": "r1", "text": "The first passage."},
+        {"record": "quote", "id": "q2", "reading_id": "r1", "text": "An unrelated sentence."},
+        {"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation",
+         "quote_id": "q1", "body": "x"},
+        {"id": "a2", "reading_id": "r1", "author_id": "B", "kind": "annotation",
+         "quote_id": "q2", "body": "y"},
+    ])
+    emb = tmp_path / "emb.jsonl"
+    emb.write_text("".join(json.dumps({"quote_id": qid, "vector": [1.0, 0.0]}) + "\n"
+                           for qid in ("q1", "q2")), encoding="utf-8")
+    edges = {}
+    for label, extra in (("hash", []), ("file", ["--embeddings", str(emb)])):
+        code, _, err = run_cli(capsys, "build", str(corpus), "--reading", "r1", "--network", "an",
+                               "--format", "json", "--out", str(tmp_path / label), *extra)
+        assert (code, err) == (0, "")
+        edges[label] = json.loads((tmp_path / label / "r1_an.json").read_text())["edges"]
+    # the file makes the two texts identical; their hash vectors are far apart
+    assert edges == {"hash": [], "file": [{"source": "A", "target": "B", "weight": 1.0}]}
 
 
 def _word_corpus(jsonl_file):

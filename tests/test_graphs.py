@@ -21,7 +21,13 @@ from aicnet.graphs import (
     project,
 )
 from aicnet.corpus import load_corpus, thread_roots
-from aicnet.errors import AicnetError, DimensionMismatch, MissingEmbedding, ZeroVector
+from aicnet.errors import (
+    AicnetError,
+    DanglingParent,
+    DimensionMismatch,
+    MissingEmbedding,
+    ZeroVector,
+)
 from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
 from aicnet.synth import SynthParams, generate
 from aicnet.textpipe import WordSelectionParams
@@ -230,6 +236,20 @@ def test_build_in_events_between_replies():
     g = build_in(corpus.readings["r1"], corpus)
     # the nested reply is an event with the reply's author, not the root's
     assert g.edges == {("A", "B"): 1.0, ("B", "C"): 1.0}
+
+
+def test_build_in_names_a_reply_whose_parent_is_missing():
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "p")],
+        annotations=[("a1", "r1", "A", "q1", "x")],
+        replies=[("rep1", "r1", "B", "ghost", "r")],
+    )
+    reading = corpus.readings["r1"]
+    with pytest.raises(DanglingParent) as exc:
+        build_in(reading, corpus)
+    assert exc.value.artifact_id == "rep1"
+    with pytest.raises(DanglingParent):
+        build_an(reading, corpus, embed_quotes(reading.quotes.values()))
 
 
 def _cn_corpus():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,15 +76,16 @@ def test_load_rejects_zero_vector(tmp_path):
         load_embeddings(path)
 
 
-def test_load_warns_on_orphans(tmp_path):
+def test_load_keeps_orphans_without_warning(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(
         json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
         + json.dumps({"quote_id": "ghost", "vector": [0.0, 1.0]}) + "\n"
     )
-    with pytest.warns(UserWarning, match="ghost"):
-        store = load_embeddings(path, known_quote_ids={"q1"})
-    assert "ghost" in store.vectors  # kept, just reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = load_embeddings(path)
+    assert set(store.vectors) == {"q1", "ghost"}  # the CLI reports orphans, not the loader
 
 
 def test_binary_round_trip(tmp_path):
@@ -302,6 +304,19 @@ def test_quote_similarity_missing_embedding():
     store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, 0.0])})
     with pytest.raises(MissingEmbedding):
         quote_similarity(_q("q1", "one"), _q("q2", "two"), store)
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ({"q1": [1.0, 0.0], "q2": [1.0, 0.0, 0.0]}, "vector for 'q2' has 3 components, expected 2"),
+    # the store's dim is expected even when both vectors share another length
+    ({"q1": [1.0, 1.0, 1.0], "q2": [1.0, 0.0, 0.0]}, "vector for 'q1' has 3 components, expected 2"),
+    ({"q1": [1.0, 0.0], "q2": [0.0, 0.0]}, "all-zero vector for 'q2'"),
+], ids=["one-long", "both-long", "zero"])
+def test_vector_errors_name_the_quote(vectors, message):
+    store = EmbeddingStore(dim=2, vectors={qid: np.array(v) for qid, v in vectors.items()})
+    with pytest.raises((DimensionMismatch, ZeroVector)) as exc:
+        quote_similarity(_q("q1", "one"), _q("q2", "two"), store)
+    assert str(exc.value) == message
 
 
 @settings(max_examples=30, deadline=None)

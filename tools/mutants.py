@@ -5,11 +5,11 @@ Each entry is ``(file, old, new, tests)``: a source file relative to the
 repository root, a string that occurs in it exactly once, its replacement, and
 the pytest node ids that must fail once the replacement is made. For every
 entry the runner copies the tree to a temporary directory, applies the
-substitution there and runs the tests with a fixed hypothesis seed. A mutant
-is caught when pytest reports failed tests (exit 1); passing tests, a
-collection error or an unknown node id count against it. An ``old`` string
-that does not occur exactly once is an error, not a skip. The tests are first
-run once on the unmutated copy, where they must pass.
+substitution there and runs the tests with a fixed hypothesis seed and hash
+seed. A mutant is caught when pytest reports failed tests (exit 1); passing
+tests, a collection error or an unknown node id count against it. An ``old``
+string that does not occur exactly once is an error, not a skip. The tests are
+first run once on the unmutated copy, where they must pass.
 
 Stdlib only. Usage: python tools/mutants.py
 """
@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 
 _AN = "tests/test_graphs.py::"
+# 20-30-node graphs, where another summation order changes low bits
+_BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
     # attention network: score pairs one author holds alone
     Mutant("src/aicnet/graphs.py",
@@ -93,6 +95,61 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/synth.py", "vectors={q.id: vector_of[q.text] for",
            "vectors={q.id: hash_embed(q.text, dim) for",
            ("tests/test_synth.py::test_generate_hashes_each_text_once",)),
+    # attention network: a prefilter that rejects cosines snapped up to tau
+    Mutant("src/aicnet/graphs.py", "_PREFILTER_MARGIN = 1e-8", "_PREFILTER_MARGIN = -1e-13",
+           (_AN + "test_build_an_figure_construction",)),
+    # attention network: the row product's value kept in place of the scalar one
+    Mutant("src/aicnet/graphs.py",
+           "        for j in scored[~(row < cut)]:  # NaN rows go to the scalar check\n"
+           "            sim = quote_similarity(quotes[i], quotes[j], store)\n",
+           "        for j, sim in zip(scored[~(row < cut)], row[~(row < cut)]):\n"
+           "            quote_similarity(quotes[i], quotes[j], store)\n",
+           (_AN + "test_build_an_compares_each_quote_pair_once",)),
+    # attention network: an author pair's similarities summed in reversed order
+    Mutant("src/aicnet/graphs.py", "sum(joint[key] for key in sorted(joint))",
+           "sum(joint[key] for key in sorted(joint, reverse=True))",
+           (_AN + "test_build_an_sums_in_quote_pair_order",)),
+    # interaction network: a missing parent surfaces as a bare KeyError
+    Mutant("src/aicnet/graphs.py",
+           "        parent = by_id.get(art.parent_id)\n        if parent is None:\n"
+           "            raise DanglingParent(art.id)\n",
+           "        parent = by_id[art.parent_id]\n",
+           (_AN + "test_build_in_names_a_reply_whose_parent_is_missing",)),
+    # a vector of another length read without naming its quote
+    Mutant("src/aicnet/semantic.py",
+           "        if vec.shape != (self.dim,):\n"
+           "            raise DimensionMismatch(quote_id, self.dim, int(vec.size))\n", "",
+           ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
+    # Brandes betweenness: sources taken in reversed order
+    Mutant("src/aicnet/metrics.py", "    for source in nodes:\n",
+           "    for source in reversed(nodes):\n", (_BRANDES,)),
+    # Brandes betweenness: neighbour lists in set order, not sorted
+    Mutant("src/aicnet/metrics.py", "neighbors = {v: sorted(adj[v]) for v in nodes}",
+           "neighbors = {v: list(adj[v]) for v in nodes}", (_BRANDES,)),
+    # word selection: a lemma's aggregate is its last score, not its max
+    Mutant("src/aicnet/textpipe.py", "aggregate[lemma] = max(aggregate.get(lemma, score), score)",
+           "aggregate[lemma] = score",
+           ("tests/test_textpipe.py::test_selection_insensitive_to_artifact_order",)),
+    # word selection: idf as a difference of logs, which rounds differently
+    Mutant("src/aicnet/textpipe.py", "lemma: math.log(n_docs / df[lemma])",
+           "lemma: math.log(n_docs) - math.log(df[lemma])",
+           ("tests/test_textpipe.py::test_selection_equals_oracle_on_synthetic_corpora[3]",)),
+    # word selection: each body tagged with a fresh memo
+    Mutant("src/aicnet/textpipe.py",
+           "    lookup = _noun_lookup(tagger, extra_stopwords)\n    docs = []\n"
+           "    for art in reading.artifacts:\n",
+           "    docs = []\n    for art in reading.artifacts:\n"
+           "        lookup = _noun_lookup(tagger, extra_stopwords)\n",
+           ("tests/test_textpipe.py::test_tagger_called_once_per_distinct_surface_per_reading",)),
+    # --embeddings ignored: quotes always get hash vectors
+    Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n        return embed_quotes(",
+           "    if True:\n        return embed_quotes(",
+           ("tests/test_cli.py::test_embeddings_flag_alone_picks_the_vectors",)),
+    # --embeddings: the orphan line dropped
+    Mutant("src/aicnet/cli.py",
+           """print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", """
+           "file=sys.stderr)", "pass",
+           ("tests/test_cli.py::test_orphan_vectors_warn_on_one_stderr_line",)),
 ]
 
 
@@ -114,7 +171,8 @@ def anchor_errors(root: Path = REPO) -> list[str]:
 
 
 def _pytest(tree: Path, tests: list[str]) -> int:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # a fixed hash seed fixes set order, which the neighbour-list mutant depends on
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
             "--hypothesis-seed=0", *tests]
     return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
