@@ -43,7 +43,6 @@ from .semantic import (
     quote_similarity,
     save_embeddings,
 )
-from .synth import GroundTruth, SynthParams, VerificationReport, generate, verify
 from .textpipe import (
     SelectedWord,
     Token,
@@ -68,3 +67,15 @@ __all__ = [
     "save_corpus", "save_embeddings", "select_cn_words", "thread_root",
     "thread_roots", "tfidf", "tokenize", "transitivity", "verify",
 ]
+
+# served by ``__getattr__`` (PEP 562), so that importing the package does not
+# load the generator
+_SYNTH_NAMES = frozenset({"GroundTruth", "SynthParams", "VerificationReport", "generate", "verify"})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Iterator
 
 from . import corpus as corpus_mod
-from . import export, metrics, synth
+from . import metrics
 from .corpus import Corpus, Reading, StatsTable, descriptive_stats, load_corpus, save_corpus
 from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
 from .textpipe import WordSelectionParams, load_wordlist, make_default_tagger
 
-# the writers of the one-file export formats; csv writes an edge and a node file
-_WRITERS = {"graphml": export.write_graphml, "dot": export.write_dot, "json": export.write_json}
-_FORMATS = (*_WRITERS, "csv")
+# the export formats; ``export.write_<format>`` writes each, csv an edge and a node file
+_FORMATS = ("graphml", "dot", "csv", "json")
 
 # (display label, report field) of each measure, in display order
 _NODE_MEASURES = (("AN Closeness", "an_closeness"), ("IN Betweenness", "in_betweenness"),
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reading", required=True)
     p.add_argument("--network", choices=("an", "in", "cn"), required=True)
     p.add_argument("--format", default="graphml",
-                   help="comma-separated subset of graphml,dot,csv,json")
+                   help=f"comma-separated subset of {','.join(_FORMATS)}")
     p.add_argument("--roster", choices=("active", "all"), default="active",
                    help="node set: the reading's active authors, or every corpus author")
     _add_network_flags(p)
@@ -261,6 +260,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import export  # imported here, so that the other commands load no writer
+
     requested = list(dict.fromkeys(_listed(args.format)))
     if not requested:
         raise AicnetError("no export format given")
@@ -283,7 +284,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             written += [edges, nodes]
         else:
             path = args.out / f"{stem}.{fmt}"
-            _WRITERS[fmt](graph, path, name=stem)
+            getattr(export, f"write_{fmt}")(graph, path, name=stem)
             written.append(path)
     for path in written:
         print(path.as_posix())
@@ -381,6 +382,8 @@ def _parse_overlap(spec: str) -> dict[tuple[str, str], int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import export, synth
+
     if args.blocks is None:
         blocks = (tuple(f"s{i + 1:02d}" for i in range(args.authors or 4)),)
     else:

@@ -11,13 +11,28 @@ from __future__ import annotations
 
 import json
 import re
-import xml.etree.ElementTree as ET
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from .graphs import WeightedGraph
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+
+
+# escape and quoteattr as in xml.sax.saxutils, whose import loads urllib.request,
+# http, ssl and email
+def escape(data: str) -> str:
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(data: str) -> str:
+    """``data`` escaped, with newline, return and tab as character references, in
+    double quotes; in single quotes if it holds ``"`` but not ``'``; else ``"`` as ``&quot;``."""
+    data = escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return f'"{data}"'
+    if "'" not in data:
+        return f"'{data}'"
+    return '"' + data.replace('"', "&quot;") + '"'
 
 
 def _isolates(g: WeightedGraph) -> set[str]:
@@ -48,6 +63,8 @@ def write_graphml(g: WeightedGraph, path: str | Path, name: str = "graph") -> No
 
 
 def read_graphml(path: str | Path) -> WeightedGraph:
+    import xml.etree.ElementTree as ET  # only a read-back loads an XML parser
+
     root = ET.parse(path).getroot()
     ns = {"g": _GRAPHML_NS}
     g = WeightedGraph()

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import random
+from xml.sax import saxutils  # the oracle of the local escapers
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aicnet.export import (
+    escape,
+    quoteattr,
     read_dot,
     read_graphml,
     read_json,
@@ -16,6 +21,9 @@ from aicnet.export import (
     write_json,
 )
 from aicnet.graphs import WeightedGraph
+
+# the characters XML attribute values escape or normalise
+_MARKUP = "&<>\"'\n\r\t"
 
 
 def _sample_graph() -> WeightedGraph:
@@ -90,6 +98,38 @@ def test_graphml_readable_by_networkx(tmp_path):
     # isolates carry the flag
     assert h.nodes["isolated one"]["isolated"] is True
     assert h.nodes["s01"]["isolated"] is False
+
+
+@given(st.text(alphabet=_MARKUP + "abXY ", max_size=24))
+@example(_MARKUP)
+def test_escapers_equal_saxutils(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+def _markup_graph() -> WeightedGraph:
+    """Node ids holding each markup character alone, and all of them at once."""
+    g = WeightedGraph(nodes={f"isolated {_MARKUP}"})
+    for i, ch in enumerate(_MARKUP):
+        g.add_edge(f"s{ch}", f"all {_MARKUP}", 0.5 + i)
+    return g
+
+
+def test_graphml_ids_with_markup_and_whitespace_round_trip(tmp_path):
+    g = _markup_graph()
+    path = tmp_path / "g.graphml"
+    write_graphml(g, path, name=_MARKUP)
+    _assert_same(read_graphml(path), g)
+
+
+def test_graphml_ids_with_markup_and_whitespace_read_by_networkx(tmp_path):
+    nx = pytest.importorskip("networkx")
+    g = _markup_graph()
+    path = tmp_path / "g.graphml"
+    write_graphml(g, path, name=_MARKUP)
+    h = nx.read_graphml(path)
+    assert set(h.nodes) == g.nodes
+    assert {tuple(sorted((u, v))): w for u, v, w in h.edges(data="weight")} == g.edges
 
 
 def test_csv_export(tmp_path):

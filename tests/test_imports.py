@@ -1,0 +1,97 @@
+"""What a command imports: the measure commands load neither the exporters nor
+the generator, and the package serves the generator's names on first use."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import aicnet
+
+from conftest import child_env
+
+DATA = Path(__file__).resolve().parent / "data"
+CORPUS = str(DATA / "sample_corpus.jsonl")
+VECTORS = str(DATA / "sample_embeddings.jsonl")
+
+# modules no measure command needs; each name stands for its submodules too
+UNNEEDED = ("urllib.request", "http", "ssl", "email", "xml.sax", "xml.etree",
+            "aicnet.synth", "aicnet.export")
+
+# argv: the module names, the commands (a JSON list of argv lists), a result file
+_PROBE = """
+import json, sys
+from aicnet import cli
+
+names, commands, result = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+
+def loaded():
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+
+seen = [["import aicnet.cli", 0, loaded()]]
+for argv in commands:
+    seen.append([argv[0], cli.main(argv), loaded()])
+with open(result, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def _probe(tmp_path: Path, names: tuple[str, ...], commands: list[list[str]]) -> list[list]:
+    """``[step, exit code, loaded modules among names]`` after importing the CLI
+    and after each command, all run in one fresh interpreter."""
+    result = tmp_path / "seen.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(names), json.dumps(commands), str(result)],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(), check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+def test_metrics_and_compare_load_no_exporter_generator_or_xml(tmp_path):
+    commands = [
+        ["validate", CORPUS],
+        ["stats", CORPUS],
+        ["metrics", CORPUS, "--level", "network", "--embeddings", VECTORS],
+        ["metrics", CORPUS, "--level", "node", "--out", str(tmp_path / "out")],
+        ["compare", CORPUS, "r1", "r2"],
+    ]
+    seen = _probe(tmp_path, UNNEEDED, commands)
+    steps = ["import aicnet.cli", "validate", "stats", "metrics", "metrics", "compare"]
+    assert seen == [[step, 0, []] for step in steps]
+
+
+def test_build_loads_the_exporters_but_no_xml(tmp_path):
+    build = ["build", CORPUS, "--reading", "r1", "--network", "an", "--embeddings", VECTORS,
+             "--format", "graphml,dot,csv,json", "--out", str(tmp_path / "graphs")]
+    seen = _probe(tmp_path, (*UNNEEDED, "xml"), [build])
+    assert seen == [["import aicnet.cli", 0, []], ["build", 0, ["aicnet.export"]]]
+    assert len(list((tmp_path / "graphs").iterdir())) == 5
+
+
+def test_every_public_name_resolves():
+    for name in aicnet.__all__:
+        assert getattr(aicnet, name).__name__ == name
+
+
+def test_star_import_binds_every_public_name_in_a_fresh_interpreter():
+    probe = """
+import json, sys
+import aicnet
+eager = "aicnet.synth" in sys.modules
+from aicnet import *
+unbound = [name for name in aicnet.__all__ if name not in globals()]
+try:
+    aicnet.no_such_name
+    missing = "no error"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([eager, unbound, missing]))
+"""
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=child_env(), check=False)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        False, [], "module 'aicnet' has no attribute 'no_such_name'"]

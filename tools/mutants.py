@@ -35,6 +35,8 @@ class Mutant(NamedTuple):
 
 
 _AN = "tests/test_graphs.py::"
+_EXPORT = "tests/test_export.py::"
+_IMPORTS = "tests/test_imports.py::"
 # 20-30-node graphs, where another summation order changes low bits
 _BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
@@ -70,8 +72,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py",
            '    if not requested:\n        raise AicnetError("no export format given")\n', "",
            ("tests/test_cli.py::test_build_rejects_an_empty_format_list",)),
-    # build: one format written by another format's writer
-    Mutant("src/aicnet/cli.py", '"dot": export.write_dot', '"dot": export.write_json',
+    # build: every one-file format written by the json writer
+    Mutant("src/aicnet/cli.py", 'getattr(export, f"write_{fmt}")', 'getattr(export, "write_json")',
            ("tests/test_cli.py::test_build_writes_each_format_its_reader_reads_back",)),
     # compare: the delta taken as a - b
     Mutant("src/aicnet/cli.py", "else vb - va", "else va - vb",
@@ -150,6 +152,25 @@ MUTANTS: list[Mutant] = [
            """print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", """
            "file=sys.stderr)", "pass",
            ("tests/test_cli.py::test_orphan_vectors_warn_on_one_stderr_line",)),
+    # cold start: the exporters imported with the CLI again
+    Mutant("src/aicnet/cli.py", "from . import metrics\n", "from . import export, metrics\n",
+           (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
+    # cold start: the generator imported with the package again
+    Mutant("src/aicnet/__init__.py", "from .textpipe import (",
+           "from .synth import GroundTruth, SynthParams, VerificationReport, generate, verify\n"
+           "from .textpipe import (",
+           (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
+    # cold start: build loads an XML parser it only needs to read GraphML back
+    Mutant("src/aicnet/export.py", "import re\n", "import re\nimport xml.etree.ElementTree as ET\n",
+           (_IMPORTS + "test_build_loads_the_exporters_but_no_xml",)),
+    # GraphML attributes: a newline left raw, which an XML parser reads as a space
+    Mutant("src/aicnet/export.py", '.replace("\\n", "&#10;")', "",
+           (_EXPORT + "test_escapers_equal_saxutils",
+            _EXPORT + "test_graphml_ids_with_markup_and_whitespace_round_trip")),
+    # GraphML attributes: a value holding both quote characters left unquotable
+    Mutant("src/aicnet/export.py", """data.replace('"', "&quot;")""", "data",
+           (_EXPORT + "test_escapers_equal_saxutils",
+            _EXPORT + "test_graphml_ids_with_markup_and_whitespace_round_trip")),
 ]
 
 
