@@ -1,57 +1,7 @@
 """aicnet: attention, interaction, and creation networks from threaded
 annotation discourse, with the measures to compare them."""
 
-from .corpus import (
-    Artifact,
-    Corpus,
-    Quote,
-    Reading,
-    StatsTable,
-    descriptive_stats,
-    load_corpus,
-    save_corpus,
-    thread_root,
-    thread_roots,
-)
-from .graphs import (
-    BipartiteGraph,
-    WeightedGraph,
-    attention_quotes,
-    build_an,
-    build_cn_bipartite,
-    build_in,
-    project,
-)
-from .metrics import (
-    NetworkMetricsRow,
-    NodeMetricsRow,
-    betweenness,
-    closeness,
-    degree_centralization,
-    network_report,
-    node_report,
-    transitivity,
-)
-from .semantic import (
-    EmbeddingStore,
-    JointPair,
-    cosine,
-    embed_quotes,
-    hash_embed,
-    joint_pairs,
-    load_embeddings,
-    quote_similarity,
-    save_embeddings,
-)
-from .textpipe import (
-    SelectedWord,
-    Token,
-    WordSelectionParams,
-    lemmatize,
-    select_cn_words,
-    tfidf,
-    tokenize,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -68,14 +18,33 @@ __all__ = [
     "thread_roots", "tfidf", "tokenize", "transitivity", "verify",
 ]
 
-# served by ``__getattr__`` (PEP 562), so that importing the package does not
-# load the generator
-_SYNTH_NAMES = frozenset({"GroundTruth", "SynthParams", "VerificationReport", "generate", "verify"})
+# Every public name is served on first use by ``__getattr__`` (PEP 562) from
+# the submodule that defines it, so importing the package loads neither numpy
+# nor the generator.
+_HOME = {
+    name: module
+    for module, names in {
+        "corpus": "Artifact Corpus Quote Reading StatsTable descriptive_stats load_corpus "
+                  "save_corpus thread_root thread_roots",
+        "graphs": "BipartiteGraph WeightedGraph attention_quotes build_an build_cn_bipartite "
+                  "build_in project",
+        "metrics": "NetworkMetricsRow NodeMetricsRow betweenness closeness "
+                   "degree_centralization network_report node_report transitivity",
+        "semantic": "EmbeddingStore JointPair cosine embed_quotes hash_embed joint_pairs "
+                    "load_embeddings quote_similarity save_embeddings",
+        "synth": "GroundTruth SynthParams VerificationReport generate verify",
+        "textpipe": "SelectedWord Token WordSelectionParams lemmatize select_cn_words tfidf "
+                    "tokenize",
+    }.items()
+    for name in names.split()
+}
+# submodules reachable as attributes after ``import aicnet`` alone
+_SUBMODULES = frozenset({"corpus", "errors", "graphs", "metrics", "semantic", "textpipe"})
 
 
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
-        from . import synth
-
-        return getattr(synth, name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

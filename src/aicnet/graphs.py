@@ -18,8 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
 from .semantic import EmbeddingStore, quote_similarity
@@ -122,6 +120,8 @@ def _confirmed_pairs(
       ``store.dim`` components, or zero gets a NaN row, which the prefilter
       never rejects, so the scalar rule raises that vector's error.
     """
+    import numpy as np
+
     n = len(quotes)
     texts = np.array([q.normalized_text for q in quotes], dtype=object)
     # a quote's one holder, or None when several authors hold it: two authors

@@ -7,10 +7,13 @@ deterministic character-n-gram hashing embedder.
 
 Embedding file formats:
 
-* JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line.
+* JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line;
+  the id is a non-empty string and the components are JSON numbers (not
+  strings, not ``true``/``false``).
 * Binary: magic bytes ``AICEMB01``, then two little-endian uint32 (dimension,
   record count), then per record a little-endian uint16 id byte-length, the
-  UTF-8 id, and ``dimension`` little-endian float32 components.
+  UTF-8 id, and ``dimension`` little-endian float32 components; no byte
+  follows the last record.
 
 Every vector must be finite, non-zero, of one shared dimension, and given once
 per quote id.
@@ -22,9 +25,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .corpus import Quote, normalize_text
 from .errors import (
@@ -35,6 +36,9 @@ from .errors import (
     MissingEmbedding,
     ZeroVector,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAGIC = b"AICEMB01"
 
@@ -58,7 +62,7 @@ class EmbeddingStore:
             raise MissingEmbedding(quote_id)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(quote_id, self.dim, int(vec.size))
-        if not np.any(vec):
+        if not vec.any():
             raise ZeroVector(quote_id)
         return vec
 
@@ -73,6 +77,8 @@ class JointPair:
 
 
 def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStore:
+    import numpy as np
+
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for quote_id, vec in records:
@@ -84,7 +90,7 @@ def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStor
             raise DimensionMismatch(quote_id, dim, int(vec.shape[0]))
         if not np.isfinite(vec).all():
             raise InvalidVector(quote_id, "has a non-finite component")
-        if not np.any(vec):
+        if not vec.any():
             raise ZeroVector(quote_id)
         vectors[quote_id] = vec.astype(np.float64)
     return EmbeddingStore(dim=dim or 0, vectors=vectors)
@@ -106,6 +112,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
 
 def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
+    import numpy as np
+
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -120,16 +128,22 @@ def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
             raise EmbeddingFileError(where, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if not isinstance(rec, dict) or "quote_id" not in rec or "vector" not in rec:
             raise EmbeddingFileError(where, "expected an object with 'quote_id' and 'vector'")
-        try:
-            vec = np.asarray(rec["vector"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            vec = None
-        if vec is None or vec.ndim != 1:
+        quote_id, vector = rec["quote_id"], rec["vector"]
+        if not isinstance(quote_id, str) or not quote_id:
+            raise EmbeddingFileError(where, "'quote_id' must be a non-empty string")
+        # JSON numbers only: true and false parse as bool, which is an int subclass
+        if not isinstance(vector, list) or not {type(x) for x in vector} <= {int, float}:
             raise EmbeddingFileError(where, "'vector' must be a list of numbers")
-        yield str(rec["quote_id"]), vec
+        try:
+            vec = np.array(vector, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            raise EmbeddingFileError(where, "'vector' must be a list of numbers") from None
+        yield quote_id, vec
 
 
 def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
+    import numpy as np
+
     def need(offset: int, size: int, what: str) -> None:
         if offset + size > len(raw):
             raise EmbeddingFileError(
@@ -153,6 +167,10 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
         vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset).astype(np.float64)
         offset += 4 * dim
         yield quote_id, vec
+    if offset != len(raw):
+        raise EmbeddingFileError(
+            f"byte {offset}", f"{len(raw) - offset} bytes past the declared record count ({count})"
+        )
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
@@ -197,6 +215,8 @@ def hash_embed(text: str, dim: int = 256) -> np.ndarray:
     bucket sums are small integers, so the vector equals the one a per-gram
     loop gives, bit for bit.
     """
+    import numpy as np
+
     if dim < 8:
         raise ValueError("embedding dimension must be >= 8")
     normalized = normalize_text(text)
@@ -250,6 +270,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     Values within 1e-9 of an endpoint snap to it, so identical vectors give
     exactly 1.0 despite float rounding.
     """
+    import numpy as np
+
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:

@@ -667,6 +667,11 @@ def _truncated_binary(good: Path, path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-3])
 
 
+def _trailing_binary(good: Path, path: Path) -> None:
+    save_embeddings(load_embeddings(good), path, format="binary")
+    path.write_bytes(path.read_bytes() + b"garbage")
+
+
 def _edited_jsonl(edit):
     def write(good: Path, path: Path) -> None:
         lines = good.read_text(encoding="utf-8").splitlines()
@@ -687,8 +692,15 @@ def _edited_jsonl(edit):
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[" + "1" * 5000, ls[1], count=1)]
                    + ls[2:]),
      r"bad_emb line 2: invalid JSON \(Exceeds the limit"),
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[([^,\]]+)", r'["\1"', ls[1], count=1)]
+                   + ls[2:]),
+     "bad_emb line 2: 'vector' must be a list of numbers"),
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r'"quote_id": "[^"]*"', '"quote_id": null', ls[1])]
+                   + ls[2:]),
+     "bad_emb line 2: 'quote_id' must be a non-empty string"),
+    (_trailing_binary, r"bad_emb byte \d+: 7 bytes past the declared record count"),
 ], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
-        "long_integer"])
+        "long_integer", "string_component", "null_quote_id", "trailing_binary"])
 def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
     corpus_path, emb_path, _ = sample
     bad = tmp_path / "bad_emb"

@@ -1,5 +1,6 @@
 """What a command imports: the measure commands load neither the exporters nor
-the generator, and the package serves the generator's names on first use."""
+the generator, only the commands that read or make a quote vector load numpy,
+and the package serves every public name on first use."""
 
 from __future__ import annotations
 
@@ -69,6 +70,47 @@ def test_build_loads_the_exporters_but_no_xml(tmp_path):
     seen = _probe(tmp_path, (*UNNEEDED, "xml"), [build])
     assert seen == [["import aicnet.cli", 0, []], ["build", 0, ["aicnet.export"]]]
     assert len(list((tmp_path / "graphs").iterdir())) == 5
+
+
+def test_commands_that_read_no_vector_load_no_numpy(tmp_path):
+    out = str(tmp_path / "out")
+    commands = [
+        ["validate", CORPUS],
+        ["stats", CORPUS, "--out", out],
+        ["build", CORPUS, "--reading", "r1", "--network", "in", "--format", "json,csv",
+         "--out", out],
+        ["build", CORPUS, "--reading", "r1", "--network", "cn", "--format", "graphml,dot",
+         "--out", out],
+        # the control: the first command that reads a vector loads it
+        ["metrics", CORPUS, "--level", "network"],
+    ]
+    seen = _probe(tmp_path, ("numpy",), commands)
+    assert [[step, code, "numpy" in loaded] for step, code, loaded in seen] == [
+        ["import aicnet.cli", 0, False], ["validate", 0, False], ["stats", 0, False],
+        ["build", 0, False], ["build", 0, False], ["metrics", 0, True]]
+
+
+def test_build_an_loads_numpy(tmp_path):
+    build = ["build", CORPUS, "--reading", "r1", "--network", "an", "--out", str(tmp_path)]
+    seen = _probe(tmp_path, ("numpy",), [build])
+    assert [[step, code, "numpy" in loaded] for step, code, loaded in seen] == [
+        ["import aicnet.cli", 0, False], ["build", 0, True]]
+
+
+def test_package_import_loads_no_submodule_yet_reaches_each():
+    probe = """
+import json, sys
+import aicnet
+before = sorted(m for m in sys.modules if m.startswith("aicnet.") or m == "numpy")
+reached = [getattr(aicnet, name).__name__ for name in json.loads(sys.argv[1])]
+print(json.dumps([before, reached, "numpy" in sys.modules]))
+"""
+    # each submodule is reached before another one imports it
+    names = ["errors", "corpus", "textpipe", "semantic", "graphs", "metrics"]
+    run = subprocess.run([sys.executable, "-c", probe, json.dumps(names)], capture_output=True,
+                         text=True, env=child_env(), check=False)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [[], [f"aicnet.{name}" for name in names], False]
 
 
 def test_every_public_name_resolves():

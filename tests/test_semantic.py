@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -36,6 +37,9 @@ from oracles import oracle_hash_embed
 # a JSONL vector line past the integer-digit limit, and one past the recursion limit
 _LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
 _DEEP_LINE = '{"quote_id": "q2", "vector": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+_NOT_NUMBERS = "emb.jsonl line 3: 'vector' must be a list of numbers"
+_NOT_AN_ID = "emb.jsonl line 3: 'quote_id' must be a non-empty string"
 
 # cosine of these two was computed once with the shipped embedder and frozen
 _UNRELATED_A = "the history of ballet in the nineteenth century"
@@ -143,11 +147,37 @@ def test_load_rejects_duplicate_id(tmp_path):
     ('{"quote_id": "q2", "vector": 1.0}', "line 3"),
     pytest.param(_LONG_INT_LINE, "line 3: invalid JSON", id="long_int"),
     pytest.param(_DEEP_LINE, "line 3: invalid JSON", id="deep"),
+    # only JSON numbers are components, only a non-empty string is an id
+    pytest.param('{"quote_id": "q2", "vector": ["1", "0.5"]}', _NOT_NUMBERS, id="string_components"),
+    pytest.param('{"quote_id": "q2", "vector": [true, false]}', _NOT_NUMBERS, id="bool_components"),
+    pytest.param('{"quote_id": "q2", "vector": [1.0, null]}', _NOT_NUMBERS, id="null_component"),
+    pytest.param('{"quote_id": "q2", "vector": [[1.0], [0.5]]}', _NOT_NUMBERS, id="nested"),
+    pytest.param('{"quote_id": null, "vector": [1, 0]}', _NOT_AN_ID, id="null_id"),
+    pytest.param('{"quote_id": 7, "vector": [1, 0]}', _NOT_AN_ID, id="int_id"),
+    pytest.param('{"quote_id": "", "vector": [1, 0]}', _NOT_AN_ID, id="empty_id"),
 ])
 def test_load_jsonl_faults_name_the_line(tmp_path, line, where):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n\n" + line + "\n")
     with pytest.raises(EmbeddingFileError, match=where):
+        load_embeddings(path)
+
+
+def test_load_jsonl_takes_integer_components(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"quote_id": "q1", "vector": [1, 0, -2]}\n')
+    vec = load_embeddings(path).vectors["q1"]
+    assert vec.dtype == np.float64 and vec.tolist() == [1.0, 0.0, -2.0]
+
+
+# after one declared record: junk, or a second record the count leaves out
+@pytest.mark.parametrize("tail", [b"garbage", b"\x02\x00q2" + bytes(8)],
+                         ids=["garbage", "uncounted_record"])
+def test_load_binary_rejects_bytes_after_the_last_record(tmp_path, tail):
+    record = struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.5)
+    path = tmp_path / "emb.bin"
+    path.write_bytes(b"AICEMB01" + struct.pack("<II", 2, 1) + record + tail)
+    with pytest.raises(EmbeddingFileError, match=rf"emb\.bin byte 28: {len(tail)} bytes past"):
         load_embeddings(path)
 
 

@@ -156,10 +156,22 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "from . import metrics\n", "from . import export, metrics\n",
            (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
     # cold start: the generator imported with the package again
-    Mutant("src/aicnet/__init__.py", "from .textpipe import (",
+    Mutant("src/aicnet/__init__.py", '__version__ = "0.1.0"\n',
            "from .synth import GroundTruth, SynthParams, VerificationReport, generate, verify\n"
-           "from .textpipe import (",
+           '__version__ = "0.1.0"\n',
            (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
+    # cold start: a submodule imported with the package again
+    Mutant("src/aicnet/__init__.py", "import importlib\n",
+           "import importlib\n\nfrom .semantic import EmbeddingStore, hash_embed, load_embeddings\n",
+           (_IMPORTS + "test_package_import_loads_no_submodule_yet_reaches_each",)),
+    # cold start: numpy imported with the vector module again
+    Mutant("src/aicnet/semantic.py", "from typing import TYPE_CHECKING, Iterable\n",
+           "from typing import TYPE_CHECKING, Iterable\n\nimport numpy as np\n",
+           (_IMPORTS + "test_commands_that_read_no_vector_load_no_numpy",)),
+    # cold start: numpy imported with the graph builders again
+    Mutant("src/aicnet/graphs.py", "from collections import Counter\n",
+           "from collections import Counter\n\nimport numpy as np\n",
+           (_IMPORTS + "test_commands_that_read_no_vector_load_no_numpy",)),
     # cold start: build loads an XML parser it only needs to read GraphML back
     Mutant("src/aicnet/export.py", "import re\n", "import re\nimport xml.etree.ElementTree as ET\n",
            (_IMPORTS + "test_build_loads_the_exporters_but_no_xml",)),
