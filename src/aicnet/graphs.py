@@ -56,13 +56,6 @@ class WeightedGraph:
     def degree(self, v: str) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
 
-    def adjacency(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
     def copy(self) -> "WeightedGraph":
         return WeightedGraph(set(self.nodes), dict(self.edges))
 
@@ -170,10 +163,11 @@ def build_an(
 
     One pass per reading: thread roots are resolved once, each distinct quote
     pair that two authors hold is thresholded once (a row product per quote,
-    then the scalar check near and above ``tau``), and each author pair sums
-    its joint pairs in (quote_a, quote_b) id order. The result is identical,
-    weights and edge order included, to calling :func:`joint_pairs` for every
-    author pair.
+    then the scalar check near and above ``tau``), and each distinct pair of
+    attended-quote sets sums its joint pairs once, in (quote_a, quote_b) id
+    order, for all the author pairs that hold those two sets. The result is
+    identical, weights and edge order included, to calling :func:`joint_pairs`
+    for every author pair.
 
     A missing, mis-sized or zero vector raises the error
     :func:`quote_similarity` raises, exactly when the pairwise definition
@@ -197,21 +191,27 @@ def build_an(
     ids = sorted({qid for by_text in held.values() for qid in by_text.values()})
     index = {qid: i for i, qid in enumerate(ids)}
     holders: list[set[str]] = [set() for _ in ids]
-    quotes_of: dict[str, set[int]] = {}
+    quotes_of: dict[str, frozenset[int]] = {}
     for author, by_text in held.items():
-        quotes_of[author] = {index[qid] for qid in by_text.values()}
+        quotes_of[author] = frozenset(index[qid] for qid in by_text.values())
         for i in quotes_of[author]:
             holders[i].add(author)
     partners = _confirmed_pairs([reading.quotes[qid] for qid in ids], holders, store, tau)
 
+    # authors who attend the same quotes share their weights
+    weights: dict[tuple[frozenset[int], frozenset[int]], float] = {}
     for k, u in enumerate(authors):
         for v in authors[k + 1 :]:
-            joint: dict[tuple[int, int], float] = {}
-            for i in quotes_of[u]:
-                for j in partners[i].keys() & quotes_of[v]:
-                    joint[(i, j) if i < j else (j, i)] = partners[i][j]
-            if joint:
-                g.add_edge(u, v, sum(joint[key] for key in sorted(joint)))
+            sets = (quotes_of[u], quotes_of[v])
+            weight = weights.get(sets)
+            if weight is None:
+                joint: dict[tuple[int, int], float] = {}
+                for i in quotes_of[u]:
+                    for j in partners[i].keys() & quotes_of[v]:
+                        joint[(i, j) if i < j else (j, i)] = partners[i][j]
+                weight = weights[sets] = sum(joint[key] for key in sorted(joint))
+            if weight:
+                g.add_edge(u, v, weight)
     return g
 
 

@@ -2,9 +2,15 @@
 
 Every measure runs on the unweighted skeleton of the graph: weights carry
 display meaning only, and distances are hop counts, so nodes of a fully
-connected component score closeness 1.00. Node measures build the graph's
-adjacency once and make one pass over all nodes: one BFS per node for
-closeness, Brandes (2001) for betweenness.
+connected component score closeness 1.00.
+
+Each measure builds one adjacency of its graph and makes one pass over all
+nodes. Nodes are numbered in sorted id order, and a node's row is an ``int``
+whose bit ``j`` marks node ``j`` as a neighbour: closeness is a BFS over bitset
+frontiers, transitivity and centralization count bits, and Brandes (2001)
+betweenness visits sources and neighbours in id order. So closeness,
+transitivity and centralization are ratios of exact integer counts, and
+Brandes adds its floats in an order fixed by the ids alone.
 
 Null conventions: a measure whose denominator is zero is ``None``, never NaN,
 and isolated or absent nodes get ``None`` in node reports.
@@ -12,7 +18,6 @@ and isolated or absent nodes get ``None`` in node reports.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,21 +25,45 @@ from .errors import UnknownNode
 from .graphs import WeightedGraph
 
 
+def _adjacency(g: WeightedGraph) -> tuple[dict[str, int], list[int]]:
+    """The position of each node of g, in sorted id order, and for each
+    position the bitset of its neighbours' positions."""
+    position = {v: i for i, v in enumerate(sorted(g.nodes))}
+    rows = [0] * len(position)
+    for a, b in g.edges:
+        i, j = position[a], position[b]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return position, rows
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def transitivity(g: WeightedGraph) -> float | None:
     """Global clustering coefficient: 3 x triangles / connected triples,
     on the skeleton. None when no triples exist; isolates add none."""
-    adj = g.adjacency()
-    wedges = sum(len(n) * (len(n) - 1) // 2 for n in adj.values())
+    position, rows = _adjacency(g)
+    wedges = sum(d * (d - 1) // 2 for d in map(int.bit_count, rows))
     if wedges == 0:
         return None
-    closed = sum(len(adj[u] & adj[v]) for u, v in g.edges)  # 3 per triangle
+    # the common neighbours of each edge's ends: 3 per triangle
+    closed = sum((rows[position[a]] & rows[position[b]]).bit_count() for a, b in g.edges)
     return closed / wedges
 
 
 def degree_centralization(g: WeightedGraph) -> float | None:
     """Freeman degree centralization over the skeleton without isolates:
     sum(d_max - d_i) / ((n-1)(n-2)). None when fewer than 3 nodes remain."""
-    degrees = [len(neigh) for neigh in g.adjacency().values() if neigh]
+    _, rows = _adjacency(g)
+    degrees = [d for d in map(int.bit_count, rows) if d]
     n = len(degrees)
     if n < 3:
         return None
@@ -42,26 +71,29 @@ def degree_centralization(g: WeightedGraph) -> float | None:
     return sum(d_max - d for d in degrees) / ((n - 1) * (n - 2))
 
 
-def _closeness_from(adj: dict[str, set[str]], source: str) -> float | None:
+def _closeness_from(rows: list[int], source: int) -> float | None:
     """(k-1) / sum of hop distances from source to the k-1 other nodes it
-    reaches, by a level-by-level BFS. The sum is an integer, so neighbour
-    order does not matter. None for an isolate."""
-    seen = {source}
-    frontier = seen
+    reaches, by a level-by-level BFS over bitset frontiers. None for an
+    isolate."""
+    seen = frontier = 1 << source
     reached = total = depth = 0
     while frontier:
         depth += 1
-        frontier = set().union(*(adj[v] for v in frontier)) - seen
+        reach = 0
+        for v in _members(frontier):
+            reach |= rows[v]
+        frontier = reach & ~seen
         seen |= frontier
-        reached += len(frontier)
-        total += depth * len(frontier)
+        count = frontier.bit_count()
+        reached += count
+        total += depth * count
     return reached / total if total else None
 
 
 def closeness_all(g: WeightedGraph) -> dict[str, float | None]:
     """Component-normalized closeness of every node of g (see :func:`closeness`)."""
-    adj = g.adjacency()
-    return {v: _closeness_from(adj, v) for v in adj}
+    position, rows = _adjacency(g)
+    return {v: _closeness_from(rows, i) for v, i in position.items()}
 
 
 def closeness(g: WeightedGraph, v: str) -> float | None:
@@ -69,7 +101,8 @@ def closeness(g: WeightedGraph, v: str) -> float | None:
     other nodes of v's component. None for isolates."""
     if v not in g.nodes:
         raise UnknownNode(v)
-    return _closeness_from(g.adjacency(), v)
+    position, rows = _adjacency(g)
+    return _closeness_from(rows, position[v])
 
 
 def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
@@ -77,44 +110,45 @@ def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
     counting the non-isolated nodes. None for isolates and when n < 3.
 
     Brandes' accumulation over unordered pairs, with sources and neighbour
-    lists in sorted order so every float is summed in a fixed order.
+    lists in ascending position, so every float is summed in id order.
     """
-    adj = g.adjacency()
-    out: dict[str, float | None] = dict.fromkeys(adj)
-    nodes = sorted(v for v, neigh in adj.items() if neigh)
-    n = len(nodes)
+    position, rows = _adjacency(g)
+    out: dict[str, float | None] = dict.fromkeys(position)
+    sources = [i for i, row in enumerate(rows) if row]
+    n = len(sources)
     denom = (n - 1) * (n - 2) / 2.0
     if denom == 0:
         return out
-    neighbors = {v: sorted(adj[v]) for v in nodes}
-    raw = dict.fromkeys(nodes, 0.0)
-    for source in nodes:
-        order: list[str] = []
-        preds: dict[str, list[str]] = {source: []}
-        sigma = {source: 1}
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+    size = len(rows)
+    neighbors = [_members(row) for row in rows]
+    raw = [0.0] * size
+    for source in sources:
+        order = [source]  # the BFS queue: the loop below reads what it appends
+        preds: list[list[int] | None] = [None] * size  # set when a node is reached
+        sigma = [0] * size
+        sigma[source] = 1
+        dist = [-1] * size
+        dist[source] = 0
+        for v in order:
             next_dist = dist[v] + 1
             for w in neighbors[v]:
-                dw = dist.get(w)
-                if dw is None:
+                dw = dist[w]
+                if dw < 0:
                     dist[w] = next_dist
-                    queue.append(w)
+                    order.append(w)
                     sigma[w] = sigma[v]
                     preds[w] = [v]
                 elif dw == next_dist:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = dict.fromkeys(order, 0.0)
+        delta = [0.0] * size
         for w in reversed(order[1:]):
             for v in preds[w]:
                 delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
             raw[w] += delta[w]
-    for v in nodes:
-        out[v] = raw[v] / 2.0 / denom
+    nodes = list(position)
+    for i in sources:
+        out[nodes[i]] = raw[i] / 2.0 / denom
     return out
 
 

@@ -8,12 +8,12 @@ deterministic character-n-gram hashing embedder.
 Embedding file formats:
 
 * JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line;
-  the id is a non-empty string and the components are JSON numbers (not
-  strings, not ``true``/``false``).
+  the id is a non-empty string and the vector a non-empty list of JSON
+  numbers (not strings, not ``true``/``false``).
 * Binary: magic bytes ``AICEMB01``, then two little-endian uint32 (dimension,
   record count), then per record a little-endian uint16 id byte-length, the
   UTF-8 id, and ``dimension`` little-endian float32 components; no byte
-  follows the last record.
+  follows the last record, and the dimension is at least 1 when the count is.
 
 Every vector must be finite, non-zero, of one shared dimension, and given once
 per quote id.
@@ -77,6 +77,7 @@ class JointPair:
 
 
 def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStore:
+    """The store of the records, each a fresh float64 array, which it keeps."""
     import numpy as np
 
     vectors: dict[str, np.ndarray] = {}
@@ -92,7 +93,7 @@ def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStor
             raise InvalidVector(quote_id, "has a non-finite component")
         if not vec.any():
             raise ZeroVector(quote_id)
-        vectors[quote_id] = vec.astype(np.float64)
+        vectors[quote_id] = vec
     return EmbeddingStore(dim=dim or 0, vectors=vectors)
 
 
@@ -134,6 +135,8 @@ def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
         # JSON numbers only: true and false parse as bool, which is an int subclass
         if not isinstance(vector, list) or not {type(x) for x in vector} <= {int, float}:
             raise EmbeddingFileError(where, "'vector' must be a list of numbers")
+        if not vector:
+            raise EmbeddingFileError(where, "'vector' must be a non-empty list of numbers")
         try:
             vec = np.array(vector, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
@@ -153,6 +156,8 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
     offset = len(_MAGIC)
     need(offset, 8, "header")
     dim, count = struct.unpack_from("<II", raw, offset)
+    if count and not dim:
+        raise EmbeddingFileError(f"byte {offset}", "dimension must be at least 1")
     offset += 8
     for index in range(count):
         need(offset, 2, f"record {index}")

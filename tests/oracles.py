@@ -204,6 +204,15 @@ def oracle_betweenness(g: WeightedGraph, v: str) -> float | None:
     return raw / denom
 
 
+def _adjacency(g: WeightedGraph) -> dict[str, set[str]]:
+    """Each node's neighbours, as a set of ids."""
+    adj: dict[str, set[str]] = {v: set() for v in g.nodes}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def _sorted_bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, int]:
     dist = {source: 0}
     queue = deque([source])
@@ -219,7 +228,7 @@ def _sorted_bfs_distances(adj: dict[str, set[str]], source: str) -> dict[str, in
 def _per_author_closeness(g: WeightedGraph, v: str) -> float | None:
     if g.degree(v) == 0:
         return None
-    dist = _sorted_bfs_distances(g.adjacency(), v)
+    dist = _sorted_bfs_distances(_adjacency(g), v)
     total = sum(d for node, d in dist.items() if node != v)
     return (len(dist) - 1) / total
 
@@ -262,7 +271,7 @@ def _all_betweenness(g: WeightedGraph) -> dict[str, float | None]:
     denom = (n - 1) * (n - 2) / 2.0
     if denom == 0:
         return out
-    raw = _brandes_raw(sub.adjacency())
+    raw = _brandes_raw(_adjacency(sub))
     for v in sub.nodes:
         out[v] = raw[v] / denom
     return out

@@ -672,6 +672,13 @@ def _trailing_binary(good: Path, path: Path) -> None:
     path.write_bytes(path.read_bytes() + b"garbage")
 
 
+def _zero_dimension_binary(good: Path, path: Path) -> None:
+    store = load_embeddings(good)
+    store.dim = 0
+    store.vectors = {quote_id: vec[:0] for quote_id, vec in store.vectors.items()}
+    save_embeddings(store, path, format="binary")
+
+
 def _edited_jsonl(edit):
     def write(good: Path, path: Path) -> None:
         lines = good.read_text(encoding="utf-8").splitlines()
@@ -699,8 +706,13 @@ def _edited_jsonl(edit):
                    + ls[2:]),
      "bad_emb line 2: 'quote_id' must be a non-empty string"),
     (_trailing_binary, r"bad_emb byte \d+: 7 bytes past the declared record count"),
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r'"vector": \[[^\]]*\]', '"vector": []', ls[1])]
+                   + ls[2:]),
+     "bad_emb line 2: 'vector' must be a non-empty list of numbers"),
+    (_zero_dimension_binary, "bad_emb byte 8: dimension must be at least 1"),
 ], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
-        "long_integer", "string_component", "null_quote_id", "trailing_binary"])
+        "long_integer", "string_component", "null_quote_id", "trailing_binary", "empty_vector",
+        "zero_dimension_binary"])
 def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
     corpus_path, emb_path, _ = sample
     bad = tmp_path / "bad_emb"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aicnet import metrics
 from aicnet.errors import UnknownNode
 from aicnet.graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from aicnet.metrics import (
@@ -55,9 +56,9 @@ def _path(n):
     return _graph([(names[i], names[i + 1]) for i in range(n - 1)])
 
 
-def random_graph(seed: int, max_n: int = 8) -> WeightedGraph:
+def random_graph(seed: int, max_n: int = 8, min_n: int = 1) -> WeightedGraph:
     rng = random.Random(seed)
-    n = rng.randint(1, max_n)
+    n = rng.randint(min_n, max_n)
     names = [f"v{i}" for i in range(n)]
     g = WeightedGraph(nodes=set(names))
     p = rng.uniform(0.1, 0.9)
@@ -176,7 +177,10 @@ def _dfs_betweenness(g: WeightedGraph, v: str) -> float | None:
     denom = (n - 1) * (n - 2) / 2.0
     if denom == 0:
         return None
-    adj = sub.adjacency()
+    adj: dict[str, set[str]] = {node: set() for node in sub.nodes}
+    for a, b in sub.edges:
+        adj[a].add(b)
+        adj[b].add(a)
 
     def all_paths(s, t):
         from collections import deque
@@ -249,6 +253,21 @@ def test_matches_brute_force_oracle(seed):
     for value in (transitivity(g), degree_centralization(g)):
         if value is not None:
             assert 0.0 <= value <= 1.0
+
+
+# 70-130 nodes, so each bitset adjacency row spans two or three 64-bit words
+def wide_graph(seed: int) -> WeightedGraph:
+    return random_graph(seed, max_n=130, min_n=70)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_network_measures_equal_oracle_on_wide_graphs(seed):
+    # both are ratios of exact integer counts, so equal with ==; the per-node
+    # oracles of test_matches_brute_force_oracle recompute every distance per
+    # call, too slow at this size (test_node_report_equals_oracle_* covers nodes)
+    g = wide_graph(9000 + seed)
+    assert transitivity(g) == oracle_transitivity(g)
+    assert degree_centralization(g) == oracle_centralization(g)
 
 
 def test_matches_networkx():
@@ -406,25 +425,42 @@ def test_node_report_equals_oracle_on_synthetic_readings(seed):
         assert node_report(*graphs, roster) == oracle_node_report(*graphs, roster)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_node_report_equals_oracle_on_larger_random_graphs(seed):
+@pytest.mark.parametrize("seed, min_n, max_n", [
+    *(pytest.param(seed, 1, 30, id=str(seed)) for seed in range(10)),
+    *(pytest.param(seed, 70, 130, id=f"wide{seed}") for seed in range(3)),
+])
+def test_node_report_equals_oracle_on_larger_random_graphs(seed, min_n, max_n):
     # 20-30 nodes give enough shortest paths that summing Brandes' terms in
-    # another order changes low bits
-    graphs = [random_graph(7000 + 3 * seed + k, max_n=30) for k in range(3)]
+    # another order changes low bits; 70-130 nodes span several 64-bit words
+    graphs = [random_graph(7000 + 3 * seed + k, max_n, min_n) for k in range(3)]
     roster = set().union(*(g.nodes for g in graphs)) | {"absent"}
     assert node_report(*graphs, roster) == oracle_node_report(*graphs, roster)
 
 
-def test_node_report_builds_one_adjacency_per_graph(monkeypatch):
+def _counted_adjacencies(monkeypatch) -> dict[int, int]:
+    """Calls of the measures' adjacency builder, by the id of the graph."""
     calls: dict[int, int] = {}
-    plain = WeightedGraph.adjacency
+    plain = metrics._adjacency
 
-    def counted(self):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return plain(self)
+    def counted(g):
+        calls[id(g)] = calls.get(id(g), 0) + 1
+        return plain(g)
 
+    monkeypatch.setattr(metrics, "_adjacency", counted)
+    return calls
+
+
+def test_node_report_builds_one_adjacency_per_graph(monkeypatch):
     (graphs, roster), *_ = _synth_graphs(4)
     assert all(g.edges for g in graphs)
-    monkeypatch.setattr(WeightedGraph, "adjacency", counted)
+    calls = _counted_adjacencies(monkeypatch)
     node_report(*graphs, roster)
-    assert all(calls.get(id(g), 0) <= 1 for g in graphs), calls
+    assert calls == {id(g): 1 for g in graphs}
+
+
+def test_network_report_builds_one_adjacency_per_graph(monkeypatch):
+    (graphs, _), *_ = _synth_graphs(4)
+    assert all(g.edges for g in graphs)
+    calls = _counted_adjacencies(monkeypatch)
+    network_report({"r1": graphs})
+    assert calls == {id(g): 1 for g in graphs}

@@ -155,6 +155,8 @@ def test_load_rejects_duplicate_id(tmp_path):
     pytest.param('{"quote_id": null, "vector": [1, 0]}', _NOT_AN_ID, id="null_id"),
     pytest.param('{"quote_id": 7, "vector": [1, 0]}', _NOT_AN_ID, id="int_id"),
     pytest.param('{"quote_id": "", "vector": [1, 0]}', _NOT_AN_ID, id="empty_id"),
+    pytest.param('{"quote_id": "q2", "vector": []}',
+                 "emb.jsonl line 3: 'vector' must be a non-empty list of numbers", id="empty_vector"),
 ])
 def test_load_jsonl_faults_name_the_line(tmp_path, line, where):
     path = tmp_path / "emb.jsonl"

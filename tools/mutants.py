@@ -123,11 +123,34 @@ MUTANTS: list[Mutant] = [
            "            raise DimensionMismatch(quote_id, self.dim, int(vec.size))\n", "",
            ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
     # Brandes betweenness: sources taken in reversed order
-    Mutant("src/aicnet/metrics.py", "    for source in nodes:\n",
-           "    for source in reversed(nodes):\n", (_BRANDES,)),
-    # Brandes betweenness: neighbour lists in set order, not sorted
-    Mutant("src/aicnet/metrics.py", "neighbors = {v: sorted(adj[v]) for v in nodes}",
-           "neighbors = {v: list(adj[v]) for v in nodes}", (_BRANDES,)),
+    Mutant("src/aicnet/metrics.py", "    for source in sources:\n",
+           "    for source in reversed(sources):\n", (_BRANDES,)),
+    # Brandes betweenness: neighbour lists in descending position, not id order
+    Mutant("src/aicnet/metrics.py", "neighbors = [_members(row) for row in rows]",
+           "neighbors = [_members(row)[::-1] for row in rows]", (_BRANDES,)),
+    # transitivity: ordered wedges, twice the unordered triples
+    Mutant("src/aicnet/metrics.py", "wedges = sum(d * (d - 1) // 2 for",
+           "wedges = sum(d * (d - 1) for",
+           ("tests/test_metrics.py::test_transitivity_triangle",)),
+    # closeness: the first BFS level counted at distance 2
+    Mutant("src/aicnet/metrics.py", "    reached = total = depth = 0\n",
+           "    reached = total = 0\n    depth = 1\n",
+           ("tests/test_metrics.py::test_closeness_p3",)),
+    # closeness: an adjacency built per node, not once per graph
+    Mutant("src/aicnet/metrics.py", "{v: _closeness_from(rows, i) for v, i in position.items()}",
+           "{v: _closeness_from(_adjacency(g)[1], i) for v, i in position.items()}",
+           ("tests/test_metrics.py::test_node_report_builds_one_adjacency_per_graph",)),
+    # attention network: a weight reused for every author pair sharing the first set
+    Mutant("src/aicnet/graphs.py", "sets = (quotes_of[u], quotes_of[v])", "sets = quotes_of[u]",
+           (_AN + "test_build_an_equals_pairwise_oracle",)),
+    # an empty JSONL vector reported as an all-zero one
+    Mutant("src/aicnet/semantic.py",
+           "        if not vector:\n"
+           "            raise EmbeddingFileError(where, \"'vector' must be a non-empty list of numbers\")\n",
+           "", ("tests/test_semantic.py::test_load_jsonl_faults_name_the_line[empty_vector]",)),
+    # a binary file of dimension 0 reported as holding all-zero vectors
+    Mutant("src/aicnet/semantic.py", "    if count and not dim:\n", "    if False:\n",
+           ("tests/test_cli.py::test_bad_embedding_file_is_input_error[zero_dimension_binary]",)),
     # word selection: a lemma's aggregate is its last score, not its max
     Mutant("src/aicnet/textpipe.py", "aggregate[lemma] = max(aggregate.get(lemma, score), score)",
            "aggregate[lemma] = score",
