@@ -5,19 +5,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Artifact", "BipartiteGraph", "Corpus", "EmbeddingStore", "GroundTruth",
-    "JointPair", "NetworkMetricsRow", "NodeMetricsRow", "Quote", "Reading",
-    "SelectedWord", "StatsTable", "SynthParams", "Token", "VerificationReport",
-    "WeightedGraph", "WordSelectionParams", "attention_quotes", "betweenness",
-    "build_an", "build_cn_bipartite", "build_in", "closeness", "cosine",
-    "degree_centralization", "descriptive_stats", "embed_quotes", "generate",
-    "hash_embed", "joint_pairs", "lemmatize", "load_corpus", "load_embeddings",
-    "network_report", "node_report", "project", "quote_similarity",
-    "save_corpus", "save_embeddings", "select_cn_words", "thread_root",
-    "thread_roots", "tfidf", "tokenize", "transitivity", "verify",
-]
-
 # Every public name is served on first use by ``__getattr__`` (PEP 562) from
 # the submodule that defines it, so importing the package loads neither numpy
 # nor the generator.
@@ -38,6 +25,7 @@ _HOME = {
     }.items()
     for name in names.split()
 }
+__all__ = sorted(_HOME)
 # submodules reachable as attributes after ``import aicnet`` alone
 _SUBMODULES = frozenset({"corpus", "errors", "graphs", "metrics", "semantic", "textpipe"})
 

@@ -5,7 +5,7 @@ highlighted and an ordered list of artifacts (annotations anchored to a quote,
 and replies anchored to another artifact). Loading validates everything up
 front and rejects malformed data instead of repairing it.
 
-File formats (UTF-8):
+File formats (UTF-8; one leading byte-order mark is dropped):
 
 * JSONL, one record per line. Artifact records:
   ``{"id", "reading_id", "author_id", "kind": "annotation"|"reply",
@@ -25,6 +25,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Literal
 
@@ -58,7 +59,7 @@ class Quote:
     reading_id: str
     text: str
 
-    @property
+    @cached_property
     def normalized_text(self) -> str:
         return normalize_text(self.text)
 
@@ -208,7 +209,7 @@ def _iter_parsed(
     callers can either stop at the first or collect all of them."""
     # decode manually: read_text would newline-translate inside quoted CSV fields
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         yield CorpusEncodingError(str(path), exc.start)
         return

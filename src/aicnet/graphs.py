@@ -109,9 +109,10 @@ def _confirmed_pairs(
       consults. Same-text pairs count 1.0 and read no vector, since twin ids
       may carry different vectors.
     * A row product per quote only prefilters; every kept value comes from
-      :func:`quote_similarity`. A quote whose vector is missing, not of
-      ``store.dim`` components, or zero gets a NaN row, which the prefilter
-      never rejects, so the scalar rule raises that vector's error.
+      :func:`quote_similarity`. Each row is filled through
+      :meth:`EmbeddingStore.get`; a quote whose vector it refuses keeps a NaN
+      row, which the prefilter never rejects, so the scalar rule raises that
+      vector's error.
     """
     import numpy as np
 
@@ -122,11 +123,11 @@ def _confirmed_pairs(
     sole = np.array([next(iter(h)) if len(h) == 1 else None for h in holders], dtype=object)
     x = np.full((n, store.dim), np.nan)
     for i, q in enumerate(quotes):
-        vec = store.vectors.get(q.id)
-        if vec is not None and vec.shape == (store.dim,):
-            x[i] = vec
+        try:
+            x[i] = store.get(q.id)
+        except AicnetError:
+            pass
     norms = np.linalg.norm(x, axis=1)
-    norms[norms == 0.0] = np.nan
     cut = tau - _PREFILTER_MARGIN
 
     partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
@@ -180,7 +181,6 @@ def build_an(
     if not 0.0 < tau <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
     authors = sorted(reading.active_authors() | (roster or set()))
-    g = WeightedGraph(nodes=set(authors))
 
     held: dict[str, dict[str, str]] = {}  # author -> normalized text -> quote id
     for author, quote_ids in _attended(reading, authors).items():
@@ -200,6 +200,7 @@ def build_an(
 
     # authors who attend the same quotes share their weights
     weights: dict[tuple[frozenset[int], frozenset[int]], float] = {}
+    edges: dict[EdgeKey, float] = {}
     for k, u in enumerate(authors):
         for v in authors[k + 1 :]:
             sets = (quotes_of[u], quotes_of[v])
@@ -211,14 +212,13 @@ def build_an(
                         joint[(i, j) if i < j else (j, i)] = partners[i][j]
                 weight = weights[sets] = sum(joint[key] for key in sorted(joint))
             if weight:
-                g.add_edge(u, v, weight)
-    return g
+                edges[(u, v)] = weight
+    return WeightedGraph(set(authors), edges)
 
 
 def build_in(reading: Reading, corpus: Corpus, roster: set[str] | None = None) -> WeightedGraph:
     """Interaction network: every reply is one event between its author and the
     parent artifact's author; same-author events are discarded."""
-    g = WeightedGraph(nodes=reading.active_authors() | (roster or set()))
     by_id = {a.id: a for a in reading.artifacts}
     events: Counter = Counter()
     for art in reading.artifacts:
@@ -230,9 +230,8 @@ def build_in(reading: Reading, corpus: Corpus, roster: set[str] | None = None) -
         if parent.author_id == art.author_id:
             continue
         events[edge_key(art.author_id, parent.author_id)] += 1
-    for (u, v), count in events.items():
-        g.add_edge(u, v, float(count))
-    return g
+    nodes = reading.active_authors() | (roster or set())
+    return WeightedGraph(nodes, {pair: float(count) for pair, count in events.items()})
 
 
 def build_cn_bipartite(
@@ -256,7 +255,6 @@ def project(bg: BipartiteGraph) -> WeightedGraph:
     """Learner-learner projection: authors are connected when they share at
     least one word; edge weight is the number of shared words. Edges are
     added in sorted author-pair order."""
-    g = WeightedGraph(nodes=set(bg.author_nodes))
     authors_of: dict[str, list[str]] = {}
     for author, word in bg.edges:
         if author in bg.author_nodes:
@@ -266,6 +264,5 @@ def project(bg: BipartiteGraph) -> WeightedGraph:
         authors.sort()
         for i, u in enumerate(authors):
             shared.update((u, v) for v in authors[i + 1 :])
-    for (u, v), count in sorted(shared.items()):
-        g.add_edge(u, v, float(count))
-    return g
+    edges = {pair: float(count) for pair, count in sorted(shared.items())}
+    return WeightedGraph(set(bg.author_nodes), edges)

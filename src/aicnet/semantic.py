@@ -7,22 +7,24 @@ deterministic character-n-gram hashing embedder.
 
 Embedding file formats:
 
-* JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line;
-  the id is a non-empty string and the vector a non-empty list of JSON
-  numbers (not strings, not ``true``/``false``).
+* JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line,
+  after at most one byte-order mark; the id is a non-empty string and the
+  vector a non-empty list of JSON numbers (not strings, not ``true``/``false``).
 * Binary: magic bytes ``AICEMB01``, then two little-endian uint32 (dimension,
   record count), then per record a little-endian uint16 id byte-length, the
   UTF-8 id, and ``dimension`` little-endian float32 components; no byte
   follows the last record, and the dimension is at least 1 when the count is.
 
-Every vector must be finite, non-zero, of one shared dimension, and given once
-per quote id.
+Every vector must be finite, non-zero, of one shared dimension, given once per
+quote id, and have a squared norm within the normal float64 range.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -93,6 +95,10 @@ def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStor
             raise InvalidVector(quote_id, "has a non-finite component")
         if not vec.any():
             raise ZeroVector(quote_id)
+        with np.errstate(all="ignore"):
+            squared = float(np.dot(vec, vec))
+        if not sys.float_info.min <= squared < math.inf:
+            raise InvalidVector(quote_id, "has a norm outside the float64 range")
         vectors[quote_id] = vec
     return EmbeddingStore(dim=dim or 0, vectors=vectors)
 
@@ -101,8 +107,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a vector file (JSONL or binary, sniffed by magic bytes).
 
     A malformed file raises :class:`EmbeddingFileError` naming the file and the
-    line or byte offset; a duplicate id or a non-finite component raises
-    :class:`InvalidVector`.
+    line or byte offset; a duplicate id, a non-finite component or a norm out
+    of range raises :class:`InvalidVector`.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -116,7 +122,7 @@ def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
     import numpy as np
 
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise EmbeddingFileError(f"byte {exc.start}", "not valid UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -273,7 +279,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, clamped into [-1, 1].
 
     Values within 1e-9 of an endpoint snap to it, so identical vectors give
-    exactly 1.0 despite float rounding.
+    exactly 1.0 despite float rounding. Norms whose product is not a normal
+    float64 (a NaN or infinite component among them) raise :class:`InvalidVector`.
     """
     import numpy as np
 
@@ -285,6 +292,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector()
+    if not sys.float_info.min <= nu * nv < math.inf:  # NaN fails too
+        raise InvalidVector("", "has a norm outside the float64 range")
     value = float(np.dot(u, v)) / (nu * nv)
     if abs(value - 1.0) <= _CLAMP_TOL:
         return 1.0

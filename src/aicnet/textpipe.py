@@ -81,10 +81,11 @@ class Token:
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Read a one-term-per-line word file (blank lines and '#' comments skipped).
 
-    Bytes that are not UTF-8 raise :class:`CorpusEncodingError` naming the offset.
+    One leading byte-order mark is dropped; bytes that are not UTF-8 raise
+    :class:`CorpusEncodingError` naming the offset.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CorpusEncodingError(str(path), exc.start) from None
     terms = set()

@@ -710,9 +710,11 @@ def _edited_jsonl(edit):
                    + ls[2:]),
      "bad_emb line 2: 'vector' must be a non-empty list of numbers"),
     (_zero_dimension_binary, "bad_emb byte 8: dimension must be at least 1"),
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[1e200", ls[1], count=1)] + ls[2:]),
+     r"vector for '[^']+' has a norm outside the float64 range"),
 ], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
         "long_integer", "string_component", "null_quote_id", "trailing_binary", "empty_vector",
-        "zero_dimension_binary"])
+        "zero_dimension_binary", "norm_overflow"])
 def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
     corpus_path, emb_path, _ = sample
     bad = tmp_path / "bad_emb"

@@ -173,6 +173,10 @@ def test_non_utf8_corpus_names_the_byte_offset(tmp_path, format):
         load_corpus(path, format)
     assert info.value.offset == 17
     assert [str(e) for e in validate_file(path, format)] == [str(info.value)]
+    # after a byte-order mark the offset still counts from the file's first byte
+    path.write_bytes(b"\xef\xbb\xbfrecord,id\nquote,q\xff1\n")
+    with pytest.raises(CorpusEncodingError, match=r"byte 20: not valid UTF-8"):
+        load_corpus(path, format)
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,6 +207,11 @@ def test_round_trip(tmp_path, jsonl_file, format):
     save_corpus(corpus, out, format)
     again = load_corpus(out, format)
     assert again == corpus
+    # after a byte-order mark, as Excel's "CSV UTF-8" writes one, the corpus is the same
+    bom = tmp_path / f"bom.{format}"
+    bom.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+    assert validate_file(bom, format) == []
+    assert load_corpus(bom, format) == corpus
     # serialization is canonical: a second pass is byte-identical
     out2 = tmp_path / f"roundtrip2.{format}"
     save_corpus(again, out2, format)

@@ -29,7 +29,7 @@ from aicnet.errors import (
     ZeroVector,
 )
 from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
-from aicnet.synth import SynthParams, generate
+from aicnet.synth import SynthParams, generate, random_params
 from aicnet.textpipe import WordSelectionParams
 
 from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
@@ -616,3 +616,67 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
     assert sum(calls.values()) > 0
     assert max(calls.values()) == 1
     assert loose.edges == oracle_build_an(reading, corpus, store, 0.05).edges
+
+
+def test_build_an_normalizes_each_quote_text_once(monkeypatch):
+    import aicnet.corpus
+
+    # four authors attend q1-q3 through annotations and replies, and q4 is a
+    # twin text of q1, so each quote is read by the dedupe of several authors
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "Alpha  beta"), ("q2", "r1", "gamma"), ("q3", "r1", "delta"),
+                ("q4", "r1", "alpha beta")],
+        annotations=[("a1", "r1", "A", "q1", "x"), ("a2", "r1", "B", "q1", "x"),
+                     ("a3", "r1", "C", "q2", "x"), ("a4", "r1", "D", "q3", "x"),
+                     ("a5", "r1", "D", "q4", "x")],
+        replies=[("p1", "r1", "C", "a1", "y"), ("p2", "r1", "D", "a3", "y"),
+                 ("p3", "r1", "A", "p2", "y")],
+    )
+    reading = corpus.readings["r1"]
+    store = EmbeddingStore(dim=2, vectors={
+        "q1": np.array([1.0, 0.0]), "q2": np.array([0.9, 0.1]), "q3": np.array([0.0, 1.0]),
+        "q4": np.array([1.0, 0.0]),
+    })
+    calls: Counter = Counter()
+    normalize = aicnet.corpus.normalize_text
+
+    def counting_normalize(text):
+        calls[text] += 1
+        return normalize(text)
+
+    monkeypatch.setattr(aicnet.corpus, "normalize_text", counting_normalize)
+    g = build_an(reading, corpus, store, 0.5)
+    assert g.edges  # the pairs were scored
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) <= len(reading.quotes)
+
+
+def _assert_canonical_edges(g):
+    """The checks ``WeightedGraph.add_edge`` makes, on every finished edge."""
+    for key, weight in g.edges.items():
+        u, v = key
+        assert u < v, key
+        assert u in g.nodes and v in g.nodes, key
+        assert type(weight) is float and weight > 0, (key, weight)
+
+
+def _assert_builders_make_canonical_edges(corpus, store):
+    for reading in corpus.readings.values():
+        for g in (build_an(reading, corpus, store, 0.5, roster=corpus.authors),
+                  build_in(reading, corpus, roster=corpus.authors),
+                  project(build_cn_bipartite(reading, corpus, roster=corpus.authors))):
+            _assert_canonical_edges(g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_builders_make_canonical_edges_on_synthetic_corpora(seed):
+    corpus, store, _ = generate(random_params(seed))
+    _assert_builders_make_canonical_edges(corpus, store)
+
+
+def test_builders_make_canonical_edges_on_the_sample_corpus():
+    corpus = load_corpus(DATA / "sample_corpus.jsonl")
+    quotes = [q for r in corpus.readings.values() for q in r.quotes.values()]
+    store = embed_quotes(quotes, 64)
+    _assert_builders_make_canonical_edges(corpus, store)
+    assert any(build_in(r, corpus).edges for r in corpus.readings.values())

@@ -120,6 +120,41 @@ def test_load_rejects_non_finite_component(tmp_path, component):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("vector", [
+    [1e200, 1e200],  # squared norm overflows, so every cosine would be NaN or 0
+    [1e-200, 1e-200],  # squared norm underflows to 0: not an all-zero vector
+    [1e-160, 1e-160],  # squared norm subnormal, so cosines lose precision
+])
+def test_load_rejects_norm_outside_the_float64_range(tmp_path, vector):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
+        + json.dumps({"quote_id": "q2", "vector": vector}) + "\n"
+    )
+    with pytest.raises(InvalidVector, match="'q2' has a norm outside the float64 range"):
+        load_embeddings(path)
+
+
+def test_load_keeps_norms_at_the_edges_of_the_range(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(
+        json.dumps({"quote_id": "q1", "vector": [1e153, 1e153]}) + "\n"
+        + json.dumps({"quote_id": "q2", "vector": [1e-150, -1e-150]}) + "\n"
+    )
+    store = load_embeddings(path)
+    assert cosine(store.get("q1"), store.get("q2")) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_load_jsonl_drops_one_byte_order_mark(tmp_path):
+    line = json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
+    path = tmp_path / "emb.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + line.encode("utf-8"))
+    assert list(load_embeddings(path).vectors) == ["q1"]
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + line.encode("utf-8"))
+    with pytest.raises(EmbeddingFileError, match="line 1: invalid JSON"):
+        load_embeddings(path)
+
+
 def test_load_rejects_non_finite_binary_component(tmp_path):
     store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, np.nan])})
     path = tmp_path / "emb.bin"
@@ -311,6 +346,17 @@ def test_cosine_rejects_zero_and_mismatch():
         cosine(np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch):
         cosine(np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("u, v", [
+    ([np.nan, 1.0], [1.0, 0.0]),  # the NaN quotient was clamped to 1.0
+    ([np.inf, 1.0], [1.0, 0.0]),
+    ([1e-160, 1e-160], [1e-160, 0.0]),  # a subnormal norm product loses precision
+])
+def test_cosine_rejects_norms_outside_the_float64_range(u, v):
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(InvalidVector, match="norm outside the float64 range"):
+            cosine(np.array(a), np.array(b))
 
 
 def test_quote_similarity_common_reference():

@@ -355,6 +355,9 @@ def test_load_wordlist_skips_blanks_and_comments(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("# heading\n\n  Ballet \r\nrhythm\n#tempo\n", encoding="utf-8")
     assert load_wordlist(path) == frozenset({"ballet", "rhythm"})
+    # a leading byte-order mark is not part of the first term
+    path.write_bytes(b"\xef\xbb\xbfpedagogy\nrhythm\n")
+    assert load_wordlist(path) == frozenset({"pedagogy", "rhythm"})
 
 
 @settings(max_examples=150, deadline=None)

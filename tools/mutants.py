@@ -52,13 +52,22 @@ MUTANTS: list[Mutant] = [
     # NaN rows rejected by the prefilter, so no vector error is raised
     Mutant("src/aicnet/graphs.py", "scored[~(row < cut)]", "scored[row >= cut]",
            (_AN + "test_build_an_vector_errors_match_oracle",)),
-    # zero norms reach the division, which warns
-    Mutant("src/aicnet/graphs.py", "    norms[norms == 0.0] = np.nan\n", "",
+    # a zero vector passes EmbeddingStore.get, so its zero norm reaches the division, which warns
+    Mutant("src/aicnet/semantic.py",
+           "        if not vec.any():\n            raise ZeroVector(quote_id)\n        return vec\n",
+           "        return vec\n",
            (_AN + "test_build_an_with_one_defective_vector_equals_oracle",)),
-    # a vector of another length copied into its row
-    Mutant("src/aicnet/graphs.py",
-           "if vec is not None and vec.shape == (store.dim,):", "if vec is not None:",
+    # a vector of another length passes EmbeddingStore.get and is copied into its row
+    Mutant("src/aicnet/semantic.py", "if vec.shape != (self.dim,):", "if vec.ndim != 1:",
            (_AN + "test_build_an_vector_errors_match_oracle",)),
+    # rows filled from the raw vectors, bypassing EmbeddingStore.get
+    Mutant("src/aicnet/graphs.py", "x[i] = store.get(q.id)", "x[i] = store.vectors.get(q.id, np.nan)",
+           (_AN + "test_build_an_vector_errors_match_oracle",
+            _AN + "test_build_an_with_one_defective_vector_equals_oracle")),
+    # a quote's normalized text recomputed on every read
+    Mutant("src/aicnet/corpus.py", "    @cached_property\n    def normalized_text",
+           "    @property\n    def normalized_text",
+           (_AN + "test_build_an_normalizes_each_quote_text_once",)),
     # a reshape that cannot infer a width when no quote is attended
     Mutant("src/aicnet/graphs.py",
            "x = np.full((n, store.dim), np.nan)", "x = np.full((n, store.dim), np.nan).reshape(n, -1)",
@@ -117,6 +126,11 @@ MUTANTS: list[Mutant] = [
            "            raise DanglingParent(art.id)\n",
            "        parent = by_id[art.parent_id]\n",
            (_AN + "test_build_in_names_a_reply_whose_parent_is_missing",)),
+    # interaction network: same-author replies kept, as self-loops
+    Mutant("src/aicnet/graphs.py",
+           "        if parent.author_id == art.author_id:\n            continue\n", "",
+           (_AN + "test_build_in_discards_self_replies",
+            _AN + "test_builders_make_canonical_edges_on_synthetic_corpora")),
     # a vector of another length read without naming its quote
     Mutant("src/aicnet/semantic.py",
            "        if vec.shape != (self.dim,):\n"
