@@ -363,6 +363,41 @@ def test_compare_layout_matches_golden(capsys):
     assert out.encode("utf-8") == (tests / "golden" / "compare_r1_r2.txt").read_bytes()
 
 
+_DATA = Path(__file__).parent / "data"
+_EXPORT_GOLDEN = Path(__file__).parent / "golden" / "exports"
+
+
+@pytest.mark.parametrize("network", ["an", "in", "cn"])
+@pytest.mark.parametrize("reading", ["r1", "r2"])
+def test_build_exports_match_goldens(tmp_path, capsys, reading, network):
+    code, _, err = run_cli(
+        capsys, "build", str(_DATA / "sample_corpus.jsonl"), "--reading", reading,
+        "--network", network, "--format", "graphml,dot,csv,json",
+        "--embeddings", str(_DATA / "sample_embeddings.jsonl"), "--out", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    names = sorted(p.name for p in _EXPORT_GOLDEN.glob(f"{reading}_{network}*"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (_EXPORT_GOLDEN / name).read_bytes(), name
+
+
+def test_build_an_under_bridge_vectors_matches_golden(tmp_path, capsys):
+    def build(*flags: str) -> Path:
+        out = tmp_path / str(len(flags))
+        code, _, err = run_cli(
+            capsys, "build", str(_DATA / "sample_corpus.jsonl"), "--reading", "r1",
+            "--network", "an", "--format", "json", *flags, "--out", str(out),
+        )
+        assert (code, err) == (0, "")
+        return out / "r1_an.json"
+
+    bridged = build("--embeddings", str(_DATA / "bridge_embeddings.jsonl"))
+    assert bridged.read_bytes() == (_EXPORT_GOLDEN / "bridged" / "r1_an.json").read_bytes()
+    # the vector file, not the quote texts, makes some of the edges
+    assert set(read_json(build()).edges) < set(read_json(bridged).edges)
+
+
 def test_compare_unknown_reading(sample, capsys):
     corpus_path, _, _ = sample
     code, _, err = run_cli(capsys, "compare", str(corpus_path), "r1", "nope")

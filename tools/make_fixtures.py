@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled sample corpus and the golden report files.
+"""Regenerate the bundled sample corpus and the golden report and export files.
 
 The sample is a 13-author class over two synthetic readings. Golden CSVs are
 frozen only after the node-level numbers are re-derived with the brute-force
 oracles in tests/oracles.py, so the goldens never encode a library bug.
+
+The ``build`` goldens hold every network of both readings in all four export
+formats, and one AN JSON export of reading r1 under a small file of bridge
+vectors: seeded directions under which s13, who shares no quote text with
+anyone, attends a quote similar to two others, so the file, not hash vectors,
+decides some of its edges and their summed weights.
 
 Usage: python tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +27,19 @@ sys.path.insert(0, str(REPO / "tests"))
 from aicnet.corpus import load_corpus, save_corpus
 from aicnet.graphs import build_an, build_cn_bipartite, build_in, project
 from aicnet.metrics import node_report
-from aicnet.semantic import load_embeddings, save_embeddings
+from aicnet.semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
 
 from oracles import oracle_betweenness, oracle_closeness
 
 DATA = REPO / "tests" / "data"
 GOLDEN = REPO / "tests" / "golden"
+EXPORTS = GOLDEN / "exports"
+
+# r1-q5, which s13 alone attends, shares half its direction with r1-q1 and r1-q4
+BRIDGED = ("r1-q1", "r1-q4", "r1-q5")
+BRIDGE_SEED = 4
+BRIDGE_DIM = 8
 
 AUTHORS = tuple(f"s{i:02d}" for i in range(1, 14))
 
@@ -128,6 +141,50 @@ def oracle_check(corpus_path: Path, emb_path: Path) -> None:
     print("oracle cross-check passed for node metrics on both readings")
 
 
+def build_bridge_vectors(corpus_path: Path) -> Path:
+    """Vectors for reading r1's quotes, each component a seeded Gaussian
+    rounded to 6 decimals: noise alone, or for the BRIDGED quotes one shared
+    draw plus half their own noise."""
+    rng = random.Random(BRIDGE_SEED)
+
+    def draw() -> list[float]:
+        return [rng.gauss(0.0, 1.0) for _ in range(BRIDGE_DIM)]
+
+    shared = draw()
+    vectors = {}
+    for qid in sorted(load_corpus(corpus_path).readings["r1"].quotes):
+        noise = draw()
+        vectors[qid] = [round(s + 0.5 * x, 6) if qid in BRIDGED else round(x, 6)
+                        for s, x in zip(shared, noise)]
+    path = DATA / "bridge_embeddings.jsonl"
+    save_embeddings(EmbeddingStore(dim=BRIDGE_DIM, vectors=vectors), path)
+    return path
+
+
+def bridge_check(corpus_path: Path, bridge_path: Path) -> None:
+    corpus = load_corpus(corpus_path)
+    r1 = corpus.readings["r1"]
+    hashed = build_an(r1, corpus, embed_quotes(r1.quotes.values()))
+    bridged = build_an(r1, corpus, load_embeddings(bridge_path))
+    assert set(hashed.edges) < set(bridged.edges), "the bridge vectors add no AN edge"
+    print(f"bridge vectors add {len(bridged.edges) - len(hashed.edges)} AN edges to r1")
+
+
+def _cli(*args: str) -> bytes:
+    return subprocess.run([sys.executable, "-m", "aicnet.cli", *args],
+                          capture_output=True, check=True).stdout
+
+
+def freeze_build_goldens(corpus_path: Path, emb_path: Path, bridge_path: Path) -> None:
+    for rid in ("r1", "r2"):
+        for network in ("an", "in", "cn"):
+            _cli("build", str(corpus_path), "--reading", rid, "--network", network,
+                 "--format", "graphml,dot,csv,json", "--embeddings", str(emb_path),
+                 "--out", str(EXPORTS))
+    _cli("build", str(corpus_path), "--reading", "r1", "--network", "an", "--format", "json",
+         "--embeddings", str(bridge_path), "--out", str(EXPORTS / "bridged"))
+
+
 def freeze_goldens(corpus_path: Path, emb_path: Path) -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     runs = [
@@ -140,14 +197,11 @@ def freeze_goldens(corpus_path: Path, emb_path: Path) -> None:
          GOLDEN / "compare_r1_r2.txt"),
     ]
     for args, stdout_golden in runs:
-        result = subprocess.run(
-            [sys.executable, "-m", "aicnet.cli", *args],
-            capture_output=True, check=True,
-        )
+        stdout = _cli(*args)
         if stdout_golden is None:
-            sys.stdout.buffer.write(result.stdout)
+            sys.stdout.buffer.write(stdout)
         else:
-            stdout_golden.write_bytes(result.stdout)
+            stdout_golden.write_bytes(stdout)
     for leftover in GOLDEN.glob("*.json"):
         leftover.unlink()  # goldens are the display CSVs only
 
@@ -155,10 +209,11 @@ def freeze_goldens(corpus_path: Path, emb_path: Path) -> None:
 def main() -> None:
     corpus_path, emb_path = build_sample()
     oracle_check(corpus_path, emb_path)
+    bridge_path = build_bridge_vectors(corpus_path)
+    bridge_check(corpus_path, bridge_path)
     freeze_goldens(corpus_path, emb_path)
-    print(f"wrote {corpus_path}")
-    print(f"wrote {emb_path}")
-    for path in sorted(GOLDEN.iterdir()):
+    freeze_build_goldens(corpus_path, emb_path, bridge_path)
+    for path in (corpus_path, emb_path, bridge_path, *sorted(GOLDEN.rglob("*.*"))):
         print(f"wrote {path}")
 
 
