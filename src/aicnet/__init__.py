@@ -6,8 +6,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Every public name is served on first use by ``__getattr__`` (PEP 562) from
-# the submodule that defines it, so importing the package loads neither numpy
-# nor the generator.
+# the submodule that defines it, so importing the package loads no submodule,
+# and a command loads the generator only if it generates.
 _HOME = {
     name: module
     for module, names in {

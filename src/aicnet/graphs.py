@@ -15,12 +15,13 @@ artifact iteration order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
-from .semantic import EmbeddingStore, quote_similarity
+from .semantic import EmbeddingStore, Vector, _cosine, _squared_norm
 from .textpipe import NounTagger, WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
@@ -92,56 +93,43 @@ def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote
     return {reading.quotes[qid] for qid in _attended(reading, [author])[author]}
 
 
-# cosines this far below tau are rejected without the scalar check; the margin
-# covers cosine()'s 1e-9 snap to 1.0 plus any rounding difference between the
-# row product and the scalar dot product
-_PREFILTER_MARGIN = 1e-8
-
-
 def _confirmed_pairs(
     quotes: list[Quote], holders: list[set[str]], store: EmbeddingStore, tau: float
 ) -> list[dict[int, float]]:
     """For each quote (listed by id), the later quotes it pairs with at >= tau,
     mapped to their similarity; every quote also pairs with itself at 1.0.
 
-    * A pair is scored only when two different authors hold its two quotes
-      (``len(holders[i] | holders[j]) >= 2``): the pairs :func:`joint_pairs`
-      consults. Same-text pairs count 1.0 and read no vector, since twin ids
-      may carry different vectors.
-    * A row product per quote only prefilters; every kept value comes from
-      :func:`quote_similarity`. Each row is filled through
-      :meth:`EmbeddingStore.get`; a quote whose vector it refuses keeps a NaN
-      row, which the prefilter never rejects, so the scalar rule raises that
-      vector's error.
+    Each pair, in (quote_a, quote_b) id order, takes the first rule that fits:
+
+    * two quotes of the same text count 1.0 and read no vector, since twin ids
+      may carry different vectors;
+    * two quotes that one author alone holds are skipped: no author pair
+      joins on them, so :func:`joint_pairs` never consults them;
+    * every other pair is scored as :func:`quote_similarity` scores it.
+
+    Each quote's vector is read through :meth:`EmbeddingStore.get`, and its
+    norm taken, when a pair first needs it, so the first refused vector raises
+    its error where :func:`quote_similarity` would.
     """
-    import numpy as np
-
     n = len(quotes)
-    texts = np.array([q.normalized_text for q in quotes], dtype=object)
-    # a quote's one holder, or None when several authors hold it: two authors
-    # hold a pair unless both quotes have the same one holder
-    sole = np.array([next(iter(h)) if len(h) == 1 else None for h in holders], dtype=object)
-    x = np.full((n, store.dim), np.nan)
-    for i, q in enumerate(quotes):
-        try:
-            x[i] = store.get(q.id)
-        except AicnetError:
-            pass
-    norms = np.linalg.norm(x, axis=1)
-    cut = tau - _PREFILTER_MARGIN
-
+    # a quote's one holder, or None when several authors hold it
+    sole = [next(iter(h)) if len(h) == 1 else None for h in holders]
+    normed: dict[int, tuple[Vector, float]] = {}  # quote -> (vector, norm)
     partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
     for i in range(n):
-        later = np.arange(i + 1, n)
-        other = texts[i + 1 :] != texts[i]
-        hits = {int(j): 1.0 for j in later[~other]}
-        scored = later[other & ((sole[i + 1 :] != sole[i]) | (sole[i] is None))]
-        row = (x[scored] @ x[i]) / (norms[scored] * norms[i])
-        for j in scored[~(row < cut)]:  # NaN rows go to the scalar check
-            sim = quote_similarity(quotes[i], quotes[j], store)
-            if sim >= tau:
-                hits[int(j)] = sim
-        for j, sim in hits.items():
+        for j in range(i + 1, n):
+            if quotes[i].normalized_text == quotes[j].normalized_text:
+                sim = 1.0
+            elif sole[i] is not None and sole[i] == sole[j]:
+                continue
+            else:
+                for k in (i, j):
+                    if k not in normed:
+                        vec = store.get(quotes[k].id)
+                        normed[k] = (vec, math.sqrt(_squared_norm(vec)))
+                sim = _cosine(*normed[i], *normed[j])
+                if sim < tau:
+                    continue
             partners[i][j] = partners[j][i] = sim
     return partners
 
@@ -163,14 +151,14 @@ def build_an(
     (:func:`quote_similarity`); a quote both attend pairs with itself at 1.0.
 
     One pass per reading: thread roots are resolved once, each distinct quote
-    pair that two authors hold is thresholded once (a row product per quote,
-    then the scalar check near and above ``tau``), and each distinct pair of
-    attended-quote sets sums its joint pairs once, in (quote_a, quote_b) id
-    order, for all the author pairs that hold those two sets. The result is
+    pair that two authors hold is scored once, and each distinct pair of
+    attended-quote sets sums its joint pairs once, with :func:`math.fsum`, for
+    all the author pairs that hold those two sets. The sum is exactly rounded,
+    so a weight does not depend on the order of its terms, and the result is
     identical, weights and edge order included, to calling :func:`joint_pairs`
     for every author pair.
 
-    A missing, mis-sized or zero vector raises the error
+    A vector that :meth:`EmbeddingStore.get` refuses raises the error
     :func:`quote_similarity` raises, exactly when the pairwise definition
     reads it: that of the first defective different-text pair, in
     (quote_a, quote_b) id order, among the pairs two authors hold.
@@ -210,7 +198,7 @@ def build_an(
                 for i in quotes_of[u]:
                     for j in partners[i].keys() & quotes_of[v]:
                         joint[(i, j) if i < j else (j, i)] = partners[i][j]
-                weight = weights[sets] = sum(joint[key] for key in sorted(joint))
+                weight = weights[sets] = math.fsum(joint.values())
             if weight:
                 edges[(u, v)] = weight
     return WeightedGraph(set(authors), edges)

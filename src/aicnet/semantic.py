@@ -5,6 +5,10 @@ Vectors normally arrive from a file produced by an external sentence encoder
 corpora without precomputed vectors there is :func:`hash_embed`, a fully
 deterministic character-n-gram hashing embedder.
 
+A vector is a tuple of floats. Every dot product and squared norm is an
+exactly rounded :func:`math.fsum`, so a similarity has the same bits on every
+platform and interpreter, and ``cosine(u, v) == cosine(v, u)``.
+
 Embedding file formats:
 
 * JSONL: one ``{"quote_id": str, "vector": [float, ...]}`` object per line,
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .corpus import Quote, normalize_text
 from .errors import (
@@ -39,8 +44,7 @@ from .errors import (
     ZeroVector,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
+Vector = tuple[float, ...]
 
 _MAGIC = b"AICEMB01"
 
@@ -51,21 +55,27 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass
 class EmbeddingStore:
-    """Validated quote-id -> vector map; every vector shares one dimension."""
+    """Quote-id -> vector map; :meth:`get` reads a vector and checks it."""
 
     dim: int
-    vectors: dict[str, np.ndarray]
+    vectors: dict[str, Vector]
 
-    def get(self, quote_id: str) -> np.ndarray:
-        """The vector of ``quote_id``; a missing one, one not of ``dim``
-        components or an all-zero one raises the error naming the quote."""
+    def get(self, quote_id: str) -> Vector:
+        """The vector of ``quote_id``. A missing one, one not of ``dim``
+        components, one with a non-finite component, an all-zero one, or one
+        whose squared norm leaves the normal float64 range raises the error
+        naming the quote."""
         vec = self.vectors.get(quote_id)
         if vec is None:
             raise MissingEmbedding(quote_id)
-        if vec.shape != (self.dim,):
-            raise DimensionMismatch(quote_id, self.dim, int(vec.size))
-        if not vec.any():
+        if len(vec) != self.dim:
+            raise DimensionMismatch(quote_id, self.dim, len(vec))
+        if not all(map(math.isfinite, vec)):
+            raise InvalidVector(quote_id, "has a non-finite component")
+        if not any(vec):
             raise ZeroVector(quote_id)
+        if not sys.float_info.min <= _squared_norm(vec) < math.inf:
+            raise InvalidVector(quote_id, "has a norm outside the float64 range")
         return vec
 
 
@@ -78,29 +88,18 @@ class JointPair:
     similarity: float
 
 
-def _validated_store(records: Iterable[tuple[str, np.ndarray]]) -> EmbeddingStore:
-    """The store of the records, each a fresh float64 array, which it keeps."""
-    import numpy as np
-
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+def _validated_store(records: Iterable[tuple[str, Vector]]) -> EmbeddingStore:
+    """The store of the records, each checked by :meth:`EmbeddingStore.get` as
+    it arrives; the first record sets the dimension."""
+    store = EmbeddingStore(dim=0, vectors={})
     for quote_id, vec in records:
-        if quote_id in vectors:
+        if quote_id in store.vectors:
             raise InvalidVector(quote_id, "is given twice")
-        if dim is None:
-            dim = int(vec.shape[0])
-        elif vec.shape[0] != dim:
-            raise DimensionMismatch(quote_id, dim, int(vec.shape[0]))
-        if not np.isfinite(vec).all():
-            raise InvalidVector(quote_id, "has a non-finite component")
-        if not vec.any():
-            raise ZeroVector(quote_id)
-        with np.errstate(all="ignore"):
-            squared = float(np.dot(vec, vec))
-        if not sys.float_info.min <= squared < math.inf:
-            raise InvalidVector(quote_id, "has a norm outside the float64 range")
-        vectors[quote_id] = vec
-    return EmbeddingStore(dim=dim or 0, vectors=vectors)
+        if not store.vectors:
+            store.dim = len(vec)
+        store.vectors[quote_id] = vec
+        store.get(quote_id)
+    return store
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -118,9 +117,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         raise EmbeddingFileError(f"{path} {exc.where}", exc.reason) from None
 
 
-def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
-    import numpy as np
-
+def _read_jsonl(raw: bytes) -> Iterable[tuple[str, Vector]]:
     try:
         text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -144,15 +141,13 @@ def _read_jsonl(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
         if not vector:
             raise EmbeddingFileError(where, "'vector' must be a non-empty list of numbers")
         try:
-            vec = np.array(vector, dtype=np.float64)
+            vec = tuple(map(float, vector))
         except OverflowError:  # an integer beyond the float range
             raise EmbeddingFileError(where, "'vector' must be a list of numbers") from None
         yield quote_id, vec
 
 
-def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
-    import numpy as np
-
+def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
     def need(offset: int, size: int, what: str) -> None:
         if offset + size > len(raw):
             raise EmbeddingFileError(
@@ -175,7 +170,7 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
         except UnicodeDecodeError:
             raise EmbeddingFileError(f"byte {offset}", "quote id is not valid UTF-8") from None
         offset += id_len
-        vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset).astype(np.float64)
+        vec = struct.unpack_from(f"<{dim}f", raw, offset)
         offset += 4 * dim
         yield quote_id, vec
     if offset != len(raw):
@@ -185,6 +180,9 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, np.ndarray]]:
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
+    """Write the store's vectors in quote-id order. A vector that the binary
+    format's float32 cannot hold (a component beyond its range, or all rounding
+    to zero) raises :class:`InvalidVector` naming its quote, and writes no file."""
     path = Path(path)
     if format == "jsonl":
         with path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -192,14 +190,18 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "json
                 vec = [float(x) for x in store.vectors[quote_id]]
                 fh.write(json.dumps({"quote_id": quote_id, "vector": vec}) + "\n")
     elif format == "binary":
-        with path.open("wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", store.dim, len(store.vectors)))
-            for quote_id in sorted(store.vectors):
-                encoded = quote_id.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(store.vectors[quote_id].astype("<f4").tobytes())
+        chunks = [_MAGIC, struct.pack("<II", store.dim, len(store.vectors))]
+        for quote_id in sorted(store.vectors):
+            vec, encoded = store.vectors[quote_id], quote_id.encode("utf-8")
+            layout = f"<{len(vec)}f"
+            try:
+                packed = struct.pack(layout, *vec)
+            except OverflowError:
+                raise InvalidVector(quote_id, "has a component beyond the float32 range") from None
+            if any(vec) and not any(struct.unpack(layout, packed)):
+                raise InvalidVector(quote_id, "rounds to all zeros in float32")
+            chunks += [struct.pack("<H", len(encoded)), encoded, packed]
+        path.write_bytes(b"".join(chunks))
     else:
         raise ValueError(f"unknown embedding format {format!r}")
 
@@ -212,7 +214,7 @@ def _fnv1a(data: bytes) -> int:
     return h
 
 
-def hash_embed(text: str, dim: int = 256) -> np.ndarray:
+def hash_embed(text: str, dim: int = 256) -> Vector:
     """Deterministic n-gram hashing embedder (test-time stand-in for a model).
 
     Byte 3-to-5-grams of the UTF-8 normalized text (wrapped in sentinel bytes)
@@ -220,40 +222,30 @@ def hash_embed(text: str, dim: int = 256) -> np.ndarray:
     when bit 63 of its hash is set, -1; the count vector is then L2-normalized.
     Identical normalized texts give identical vectors on every platform.
 
-    All windows are hashed at once: FNV-1a step ``k`` folds byte ``i + k`` into
-    the hash of the window starting at ``i``, with uint64 products wrapping
-    mod 2**64, and the 4- and 5-gram hashes continue the 3-gram ones. The
-    bucket sums are small integers, so the vector equals the one a per-gram
-    loop gives, bit for bit.
+    One FNV-1a loop per window start folds in up to five bytes, and its
+    states after the third, fourth and fifth are the 3-, 4- and 5-gram hashes.
+    The bucket counts are integers, so their squared norm and every quotient
+    are exact up to one rounding each.
     """
-    import numpy as np
-
     if dim < 8:
         raise ValueError("embedding dimension must be >= 8")
     normalized = normalize_text(text)
     if not normalized:
         raise EmptyText()
-    marked = "\x02" + normalized + "\x03"
-    encoded = marked.encode("utf-8")
-    data = np.frombuffer(encoded, dtype=np.uint8).astype(np.uint64)
-    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
-    grams = []
-    for k in range(5):
-        m = len(data) - k
-        h = (h[:m] ^ data[k : k + m]) * np.uint64(_FNV_PRIME)
-        if k >= 2:
-            grams.append(h)
-    hashes = np.concatenate(grams)
-    signs = 1.0 - 2.0 * (hashes >> np.uint64(63)).astype(np.float64)
-    buckets = (hashes % np.uint64(dim)).astype(np.intp)
-    vec = np.bincount(buckets, weights=signs, minlength=dim)
-    norm = float(np.linalg.norm(vec))
+    encoded = ("\x02" + normalized + "\x03").encode("utf-8")
+    counts = [0] * dim
+    for start in range(len(encoded) - 2):
+        h = _FNV_OFFSET
+        for k, byte in enumerate(encoded[start : start + 5]):
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+            if k >= 2:
+                counts[h % dim] += 1 - 2 * (h >> 63)
+    norm = math.sqrt(sum(c * c for c in counts))
     if norm == 0.0:
         # all buckets cancelled; salt with the whole string so no text maps to zero
-        h = _fnv1a(encoded)
-        vec[h % dim] = 1.0
+        counts[_fnv1a(encoded) % dim] = 1
         norm = 1.0
-    return vec / norm
+    return tuple(c / norm for c in counts)
 
 
 def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
@@ -262,8 +254,8 @@ def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
     Each distinct normalized text is hashed once: twin quotes, whose texts
     differ only in case or whitespace, share one vector object.
     """
-    by_text: dict[str, np.ndarray] = {}
-    vectors: dict[str, np.ndarray] = {}
+    by_text: dict[str, Vector] = {}
+    vectors: dict[str, Vector] = {}
     for q in quotes:
         key = q.normalized_text
         if key not in by_text:
@@ -275,26 +267,36 @@ def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
 _CLAMP_TOL = 1e-9
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped into [-1, 1].
+def _squared_norm(vec: Vector) -> float:
+    """The exactly rounded sum of the squared components; inf once it overflows."""
+    try:
+        return math.fsum(map(operator.mul, vec, vec))
+    except OverflowError:  # the squares are finite but their sum is not
+        return math.inf
 
-    Values within 1e-9 of an endpoint snap to it, so identical vectors give
-    exactly 1.0 despite float rounding. Norms whose product is not a normal
-    float64 (a NaN or infinite component among them) raise :class:`InvalidVector`.
+
+def cosine(u: Vector, v: Vector) -> float:
+    """Cosine similarity, clamped into [-1, 1], as :func:`_cosine` computes it.
+
+    Norms whose product is not a normal float64 (a NaN or infinite component
+    among them) raise :class:`InvalidVector`.
     """
-    import numpy as np
-
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch("", u.shape[0], v.shape[0])
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    if len(u) != len(v):
+        raise DimensionMismatch("", len(u), len(v))
+    nu, nv = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(v))
     if nu == 0.0 or nv == 0.0:
         raise ZeroVector()
     if not sys.float_info.min <= nu * nv < math.inf:  # NaN fails too
         raise InvalidVector("", "has a norm outside the float64 range")
-    value = float(np.dot(u, v)) / (nu * nv)
+    return _cosine(u, nu, v, nv)
+
+
+def _cosine(u: Vector, nu: float, v: Vector, nv: float) -> float:
+    """The cosine of ``u`` and ``v``, whose norms are ``nu`` and ``nv``: the
+    exactly rounded dot product over ``nu * nv``. Values within 1e-9 of an
+    endpoint of [-1, 1] snap to it, so identical vectors give exactly 1.0, and
+    the rest are clamped into it."""
+    value = math.fsum(map(operator.mul, u, v)) / (nu * nv)
     if abs(value - 1.0) <= _CLAMP_TOL:
         return 1.0
     if abs(value + 1.0) <= _CLAMP_TOL:

@@ -25,8 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .corpus import Artifact, Corpus, Quote, Reading
 from .errors import InfeasibleParams
 from .graphs import (
@@ -38,7 +36,7 @@ from .graphs import (
     edge_key,
     project,
 )
-from .semantic import EmbeddingStore, cosine, hash_embed
+from .semantic import EmbeddingStore, Vector, cosine, hash_embed
 from .textpipe import WordSelectionParams, default_noun_lexicon, lemmatize
 
 _MAX_TEXT_TRIES = 200
@@ -139,9 +137,9 @@ def _stable_words() -> list[str]:
 
 
 def _block_texts(blocks: int, rng: random.Random, pool: list[str], tau: float,
-                 dim: int) -> dict[str, np.ndarray]:
+                 dim: int) -> dict[str, Vector]:
     """Distinct quote texts mapped to their hash embeddings, each pair's cosine below tau."""
-    chosen: dict[str, np.ndarray] = {}
+    chosen: dict[str, Vector] = {}
     for _ in range(blocks):
         for _attempt in range(_MAX_TEXT_TRIES):
             text = " ".join(rng.sample(pool, 8))

@@ -85,7 +85,7 @@ def oracle_build_an(
     roster: set[str] | None = None,
 ) -> WeightedGraph:
     """Attention network by definition: for every author pair, the sum of the
-    similarities of their joint quote pairs, in (quote_a, quote_b) order."""
+    similarities of their joint quote pairs, exactly rounded by math.fsum."""
     authors = sorted(reading.active_authors() | (roster or set()))
     g = WeightedGraph(nodes=set(authors))
     attended = {
@@ -95,7 +95,7 @@ def oracle_build_an(
         for v in authors[i + 1 :]:
             pairs = joint_pairs(attended[u], attended[v], store, tau)
             if pairs:
-                g.add_edge(u, v, sum(p.similarity for p in pairs))
+                g.add_edge(u, v, math.fsum(p.similarity for p in pairs))
     return g
 
 

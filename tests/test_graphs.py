@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
+import math
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from aicnet.errors import (
     AicnetError,
     DanglingParent,
     DimensionMismatch,
+    InvalidVector,
     MissingEmbedding,
     ZeroVector,
 )
@@ -489,28 +491,29 @@ def test_build_an_equals_pairwise_oracle(case):
     assert list(got.edges) == list(want.edges)  # and the same edge order
 
 
-def test_build_an_sums_in_quote_pair_order():
-    # float addition is not associative: these three cosines sum to different
-    # values left to right and right to left
-    corpus = mk_corpus(
-        quotes=[("q0", "r1", "zero"), ("q1", "r1", "one"), ("q2", "r1", "two"),
-                ("q3", "r1", "three")],
-        annotations=[("a0", "r1", "B", "q0", "w"), ("a1", "r1", "A", "q1", "x"),
-                     ("a2", "r1", "A", "q2", "y"), ("a3", "r1", "A", "q3", "z")],
-    )
-    store = EmbeddingStore(dim=4, vectors={
-        "q0": np.array([1.0, 0.0, 0.0, 0.0]),
-        "q1": np.array([3.0, 4.0, 1.0, 1.0]),
-        "q2": np.array([2.0, 1.0, 0.0, -1.0]),
-        "q3": np.array([4.0, 2.0, 1.0, -1.0]),
-    })
-    reading = corpus.readings["r1"]
-    q = reading.quotes
-    sims = [quote_similarity(q["q0"], q[qid], store) for qid in ("q1", "q2", "q3")]
-    assert sum(sims) != sum(reversed(sims))
-    g = build_an(reading, corpus, store, 0.5)
-    assert g.edges == {("A", "B"): sum(sims)}
-    assert g.edges == oracle_build_an(reading, corpus, store, 0.5).edges
+def test_build_an_weight_is_the_fsum_of_its_similarities():
+    # B's quote pairs with each of A's three; every order of A's quote ids puts
+    # the three similarities in another order, and a left-to-right float sum
+    # depends on it
+    vectors = [[3.0, 4.0, 1.0, 1.0], [2.0, 1.0, 0.0, -1.0], [4.0, 2.0, 1.0, -1.0]]
+    weights = set()
+    for order in permutations(vectors):
+        corpus = mk_corpus(
+            quotes=[("q0", "r1", "zero"), ("q1", "r1", "one"), ("q2", "r1", "two"),
+                    ("q3", "r1", "three")],
+            annotations=[("a0", "r1", "B", "q0", "w"), ("a1", "r1", "A", "q1", "x"),
+                         ("a2", "r1", "A", "q2", "y"), ("a3", "r1", "A", "q3", "z")],
+        )
+        store = EmbeddingStore(dim=4, vectors={"q0": [1.0, 0.0, 0.0, 0.0],
+                                               **{f"q{i}": v for i, v in enumerate(order, 1)}})
+        reading = corpus.readings["r1"]
+        q = reading.quotes
+        sims = [quote_similarity(q["q0"], q[qid], store) for qid in ("q1", "q2", "q3")]
+        g = build_an(reading, corpus, store, 0.5)
+        assert g.edges == {("A", "B"): math.fsum(sims)}
+        assert g.edges == oracle_build_an(reading, corpus, store, 0.5).edges
+        weights.add(g.edges[("A", "B")])
+    assert len(weights) == 1
 
 
 def _two_author_corpus():
@@ -542,9 +545,8 @@ def test_build_an_with_one_defective_vector_equals_oracle(case, data):
     else:
         vectors[qid] = np.zeros(4) if defect == "zero" else vectors[qid][:3]
     store = EmbeddingStore(dim=4, vectors=vectors)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a zero norm must not reach numpy's division
-        got = _outcome(build_an, reading, corpus, store, tau, roster)
+    # a zero norm reaching the division would raise ZeroDivisionError, no input error
+    got = _outcome(build_an, reading, corpus, store, tau, roster)
     assert got == _outcome(oracle_build_an, reading, corpus, store, tau, roster)
 
 
@@ -561,6 +563,20 @@ def test_build_an_vector_errors_match_oracle(vectors, error):
         oracle_build_an(reading, corpus, store, 0.8)
     with pytest.raises(error):
         build_an(reading, corpus, store, 0.8)
+
+
+@pytest.mark.parametrize("vector", [[math.nan, 1.0], [1.0, math.inf], [1e-300, 0.0],
+                                    [1e200, -1e200]], ids=["nan", "inf", "tiny", "huge"])
+def test_build_an_names_the_quote_of_a_refused_vector_as_the_oracle_does(vector):
+    corpus = _two_author_corpus()
+    reading = corpus.readings["r1"]
+    store = EmbeddingStore(dim=2, vectors={"q1": [1.0, 0.0], "q2": vector})
+    with pytest.raises(InvalidVector) as want:
+        oracle_build_an(reading, corpus, store, 0.8)
+    with pytest.raises(InvalidVector) as got:
+        build_an(reading, corpus, store, 0.8)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("vector for 'q2' has a ")
 
 
 def test_build_an_reads_no_vector_the_oracle_skips():
@@ -592,30 +608,36 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
         attention_blocks=tuple(tuple(f"a{i:02d}" for i in range(b, b + 4)) for b in range(1, 25, 4)),
         seed=3,
     )
-    corpus, store, gt = generate(params)
+    corpus, hashed, gt = generate(params)
     reading = corpus.readings["r1"]
-    calls: Counter = Counter()
+    # one vector object per quote id, so that a vector names its quote even
+    # where twin texts share one hash vector
+    store = EmbeddingStore(hashed.dim, {qid: list(v) for qid, v in hashed.vectors.items()})
+    quote_of = {id(v): qid for qid, v in store.vectors.items()}
+    calls: list[Counter] = []
     jp_calls = []
+    cosine = semantic._cosine
 
-    def counting_similarity(q1, q2, s):
-        calls[frozenset((q1.id, q2.id))] += 1
-        return quote_similarity(q1, q2, s)
+    def counting_cosine(u, nu, v, nv):
+        calls[-1][frozenset((quote_of[id(u)], quote_of[id(v)]))] += 1
+        return cosine(u, nu, v, nv)
 
     def counting_joint_pairs(*args, **kwargs):
         jp_calls.append(args)
         return joint_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "quote_similarity", counting_similarity)
+    monkeypatch.setattr(graphs, "_cosine", counting_cosine)
     monkeypatch.setattr(semantic, "joint_pairs", counting_joint_pairs)
     assert len(reading.active_authors()) >= 20
-    g = build_an(reading, corpus, store, 0.8)
-    assert set(g.edges) == set(gt.expected_an.edges)
-    # a low threshold sends the unrelated synthetic texts to the scalar check
-    loose = build_an(reading, corpus, store, 0.05)
+    builds = {}
+    for tau in (0.8, 0.05):
+        calls.append(Counter())
+        builds[tau] = build_an(reading, corpus, store, tau)
+    assert set(builds[0.8].edges) == set(gt.expected_an.edges)
     assert jp_calls == []
-    assert sum(calls.values()) > 0
-    assert max(calls.values()) == 1
-    assert loose.edges == oracle_build_an(reading, corpus, store, 0.05).edges
+    assert calls[0] == calls[1] and len(calls[0]) > 0
+    assert max(calls[0].values()) == 1
+    assert builds[0.05].edges == oracle_build_an(reading, corpus, store, 0.05).edges
 
 
 def test_build_an_normalizes_each_quote_text_once(monkeypatch):

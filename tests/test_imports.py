@@ -1,6 +1,6 @@
 """What a command imports: the measure commands load neither the exporters nor
-the generator, only the commands that read or make a quote vector load numpy,
-and the package serves every public name on first use."""
+the generator, no command needs numpy, and the package serves every public
+name on first use."""
 
 from __future__ import annotations
 
@@ -21,12 +21,15 @@ VECTORS = str(DATA / "sample_embeddings.jsonl")
 UNNEEDED = ("urllib.request", "http", "ssl", "email", "xml.sax", "xml.etree",
             "aicnet.synth", "aicnet.export")
 
-# argv: the module names, the commands (a JSON list of argv lists), a result file
+# argv: the module names, the commands (a JSON list of argv lists), a result
+# file, and the modules to make unimportable
 _PROBE = """
 import json, sys
-from aicnet import cli
 
 names, commands, result = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+for blocked in json.loads(sys.argv[4]):
+    sys.modules[blocked] = None  # importing it now raises ImportError
+from aicnet import cli
 
 def loaded():
     return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
@@ -39,12 +42,15 @@ with open(result, "w") as fh:
 """
 
 
-def _probe(tmp_path: Path, names: tuple[str, ...], commands: list[list[str]]) -> list[list]:
+def _probe(tmp_path: Path, names: tuple[str, ...], commands: list[list[str]],
+           blocked: tuple[str, ...] = ()) -> list[list]:
     """``[step, exit code, loaded modules among names]`` after importing the CLI
-    and after each command, all run in one fresh interpreter."""
+    and after each command, all run in one fresh interpreter in which the
+    ``blocked`` modules cannot be imported."""
     result = tmp_path / "seen.json"
     run = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(names), json.dumps(commands), str(result)],
+        [sys.executable, "-c", _PROBE, json.dumps(names), json.dumps(commands), str(result),
+         json.dumps(blocked)],
         capture_output=True, text=True, cwd=tmp_path, env=child_env(), check=False,
     )
     assert run.returncode == 0, run.stderr
@@ -72,29 +78,22 @@ def test_build_loads_the_exporters_but_no_xml(tmp_path):
     assert len(list((tmp_path / "graphs").iterdir())) == 5
 
 
-def test_commands_that_read_no_vector_load_no_numpy(tmp_path):
+def test_every_command_runs_without_numpy(tmp_path):
     out = str(tmp_path / "out")
+    builds = [["build", CORPUS, "--reading", "r1", "--network", network,
+               "--format", "graphml,dot,csv,json", "--out", out] for network in ("an", "in", "cn")]
     commands = [
         ["validate", CORPUS],
         ["stats", CORPUS, "--out", out],
-        ["build", CORPUS, "--reading", "r1", "--network", "in", "--format", "json,csv",
-         "--out", out],
-        ["build", CORPUS, "--reading", "r1", "--network", "cn", "--format", "graphml,dot",
-         "--out", out],
-        # the control: the first command that reads a vector loads it
-        ["metrics", CORPUS, "--level", "network"],
+        *builds,
+        [*builds[0], "--embeddings", VECTORS],
+        ["metrics", CORPUS, "--level", "node", "--embeddings", VECTORS, "--out", out],
+        ["metrics", CORPUS, "--level", "network", "--out", out],
+        ["compare", CORPUS, "r1", "r2"],
+        ["synth", "--seed", "3", "--out", str(tmp_path / "synth")],
     ]
-    seen = _probe(tmp_path, ("numpy",), commands)
-    assert [[step, code, "numpy" in loaded] for step, code, loaded in seen] == [
-        ["import aicnet.cli", 0, False], ["validate", 0, False], ["stats", 0, False],
-        ["build", 0, False], ["build", 0, False], ["metrics", 0, True]]
-
-
-def test_build_an_loads_numpy(tmp_path):
-    build = ["build", CORPUS, "--reading", "r1", "--network", "an", "--out", str(tmp_path)]
-    seen = _probe(tmp_path, ("numpy",), [build])
-    assert [[step, code, "numpy" in loaded] for step, code, loaded in seen] == [
-        ["import aicnet.cli", 0, False], ["build", 0, True]]
+    seen = _probe(tmp_path, (), commands, blocked=("numpy",))
+    assert seen == [[step, 0, []] for step in ["import aicnet.cli", *(c[0] for c in commands)]]
 
 
 def test_package_import_loads_no_submodule_yet_reaches_each():

@@ -163,6 +163,25 @@ def test_load_rejects_non_finite_binary_component(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("vector, reason", [
+    ([1e100, 1.0], "vector for 'q2' has a component beyond the float32 range"),
+    ([1e-50, -1e-60], "vector for 'q2' rounds to all zeros in float32"),
+], ids=["overflow", "underflow"])
+def test_binary_save_refuses_what_float32_cannot_hold(tmp_path, vector, reason):
+    source = tmp_path / "emb.jsonl"
+    source.write_text(json.dumps({"quote_id": "q1", "vector": [0.5, 1.5]}) + "\n"
+                      + json.dumps({"quote_id": "q2", "vector": vector}) + "\n")
+    store = load_embeddings(source)  # both vectors are usable in float64
+    path = tmp_path / "emb.bin"
+    with pytest.raises(InvalidVector) as exc:
+        save_embeddings(store, path, format="binary")
+    assert str(exc.value) == reason
+    assert not path.exists()
+    del store.vectors["q2"]
+    save_embeddings(store, path, format="binary")
+    assert load_embeddings(path).vectors == {"q1": (0.5, 1.5)}
+
+
 def test_load_rejects_duplicate_id(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(
@@ -204,7 +223,8 @@ def test_load_jsonl_takes_integer_components(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text('{"quote_id": "q1", "vector": [1, 0, -2]}\n')
     vec = load_embeddings(path).vectors["q1"]
-    assert vec.dtype == np.float64 and vec.tolist() == [1.0, 0.0, -2.0]
+    assert len(vec) == 3 and all(type(x) is float for x in vec)
+    assert vec == (1.0, 0.0, -2.0)
 
 
 # after one declared record: junk, or a second record the count leaves out
@@ -280,8 +300,8 @@ def test_hash_embed_rejects_tiny_dim():
 @given(st.text(min_size=1).filter(lambda t: t.strip()), st.sampled_from([8, 64, 256]))
 def test_hash_embed_unit_norm(text, dim):
     vec = hash_embed(text, dim)
-    assert vec.shape == (dim,)
-    assert abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-9
+    assert len(vec) == dim and all(type(x) is float for x in vec)
+    assert abs(math.sqrt(math.fsum(x * x for x in vec)) - 1.0) <= 1e-9
 
 
 # ASCII, a 2-byte and a 3-byte letter, a 4-byte emoji, and whitespace the
@@ -389,10 +409,15 @@ def test_quote_similarity_missing_embedding():
     # the store's dim is expected even when both vectors share another length
     ({"q1": [1.0, 1.0, 1.0], "q2": [1.0, 0.0, 0.0]}, "vector for 'q1' has 3 components, expected 2"),
     ({"q1": [1.0, 0.0], "q2": [0.0, 0.0]}, "all-zero vector for 'q2'"),
-], ids=["one-long", "both-long", "zero"])
+    ({"q1": [1.0, 0.0], "q2": [math.nan, 1.0]}, "vector for 'q2' has a non-finite component"),
+    ({"q1": [1.0, 0.0], "q2": [1.0, -math.inf]}, "vector for 'q2' has a non-finite component"),
+    # not zero: its squared norm underflows
+    ({"q1": [1.0, 0.0], "q2": [1e-300, 0.0]}, "vector for 'q2' has a norm outside the float64 range"),
+    ({"q1": [1e200, 1e200], "q2": [1.0, 0.0]}, "vector for 'q1' has a norm outside the float64 range"),
+], ids=["one-long", "both-long", "zero", "nan", "inf", "tiny", "huge"])
 def test_vector_errors_name_the_quote(vectors, message):
-    store = EmbeddingStore(dim=2, vectors={qid: np.array(v) for qid, v in vectors.items()})
-    with pytest.raises((DimensionMismatch, ZeroVector)) as exc:
+    store = EmbeddingStore(dim=2, vectors={qid: tuple(v) for qid, v in vectors.items()})
+    with pytest.raises((DimensionMismatch, ZeroVector, InvalidVector)) as exc:
         quote_similarity(_q("q1", "one"), _q("q2", "two"), store)
     assert str(exc.value) == message
 
