@@ -96,6 +96,25 @@ def test_every_command_runs_without_numpy(tmp_path):
     assert seen == [[step, 0, []] for step in ["import aicnet.cli", *(c[0] for c in commands)]]
 
 
+def test_commands_that_read_no_vector_load_no_numpy(tmp_path):
+    # with numpy importable, no command so much as tries it: not even the ones
+    # that read a vector
+    out = str(tmp_path / "out")
+    commands = [
+        ["validate", CORPUS],
+        ["stats", CORPUS, "--out", out],
+        ["build", CORPUS, "--reading", "r1", "--network", "in", "--format", "json,csv",
+         "--out", out],
+        ["build", CORPUS, "--reading", "r1", "--network", "cn", "--format", "graphml,dot",
+         "--out", out],
+        ["build", CORPUS, "--reading", "r1", "--network", "an", "--embeddings", VECTORS,
+         "--out", out],
+        ["metrics", CORPUS, "--level", "network"],
+    ]
+    seen = _probe(tmp_path, ("numpy",), commands)
+    assert seen == [[step, 0, []] for step in ["import aicnet.cli", *(c[0] for c in commands)]]
+
+
 def test_package_import_loads_no_submodule_yet_reaches_each():
     probe = """
 import json, sys
