@@ -367,19 +367,43 @@ _DATA = Path(__file__).parent / "data"
 _EXPORT_GOLDEN = Path(__file__).parent / "golden" / "exports"
 
 
+def _build_every_format(capsys, out: Path, corpus: str, reading: str, network: str,
+                        *flags: str) -> None:
+    """``build`` of one network, in all four formats and under the sample
+    vectors, into ``out``; it must succeed and write nothing to stderr."""
+    code, _, err = run_cli(
+        capsys, "build", str(_DATA / corpus), "--reading", reading, "--network", network,
+        *flags, "--format", "graphml,dot,csv,json",
+        "--embeddings", str(_DATA / "sample_embeddings.jsonl"), "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+
+
+def _assert_match_goldens(out: Path, golden: Path, stem: str) -> None:
+    names = sorted(p.name for p in golden.glob(f"{stem}*"))
+    assert sorted(p.name for p in out.iterdir()) == names and len(names) == 5
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("network", ["an", "in", "cn"])
 @pytest.mark.parametrize("reading", ["r1", "r2"])
 def test_build_exports_match_goldens(tmp_path, capsys, reading, network):
-    code, _, err = run_cli(
-        capsys, "build", str(_DATA / "sample_corpus.jsonl"), "--reading", reading,
-        "--network", network, "--format", "graphml,dot,csv,json",
-        "--embeddings", str(_DATA / "sample_embeddings.jsonl"), "--out", str(tmp_path),
-    )
-    assert (code, err) == (0, "")
-    names = sorted(p.name for p in _EXPORT_GOLDEN.glob(f"{reading}_{network}*"))
-    assert sorted(p.name for p in tmp_path.iterdir()) == names and len(names) == 5
-    for name in names:
-        assert (tmp_path / name).read_bytes() == (_EXPORT_GOLDEN / name).read_bytes(), name
+    _build_every_format(capsys, tmp_path, "sample_corpus.jsonl", reading, network)
+    _assert_match_goldens(tmp_path, _EXPORT_GOLDEN, f"{reading}_{network}")
+
+
+@pytest.mark.parametrize("network", ["an", "in", "cn"])
+def test_build_roster_all_exports_match_goldens(tmp_path, capsys, network):
+    # the widened corpus adds reading r3, whose one author s99 is active nowhere else
+    _build_every_format(capsys, tmp_path, "widened_corpus.jsonl", "r1", network,
+                        "--roster", "all")
+    _assert_match_goldens(tmp_path, _EXPORT_GOLDEN / "roster_all", f"r1_{network}")
+    # s99 joins r1's network as an isolate, and nothing else changes
+    active = read_json(_EXPORT_GOLDEN / f"r1_{network}.json")
+    widened = read_json(tmp_path / f"r1_{network}.json")
+    assert "s99" not in active.nodes
+    assert (widened.nodes, widened.edges) == (active.nodes | {"s99"}, active.edges)
 
 
 def test_build_an_under_bridge_vectors_matches_golden(tmp_path, capsys):

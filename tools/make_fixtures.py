@@ -9,13 +9,17 @@ The ``build`` goldens hold every network of both readings in all four export
 formats, and one AN JSON export of reading r1 under a small file of bridge
 vectors: seeded directions under which s13, who shares no quote text with
 anyone, attends a quote similar to two others, so the file, not hash vectors,
-decides some of its edges and their summed weights.
+decides some of its edges and their summed weights. The ``--roster all``
+goldens export reading r1 of the widened corpus, the sample plus a reading r3
+whose one author, s99, is active nowhere else, so s99 joins each r1 network as
+an isolate.
 
 Usage: python tools/make_fixtures.py
 """
 
 from __future__ import annotations
 
+import json
 import random
 import subprocess
 import sys
@@ -40,6 +44,13 @@ EXPORTS = GOLDEN / "exports"
 BRIDGED = ("r1-q1", "r1-q4", "r1-q5")
 BRIDGE_SEED = 4
 BRIDGE_DIM = 8
+
+# reading r3 of the widened corpus: one quote, annotated by s99 alone
+WIDENING = (
+    {"record": "quote", "id": "r3-q1", "reading_id": "r3", "text": "extra reading"},
+    {"id": "r3-a1", "reading_id": "r3", "author_id": "s99", "kind": "annotation",
+     "quote_id": "r3-q1", "body": "only active in r3"},
+)
 
 AUTHORS = tuple(f"s{i:02d}" for i in range(1, 14))
 
@@ -170,17 +181,27 @@ def bridge_check(corpus_path: Path, bridge_path: Path) -> None:
     print(f"bridge vectors add {len(bridged.edges) - len(hashed.edges)} AN edges to r1")
 
 
+def build_widened(corpus_path: Path) -> Path:
+    path = DATA / "widened_corpus.jsonl"
+    extra = "".join(json.dumps(rec) + "\n" for rec in WIDENING)
+    path.write_bytes(corpus_path.read_bytes() + extra.encode("utf-8"))
+    return path
+
+
 def _cli(*args: str) -> bytes:
     return subprocess.run([sys.executable, "-m", "aicnet.cli", *args],
                           capture_output=True, check=True).stdout
 
 
-def freeze_build_goldens(corpus_path: Path, emb_path: Path, bridge_path: Path) -> None:
-    for rid in ("r1", "r2"):
-        for network in ("an", "in", "cn"):
+def freeze_build_goldens(corpus_path: Path, emb_path: Path, bridge_path: Path,
+                         widened_path: Path) -> None:
+    every_format = ("--format", "graphml,dot,csv,json", "--embeddings", str(emb_path))
+    for network in ("an", "in", "cn"):
+        for rid in ("r1", "r2"):
             _cli("build", str(corpus_path), "--reading", rid, "--network", network,
-                 "--format", "graphml,dot,csv,json", "--embeddings", str(emb_path),
-                 "--out", str(EXPORTS))
+                 *every_format, "--out", str(EXPORTS))
+        _cli("build", str(widened_path), "--reading", "r1", "--network", network,
+             "--roster", "all", *every_format, "--out", str(EXPORTS / "roster_all"))
     _cli("build", str(corpus_path), "--reading", "r1", "--network", "an", "--format", "json",
          "--embeddings", str(bridge_path), "--out", str(EXPORTS / "bridged"))
 
@@ -211,9 +232,11 @@ def main() -> None:
     oracle_check(corpus_path, emb_path)
     bridge_path = build_bridge_vectors(corpus_path)
     bridge_check(corpus_path, bridge_path)
+    widened_path = build_widened(corpus_path)
     freeze_goldens(corpus_path, emb_path)
-    freeze_build_goldens(corpus_path, emb_path, bridge_path)
-    for path in (corpus_path, emb_path, bridge_path, *sorted(GOLDEN.rglob("*.*"))):
+    freeze_build_goldens(corpus_path, emb_path, bridge_path, widened_path)
+    for path in (corpus_path, emb_path, bridge_path, widened_path,
+                 *sorted(GOLDEN.rglob("*.*"))):
         print(f"wrote {path}")
 
 
