@@ -53,11 +53,13 @@ def _positive_threshold(value: str) -> float:
     return tau
 
 
-def _at_least(minimum: int, label: str):
+def _at_least(minimum: int, label: str, at_most: int | None = None):
     def convert(value: str) -> int:
         n = int(value)
         if n < minimum:
             raise argparse.ArgumentTypeError(f"{label} must be >= {minimum}")
+        if at_most is not None and n > at_most:
+            raise argparse.ArgumentTypeError(f"{label} must be <= {at_most}")
         return n
 
     return convert
@@ -73,8 +75,8 @@ def _add_network_flags(p: argparse.ArgumentParser) -> None:
                    help="how many lowest-scoring words to drop (default 5)")
     p.add_argument("--top-words", type=_at_least(1, "--top-words"), default=70,
                    help="ranked word pairs to keep (default 70)")
-    p.add_argument("--dim", type=_at_least(8, "--dim"), default=256,
-                   help="hash-embedder dimension (default 256)")
+    p.add_argument("--dim", type=_at_least(8, "--dim", at_most=65536), default=256,
+                   help="hash-embedder dimension, 8 to 65536 (default 256)")
 
 
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
@@ -166,16 +168,16 @@ def _store_for(args: argparse.Namespace, corpus: Corpus,
 
 
 def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: str,
-             store: EmbeddingStore | None, roster: set[str] | None = None) -> WeightedGraph:
+             store: EmbeddingStore | None) -> WeightedGraph:
     """One of the reading's three networks ("an", "in" or "cn"), built with the
     command's flags; only the AN reads ``store``."""
     if which == "an":
-        return build_an(reading, corpus, store, args.threshold, roster=roster)
+        return build_an(reading, corpus, store, args.threshold)
     if which == "in":
-        return build_in(reading, corpus, roster=roster)
+        return build_in(reading, corpus)
     params = WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords)
     tagger = make_default_tagger(args.noun_lexicon)
-    return project(build_cn_bipartite(reading, corpus, params, tagger, roster=roster))
+    return project(build_cn_bipartite(reading, corpus, params, tagger))
 
 
 # -- display formatting ---------------------------------------------------------
@@ -231,11 +233,9 @@ def _write_json(path: Path, payload: object) -> None:
 # -- commands -------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
-    except AicnetError:
-        # a broken file is read a second time, to list every problem
-        errors = corpus_mod.validate_file(args.corpus, _corpus_format(args.corpus))
+    # one pass gives the corpus and every problem validate_file would list
+    loaded, errors = corpus_mod._collect(args.corpus, _corpus_format(args.corpus))
+    if errors:
         for err in errors:
             print(f"error: {err}")
         print(f"{len(errors)} problem(s) found")
@@ -269,10 +269,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     if unknown:
         raise AicnetError(f"unknown export format(s): {', '.join(unknown)}")
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
-    roster = set(loaded.authors) if args.roster == "all" else None
     reading = loaded.reading(args.reading)
     store = _store_for(args, loaded, [reading]) if args.network == "an" else None
-    graph = _network(args, loaded, reading, args.network, store, roster)
+    graph = _network(args, loaded, reading, args.network, store)
+    if args.roster == "all":
+        graph.nodes |= loaded.authors  # the authors inactive in this reading, as isolates
 
     args.out.mkdir(parents=True, exist_ok=True)
     stem = f"{args.reading}_{args.network}"

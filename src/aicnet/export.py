@@ -96,8 +96,10 @@ def write_dot(g: WeightedGraph, path: str | Path, name: str = "graph") -> None:
     Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
-_DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" \[isolated=(true|false)\];$')
-_DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" -- "((?:[^"\\]|\\.)*)" \[weight=([^\]]+)\];$')
+# one node or edge statement of write_dot's; a quoted id may hold a line break
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_STATEMENT = re.compile(
+    rf"^  {_DOT_ID} (?:\[isolated=(?:true|false)\]|-- {_DOT_ID} \[weight=([^\]]+)\]);$", re.M)
 
 
 def _dot_unquote(s: str) -> str:
@@ -106,14 +108,14 @@ def _dot_unquote(s: str) -> str:
 
 def read_dot(path: str | Path) -> WeightedGraph:
     g = WeightedGraph()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        m = _DOT_NODE.match(line)
-        if m:
-            g.nodes.add(_dot_unquote(m.group(1)))
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            g.add_edge(_dot_unquote(m.group(1)), _dot_unquote(m.group(2)), float(m.group(3)))
+    # statements are matched over the whole text, read without newline translation
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        statements = _DOT_STATEMENT.findall(fh.read())
+    for u, v, weight in statements:
+        if weight:
+            g.add_edge(_dot_unquote(u), _dot_unquote(v), float(weight))
+        else:
+            g.nodes.add(_dot_unquote(u))
     return g
 
 

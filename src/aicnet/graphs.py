@@ -48,12 +48,6 @@ class WeightedGraph:
         self.nodes.add(v)
         self.edges[edge_key(u, v)] = float(weight)
 
-    def weight(self, u: str, v: str) -> float | None:
-        return self.edges.get(edge_key(u, v))
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self.edges
-
     def degree(self, v: str) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
 
@@ -63,10 +57,9 @@ class WeightedGraph:
 
 @dataclass
 class BipartiteGraph:
-    """Two-mode author-word graph; edges only cross the partitions."""
+    """Two-mode graph: author nodes, and (author, word) edges."""
 
     author_nodes: set[str] = field(default_factory=set)
-    word_nodes: set[str] = field(default_factory=set)
     edges: set[tuple[str, str]] = field(default_factory=set)
 
 
@@ -139,7 +132,6 @@ def build_an(
     corpus: Corpus,
     store: EmbeddingStore,
     tau: float = 0.8,
-    roster: set[str] | None = None,
 ) -> WeightedGraph:
     """Joint-attention network: edge weight is the sum of similarity scores
     over the authors' joint quote pairs.
@@ -163,12 +155,12 @@ def build_an(
     reads it: that of the first defective different-text pair, in
     (quote_a, quote_b) id order, among the pairs two authors hold.
 
-    Nodes are the reading's active authors; pass ``roster`` to include inactive
-    authors as isolates for cross-reading comparability.
+    Nodes are the reading's active authors; an author with no joint pair is
+    an isolate.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    authors = sorted(reading.active_authors() | (roster or set()))
+    authors = sorted(reading.active_authors())
 
     held: dict[str, dict[str, str]] = {}  # author -> normalized text -> quote id
     for author, quote_ids in _attended(reading, authors).items():
@@ -204,7 +196,7 @@ def build_an(
     return WeightedGraph(set(authors), edges)
 
 
-def build_in(reading: Reading, corpus: Corpus, roster: set[str] | None = None) -> WeightedGraph:
+def build_in(reading: Reading, corpus: Corpus) -> WeightedGraph:
     """Interaction network: every reply is one event between its author and the
     parent artifact's author; same-author events are discarded."""
     by_id = {a.id: a for a in reading.artifacts}
@@ -218,8 +210,8 @@ def build_in(reading: Reading, corpus: Corpus, roster: set[str] | None = None) -
         if parent.author_id == art.author_id:
             continue
         events[edge_key(art.author_id, parent.author_id)] += 1
-    nodes = reading.active_authors() | (roster or set())
-    return WeightedGraph(nodes, {pair: float(count) for pair, count in events.items()})
+    edges = {pair: float(count) for pair, count in events.items()}
+    return WeightedGraph(reading.active_authors(), edges)
 
 
 def build_cn_bipartite(
@@ -227,16 +219,12 @@ def build_cn_bipartite(
     corpus: Corpus,
     params: WordSelectionParams = WordSelectionParams(),
     tagger: NounTagger | None = None,
-    roster: set[str] | None = None,
 ) -> BipartiteGraph:
-    """Two-mode author-word graph from the reading's selected words. Authors
-    with no selected words remain as isolated author nodes."""
+    """Two-mode author-word graph from the reading's selected words. Its
+    authors are the reading's active authors; those with no selected word
+    have no edge."""
     selection = select_cn_words(reading, params, tagger)
-    bg = BipartiteGraph(author_nodes=reading.active_authors() | (roster or set()))
-    for sel in selection:
-        bg.word_nodes.add(sel.lemma)
-        bg.edges.add((sel.author_id, sel.lemma))
-    return bg
+    return BipartiteGraph(reading.active_authors(), {(s.author_id, s.lemma) for s in selection})
 
 
 def project(bg: BipartiteGraph) -> WeightedGraph:

@@ -15,9 +15,9 @@ Embedding file formats:
   after at most one byte-order mark; the id is a non-empty string and the
   vector a non-empty list of JSON numbers (not strings, not ``true``/``false``).
 * Binary: magic bytes ``AICEMB01``, then two little-endian uint32 (dimension,
-  record count), then per record a little-endian uint16 id byte-length, the
-  UTF-8 id, and ``dimension`` little-endian float32 components; no byte
-  follows the last record, and the dimension is at least 1 when the count is.
+  record count), then per record a little-endian uint16 id byte-length (not
+  0), the UTF-8 id, and ``dimension`` little-endian float32 components; no
+  byte follows the last record, and the dimension is 1 or more if records are.
 
 Every vector must be finite, non-zero, of one shared dimension, given once per
 quote id, and have a squared norm within the normal float64 range.
@@ -169,6 +169,8 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
             quote_id = raw[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
             raise EmbeddingFileError(f"byte {offset}", "quote id is not valid UTF-8") from None
+        if not quote_id:
+            raise EmbeddingFileError(f"byte {offset}", "quote id is empty")
         offset += id_len
         vec = struct.unpack_from(f"<{dim}f", raw, offset)
         offset += 4 * dim
@@ -180,18 +182,23 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
-    """Write the store's vectors in quote-id order. A vector that the binary
-    format's float32 cannot hold (a component beyond its range, or all rounding
-    to zero) raises :class:`InvalidVector` naming its quote, and writes no file."""
+    """Write the store's vectors in quote-id order, if each passes the load
+    rule (a non-empty string id, then :meth:`EmbeddingStore.get`) and, for the
+    binary format, fits float32 (no component beyond its range, not all
+    rounding to zero); else raise the first record's error and write no file."""
+    ids = sorted(store.vectors)
+    for quote_id in ids:
+        if not isinstance(quote_id, str) or not quote_id:
+            raise InvalidVector(quote_id, "needs a non-empty string id")
+        store.get(quote_id)
     path = Path(path)
     if format == "jsonl":
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for quote_id in sorted(store.vectors):
-                vec = [float(x) for x in store.vectors[quote_id]]
-                fh.write(json.dumps({"quote_id": quote_id, "vector": vec}) + "\n")
+        rows = ({"quote_id": qid, "vector": list(map(float, store.vectors[qid]))} for qid in ids)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8",
+                        newline="\n")
     elif format == "binary":
-        chunks = [_MAGIC, struct.pack("<II", store.dim, len(store.vectors))]
-        for quote_id in sorted(store.vectors):
+        chunks = [_MAGIC, struct.pack("<II", store.dim, len(ids))]
+        for quote_id in ids:
             vec, encoded = store.vectors[quote_id], quote_id.encode("utf-8")
             layout = f"<{len(vec)}f"
             try:

@@ -82,11 +82,10 @@ def oracle_build_an(
     corpus: Corpus,
     store: EmbeddingStore,
     tau: float = 0.8,
-    roster: set[str] | None = None,
 ) -> WeightedGraph:
     """Attention network by definition: for every author pair, the sum of the
     similarities of their joint quote pairs, exactly rounded by math.fsum."""
-    authors = sorted(reading.active_authors() | (roster or set()))
+    authors = sorted(reading.active_authors())
     g = WeightedGraph(nodes=set(authors))
     attended = {
         a: _dedupe_by_text(oracle_attention_quotes(a, reading)) for a in authors

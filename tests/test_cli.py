@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,26 @@ def test_validate_reads_a_clean_file_once(sample, capsys, monkeypatch):
     monkeypatch.setattr(corpus_mod, "_collect", counting)
     code, out, _ = run_cli(capsys, "validate", str(corpus_path))
     assert code == 0 and out.startswith("ok:")
+    assert len(passes) == 1
+
+
+def test_validate_parses_a_broken_file_once(jsonl_file, capsys, monkeypatch):
+    import aicnet.corpus as corpus_mod
+
+    path = jsonl_file([{"id": "rep9", "reading_id": "r1", "author_id": "B", "kind": "reply",
+                        "parent_id": "missing", "body": ""}])
+    passes = []
+    real = corpus_mod._iter_parsed
+
+    def counting(path, format):
+        passes.append(path)
+        return real(path, format)
+
+    monkeypatch.setattr(corpus_mod, "_iter_parsed", counting)
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ("error: reply 'rep9' names a parent that does not exist in its reading\n"
+                   "1 problem(s) found\n")
     assert len(passes) == 1
 
 
@@ -560,6 +581,23 @@ _OPTIONS = {
 }
 
 
+@pytest.mark.parametrize("command", [
+    ["build", "--reading", "r1", "--network", "an", "--out", "x"],
+    ["metrics", "--level", "network"],
+    ["compare", "r1", "r2"],
+    ["synth", "--out", "x"],
+], ids=["build", "metrics", "compare", "synth"])
+def test_oversized_dim_is_an_input_error(sample, tmp_path, capsys, monkeypatch, command):
+    corpus_path, _, _ = sample
+    monkeypatch.chdir(tmp_path)
+    name, *flags = command
+    corpus = [] if name == "synth" else [str(corpus_path)]
+    # argparse refuses the value before a vector of that many components is made
+    code, out, err = run_cli(capsys, name, *corpus, *flags, "--dim", str(10**21))
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --dim: --dim must be <= 65536\n"), err
+
+
 def test_each_command_takes_exactly_its_options():
     import argparse
 
@@ -732,10 +770,8 @@ def _trailing_binary(good: Path, path: Path) -> None:
 
 
 def _zero_dimension_binary(good: Path, path: Path) -> None:
-    store = load_embeddings(good)
-    store.dim = 0
-    store.vectors = {quote_id: vec[:0] for quote_id, vec in store.vectors.items()}
-    save_embeddings(store, path, format="binary")
+    # one record of a two-byte id and no component: the header alone is wrong
+    path.write_bytes(b"AICEMB01" + struct.pack("<IIH", 0, 1, 2) + b"q1")
 
 
 def _edited_jsonl(edit):

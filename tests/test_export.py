@@ -34,6 +34,19 @@ def _sample_graph() -> WeightedGraph:
     return g
 
 
+# each a line break to str.splitlines, and text-mode reads translate "\r"
+_SEPARATORS = ("\n", "\r", "\r\n", "\x85", "\u2028")
+
+
+def _separator_graph() -> WeightedGraph:
+    """Node ids holding each line separator alone, and all of them at once."""
+    everything = "".join(_SEPARATORS)
+    g = WeightedGraph(nodes={f"isolated{everything}"})
+    for i, sep in enumerate(_SEPARATORS):
+        g.add_edge(f"s{sep}", f"all{everything}", 0.5 + i)
+    return g
+
+
 def _random_graph(seed: int) -> WeightedGraph:
     rng = random.Random(seed)
     n = rng.randint(1, 9)
@@ -57,10 +70,10 @@ def _assert_same(a: WeightedGraph, b: WeightedGraph):
     (write_json, read_json, "json"),
 ])
 def test_round_trip_formats(tmp_path, writer, reader, suffix):
-    g = _sample_graph()
-    path = tmp_path / f"g.{suffix}"
-    writer(g, path, name="an")
-    _assert_same(reader(path), g)
+    for i, g in enumerate((_sample_graph(), _separator_graph())):
+        path = tmp_path / f"g{i}.{suffix}"
+        writer(g, path, name="an")
+        _assert_same(reader(path), g)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -156,7 +156,7 @@ def test_build_an_figure_construction():
     assert g.nodes == {"A", "B", "C"}
     assert set(g.edges) == {("A", "B")}
     assert g.edges[("A", "B")] == pytest.approx(0.8, abs=1e-9)
-    assert not g.has_edge("B", "C")  # 0.5 < 0.8
+    assert ("B", "C") not in g.edges  # 0.5 < 0.8
     assert g.degree("C") == 0
 
 
@@ -192,13 +192,6 @@ def test_build_an_identical_texts_contribute_once():
     store = EmbeddingStore(dim=4, vectors={})  # never consulted: all common references
     g = build_an(corpus.readings["r1"], corpus, store, 0.8)
     assert g.edges[("A", "B")] == 1.0
-
-
-def test_build_an_roster_adds_isolates():
-    corpus, store = _figure_corpus()
-    g = build_an(corpus.readings["r1"], corpus, store, 0.8, roster={"A", "B", "C", "Z"})
-    assert "Z" in g.nodes
-    assert g.degree("Z") == 0
 
 
 def test_build_in_no_replies():
@@ -270,7 +263,6 @@ def test_build_cn_bipartite_maps_selection():
     params = WordSelectionParams(min_frequency=5, drop_lowest=0, top_k=70)
     bg = build_cn_bipartite(corpus.readings["r1"], corpus, params)
     assert bg.author_nodes == {"A", "B", "C"}
-    assert bg.word_nodes == {"pedagogy", "costume"}
     assert bg.edges == {("A", "pedagogy"), ("B", "pedagogy"), ("C", "costume")}
 
 
@@ -280,7 +272,6 @@ def test_build_cn_bipartite_empty_selection():
         annotations=[("d1", "r1", "A", "q1", "ballet once only")],
     )
     bg = build_cn_bipartite(corpus.readings["r1"], corpus)
-    assert bg.word_nodes == set()
     assert bg.edges == set()
     assert bg.author_nodes == {"A"}
 
@@ -288,7 +279,6 @@ def test_build_cn_bipartite_empty_selection():
 def test_project_shared_and_disjoint():
     bg = BipartiteGraph(
         author_nodes={"A", "B", "C"},
-        word_nodes={"x", "y", "z"},
         edges={("A", "x"), ("A", "y"), ("B", "y"), ("B", "z"), ("C", "z")},
     )
     g = project(bg)
@@ -298,7 +288,6 @@ def test_project_shared_and_disjoint():
 def test_project_full_overlap():
     bg = BipartiteGraph(
         author_nodes={"A", "B"},
-        word_nodes={"x", "y", "z"},
         edges={(a, w) for a in ("A", "B") for w in ("x", "y", "z")},
     )
     g = project(bg)
@@ -367,19 +356,14 @@ def test_in_total_weight_counts_events(pairs):
 @settings(max_examples=30, deadline=None)
 @given(st.sets(st.tuples(st.sampled_from("ABCD"), st.sampled_from("vwxyz")), max_size=16))
 def test_project_matches_common_neighbor_count(edges):
-    bg = BipartiteGraph(
-        author_nodes={a for a, _ in edges} | {"A"},
-        word_nodes={w for _, w in edges},
-        edges=set(edges),
-    )
+    bg = BipartiteGraph(author_nodes={a for a, _ in edges} | {"A"}, edges=set(edges))
     g = project(bg)
     authors = sorted(bg.author_nodes)
+    words = {w for _, w in edges}
     for i, u in enumerate(authors):
         for v in authors[i + 1 :]:
-            count = sum(
-                1 for w in bg.word_nodes if (u, w) in bg.edges and (v, w) in bg.edges
-            )
-            assert (g.weight(u, v) or 0) == count
+            count = sum(1 for w in words if (u, w) in bg.edges and (v, w) in bg.edges)
+            assert g.edges.get((u, v), 0) == count
 
 
 @st.composite
@@ -389,7 +373,7 @@ def bipartite_graphs(draw):
     edges = draw(st.sets(st.tuples(st.sampled_from("ABCDEFGX"),
                                    st.sampled_from(["v", "w", "x", "y", "z", "zz"])),
                          max_size=30))
-    return BipartiteGraph(author_nodes=authors, word_nodes={w for _, w in edges}, edges=edges)
+    return BipartiteGraph(author_nodes=authors, edges=edges)
 
 
 @settings(max_examples=300, deadline=None)
@@ -446,8 +430,7 @@ def _planted(base: np.ndarray, cos: float, seed: int) -> np.ndarray:
 @st.composite
 def an_readings(draw):
     """A reading with twinned texts under different ids, deep reply threads,
-    roster isolates, and vectors planted at tau +- 1e-16 and +- 1e-12 with
-    non-unit lengths."""
+    and vectors planted at tau +- 1e-16 and +- 1e-12 with non-unit lengths."""
     tau = draw(st.sampled_from([0.5, 0.8, 1.0]))
     n_quotes = draw(st.integers(1, 7))
     quotes, vectors = [], {}
@@ -475,17 +458,16 @@ def an_readings(draw):
             replies.append((aid, "r1", author, parent, "reply"))
         ids.append(aid)
     corpus = mk_corpus(quotes=quotes, annotations=annotations, replies=replies)
-    roster = set(draw(st.lists(st.sampled_from(authors + ["x1", "x2"]), max_size=3)))
-    return corpus, EmbeddingStore(dim=4, vectors=vectors), tau, roster
+    return corpus, EmbeddingStore(dim=4, vectors=vectors), tau
 
 
 @settings(max_examples=300, deadline=None)
 @given(an_readings())
 def test_build_an_equals_pairwise_oracle(case):
-    corpus, store, tau, roster = case
+    corpus, store, tau = case
     reading = corpus.readings["r1"]
-    got = build_an(reading, corpus, store, tau, roster=roster)
-    want = oracle_build_an(reading, corpus, store, tau, roster=roster)
+    got = build_an(reading, corpus, store, tau)
+    want = oracle_build_an(reading, corpus, store, tau)
     assert got.nodes == want.nodes
     assert got.edges == want.edges  # exact floats, no tolerance
     assert list(got.edges) == list(want.edges)  # and the same edge order
@@ -523,10 +505,10 @@ def _two_author_corpus():
     )
 
 
-def _outcome(build, reading, corpus, store, tau, roster):
+def _outcome(build, reading, corpus, store, tau):
     """The graph's nodes and edges in order, or the class of the input error."""
     try:
-        g = build(reading, corpus, store, tau, roster=roster)
+        g = build(reading, corpus, store, tau)
     except AicnetError as exc:
         return type(exc)
     return g.nodes, list(g.edges.items())
@@ -535,7 +517,7 @@ def _outcome(build, reading, corpus, store, tau, roster):
 @settings(max_examples=300, deadline=None)
 @given(an_readings(), st.data())
 def test_build_an_with_one_defective_vector_equals_oracle(case, data):
-    corpus, store, tau, roster = case
+    corpus, store, tau = case
     reading = corpus.readings["r1"]
     qid = data.draw(st.sampled_from(sorted(store.vectors)))
     defect = data.draw(st.sampled_from(["missing", "zero", "short"]))
@@ -546,8 +528,8 @@ def test_build_an_with_one_defective_vector_equals_oracle(case, data):
         vectors[qid] = np.zeros(4) if defect == "zero" else vectors[qid][:3]
     store = EmbeddingStore(dim=4, vectors=vectors)
     # a zero norm reaching the division would raise ZeroDivisionError, no input error
-    got = _outcome(build_an, reading, corpus, store, tau, roster)
-    assert got == _outcome(oracle_build_an, reading, corpus, store, tau, roster)
+    got = _outcome(build_an, reading, corpus, store, tau)
+    assert got == _outcome(oracle_build_an, reading, corpus, store, tau)
 
 
 @pytest.mark.parametrize("vectors, error", [
@@ -587,16 +569,15 @@ def test_build_an_reads_no_vector_the_oracle_skips():
     )
     reading = corpus.readings["r1"]
     store = EmbeddingStore(dim=2, vectors={})
-    want = oracle_build_an(reading, corpus, store, 0.8, roster={"Z"})
-    got = build_an(reading, corpus, store, 0.8, roster={"Z"})
-    assert (got.nodes, got.edges) == (want.nodes, want.edges) == ({"A", "Z"}, {})
+    want = oracle_build_an(reading, corpus, store, 0.8)
+    got = build_an(reading, corpus, store, 0.8)
+    assert (got.nodes, got.edges) == (want.nodes, want.edges) == ({"A"}, {})
 
 
-def test_build_an_reading_without_artifacts_keeps_roster_isolates():
+def test_build_an_reading_without_artifacts_is_empty():
     corpus = mk_corpus(quotes=[("q1", "r1", "first passage")], annotations=[])
-    g = build_an(corpus.readings["r1"], corpus, EmbeddingStore(dim=0, vectors={}), 0.8,
-                 roster={"a", "b"})
-    assert (g.nodes, g.edges) == ({"a", "b"}, {})
+    g = build_an(corpus.readings["r1"], corpus, EmbeddingStore(dim=0, vectors={}), 0.8)
+    assert (g.nodes, g.edges) == (set(), {})
 
 
 def test_build_an_compares_each_quote_pair_once(monkeypatch):
@@ -684,9 +665,9 @@ def _assert_canonical_edges(g):
 
 def _assert_builders_make_canonical_edges(corpus, store):
     for reading in corpus.readings.values():
-        for g in (build_an(reading, corpus, store, 0.5, roster=corpus.authors),
-                  build_in(reading, corpus, roster=corpus.authors),
-                  project(build_cn_bipartite(reading, corpus, roster=corpus.authors))):
+        for g in (build_an(reading, corpus, store, 0.5),
+                  build_in(reading, corpus),
+                  project(build_cn_bipartite(reading, corpus))):
             _assert_canonical_edges(g)
 
 

@@ -155,12 +155,47 @@ def test_load_jsonl_drops_one_byte_order_mark(tmp_path):
         load_embeddings(path)
 
 
+def _binary_file(dim: int, records: list[tuple[bytes, list[float]]]) -> bytes:
+    """A binary vector file, packed by hand: (id bytes, components) records."""
+    body = b"".join(struct.pack(f"<H{len(qid)}s{dim}f", len(qid), qid, *vec)
+                    for qid, vec in records)
+    return b"AICEMB01" + struct.pack("<II", dim, len(records)) + body
+
+
 def test_load_rejects_non_finite_binary_component(tmp_path):
-    store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, np.nan])})
     path = tmp_path / "emb.bin"
-    save_embeddings(store, path, format="binary")
+    path.write_bytes(_binary_file(2, [(b"q1", [1.0, math.nan])]))
     with pytest.raises(InvalidVector, match="'q1'"):
         load_embeddings(path)
+
+
+def test_load_rejects_an_empty_binary_id(tmp_path):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(_binary_file(2, [(b"q1", [0.0, 1.0]), (b"", [1.0, 0.0])]))
+    # the second record's id would start at 16 + (2 + 2 + 8) + 2
+    with pytest.raises(EmbeddingFileError, match=r"emb\.bin byte 30: quote id is empty"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("format", ["jsonl", "binary"])
+@pytest.mark.parametrize("vectors, reason", [
+    ({"q1": (math.nan, 1.0)}, "vector for 'q1' has a non-finite component"),
+    ({"q1": (1.0, -math.inf)}, "vector for 'q1' has a non-finite component"),
+    ({"": (1.0, 0.0)}, "vector for '' needs a non-empty string id"),
+    ({"q1": (0.0, 0.0)}, "all-zero vector for 'q1'"),
+    ({"q1": (1.0, 0.0, 0.0)}, "vector for 'q1' has 3 components, expected 2"),
+    ({"q1": (1e200, 1e200)}, "vector for 'q1' has a norm outside the float64 range"),
+], ids=["nan", "inf", "empty_id", "zero", "long", "norm_overflow"])
+def test_save_refuses_what_a_load_refuses(tmp_path, format, vectors, reason):
+    store = EmbeddingStore(dim=2, vectors={"q0": (0.5, 0.5), **vectors})
+    path = tmp_path / "emb"
+    with pytest.raises(AicnetError) as exc:
+        save_embeddings(store, path, format=format)
+    assert str(exc.value) == reason
+    assert not path.exists()
+    del store.vectors[next(iter(vectors))]  # the good record alone saves and loads back
+    save_embeddings(store, path, format=format)
+    assert load_embeddings(path).vectors == {"q0": (0.5, 0.5)}
 
 
 @pytest.mark.parametrize("vector, reason", [

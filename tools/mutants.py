@@ -156,6 +156,29 @@ MUTANTS: list[Mutant] = [
     # a binary file of dimension 0 reported as holding all-zero vectors
     Mutant("src/aicnet/semantic.py", "    if count and not dim:\n", "    if False:\n",
            ("tests/test_cli.py::test_bad_embedding_file_is_input_error[zero_dimension_binary]",)),
+    # save_embeddings writes records a load refuses
+    Mutant("src/aicnet/semantic.py",
+           "            raise InvalidVector(quote_id, \"needs a non-empty string id\")\n"
+           "        store.get(quote_id)\n",
+           "            raise InvalidVector(quote_id, \"needs a non-empty string id\")\n",
+           ("tests/test_semantic.py::test_save_refuses_what_a_load_refuses[nan-jsonl]",
+            "tests/test_semantic.py::test_save_refuses_what_a_load_refuses[zero-binary]")),
+    # a binary record with an empty id loads
+    Mutant("src/aicnet/semantic.py",
+           "        if not quote_id:\n"
+           "            raise EmbeddingFileError(f\"byte {offset}\", \"quote id is empty\")\n",
+           "", ("tests/test_semantic.py::test_load_rejects_an_empty_binary_id",)),
+    # read_dot reads with newline translation, so an id's "\r" comes back as "\n"
+    Mutant("src/aicnet/export.py", 'open(encoding="utf-8", newline="")', 'open(encoding="utf-8")',
+           (_EXPORT + "test_round_trip_formats[write_dot-read_dot-dot]",)),
+    # validate parses a broken file a second time
+    Mutant("src/aicnet/cli.py", "    if errors:\n        for err in errors:\n",
+           "    if errors:\n        errors = corpus_mod.validate_file(args.corpus, "
+           "_corpus_format(args.corpus))\n        for err in errors:\n",
+           ("tests/test_cli.py::test_validate_parses_a_broken_file_once",)),
+    # --dim without its upper bound
+    Mutant("src/aicnet/cli.py", "at_most=65536", "at_most=None",
+           ("tests/test_cli.py::test_oversized_dim_is_an_input_error[metrics]",)),
     # word selection: a lemma's aggregate is its last score, not its max
     Mutant("src/aicnet/textpipe.py", "aggregate[lemma] = max(aggregate.get(lemma, score), score)",
            "aggregate[lemma] = score",
