@@ -20,7 +20,7 @@ _HOME = {
         "semantic": "EmbeddingStore JointPair cosine embed_quotes hash_embed joint_pairs "
                     "load_embeddings quote_similarity save_embeddings",
         "synth": "GroundTruth SynthParams VerificationReport generate verify",
-        "textpipe": "SelectedWord Token WordSelectionParams lemmatize select_cn_words tfidf "
+        "textpipe": "SelectedWord WordSelectionParams lemmatize select_cn_words tfidf "
                     "tokenize",
     }.items()
     for name in names.split()

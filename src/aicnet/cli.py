@@ -24,7 +24,7 @@ from .corpus import Corpus, Reading, StatsTable, descriptive_stats, load_corpus,
 from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
-from .textpipe import WordSelectionParams, load_wordlist, make_default_tagger
+from .textpipe import WordSelectionParams, load_wordlist
 
 # the export formats; ``export.write_<format>`` writes each, csv an edge and a node file
 _FORMATS = ("graphml", "dot", "csv", "json")
@@ -175,9 +175,9 @@ def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: 
         return build_an(reading, corpus, store, args.threshold)
     if which == "in":
         return build_in(reading, corpus)
-    params = WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords)
-    tagger = make_default_tagger(args.noun_lexicon)
-    return project(build_cn_bipartite(reading, corpus, params, tagger))
+    params = WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords,
+                                 args.noun_lexicon)
+    return project(build_cn_bipartite(reading, corpus, params))
 
 
 # -- display formatting ---------------------------------------------------------

@@ -135,21 +135,26 @@ def _records_from_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict] | Par
 
 def _records_from_csv(text: str) -> Iterator[tuple[int, dict] | ParseError]:
     reader = csv.DictReader(io.StringIO(text))
-    while True:  # the first next() reads the header, which can fail too
-        try:
-            rec = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield ParseError(reader.line_num, f"invalid CSV ({exc})")
-            return
-        lineno = reader.line_num
-        cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
-        if cleaned.get("record") == "artifact":
-            del cleaned["record"]
-        if cleaned.get("record") != "quote":
-            cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
-        yield lineno, cleaned
+    # no field is longer than the text; the process-wide limit is restored after
+    limit = csv.field_size_limit(len(text) + 1)
+    try:
+        while True:  # the first next() reads the header, which can fail too
+            try:
+                rec = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                yield ParseError(reader.line_num, f"invalid CSV ({exc})")
+                return
+            lineno = reader.line_num
+            cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
+            if cleaned.get("record") == "artifact":
+                del cleaned["record"]
+            if cleaned.get("record") != "quote":
+                cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
+            yield lineno, cleaned
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _parse_record(lineno: int, rec: dict) -> Quote | Artifact:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
 from .semantic import EmbeddingStore, Vector, _cosine, _squared_norm
-from .textpipe import NounTagger, WordSelectionParams, select_cn_words
+from .textpipe import WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
 
@@ -218,12 +218,11 @@ def build_cn_bipartite(
     reading: Reading,
     corpus: Corpus,
     params: WordSelectionParams = WordSelectionParams(),
-    tagger: NounTagger | None = None,
 ) -> BipartiteGraph:
-    """Two-mode author-word graph from the reading's selected words. Its
-    authors are the reading's active authors; those with no selected word
-    have no edge."""
-    selection = select_cn_words(reading, params, tagger)
+    """Two-mode author-word graph from the words :func:`select_cn_words`
+    picks under ``params``, word lists included. Its authors are the
+    reading's active authors; those with no selected word have no edge."""
+    selection = select_cn_words(reading, params)
     return BipartiteGraph(reading.active_authors(), {(s.author_id, s.lemma) for s in selection})
 
 

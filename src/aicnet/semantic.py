@@ -184,8 +184,9 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
 def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
     """Write the store's vectors in quote-id order, if each passes the load
     rule (a non-empty string id, then :meth:`EmbeddingStore.get`) and, for the
-    binary format, fits float32 (no component beyond its range, not all
-    rounding to zero); else raise the first record's error and write no file."""
+    binary format, fits it (an id of at most 65,535 UTF-8 bytes; no component
+    beyond the float32 range, not all rounding to zero); else raise the first
+    record's error and write no file."""
     ids = sorted(store.vectors)
     for quote_id in ids:
         if not isinstance(quote_id, str) or not quote_id:
@@ -199,7 +200,13 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "json
     elif format == "binary":
         chunks = [_MAGIC, struct.pack("<II", store.dim, len(ids))]
         for quote_id in ids:
-            vec, encoded = store.vectors[quote_id], quote_id.encode("utf-8")
+            try:
+                encoded = quote_id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidVector(quote_id, "has an id UTF-8 cannot encode") from None
+            if len(encoded) > 0xFFFF:
+                raise InvalidVector(quote_id, "has an id over 65,535 UTF-8 bytes")
+            vec = store.vectors[quote_id]
             layout = f"<{len(vec)}f"
             try:
                 packed = struct.pack(layout, *vec)

@@ -97,7 +97,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _validate(params: SynthParams) -> list[str]:
+def _validate(params: SynthParams, reading_id: str) -> list[str]:
+    if not reading_id:
+        raise InfeasibleParams("empty reading id")
     if params.n_authors < 2:
         raise InfeasibleParams("need at least 2 authors")
     if params.n_quotes < 1:
@@ -108,6 +110,8 @@ def _validate(params: SynthParams) -> list[str]:
         if not block:
             raise InfeasibleParams("empty attention block")
         for author in block:
+            if not author:
+                raise InfeasibleParams("empty author id")
             if author in seen:
                 raise InfeasibleParams(f"author {author!r} appears in two blocks")
             seen.add(author)
@@ -168,7 +172,7 @@ def generate(
     infeasible demands (more planted word-author pairs than ``top_k`` keeps,
     and the like) raise :class:`InfeasibleParams`.
     """
-    authors = _validate(params)
+    authors = _validate(params, reading_id)
     rng = random.Random(params.seed)
     blocks = [tuple(block) for block in params.attention_blocks]
     block_of = {a: i for i, block in enumerate(blocks) for a in block}

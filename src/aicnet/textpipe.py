@@ -1,10 +1,10 @@
 """Text pipeline: tokenization, lemmatization, noun filtering, tf-idf, and
 the word-selection procedure that feeds the creation network.
 
-The lemmatizer and noun tagger are deliberately rule-based (irregular-form
+The lemmatizer and the noun rule are deliberately rule-based (irregular-form
 lookup plus suffix rules against a bundled lexicon) so results are identical
-across platforms and runs. The tagger is a plain callable, so a corpus-specific
-tagger can be swapped in without touching the rest of the pipeline.
+across platforms and runs. Word selection reads its two word lists, extra
+stopwords and a replacement noun lexicon, from :class:`WordSelectionParams`.
 """
 
 from __future__ import annotations
@@ -19,13 +19,6 @@ from typing import Callable, Iterator
 
 from .corpus import Artifact, Reading
 from .errors import CorpusEncodingError
-
-NounTagger = Callable[["Token"], bool]
-"""Decides whether a lemmatized token is a noun.
-
-The pipeline calls it once per distinct surface per reading and reuses the
-verdict for every occurrence, so it must be a pure function of its ``Token``.
-"""
 
 _TOKEN = re.compile(r"\w+(?:['-]\w+)*", re.UNICODE)
 
@@ -70,12 +63,6 @@ _NOUN_SUFFIXES = (
     "tion", "sion", "ment", "ness", "ity", "ship", "ism", "ance",
     "ence", "logy", "graphy", "hood", "dom", "cracy", "itude",
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    lemma: str
 
 
 def load_wordlist(path: str | Path) -> frozenset[str]:
@@ -146,61 +133,48 @@ def lemmatize(surface: str) -> str:
     return surface
 
 
-def make_default_tagger(noun_lexicon: frozenset[str] | None = None) -> NounTagger:
-    """Lexicon-plus-suffix tagger over ``noun_lexicon`` (the bundled one when
-    ``None``). Bundled stopwords are never nouns."""
-    nouns = noun_lexicon if noun_lexicon is not None else default_noun_lexicon()
-    stops = default_stopwords()
-
-    def tagger(token: Token) -> bool:
-        if token.surface in stops or token.lemma in stops:
-            return False
-        if token.lemma in nouns:
-            return True
-        return token.lemma.endswith(_NOUN_SUFFIXES) and len(token.lemma) > 5
-
-    return tagger
-
-
-def _noun_lookup(tagger: NounTagger | None,
+def _noun_lookup(noun_lexicon: frozenset[str] | None,
                  extra_stopwords: frozenset[str]) -> Callable[[list[str]], Iterator[str | None]]:
-    """A surface -> noun-lemma map that lemmatizes and tags each distinct surface once.
+    """A surface -> noun-lemma map that lemmatizes and judges each distinct surface once.
 
-    The returned function maps each surface to its lemma, or to ``None`` when
-    the tagger rejects it or the lemma is an extra stopword. Its memo lives as
-    long as the function does.
+    A surface or lemma in the bundled stopwords is no noun; otherwise a lemma
+    in ``noun_lexicon`` (the bundled one when ``None``), or one of more than
+    5 letters ending in a noun suffix, is. The returned function maps each
+    surface to its lemma, or to ``None`` when it is no noun or its lemma is an
+    extra stopword. Its memo lives as long as the function does.
     """
-    if tagger is None:
-        tagger = make_default_tagger()
+    nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
+    stops = default_stopwords()
     memo: dict[str, str | None] = {}
 
     def lookup(surfaces: list[str]) -> Iterator[str | None]:
         for surface in dict.fromkeys(surfaces):
             if surface not in memo:
                 lemma = lemmatize(surface)
-                noun = tagger(Token(surface, lemma)) and lemma not in extra_stopwords
-                memo[surface] = lemma if noun else None
+                noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
+                stopped = surface in stops or lemma in stops or lemma in extra_stopwords
+                memo[surface] = lemma if noun and not stopped else None
         return map(memo.__getitem__, surfaces)
 
     return lookup
 
 
-def noun_lemmas(text: str, tagger: NounTagger | None = None,
+def noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
                 extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Full pipeline for one text: noun lemmas in order of appearance."""
-    lookup = _noun_lookup(tagger, extra_stopwords)
+    lookup = _noun_lookup(noun_lexicon, extra_stopwords)
     return [lemma for lemma in lookup(tokenize(text)) if lemma is not None]
 
 
 # -- tf-idf over a reading ----------------------------------------------------
 
-def _documents(reading: Reading, tagger: NounTagger | None,
+def _documents(reading: Reading, noun_lexicon: frozenset[str] | None = None,
                extra_stopwords: frozenset[str] = frozenset()) -> list[tuple[Artifact, Counter]]:
     """Noun-lemma counts per artifact; artifacts with no nouns are not documents.
 
-    Each distinct surface of the reading is lemmatized and tagged once.
+    Each distinct surface of the reading is lemmatized and judged once.
     """
-    lookup = _noun_lookup(tagger, extra_stopwords)
+    lookup = _noun_lookup(noun_lexicon, extra_stopwords)
     docs = []
     for art in reading.artifacts:
         counts = Counter(lookup(tokenize(art.body)))
@@ -218,7 +192,7 @@ def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
     lemma does not occur in ``artifact``; otherwise ``artifact`` is one of
     the df documents, so df >= 1.
     """
-    docs = _documents(reading, None)
+    docs = _documents(reading)
     tf = 0
     for art, counts in docs:
         if art.id == artifact.id:
@@ -234,12 +208,19 @@ def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
 
 @dataclass(frozen=True)
 class WordSelectionParams:
-    """Knobs of the word-selection procedure; defaults are the standard run."""
+    """Knobs of the word-selection procedure; defaults are the standard run.
+
+    ``stopwords`` are lemmas dropped on top of the bundled stopwords, and
+    ``noun_lexicon`` replaces the bundled noun lexicon when not ``None`` (an
+    empty set leaves only the suffix rule). The lemmatizer always uses the
+    bundled lexicon.
+    """
 
     min_frequency: int = 5
     drop_lowest: int = 5
     top_k: int = 70
     stopwords: frozenset[str] = frozenset()
+    noun_lexicon: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         if self.min_frequency < 1:
@@ -257,8 +238,8 @@ class SelectedWord:
     score: float
 
 
-def select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectionParams(),
-                    tagger: NounTagger | None = None) -> list[SelectedWord]:
+def select_cn_words(reading: Reading,
+                    params: WordSelectionParams = WordSelectionParams()) -> list[SelectedWord]:
     """Run the full selection: frequency floor, tf-idf scoring, bottom drop,
     top-k ranking, and per-author deduplication.
 
@@ -276,7 +257,7 @@ def select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectio
     All ties are broken by the stated total orders, so the selection is
     independent of artifact iteration order.
     """
-    docs = _documents(reading, tagger, params.stopwords)
+    docs = _documents(reading, params.noun_lexicon, params.stopwords)
     n_docs = len(docs)
 
     totals: Counter = Counter()

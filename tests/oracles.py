@@ -31,12 +31,12 @@ from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, joint_pairs
 from aicnet.textpipe import (
-    NounTagger,
+    _NOUN_SUFFIXES,
     SelectedWord,
-    Token,
     WordSelectionParams,
+    default_noun_lexicon,
+    default_stopwords,
     lemmatize,
-    make_default_tagger,
     tokenize,
 )
 
@@ -293,34 +293,40 @@ def oracle_node_report(
     ]
 
 
-def oracle_noun_lemmas(text: str, tagger: NounTagger | None = None,
+def _oracle_is_noun(surface: str, lemma: str, noun_lexicon: frozenset[str] | None) -> bool:
+    if surface in default_stopwords() or lemma in default_stopwords():
+        return False
+    if lemma in (default_noun_lexicon() if noun_lexicon is None else noun_lexicon):
+        return True
+    return len(lemma) > 5 and lemma.endswith(_NOUN_SUFFIXES)
+
+
+def oracle_noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
                        extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
-    """Noun lemmas of one text, token by token."""
-    if tagger is None:
-        tagger = make_default_tagger()
+    """Noun lemmas of one text, token by token, with no memo."""
     lemmas = []
     for surface in tokenize(text):
-        token = Token(surface, lemmatize(surface))
-        if tagger(token) and token.lemma not in extra_stopwords:
-            lemmas.append(token.lemma)
+        lemma = lemmatize(surface)
+        if _oracle_is_noun(surface, lemma, noun_lexicon) and lemma not in extra_stopwords:
+            lemmas.append(lemma)
     return lemmas
 
 
-def oracle_documents(reading: Reading, tagger: NounTagger | None = None,
+def oracle_documents(reading: Reading, noun_lexicon: frozenset[str] | None = None,
                      extra_stopwords: frozenset[str] = frozenset()) -> list[tuple[Artifact, Counter]]:
     """Noun-lemma counts per artifact, skipping artifacts with no nouns."""
     docs = []
     for art in reading.artifacts:
-        counts = Counter(oracle_noun_lemmas(art.body, tagger, extra_stopwords))
+        counts = Counter(oracle_noun_lemmas(art.body, noun_lexicon, extra_stopwords))
         if counts:
             docs.append((art, counts))
     return docs
 
 
-def oracle_select_cn_words(reading: Reading, params: WordSelectionParams = WordSelectionParams(),
-                           tagger: NounTagger | None = None) -> list[SelectedWord]:
+def oracle_select_cn_words(reading: Reading,
+                           params: WordSelectionParams = WordSelectionParams()) -> list[SelectedWord]:
     """Word selection with one logarithm per (lemma, artifact) pair."""
-    docs = oracle_documents(reading, tagger, params.stopwords)
+    docs = oracle_documents(reading, params.noun_lexicon, params.stopwords)
     n_docs = len(docs)
 
     totals: Counter = Counter()

@@ -530,6 +530,14 @@ def test_synth_authors_must_match_the_blocks(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_synth_rejects_an_empty_reading_id(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code, _, err = run_cli(capsys, "synth", "--reading-id", "", "--out", str(out_dir))
+    assert code == 1
+    assert err == "error: empty reading id\n"
+    assert not out_dir.exists()
+
+
 def test_synth_rejects_single_author(tmp_path, capsys):
     code, _, err = run_cli(capsys, "synth", "--authors", "1", "--out", str(tmp_path / "x"))
     assert code == 1

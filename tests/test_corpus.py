@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,18 @@ def test_round_trip(tmp_path, jsonl_file, format):
     out2 = tmp_path / f"roundtrip2.{format}"
     save_corpus(again, out2, format)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_csv_round_trips_a_field_over_the_default_csv_limit(tmp_path, jsonl_file):
+    records = _minimal_records()
+    records[-1]["body"] = "word " * 30_000  # 150,000 characters, over csv's 131,072
+    corpus = load_corpus(jsonl_file(records))
+    path = tmp_path / "long.csv"
+    save_corpus(corpus, path, "csv")
+    limit = csv.field_size_limit()
+    assert load_corpus(path, "csv") == corpus
+    assert validate_file(path, "csv") == []
+    assert csv.field_size_limit() == limit  # the process-wide setting is left as it was
 
 
 def test_thread_root_identity_and_idempotence(jsonl_file):

@@ -217,6 +217,21 @@ def test_binary_save_refuses_what_float32_cannot_hold(tmp_path, vector, reason):
     assert load_embeddings(path).vectors == {"q1": (0.5, 1.5)}
 
 
+@pytest.mark.parametrize("quote_id, reason", [
+    ("\ud800", "has an id UTF-8 cannot encode"),
+    ("q" * 70_000, "has an id over 65,535 UTF-8 bytes"),
+], ids=["lone_surrogate", "long"])
+def test_binary_save_refuses_ids_it_cannot_hold(tmp_path, quote_id, reason):
+    store = EmbeddingStore(dim=2, vectors={"q0": (0.5, 0.5), quote_id: (1.0, 0.0)})
+    path = tmp_path / "emb.bin"
+    with pytest.raises(InvalidVector) as exc:
+        save_embeddings(store, path, format="binary")
+    assert exc.value.quote_id == quote_id and exc.value.reason == reason
+    assert not path.exists()
+    save_embeddings(store, tmp_path / "emb.jsonl")  # JSONL holds both ids
+    assert load_embeddings(tmp_path / "emb.jsonl").vectors == store.vectors
+
+
 def test_load_rejects_duplicate_id(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(

@@ -128,6 +128,16 @@ def test_planted_words_score_above_zero_in_a_two_annotation_reading():
     assert all(s.score > 0 for s in selected)
 
 
+@pytest.mark.parametrize("blocks, reading_id, reason", [
+    ((("A", "B"),), "", "empty reading id"),
+    ((("A", ""),), "r1", "empty author id"),
+], ids=["reading_id", "author_id"])
+def test_empty_ids_are_infeasible(blocks, reading_id, reason):
+    # a corpus with either id empty would not load
+    with pytest.raises(InfeasibleParams, match=reason):
+        generate(SynthParams(n_authors=2, n_quotes=1, attention_blocks=blocks), reading_id=reading_id)
+
+
 def test_infeasible_params():
     with pytest.raises(InfeasibleParams):
         generate(SynthParams(n_authors=1, n_quotes=1, attention_blocks=(("A",),), seed=0))

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aicnet import textpipe
 from aicnet.errors import AicnetError
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import (
-    Token,
     WordSelectionParams,
     _documents,
     lemmatize,
     load_wordlist,
-    make_default_tagger,
     noun_lemmas,
     select_cn_words,
     tfidf,
@@ -73,9 +72,17 @@ def test_noun_lemmas_drops_stopwords():
     assert noun_lemmas("the about them because") == []
 
 
-def test_noun_lemmas_custom_tagger():
-    # the tagger alone decides: one that accepts everything keeps stopwords too
-    assert noun_lemmas("the zorps", tagger=lambda t: True) == ["the", "zorp"]
+def test_noun_lemmas_replacement_lexicon():
+    # the lexicon replaces the bundled one; the suffix rule still applies
+    assert noun_lemmas("zorps ballet movement", frozenset({"zorp"})) == ["zorp", "movement"]
+    assert noun_lemmas("zorps ballet movement", frozenset()) == ["movement"]
+
+
+def test_bundled_stopword_surface_is_never_a_noun():
+    # "does" and "ourselves" are stopwords whose lemmas are not
+    lexicon = frozenset({"doe", "ourselve"})
+    assert [lemmatize(w) for w in ("does", "ourselves")] == ["doe", "ourselve"]
+    assert noun_lemmas("does ourselves doe", lexicon) == ["doe"]
 
 
 def _cn_reading():
@@ -277,6 +284,7 @@ _SURFACES = [
     "rock'n'roll", "café", "cafés", "naïveté", "Ökologie", "ÉTUDES", "straße", "pedagogy",
     "pedagogies", "movement", "movements", "intertextuality", "the", "about", "because",
     "ballet", "rhythm", "rhythms", "tempo", "tempos", "costume", "costumed", "x", "is", "bus",
+    "does", "ourselves",
 ]
 _SEPARATORS = [" ", "  ", ", ", ". ", "\n", " -", "' ", " \"", "; "]
 
@@ -298,24 +306,24 @@ def _selection_inputs(draw):
     )
     lemmas = sorted({lemmatize(w) for body in bodies for w in tokenize(body)})
     stop = frozenset(draw(st.lists(st.sampled_from(lemmas), max_size=3))) if lemmas else frozenset()
+    nouns = None
+    if draw(st.booleans()):
+        nouns = frozenset(draw(st.lists(st.sampled_from(lemmas), max_size=8)) if lemmas else [])
     params = WordSelectionParams(min_frequency=draw(st.integers(1, 3)),
                                  drop_lowest=draw(st.integers(0, 3)),
-                                 top_k=draw(st.integers(1, 20)), stopwords=stop)
-    tagger = None
-    if draw(st.booleans()):
-        nouns = draw(st.lists(st.sampled_from(lemmas), max_size=8)) if lemmas else []
-        tagger = make_default_tagger(noun_lexicon=frozenset(nouns))
-    return corpus.readings["r1"], params, tagger
+                                 top_k=draw(st.integers(1, 20)), stopwords=stop,
+                                 noun_lexicon=nouns)
+    return corpus.readings["r1"], params
 
 
-def _assert_matches_oracle(reading, params, tagger):
-    stop = params.stopwords
+def _assert_matches_oracle(reading, params):
+    lists = (params.noun_lexicon, params.stopwords)
     for art in reading.artifacts:
-        assert noun_lemmas(art.body, tagger, stop) == oracle_noun_lemmas(art.body, tagger, stop)
-    got = [(art.id, counts) for art, counts in _documents(reading, tagger, stop)]
-    want = [(art.id, counts) for art, counts in oracle_documents(reading, tagger, stop)]
+        assert noun_lemmas(art.body, *lists) == oracle_noun_lemmas(art.body, *lists)
+    got = [(art.id, counts) for art, counts in _documents(reading, *lists)]
+    want = [(art.id, counts) for art, counts in oracle_documents(reading, *lists)]
     assert got == want
-    assert select_cn_words(reading, params, tagger) == oracle_select_cn_words(reading, params, tagger)
+    assert select_cn_words(reading, params) == oracle_select_cn_words(reading, params)
 
 
 @settings(max_examples=150, deadline=None)
@@ -329,22 +337,23 @@ def test_selection_equals_oracle_on_synthetic_corpora(seed):
     corpus, _, _ = generate(random_params(seed))
     for reading in corpus.readings.values():
         for params in (WordSelectionParams(), WordSelectionParams(min_frequency=1, drop_lowest=0)):
-            _assert_matches_oracle(reading, params, None)
+            _assert_matches_oracle(reading, params)
 
 
-def test_tagger_called_once_per_distinct_surface_per_reading():
+def test_lemmatize_called_once_per_distinct_surface_per_reading(monkeypatch):
     corpus, _, _ = generate(random_params(3))
     corpus.readings["r2"] = _cn_reading()
-    base = make_default_tagger()
+    calls: Counter = Counter()
+
+    def counting(surface: str) -> str:
+        calls[surface] += 1
+        return lemmatize(surface)
+
+    monkeypatch.setattr(textpipe, "lemmatize", counting)  # the oracle keeps its own binding
     for reading in corpus.readings.values():
-        calls: Counter = Counter()
-
-        def counting(token: Token) -> bool:
-            calls[token.surface] += 1
-            return base(token)
-
-        selection = select_cn_words(reading, WordSelectionParams(), counting)
-        assert selection == oracle_select_cn_words(reading, WordSelectionParams(), base)
+        calls.clear()
+        selection = select_cn_words(reading, WordSelectionParams())
+        assert selection == oracle_select_cn_words(reading, WordSelectionParams())
         surfaces = {s for art in reading.artifacts for s in tokenize(art.body)}
         assert calls == Counter(surfaces)
 

@@ -187,13 +187,50 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/textpipe.py", "lemma: math.log(n_docs / df[lemma])",
            "lemma: math.log(n_docs) - math.log(df[lemma])",
            ("tests/test_textpipe.py::test_selection_equals_oracle_on_synthetic_corpora[3]",)),
-    # word selection: each body tagged with a fresh memo
+    # word selection: each body judged with a fresh memo
     Mutant("src/aicnet/textpipe.py",
-           "    lookup = _noun_lookup(tagger, extra_stopwords)\n    docs = []\n"
+           "    lookup = _noun_lookup(noun_lexicon, extra_stopwords)\n    docs = []\n"
            "    for art in reading.artifacts:\n",
            "    docs = []\n    for art in reading.artifacts:\n"
-           "        lookup = _noun_lookup(tagger, extra_stopwords)\n",
-           ("tests/test_textpipe.py::test_tagger_called_once_per_distinct_surface_per_reading",)),
+           "        lookup = _noun_lookup(noun_lexicon, extra_stopwords)\n",
+           ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
+    # word selection: a bundled-stopword surface judged by its lemma alone
+    Mutant("src/aicnet/textpipe.py", "stopped = surface in stops or lemma in stops",
+           "stopped = lemma in stops",
+           ("tests/test_textpipe.py::test_bundled_stopword_surface_is_never_a_noun",)),
+    # word selection: an empty noun lexicon taken for the bundled one
+    Mutant("src/aicnet/textpipe.py",
+           "default_noun_lexicon() if noun_lexicon is None else noun_lexicon",
+           "noun_lexicon or default_noun_lexicon()",
+           ("tests/test_cli.py::test_empty_noun_lexicon_means_no_lexicon_nouns",
+            "tests/test_textpipe.py::test_noun_lemmas_replacement_lexicon")),
+    # binary vector files: an id UTF-8 cannot encode reaches str.encode unguarded
+    Mutant("src/aicnet/semantic.py",
+           "            try:\n                encoded = quote_id.encode(\"utf-8\")\n"
+           "            except UnicodeEncodeError:\n"
+           "                raise InvalidVector(quote_id, \"has an id UTF-8 cannot encode\") from None\n",
+           "            encoded = quote_id.encode(\"utf-8\")\n",
+           ("tests/test_semantic.py::test_binary_save_refuses_ids_it_cannot_hold[lone_surrogate]",)),
+    # binary vector files: an id over 65,535 bytes reaches struct.pack unguarded
+    Mutant("src/aicnet/semantic.py", "            if len(encoded) > 0xFFFF:\n"
+           "                raise InvalidVector(quote_id, \"has an id over 65,535 UTF-8 bytes\")\n", "",
+           ("tests/test_semantic.py::test_binary_save_refuses_ids_it_cannot_hold[long]",)),
+    # synth: an empty reading id accepted
+    Mutant("src/aicnet/synth.py", '    if not reading_id:\n        raise InfeasibleParams("empty reading id")\n',
+           "", ("tests/test_synth.py::test_empty_ids_are_infeasible[reading_id]",
+                "tests/test_cli.py::test_synth_rejects_an_empty_reading_id")),
+    # synth: an empty author id accepted
+    Mutant("src/aicnet/synth.py",
+           '            if not author:\n                raise InfeasibleParams("empty author id")\n',
+           "", ("tests/test_synth.py::test_empty_ids_are_infeasible[author_id]",)),
+    # CSV corpora: read under csv's default 131,072-character field limit
+    Mutant("src/aicnet/corpus.py", "limit = csv.field_size_limit(len(text) + 1)",
+           "limit = csv.field_size_limit()",
+           ("tests/test_corpus.py::test_csv_round_trips_a_field_over_the_default_csv_limit",)),
+    # CSV corpora: the process-wide field limit left raised after a load
+    Mutant("src/aicnet/corpus.py", "    finally:\n        csv.field_size_limit(limit)",
+           "    finally:\n        pass",
+           ("tests/test_corpus.py::test_csv_round_trips_a_field_over_the_default_csv_limit",)),
     # --embeddings ignored: quotes always get hash vectors
     Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n        return embed_quotes(",
            "    if True:\n        return embed_quotes(",
