@@ -19,7 +19,6 @@ def show(label: str, graph) -> None:
 
 def main() -> None:
     params = SynthParams(
-        n_authors=6,
         n_quotes=4,
         attention_blocks=(("ana", "ben", "cleo"), ("dina", "eli"), ("fay",)),
         reply_edges=(("ana", "ben"), ("ana", "ben"), ("cleo", "dina"), ("eli", "fay")),

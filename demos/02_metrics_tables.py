@@ -16,14 +16,14 @@ def fmt(value: float | None) -> str:
 def main() -> None:
     reading_specs = {
         "r1": SynthParams(
-            n_authors=7, n_quotes=4,
+            n_quotes=4,
             attention_blocks=(("s1", "s2", "s3"), ("s4", "s5"), ("s6",), ("s7",)),
             reply_edges=(("s1", "s2"), ("s1", "s3"), ("s2", "s3"), ("s4", "s5"), ("s1", "s4")),
             vocab_overlap={("s1", "s2"): 1, ("s2", "s4"): 1},
             seed=31,
         ),
         "r2": SynthParams(
-            n_authors=7, n_quotes=4,
+            n_quotes=4,
             attention_blocks=(("s1", "s4", "s6"), ("s2", "s5"), ("s3",), ("s7",)),
             reply_edges=(("s4", "s6"), ("s2", "s5"), ("s2", "s5"), ("s6", "s1")),
             vocab_overlap={("s1", "s6"): 2},

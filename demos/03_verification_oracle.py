@@ -9,7 +9,6 @@ from aicnet.synth import SynthParams, generate, verify
 
 def main() -> None:
     params = SynthParams(
-        n_authors=5,
         n_quotes=3,
         attention_blocks=(("amy", "bo"), ("cal", "dee"), ("eve",)),
         reply_edges=(("amy", "cal"), ("amy", "cal"), ("bo", "eve")),

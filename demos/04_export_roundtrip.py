@@ -13,7 +13,6 @@ from aicnet.synth import SynthParams, generate
 
 def main() -> None:
     params = SynthParams(
-        n_authors=5,
         n_quotes=3,
         attention_blocks=(("kim", "lee", "mia"), ("noa",), ("oli",)),
         reply_edges=(("kim", "noa"),),

@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -187,8 +189,11 @@ def _fmt(value: float | None, digits: int = 2) -> str:
 
 
 def _table(rows: list[list[str]]) -> str:
-    """CSV-style display lines, one per row; an empty row is a blank line."""
-    return "".join(",".join(row) + "\n" for row in rows)
+    """CSV lines, one per row, quoted as ``export.write_csv`` quotes them; an
+    empty row is a blank line."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _stats_display(table: StatsTable) -> str:
@@ -224,6 +229,14 @@ def _compared(row_a: object, row_b: object,
     for label, field in measures:
         va, vb = getattr(row_a, field), getattr(row_b, field)
         yield [label, _fmt(va), _fmt(vb), _fmt(None if va is None or vb is None else vb - va)]
+
+
+def _file_stem(reading_id: str, stem: str) -> str:
+    """``stem``, a name made from ``reading_id`` for files in an output
+    directory; an input error when it would name a path, or hold a NUL."""
+    if "\0" in stem or Path(stem).name != stem:
+        raise AicnetError(f"reading {reading_id!r} cannot name an output file")
+    return stem
 
 
 def _write_json(path: Path, payload: object) -> None:
@@ -275,8 +288,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.roster == "all":
         graph.nodes |= loaded.authors  # the authors inactive in this reading, as isolates
 
+    stem = _file_stem(args.reading, f"{args.reading}_{args.network}")
     args.out.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.reading}_{args.network}"
     written: list[Path] = []
     for fmt in requested:
         if fmt == "csv":
@@ -322,13 +335,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for i, rid in enumerate(reading_ids):
         rows = metrics.node_report(*graphs[rid], roster)
         table = _node_table(rows)
+        stem = _file_stem(rid, f"metrics_node_{rid}") if args.out else None
         if i:
             print()
         print(f"# reading {rid}")
         sys.stdout.write(table)
-        if args.out:
-            (args.out / f"metrics_node_{rid}.csv").write_text(table, encoding="utf-8")
-            _write_json(args.out / f"metrics_node_{rid}.json", [asdict(r) for r in rows])
+        if stem:
+            (args.out / f"{stem}.csv").write_text(table, encoding="utf-8")
+            _write_json(args.out / f"{stem}.json", [asdict(r) for r in rows])
     return 0
 
 
@@ -389,8 +403,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         blocks = (tuple(f"s{i + 1:02d}" for i in range(args.authors or 4)),)
     else:
         blocks = tuple(tuple(block) for block in map(_listed, args.blocks.split("|")) if block)
+        covered = sum(map(len, blocks))
+        if args.authors not in (None, covered):
+            raise AicnetError(f"blocks cover {covered} authors, --authors says {args.authors}")
     params = synth.SynthParams(
-        n_authors=args.authors or sum(map(len, blocks)),
         n_quotes=args.quotes if args.quotes is not None else len(blocks),
         attention_blocks=blocks,
         reply_edges=_parse_pairs(args.reply_edges),

@@ -47,12 +47,12 @@ class SynthParams:
     """Plan for one synthetic reading.
 
     ``attention_blocks`` partitions the authors into groups that will share a
-    quote text; ``reply_edges`` is a multiset of author pairs realized as reply
+    quote text; the authors the blocks name are the reading's authors, at
+    least two. ``reply_edges`` is a multiset of author pairs realized as reply
     artifacts (second author replies to the first author's annotation);
     ``vocab_overlap`` maps author pairs to the number of planted shared nouns.
     """
 
-    n_authors: int
     n_quotes: int
     attention_blocks: tuple[tuple[str, ...], ...]
     reply_edges: tuple[tuple[str, str], ...] = ()
@@ -100,10 +100,6 @@ class VerificationReport:
 def _validate(params: SynthParams, reading_id: str) -> list[str]:
     if not reading_id:
         raise InfeasibleParams("empty reading id")
-    if params.n_authors < 2:
-        raise InfeasibleParams("need at least 2 authors")
-    if params.n_quotes < 1:
-        raise InfeasibleParams("need at least 1 quote")
     authors: list[str] = []
     seen: set[str] = set()
     for block in params.attention_blocks:
@@ -116,10 +112,10 @@ def _validate(params: SynthParams, reading_id: str) -> list[str]:
                 raise InfeasibleParams(f"author {author!r} appears in two blocks")
             seen.add(author)
             authors.append(author)
-    if len(authors) != params.n_authors:
-        raise InfeasibleParams(
-            f"blocks cover {len(authors)} authors, n_authors says {params.n_authors}"
-        )
+    if len(authors) < 2:
+        raise InfeasibleParams("need at least 2 authors")
+    if params.n_quotes < 1:
+        raise InfeasibleParams("need at least 1 quote")
     if params.n_quotes < len(params.attention_blocks):
         raise InfeasibleParams("fewer quotes than attention blocks")
     for x, y in params.reply_edges:
@@ -189,7 +185,7 @@ def generate(
 
     pool = _stable_words()
     need = word_params.drop_lowest + n_planted
-    if need + 2 * (params.n_authors + len(params.reply_edges) + 1) > len(pool):
+    if need + 2 * (len(authors) + len(params.reply_edges) + 1) > len(pool):
         raise InfeasibleParams("word demand exceeds the bundled lexicon")
     word_iter: Iterator[str] = iter(pool)
     decoys = [next(word_iter) for _ in range(word_params.drop_lowest)]
@@ -270,23 +266,12 @@ def generate(
     for x, y in params.reply_edges:
         texts_attended[y].add(block_of[x])
 
-    expected_an = WeightedGraph(nodes=set(authors))
-    for i, u in enumerate(authors):
-        for v in authors[i + 1 :]:
-            shared = len(texts_attended[u] & texts_attended[v])
-            if shared:
-                expected_an.add_edge(u, v, float(shared))
-
-    expected_in = WeightedGraph(nodes=set(authors))
-    events: Counter = Counter(
-        edge_key(x, y) for x, y in params.reply_edges if x != y
-    )
-    for (u, v), count in events.items():
-        expected_in.add_edge(u, v, float(count))
-
+    shared = {(u, v): len(texts_attended[u] & texts_attended[v])
+              for i, u in enumerate(authors) for v in authors[i + 1 :]}
+    events = Counter(edge_key(x, y) for x, y in params.reply_edges if x != y)
     gt = GroundTruth(
-        expected_an=expected_an,
-        expected_in=expected_in,
+        expected_an=WeightedGraph(set(authors), {p: float(n) for p, n in shared.items() if n}),
+        expected_in=WeightedGraph(set(authors), {p: float(n) for p, n in events.items()}),
         expected_cn_edges=set(overlap),
     )
     return corpus, store, gt
@@ -313,9 +298,12 @@ def verify(
     """Run the real builders over a generated corpus and diff the networks
     against the planted ground truth (empty diff means pass).
 
-    AN weights are sums of float similarities, so they may miss the planted
-    counts by rounding and are compared within 1e-9; IN weights must match
-    exactly, and CN is compared by edge set.
+    Every network is diffed by one rule, :func:`_diff_graphs`: a pair is
+    reported when one side lacks it or the weights differ by more than the
+    network's tolerance. AN weights are sums of float similarities, so they
+    may miss the planted counts by rounding and are compared within 1e-9; IN
+    weights must match exactly; CN is compared by edge set alone (an infinite
+    tolerance), each planted pair standing for an expected weight of 1.0.
     """
     if reading_id is None:
         if len(corpus.readings) != 1:
@@ -327,19 +315,12 @@ def verify(
     in_ = build_in(reading, corpus)
     cn = project(build_cn_bipartite(reading, corpus, word_params))
 
-    cn_expected = WeightedGraph(nodes=set(gt.expected_an.nodes))
-    for u, v in gt.expected_cn_edges:
-        cn_expected.add_edge(u, v, 1.0)
-    cn_diffs = [
-        EdgeDiff(pair, 1.0 if pair in cn_expected.edges else None,
-                 cn.edges.get(pair))
-        for pair in sorted(set(cn_expected.edges) | set(cn.edges))
-        if (pair in cn_expected.edges) != (pair in cn.edges)  # edge set only
-    ]
+    cn_expected = WeightedGraph(set(gt.expected_an.nodes),
+                                dict.fromkeys(gt.expected_cn_edges, 1.0))
     return VerificationReport(
         an_diffs=_diff_graphs(gt.expected_an, an, 1e-9),
         in_diffs=_diff_graphs(gt.expected_in, in_, 0.0),
-        cn_diffs=cn_diffs,
+        cn_diffs=_diff_graphs(cn_expected, cn, math.inf),
     )
 
 
@@ -365,7 +346,6 @@ def random_params(seed: int, max_authors: int = 8) -> SynthParams:
         u, v = rng.sample(authors, 2)
         overlap[edge_key(u, v)] = rng.randint(1, 3)
     return SynthParams(
-        n_authors=n_authors,
         n_quotes=n_quotes,
         attention_blocks=tuple(blocks),
         reply_edges=reply_edges,

@@ -30,14 +30,14 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 def sample(tmp_path):
     """Two synthetic readings over one author roster, saved as files."""
     params_r1 = SynthParams(
-        n_authors=4, n_quotes=3,
+        n_quotes=3,
         attention_blocks=(("s01", "s02", "s03"), ("s04",)),
         reply_edges=(("s01", "s02"), ("s01", "s02"), ("s03", "s04")),
         vocab_overlap={("s01", "s03"): 2},
         seed=11,
     )
     params_r2 = SynthParams(
-        n_authors=4, n_quotes=2,
+        n_quotes=2,
         attention_blocks=(("s01", "s04"), ("s02", "s03")),
         reply_edges=(("s04", "s01"),),
         vocab_overlap={},
@@ -340,6 +340,58 @@ def test_metrics_network_level_reading_with_only_a_quote(jsonl_file, capsys):
     assert out.splitlines()[1:] == ["r1,na,na,na", "r2,na,na,na"]
 
 
+def _one_quote_corpus(jsonl_file, reading_id: str, authors: list[str]) -> Path:
+    """One reading whose authors all annotate its one quote."""
+    return jsonl_file([
+        {"record": "quote", "id": "q1", "reading_id": reading_id, "text": "Shared passage."},
+        *({"id": f"a{i}", "reading_id": reading_id, "author_id": author, "kind": "annotation",
+           "quote_id": "q1", "body": "a note"} for i, author in enumerate(authors)),
+    ])
+
+
+def test_report_csv_files_quote_ids_that_hold_a_comma(jsonl_file, tmp_path, capsys):
+    import csv
+
+    path = _one_quote_corpus(jsonl_file, "r,1", ["s,01", 's"03', "s02"])
+    out_dir = tmp_path / "out"
+    for argv in (["metrics", "--level", "node"], ["metrics", "--level", "network"], ["stats"]):
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:], "--out", str(out_dir))
+        assert code == 0, err
+
+    def rows(name: str) -> list[list[str]]:
+        with (out_dir / name).open(encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    node = json.loads((out_dir / "metrics_node_r,1.json").read_text(encoding="utf-8"))
+    table = rows("metrics_node_r,1.csv")
+    assert [r["author_id"] for r in node] == ['s"03', "s,01", "s02"]
+    assert table[0] == ["Student", *(r["author_id"] for r in node)]
+    assert {len(row) for row in table} == {4}
+    network = json.loads((out_dir / "metrics_network.json").read_text(encoding="utf-8"))
+    reading_ids = [row[0] for row in rows("metrics_network.csv")[1:]]
+    assert reading_ids == [r["reading_id"] for r in network]
+    stats = json.loads((out_dir / "stats.json").read_text(encoding="utf-8"))
+    assert rows("stats.csv")[0] == ["Reading", *(r["reading_id"] for r in stats["readings"])]
+
+
+@pytest.mark.parametrize("reading_id", ["../x", "r/1", "r\x001"], ids=["parent", "slash", "nul"])
+@pytest.mark.parametrize("command", [["build", "--network", "in"], ["metrics", "--level", "node"]],
+                         ids=["build", "metrics"])
+def test_a_reading_id_that_names_no_file_is_an_input_error(jsonl_file, tmp_path, capsys,
+                                                           command, reading_id):
+    path = _one_quote_corpus(jsonl_file, reading_id, ["A", "B"])
+    reading = ["--reading", reading_id] if command[0] == "build" else []
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:], *reading,
+                             "--out", str(tmp_path / "deep" / "out"))
+    assert (code, out) == (1, "")
+    assert err == f"error: reading {reading_id!r} cannot name an output file\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+    # a command that names no file still reads the corpus
+    code, out, err = run_cli(capsys, "metrics", str(path), "--level", "node")
+    assert code == 0, err
+    assert out.startswith(f"# reading {reading_id}\n")
+
+
 def test_compare_self_is_all_zero(sample, capsys):
     corpus_path, emb_path, _ = sample
     code, out, _ = run_cli(capsys, "compare", str(corpus_path), "r1", "r1",
@@ -353,11 +405,11 @@ def test_compare_self_is_all_zero(sample, capsys):
 
 def test_compare_disjoint_rosters_warns(tmp_path, capsys):
     c1, _, _ = generate(
-        SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("a1", "a2"),), seed=1),
+        SynthParams(n_quotes=1, attention_blocks=(("a1", "a2"),), seed=1),
         reading_id="r1", id_prefix="r1-",
     )
     c2, _, _ = generate(
-        SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("b1", "b2"),), seed=2),
+        SynthParams(n_quotes=1, attention_blocks=(("b1", "b2"),), seed=2),
         reading_id="r2", id_prefix="r2-",
     )
     path = tmp_path / "disjoint.jsonl"
@@ -457,12 +509,12 @@ def test_compare_detects_planted_dominance(tmp_path, capsys):
     ring = tuple((authors[i], authors[(i + 1) % 5]) for i in range(5))
     star = tuple(("s01", other) for other in authors[1:])
     c1, _, _ = generate(
-        SynthParams(n_authors=5, n_quotes=1, attention_blocks=(authors,),
+        SynthParams(n_quotes=1, attention_blocks=(authors,),
                     reply_edges=ring, seed=41),
         reading_id="r1", id_prefix="r1-",
     )
     c2, _, _ = generate(
-        SynthParams(n_authors=5, n_quotes=1, attention_blocks=(authors,),
+        SynthParams(n_quotes=1, attention_blocks=(authors,),
                     reply_edges=star, seed=42),
         reading_id="r2", id_prefix="r2-",
     )
@@ -526,7 +578,7 @@ def test_synth_authors_must_match_the_blocks(tmp_path, capsys):
     code, _, err = run_cli(capsys, "synth", "--authors", "3", "--blocks", "a,b|c,d,e",
                            "--out", str(out_dir))
     assert code == 1
-    assert err == "error: blocks cover 5 authors, n_authors says 3\n"
+    assert err == "error: blocks cover 5 authors, --authors says 3\n"
     assert not out_dir.exists()
 
 
@@ -623,7 +675,7 @@ def _three_readings(tmp_path):
     parts = []
     for i, n_quotes in enumerate((3, 2, 4), start=1):
         corpus, _, _ = generate(
-            SynthParams(n_authors=3, n_quotes=n_quotes, attention_blocks=blocks, seed=20 + i),
+            SynthParams(n_quotes=n_quotes, attention_blocks=blocks, seed=20 + i),
             reading_id=f"r{i}", id_prefix=f"r{i}-",
         )
         part = tmp_path / f"part{i}.jsonl"

@@ -585,7 +585,7 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
     import aicnet.semantic as semantic
 
     params = SynthParams(
-        n_authors=24, n_quotes=10,
+        n_quotes=10,
         attention_blocks=tuple(tuple(f"a{i:02d}" for i in range(b, b + 4)) for b in range(1, 25, 4)),
         seed=3,
     )
@@ -673,8 +673,11 @@ def _assert_builders_make_canonical_edges(corpus, store):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_builders_make_canonical_edges_on_synthetic_corpora(seed):
-    corpus, store, _ = generate(random_params(seed))
+    corpus, store, gt = generate(random_params(seed))
     _assert_builders_make_canonical_edges(corpus, store)
+    # the ground truth is built as the builders build, without add_edge's checks
+    _assert_canonical_edges(gt.expected_an)
+    _assert_canonical_edges(gt.expected_in)
 
 
 def test_builders_make_canonical_edges_on_the_sample_corpus():

@@ -85,7 +85,7 @@ def test_semester_scale_corpus_end_to_end(tmp_path, capsys):
             u, v = rng.sample(authors, 2)
             overlap[(u, v)] = rng.randint(1, 2)
         params = SynthParams(
-            n_authors=13, n_quotes=len(blocks) + 10, attention_blocks=tuple(blocks),
+            n_quotes=len(blocks) + 10, attention_blocks=tuple(blocks),
             reply_edges=replies, vocab_overlap=overlap, seed=week,
         )
         corpus, store, gt = generate(params, reading_id=rid, id_prefix=f"{rid}-")

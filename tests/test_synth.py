@@ -10,12 +10,12 @@ import pytest
 from aicnet.corpus import save_corpus
 from aicnet.errors import InfeasibleParams
 from aicnet.semantic import save_embeddings
-from aicnet.synth import SynthParams, generate, random_params, verify
+from aicnet.synth import EdgeDiff, SynthParams, generate, random_params, verify
 from aicnet.textpipe import WordSelectionParams, select_cn_words
 
 
 def test_two_authors_shared_quote():
-    params = SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),), seed=1)
+    params = SynthParams(n_quotes=1, attention_blocks=(("A", "B"),), seed=1)
     corpus, store, gt = generate(params)
     assert gt.expected_an.edges == {("A", "B"): 1.0}
     assert gt.expected_in.edges == {}
@@ -24,7 +24,7 @@ def test_two_authors_shared_quote():
 
 def test_double_reply_edge():
     params = SynthParams(
-        n_authors=2, n_quotes=2, attention_blocks=(("A",), ("B",)),
+        n_quotes=2, attention_blocks=(("A",), ("B",)),
         reply_edges=(("A", "B"), ("A", "B")), seed=2,
     )
     corpus, store, gt = generate(params)
@@ -33,7 +33,7 @@ def test_double_reply_edge():
 
 
 def test_blocks_give_exactly_one_edge():
-    params = SynthParams(n_authors=3, n_quotes=2, attention_blocks=(("A", "B"), ("C",)), seed=3)
+    params = SynthParams(n_quotes=2, attention_blocks=(("A", "B"), ("C",)), seed=3)
     corpus, store, gt = generate(params)
     assert set(gt.expected_an.edges) == {("A", "B")}
     assert verify(corpus, store, gt).passed
@@ -41,7 +41,7 @@ def test_blocks_give_exactly_one_edge():
 
 def test_vocab_overlap_becomes_cn_edges():
     params = SynthParams(
-        n_authors=3, n_quotes=3, attention_blocks=(("A",), ("B",), ("C",)),
+        n_quotes=3, attention_blocks=(("A",), ("B",), ("C",)),
         vocab_overlap={("A", "B"): 2, ("B", "C"): 1}, seed=4,
     )
     corpus, store, gt = generate(params)
@@ -51,7 +51,7 @@ def test_vocab_overlap_becomes_cn_edges():
 
 def test_same_seed_is_byte_identical(tmp_path):
     params = SynthParams(
-        n_authors=4, n_quotes=5, attention_blocks=(("A", "B"), ("C", "D")),
+        n_quotes=5, attention_blocks=(("A", "B"), ("C", "D")),
         reply_edges=(("A", "C"),), vocab_overlap={("B", "D"): 1}, seed=99,
     )
     paths = []
@@ -67,9 +67,33 @@ def test_same_seed_is_byte_identical(tmp_path):
     assert paths[0][2].expected_an.edges == paths[1][2].expected_an.edges
 
 
+@pytest.mark.parametrize("edit, diffs", [
+    # the truth plants A--C, which the built CN lacks
+    (lambda edges: edges.add(("A", "C")), [EdgeDiff(("A", "C"), 1.0, None)]),
+    # the truth drops A--B, so the built CN holds an extra edge
+    (lambda edges: edges.discard(("A", "B")), [EdgeDiff(("A", "B"), None, 2.0)]),
+    (lambda edges: edges.symmetric_difference_update({("A", "B"), ("A", "C")}),
+     [EdgeDiff(("A", "B"), None, 2.0), EdgeDiff(("A", "C"), 1.0, None)]),
+], ids=["missing", "extra", "both"])
+def test_verify_diffs_the_cn_by_edge_set(edit, diffs):
+    params = SynthParams(
+        n_quotes=3, attention_blocks=(("A",), ("B",), ("C",)),
+        vocab_overlap={("A", "B"): 2, ("B", "C"): 1}, seed=4,
+    )
+    corpus, store, gt = generate(params)
+    edit(gt.expected_cn_edges)
+    report = verify(corpus, store, gt)
+    assert report.an_diffs == [] and report.in_diffs == []
+    # A--B shares 2 words against a planted 1.0 and is no diff while both sides hold it
+    assert report.cn_diffs == diffs
+    assert report.summary().splitlines() == [
+        f"creation {d.pair[0]}--{d.pair[1]}: expected {d.expected}, got {d.actual}" for d in diffs
+    ]
+
+
 def test_deleting_a_reply_shows_in_diff():
     params = SynthParams(
-        n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+        n_quotes=1, attention_blocks=(("A", "B"),),
         reply_edges=(("A", "B"), ("A", "B")), seed=5,
     )
     corpus, store, gt = generate(params)
@@ -109,7 +133,7 @@ def test_random_draws_verify(seed):
 
 def test_generate_respects_custom_word_params():
     params = SynthParams(
-        n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+        n_quotes=1, attention_blocks=(("A", "B"),),
         vocab_overlap={("A", "B"): 3}, seed=6,
     )
     word_params = WordSelectionParams(min_frequency=4, drop_lowest=2, top_k=10)
@@ -119,7 +143,7 @@ def test_generate_respects_custom_word_params():
 
 def test_planted_words_score_above_zero_in_a_two_annotation_reading():
     # both annotations hold every planted word, so a third document keeps ln(N / df) > 0
-    params = SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+    params = SynthParams(n_quotes=1, attention_blocks=(("A", "B"),),
                          vocab_overlap={("A", "B"): 2}, seed=4)
     corpus, _, gt = generate(params)
     selected = select_cn_words(corpus.readings["r1"])
@@ -135,28 +159,26 @@ def test_planted_words_score_above_zero_in_a_two_annotation_reading():
 def test_empty_ids_are_infeasible(blocks, reading_id, reason):
     # a corpus with either id empty would not load
     with pytest.raises(InfeasibleParams, match=reason):
-        generate(SynthParams(n_authors=2, n_quotes=1, attention_blocks=blocks), reading_id=reading_id)
+        generate(SynthParams(n_quotes=1, attention_blocks=blocks), reading_id=reading_id)
 
 
 def test_infeasible_params():
-    with pytest.raises(InfeasibleParams):
-        generate(SynthParams(n_authors=1, n_quotes=1, attention_blocks=(("A",),), seed=0))
-    with pytest.raises(InfeasibleParams):
-        generate(SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A",),), seed=0))
+    with pytest.raises(InfeasibleParams, match="need at least 2 authors"):
+        generate(SynthParams(n_quotes=1, attention_blocks=(("A",),), seed=0))
     with pytest.raises(InfeasibleParams):
         # two blocks cannot share one quote
-        generate(SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A",), ("B",)), seed=0))
+        generate(SynthParams(n_quotes=1, attention_blocks=(("A",), ("B",)), seed=0))
     with pytest.raises(InfeasibleParams):
         generate(
             SynthParams(
-                n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+                n_quotes=1, attention_blocks=(("A", "B"),),
                 vocab_overlap={("A", "B"): 200}, seed=0,  # 400 slots > top_k
             )
         )
     with pytest.raises(InfeasibleParams):
         generate(
             SynthParams(
-                n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),),
+                n_quotes=1, attention_blocks=(("A", "B"),),
                 reply_edges=(("A", "Z"),), seed=0,
             )
         )
@@ -174,7 +196,7 @@ def test_generated_corpus_round_trips(tmp_path):
 
 
 def test_id_prefix_and_reading_id():
-    params = SynthParams(n_authors=2, n_quotes=1, attention_blocks=(("A", "B"),), seed=7)
+    params = SynthParams(n_quotes=1, attention_blocks=(("A", "B"),), seed=7)
     corpus, store, gt = generate(params, reading_id="week3", id_prefix="w3-")
     assert set(corpus.readings) == {"week3"}
     assert all(q.startswith("w3-") for q in corpus.readings["week3"].quotes)
@@ -195,7 +217,7 @@ def test_generate_hashes_each_text_once(monkeypatch):
     monkeypatch.setattr(semantic, "hash_embed", counting)
     monkeypatch.setattr(synth, "hash_embed", counting)
     params = SynthParams(
-        n_authors=6, n_quotes=7,
+        n_quotes=7,
         attention_blocks=(("s01", "s02"), ("s03", "s04"), ("s05", "s06")), seed=4,
     )
     corpus, store, _ = generate(params)

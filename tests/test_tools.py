@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import os
 import runpy
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+REPO = Path(__file__).resolve().parents[1]
+TOOLS = REPO / "tools"
 
 
 def test_every_mutant_anchor_matches_once():
     assert runpy.run_path(str(TOOLS / "mutants.py"))["anchor_errors"]() == []
+
+
+def _files(folder: Path) -> dict[str, bytes]:
+    return {p.relative_to(folder).as_posix(): p.read_bytes()
+            for p in sorted(folder.rglob("*")) if p.is_file()}
+
+
+def test_fixtures_are_what_the_fixture_tool_writes(tmp_path):
+    # the tool rewrites tests/data and tests/golden in a copy; no byte may change
+    parts = ("src", "tools/make_fixtures.py", "tests/oracles.py", "tests/data", "tests/golden")
+    for part in parts:
+        if (REPO / part).is_dir():
+            shutil.copytree(REPO / part, tmp_path / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        else:
+            (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(REPO / part, tmp_path / part)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    subprocess.run([sys.executable, str(tmp_path / "tools" / "make_fixtures.py")],
+                   cwd=tmp_path, env=env, check=True, capture_output=True)
+    for folder in ("tests/data", "tests/golden"):
+        want, got = _files(REPO / folder), _files(tmp_path / folder)
+        assert sorted(got) == sorted(want), folder
+        assert [name for name in want if got[name] != want[name]] == [], folder

@@ -55,7 +55,6 @@ WIDENING = (
 AUTHORS = tuple(f"s{i:02d}" for i in range(1, 14))
 
 READING_1 = SynthParams(
-    n_authors=13,
     n_quotes=8,
     attention_blocks=(
         ("s01", "s02", "s03", "s04", "s05"),
@@ -82,7 +81,6 @@ READING_1 = SynthParams(
 )
 
 READING_2 = SynthParams(
-    n_authors=13,
     n_quotes=6,
     attention_blocks=(
         ("s01", "s03", "s05", "s07", "s09"),

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 _AN = "tests/test_graphs.py::"
 _EXPORT = "tests/test_export.py::"
 _IMPORTS = "tests/test_imports.py::"
+_STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
 # 20-30-node graphs, where another summation order changes low bits
 _BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
@@ -94,14 +95,36 @@ MUTANTS: list[Mutant] = [
            ("tests/test_acceptance.py::test_criterion_09_report_formats",
             "tests/test_cli.py::test_compare_layout_matches_golden")),
     # synth --authors: ignored when --blocks is given
-    Mutant("src/aicnet/cli.py", "n_authors=args.authors or sum(map(len, blocks))",
-           "n_authors=sum(map(len, blocks))",
+    Mutant("src/aicnet/cli.py", "if args.authors not in (None, covered):", "if False:",
            ("tests/test_cli.py::test_synth_authors_must_match_the_blocks",)),
+    # report CSV files: cells joined with "," unquoted, so an id's comma splits it
+    Mutant("src/aicnet/cli.py",
+           '    buf = io.StringIO()\n    csv.writer(buf, lineterminator="\\n").writerows(rows)\n'
+           "    return buf.getvalue()\n",
+           '    return "".join(",".join(row) + "\\n" for row in rows)\n',
+           ("tests/test_cli.py::test_report_csv_files_quote_ids_that_hold_a_comma",)),
+    # output files: a reading id that is a path used as a file name
+    Mutant("src/aicnet/cli.py",
+           '    if "\\0" in stem or Path(stem).name != stem:\n'
+           '        raise AicnetError(f"reading {reading_id!r} cannot name an output file")\n', "",
+           (_STEM + "[build-parent]", _STEM + "[metrics-slash]")),
+    # output files: a reading id holding a NUL reaches the file system
+    Mutant("src/aicnet/cli.py", """if "\\0" in stem or Path""", "if Path",
+           (_STEM + "[build-nul]", _STEM + "[metrics-nul]")),
     # synth: no pad artifact for a two-document reading with planted words
     Mutant("src/aicnet/synth.py",
            "pad = bool(n_planted) and len(authors) + len(params.reply_edges) < 3",
            "pad = bool(n_planted) and len(authors) + len(params.reply_edges) < 2",
            ("tests/test_synth.py::test_planted_words_score_above_zero_in_a_two_annotation_reading",)),
+    # synth: author pairs that share no quote text planted as zero-weight AN edges
+    Mutant("src/aicnet/synth.py", "for p, n in shared.items() if n}", "for p, n in shared.items()}",
+           ("tests/test_synth.py::test_blocks_give_exactly_one_edge",
+            "tests/test_graphs.py::test_builders_make_canonical_edges_on_synthetic_corpora[0]")),
+    # verify: CN weights compared exactly, not by edge set alone
+    Mutant("src/aicnet/synth.py", "_diff_graphs(cn_expected, cn, math.inf)",
+           "_diff_graphs(cn_expected, cn, 0.0)",
+           ("tests/test_synth.py::test_verify_diffs_the_cn_by_edge_set[missing]",
+            "tests/test_synth.py::test_vocab_overlap_becomes_cn_edges")),
     # synth: the kept block texts hashed a second time for the store
     Mutant("src/aicnet/synth.py", "vectors={q.id: vector_of[q.text] for",
            "vectors={q.id: hash_embed(q.text, dim) for",
