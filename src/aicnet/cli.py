@@ -12,8 +12,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -22,7 +20,15 @@ from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import metrics
-from .corpus import Corpus, Reading, StatsTable, descriptive_stats, load_corpus, save_corpus
+from .corpus import (
+    Corpus,
+    Reading,
+    StatsTable,
+    _csv_lines,
+    descriptive_stats,
+    load_corpus,
+    save_corpus,
+)
 from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
@@ -188,17 +194,9 @@ def _fmt(value: float | None, digits: int = 2) -> str:
     return "na" if value is None else f"{value:.{digits}f}"
 
 
-def _table(rows: list[list[str]]) -> str:
-    """CSV lines, one per row, quoted as ``export.write_csv`` quotes them; an
-    empty row is a blank line."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _stats_display(table: StatsTable) -> str:
     rows = table.rows
-    return _table([
+    return _csv_lines([
         ["Reading", *(r.reading_id for r in rows)],
         ["Posts", *(str(r.posts) for r in rows)],
         ["Replies", *(str(r.replies) for r in rows)],
@@ -212,15 +210,15 @@ def _stats_display(table: StatsTable) -> str:
 
 
 def _node_table(rows: list[metrics.NodeMetricsRow]) -> str:
-    return _table([["Student", *(r.author_id for r in rows)],
-                   *([label, *(_fmt(getattr(r, field)) for r in rows)]
-                     for label, field in _NODE_MEASURES)])
+    return _csv_lines([["Student", *(r.author_id for r in rows)],
+                       *([label, *(_fmt(getattr(r, field)) for r in rows)]
+                         for label, field in _NODE_MEASURES)])
 
 
 def _network_table(rows: list[metrics.NetworkMetricsRow]) -> str:
-    return _table([["Reading", *(label for label, _ in _NETWORK_MEASURES)],
-                   *([r.reading_id, *(_fmt(getattr(r, field)) for _, field in _NETWORK_MEASURES)]
-                     for r in rows)])
+    return _csv_lines([["Reading", *(label for label, _ in _NETWORK_MEASURES)],
+                       *([r.reading_id, *(_fmt(getattr(r, f)) for _, f in _NETWORK_MEASURES)]
+                         for r in rows)])
 
 
 def _compared(row_a: object, row_b: object,
@@ -318,7 +316,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     reading_ids = sorted(loaded.readings) if args.reading is None else [args.reading]
     graphs = _reading_networks(args, loaded, reading_ids)
-
+    # every file name is checked before the first report is printed or written
+    named = args.out is not None and args.level == "node"
+    stems = [_file_stem(rid, f"metrics_node_{rid}") if named else None for rid in reading_ids]
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
 
@@ -332,10 +332,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return 0
 
     roster = set(loaded.authors)
-    for i, rid in enumerate(reading_ids):
+    for i, (rid, stem) in enumerate(zip(reading_ids, stems)):
         rows = metrics.node_report(*graphs[rid], roster)
         table = _node_table(rows)
-        stem = _file_stem(rid, f"metrics_node_{rid}") if args.out else None
         if i:
             print()
         print(f"# reading {rid}")
@@ -351,8 +350,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     a, b = args.reading_a, args.reading_b
     graphs = _reading_networks(args, loaded, [a, b])
     net = {r.reading_id: r for r in metrics.network_report(graphs)}
-    sys.stdout.write(_table([["Measure", a, b, "delta"],
-                             *_compared(net[a], net[b], _NETWORK_MEASURES)]))
+    sys.stdout.write(_csv_lines([["Measure", a, b, "delta"],
+                                 *_compared(net[a], net[b], _NETWORK_MEASURES)]))
 
     roster_a = loaded.reading(a).active_authors()
     roster_b = loaded.reading(b).active_authors()
@@ -365,7 +364,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for author in sorted(roster):
         lines += ([author, *row] for row in _compared(rows_a[author], rows_b[author],
                                                       _NODE_MEASURES))
-    sys.stdout.write(_table(lines))
+    sys.stdout.write(_csv_lines(lines))
     return 0
 
 

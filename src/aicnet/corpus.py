@@ -333,6 +333,19 @@ def iter_records(corpus: Corpus) -> Iterator[dict]:
             yield _artifact_record(art)
 
 
+def _csv_lines(rows: Iterable[list[str]]) -> str:
+    """The rows as CSV lines, each ended by a line feed; an empty row is a
+    blank line. A field that holds a comma, a double quote, a line feed or a
+    carriage return is quoted, so :mod:`csv` reads every row back whole."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        # csv quotes the characters of its line terminator, so "\r\n" quotes both
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
 def save_corpus(corpus: Corpus, path: str | Path, format: Format = "jsonl") -> None:
     """Write the corpus back out; ``load_corpus`` of the result round-trips."""
     path = Path(path)

@@ -13,6 +13,7 @@ import json
 import re
 from pathlib import Path
 
+from .corpus import _csv_lines
 from .graphs import WeightedGraph
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -120,19 +121,13 @@ def read_dot(path: str | Path) -> WeightedGraph:
 
 
 def write_csv(g: WeightedGraph, edges_path: str | Path, nodes_path: str | Path) -> None:
-    import csv
-
     isolates = _isolates(g)
-    with Path(nodes_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", "isolated"])
-        for node in sorted(g.nodes):
-            writer.writerow([node, str(node in isolates).lower()])
-    with Path(edges_path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "target", "weight"])
-        for (u, v) in sorted(g.edges):
-            writer.writerow([u, v, repr(g.edges[(u, v)])])
+    nodes = [[node, str(node in isolates).lower()] for node in sorted(g.nodes)]
+    edges = [[u, v, repr(g.edges[(u, v)])] for (u, v) in sorted(g.edges)]
+    Path(nodes_path).write_text(_csv_lines([["node", "isolated"], *nodes]), encoding="utf-8",
+                                newline="")
+    Path(edges_path).write_text(_csv_lines([["source", "target", "weight"], *edges]),
+                                encoding="utf-8", newline="")
 
 
 def graph_to_json(g: WeightedGraph, name: str = "graph") -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
-from .semantic import EmbeddingStore, Vector, _cosine, _squared_norm
+from .semantic import _CLAMP_TOL, EmbeddingStore, Vector, _cosine, _squared_norm
 from .textpipe import WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
@@ -86,6 +86,43 @@ def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote
     return {reading.quotes[qid] for qid in _attended(reading, [author])[author]}
 
 
+def _surely_below(u: Vector, nu: float, v: Vector, nv: float, tau: float) -> bool:
+    """True when ``_cosine(u, nu, v, nv)`` is surely below ``tau``, judged
+    from one :func:`math.dist`; False tells nothing.
+
+    With n = len(u), r = nu/nv + nv/nu and d = math.dist(u, v), the law of
+    cosines gives the estimate est = (nu² + nv² - d²) / (2·nu·nv), taken as
+    (r - (d/nu)·(d/nv)) / 2 so that no step overflows but d. The test is
+    ``est + slack < min(tau, 1 - _CLAMP_TOL)`` with slack = 4(n + 8)·eps·r,
+    eps = 2⁻⁵³; the second bound keeps the pairs that :func:`_cosine` snaps
+    to 1.0. A NaN or infinite est rejects nothing.
+
+    The slack bounds every rounding. Let c = Σuᵢvᵢ/(nu·nv), exactly, and
+    eta = 2⁻¹⁰⁷⁵, the error of a product that underflows; since
+    :meth:`EmbeddingStore.get` keeps both squared norms at least 2⁻¹⁰²²,
+    eta/(nu·nv) <= eps. To first order:
+
+    * nu² is within 4·eps·nu² + n·eta of Σuᵢ² (rounded squares, the fsum,
+      the square root), and nv² likewise;
+    * d², bounded as a plain recursive sum of rounded squared differences and
+      so not resting on how accurate :func:`math.dist` is, is within
+      (n + 2)·eps·Q + n·eta of Q = Σ(uᵢ - vᵢ)² <= 2(Σuᵢ² + Σvᵢ²);
+    * so, with two roundings in d, three in r, three in (d/nu)·(d/nv) and one
+      in their difference, est is within (n + 11.5)·eps·r + 1.5n·eps of c;
+    * :func:`_cosine`'s quotient is within (n + 4)·eps of c (rounded
+      products, the fsum, nu·nv and the division);
+    * ``est + slack`` and ``1 - _CLAMP_TOL`` round by at most eps each.
+
+    As r >= 2, these add up to less than (2.25n + 14.5)·eps·r, and the slack
+    exceeds that by a factor over 1.7 for every n, which covers the
+    higher-order terms and the eta-sized ones of the two divisions by norms.
+    """
+    r = nu / nv + nv / nu
+    d = math.dist(u, v)
+    est = (r - d / nu * (d / nv)) / 2
+    return math.isfinite(est) and est + (len(u) + 8) * 2.0**-51 * r < min(tau, 1.0 - _CLAMP_TOL)
+
+
 def _confirmed_pairs(
     quotes: list[Quote], holders: list[set[str]], store: EmbeddingStore, tau: float
 ) -> list[dict[int, float]]:
@@ -98,6 +135,10 @@ def _confirmed_pairs(
       may carry different vectors;
     * two quotes that one author alone holds are skipped: no author pair
       joins on them, so :func:`joint_pairs` never consults them;
+    * a pair whose cosine :func:`_surely_below` puts below ``tau`` is
+      skipped: one :func:`math.dist` estimates the cosine, and a rigorous
+      rounding bound, 4(dim + 8)·2⁻⁵³·(nu/nv + nv/nu), keeps every pair
+      :func:`_cosine` could score at ``tau`` or snap to 1.0;
     * every other pair is scored as :func:`quote_similarity` scores it.
 
     Each quote's vector is read through :meth:`EmbeddingStore.get`, and its
@@ -120,6 +161,8 @@ def _confirmed_pairs(
                     if k not in normed:
                         vec = store.get(quotes[k].id)
                         normed[k] = (vec, math.sqrt(_squared_norm(vec)))
+                if _surely_below(*normed[i], *normed[j], tau):
+                    continue
                 sim = _cosine(*normed[i], *normed[j])
                 if sim < tau:
                     continue

@@ -30,9 +30,9 @@ import math
 import operator
 import struct
 import sys
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .corpus import Quote, normalize_text
 from .errors import (
@@ -58,7 +58,7 @@ class EmbeddingStore:
     """Quote-id -> vector map; :meth:`get` reads a vector and checks it."""
 
     dim: int
-    vectors: dict[str, Vector]
+    vectors: Mapping[str, Vector]
 
     def get(self, quote_id: str) -> Vector:
         """The vector of ``quote_id``. A missing one, one not of ``dim``
@@ -262,20 +262,43 @@ def hash_embed(text: str, dim: int = 256) -> Vector:
     return tuple(c / norm for c in counts)
 
 
-def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
-    """Hash-embed every quote's text into a store.
+class _HashVectors(Mapping):
+    """Quote id -> hash vector, read-only; a quote's text is hashed the first
+    time a quote of that normalized text is looked up, then kept."""
 
-    Each distinct normalized text is hashed once: twin quotes, whose texts
-    differ only in case or whitespace, share one vector object.
+    def __init__(self, quotes: dict[str, Quote], dim: int) -> None:
+        self._quotes, self._dim = quotes, dim
+        self._by_text: dict[str, Vector] = {}
+
+    def __getitem__(self, quote_id: str) -> Vector:
+        quote = self._quotes[quote_id]
+        vec = self._by_text.get(quote.normalized_text)
+        if vec is None:
+            vec = self._by_text[quote.normalized_text] = hash_embed(quote.text, self._dim)
+        return vec
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._quotes)
+
+    def __len__(self) -> int:
+        return len(self._quotes)
+
+
+def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
+    """A store of hash vectors for the quotes, keyed by quote id.
+
+    A vector is hashed when it is first read, so quotes whose vectors nothing
+    reads cost no hashing. Each distinct normalized text is hashed once: twin
+    quotes, whose texts differ only in case or whitespace, share one vector
+    object. A dimension below 8, or a blank quote text, raises the error of
+    :func:`hash_embed` here, not at a read.
     """
-    by_text: dict[str, Vector] = {}
-    vectors: dict[str, Vector] = {}
+    by_id: dict[str, Quote] = {}
     for q in quotes:
-        key = q.normalized_text
-        if key not in by_text:
-            by_text[key] = hash_embed(q.text, dim)
-        vectors[q.id] = by_text[key]
-    return EmbeddingStore(dim=dim, vectors=vectors)
+        if dim < 8 or not q.normalized_text:
+            hash_embed(q.text, dim)  # raises
+        by_id[q.id] = q
+    return EmbeddingStore(dim=dim, vectors=_HashVectors(by_id, dim))
 
 
 _CLAMP_TOL = 1e-9

@@ -374,6 +374,41 @@ def test_report_csv_files_quote_ids_that_hold_a_comma(jsonl_file, tmp_path, caps
     assert rows("stats.csv")[0] == ["Reading", *(r["reading_id"] for r in stats["readings"])]
 
 
+def test_csv_files_quote_ids_that_hold_a_carriage_return(jsonl_file, tmp_path, capsys):
+    import csv
+
+    path = _one_quote_corpus(jsonl_file, "r1", ["s\r01", "s02"])
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "metrics", str(path), "--level", "node", "--out", str(out_dir))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "build", str(path), "--reading", "r1", "--network", "an",
+                           "--format", "csv", "--out", str(out_dir))
+    assert code == 0, err
+
+    def rows(name: str) -> list[list[str]]:
+        with (out_dir / name).open(encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    assert rows("metrics_node_r1.csv")[0] == ["Student", "s\r01", "s02"]
+    assert {len(row) for row in rows("metrics_node_r1.csv")} == {3}
+    assert rows("r1_an_nodes.csv") == [["node", "isolated"], ["s\r01", "false"], ["s02", "false"]]
+    assert rows("r1_an_edges.csv") == [["source", "target", "weight"], ["s\r01", "s02", "1.0"]]
+
+
+def test_metrics_node_out_checks_every_file_name_first(jsonl_file, tmp_path, capsys):
+    records = [{"record": "quote", "id": f"q{rid}", "reading_id": rid, "text": "Shared passage."}
+               for rid in ("a1", "r/2")]
+    records += [{"id": f"{author}{rid}", "reading_id": rid, "author_id": author,
+                 "kind": "annotation", "quote_id": f"q{rid}", "body": "a note"}
+                for rid in ("a1", "r/2") for author in ("A", "B")]
+    path = jsonl_file(records)
+    code, out, err = run_cli(capsys, "metrics", str(path), "--level", "node",
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert err == "error: reading 'r/2' cannot name an output file\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("reading_id", ["../x", "r/1", "r\x001"], ids=["parent", "slash", "nul"])
 @pytest.mark.parametrize("command", [["build", "--network", "in"], ["metrics", "--level", "node"]],
                          ids=["build", "metrics"])
@@ -390,6 +425,32 @@ def test_a_reading_id_that_names_no_file_is_an_input_error(jsonl_file, tmp_path,
     code, out, err = run_cli(capsys, "metrics", str(path), "--level", "node")
     assert code == 0, err
     assert out.startswith(f"# reading {reading_id}\n")
+
+
+@pytest.mark.parametrize("corpus", ["sample_corpus.jsonl", "widened_corpus.jsonl"])
+def test_metrics_hashes_exactly_the_texts_build_an_reads(monkeypatch, capsys, corpus):
+    import aicnet.semantic as semantic
+
+    hashed: list[str] = []
+    read: set[str] = set()
+    hash_embed, get = semantic.hash_embed, semantic.EmbeddingStore.get
+
+    def counting_hash(text: str, dim: int = 256):
+        hashed.append(normalize_text(text))
+        return hash_embed(text, dim)
+
+    def recording_get(store, quote_id: str):
+        read.add(quote_id)
+        return get(store, quote_id)
+
+    monkeypatch.setattr(semantic, "hash_embed", counting_hash)
+    monkeypatch.setattr(semantic.EmbeddingStore, "get", recording_get)
+    code, _, err = run_cli(capsys, "metrics", str(_DATA / corpus), "--level", "network")
+    assert code == 0, err
+    quotes = {q.id: q for r in load_corpus(_DATA / corpus).readings.values()
+              for q in r.quotes.values()}
+    assert len(hashed) == len(set(hashed))  # each text once
+    assert set(hashed) == {quotes[qid].normalized_text for qid in read}
 
 
 def test_compare_self_is_all_zero(sample, capsys):

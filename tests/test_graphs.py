@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet.graphs import (
     BipartiteGraph,
     WeightedGraph,
+    _surely_below,
     attention_quotes,
     build_an,
     build_cn_bipartite,
@@ -30,7 +31,14 @@ from aicnet.errors import (
     MissingEmbedding,
     ZeroVector,
 )
-from aicnet.semantic import EmbeddingStore, embed_quotes, joint_pairs, quote_similarity
+from aicnet.semantic import (
+    EmbeddingStore,
+    _cosine,
+    _squared_norm,
+    embed_quotes,
+    joint_pairs,
+    quote_similarity,
+)
 from aicnet.synth import SynthParams, generate, random_params
 from aicnet.textpipe import WordSelectionParams
 
@@ -473,6 +481,39 @@ def test_build_an_equals_pairwise_oracle(case):
     assert list(got.edges) == list(want.edges)  # and the same edge order
 
 
+@settings(max_examples=400, deadline=None)
+@given(dim=st.integers(8, 384), seed=st.integers(0, 2**16),
+       tau=st.one_of(st.just(1.0), st.just(0.8), st.floats(0.01, 1.0)),
+       offset=st.one_of(st.just(0.0), st.sampled_from([-4e-16, -2e-16, 2e-16, 4e-16]),
+                        st.floats(-2e-9, 2e-9), st.floats(-2.0, 0.0)),
+       scale_u=st.integers(-150, 150), scale_v=st.integers(-150, 150))
+@example(dim=256, seed=1, tau=1.0, offset=5e-10, scale_u=0, scale_v=0)  # snaps to 1.0
+@example(dim=384, seed=2, tau=0.8, offset=0.0, scale_u=-150, scale_v=-140)
+def test_surely_below_rejects_only_pairs_cosine_puts_below_tau(dim, seed, tau, offset, scale_u,
+                                                               scale_v):
+    # the cosine is planted at the cut (tau, or where _cosine starts to snap
+    # to 1.0) plus an offset, up to rounding; the norms are 10**scale apart
+    cos = max(-1.0, min(1.0, min(tau, 1.0 - 1e-9) + offset))
+    base = np.random.default_rng(seed).standard_normal(dim)
+    v = _planted(base, cos, seed + 1)
+    store = EmbeddingStore(dim, {"u": tuple((base * 10.0**scale_u).tolist()),
+                                 "v": tuple((v * 10.0**scale_v).tolist())})
+    u, v = store.get("u"), store.get("v")
+    nu, nv = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(v))
+    if _surely_below(u, nu, v, nv, tau):
+        assert _cosine(u, nu, v, nv) < tau
+
+
+def test_surely_below_rejects_a_far_pair_and_keeps_twins():
+    base = np.random.default_rng(0).standard_normal(256)
+    u = tuple(base.tolist())
+    far = tuple(_planted(base, 0.5, 1).tolist())
+    nu, nf = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(far))
+    assert _surely_below(u, nu, far, nf, 0.8)
+    assert not _surely_below(u, nu, far, nf, 0.4)
+    assert not _surely_below(u, nu, u, nu, 1.0)
+
+
 def test_build_an_weight_is_the_fsum_of_its_similarities():
     # B's quote pairs with each of A's three; every order of A's quote ids puts
     # the three similarities in another order, and a left-to-right float sum
@@ -595,29 +636,52 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
     # where twin texts share one hash vector
     store = EmbeddingStore(hashed.dim, {qid: list(v) for qid, v in hashed.vectors.items()})
     quote_of = {id(v): qid for qid, v in store.vectors.items()}
-    calls: list[Counter] = []
+    tested: list[Counter] = []  # per build, the pairs put to the distance test
+    scored: list[Counter] = []  # and those scored by _cosine
     jp_calls = []
-    cosine = semantic._cosine
+    surely_below = graphs._surely_below
+
+    def counting_test(u, nu, v, nv, tau):
+        tested[-1][frozenset((quote_of[id(u)], quote_of[id(v)]))] += 1
+        return surely_below(u, nu, v, nv, tau)
 
     def counting_cosine(u, nu, v, nv):
-        calls[-1][frozenset((quote_of[id(u)], quote_of[id(v)]))] += 1
-        return cosine(u, nu, v, nv)
+        scored[-1][frozenset((quote_of[id(u)], quote_of[id(v)]))] += 1
+        return _cosine(u, nu, v, nv)
 
     def counting_joint_pairs(*args, **kwargs):
         jp_calls.append(args)
         return joint_pairs(*args, **kwargs)
 
+    monkeypatch.setattr(graphs, "_surely_below", counting_test)
     monkeypatch.setattr(graphs, "_cosine", counting_cosine)
     monkeypatch.setattr(semantic, "joint_pairs", counting_joint_pairs)
     assert len(reading.active_authors()) >= 20
+    # the different-text pairs of attended quotes that two authors hold
+    # (one quote per text and author, the smallest id)
+    held: dict[str, dict[str, str]] = {}
+    for author in reading.active_authors():
+        for quote in sorted(attention_quotes(author, reading, corpus), key=lambda q: q.id):
+            held.setdefault(author, {}).setdefault(quote.normalized_text, quote.id)
+    holders: dict[str, set[str]] = {}
+    for author, by_text in held.items():
+        for qid in by_text.values():
+            holders.setdefault(qid, set()).add(author)
+    texts = {qid: reading.quotes[qid].normalized_text for qid in holders}
+    expected = {frozenset((p, q)) for p in holders for q in holders
+                if texts[p] != texts[q] and len(holders[p] | holders[q]) > 1}
     builds = {}
     for tau in (0.8, 0.05):
-        calls.append(Counter())
+        tested.append(Counter())
+        scored.append(Counter())
         builds[tau] = build_an(reading, corpus, store, tau)
     assert set(builds[0.8].edges) == set(gt.expected_an.edges)
     assert jp_calls == []
-    assert calls[0] == calls[1] and len(calls[0]) > 0
-    assert max(calls[0].values()) == 1
+    assert tested[0] == tested[1] == Counter(dict.fromkeys(expected, 1))
+    for tested_pairs, scored_pairs in zip(tested, scored):
+        assert set(scored_pairs.values()) <= {1}
+        assert set(scored_pairs) <= set(tested_pairs)
+    assert len(scored[0]) < len(scored[1])  # far pairs are rejected before _cosine
     assert builds[0.05].edges == oracle_build_an(reading, corpus, store, 0.05).edges
 
 

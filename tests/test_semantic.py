@@ -389,9 +389,36 @@ def test_embed_quotes_twins_share_one_vector(monkeypatch):
 
     monkeypatch.setattr(semantic, "hash_embed", counting)
     store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64)
-    assert np.array_equal(store.get("q1"), store.get("q2"))
+    assert hashed == []  # nothing is hashed before a read
+    assert store.get("q1") is store.get("q2")
     assert np.array_equal(store.get("q1"), real("grand jete", 64))
+    assert len(hashed) == 1
+    store.get("q3")
     assert len(hashed) == 2
+
+
+def test_embed_quotes_store_reads_as_the_eager_dict(tmp_path):
+    quotes = [_q("q2", "Grand  Jete"), _q("q1", "plie"), _q("q3", "grand jete"), _q("q1", "tendu")]
+    store = embed_quotes(quotes, 64)
+    eager = {q.id: hash_embed(q.text, 64) for q in quotes}  # the last q1 wins
+    assert list(store.vectors) == ["q2", "q1", "q3"] and len(store.vectors) == 3
+    assert store.vectors == eager and eager == store.vectors
+    assert store == EmbeddingStore(64, eager)
+    with pytest.raises(MissingEmbedding):
+        store.get("q4")
+    save_embeddings(store, tmp_path / "emb.jsonl")
+    save_embeddings(EmbeddingStore(64, eager), tmp_path / "eager.jsonl")
+    assert (tmp_path / "emb.jsonl").read_bytes() == (tmp_path / "eager.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("texts, dim, error", [
+    (["plie", " \n "], 64, EmptyText),
+    (["plie"], 4, ValueError),
+    ([" "], 4, ValueError),  # the dimension is checked first, as hash_embed does
+])
+def test_embed_quotes_refuses_before_any_read(texts, dim, error):
+    with pytest.raises(error):
+        embed_quotes([_q(f"q{i}", text) for i, text in enumerate(texts)], dim)
 
 
 def test_cosine_self_is_one():

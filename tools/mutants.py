@@ -98,11 +98,21 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "if args.authors not in (None, covered):", "if False:",
            ("tests/test_cli.py::test_synth_authors_must_match_the_blocks",)),
     # report CSV files: cells joined with "," unquoted, so an id's comma splits it
-    Mutant("src/aicnet/cli.py",
-           '    buf = io.StringIO()\n    csv.writer(buf, lineterminator="\\n").writerows(rows)\n'
-           "    return buf.getvalue()\n",
-           '    return "".join(",".join(row) + "\\n" for row in rows)\n',
+    Mutant("src/aicnet/corpus.py",
+           '        csv.writer(buf, lineterminator="\\r\\n").writerow(row)\n'
+           '        lines.append(buf.getvalue()[:-2] + "\\n")\n',
+           '        lines.append(",".join(row) + "\\n")\n',
            ("tests/test_cli.py::test_report_csv_files_quote_ids_that_hold_a_comma",)),
+    # CSV files: a carriage return left unquoted, so csv.reader splits the row there
+    Mutant("src/aicnet/corpus.py", 'lineterminator="\\r\\n"', 'lineterminator="\\n\\n"',
+           ("tests/test_cli.py::test_csv_files_quote_ids_that_hold_a_carriage_return",)),
+    # metrics --level node --out: each file name checked only when its report is reached
+    Mutant("src/aicnet/cli.py",
+           "stems = [_file_stem(rid, f\"metrics_node_{rid}\") if named else None "
+           "for rid in reading_ids]",
+           "stems = (_file_stem(rid, f\"metrics_node_{rid}\") if named else None "
+           "for rid in reading_ids)",
+           ("tests/test_cli.py::test_metrics_node_out_checks_every_file_name_first",)),
     # output files: a reading id that is a path used as a file name
     Mutant("src/aicnet/cli.py",
            '    if "\\0" in stem or Path(stem).name != stem:\n'
@@ -168,6 +178,18 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/metrics.py", "{v: _closeness_from(rows, i) for v, i in position.items()}",
            "{v: _closeness_from(_adjacency(g)[1], i) for v, i in position.items()}",
            ("tests/test_metrics.py::test_node_report_builds_one_adjacency_per_graph",)),
+    # attention network: no slack for rounding in the reject test
+    Mutant("src/aicnet/graphs.py", "est + (len(u) + 8) * 2.0**-51 * r <", "est <",
+           (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
+    # attention network: the reject test cut at tau, so a pair _cosine snaps to 1.0 is lost
+    Mutant("src/aicnet/graphs.py", "min(tau, 1.0 - _CLAMP_TOL)", "tau",
+           (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
+    # hash vectors: every quote's text hashed up front again
+    Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim))",
+           "vectors=dict(_HashVectors(by_id, dim)))",
+           ("tests/test_semantic.py::test_embed_quotes_twins_share_one_vector",
+            "tests/test_cli.py::test_metrics_hashes_exactly_the_texts_build_an_reads"
+            "[widened_corpus.jsonl]")),
     # attention network: a weight reused for every author pair sharing the first set
     Mutant("src/aicnet/graphs.py", "sets = (quotes_of[u], quotes_of[v])", "sets = quotes_of[u]",
            (_AN + "test_build_an_equals_pairwise_oracle",)),
@@ -276,8 +298,8 @@ MUTANTS: list[Mutant] = [
            "import importlib\n\nfrom .semantic import EmbeddingStore, hash_embed, load_embeddings\n",
            (_IMPORTS + "test_package_import_loads_no_submodule_yet_reaches_each",)),
     # numpy imported with the vector module again
-    Mutant("src/aicnet/semantic.py", "from typing import Iterable\n",
-           "from typing import Iterable\n\nimport numpy as np\n",
+    Mutant("src/aicnet/semantic.py", "from collections.abc import Iterable, Iterator, Mapping\n",
+           "from collections.abc import Iterable, Iterator, Mapping\n\nimport numpy as np\n",
            (_IMPORTS + "test_every_command_runs_without_numpy",)),
     # numpy imported with the graph builders again
     Mutant("src/aicnet/graphs.py", "from collections import Counter\n",
