@@ -18,7 +18,7 @@ _HOME = {
         "metrics": "NetworkMetricsRow NodeMetricsRow betweenness closeness "
                    "degree_centralization network_report node_report transitivity",
         "semantic": "EmbeddingStore JointPair cosine embed_quotes hash_embed joint_pairs "
-                    "load_embeddings quote_similarity save_embeddings",
+                    "load_embeddings save_embeddings",
         "synth": "GroundTruth SynthParams VerificationReport generate verify",
         "textpipe": "SelectedWord WordSelectionParams lemmatize select_cn_words tfidf "
                     "tokenize",

@@ -87,6 +87,7 @@ class Reading:
     artifacts: list[Artifact] = field(default_factory=list)
 
     def artifact_by_id(self, artifact_id: str) -> Artifact:
+        """The artifact of that id; an unknown id raises :class:`UnknownArtifact`."""
         for art in self.artifacts:
             if art.id == artifact_id:
                 return art
@@ -158,6 +159,9 @@ def _records_from_csv(text: str) -> Iterator[tuple[int, dict] | ParseError]:
 
 
 def _parse_record(lineno: int, rec: dict) -> Quote | Artifact:
+    """The quote or artifact of one record; a field of the wrong type, a
+    missing one, or one its kind forbids raises :class:`ParseError` naming
+    the line."""
     def need(key: str) -> str:
         value = rec.get(key)
         if not isinstance(value, str) or value == "":
@@ -210,8 +214,8 @@ def _parse_record(lineno: int, rec: dict) -> Quote | Artifact:
 def _iter_parsed(
     path: str | Path, format: Format
 ) -> Iterator[tuple[int, Quote | Artifact] | AicnetError]:
-    """Yield (line, record) pairs; parse failures are yielded (not raised) so
-    callers can either stop at the first or collect all of them."""
+    """Yield (line, record) pairs; parse failures are yielded, not raised, so
+    that a caller collects every one of them."""
     # decode manually: read_text would newline-translate inside quoted CSV fields
     try:
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
-from .semantic import _CLAMP_TOL, EmbeddingStore, Vector, _cosine, _squared_norm
+from .semantic import EmbeddingStore, _confirmed_pairs
 from .textpipe import WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
@@ -86,90 +86,6 @@ def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote
     return {reading.quotes[qid] for qid in _attended(reading, [author])[author]}
 
 
-def _surely_below(u: Vector, nu: float, v: Vector, nv: float, tau: float) -> bool:
-    """True when ``_cosine(u, nu, v, nv)`` is surely below ``tau``, judged
-    from one :func:`math.dist`; False tells nothing.
-
-    With n = len(u), r = nu/nv + nv/nu and d = math.dist(u, v), the law of
-    cosines gives the estimate est = (nu² + nv² - d²) / (2·nu·nv), taken as
-    (r - (d/nu)·(d/nv)) / 2 so that no step overflows but d. The test is
-    ``est + slack < min(tau, 1 - _CLAMP_TOL)`` with slack = 4(n + 8)·eps·r,
-    eps = 2⁻⁵³; the second bound keeps the pairs that :func:`_cosine` snaps
-    to 1.0. A NaN or infinite est rejects nothing.
-
-    The slack bounds every rounding. Let c = Σuᵢvᵢ/(nu·nv), exactly, and
-    eta = 2⁻¹⁰⁷⁵, the error of a product that underflows; since
-    :meth:`EmbeddingStore.get` keeps both squared norms at least 2⁻¹⁰²²,
-    eta/(nu·nv) <= eps. To first order:
-
-    * nu² is within 4·eps·nu² + n·eta of Σuᵢ² (rounded squares, the fsum,
-      the square root), and nv² likewise;
-    * d², bounded as a plain recursive sum of rounded squared differences and
-      so not resting on how accurate :func:`math.dist` is, is within
-      (n + 2)·eps·Q + n·eta of Q = Σ(uᵢ - vᵢ)² <= 2(Σuᵢ² + Σvᵢ²);
-    * so, with two roundings in d, three in r, three in (d/nu)·(d/nv) and one
-      in their difference, est is within (n + 11.5)·eps·r + 1.5n·eps of c;
-    * :func:`_cosine`'s quotient is within (n + 4)·eps of c (rounded
-      products, the fsum, nu·nv and the division);
-    * ``est + slack`` and ``1 - _CLAMP_TOL`` round by at most eps each.
-
-    As r >= 2, these add up to less than (2.25n + 14.5)·eps·r, and the slack
-    exceeds that by a factor over 1.7 for every n, which covers the
-    higher-order terms and the eta-sized ones of the two divisions by norms.
-    """
-    r = nu / nv + nv / nu
-    d = math.dist(u, v)
-    est = (r - d / nu * (d / nv)) / 2
-    return math.isfinite(est) and est + (len(u) + 8) * 2.0**-51 * r < min(tau, 1.0 - _CLAMP_TOL)
-
-
-def _confirmed_pairs(
-    quotes: list[Quote], holders: list[set[str]], store: EmbeddingStore, tau: float
-) -> list[dict[int, float]]:
-    """For each quote (listed by id), the later quotes it pairs with at >= tau,
-    mapped to their similarity; every quote also pairs with itself at 1.0.
-
-    Each pair, in (quote_a, quote_b) id order, takes the first rule that fits:
-
-    * two quotes of the same text count 1.0 and read no vector, since twin ids
-      may carry different vectors;
-    * two quotes that one author alone holds are skipped: no author pair
-      joins on them, so :func:`joint_pairs` never consults them;
-    * a pair whose cosine :func:`_surely_below` puts below ``tau`` is
-      skipped: one :func:`math.dist` estimates the cosine, and a rigorous
-      rounding bound, 4(dim + 8)·2⁻⁵³·(nu/nv + nv/nu), keeps every pair
-      :func:`_cosine` could score at ``tau`` or snap to 1.0;
-    * every other pair is scored as :func:`quote_similarity` scores it.
-
-    Each quote's vector is read through :meth:`EmbeddingStore.get`, and its
-    norm taken, when a pair first needs it, so the first refused vector raises
-    its error where :func:`quote_similarity` would.
-    """
-    n = len(quotes)
-    # a quote's one holder, or None when several authors hold it
-    sole = [next(iter(h)) if len(h) == 1 else None for h in holders]
-    normed: dict[int, tuple[Vector, float]] = {}  # quote -> (vector, norm)
-    partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if quotes[i].normalized_text == quotes[j].normalized_text:
-                sim = 1.0
-            elif sole[i] is not None and sole[i] == sole[j]:
-                continue
-            else:
-                for k in (i, j):
-                    if k not in normed:
-                        vec = store.get(quotes[k].id)
-                        normed[k] = (vec, math.sqrt(_squared_norm(vec)))
-                if _surely_below(*normed[i], *normed[j], tau):
-                    continue
-                sim = _cosine(*normed[i], *normed[j])
-                if sim < tau:
-                    continue
-            partners[i][j] = partners[j][i] = sim
-    return partners
-
-
 def build_an(
     reading: Reading,
     corpus: Corpus,
@@ -182,24 +98,24 @@ def build_an(
     An author attends the quotes they annotated and the root quotes of the
     threads they replied in, one quote per normalized text (smallest id). A
     joint pair of authors u, v is an unordered quote pair {p, q} with p
-    attended by u and q by v, and similarity >= ``tau``
-    (:func:`quote_similarity`); a quote both attend pairs with itself at 1.0.
+    attended by u and q by v whose similarity is >= ``tau``: 1.0 when p and q
+    have the same normalized text, else the cosine of their stored vectors. A
+    quote both attend pairs with itself at 1.0.
 
-    One pass per reading: thread roots are resolved once, each distinct quote
-    pair that two authors hold is scored once, and each distinct pair of
-    attended-quote sets sums its joint pairs once, with :func:`math.fsum`, for
-    all the author pairs that hold those two sets. The sum is exactly rounded,
-    so a weight does not depend on the order of its terms, and the result is
-    identical, weights and edge order included, to calling :func:`joint_pairs`
-    for every author pair.
+    One pass per reading: thread roots are resolved once, the scorer of
+    :mod:`aicnet.semantic` scores each distinct quote pair that two authors
+    hold once, and each distinct pair of attended-quote sets sums its joint
+    pairs once, with :func:`math.fsum`, for all the author pairs that hold
+    those two sets. The sum is exactly rounded, so a weight does not depend on
+    the order of its terms, and the result is identical, weights and edge
+    order included, to summing ``joint_pairs`` for every author pair.
 
-    A vector that :meth:`EmbeddingStore.get` refuses raises the error
-    :func:`quote_similarity` raises, exactly when the pairwise definition
-    reads it: that of the first defective different-text pair, in
-    (quote_a, quote_b) id order, among the pairs two authors hold.
+    A vector that :meth:`EmbeddingStore.get` refuses raises its error when a
+    scored pair first reads it: that of the first defective different-text
+    pair, in (quote_a, quote_b) id order, among the pairs two authors hold.
 
     Nodes are the reading's active authors; an author with no joint pair is
-    an isolate.
+    an isolate. A ``tau`` outside (0, 1] raises :class:`ValueError`.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("threshold must be in (0, 1]")

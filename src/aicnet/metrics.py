@@ -98,7 +98,8 @@ def closeness_all(g: WeightedGraph) -> dict[str, float | None]:
 
 def closeness(g: WeightedGraph, v: str) -> float | None:
     """Component-normalized closeness: (k-1) / sum of distances to the k-1
-    other nodes of v's component. None for isolates."""
+    other nodes of v's component. None for isolates; a v not in g raises
+    :class:`UnknownNode`."""
     if v not in g.nodes:
         raise UnknownNode(v)
     position, rows = _adjacency(g)
@@ -154,7 +155,8 @@ def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
 
 def betweenness(g: WeightedGraph, v: str) -> float | None:
     """Betweenness normalized by (n-1)(n-2)/2, n counting the non-isolated
-    nodes of the network. None for isolates and when n < 3."""
+    nodes of the network. None for isolates and when n < 3; a v not in g
+    raises :class:`UnknownNode`."""
     if v not in g.nodes:
         raise UnknownNode(v)
     return betweenness_all(g)[v]

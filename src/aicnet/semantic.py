@@ -341,16 +341,90 @@ def _cosine(u: Vector, nu: float, v: Vector, nv: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def quote_similarity(q1: Quote, q2: Quote, store: EmbeddingStore) -> float:
-    """Similarity of two quotes.
+def _surely_below(u: Vector, nu: float, v: Vector, nv: float, tau: float) -> bool:
+    """True when ``_cosine(u, nu, v, nv)`` is surely below ``tau``, judged
+    from one :func:`math.dist`; False tells nothing.
 
-    Exactly 1.0 for a common reference (same quote, or textually identical
-    after normalization) regardless of stored vectors; cosine of the stored
-    vectors otherwise.
+    With n = len(u), r = nu/nv + nv/nu and d = math.dist(u, v), the law of
+    cosines gives the estimate est = (nu² + nv² - d²) / (2·nu·nv), taken as
+    (r - (d/nu)·(d/nv)) / 2 so that no step overflows but d. The test is
+    ``est + slack < min(tau, 1 - _CLAMP_TOL)`` with slack = 4(n + 8)·eps·r,
+    eps = 2⁻⁵³; the second bound keeps the pairs that :func:`_cosine` snaps
+    to 1.0. A NaN or infinite est rejects nothing.
+
+    The slack bounds every rounding. Let c = Σuᵢvᵢ/(nu·nv), exactly, and
+    eta = 2⁻¹⁰⁷⁵, the error of a product that underflows; since
+    :meth:`EmbeddingStore.get` keeps both squared norms at least 2⁻¹⁰²²,
+    eta/(nu·nv) <= eps. To first order:
+
+    * nu² is within 4·eps·nu² + n·eta of Σuᵢ² (rounded squares, the fsum,
+      the square root), and nv² likewise;
+    * d², bounded as a plain recursive sum of rounded squared differences and
+      so not resting on how accurate :func:`math.dist` is, is within
+      (n + 2)·eps·Q + n·eta of Q = Σ(uᵢ - vᵢ)² <= 2(Σuᵢ² + Σvᵢ²);
+    * so, with two roundings in d, three in r, three in (d/nu)·(d/nv) and one
+      in their difference, est is within (n + 11.5)·eps·r + 1.5n·eps of c;
+    * :func:`_cosine`'s quotient is within (n + 4)·eps of c (rounded
+      products, the fsum, nu·nv and the division);
+    * ``est + slack`` and ``1 - _CLAMP_TOL`` round by at most eps each.
+
+    As r >= 2, these add up to less than (2.25n + 14.5)·eps·r, and the slack
+    exceeds that by a factor over 1.7 for every n, which covers the
+    higher-order terms and the eta-sized ones of the two divisions by norms.
     """
-    if q1.id == q2.id or q1.normalized_text == q2.normalized_text:
-        return 1.0
-    return cosine(store.get(q1.id), store.get(q2.id))
+    r = nu / nv + nv / nu
+    d = math.dist(u, v)
+    est = (r - d / nu * (d / nv)) / 2
+    return math.isfinite(est) and est + (len(u) + 8) * 2.0**-51 * r < min(tau, 1.0 - _CLAMP_TOL)
+
+
+def _confirmed_pairs(
+    quotes: list[Quote], holders: list[set[str]], store: EmbeddingStore, tau: float
+) -> list[dict[int, float]]:
+    """The quote-pair rule: for each quote (listed by id), the later quotes it
+    pairs with at >= tau, mapped to their similarity; every quote also pairs
+    with itself at 1.0. ``holders[i]`` names who holds ``quotes[i]``.
+
+    Each pair, in (quote_a, quote_b) id order, takes the first rule that fits:
+
+    * two quotes of the same normalized text count 1.0 and read no vector,
+      since twin ids may carry different vectors;
+    * two quotes that one holder alone holds are skipped: no pair of holders
+      joins on them;
+    * a pair whose cosine :func:`_surely_below` puts below ``tau`` is
+      skipped: one :func:`math.dist` estimates the cosine, and a rigorous
+      rounding bound, 4(dim + 8)·2⁻⁵³·(nu/nv + nv/nu), keeps every pair
+      :func:`_cosine` could score at ``tau`` or snap to 1.0;
+    * every other pair counts the cosine of the two stored vectors, and is
+      kept when that is >= ``tau``.
+
+    Each quote's vector is read through :meth:`EmbeddingStore.get`, and its
+    norm taken, when a pair first needs it, so a refused vector raises its
+    error only if a scored pair holds it.
+    """
+    n = len(quotes)
+    # a quote's one holder, or None when several hold it
+    sole = [next(iter(h)) if len(h) == 1 else None for h in holders]
+    normed: dict[int, tuple[Vector, float]] = {}  # quote -> (vector, norm)
+    partners: list[dict[int, float]] = [{i: 1.0} for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if quotes[i].normalized_text == quotes[j].normalized_text:
+                sim = 1.0
+            elif sole[i] is not None and sole[i] == sole[j]:
+                continue
+            else:
+                for k in (i, j):
+                    if k not in normed:
+                        vec = store.get(quotes[k].id)
+                        normed[k] = (vec, math.sqrt(_squared_norm(vec)))
+                if _surely_below(*normed[i], *normed[j], tau):
+                    continue
+                sim = _cosine(*normed[i], *normed[j])
+                if sim < tau:
+                    continue
+            partners[i][j] = partners[j][i] = sim
+    return partners
 
 
 def joint_pairs(
@@ -359,25 +433,26 @@ def joint_pairs(
     store: EmbeddingStore,
     tau: float = 0.8,
 ) -> list[JointPair]:
-    """All unordered quote pairs across the two sets with similarity >= tau.
+    """All unordered quote pairs across the two sets with similarity >= tau,
+    sorted by (quote_a, quote_b) id. Two quotes of the same normalized text
+    count 1.0; any other pair counts the cosine of the stored vectors. A quote
+    pairs with itself, at 1.0, only when it is in both sets. A ``tau``
+    outside (0, 1] raises :class:`ValueError`.
 
-    A quote occurring in both sets pairs with itself exactly once, at 1.0.
-    Results are sorted by (quote_a, quote_b) id.
+    :func:`_confirmed_pairs` scores the pairs, with the two sets as holders.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    by_id_u = {q.id: q for q in quotes_u}
-    by_id_v = {q.id: q for q in quotes_v}
-    pairs: list[JointPair] = []
-    seen: set[tuple[str, str]] = set()
-    for qu_id in sorted(by_id_u):
-        for qv_id in sorted(by_id_v):
-            key = (qu_id, qv_id) if qu_id <= qv_id else (qv_id, qu_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            sim = quote_similarity(by_id_u[qu_id], by_id_v[qv_id], store)
-            if sim >= tau:
-                pairs.append(JointPair(key[0], key[1], sim))
-    pairs.sort(key=lambda p: (p.quote_a, p.quote_b))
-    return pairs
+    by_id: dict[str, Quote] = {}
+    sides: dict[str, set[str]] = {}
+    for side, quotes in (("u", quotes_u), ("v", quotes_v)):
+        for q in quotes:
+            by_id[q.id] = q
+            sides.setdefault(q.id, set()).add(side)
+    ids = sorted(by_id)
+    holders = [sides[qid] for qid in ids]
+    partners = _confirmed_pairs([by_id[qid] for qid in ids], holders, store, tau)
+    # a pair crosses the sets when its two quotes have both sides between them
+    return [JointPair(ids[i], ids[j], sim)
+            for i, row in enumerate(partners) for j, sim in sorted(row.items())
+            if j >= i and len(holders[i] | holders[j]) == 2]

@@ -184,24 +184,25 @@ def _documents(reading: Reading, noun_lexicon: frozenset[str] | None = None,
     return docs
 
 
+def _idf(docs: list[tuple[Artifact, Counter]]) -> dict[str, float]:
+    """ln(N / df) of each lemma of the documents: N is their count and df the
+    number containing the lemma."""
+    df: Counter = Counter()
+    for _, counts in docs:
+        df.update(counts.keys())
+    return {lemma: math.log(len(docs) / n) for lemma, n in df.items()}
+
+
 def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
     """Raw term frequency times ln(N / df).
 
     Documents are the reading's artifacts with at least one noun lemma;
     N is their count and df the number containing ``lemma``. Zero when the
-    lemma does not occur in ``artifact``; otherwise ``artifact`` is one of
-    the df documents, so df >= 1.
+    lemma does not occur in ``artifact``.
     """
     docs = _documents(reading)
-    tf = 0
-    for art, counts in docs:
-        if art.id == artifact.id:
-            tf = counts.get(lemma, 0)
-            break
-    if tf == 0:
-        return 0.0
-    df = sum(1 for _, counts in docs if lemma in counts)
-    return tf * math.log(len(docs) / df)
+    tf = next((counts[lemma] for art, counts in docs if art.id == artifact.id), 0)
+    return tf * _idf(docs)[lemma] if tf else 0.0
 
 
 # -- word selection for the creation network -----------------------------------
@@ -213,7 +214,8 @@ class WordSelectionParams:
     ``stopwords`` are lemmas dropped on top of the bundled stopwords, and
     ``noun_lexicon`` replaces the bundled noun lexicon when not ``None`` (an
     empty set leaves only the suffix rule). The lemmatizer always uses the
-    bundled lexicon.
+    bundled lexicon. A ``min_frequency`` or ``top_k`` below 1, or a
+    ``drop_lowest`` below 0, raises :class:`ValueError`.
     """
 
     min_frequency: int = 5
@@ -258,18 +260,11 @@ def select_cn_words(reading: Reading,
     independent of artifact iteration order.
     """
     docs = _documents(reading, params.noun_lexicon, params.stopwords)
-    n_docs = len(docs)
-
     totals: Counter = Counter()
-    df: Counter = Counter()
     for _, counts in docs:
         totals.update(counts)
-        df.update(counts.keys())
     # candidates: lemmas at or above the frequency floor, with their idf
-    idf = {
-        lemma: math.log(n_docs / df[lemma])
-        for lemma, count in totals.items() if count >= params.min_frequency
-    }
+    idf = {lemma: v for lemma, v in _idf(docs).items() if totals[lemma] >= params.min_frequency}
     if not idf:
         return []
 

@@ -3,8 +3,11 @@
 Distances come from per-source BFS; shortest-path counts come from powers of
 the adjacency matrix (walks of length dist(s, t) are exactly the shortest
 paths). The attention-network oracle is the pairwise definition: one
-:func:`joint_pairs` call per author pair, with thread roots found by walking
-each artifact's reply chain on its own. Only sensible for small inputs.
+:func:`oracle_joint_pairs` call per author pair, each scoring every quote pair
+of the two sets with :func:`oracle_quote_similarity`, with thread roots found
+by walking each artifact's reply chain on its own. These two are the pairwise
+quote-pair code the library used before one scorer served both ``build_an``
+and ``joint_pairs``. Only sensible for small inputs.
 
 The node-report oracle is the per-author implementation the library used
 before its one-pass measures: one sorted BFS per author, each on a freshly
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from collections.abc import Iterable
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +33,7 @@ from aicnet.corpus import Artifact, Corpus, Quote, Reading, normalize_text
 from aicnet.errors import CyclicThread, DanglingParent, EmptyText
 from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
-from aicnet.semantic import EmbeddingStore, joint_pairs
+from aicnet.semantic import EmbeddingStore, JointPair, cosine
 from aicnet.textpipe import (
     _NOUN_SUFFIXES,
     SelectedWord,
@@ -77,6 +81,48 @@ def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
     return set(best.values())
 
 
+def oracle_quote_similarity(q1: Quote, q2: Quote, store: EmbeddingStore) -> float:
+    """Similarity of two quotes.
+
+    Exactly 1.0 for a common reference (same quote, or textually identical
+    after normalization) regardless of stored vectors; cosine of the stored
+    vectors otherwise.
+    """
+    if q1.id == q2.id or q1.normalized_text == q2.normalized_text:
+        return 1.0
+    return cosine(store.get(q1.id), store.get(q2.id))
+
+
+def oracle_joint_pairs(
+    quotes_u: Iterable[Quote],
+    quotes_v: Iterable[Quote],
+    store: EmbeddingStore,
+    tau: float = 0.8,
+) -> list[JointPair]:
+    """All unordered quote pairs across the two sets with similarity >= tau.
+
+    A quote occurring in both sets pairs with itself exactly once, at 1.0.
+    Results are sorted by (quote_a, quote_b) id.
+    """
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
+    by_id_u = {q.id: q for q in quotes_u}
+    by_id_v = {q.id: q for q in quotes_v}
+    pairs: list[JointPair] = []
+    seen: set[tuple[str, str]] = set()
+    for qu_id in sorted(by_id_u):
+        for qv_id in sorted(by_id_v):
+            key = (qu_id, qv_id) if qu_id <= qv_id else (qv_id, qu_id)
+            if key in seen:
+                continue
+            seen.add(key)
+            sim = oracle_quote_similarity(by_id_u[qu_id], by_id_v[qv_id], store)
+            if sim >= tau:
+                pairs.append(JointPair(key[0], key[1], sim))
+    pairs.sort(key=lambda p: (p.quote_a, p.quote_b))
+    return pairs
+
+
 def oracle_build_an(
     reading: Reading,
     corpus: Corpus,
@@ -92,7 +138,7 @@ def oracle_build_an(
     }
     for i, u in enumerate(authors):
         for v in authors[i + 1 :]:
-            pairs = joint_pairs(attended[u], attended[v], store, tau)
+            pairs = oracle_joint_pairs(attended[u], attended[v], store, tau)
             if pairs:
                 g.add_edge(u, v, math.fsum(p.similarity for p in pairs))
     return g

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import operator
 import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,9 @@ import pytest
 from aicnet.cli import main
 from aicnet.corpus import load_corpus, normalize_text, save_corpus
 from aicnet.export import read_dot, read_graphml, read_json
-from aicnet.semantic import load_embeddings, save_embeddings
+from aicnet.semantic import embed_quotes, load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
+from aicnet.textpipe import WordSelectionParams
 
 from conftest import child_env
 
@@ -730,6 +733,106 @@ def test_each_command_takes_exactly_its_options():
     assert options == _OPTIONS
 
 
+def _library_outputs(corpus, tau=0.8, dim=256, params=WordSelectionParams()):
+    """What ``metrics --level network``, ``metrics --level node`` (their JSON
+    files) and ``compare r1 r2`` (its stdout) report, computed by calling the
+    library at these settings."""
+    from aicnet import metrics as m
+    from aicnet.cli import _NETWORK_MEASURES, _NODE_MEASURES, _compared, _csv_lines
+    from aicnet.graphs import build_an, build_cn_bipartite, build_in, project
+
+    readings = [corpus.readings[rid] for rid in sorted(corpus.readings)]
+    store = embed_quotes([q for r in readings for q in r.quotes.values()], dim)
+    graphs = {r.id: (build_an(r, corpus, store, tau), build_in(r, corpus),
+                     project(build_cn_bipartite(r, corpus, params))) for r in readings}
+    network = m.network_report(graphs)
+    node = {rid: [asdict(row) for row in m.node_report(*g, set(corpus.authors))]
+            for rid, g in graphs.items()}
+    net = {row.reading_id: row for row in network}
+    roster = readings[0].active_authors() | readings[1].active_authors()
+    rows_a, rows_b = ({row.author_id: row for row in m.node_report(*graphs[rid], roster)}
+                      for rid in ("r1", "r2"))
+    compared = _csv_lines([["Measure", "r1", "r2", "delta"],
+                           *_compared(net["r1"], net["r2"], _NETWORK_MEASURES),
+                           [], ["Student", "Measure", "r1", "r2", "delta"],
+                           *([a, *row] for a in sorted(roster)
+                             for row in _compared(rows_a[a], rows_b[a], _NODE_MEASURES))])
+    return [asdict(row) for row in network], node, compared
+
+
+@pytest.mark.parametrize("flags, settings, default", [
+    (["--threshold", "0.1"], {"tau": 0.1}, {}),
+    # hash vectors of 16 components, against 256, at a threshold where that shows
+    (["--threshold", "0.3", "--dim", "16"], {"tau": 0.3, "dim": 16}, {"tau": 0.3}),
+    (["--min-freq", "8"], {"params": WordSelectionParams(min_frequency=8)}, {}),
+    (["--top-words", "5"], {"params": WordSelectionParams(top_k=5)}, {}),
+], ids=["threshold", "dim", "min-freq", "top-words"])
+def test_each_network_flag_reaches_its_builder(tmp_path, capsys, flags, settings, default):
+    path = _DATA / "sample_corpus.jsonl"
+    corpus = load_corpus(path)
+    want = _library_outputs(corpus, **settings)
+    # each report differs from the default's, so a flag lost on its way shows in each
+    assert all(map(operator.ne, want, _library_outputs(corpus, **default)))
+    out = tmp_path / "out"
+    for level in ("network", "node"):
+        code, _, _ = run_cli(capsys, "metrics", str(path), "--level", level, *flags,
+                             "--out", str(out))
+        assert code == 0
+    code, compared, _ = run_cli(capsys, "compare", str(path), "r1", "r2", *flags)
+    assert code == 0
+    node = {rid: json.loads((out / f"metrics_node_{rid}.json").read_text()) for rid in want[1]}
+    assert [json.loads((out / "metrics_network.json").read_text()), node, compared] == list(want)
+
+
+@pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+def test_a_threshold_outside_the_unit_interval_is_an_input_error(capsys, value):
+    code, out, err = run_cli(capsys, "metrics", str(_DATA / "sample_corpus.jsonl"),
+                             "--level", "network", "--threshold", value)
+    assert (code, out) == (1, "")
+    assert err.endswith("error: argument --threshold: threshold must be in (0, 1]\n"), err
+
+
+# one quote, one annotation, one reply: lines 1, 2 and 3 of a corpus file
+_MINI_RECORDS = [
+    {"record": "quote", "id": "q1", "reading_id": "r1", "text": "A passage."},
+    {"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation", "quote_id": "q1",
+     "body": "note"},
+    {"id": "p1", "reading_id": "r1", "author_id": "B", "kind": "reply", "parent_id": "a1",
+     "body": "reply"},
+]
+
+
+@pytest.mark.parametrize("line, field, value, message", [
+    (2, "ts", 5, "line 2: field 'ts' must be a string"),
+    (1, "text", " \t ", "line 1: quote text is empty"),
+    (2, "parent_id", "p1", "line 2: annotation 'a1' must not have a parent_id"),
+    (3, "quote_id", "q1", "line 3: reply 'p1' must not carry a quote_id"),
+], ids=["ts_not_a_string", "blank_quote_text", "annotation_with_parent", "reply_with_quote"])
+def test_a_malformed_corpus_record_is_an_input_error_naming_its_line(jsonl_file, capsys, line,
+                                                                     field, value, message):
+    records = [dict(r) for r in _MINI_RECORDS]
+    records[line - 1][field] = value
+    path = jsonl_file(records)
+    code, out, err = run_cli(capsys, "metrics", str(path), "--level", "network")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_build_rejects_an_unknown_format(jsonl_file, tmp_path, capsys):
+    out_dir = tmp_path / "graphs"
+    code, out, err = run_cli(capsys, "build", str(jsonl_file(_MINI_RECORDS)), "--reading", "r1",
+                             "--network", "in", "--format", "json,xml", "--out", str(out_dir))
+    assert (code, out, err) == (1, "", "error: unknown export format(s): xml\n")
+    assert not out_dir.exists()
+
+
+def test_synth_rejects_a_bad_reply_pair(tmp_path, capsys):
+    out_dir = tmp_path / "synth"
+    code, out, err = run_cli(capsys, "synth", "--reply-edges", "s01:s02,s03", "--out",
+                             str(out_dir))
+    assert (code, out, err) == (1, "", "error: bad pair 's03'; expected author:author\n")
+    assert not out_dir.exists()
+
+
 def _three_readings(tmp_path):
     """Three readings of 3, 2 and 4 quotes over one roster, saved as one file."""
     blocks = (("s01", "s02"), ("s03",))
@@ -895,6 +998,12 @@ def _zero_dimension_binary(good: Path, path: Path) -> None:
     path.write_bytes(b"AICEMB01" + struct.pack("<IIH", 0, 1, 2) + b"q1")
 
 
+def _non_utf8_id_binary(good: Path, path: Path) -> None:
+    # one record of dimension 2 whose one-byte id starts at byte 18
+    path.write_bytes(b"AICEMB01" + struct.pack("<IIH", 2, 1, 1) + b"\xff"
+                     + struct.pack("<2f", 1.0, 0.0))
+
+
 def _edited_jsonl(edit):
     def write(good: Path, path: Path) -> None:
         lines = good.read_text(encoding="utf-8").splitlines()
@@ -928,9 +1037,15 @@ def _edited_jsonl(edit):
     (_zero_dimension_binary, "bad_emb byte 8: dimension must be at least 1"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[1e200", ls[1], count=1)] + ls[2:]),
      r"vector for '[^']+' has a norm outside the float64 range"),
+    # an integer JSON reads but float() cannot hold
+    (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[1" + "0" * 400, ls[1], count=1)]
+                   + ls[2:]),
+     "bad_emb line 2: 'vector' must be a list of numbers"),
+    (_non_utf8_id_binary, "bad_emb byte 18: quote id is not valid UTF-8"),
 ], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
         "long_integer", "string_component", "null_quote_id", "trailing_binary", "empty_vector",
-        "zero_dimension_binary", "norm_overflow"])
+        "zero_dimension_binary", "norm_overflow", "integer_beyond_float_range",
+        "non_utf8_binary_id"])
 def test_bad_embedding_file_is_input_error(sample, tmp_path, capsys, write, message):
     corpus_path, emb_path, _ = sample
     bad = tmp_path / "bad_emb"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aicnet.corpus import (
     Artifact,
     Reading,
+    _parse_record,
     descriptive_stats,
     load_corpus,
     normalize_text,
@@ -329,6 +330,30 @@ def test_thread_root_on_broken_chains():
             thread_root(art, corpus)
         assert exc.value.artifact_id == artifact_id
         assert (type(roots[art.id]), roots[art.id].artifact_id) == want
+
+
+@pytest.mark.parametrize("rec, message", [
+    ({"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation", "quote_id": "q1",
+      "body": "note", "ts": 5}, "line 7: field 'ts' must be a string"),
+    ({"record": "quote", "id": "q1", "reading_id": "r1", "text": "  \n"},
+     "line 7: quote text is empty"),
+    ({"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation", "quote_id": "q1",
+      "parent_id": "p1", "body": "note"}, "line 7: annotation 'a1' must not have a parent_id"),
+    ({"id": "p1", "reading_id": "r1", "author_id": "B", "kind": "reply", "parent_id": "a1",
+      "quote_id": "q1", "body": ""}, "line 7: reply 'p1' must not carry a quote_id"),
+], ids=["ts_not_a_string", "blank_quote_text", "annotation_with_parent", "reply_with_quote"])
+def test_parse_record_raises_a_parse_error_naming_the_line(rec, message):
+    with pytest.raises(ParseError) as exc:
+        _parse_record(7, rec)
+    assert (exc.value.line, str(exc.value)) == (7, message)
+
+
+def test_artifact_by_id_names_an_unknown_id():
+    reading = broken_chain_corpus().readings["r1"]
+    assert reading.artifact_by_id("a2").quote_id == "q2"
+    with pytest.raises(UnknownArtifact) as exc:
+        reading.artifact_by_id("zz")
+    assert exc.value.artifact_id == "zz"
 
 
 def test_thread_root_unknown_artifact():

@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from aicnet.graphs import (
     BipartiteGraph,
     WeightedGraph,
-    _surely_below,
     attention_quotes,
     build_an,
     build_cn_bipartite,
     build_in,
     project,
 )
-from aicnet.corpus import load_corpus, thread_roots
+from aicnet.corpus import Quote, load_corpus, thread_roots
 from aicnet.errors import (
     AicnetError,
     DanglingParent,
@@ -35,15 +34,15 @@ from aicnet.semantic import (
     EmbeddingStore,
     _cosine,
     _squared_norm,
+    _surely_below,
     embed_quotes,
     joint_pairs,
-    quote_similarity,
 )
 from aicnet.synth import SynthParams, generate, random_params
 from aicnet.textpipe import WordSelectionParams
 
 from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
-from oracles import oracle_build_an, oracle_project
+from oracles import oracle_build_an, oracle_joint_pairs, oracle_project, oracle_quote_similarity
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,6 +75,13 @@ def test_weighted_graph_rejects_bad_edges():
         g.add_edge("a", "a", 1.0)
     with pytest.raises(ValueError):
         g.add_edge("a", "b", 0.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, math.nan])
+def test_build_an_refuses_a_threshold_outside_the_unit_interval(tau):
+    corpus, store = _figure_corpus()
+    with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+        build_an(corpus.readings["r1"], corpus, store, tau)
 
 
 def test_attention_quotes_annotation():
@@ -531,7 +537,7 @@ def test_build_an_weight_is_the_fsum_of_its_similarities():
                                                **{f"q{i}": v for i, v in enumerate(order, 1)}})
         reading = corpus.readings["r1"]
         q = reading.quotes
-        sims = [quote_similarity(q["q0"], q[qid], store) for qid in ("q1", "q2", "q3")]
+        sims = [oracle_quote_similarity(q["q0"], q[qid], store) for qid in ("q1", "q2", "q3")]
         g = build_an(reading, corpus, store, 0.5)
         assert g.edges == {("A", "B"): math.fsum(sims)}
         assert g.edges == oracle_build_an(reading, corpus, store, 0.5).edges
@@ -571,6 +577,70 @@ def test_build_an_with_one_defective_vector_equals_oracle(case, data):
     # a zero norm reaching the division would raise ZeroDivisionError, no input error
     got = _outcome(build_an, reading, corpus, store, tau)
     assert got == _outcome(oracle_build_an, reading, corpus, store, tau)
+
+
+@st.composite
+def quote_set_pairs(draw):
+    """Two quote sets drawn, with repeats, from up to six quotes of twinned
+    texts, with vectors as in :func:`an_readings`, and at most one of them
+    missing, zero, short or NaN."""
+    tau = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    quotes, vectors = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        qid = f"q{i}"
+        quotes.append(Quote(id=qid, reading_id="r1", text=draw(st.sampled_from(_AN_TEXTS))))
+        if i and draw(st.booleans()):
+            base = np.array(vectors[f"q{draw(st.integers(0, i - 1))}"])
+            delta = draw(st.sampled_from([-1e-12, -1e-16, 0.0, 1e-16, 1e-12]))
+            vec = _planted(base, min(1.0, tau + delta), draw(st.integers(0, 2**16)))
+        else:
+            vec = np.array(draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4)), dtype=float)
+            vec[0] += not vec.any()
+        vectors[qid] = tuple((vec * draw(st.sampled_from([1.0, 0.3, 7.0]))).tolist())
+    qid = draw(st.sampled_from(sorted(vectors)))
+    defect = draw(st.sampled_from(["none", "missing", "zero", "short", "nan"]))
+    if defect == "missing":
+        del vectors[qid]
+    elif defect != "none":
+        vectors[qid] = {"zero": (0.0,) * 4, "short": vectors[qid][:3],
+                        "nan": (math.nan,) + vectors[qid][1:]}[defect]
+    side = st.lists(st.sampled_from(quotes), max_size=6)
+    return draw(side), draw(side), EmbeddingStore(dim=4, vectors=vectors), tau
+
+
+def _pairs_or_error(pairs, quotes_u, quotes_v, store, tau):
+    """The joint pairs as (a, b, similarity) triples, or the class of the input error."""
+    try:
+        return [(p.quote_a, p.quote_b, p.similarity) for p in pairs(quotes_u, quotes_v, store, tau)]
+    except AicnetError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quote_set_pairs())
+def test_joint_pairs_equals_pairwise_oracle(case):
+    got = _pairs_or_error(joint_pairs, *case)
+    assert got == _pairs_or_error(oracle_joint_pairs, *case)  # exact floats, same order
+
+
+def test_joint_pairs_keeps_only_pairs_across_the_sets():
+    # q1 and q2 are twins that u alone holds; only q3 is v's
+    q1, q2, q3 = (Quote(id=f"q{i}", reading_id="r1", text=t)
+                  for i, t in enumerate(["alpha", "Alpha", "gamma"], 1))
+    store = EmbeddingStore(dim=2, vectors={"q1": (1.0, 0.0), "q2": (1.0, 0.0), "q3": (0.0, 1.0)})
+    assert joint_pairs([q1, q2], [q3], store, 0.5) == []
+    assert joint_pairs([q1, q2], [q2, q3], store, 0.5) == oracle_joint_pairs([q1, q2], [q2, q3],
+                                                                             store, 0.5)
+    assert [(p.quote_a, p.quote_b) for p in joint_pairs([q1, q2], [q2, q3], store, 0.5)] == [
+        ("q1", "q2"), ("q2", "q2")]
+
+
+def test_joint_pairs_pairs_a_quote_with_itself_only_in_both_sets():
+    q1, q2 = Quote("q1", "r1", "alpha"), Quote("q2", "r1", "gamma")
+    store = EmbeddingStore(dim=2, vectors={"q1": (1.0, 0.0), "q2": (0.0, 1.0)})
+    assert joint_pairs([q1], [q2], store, 0.5) == []
+    assert [(p.quote_a, p.quote_b, p.similarity) for p in joint_pairs([q1, q2], [q1], store, 0.5)] \
+        == [("q1", "q1", 1.0)]
 
 
 @pytest.mark.parametrize("vectors, error", [
@@ -622,7 +692,6 @@ def test_build_an_reading_without_artifacts_is_empty():
 
 
 def test_build_an_compares_each_quote_pair_once(monkeypatch):
-    import aicnet.graphs as graphs
     import aicnet.semantic as semantic
 
     params = SynthParams(
@@ -639,7 +708,7 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
     tested: list[Counter] = []  # per build, the pairs put to the distance test
     scored: list[Counter] = []  # and those scored by _cosine
     jp_calls = []
-    surely_below = graphs._surely_below
+    surely_below = semantic._surely_below
 
     def counting_test(u, nu, v, nv, tau):
         tested[-1][frozenset((quote_of[id(u)], quote_of[id(v)]))] += 1
@@ -653,8 +722,8 @@ def test_build_an_compares_each_quote_pair_once(monkeypatch):
         jp_calls.append(args)
         return joint_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "_surely_below", counting_test)
-    monkeypatch.setattr(graphs, "_cosine", counting_cosine)
+    monkeypatch.setattr(semantic, "_surely_below", counting_test)
+    monkeypatch.setattr(semantic, "_cosine", counting_cosine)
     monkeypatch.setattr(semantic, "joint_pairs", counting_joint_pairs)
     assert len(reading.active_authors()) >= 20
     # the different-text pairs of attended quotes that two authors hold

@@ -126,6 +126,14 @@ def test_closeness_isolate_and_unknown():
         closeness(g, "zzz")
 
 
+def test_betweenness_names_an_unknown_node():
+    g = _graph([("a", "b"), ("b", "c")])
+    assert betweenness(g, "b") == 1.0
+    with pytest.raises(UnknownNode) as exc:
+        betweenness(g, "zzz")
+    assert exc.value.node == "zzz"
+
+
 def test_closeness_single_edge_component():
     g = _graph([("a", "b")])
     assert closeness(g, "a") == 1.0

@@ -29,10 +29,9 @@ from aicnet.semantic import (
     hash_embed,
     joint_pairs,
     load_embeddings,
-    quote_similarity,
     save_embeddings,
 )
-from oracles import oracle_hash_embed
+from oracles import oracle_hash_embed, oracle_quote_similarity
 
 # a JSONL vector line past the integer-digit limit, and one past the recursion limit
 _LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
@@ -177,6 +176,14 @@ def test_load_rejects_an_empty_binary_id(tmp_path):
         load_embeddings(path)
 
 
+def test_load_names_the_byte_of_a_binary_id_that_is_not_utf8(tmp_path):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(_binary_file(2, [(b"\xffq", [1.0, 0.0])]))
+    with pytest.raises(EmbeddingFileError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"embeddings {path} byte 18: quote id is not valid UTF-8"
+
+
 @pytest.mark.parametrize("format", ["jsonl", "binary"])
 @pytest.mark.parametrize("vectors, reason", [
     ({"q1": (math.nan, 1.0)}, "vector for 'q1' has a non-finite component"),
@@ -256,6 +263,8 @@ def test_load_rejects_duplicate_id(tmp_path):
     pytest.param('{"quote_id": "q2", "vector": [true, false]}', _NOT_NUMBERS, id="bool_components"),
     pytest.param('{"quote_id": "q2", "vector": [1.0, null]}', _NOT_NUMBERS, id="null_component"),
     pytest.param('{"quote_id": "q2", "vector": [[1.0], [0.5]]}', _NOT_NUMBERS, id="nested"),
+    pytest.param('{"quote_id": "q2", "vector": [1' + "0" * 400 + ']}', _NOT_NUMBERS,
+                 id="integer_beyond_float_range"),
     pytest.param('{"quote_id": null, "vector": [1, 0]}', _NOT_AN_ID, id="null_id"),
     pytest.param('{"quote_id": 7, "vector": [1, 0]}', _NOT_AN_ID, id="int_id"),
     pytest.param('{"quote_id": "", "vector": [1, 0]}', _NOT_AN_ID, id="empty_id"),
@@ -456,15 +465,20 @@ def test_cosine_rejects_norms_outside_the_float64_range(u, v):
             cosine(np.array(a), np.array(b))
 
 
+def _similarities(quotes_u, quotes_v, store, tau=0.01):
+    return [(p.quote_a, p.quote_b, p.similarity) for p in joint_pairs(quotes_u, quotes_v, store, tau)]
+
+
 def test_quote_similarity_common_reference():
     store = EmbeddingStore(dim=2, vectors={})
     q = _q("q1", "Same passage")
-    assert quote_similarity(q, q, store) == 1.0
+    assert _similarities({q}, {q}, store) == [("q1", "q1", 1.0)]
     # identical normalized text wins even when stored vectors disagree
     store = EmbeddingStore(
         dim=2, vectors={"q1": np.array([1.0, 0.0]), "q2": np.array([0.0, 1.0])}
     )
-    assert quote_similarity(_q("q1", "Same  passage"), _q("q2", "same passage"), store) == 1.0
+    pairs = _similarities({_q("q1", "Same  passage")}, {_q("q2", "same passage")}, store, 1.0)
+    assert pairs == [("q1", "q2", 1.0)]
 
 
 def test_quote_similarity_stored_vectors():
@@ -472,13 +486,13 @@ def test_quote_similarity_stored_vectors():
         dim=4,
         vectors={"q1": np.array([1.0, 0.0, 0.0, 0.0]), "q2": np.array([4.0, 3.0, 0.0, 0.0])},
     )
-    assert quote_similarity(_q("q1", "one"), _q("q2", "two"), store) == 0.8
+    assert _similarities({_q("q1", "one")}, {_q("q2", "two")}, store, 0.8) == [("q1", "q2", 0.8)]
 
 
 def test_quote_similarity_missing_embedding():
     store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, 0.0])})
     with pytest.raises(MissingEmbedding):
-        quote_similarity(_q("q1", "one"), _q("q2", "two"), store)
+        joint_pairs({_q("q1", "one")}, {_q("q2", "two")}, store)
 
 
 @pytest.mark.parametrize("vectors, message", [
@@ -495,7 +509,7 @@ def test_quote_similarity_missing_embedding():
 def test_vector_errors_name_the_quote(vectors, message):
     store = EmbeddingStore(dim=2, vectors={qid: tuple(v) for qid, v in vectors.items()})
     with pytest.raises((DimensionMismatch, ZeroVector, InvalidVector)) as exc:
-        quote_similarity(_q("q1", "one"), _q("q2", "two"), store)
+        joint_pairs({_q("q1", "one")}, {_q("q2", "two")}, store)
     assert str(exc.value) == message
 
 
@@ -507,8 +521,11 @@ def test_quote_similarity_symmetric(text_a, text_b):
     store = EmbeddingStore(dim=64, vectors={
         "qa": hash_embed(text_a, 64), "qb": hash_embed(text_b, 64),
     })
-    assert quote_similarity(qa, qb, store) == quote_similarity(qb, qa, store)
-    assert quote_similarity(qa, qa, store) == 1.0
+    pairs = _similarities({qa}, {qb}, store)
+    assert pairs == _similarities({qb}, {qa}, store)
+    sim = oracle_quote_similarity(qa, qb, store)
+    assert pairs == ([("qa", "qb", sim)] if sim >= 0.01 else [])
+    assert _similarities({qa}, {qa}, store) == [("qa", "qa", 1.0)]
 
 
 def _figure_store() -> EmbeddingStore:

@@ -378,3 +378,15 @@ def test_load_wordlist_arbitrary_bytes_only_raises_input_errors(tmp_path_factory
         load_wordlist(path)
     except AicnetError:
         pass
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("min_frequency", 0, "min_frequency must be >= 1"),
+    ("drop_lowest", -1, "drop_lowest must be >= 0"),
+    ("top_k", 0, "top_k must be >= 1"),
+])
+def test_word_selection_params_refuse_a_count_below_its_floor(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        WordSelectionParams(**{field: value})
+    assert str(exc.value) == message
+    WordSelectionParams(**{field: value + 1})

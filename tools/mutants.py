@@ -38,20 +38,21 @@ _AN = "tests/test_graphs.py::"
 _EXPORT = "tests/test_export.py::"
 _IMPORTS = "tests/test_imports.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
+_FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 # 20-30-node graphs, where another summation order changes low bits
 _BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
-    # attention network: score pairs one author holds alone
-    Mutant("src/aicnet/graphs.py",
+    # quote-pair scorer: score pairs one holder holds alone
+    Mutant("src/aicnet/semantic.py",
            "            elif sole[i] is not None and sole[i] == sole[j]:\n                continue\n",
            "", (_AN + "test_build_an_reads_no_vector_the_oracle_skips",)),
-    # attention network: same-text pairs scored by their vectors, not counted 1.0
-    Mutant("src/aicnet/graphs.py",
+    # quote-pair scorer: same-text pairs scored by their vectors, not counted 1.0
+    Mutant("src/aicnet/semantic.py",
            "if quotes[i].normalized_text == quotes[j].normalized_text:",
            "if quotes[i].id == quotes[j].id:",
            (_AN + "test_build_an_equals_pairwise_oracle",)),
-    # attention network: every attended quote's vector read, not only those a pair needs
-    Mutant("src/aicnet/graphs.py", "[{i: 1.0} for i in range(n)]",
+    # quote-pair scorer: every quote's vector read, not only those a pair needs
+    Mutant("src/aicnet/semantic.py", "[{i: 1.0} for i in range(n)]",
            "[{i: 1.0} for i in range(n) if store.get(quotes[i].id)]",
            (_AN + "test_build_an_reads_no_vector_the_oracle_skips",)),
     # an all-zero vector passes EmbeddingStore.get and is refused for its norm instead
@@ -63,7 +64,7 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/semantic.py", "if len(vec) != self.dim:", "if not len(vec):",
            (_AN + "test_build_an_vector_errors_match_oracle",)),
     # vectors read from the map, bypassing EmbeddingStore.get
-    Mutant("src/aicnet/graphs.py", "vec = store.get(quotes[k].id)",
+    Mutant("src/aicnet/semantic.py", "vec = store.get(quotes[k].id)",
            "vec = store.vectors[quotes[k].id]",
            (_AN + "test_build_an_vector_errors_match_oracle",
             _AN + "test_build_an_with_one_defective_vector_equals_oracle")),
@@ -139,6 +140,29 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/synth.py", "vectors={q.id: vector_of[q.text] for",
            "vectors={q.id: hash_embed(q.text, dim) for",
            ("tests/test_synth.py::test_generate_hashes_each_text_once",)),
+    # joint_pairs: pairs within one set kept, not only those across the two
+    Mutant("src/aicnet/semantic.py", "if j >= i and len(holders[i] | holders[j]) == 2]",
+           "if j >= i]", (_AN + "test_joint_pairs_keeps_only_pairs_across_the_sets",
+                          _AN + "test_joint_pairs_equals_pairwise_oracle")),
+    # joint_pairs: every quote paired with itself, not only one in both sets
+    Mutant("src/aicnet/semantic.py", "if j >= i and len(holders[i] | holders[j]) == 2]",
+           "if j == i or j > i and len(holders[i] | holders[j]) == 2]",
+           (_AN + "test_joint_pairs_pairs_a_quote_with_itself_only_in_both_sets",
+            _AN + "test_joint_pairs_equals_pairwise_oracle")),
+    # --threshold dropped on its way to build_an
+    Mutant("src/aicnet/cli.py", "build_an(reading, corpus, store, args.threshold)",
+           "build_an(reading, corpus, store)", (_FLAG + "[threshold]",)),
+    # --dim dropped on its way to the hash embedder
+    Mutant("src/aicnet/cli.py", "for q in r.quotes.values()], args.dim)",
+           "for q in r.quotes.values()])", (_FLAG + "[dim]",)),
+    # --min-freq dropped on its way to word selection
+    Mutant("src/aicnet/cli.py",
+           "WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords,",
+           "WordSelectionParams(5, args.drop_lowest, args.top_words, args.stopwords,",
+           (_FLAG + "[min-freq]",)),
+    # --top-words dropped on its way to word selection
+    Mutant("src/aicnet/cli.py", "args.drop_lowest, args.top_words, args.stopwords,",
+           "args.drop_lowest, 70, args.stopwords,", (_FLAG + "[top-words]",)),
     # No mutant reorders the terms of an AN weight: math.fsum is exactly
     # rounded, so every order gives the same float. Nor is the weight summed by
     # the builtin sum: from Python 3.12 that sum is compensated and equals
@@ -178,11 +202,11 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/metrics.py", "{v: _closeness_from(rows, i) for v, i in position.items()}",
            "{v: _closeness_from(_adjacency(g)[1], i) for v, i in position.items()}",
            ("tests/test_metrics.py::test_node_report_builds_one_adjacency_per_graph",)),
-    # attention network: no slack for rounding in the reject test
-    Mutant("src/aicnet/graphs.py", "est + (len(u) + 8) * 2.0**-51 * r <", "est <",
+    # quote-pair scorer: no slack for rounding in the reject test
+    Mutant("src/aicnet/semantic.py", "est + (len(u) + 8) * 2.0**-51 * r <", "est <",
            (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
-    # attention network: the reject test cut at tau, so a pair _cosine snaps to 1.0 is lost
-    Mutant("src/aicnet/graphs.py", "min(tau, 1.0 - _CLAMP_TOL)", "tau",
+    # quote-pair scorer: the reject test cut at tau, so a pair _cosine snaps to 1.0 is lost
+    Mutant("src/aicnet/semantic.py", "min(tau, 1.0 - _CLAMP_TOL)", "tau",
            (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
     # hash vectors: every quote's text hashed up front again
     Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim))",
@@ -229,8 +253,8 @@ MUTANTS: list[Mutant] = [
            "aggregate[lemma] = score",
            ("tests/test_textpipe.py::test_selection_insensitive_to_artifact_order",)),
     # word selection: idf as a difference of logs, which rounds differently
-    Mutant("src/aicnet/textpipe.py", "lemma: math.log(n_docs / df[lemma])",
-           "lemma: math.log(n_docs) - math.log(df[lemma])",
+    Mutant("src/aicnet/textpipe.py", "math.log(len(docs) / n)",
+           "math.log(len(docs)) - math.log(n)",
            ("tests/test_textpipe.py::test_selection_equals_oracle_on_synthetic_corpora[3]",)),
     # word selection: each body judged with a fresh memo
     Mutant("src/aicnet/textpipe.py",
