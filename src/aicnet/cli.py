@@ -31,7 +31,13 @@ from .corpus import (
 )
 from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
-from .semantic import EmbeddingStore, embed_quotes, load_embeddings, save_embeddings
+from .semantic import (
+    EmbeddingStore,
+    _check_threshold,
+    embed_quotes,
+    load_embeddings,
+    save_embeddings,
+)
 from .textpipe import WordSelectionParams, load_wordlist
 
 # the export formats; ``export.write_<format>`` writes each, csv an edge and a node file
@@ -55,9 +61,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_threshold(value: str) -> float:
-    tau = float(value)
-    if not 0.0 < tau <= 1.0:
-        raise argparse.ArgumentTypeError("threshold must be in (0, 1]")
+    tau = float(value)  # a value that is no number keeps argparse's own message
+    try:
+        _check_threshold(tau)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tau
 
 
@@ -244,7 +252,7 @@ def _write_json(path: Path, payload: object) -> None:
 # -- commands -------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # one pass gives the corpus and every problem validate_file would list
+    # one pass gives the corpus and every problem in the file
     loaded, errors = corpus_mod._collect(args.corpus, _corpus_format(args.corpus))
     if errors:
         for err in errors:

@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, Literal
 
 from .errors import (
     AicnetError,
-    CorpusEncodingError,
     CyclicThread,
     DanglingParent,
     EmptyCorpus,
@@ -119,22 +118,34 @@ class Corpus:
 
 # -- parsing ------------------------------------------------------------------
 
-def _records_from_jsonl(lines: Iterable[str]) -> Iterator[tuple[int, dict] | ParseError]:
-    for lineno, line in enumerate(lines, start=1):
+def _decoded(path: str | Path, raw: bytes) -> str:
+    """The text of an input file's bytes: UTF-8, one leading U+FEFF dropped.
+    Bytes that are not UTF-8 raise :class:`ParseError` at their offset, which
+    counts from the file's first byte."""
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"byte {exc.start}", "not valid UTF-8") from None
+
+
+def _json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
+    """(line, object) for each non-blank line of a JSONL text; a line that is
+    not JSON, or not a JSON object, is yielded as its :class:`ParseError`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
-            yield ParseError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})")
+            yield ParseError(path, f"line {lineno}", f"invalid JSON ({getattr(exc, 'msg', exc)})")
             continue
         if not isinstance(rec, dict):
-            yield ParseError(lineno, "record is not a JSON object")
+            yield ParseError(path, f"line {lineno}", "record is not a JSON object")
             continue
         yield lineno, rec
 
 
-def _records_from_csv(text: str) -> Iterator[tuple[int, dict] | ParseError]:
+def _records_from_csv(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
     reader = csv.DictReader(io.StringIO(text))
     # no field is longer than the text; the process-wide limit is restored after
     limit = csv.field_size_limit(len(text) + 1)
@@ -145,47 +156,47 @@ def _records_from_csv(text: str) -> Iterator[tuple[int, dict] | ParseError]:
             except StopIteration:
                 return
             except csv.Error as exc:
-                yield ParseError(reader.line_num, f"invalid CSV ({exc})")
+                yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
                 return
-            lineno = reader.line_num
             cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
-            if cleaned.get("record") == "artifact":
-                del cleaned["record"]
             if cleaned.get("record") != "quote":
                 cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
-            yield lineno, cleaned
+            yield reader.line_num, cleaned
     finally:
         csv.field_size_limit(limit)
 
 
-def _parse_record(lineno: int, rec: dict) -> Quote | Artifact:
+def _parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
     """The quote or artifact of one record; a field of the wrong type, a
     missing one, or one its kind forbids raises :class:`ParseError` naming
-    the line."""
+    the file and the line."""
+    def fault(reason: str) -> ParseError:
+        return ParseError(path, f"line {lineno}", reason)
+
     def need(key: str) -> str:
         value = rec.get(key)
         if not isinstance(value, str) or value == "":
-            raise ParseError(lineno, f"missing or empty field {key!r}")
+            raise fault(f"missing or empty field {key!r}")
         return value
 
     def optional(key: str) -> str | None:
         value = rec.get(key)
         if value is not None and not isinstance(value, str):
-            raise ParseError(lineno, f"field {key!r} must be a string")
+            raise fault(f"field {key!r} must be a string")
         return value
 
     if rec.get("record") == "quote":
         quote = Quote(id=need("id"), reading_id=need("reading_id"), text=need("text"))
         if not quote.text.strip():
-            raise ParseError(lineno, "quote text is empty")
+            raise fault("quote text is empty")
         return quote
 
     kind = need("kind")
     if kind not in ("annotation", "reply"):
-        raise ParseError(lineno, f"unknown kind {kind!r}")
+        raise fault(f"unknown kind {kind!r}")
     body = rec.get("body")
     if not isinstance(body, str):
-        raise ParseError(lineno, "missing field 'body'")
+        raise fault("missing field 'body'")
     art = Artifact(
         id=need("id"),
         author_id=need("author_id"),
@@ -198,16 +209,16 @@ def _parse_record(lineno: int, rec: dict) -> Quote | Artifact:
     )
     if kind == "annotation":
         if not art.quote_id:
-            raise ParseError(lineno, f"annotation {art.id!r} has no quote_id")
+            raise fault(f"annotation {art.id!r} has no quote_id")
         if art.parent_id:
-            raise ParseError(lineno, f"annotation {art.id!r} must not have a parent_id")
+            raise fault(f"annotation {art.id!r} must not have a parent_id")
         if not art.body.strip():
-            raise ParseError(lineno, f"annotation {art.id!r} has an empty body")
+            raise fault(f"annotation {art.id!r} has an empty body")
     else:
         if not art.parent_id:
-            raise ParseError(lineno, f"reply {art.id!r} has no parent_id")
+            raise fault(f"reply {art.id!r} has no parent_id")
         if art.quote_id:
-            raise ParseError(lineno, f"reply {art.id!r} must not carry a quote_id")
+            raise fault(f"reply {art.id!r} must not carry a quote_id")
     return art
 
 
@@ -216,30 +227,29 @@ def _iter_parsed(
 ) -> Iterator[tuple[int, Quote | Artifact] | AicnetError]:
     """Yield (line, record) pairs; parse failures are yielded, not raised, so
     that a caller collects every one of them."""
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown corpus format {format!r}")
     # decode manually: read_text would newline-translate inside quoted CSV fields
     try:
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        yield CorpusEncodingError(str(path), exc.start)
+        text = _decoded(path, Path(path).read_bytes())
+    except ParseError as exc:
+        yield exc
         return
-    if format == "jsonl":
-        raw: Iterator[tuple[int, dict] | ParseError] = _records_from_jsonl(text.splitlines())
-    elif format == "csv":
-        raw = _records_from_csv(text)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-    for item in raw:
+    split = _json_objects if format == "jsonl" else _records_from_csv
+    for item in split(path, text):
         if isinstance(item, ParseError):
             yield item
             continue
         lineno, rec = item
         try:
-            yield lineno, _parse_record(lineno, rec)
+            yield lineno, _parse_record(path, lineno, rec)
         except ParseError as exc:
             yield exc
 
 
-def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list[AicnetError]]:
+def _assemble(
+    path: str | Path, records: list[tuple[int, Quote | Artifact]]
+) -> tuple[Corpus, list[AicnetError]]:
     corpus = Corpus()
     errors: list[AicnetError] = []
     seen_ids: dict[str, set[str]] = {}
@@ -248,7 +258,8 @@ def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list
         reading = corpus.readings.setdefault(item.reading_id, Reading(id=item.reading_id))
         ids = seen_ids.setdefault(item.reading_id, set())
         if item.id in ids:
-            errors.append(ParseError(lineno, f"duplicate id {item.id!r} in reading {item.reading_id!r}"))
+            errors.append(ParseError(path, f"line {lineno}",
+                                     f"duplicate id {item.id!r} in reading {item.reading_id!r}"))
             continue
         ids.add(item.id)
         if isinstance(item, Quote):
@@ -273,8 +284,13 @@ def _assemble(records: list[tuple[int, Quote | Artifact]]) -> tuple[Corpus, list
 
 
 def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
-    """The assembled corpus and every validation error, in the order
-    :func:`validate_file` documents."""
+    """The assembled corpus and every validation error (an empty list means
+    clean), from one pass over the file.
+
+    The errors come in this order: record parse errors in file order, then
+    duplicate ids in file order, then for each reading (by first appearance)
+    its missing quotes and dangling parents in artifact order, then its cycles.
+    """
     errors: list[AicnetError] = []
     records: list[tuple[int, Quote | Artifact]] = []
     for item in _iter_parsed(path, format):
@@ -283,25 +299,15 @@ def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError
         else:
             records.append(item)
     if not records and not errors:
-        return Corpus(), [EmptyCorpus()]
-    corpus, semantic_errors = _assemble(records)
+        return Corpus(), [EmptyCorpus(path)]
+    corpus, semantic_errors = _assemble(path, records)
     return corpus, errors + semantic_errors
-
-
-def validate_file(path: str | Path, format: Format = "jsonl") -> list[AicnetError]:
-    """Collect every validation error in the file (empty list means clean).
-
-    The order is: record parse errors in file order, then duplicate ids in
-    file order, then for each reading (by first appearance) its missing
-    quotes and dangling parents in artifact order, then its cycles.
-    """
-    return _collect(path, format)[1]
 
 
 def load_corpus(path: str | Path, format: Format = "jsonl") -> Corpus:
     """Load and fully validate a corpus file.
 
-    Raises the first error :func:`validate_file` lists.
+    Raises the first error :func:`_collect` lists.
     """
     corpus, errors = _collect(path, format)
     if errors:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from :class:`AicnetError` so callers
-(and the CLI) can distinguish input problems from genuine bugs.
+(and the CLI) can distinguish input problems from genuine bugs. A malformed
+input file, whether corpus, vector file or word list, raises
+:class:`ParseError`, which names the file and the line or byte offset.
 """
 
 from __future__ import annotations
@@ -11,27 +13,26 @@ class AicnetError(Exception):
     """Base class for all input and consistency errors."""
 
 
-# -- corpus ingestion ---------------------------------------------------------
+# -- input files --------------------------------------------------------------
 
 class ParseError(AicnetError):
-    def __init__(self, line: int, reason: str):
-        self.line = line
+    """A malformed input file: its path, where the fault is (``line N`` or
+    ``byte N``, counted from the file's first byte) and why; printed as
+    ``<path>: <where>: <reason>``."""
+
+    def __init__(self, path: object, where: str, reason: str):
+        self.path = str(path)
+        self.where = where
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(f"{path}: {where}: {reason}")
 
 
-class CorpusEncodingError(AicnetError):
-    """A corpus or word-list file whose bytes are not UTF-8, located by byte offset."""
-
-    def __init__(self, path: str, offset: int):
-        self.path = path
-        self.offset = offset
-        super().__init__(f"{path}: byte {offset}: not valid UTF-8")
-
+# -- corpus ingestion ---------------------------------------------------------
 
 class EmptyCorpus(AicnetError):
-    def __init__(self) -> None:
-        super().__init__("corpus file contains no records")
+    def __init__(self, path: object) -> None:
+        self.path = str(path)
+        super().__init__(f"{path}: corpus file contains no records")
 
 
 class DanglingParent(AicnetError):
@@ -85,15 +86,6 @@ class MissingEmbedding(AicnetError):
     def __init__(self, quote_id: str):
         self.quote_id = quote_id
         super().__init__(f"no embedding stored for quote {quote_id!r}")
-
-
-class EmbeddingFileError(AicnetError):
-    """A malformed embedding file, located by line (JSONL) or byte offset (binary)."""
-
-    def __init__(self, where: str, reason: str):
-        self.where = where
-        self.reason = reason
-        super().__init__(f"embeddings {where}: {reason}")
 
 
 class InvalidVector(AicnetError):

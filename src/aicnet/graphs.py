@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, Quote, Reading, thread_roots
 from .errors import AicnetError, DanglingParent
-from .semantic import EmbeddingStore, _confirmed_pairs
+from .semantic import EmbeddingStore, _check_threshold, _confirmed_pairs
 from .textpipe import WordSelectionParams, select_cn_words
 
 EdgeKey = tuple[str, str]
@@ -117,8 +117,7 @@ def build_an(
     Nodes are the reading's active authors; an author with no joint pair is
     an isolate. A ``tau`` outside (0, 1] raises :class:`ValueError`.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    _check_threshold(tau)
     authors = sorted(reading.active_authors())
 
     held: dict[str, dict[str, str]] = {}  # author -> normalized text -> quote id

@@ -34,13 +34,13 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Quote, normalize_text
+from .corpus import Quote, _decoded, _json_objects, normalize_text
 from .errors import (
     DimensionMismatch,
-    EmbeddingFileError,
     EmptyText,
     InvalidVector,
     MissingEmbedding,
+    ParseError,
     ZeroVector,
 )
 
@@ -105,60 +105,55 @@ def _validated_store(records: Iterable[tuple[str, Vector]]) -> EmbeddingStore:
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a vector file (JSONL or binary, sniffed by magic bytes).
 
-    A malformed file raises :class:`EmbeddingFileError` naming the file and the
-    line or byte offset; a duplicate id, a non-finite component or a norm out
-    of range raises :class:`InvalidVector`.
+    A malformed file raises :class:`ParseError` naming the file and the line
+    (JSONL) or byte offset (binary); a duplicate id, a non-finite component or
+    a norm out of range raises :class:`InvalidVector`.
     """
-    path = Path(path)
-    raw = path.read_bytes()
+    raw = Path(path).read_bytes()
+    return _validated_store(_read_binary(path, raw) if raw.startswith(_MAGIC)
+                            else _read_jsonl(path, raw))
+
+
+def _vector_record(rec: dict) -> tuple[str, Vector] | str:
+    """The (quote id, vector) of one JSONL object, or why it is refused."""
+    if "quote_id" not in rec or "vector" not in rec:
+        return "expected an object with 'quote_id' and 'vector'"
+    quote_id, vector = rec["quote_id"], rec["vector"]
+    if not isinstance(quote_id, str) or not quote_id:
+        return "'quote_id' must be a non-empty string"
+    # JSON numbers only: true and false parse as bool, which is an int subclass
+    if not isinstance(vector, list) or not {type(x) for x in vector} <= {int, float}:
+        return "'vector' must be a list of numbers"
+    if not vector:
+        return "'vector' must be a non-empty list of numbers"
     try:
-        return _validated_store(_read_binary(raw) if raw.startswith(_MAGIC) else _read_jsonl(raw))
-    except EmbeddingFileError as exc:
-        raise EmbeddingFileError(f"{path} {exc.where}", exc.reason) from None
+        return quote_id, tuple(map(float, vector))
+    except OverflowError:  # an integer beyond the float range
+        return "'vector' must be a list of numbers"
 
 
-def _read_jsonl(raw: bytes) -> Iterable[tuple[str, Vector]]:
-    try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFileError(f"byte {exc.start}", "not valid UTF-8") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        try:
-            rec = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too-long integers, deep nesting
-            raise EmbeddingFileError(where, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
-        if not isinstance(rec, dict) or "quote_id" not in rec or "vector" not in rec:
-            raise EmbeddingFileError(where, "expected an object with 'quote_id' and 'vector'")
-        quote_id, vector = rec["quote_id"], rec["vector"]
-        if not isinstance(quote_id, str) or not quote_id:
-            raise EmbeddingFileError(where, "'quote_id' must be a non-empty string")
-        # JSON numbers only: true and false parse as bool, which is an int subclass
-        if not isinstance(vector, list) or not {type(x) for x in vector} <= {int, float}:
-            raise EmbeddingFileError(where, "'vector' must be a list of numbers")
-        if not vector:
-            raise EmbeddingFileError(where, "'vector' must be a non-empty list of numbers")
-        try:
-            vec = tuple(map(float, vector))
-        except OverflowError:  # an integer beyond the float range
-            raise EmbeddingFileError(where, "'vector' must be a list of numbers") from None
-        yield quote_id, vec
+def _read_jsonl(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
+    for item in _json_objects(path, _decoded(path, raw)):
+        if isinstance(item, ParseError):
+            raise item
+        lineno, rec = item
+        parsed = _vector_record(rec)
+        if isinstance(parsed, str):
+            raise ParseError(path, f"line {lineno}", parsed)
+        yield parsed
 
 
-def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
+def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
     def need(offset: int, size: int, what: str) -> None:
         if offset + size > len(raw):
-            raise EmbeddingFileError(
-                f"byte {offset}", f"truncated {what}: {size} bytes needed, {len(raw) - offset} left"
-            )
+            raise ParseError(path, f"byte {offset}",
+                             f"truncated {what}: {size} bytes needed, {len(raw) - offset} left")
 
     offset = len(_MAGIC)
     need(offset, 8, "header")
     dim, count = struct.unpack_from("<II", raw, offset)
     if count and not dim:
-        raise EmbeddingFileError(f"byte {offset}", "dimension must be at least 1")
+        raise ParseError(path, f"byte {offset}", "dimension must be at least 1")
     offset += 8
     for index in range(count):
         need(offset, 2, f"record {index}")
@@ -168,17 +163,16 @@ def _read_binary(raw: bytes) -> Iterable[tuple[str, Vector]]:
         try:
             quote_id = raw[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise EmbeddingFileError(f"byte {offset}", "quote id is not valid UTF-8") from None
+            raise ParseError(path, f"byte {offset}", "quote id is not valid UTF-8") from None
         if not quote_id:
-            raise EmbeddingFileError(f"byte {offset}", "quote id is empty")
+            raise ParseError(path, f"byte {offset}", "quote id is empty")
         offset += id_len
         vec = struct.unpack_from(f"<{dim}f", raw, offset)
         offset += 4 * dim
         yield quote_id, vec
     if offset != len(raw):
-        raise EmbeddingFileError(
-            f"byte {offset}", f"{len(raw) - offset} bytes past the declared record count ({count})"
-        )
+        raise ParseError(path, f"byte {offset}",
+                         f"{len(raw) - offset} bytes past the declared record count ({count})")
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
@@ -427,6 +421,12 @@ def _confirmed_pairs(
     return partners
 
 
+def _check_threshold(tau: float) -> None:
+    """Raise :class:`ValueError` unless the similarity threshold ``tau`` is in (0, 1]."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
+
+
 def joint_pairs(
     quotes_u: Iterable[Quote],
     quotes_v: Iterable[Quote],
@@ -441,8 +441,7 @@ def joint_pairs(
 
     :func:`_confirmed_pairs` scores the pairs, with the two sets as holders.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    _check_threshold(tau)
     by_id: dict[str, Quote] = {}
     sides: dict[str, set[str]] = {}
     for side, quotes in (("u", quotes_u), ("v", quotes_v)):

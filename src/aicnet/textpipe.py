@@ -17,8 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .corpus import Artifact, Reading
-from .errors import CorpusEncodingError
+from .corpus import Artifact, Reading, _decoded
 
 _TOKEN = re.compile(r"\w+(?:['-]\w+)*", re.UNICODE)
 
@@ -69,14 +68,10 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
     """Read a one-term-per-line word file (blank lines and '#' comments skipped).
 
     One leading byte-order mark is dropped; bytes that are not UTF-8 raise
-    :class:`CorpusEncodingError` naming the offset.
+    :class:`ParseError` naming the file and the offset.
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise CorpusEncodingError(str(path), exc.start) from None
     terms = set()
-    for line in text.splitlines():
+    for line in _decoded(path, Path(path).read_bytes()).splitlines():
         term = line.strip().lower()
         if term and not term.startswith("#"):
             terms.add(term)

@@ -814,7 +814,7 @@ def test_a_malformed_corpus_record_is_an_input_error_naming_its_line(jsonl_file,
     records[line - 1][field] = value
     path = jsonl_file(records)
     code, out, err = run_cli(capsys, "metrics", str(path), "--level", "network")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
 def test_build_rejects_an_unknown_format(jsonl_file, tmp_path, capsys):
@@ -1023,25 +1023,25 @@ def _edited_jsonl(edit):
     (_edited_jsonl(lambda ls: ls + ls[:1]), "given twice"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[" + "1" * 5000, ls[1], count=1)]
                    + ls[2:]),
-     r"bad_emb line 2: invalid JSON \(Exceeds the limit"),
+     r"bad_emb: line 2: invalid JSON \(Exceeds the limit"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[([^,\]]+)", r'["\1"', ls[1], count=1)]
                    + ls[2:]),
-     "bad_emb line 2: 'vector' must be a list of numbers"),
+     "bad_emb: line 2: 'vector' must be a list of numbers"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r'"quote_id": "[^"]*"', '"quote_id": null', ls[1])]
                    + ls[2:]),
-     "bad_emb line 2: 'quote_id' must be a non-empty string"),
-    (_trailing_binary, r"bad_emb byte \d+: 7 bytes past the declared record count"),
+     "bad_emb: line 2: 'quote_id' must be a non-empty string"),
+    (_trailing_binary, r"bad_emb: byte \d+: 7 bytes past the declared record count"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r'"vector": \[[^\]]*\]', '"vector": []', ls[1])]
                    + ls[2:]),
-     "bad_emb line 2: 'vector' must be a non-empty list of numbers"),
-    (_zero_dimension_binary, "bad_emb byte 8: dimension must be at least 1"),
+     "bad_emb: line 2: 'vector' must be a non-empty list of numbers"),
+    (_zero_dimension_binary, "bad_emb: byte 8: dimension must be at least 1"),
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[1e200", ls[1], count=1)] + ls[2:]),
      r"vector for '[^']+' has a norm outside the float64 range"),
     # an integer JSON reads but float() cannot hold
     (_edited_jsonl(lambda ls: ls[:1] + [re.sub(r"\[[^,\]]+", "[1" + "0" * 400, ls[1], count=1)]
                    + ls[2:]),
-     "bad_emb line 2: 'vector' must be a list of numbers"),
-    (_non_utf8_id_binary, "bad_emb byte 18: quote id is not valid UTF-8"),
+     "bad_emb: line 2: 'vector' must be a list of numbers"),
+    (_non_utf8_id_binary, "bad_emb: byte 18: quote id is not valid UTF-8"),
 ], ids=["truncated_binary", "malformed_line", "no_quote_id", "no_vector", "nan", "duplicate_id",
         "long_integer", "string_component", "null_quote_id", "trailing_binary", "empty_vector",
         "zero_dimension_binary", "norm_overflow", "integer_beyond_float_range",

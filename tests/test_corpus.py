@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aicnet.corpus import (
     Artifact,
     Reading,
+    _collect,
     _parse_record,
     descriptive_stats,
     load_corpus,
@@ -18,11 +19,9 @@ from aicnet.corpus import (
     save_corpus,
     thread_root,
     thread_roots,
-    validate_file,
 )
 from aicnet.errors import (
     AicnetError,
-    CorpusEncodingError,
     CyclicThread,
     DanglingParent,
     EmptyCorpus,
@@ -150,7 +149,7 @@ def test_validate_file_collects_everything(jsonl_file):
         {"id": "a2", "reading_id": "r1", "author_id": "B", "kind": "annotation",
          "quote_id": "ghost", "body": "x"},
     ]
-    errors = validate_file(jsonl_file(records))
+    errors = _collect(jsonl_file(records), "jsonl")[1]
     kinds = {type(e) for e in errors}
     assert kinds == {DanglingParent, MissingQuote}
 
@@ -163,7 +162,7 @@ def test_validate_file_survives_malformed_line(tmp_path, jsonl_file):
         + '{"id": "a9", "reading_id": "r1", "author_id": "B", "kind": "annotation", '
         '"quote_id": "ghost", "body": "x"}\n'
     )
-    errors = validate_file(broken)
+    errors = _collect(broken, "jsonl")[1]
     kinds = {type(e) for e in errors}
     assert kinds == {ParseError, MissingQuote}  # both reported, not just the first
 
@@ -172,13 +171,13 @@ def test_validate_file_survives_malformed_line(tmp_path, jsonl_file):
 def test_non_utf8_corpus_names_the_byte_offset(tmp_path, format):
     path = tmp_path / f"corpus.{format}"
     path.write_bytes(b"record,id\nquote,q\xff1\n")
-    with pytest.raises(CorpusEncodingError, match=r"byte 17: not valid UTF-8") as info:
+    with pytest.raises(ParseError, match=r"byte 17: not valid UTF-8") as info:
         load_corpus(path, format)
-    assert info.value.offset == 17
-    assert [str(e) for e in validate_file(path, format)] == [str(info.value)]
+    assert (info.value.path, info.value.where) == (str(path), "byte 17")
+    assert [str(e) for e in _collect(path, format)[1]] == [str(info.value)]
     # after a byte-order mark the offset still counts from the file's first byte
     path.write_bytes(b"\xef\xbb\xbfrecord,id\nquote,q\xff1\n")
-    with pytest.raises(CorpusEncodingError, match=r"byte 20: not valid UTF-8"):
+    with pytest.raises(ParseError, match=r"byte 20: not valid UTF-8"):
         load_corpus(path, format)
 
 
@@ -190,7 +189,7 @@ def test_non_utf8_corpus_names_the_byte_offset(tmp_path, format):
 def test_load_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data, format):
     path = tmp_path_factory.mktemp("corpus") / f"corpus.{format}"
     path.write_bytes(data)
-    assert all(isinstance(e, AicnetError) for e in validate_file(path, format))
+    assert all(isinstance(e, AicnetError) for e in _collect(path, format)[1])
     try:
         load_corpus(path, format)
     except AicnetError:
@@ -213,7 +212,7 @@ def test_round_trip(tmp_path, jsonl_file, format):
     # after a byte-order mark, as Excel's "CSV UTF-8" writes one, the corpus is the same
     bom = tmp_path / f"bom.{format}"
     bom.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
-    assert validate_file(bom, format) == []
+    assert _collect(bom, format)[1] == []
     assert load_corpus(bom, format) == corpus
     # serialization is canonical: a second pass is byte-identical
     out2 = tmp_path / f"roundtrip2.{format}"
@@ -229,7 +228,7 @@ def test_csv_round_trips_a_field_over_the_default_csv_limit(tmp_path, jsonl_file
     save_corpus(corpus, path, "csv")
     limit = csv.field_size_limit()
     assert load_corpus(path, "csv") == corpus
-    assert validate_file(path, "csv") == []
+    assert _collect(path, "csv")[1] == []
     assert csv.field_size_limit() == limit  # the process-wide setting is left as it was
 
 
@@ -251,7 +250,7 @@ def test_thread_root_identity_and_idempotence(jsonl_file):
 def test_validate_file_lists_each_broken_chain(tmp_path):
     path = tmp_path / "broken.jsonl"
     save_corpus(broken_chain_corpus(), path)
-    errors = validate_file(path)
+    errors = _collect(path, "jsonl")[1]
     assert [(type(e), e.artifact_id) for e in errors] == [
         (DanglingParent, "d1"),
         (CyclicThread, "c3"), (CyclicThread, "c1"), (CyclicThread, "c2"), (CyclicThread, "s1"),
@@ -309,7 +308,7 @@ def _malformed_file(case: str, tmp_path, jsonl_file) -> tuple:
                                   "non_utf8_jsonl", "non_utf8_csv"])
 def test_load_corpus_raises_the_first_validation_error(case, tmp_path, jsonl_file):
     path, format = _malformed_file(case, tmp_path, jsonl_file)
-    first = validate_file(path, format)[0]
+    first = _collect(path, format)[1][0]
     with pytest.raises(AicnetError) as info:
         load_corpus(path, format)
     assert (type(info.value), str(info.value)) == (type(first), str(first))
@@ -344,8 +343,8 @@ def test_thread_root_on_broken_chains():
 ], ids=["ts_not_a_string", "blank_quote_text", "annotation_with_parent", "reply_with_quote"])
 def test_parse_record_raises_a_parse_error_naming_the_line(rec, message):
     with pytest.raises(ParseError) as exc:
-        _parse_record(7, rec)
-    assert (exc.value.line, str(exc.value)) == (7, message)
+        _parse_record("c.jsonl", 7, rec)
+    assert (exc.value.where, str(exc.value)) == ("line 7", f"c.jsonl: {message}")
 
 
 def test_artifact_by_id_names_an_unknown_id():

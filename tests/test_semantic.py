@@ -16,10 +16,10 @@ from aicnet.corpus import Quote
 from aicnet.errors import (
     AicnetError,
     DimensionMismatch,
-    EmbeddingFileError,
     EmptyText,
     InvalidVector,
     MissingEmbedding,
+    ParseError,
     ZeroVector,
 )
 from aicnet.semantic import (
@@ -37,8 +37,8 @@ from oracles import oracle_hash_embed, oracle_quote_similarity
 _LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
 _DEEP_LINE = '{"quote_id": "q2", "vector": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
-_NOT_NUMBERS = "emb.jsonl line 3: 'vector' must be a list of numbers"
-_NOT_AN_ID = "emb.jsonl line 3: 'quote_id' must be a non-empty string"
+_NOT_NUMBERS = "emb.jsonl: line 3: 'vector' must be a list of numbers"
+_NOT_AN_ID = "emb.jsonl: line 3: 'quote_id' must be a non-empty string"
 
 # cosine of these two was computed once with the shipped embedder and frozen
 _UNRELATED_A = "the history of ballet in the nineteenth century"
@@ -150,7 +150,7 @@ def test_load_jsonl_drops_one_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + line.encode("utf-8"))
     assert list(load_embeddings(path).vectors) == ["q1"]
     path.write_bytes(b"\xef\xbb\xbf" * 2 + line.encode("utf-8"))
-    with pytest.raises(EmbeddingFileError, match="line 1: invalid JSON"):
+    with pytest.raises(ParseError, match="line 1: invalid JSON"):
         load_embeddings(path)
 
 
@@ -172,16 +172,16 @@ def test_load_rejects_an_empty_binary_id(tmp_path):
     path = tmp_path / "emb.bin"
     path.write_bytes(_binary_file(2, [(b"q1", [0.0, 1.0]), (b"", [1.0, 0.0])]))
     # the second record's id would start at 16 + (2 + 2 + 8) + 2
-    with pytest.raises(EmbeddingFileError, match=r"emb\.bin byte 30: quote id is empty"):
+    with pytest.raises(ParseError, match=r"emb\.bin: byte 30: quote id is empty"):
         load_embeddings(path)
 
 
 def test_load_names_the_byte_of_a_binary_id_that_is_not_utf8(tmp_path):
     path = tmp_path / "emb.bin"
     path.write_bytes(_binary_file(2, [(b"\xffq", [1.0, 0.0])]))
-    with pytest.raises(EmbeddingFileError) as exc:
+    with pytest.raises(ParseError) as exc:
         load_embeddings(path)
-    assert str(exc.value) == f"embeddings {path} byte 18: quote id is not valid UTF-8"
+    assert str(exc.value) == f"{path}: byte 18: quote id is not valid UTF-8"
 
 
 @pytest.mark.parametrize("format", ["jsonl", "binary"])
@@ -269,12 +269,12 @@ def test_load_rejects_duplicate_id(tmp_path):
     pytest.param('{"quote_id": 7, "vector": [1, 0]}', _NOT_AN_ID, id="int_id"),
     pytest.param('{"quote_id": "", "vector": [1, 0]}', _NOT_AN_ID, id="empty_id"),
     pytest.param('{"quote_id": "q2", "vector": []}',
-                 "emb.jsonl line 3: 'vector' must be a non-empty list of numbers", id="empty_vector"),
+                 "emb.jsonl: line 3: 'vector' must be a non-empty list of numbers", id="empty_vector"),
 ])
 def test_load_jsonl_faults_name_the_line(tmp_path, line, where):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n\n" + line + "\n")
-    with pytest.raises(EmbeddingFileError, match=where):
+    with pytest.raises(ParseError, match=where):
         load_embeddings(path)
 
 
@@ -293,14 +293,14 @@ def test_load_binary_rejects_bytes_after_the_last_record(tmp_path, tail):
     record = struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.5)
     path = tmp_path / "emb.bin"
     path.write_bytes(b"AICEMB01" + struct.pack("<II", 2, 1) + record + tail)
-    with pytest.raises(EmbeddingFileError, match=rf"emb\.bin byte 28: {len(tail)} bytes past"):
+    with pytest.raises(ParseError, match=rf"emb\.bin: byte 28: {len(tail)} bytes past"):
         load_embeddings(path)
 
 
 def test_load_rejects_non_utf8_jsonl(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_bytes(b'{"quote_id": "q\xff", "vector": [1.0]}\n')
-    with pytest.raises(EmbeddingFileError, match="byte 15"):
+    with pytest.raises(ParseError, match="byte 15"):
         load_embeddings(path)
 
 
@@ -310,7 +310,7 @@ def test_load_truncated_binary_names_the_offset(tmp_path, cut):
     path = tmp_path / "emb.bin"
     save_embeddings(store, path, format="binary")
     path.write_bytes(path.read_bytes()[:cut])  # full file: 16 + 2 * (2 + 2 + 8) = 40 bytes
-    with pytest.raises(EmbeddingFileError, match=r"byte \d+: truncated"):
+    with pytest.raises(ParseError, match=r"byte \d+: truncated"):
         load_embeddings(path)
 
 

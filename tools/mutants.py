@@ -39,6 +39,7 @@ _EXPORT = "tests/test_export.py::"
 _IMPORTS = "tests/test_imports.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
+_FILES = "tests/test_input_files.py::"
 # 20-30-node graphs, where another summation order changes low bits
 _BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
@@ -219,8 +220,7 @@ MUTANTS: list[Mutant] = [
            (_AN + "test_build_an_equals_pairwise_oracle",)),
     # an empty JSONL vector reported as an all-zero one
     Mutant("src/aicnet/semantic.py",
-           "        if not vector:\n"
-           "            raise EmbeddingFileError(where, \"'vector' must be a non-empty list of numbers\")\n",
+           "    if not vector:\n        return \"'vector' must be a non-empty list of numbers\"\n",
            "", ("tests/test_semantic.py::test_load_jsonl_faults_name_the_line[empty_vector]",)),
     # a binary file of dimension 0 reported as holding all-zero vectors
     Mutant("src/aicnet/semantic.py", "    if count and not dim:\n", "    if False:\n",
@@ -235,16 +235,40 @@ MUTANTS: list[Mutant] = [
     # a binary record with an empty id loads
     Mutant("src/aicnet/semantic.py",
            "        if not quote_id:\n"
-           "            raise EmbeddingFileError(f\"byte {offset}\", \"quote id is empty\")\n",
+           "            raise ParseError(path, f\"byte {offset}\", \"quote id is empty\")\n",
            "", ("tests/test_semantic.py::test_load_rejects_an_empty_binary_id",)),
     # read_dot reads with newline translation, so an id's "\r" comes back as "\n"
     Mutant("src/aicnet/export.py", 'open(encoding="utf-8", newline="")', 'open(encoding="utf-8")',
            (_EXPORT + "test_round_trip_formats[write_dot-read_dot-dot]",)),
     # validate parses a broken file a second time
     Mutant("src/aicnet/cli.py", "    if errors:\n        for err in errors:\n",
-           "    if errors:\n        errors = corpus_mod.validate_file(args.corpus, "
-           "_corpus_format(args.corpus))\n        for err in errors:\n",
+           "    if errors:\n        errors = corpus_mod._collect(args.corpus, "
+           "_corpus_format(args.corpus))[1]\n        for err in errors:\n",
            ("tests/test_cli.py::test_validate_parses_a_broken_file_once",)),
+    # input files: one leading byte-order mark kept, so the first record or header is spoilt
+    Mutant("src/aicnet/corpus.py", 'raw.decode("utf-8").removeprefix("\\ufeff")',
+           'raw.decode("utf-8")',
+           ("tests/test_corpus.py::test_round_trip[csv]",
+            "tests/test_semantic.py::test_load_jsonl_drops_one_byte_order_mark")),
+    # input files: a fault located without naming its file
+    Mutant("src/aicnet/errors.py", 'super().__init__(f"{path}: {where}: {reason}")',
+           'super().__init__(f"{where}: {reason}")',
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte[corpus_csv]",
+            "tests/test_corpus.py::test_parse_record_raises_a_parse_error_naming_the_line")),
+    # JSONL files: a line that is JSON but no object passed on as a record
+    Mutant("src/aicnet/corpus.py",
+           "        if not isinstance(rec, dict):\n"
+           "            yield ParseError(path, f\"line {lineno}\", "
+           "\"record is not a JSON object\")\n"
+           "            continue\n", "",
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[corpus_jsonl_not_an_object]",
+            _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[vectors_jsonl_not_an_object]")),
+    # the similarity threshold refuses 1.0
+    Mutant("src/aicnet/semantic.py", "if not 0.0 < tau <= 1.0:", "if not 0.0 < tau < 1.0:",
+           ("tests/test_semantic.py::test_joint_pairs_tau_one_keeps_only_common_reference",
+            _FILES + "test_threshold_one_passes_and_a_non_number_keeps_argparse_message[one]")),
     # --dim without its upper bound
     Mutant("src/aicnet/cli.py", "at_most=65536", "at_most=None",
            ("tests/test_cli.py::test_oversized_dim_is_an_input_error[metrics]",)),
