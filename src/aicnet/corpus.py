@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Literal
 
@@ -130,8 +131,9 @@ def _decoded(path: str | Path, raw: bytes) -> str:
 
 def _json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
     """(line, object) for each non-blank line of a JSONL text; a line that is
-    not JSON, or not a JSON object, is yielded as its :class:`ParseError`."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    not JSON, or not a JSON object, is yielded as its :class:`ParseError`. A
+    line ends at a line feed alone, since a JSON string may hold U+2028 raw."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -146,22 +148,24 @@ def _json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | Pa
 
 
 def _records_from_csv(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
-    reader = csv.DictReader(io.StringIO(text))
+    """(first line, record) per non-blank row after the header, keyed as :class:`csv.DictReader`
+    keys it, an empty cell absent; a row the reader refuses ends the text as a ParseError."""
+    reader = csv.reader(io.StringIO(text))
     # no field is longer than the text; the process-wide limit is restored after
     limit = csv.field_size_limit(len(text) + 1)
     try:
-        while True:  # the first next() reads the header, which can fail too
-            try:
-                rec = next(reader)
-            except StopIteration:
-                return
-            except csv.Error as exc:
-                yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
-                return
-            cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
-            if cleaned.get("record") != "quote":
-                cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
-            yield reader.line_num, cleaned
+        header = next(reader, [])
+        start = reader.line_num + 1  # a quoted cell may run a row over several lines
+        for row in reader:
+            if row:
+                rec = dict(zip_longest(header, row))  # keys None and values None past either end
+                cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
+                if cleaned.get("record") != "quote":
+                    cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
+                yield start, cleaned
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
     finally:
         csv.field_size_limit(limit)
 
@@ -222,92 +226,72 @@ def _parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
     return art
 
 
-def _iter_parsed(
-    path: str | Path, format: Format
-) -> Iterator[tuple[int, Quote | Artifact] | AicnetError]:
-    """Yield (line, record) pairs; parse failures are yielded, not raised, so
-    that a caller collects every one of them."""
+def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
+    """The corpus and every fault of a file, from one pass over it: a
+    :class:`ParseError` at the line of each record at fault (a consistency
+    fault reads as the error a builder raises), or :class:`EmptyCorpus`.
+
+    Faults come in this order: record parse errors in file order, then
+    duplicate ids in file order, then for each reading (by first appearance)
+    its missing quotes and dangling parents in artifact order, then its cycles.
+    """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown corpus format {format!r}")
     # decode manually: read_text would newline-translate inside quoted CSV fields
     try:
         text = _decoded(path, Path(path).read_bytes())
     except ParseError as exc:
-        yield exc
-        return
+        return Corpus(), [exc]
+    corpus = Corpus()
+    errors: list[AicnetError] = []
+    duplicates: list[AicnetError] = []
+    lines: dict[tuple[str, str], int] = {}  # (reading id, record id) -> line
     split = _json_objects if format == "jsonl" else _records_from_csv
     for item in split(path, text):
         if isinstance(item, ParseError):
-            yield item
+            errors.append(item)
             continue
         lineno, rec = item
         try:
-            yield lineno, _parse_record(path, lineno, rec)
+            record = _parse_record(path, lineno, rec)
         except ParseError as exc:
-            yield exc
-
-
-def _assemble(
-    path: str | Path, records: list[tuple[int, Quote | Artifact]]
-) -> tuple[Corpus, list[AicnetError]]:
-    corpus = Corpus()
-    errors: list[AicnetError] = []
-    seen_ids: dict[str, set[str]] = {}
-
-    for lineno, item in records:
-        reading = corpus.readings.setdefault(item.reading_id, Reading(id=item.reading_id))
-        ids = seen_ids.setdefault(item.reading_id, set())
-        if item.id in ids:
-            errors.append(ParseError(path, f"line {lineno}",
-                                     f"duplicate id {item.id!r} in reading {item.reading_id!r}"))
+            errors.append(exc)
             continue
-        ids.add(item.id)
-        if isinstance(item, Quote):
-            reading.quotes[item.id] = item
+        key = (record.reading_id, record.id)
+        if key in lines:
+            duplicates.append(ParseError(path, f"line {lineno}", f"duplicate id {record.id!r} "
+                                         f"in reading {record.reading_id!r}"))
+            continue
+        lines[key] = lineno
+        reading = corpus.readings.setdefault(record.reading_id, Reading(id=record.reading_id))
+        if isinstance(record, Quote):
+            reading.quotes[record.id] = record
         else:
-            reading.artifacts.append(item)
-            corpus.authors.add(item.author_id)
+            reading.artifacts.append(record)
+            corpus.authors.add(record.author_id)
+    if not lines and not errors:
+        return corpus, [EmptyCorpus(path)]
+    errors += duplicates
 
     for reading in corpus.readings.values():
         roots = thread_roots(reading)
-        cycles: list[AicnetError] = []
+        faults: list[AicnetError] = []
         for art in reading.artifacts:
             root = roots[art.id]
             if art.kind == "annotation" and art.quote_id not in reading.quotes:
-                errors.append(MissingQuote(art.id))
-            elif isinstance(root, DanglingParent) and root.artifact_id == art.id:
-                errors.append(root)
-            elif isinstance(root, CyclicThread):
-                cycles.append(root)
-        errors += cycles
+                faults.append(MissingQuote(art.id))
+            elif isinstance(root, AicnetError) and root.artifact_id == art.id:
+                faults.append(root)  # a dangling parent at its reply alone, a cycle at each member
+        # cycles last; each fault is at the line of the artifact it names
+        errors += (ParseError(path, f"line {lines[reading.id, err.artifact_id]}", str(err))
+                   for err in sorted(faults, key=lambda err: isinstance(err, CyclicThread)))
     return corpus, errors
-
-
-def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
-    """The assembled corpus and every validation error (an empty list means
-    clean), from one pass over the file.
-
-    The errors come in this order: record parse errors in file order, then
-    duplicate ids in file order, then for each reading (by first appearance)
-    its missing quotes and dangling parents in artifact order, then its cycles.
-    """
-    errors: list[AicnetError] = []
-    records: list[tuple[int, Quote | Artifact]] = []
-    for item in _iter_parsed(path, format):
-        if isinstance(item, AicnetError):
-            errors.append(item)
-        else:
-            records.append(item)
-    if not records and not errors:
-        return Corpus(), [EmptyCorpus(path)]
-    corpus, semantic_errors = _assemble(path, records)
-    return corpus, errors + semantic_errors
 
 
 def load_corpus(path: str | Path, format: Format = "jsonl") -> Corpus:
     """Load and fully validate a corpus file.
 
-    Raises the first error :func:`_collect` lists.
+    Raises the first fault :func:`_collect` lists.
     """
     corpus, errors = _collect(path, format)
     if errors:

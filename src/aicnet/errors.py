@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on bad input derives from :class:`AicnetError` so callers
-(and the CLI) can distinguish input problems from genuine bugs. A malformed
-input file, whether corpus, vector file or word list, raises
-:class:`ParseError`, which names the file and the line or byte offset.
+(and the CLI) can distinguish input problems from genuine bugs. Any fault a
+load finds in a corpus, vector file or word list, of syntax or of content,
+raises :class:`ParseError`, which names the file and the line or byte offset.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class MissingEmbedding(AicnetError):
 
 
 class InvalidVector(AicnetError):
-    """A vector that parses but cannot be used: a non-finite component, or a
-    second vector for the same quote id."""
+    """A vector that parses but cannot be used, such as one with a non-finite
+    component; a load reports it, or a repeated id, as ParseError."""
 
     def __init__(self, quote_id: str, reason: str):
         self.quote_id = quote_id

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, Quote, Reading, thread_roots
-from .errors import AicnetError, DanglingParent
+from .errors import AicnetError, DanglingParent, MissingQuote
 from .semantic import EmbeddingStore, _check_threshold, _confirmed_pairs
 from .textpipe import WordSelectionParams, select_cn_words
 
@@ -65,8 +65,9 @@ class BipartiteGraph:
 
 def _attended(reading: Reading, authors: list[str]) -> dict[str, set[str]]:
     """Ids of the quotes each author attended to: the quotes of their own
-    annotations and the root quotes of the threads they replied in. Raises the
-    error of the first of their artifacts whose reply chain is broken."""
+    annotations and the root quotes of the threads they replied in. The first
+    of their artifacts whose reply chain is broken raises the chain's error, or,
+    if the reading lacks its root's quote, :class:`MissingQuote` for the root."""
     roots = thread_roots(reading)
     attended: dict[str, set[str]] = {a: set() for a in authors}
     for art in reading.artifacts:
@@ -75,14 +76,15 @@ def _attended(reading: Reading, authors: list[str]) -> dict[str, set[str]]:
         root = roots[art.id]
         if isinstance(root, AicnetError):
             raise root
-        if root.quote_id in reading.quotes:
-            attended[art.author_id].add(root.quote_id)
+        if root.quote_id not in reading.quotes:
+            raise MissingQuote(root.id)
+        attended[art.author_id].add(root.quote_id)
     return attended
 
 
 def attention_quotes(author: str, reading: Reading, corpus: Corpus) -> set[Quote]:
     """Quotes the author attended to: own annotations' quotes plus, for every
-    reply they wrote, the quote of the thread's root annotation."""
+    reply they wrote, its thread's root quote; raises as :func:`_attended`."""
     return {reading.quotes[qid] for qid in _attended(reading, [author])[author]}
 
 
@@ -113,6 +115,7 @@ def build_an(
     A vector that :meth:`EmbeddingStore.get` refuses raises its error when a
     scored pair first reads it: that of the first defective different-text
     pair, in (quote_a, quote_b) id order, among the pairs two authors hold.
+    Before that, a broken thread raises as in :func:`attention_quotes`.
 
     Nodes are the reading's active authors; an author with no joint pair is
     an isolate. A ``tau`` outside (0, 1] raises :class:`ValueError`.

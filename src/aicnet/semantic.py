@@ -88,30 +88,37 @@ class JointPair:
     similarity: float
 
 
-def _validated_store(records: Iterable[tuple[str, Vector]]) -> EmbeddingStore:
-    """The store of the records, each checked by :meth:`EmbeddingStore.get` as
-    it arrives; the first record sets the dimension."""
+def _validated_store(path: str | Path, unit: str,
+                     records: Iterable[tuple[int, str, Vector]]) -> EmbeddingStore:
+    """The store of a file's (where, quote id, vector) records, each checked by
+    :meth:`EmbeddingStore.get` as it arrives, the first setting the dimension;
+    a record that fails or repeats an id raises :class:`ParseError` there."""
     store = EmbeddingStore(dim=0, vectors={})
-    for quote_id, vec in records:
-        if quote_id in store.vectors:
-            raise InvalidVector(quote_id, "is given twice")
-        if not store.vectors:
-            store.dim = len(vec)
-        store.vectors[quote_id] = vec
-        store.get(quote_id)
+    for where, quote_id, vec in records:
+        try:
+            if quote_id in store.vectors:
+                raise InvalidVector(quote_id, "is given twice")
+            if not store.vectors:
+                store.dim = len(vec)
+            store.vectors[quote_id] = vec
+            store.get(quote_id)
+        except (DimensionMismatch, InvalidVector, ZeroVector) as exc:
+            raise ParseError(path, f"{unit} {where}", str(exc)) from None
     return store
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a vector file (JSONL or binary, sniffed by magic bytes).
 
-    A malformed file raises :class:`ParseError` naming the file and the line
-    (JSONL) or byte offset (binary); a duplicate id, a non-finite component or
-    a norm out of range raises :class:`InvalidVector`.
+    A fault of the file's syntax, or of a record's content (a repeated id,
+    a non-finite, all-zero or other-length vector, a norm out of range),
+    raises :class:`ParseError` naming the file and the line (JSONL) or the
+    byte offset where the record starts (binary).
     """
     raw = Path(path).read_bytes()
-    return _validated_store(_read_binary(path, raw) if raw.startswith(_MAGIC)
-                            else _read_jsonl(path, raw))
+    if raw.startswith(_MAGIC):
+        return _validated_store(path, "byte", _read_binary(path, raw))
+    return _validated_store(path, "line", _read_jsonl(path, raw))
 
 
 def _vector_record(rec: dict) -> tuple[str, Vector] | str:
@@ -132,7 +139,7 @@ def _vector_record(rec: dict) -> tuple[str, Vector] | str:
         return "'vector' must be a list of numbers"
 
 
-def _read_jsonl(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
+def _read_jsonl(path: str | Path, raw: bytes) -> Iterator[tuple[int, str, Vector]]:
     for item in _json_objects(path, _decoded(path, raw)):
         if isinstance(item, ParseError):
             raise item
@@ -140,10 +147,10 @@ def _read_jsonl(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
         parsed = _vector_record(rec)
         if isinstance(parsed, str):
             raise ParseError(path, f"line {lineno}", parsed)
-        yield parsed
+        yield lineno, *parsed
 
 
-def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
+def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[int, str, Vector]]:
     def need(offset: int, size: int, what: str) -> None:
         if offset + size > len(raw):
             raise ParseError(path, f"byte {offset}",
@@ -156,6 +163,7 @@ def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
         raise ParseError(path, f"byte {offset}", "dimension must be at least 1")
     offset += 8
     for index in range(count):
+        start = offset
         need(offset, 2, f"record {index}")
         (id_len,) = struct.unpack_from("<H", raw, offset)
         offset += 2
@@ -169,7 +177,7 @@ def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[str, Vector]]:
         offset += id_len
         vec = struct.unpack_from(f"<{dim}f", raw, offset)
         offset += 4 * dim
-        yield quote_id, vec
+        yield start, quote_id, vec
     if offset != len(raw):
         raise ParseError(path, f"byte {offset}",
                          f"{len(raw) - offset} bytes past the declared record count ({count})")

@@ -107,7 +107,11 @@ def lemmatize(surface: str) -> str:
     (-ies, -es, -s); -ing/-ed are stripped only when the resulting stem is a
     known word in the bundled noun lexicon. Unchanged when no rule applies.
     """
-    lexicon = default_noun_lexicon()
+    return _lemmatize(surface, default_noun_lexicon())
+
+
+def _lemmatize(surface: str, lexicon: frozenset[str]) -> str:
+    """:func:`lemmatize` with ``lexicon`` in place of the bundled noun lexicon."""
     if surface in _IRREGULAR:
         return _IRREGULAR[surface]
     if surface in lexicon:
@@ -132,11 +136,11 @@ def _noun_lookup(noun_lexicon: frozenset[str] | None,
                  extra_stopwords: frozenset[str]) -> Callable[[list[str]], Iterator[str | None]]:
     """A surface -> noun-lemma map that lemmatizes and judges each distinct surface once.
 
-    A surface or lemma in the bundled stopwords is no noun; otherwise a lemma
-    in ``noun_lexicon`` (the bundled one when ``None``), or one of more than
-    5 letters ending in a noun suffix, is. The returned function maps each
-    surface to its lemma, or to ``None`` when it is no noun or its lemma is an
-    extra stopword. Its memo lives as long as the function does.
+    Lemmatizer and noun rule read ``noun_lexicon`` (the bundled one when
+    ``None``). A surface or lemma in the bundled stopwords is no noun; else a
+    lemma in the lexicon, or one of more than 5 letters ending in a noun suffix,
+    is. The returned function maps each surface to its lemma, or to ``None`` if
+    it is no noun or its lemma is an extra stopword; its memo lives as long.
     """
     nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
     stops = default_stopwords()
@@ -145,7 +149,7 @@ def _noun_lookup(noun_lexicon: frozenset[str] | None,
     def lookup(surfaces: list[str]) -> Iterator[str | None]:
         for surface in dict.fromkeys(surfaces):
             if surface not in memo:
-                lemma = lemmatize(surface)
+                lemma = _lemmatize(surface, nouns)
                 noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
                 stopped = surface in stops or lemma in stops or lemma in extra_stopwords
                 memo[surface] = lemma if noun and not stopped else None
@@ -207,9 +211,9 @@ class WordSelectionParams:
     """Knobs of the word-selection procedure; defaults are the standard run.
 
     ``stopwords`` are lemmas dropped on top of the bundled stopwords, and
-    ``noun_lexicon`` replaces the bundled noun lexicon when not ``None`` (an
-    empty set leaves only the suffix rule). The lemmatizer always uses the
-    bundled lexicon. A ``min_frequency`` or ``top_k`` below 1, or a
+    ``noun_lexicon`` replaces the bundled noun lexicon when not ``None``, for
+    the lemmatizer's -ing/-ed stems as for the noun rule (an empty set leaves
+    only the suffix rule). A ``min_frequency`` or ``top_k`` below 1, or a
     ``drop_lowest`` below 0, raises :class:`ValueError`.
     """
 

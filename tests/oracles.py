@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from aicnet.corpus import Artifact, Corpus, Quote, Reading, normalize_text
-from aicnet.errors import CyclicThread, DanglingParent, EmptyText
+from aicnet.errors import CyclicThread, DanglingParent, EmptyText, MissingQuote
 from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, JointPair, cosine
@@ -38,9 +38,9 @@ from aicnet.textpipe import (
     _NOUN_SUFFIXES,
     SelectedWord,
     WordSelectionParams,
+    _lemmatize,
     default_noun_lexicon,
     default_stopwords,
-    lemmatize,
     tokenize,
 )
 
@@ -62,13 +62,15 @@ def oracle_thread_root(artifact: Artifact, reading: Reading) -> Artifact:
 
 
 def oracle_attention_quotes(author: str, reading: Reading) -> set[Quote]:
-    """The quotes of the author's annotations and of their threads' roots."""
+    """The quotes of the author's annotations and of their threads' roots; a
+    root whose quote the reading lacks raises :class:`MissingQuote`."""
     quotes = set()
     for art in reading.artifacts:
         if art.author_id == author:
-            quote_id = oracle_thread_root(art, reading).quote_id
-            if quote_id in reading.quotes:
-                quotes.add(reading.quotes[quote_id])
+            root = oracle_thread_root(art, reading)
+            if root.quote_id not in reading.quotes:
+                raise MissingQuote(root.id)
+            quotes.add(reading.quotes[root.quote_id])
     return quotes
 
 
@@ -349,10 +351,12 @@ def _oracle_is_noun(surface: str, lemma: str, noun_lexicon: frozenset[str] | Non
 
 def oracle_noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
                        extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
-    """Noun lemmas of one text, token by token, with no memo."""
+    """Noun lemmas of one text, token by token, with no memo; the lemmatizer
+    reads the same lexicon as the noun rule."""
     lemmas = []
     for surface in tokenize(text):
-        lemma = lemmatize(surface)
+        nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
+        lemma = _lemmatize(surface, nouns)
         if _oracle_is_noun(surface, lemma, noun_lexicon) and lemma not in extra_stopwords:
             lemmas.append(lemma)
     return lemmas

@@ -119,17 +119,17 @@ def test_validate_parses_a_broken_file_once(jsonl_file, capsys, monkeypatch):
     path = jsonl_file([{"id": "rep9", "reading_id": "r1", "author_id": "B", "kind": "reply",
                         "parent_id": "missing", "body": ""}])
     passes = []
-    real = corpus_mod._iter_parsed
+    real = corpus_mod._json_objects
 
-    def counting(path, format):
+    def counting(path, text):
         passes.append(path)
-        return real(path, format)
+        return real(path, text)
 
-    monkeypatch.setattr(corpus_mod, "_iter_parsed", counting)
+    monkeypatch.setattr(corpus_mod, "_json_objects", counting)
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == 1
-    assert out == ("error: reply 'rep9' names a parent that does not exist in its reading\n"
-                   "1 problem(s) found\n")
+    assert out == (f"error: {path}: line 1: reply 'rep9' names a parent that does not exist "
+                   "in its reading\n1 problem(s) found\n")
     assert len(passes) == 1
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,9 +58,10 @@ def test_dangling_parent_rejected(jsonl_file):
         {"id": "rep1", "reading_id": "r1", "author_id": "B", "kind": "reply",
          "parent_id": "nope", "body": "hi"},
     ]
-    with pytest.raises(DanglingParent) as exc:
-        load_corpus(jsonl_file(records))
-    assert exc.value.artifact_id == "rep1"
+    path = jsonl_file(records)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 3: {DanglingParent('rep1')}"
 
 
 def test_reply_chain_depth_two(jsonl_file):
@@ -82,8 +84,10 @@ def test_missing_quote_rejected(jsonl_file):
         {"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation",
          "quote_id": "ghost", "body": "text"},
     ]
-    with pytest.raises(MissingQuote):
-        load_corpus(jsonl_file(records))
+    path = jsonl_file(records)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 1: {MissingQuote('a1')}"
 
 
 def test_cross_reading_parent_rejected(jsonl_file):
@@ -94,8 +98,10 @@ def test_cross_reading_parent_rejected(jsonl_file):
         {"id": "rep1", "reading_id": "r2", "author_id": "B", "kind": "reply",
          "parent_id": "a1", "body": "points at r1"},
     ]
-    with pytest.raises(DanglingParent):
-        load_corpus(jsonl_file(records))
+    path = jsonl_file(records)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 5: {DanglingParent('rep1')}"
 
 
 def test_cycle_rejected(jsonl_file):
@@ -105,8 +111,10 @@ def test_cycle_rejected(jsonl_file):
         {"id": "rep2", "reading_id": "r1", "author_id": "C", "kind": "reply",
          "parent_id": "rep1", "body": ""},
     ]
-    with pytest.raises(CyclicThread):
-        load_corpus(jsonl_file(records))
+    path = jsonl_file(records)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}: line 3: {CyclicThread('rep1')}"
 
 
 def test_empty_file_rejected(jsonl_file):
@@ -150,8 +158,8 @@ def test_validate_file_collects_everything(jsonl_file):
          "quote_id": "ghost", "body": "x"},
     ]
     errors = _collect(jsonl_file(records), "jsonl")[1]
-    kinds = {type(e) for e in errors}
-    assert kinds == {DanglingParent, MissingQuote}
+    assert [(e.where, e.reason) for e in errors] == [
+        ("line 3", str(DanglingParent("rep1"))), ("line 4", str(MissingQuote("a2")))]
 
 
 def test_validate_file_survives_malformed_line(tmp_path, jsonl_file):
@@ -163,8 +171,10 @@ def test_validate_file_survives_malformed_line(tmp_path, jsonl_file):
         '"quote_id": "ghost", "body": "x"}\n'
     )
     errors = _collect(broken, "jsonl")[1]
-    kinds = {type(e) for e in errors}
-    assert kinds == {ParseError, MissingQuote}  # both reported, not just the first
+    # both reported, not just the first
+    assert [(e.where, e.reason) for e in errors] == [
+        ("line 3", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("line 4", str(MissingQuote("a9")))]
 
 
 @pytest.mark.parametrize("format", ["jsonl", "csv"])
@@ -250,14 +260,16 @@ def test_thread_root_identity_and_idempotence(jsonl_file):
 def test_validate_file_lists_each_broken_chain(tmp_path):
     path = tmp_path / "broken.jsonl"
     save_corpus(broken_chain_corpus(), path)
-    errors = _collect(path, "jsonl")[1]
-    assert [(type(e), e.artifact_id) for e in errors] == [
+    line_of = {json.loads(line)["id"]: n
+               for n, line in enumerate(path.read_text().splitlines(), start=1)}
+    want = [(f"line {line_of[aid]}", str(error(aid))) for error, aid in [
         (DanglingParent, "d1"),
         (CyclicThread, "c3"), (CyclicThread, "c1"), (CyclicThread, "c2"), (CyclicThread, "s1"),
-    ]
-    with pytest.raises(DanglingParent) as exc:
+    ]]
+    assert [(e.where, e.reason) for e in _collect(path, "jsonl")[1]] == want
+    with pytest.raises(ParseError) as exc:
         load_corpus(path)
-    assert exc.value.artifact_id == "d1"
+    assert (exc.value.where, exc.value.reason) == want[0]
 
 
 def _reply(aid: str, parent: str, reading_id: str = "r1") -> dict:

@@ -28,6 +28,7 @@ from aicnet.errors import (
     DimensionMismatch,
     InvalidVector,
     MissingEmbedding,
+    MissingQuote,
     ZeroVector,
 )
 from aicnet.semantic import (
@@ -42,7 +43,13 @@ from aicnet.synth import SynthParams, generate, random_params
 from aicnet.textpipe import WordSelectionParams
 
 from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
-from oracles import oracle_build_an, oracle_joint_pairs, oracle_project, oracle_quote_similarity
+from oracles import (
+    oracle_attention_quotes,
+    oracle_build_an,
+    oracle_joint_pairs,
+    oracle_project,
+    oracle_quote_similarity,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,6 +136,29 @@ def test_attention_quotes_raises_only_for_own_broken_chains():
         with pytest.raises(error) as exc:
             attention_quotes(author, reading, corpus)
         assert exc.value.artifact_id == artifact_id
+
+
+def test_a_thread_whose_quote_is_missing_raises_missing_quote():
+    # s3 annotates a quote the reading lacks, and C replies in s3's thread
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "first passage")],
+        annotations=[("a1", "r1", "A", "q1", "note"), ("s3", "r1", "B", "ghost", "note")],
+        replies=[("p1", "r1", "C", "s3", "reply")],
+    )
+    reading = corpus.readings["r1"]
+    store = embed_quotes(reading.quotes.values(), 16)
+    assert {q.id for q in attention_quotes("A", reading, corpus)} == {"q1"}
+    for author in ("B", "C"):
+        with pytest.raises(MissingQuote) as got:
+            attention_quotes(author, reading, corpus)
+        with pytest.raises(MissingQuote) as want:
+            oracle_attention_quotes(author, reading)
+        assert got.value.artifact_id == want.value.artifact_id == "s3"
+    with pytest.raises(MissingQuote) as got:
+        build_an(reading, corpus, store)
+    with pytest.raises(MissingQuote) as want:
+        oracle_build_an(reading, corpus, store)
+    assert got.value.artifact_id == want.value.artifact_id == "s3"
 
 
 def test_build_an_raises_first_broken_chain_in_reading_order():

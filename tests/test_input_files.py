@@ -1,12 +1,13 @@
-"""Input files on the command line: a malformed corpus, vector file or word
-list is an input error (exit 1) that names the file and the line or byte, and
-a corpus reads the same from CSV as from JSONL."""
+"""Input files on the command line: a corpus, vector file or word list with a
+fault, of syntax or of content, is an input error (exit 1) that names the file
+and the line or byte, and a corpus reads the same from CSV as from JSONL."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 
 from aicnet.cli import main
 from aicnet.corpus import Corpus, load_corpus, save_corpus
-from aicnet.errors import AicnetError, ParseError
+from aicnet.errors import (
+    CyclicThread,
+    DanglingParent,
+    EmptyCorpus,
+    MissingQuote,
+    ParseError,
+)
 from aicnet.semantic import EmbeddingStore, load_embeddings, save_embeddings
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import load_wordlist
@@ -71,18 +78,59 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _binary_cut_in_record_1() -> bytes:
-    buf = io.BytesIO()
-    buf.write(b"AICEMB01" + struct.pack("<II", 2, 2))
-    buf.write(struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.0))
-    buf.write(struct.pack("<H", 2) + b"q2" + struct.pack("<f", 0.6))  # one component short
-    return buf.getvalue()
+def _binary_with_q2(*components: float) -> bytes:
+    """A binary vector file of dimension 2: q1, then q2 holding ``components``
+    in its record, which starts at byte 28."""
+    return (b"AICEMB01" + struct.pack("<II", 2, 2)
+            + struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.0)
+            + struct.pack("<H", 2) + b"q2" + struct.pack(f"<{len(components)}f", *components))
 
 
 def _csv_with_kind(kind: str) -> bytes:
     return ("record,id,reading_id,author_id,kind,quote_id,parent_id,body,ts,text\n"
             "quote,q1,r1,,,,,,,A passage.\n"
             f"artifact,a1,r1,A,{kind},q1,,note,,\n").encode()
+
+
+def _csv_after_multiline_body(row: str) -> bytes:
+    """A CSV corpus whose annotation body spans lines 3 and 4, a blank line 5,
+    and then ``row``, a record with a body of two lines, which starts at line 6."""
+    return ("record,id,reading_id,author_id,kind,quote_id,parent_id,body,ts,text\n"
+            "quote,q1,r1,,,,,,,A passage.\n"
+            'artifact,a1,r1,A,annotation,q1,,"one\ntwo",,\n'
+            "\n"
+            f'{row},"x\ny",,\n').encode()
+
+
+def _jsonl(*records: dict | str) -> bytes:
+    """JSONL lines of the records; a string is a line as it stands."""
+    return "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records).encode()
+
+
+def _note(aid: str, reading_id: str, quote_id: str) -> dict:
+    return {"id": aid, "reading_id": reading_id, "author_id": "A", "kind": "annotation",
+            "quote_id": quote_id, "body": "note"}
+
+
+def _reply(aid: str, reading_id: str, parent_id: str) -> dict:
+    return {"id": aid, "reading_id": reading_id, "author_id": "B", "kind": "reply",
+            "parent_id": parent_id, "body": ""}
+
+
+def _in_second_reading(*records: dict) -> bytes:
+    """Reading r1, then reading r2 with the same quote and annotation ids and
+    then the records: a fault among them is neither on r2's first line nor a
+    duplicate, since ids are per reading."""
+    return _jsonl({"record": "quote", "id": "q1", "reading_id": "r1", "text": "A passage."},
+                  _note("a1", "r1", "q1"),
+                  {"record": "quote", "id": "q1", "reading_id": "r2", "text": "A passage."},
+                  _note("a1", "r2", "q1"), *records)
+
+
+def _vectors(line: str) -> bytes:
+    """A JSONL vector file: a good q1 record, a blank line, then ``line``."""
+    return _jsonl({"quote_id": "q1", "vector": [1.0, 0.0]}, "", line)
+
 
 
 # kind, file bytes, and the error's "<where>: <reason>"
@@ -92,6 +140,10 @@ _MALFORMED = {
     "corpus_jsonl_not_an_object": ("corpus_jsonl", b'\n[1, 2]\n',
                                    "line 2: record is not a JSON object"),
     "corpus_csv": ("corpus_csv", _csv_with_kind("note"), "line 3: unknown kind 'note'"),
+    # a record's fault is at its first line, though its body cell runs on
+    "corpus_csv_multiline": ("corpus_csv",
+                             _csv_after_multiline_body("artifact,a2,r1,B,note,q1,"),
+                             "line 6: unknown kind 'note'"),
     "corpus_not_utf8": ("corpus_jsonl", b'{"record": "quote", "id": "q\xe91"}\n',
                         "byte 28: not valid UTF-8"),
     "corpus_csv_not_utf8": ("corpus_csv", b"\xef\xbb\xbfrecord,id\nquote,q\xff1\n",
@@ -101,9 +153,34 @@ _MALFORMED = {
                       "line 2: expected an object with 'quote_id' and 'vector'"),
     "vectors_jsonl_not_an_object": ("vectors_jsonl", b'["q1", [1.0, 0.0]]\n',
                                     "line 1: record is not a JSON object"),
-    "vectors_binary": ("vectors_binary", _binary_cut_in_record_1(),
+    "vectors_binary": ("vectors_binary", _binary_with_q2(0.6),  # one component short
                        "byte 30: truncated record 1: 10 bytes needed, 6 left"),
     "stopwords": ("stopwords", "rhythm\nété\n".encode("latin-1"), "byte 7: not valid UTF-8"),
+    # faults of content, each at the line or byte of its record
+    "corpus_missing_quote": ("corpus_jsonl", _in_second_reading(_note("a2", "r2", "ghost")),
+                             f"line 5: {MissingQuote('a2')}"),
+    "corpus_dangling_parent": ("corpus_jsonl", _in_second_reading(_reply("p1", "r2", "gone")),
+                               f"line 5: {DanglingParent('p1')}"),
+    "corpus_cycle": ("corpus_jsonl", _in_second_reading(_reply("p1", "r2", "p2"),
+                                                        _reply("p2", "r2", "p1")),
+                     f"line 5: {CyclicThread('p1')}"),
+    "corpus_csv_multiline_dangling_parent": (
+        "corpus_csv", _csv_after_multiline_body("artifact,p1,r1,B,reply,,gone"),
+        f"line 6: {DanglingParent('p1')}"),
+    "vectors_jsonl_repeated_id": ("vectors_jsonl", _vectors('{"quote_id": "q1", "vector": [0, 1]}'),
+                                  "line 3: vector for 'q1' is given twice"),
+    "vectors_jsonl_nan": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [NaN, 1]}'),
+                          "line 3: vector for 'q2' has a non-finite component"),
+    "vectors_jsonl_zero": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [0, 0]}'),
+                           "line 3: all-zero vector for 'q2'"),
+    "vectors_jsonl_dimension": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [1]}'),
+                                "line 3: vector for 'q2' has 1 components, expected 2"),
+    "vectors_jsonl_norm": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [1e200, 1]}'),
+                           "line 3: vector for 'q2' has a norm outside the float64 range"),
+    "vectors_binary_nan": ("vectors_binary", _binary_with_q2(math.nan, 1.0),
+                           "byte 28: vector for 'q2' has a non-finite component"),
+    "vectors_binary_zero": ("vectors_binary", _binary_with_q2(0.0, 0.0),
+                            "byte 28: all-zero vector for 'q2'"),
 }
 
 
@@ -115,6 +192,45 @@ def test_a_malformed_input_file_is_named_with_its_line_or_byte(tmp_path, case):
     path.write_bytes(data)
     code, out, err = _run(_argv(kind, path, files["corpus_jsonl"], tmp_path / "out"))
     assert (code, out, err) == (1, "", f"error: {path}: {located}\n")
+
+
+def test_validate_lists_every_fault_located_in_the_documented_order(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(_jsonl(
+        {"record": "quote", "id": "q1", "reading_id": "r1", "text": "A passage."},
+        _reply("p1", "r1", "p2"), _reply("p2", "r1", "p1"), _note("a1", "r1", "ghost"),
+        _reply("p3", "r1", "gone"), _note("a1", "r1", "q1"), "{not json"))
+    code, out, err = _run(["validate", str(path)])
+    assert (code, err) == (1, "")
+    # parse errors, duplicates, then per reading missing quotes and dangling parents, then cycles
+    assert out.splitlines() == [f"error: {path}: {fault}" for fault in [
+        "line 7: invalid JSON (Expecting property name enclosed in double quotes)",
+        "line 6: duplicate id 'a1' in reading 'r1'",
+        f"line 4: {MissingQuote('a1')}",
+        f"line 5: {DanglingParent('p3')}",
+        f"line 2: {CyclicThread('p1')}",
+        f"line 3: {CyclicThread('p2')}",
+    ]] + ["6 problem(s) found"]
+
+
+def test_jsonl_lines_end_at_line_feeds_alone(tmp_path):
+    # JSON strings may hold these raw, and save_corpus writes them raw
+    odd = "\u2028\u2029\u0085"
+    records = [dict(r) for r in _RECORDS]
+    records[2]["body"] += odd
+    records[4]["body"] = f"a{odd}b"
+    source = tmp_path / "source.jsonl"
+    source.write_bytes(_jsonl(*records))
+    corpus = load_corpus(source)
+    assert corpus.readings["r1"].artifact_by_id("p1").body == f"a{odd}b"
+    for format in ("jsonl", "csv"):
+        path = tmp_path / f"corpus.{format}"
+        save_corpus(corpus, path, format)
+        assert odd in path.read_text(encoding="utf-8")
+        assert load_corpus(path, format) == corpus
+    vectors = tmp_path / "emb.jsonl"
+    vectors.write_text('{"quote_id": "q\u20281", "vector": [1.0, 0.0]}\r\n', encoding="utf-8")
+    assert load_embeddings(vectors).vectors == {"q\u20281": (1.0, 0.0)}
 
 
 def test_an_empty_corpus_names_its_file(tmp_path):
@@ -163,9 +279,9 @@ def _mutated(data: bytes, edits: list[tuple[str, int, bytes]]) -> bytes:
     return bytes(buf)
 
 
-def _file_fault(kind: str, path: Path) -> ParseError | None:
-    """The error that locates the first fault of the file, read as its kind
-    alone, or None when it has no such fault."""
+def _file_fault(kind: str, path: Path) -> ParseError | EmptyCorpus | None:
+    """The error that a load of the file, read as its kind alone, raises for
+    its first fault, or None when it has none. A load raises no other error."""
     try:
         if kind.startswith("corpus"):
             load_corpus(path, kind.removeprefix("corpus_"))
@@ -173,10 +289,8 @@ def _file_fault(kind: str, path: Path) -> ParseError | None:
             load_embeddings(path)
         else:
             load_wordlist(path)
-    except ParseError as exc:
+    except (ParseError, EmptyCorpus) as exc:
         return exc
-    except AicnetError:  # a fault of the content, not of the file's syntax
-        pass
     return None
 
 
@@ -195,7 +309,9 @@ def test_a_mutated_input_file_is_an_input_error_that_names_it(tmp_path_factory, 
     assert code in (0, 1), err
     if fault is not None:
         assert code == 1
-        assert re.fullmatch(rf"error: {re.escape(str(path))}: (line|byte) \d+: [^\n]+\n", err), err
+        if isinstance(fault, ParseError):
+            assert re.fullmatch(rf"error: {re.escape(str(path))}: (line|byte) \d+: [^\n]+\n",
+                                err), err
         assert err == f"error: {fault}\n"
 
 

@@ -67,15 +67,15 @@ def test_load_rejects_dimension_mismatch(tmp_path):
         json.dumps({"quote_id": "q1", "vector": [1.0] * 768}) + "\n"
         + json.dumps({"quote_id": "q2", "vector": [1.0] * 512}) + "\n"
     )
-    with pytest.raises(DimensionMismatch) as exc:
+    with pytest.raises(ParseError) as exc:
         load_embeddings(path)
-    assert exc.value.quote_id == "q2"
+    assert str(exc.value) == f"{path}: line 2: vector for 'q2' has 512 components, expected 768"
 
 
 def test_load_rejects_zero_vector(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"quote_id": "q1", "vector": [0.0] * 16}) + "\n")
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ParseError, match=r": line 1: all-zero vector for 'q1'$"):
         load_embeddings(path)
 
 
@@ -115,7 +115,7 @@ def test_load_rejects_non_finite_component(tmp_path, component):
         json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
         + '{"quote_id": "q2", "vector": [0.5, %s]}\n' % component
     )
-    with pytest.raises(InvalidVector, match="'q2'"):
+    with pytest.raises(ParseError, match=r": line 2: vector for 'q2' has a non-finite component$"):
         load_embeddings(path)
 
 
@@ -130,7 +130,8 @@ def test_load_rejects_norm_outside_the_float64_range(tmp_path, vector):
         json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
         + json.dumps({"quote_id": "q2", "vector": vector}) + "\n"
     )
-    with pytest.raises(InvalidVector, match="'q2' has a norm outside the float64 range"):
+    with pytest.raises(ParseError,
+                       match=r": line 2: vector for 'q2' has a norm outside the float64 range$"):
         load_embeddings(path)
 
 
@@ -164,7 +165,8 @@ def _binary_file(dim: int, records: list[tuple[bytes, list[float]]]) -> bytes:
 def test_load_rejects_non_finite_binary_component(tmp_path):
     path = tmp_path / "emb.bin"
     path.write_bytes(_binary_file(2, [(b"q1", [1.0, math.nan])]))
-    with pytest.raises(InvalidVector, match="'q1'"):
+    with pytest.raises(ParseError, match=r": byte 16: vector for 'q1' has a non-finite "
+                                         r"component$"):
         load_embeddings(path)
 
 
@@ -245,7 +247,7 @@ def test_load_rejects_duplicate_id(tmp_path):
         json.dumps({"quote_id": "q1", "vector": [1.0, 0.0]}) + "\n"
         + json.dumps({"quote_id": "q1", "vector": [0.0, 1.0]}) + "\n"
     )
-    with pytest.raises(InvalidVector, match="'q1'"):
+    with pytest.raises(ParseError, match=r": line 2: vector for 'q1' is given twice$"):
         load_embeddings(path)
 
 

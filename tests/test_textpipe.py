@@ -15,6 +15,7 @@ from aicnet.synth import generate, random_params
 from aicnet.textpipe import (
     WordSelectionParams,
     _documents,
+    _lemmatize,
     lemmatize,
     load_wordlist,
     noun_lemmas,
@@ -76,6 +77,13 @@ def test_noun_lemmas_replacement_lexicon():
     # the lexicon replaces the bundled one; the suffix rule still applies
     assert noun_lemmas("zorps ballet movement", frozenset({"zorp"})) == ["zorp", "movement"]
     assert noun_lemmas("zorps ballet movement", frozenset()) == ["movement"]
+
+
+def test_replacement_lexicon_reaches_the_lemmatizer():
+    # -ing and -ed come off only onto a stem in the lexicon the noun rule reads
+    glorps, lexicon = "glorp glorps glorping glorped", frozenset({"glorp"})
+    assert noun_lemmas(glorps, lexicon) == oracle_noun_lemmas(glorps, lexicon) == ["glorp"] * 4
+    assert [lemmatize(w) for w in glorps.split()] == ["glorp", "glorp", "glorping", "glorped"]
 
 
 def test_bundled_stopword_surface_is_never_a_noun():
@@ -345,11 +353,11 @@ def test_lemmatize_called_once_per_distinct_surface_per_reading(monkeypatch):
     corpus.readings["r2"] = _cn_reading()
     calls: Counter = Counter()
 
-    def counting(surface: str) -> str:
+    def counting(surface: str, lexicon: frozenset[str]) -> str:
         calls[surface] += 1
-        return lemmatize(surface)
+        return _lemmatize(surface, lexicon)
 
-    monkeypatch.setattr(textpipe, "lemmatize", counting)  # the oracle keeps its own binding
+    monkeypatch.setattr(textpipe, "_lemmatize", counting)  # the oracle keeps its own binding
     for reading in corpus.readings.values():
         calls.clear()
         selection = select_cn_words(reading, WordSelectionParams())

@@ -265,6 +265,44 @@ MUTANTS: list[Mutant] = [
             "[corpus_jsonl_not_an_object]",
             _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[vectors_jsonl_not_an_object]")),
+    # JSONL files: lines split at U+2028, U+0085 and the like, which JSON strings hold raw
+    Mutant("src/aicnet/corpus.py", 'enumerate(text.split("\\n"), start=1)',
+           "enumerate(text.splitlines(), start=1)",
+           (_FILES + "test_jsonl_lines_end_at_line_feeds_alone",)),
+    # corpus files: a consistency fault located at its reading's first line
+    Mutant("src/aicnet/corpus.py", 'f"line {lines[reading.id, err.artifact_id]}"',
+           'f"line {min(n for (rid, _), n in lines.items() if rid == reading.id)}"',
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[corpus_dangling_parent]",)),
+    # CSV corpus files: a record located at its last line, where a multi-line cell ends
+    Mutant("src/aicnet/corpus.py", "                yield start, cleaned\n",
+           "                yield reader.line_num, cleaned\n",
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[corpus_csv_multiline]",
+            _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[corpus_csv_multiline_dangling_parent]")),
+    # corpus files: ids checked for duplicates across readings, not within each
+    Mutant("src/aicnet/corpus.py", "        if key in lines:\n",
+           "        if record.id in {rid for _, rid in lines}:\n",
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[corpus_missing_quote]",)),
+    # binary vector files: a record's fault located at the first record, here the one before it
+    Mutant("src/aicnet/semantic.py", "    for index in range(count):\n        start = offset\n",
+           "    start = offset\n    for index in range(count):\n",
+           (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
+            "[vectors_binary_nan]",)),
+    # attention network: a thread whose quote the reading lacks skipped in silence
+    Mutant("src/aicnet/graphs.py",
+           "        if root.quote_id not in reading.quotes:\n"
+           "            raise MissingQuote(root.id)\n"
+           "        attended[art.author_id].add(root.quote_id)\n",
+           "        if root.quote_id in reading.quotes:\n"
+           "            attended[art.author_id].add(root.quote_id)\n",
+           (_AN + "test_a_thread_whose_quote_is_missing_raises_missing_quote",)),
+    # word selection: a replacement noun lexicon kept from the lemmatizer
+    Mutant("src/aicnet/textpipe.py", "lemma = _lemmatize(surface, nouns)",
+           "lemma = lemmatize(surface)",
+           ("tests/test_textpipe.py::test_replacement_lexicon_reaches_the_lemmatizer",)),
     # the similarity threshold refuses 1.0
     Mutant("src/aicnet/semantic.py", "if not 0.0 < tau <= 1.0:", "if not 0.0 < tau < 1.0:",
            ("tests/test_semantic.py::test_joint_pairs_tau_one_keeps_only_common_reference",
