@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
@@ -273,8 +272,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "stats.csv").write_text(display, encoding="utf-8")
-        summary = asdict(table)
-        _write_json(args.out / "stats.json", {"readings": summary.pop("rows"), "summary": summary})
+        summary = table._asdict()
+        readings = [row._asdict() for row in summary.pop("rows")]
+        _write_json(args.out / "stats.json", {"readings": readings, "summary": summary})
     return 0
 
 
@@ -336,7 +336,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         sys.stdout.write(table)
         if args.out:
             (args.out / "metrics_network.csv").write_text(table, encoding="utf-8")
-            _write_json(args.out / "metrics_network.json", [asdict(r) for r in rows])
+            _write_json(args.out / "metrics_network.json", [r._asdict() for r in rows])
         return 0
 
     roster = set(loaded.authors)
@@ -349,7 +349,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         sys.stdout.write(table)
         if stem:
             (args.out / f"{stem}.csv").write_text(table, encoding="utf-8")
-            _write_json(args.out / f"{stem}.json", [asdict(r) for r in rows])
+            _write_json(args.out / f"{stem}.json", [r._asdict() for r in rows])
     return 0
 
 

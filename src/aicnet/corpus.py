@@ -24,11 +24,9 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .errors import (
     AicnetError,
@@ -51,21 +49,45 @@ def normalize_text(text: str) -> str:
     return _WS.sub(" ", text.strip()).lower()
 
 
-@dataclass(frozen=True)
-class Quote:
-    """A highlighted passage from the learning material."""
+class _Record:
+    """Equality, and a repr, by the fields ``_fields`` names: two records are
+    equal when they are of one class and their fields are equal. A record is
+    unhashable unless its class defines ``__hash__``."""
 
-    id: str
-    reading_id: str
-    text: str
+    _fields: tuple[str, ...] = ()
 
-    @cached_property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Quote(_Record):
+    """A highlighted passage from the learning material; ``normalized_text``
+    is computed on its first read."""
+
+    _fields = ("id", "reading_id", "text")
+
+    def __init__(self, id: str, reading_id: str, text: str) -> None:
+        self.id, self.reading_id, self.text = id, reading_id, text
+        self._normalized: str | None = None
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
     def normalized_text(self) -> str:
-        return normalize_text(self.text)
+        if self._normalized is None:
+            self._normalized = normalize_text(self.text)
+        return self._normalized
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """One authored post: an annotation on a quote, or a reply to another artifact."""
 
     id: str
@@ -78,13 +100,16 @@ class Artifact:
     ts: str | None = None
 
 
-@dataclass
-class Reading:
+class Reading(_Record):
     """A single discourse episode: its quotes plus the artifacts written about them."""
 
-    id: str
-    quotes: dict[str, Quote] = field(default_factory=dict)
-    artifacts: list[Artifact] = field(default_factory=list)
+    _fields = ("id", "quotes", "artifacts")
+
+    def __init__(self, id: str, quotes: dict[str, Quote] | None = None,
+                 artifacts: list[Artifact] | None = None) -> None:
+        self.id = id
+        self.quotes = {} if quotes is None else quotes
+        self.artifacts = [] if artifacts is None else artifacts
 
     def artifact_by_id(self, artifact_id: str) -> Artifact:
         """The artifact of that id; an unknown id raises :class:`UnknownArtifact`."""
@@ -105,10 +130,13 @@ class Reading:
         return {a.author_id for a in self.artifacts}
 
 
-@dataclass
-class Corpus:
-    readings: dict[str, Reading] = field(default_factory=dict)
-    authors: set[str] = field(default_factory=set)
+class Corpus(_Record):
+    _fields = ("readings", "authors")
+
+    def __init__(self, readings: dict[str, Reading] | None = None,
+                 authors: set[str] | None = None) -> None:
+        self.readings = {} if readings is None else readings
+        self.authors = set() if authors is None else authors
 
     def reading(self, reading_id: str) -> Reading:
         try:
@@ -409,16 +437,14 @@ def thread_root(artifact: Artifact, corpus: Corpus) -> Artifact:
 
 # -- descriptive statistics ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ReadingStats:
+class ReadingStats(NamedTuple):
     reading_id: str
     posts: int
     replies: int
     avg_words_per_post: float | None
 
 
-@dataclass(frozen=True)
-class StatsTable:
+class StatsTable(NamedTuple):
     rows: tuple[ReadingStats, ...]
     posts_mean: float | None
     posts_sd: float | None

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
-from .corpus import Corpus, Quote, Reading, thread_roots
+from .corpus import Corpus, Quote, Reading, _Record, thread_roots
 from .errors import AicnetError, DanglingParent, MissingQuote
 from .semantic import EmbeddingStore, _check_threshold, _confirmed_pairs
 from .textpipe import WordSelectionParams, select_cn_words
@@ -32,12 +31,15 @@ def edge_key(u: str, v: str) -> EdgeKey:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass
-class WeightedGraph:
+class WeightedGraph(_Record):
     """Undirected weighted graph over author ids. No self-loops, weights > 0."""
 
-    nodes: set[str] = field(default_factory=set)
-    edges: dict[EdgeKey, float] = field(default_factory=dict)
+    _fields = ("nodes", "edges")
+
+    def __init__(self, nodes: set[str] | None = None,
+                 edges: dict[EdgeKey, float] | None = None) -> None:
+        self.nodes = set() if nodes is None else nodes
+        self.edges = {} if edges is None else edges
 
     def add_edge(self, u: str, v: str, weight: float) -> None:
         if u == v:
@@ -55,12 +57,15 @@ class WeightedGraph:
         return WeightedGraph(set(self.nodes), dict(self.edges))
 
 
-@dataclass
-class BipartiteGraph:
+class BipartiteGraph(_Record):
     """Two-mode graph: author nodes, and (author, word) edges."""
 
-    author_nodes: set[str] = field(default_factory=set)
-    edges: set[tuple[str, str]] = field(default_factory=set)
+    _fields = ("author_nodes", "edges")
+
+    def __init__(self, author_nodes: set[str] | None = None,
+                 edges: set[tuple[str, str]] | None = None) -> None:
+        self.author_nodes = set() if author_nodes is None else author_nodes
+        self.edges = set() if edges is None else edges
 
 
 def _attended(reading: Reading, authors: list[str]) -> dict[str, set[str]]:

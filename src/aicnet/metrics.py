@@ -18,8 +18,7 @@ and isolated or absent nodes get ``None`` in node reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UnknownNode
 from .graphs import WeightedGraph
@@ -164,8 +163,7 @@ def betweenness(g: WeightedGraph, v: str) -> float | None:
 
 # -- reports -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodeMetricsRow:
+class NodeMetricsRow(NamedTuple):
     """One author's measures; None marks an isolate or an absent author."""
 
     author_id: str
@@ -174,8 +172,7 @@ class NodeMetricsRow:
     cn_betweenness: float | None
 
 
-@dataclass(frozen=True)
-class NetworkMetricsRow:
+class NetworkMetricsRow(NamedTuple):
     reading_id: str
     an_transitivity: float | None
     in_centralization: float | None

@@ -31,10 +31,10 @@ import operator
 import struct
 import sys
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .corpus import Quote, _decoded, _json_objects, normalize_text
+from .corpus import Quote, _decoded, _json_objects, _Record, normalize_text
 from .errors import (
     DimensionMismatch,
     EmptyText,
@@ -53,12 +53,13 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass
-class EmbeddingStore:
+class EmbeddingStore(_Record):
     """Quote-id -> vector map; :meth:`get` reads a vector and checks it."""
 
-    dim: int
-    vectors: Mapping[str, Vector]
+    _fields = ("dim", "vectors")
+
+    def __init__(self, dim: int, vectors: Mapping[str, Vector]) -> None:
+        self.dim, self.vectors = dim, vectors
 
     def get(self, quote_id: str) -> Vector:
         """The vector of ``quote_id``. A missing one, one not of ``dim``
@@ -79,8 +80,7 @@ class EmbeddingStore:
         return vec
 
 
-@dataclass(frozen=True)
-class JointPair:
+class JointPair(NamedTuple):
     """An unordered quote pair whose similarity cleared the threshold."""
 
     quote_a: str

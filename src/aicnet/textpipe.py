@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .corpus import Artifact, Reading, _decoded
+from .corpus import Artifact, Reading, _decoded, _Record
 
 _TOKEN = re.compile(r"\w+(?:['-]\w+)*", re.UNICODE)
 
@@ -67,11 +66,12 @@ _NOUN_SUFFIXES = (
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Read a one-term-per-line word file (blank lines and '#' comments skipped).
 
-    One leading byte-order mark is dropped; bytes that are not UTF-8 raise
-    :class:`ParseError` naming the file and the offset.
+    A line ends at a line feed alone, and each is stripped of whitespace at
+    both ends. One leading byte-order mark is dropped; bytes that are not
+    UTF-8 raise :class:`ParseError` naming the file and the offset.
     """
     terms = set()
-    for line in _decoded(path, Path(path).read_bytes()).splitlines():
+    for line in _decoded(path, Path(path).read_bytes()).split("\n"):
         term = line.strip().lower()
         if term and not term.startswith("#"):
             terms.add(term)
@@ -206,8 +206,7 @@ def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
 
 # -- word selection for the creation network -----------------------------------
 
-@dataclass(frozen=True)
-class WordSelectionParams:
+class WordSelectionParams(_Record):
     """Knobs of the word-selection procedure; defaults are the standard run.
 
     ``stopwords`` are lemmas dropped on top of the bundled stopwords, and
@@ -217,23 +216,25 @@ class WordSelectionParams:
     ``drop_lowest`` below 0, raises :class:`ValueError`.
     """
 
-    min_frequency: int = 5
-    drop_lowest: int = 5
-    top_k: int = 70
-    stopwords: frozenset[str] = frozenset()
-    noun_lexicon: frozenset[str] | None = None
+    _fields = ("min_frequency", "drop_lowest", "top_k", "stopwords", "noun_lexicon")
 
-    def __post_init__(self) -> None:
-        if self.min_frequency < 1:
+    def __init__(self, min_frequency: int = 5, drop_lowest: int = 5, top_k: int = 70,
+                 stopwords: frozenset[str] = frozenset(),
+                 noun_lexicon: frozenset[str] | None = None) -> None:
+        if min_frequency < 1:
             raise ValueError("min_frequency must be >= 1")
-        if self.drop_lowest < 0:
+        if drop_lowest < 0:
             raise ValueError("drop_lowest must be >= 0")
-        if self.top_k < 1:
+        if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        self.min_frequency, self.drop_lowest, self.top_k = min_frequency, drop_lowest, top_k
+        self.stopwords, self.noun_lexicon = stopwords, noun_lexicon
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class SelectedWord:
+class SelectedWord(NamedTuple):
     lemma: str
     author_id: str
     score: float

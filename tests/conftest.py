@@ -1,10 +1,11 @@
-"""Shared fixture helpers: in-memory corpus assembly, JSONL writing and the
-environment for child interpreters."""
+"""Shared fixture helpers: in-memory corpus assembly, JSONL writing, the
+environment for child interpreters and the benchmark's runner."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,16 @@ def child_env() -> dict[str, str]:
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([root, inherited]) if inherited else root
     return env
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``benchmarks/run.py``, imported from its directory with its siblings."""
+    folder = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, folder)
+    try:
+        import run
+
+        yield run
+    finally:
+        sys.path.remove(folder)

@@ -9,24 +9,7 @@ The test only reads ``reference.json``.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
-
-BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """``benchmarks/run.py``, imported from its directory with its siblings."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import run
-
-        yield run
-    finally:
-        sys.path.remove(str(BENCH))
 
 
 @pytest.mark.parametrize("workload", ["attention_dense", "creation_text", "class_roster"])

@@ -8,7 +8,6 @@ import re
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -746,7 +745,7 @@ def _library_outputs(corpus, tau=0.8, dim=256, params=WordSelectionParams()):
     graphs = {r.id: (build_an(r, corpus, store, tau), build_in(r, corpus),
                      project(build_cn_bipartite(r, corpus, params))) for r in readings}
     network = m.network_report(graphs)
-    node = {rid: [asdict(row) for row in m.node_report(*g, set(corpus.authors))]
+    node = {rid: [row._asdict() for row in m.node_report(*g, set(corpus.authors))]
             for rid, g in graphs.items()}
     net = {row.reading_id: row for row in network}
     roster = readings[0].active_authors() | readings[1].active_authors()
@@ -757,7 +756,7 @@ def _library_outputs(corpus, tau=0.8, dim=256, params=WordSelectionParams()):
                            [], ["Student", "Measure", "r1", "r2", "delta"],
                            *([a, *row] for a in sorted(roster)
                              for row in _compared(rows_a[a], rows_b[a], _NODE_MEASURES))])
-    return [asdict(row) for row in network], node, compared
+    return [row._asdict() for row in network], node, compared
 
 
 @pytest.mark.parametrize("flags, settings, default", [

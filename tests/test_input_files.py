@@ -1,13 +1,16 @@
 """Input files on the command line: a corpus, vector file or word list with a
 fault, of syntax or of content, is an input error (exit 1) that names the file
-and the line or byte, and a corpus reads the same from CSV as from JSONL."""
+and the line or byte, and a corpus reads the same from CSV as from JSONL and in
+any record order."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
+import random
 import re
 import struct
 from pathlib import Path
@@ -324,12 +327,12 @@ def _two_reading_corpus(seed_: int) -> Corpus:
     return Corpus(readings={**c1.readings, **c2.readings}, authors=c1.authors | c2.authors)
 
 
-def _reports(path: Path, out: Path) -> tuple[dict[str, bytes], str]:
+def _reports(path: Path, out: Path, *extra: str) -> tuple[dict[str, bytes], str]:
     """Every report file of ``metrics --level node|network --out``, and the
-    stdout of ``compare r1 r2``."""
+    stdout of ``compare r1 r2``, each given the ``extra`` arguments."""
     for level in ("node", "network"):
-        assert _run(["metrics", str(path), "--level", level, "--out", str(out)])[0] == 0
-    code, compared, _ = _run(["compare", str(path), "r1", "r2"])
+        assert _run(["metrics", str(path), "--level", level, "--out", str(out), *extra])[0] == 0
+    code, compared, _ = _run(["compare", str(path), "r1", "r2", *extra])
     assert code == 0
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}, compared
 
@@ -347,3 +350,35 @@ def test_csv_and_jsonl_give_identical_reports(tmp_path, source):
         reports.append(_reports(path, tmp_path / f"out_{format}"))
     assert reports[0] == reports[1]
     assert len(reports[0][0]) == 6  # two node reports of two files each, one network pair
+
+
+# -- record order does not change a report ------------------------------------
+
+def _shuffled(path: Path, to: Path, rng: random.Random) -> None:
+    """A copy of a corpus file with its records in another order: the lines of
+    a JSONL file, or the data rows under a CSV header."""
+    text = path.read_bytes().decode("utf-8")
+    if path.suffix == ".jsonl":
+        lines = text.split("\n")[:-1]  # the last line feed ends the last record
+        rng.shuffle(lines)
+        to.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        return
+    header, *rows = csv.reader(io.StringIO(text))
+    rng.shuffle(rows)
+    with to.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+@pytest.mark.parametrize("source", ["sample_corpus", "attention_dense", "creation_text",
+                                    "class_roster"])
+def test_record_order_does_not_change_a_report(tmp_path, bench, source):
+    path, extra = _DATA / "sample_corpus.jsonl", []
+    if source != "sample_corpus":
+        inputs, _ = bench.prepare(source, 0, tmp_path, bench.corpora.TINY[source])
+        path, extra = inputs.corpus, ["--embeddings", str(inputs.vectors)] if inputs.vectors else []
+    shuffled = tmp_path / f"shuffled{path.suffix}"
+    _shuffled(path, shuffled, random.Random(source))
+    assert shuffled.read_bytes() != path.read_bytes()
+    reports = [_reports(p, tmp_path / f"out_{p.stem}", *extra) for p in (path, shuffled)]
+    assert reports[0] == reports[1]
+    assert reports[0][0] and reports[0][1]

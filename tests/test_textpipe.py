@@ -377,6 +377,13 @@ def test_load_wordlist_skips_blanks_and_comments(tmp_path):
     assert load_wordlist(path) == frozenset({"pedagogy", "rhythm"})
 
 
+def test_load_wordlist_lines_end_at_a_line_feed_alone(tmp_path):
+    # str.splitlines would also end a line at these three; a term keeps them
+    path = tmp_path / "words.txt"
+    path.write_text("foo\u2028bar\nnext\x85line\r\nform\x0cfeed\n", encoding="utf-8")
+    assert load_wordlist(path) == frozenset({"foo\u2028bar", "next\x85line", "form\x0cfeed"})
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=64))
 def test_load_wordlist_arbitrary_bytes_only_raises_input_errors(tmp_path_factory, data):

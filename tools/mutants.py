@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 _AN = "tests/test_graphs.py::"
 _EXPORT = "tests/test_export.py::"
 _IMPORTS = "tests/test_imports.py::"
+_RECORDS = "tests/test_records.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
@@ -73,9 +74,38 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/semantic.py", "if not all(map(math.isfinite, vec)):", "if False:",
            ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
     # a quote's normalized text recomputed on every read
-    Mutant("src/aicnet/corpus.py", "    @cached_property\n    def normalized_text",
-           "    @property\n    def normalized_text",
+    Mutant("src/aicnet/corpus.py", "if self._normalized is None:", "if True:",
            (_AN + "test_build_an_normalizes_each_quote_text_once",)),
+    # record equality: a field left out
+    Mutant("src/aicnet/graphs.py", '_fields = ("nodes", "edges")', '_fields = ("edges",)',
+           (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    Mutant("src/aicnet/corpus.py", '_fields = ("id", "reading_id", "text")',
+           '_fields = ("id", "text")', (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    Mutant("src/aicnet/semantic.py", '_fields = ("dim", "vectors")', '_fields = ("vectors",)',
+           (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    # a quote's hash leaves out its reading
+    Mutant("src/aicnet/corpus.py", "        return hash(self._key())",
+           "        return hash((self.id, self.text))",
+           (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    # record equality across classes: a subclass instance equal to its base's
+    Mutant("src/aicnet/corpus.py", "if other.__class__ is self.__class__",
+           "if isinstance(other, type(self))",
+           (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    # word selection: a negative drop_lowest accepted
+    Mutant("src/aicnet/textpipe.py", '        if drop_lowest < 0:\n'
+           '            raise ValueError("drop_lowest must be >= 0")\n', "",
+           ("tests/test_textpipe.py::test_word_selection_params_refuse_a_count_below_its_floor",)),
+    # word lists: a line also ended at U+2028, U+0085 or a form feed
+    Mutant("src/aicnet/textpipe.py", '.read_bytes()).split("\\n"):', ".read_bytes()).splitlines():",
+           ("tests/test_textpipe.py::test_load_wordlist_lines_end_at_a_line_feed_alone",)),
+    # word selection: ranking ties left in artifact order, which the file's record order sets
+    Mutant("src/aicnet/textpipe.py", "key=lambda item: (-item[2], item[0], item[1])",
+           "key=lambda item: -item[2]",
+           (_FILES + "test_record_order_does_not_change_a_report[creation_text]",)),
+    # stats --out: a reading's row dumped as a JSON list, not an object
+    Mutant("src/aicnet/cli.py", 'readings = [row._asdict() for row in summary.pop("rows")]',
+           'readings = summary.pop("rows")',
+           ("tests/test_cli.py::test_report_csv_files_quote_ids_that_hold_a_comma",)),
     # build --format: a repeated format written twice
     Mutant("src/aicnet/cli.py", "list(dict.fromkeys(_listed(args.format)))",
            "_listed(args.format)",
