@@ -397,9 +397,12 @@ def _parse_overlap(spec: str) -> dict[tuple[str, str], int]:
         pair, _, count = part.partition("=")
         try:
             (key,) = _parse_pairs(pair)
-            overlap[key] = int(count)
+            overlap_count = int(count)
         except (AicnetError, ValueError):
             raise AicnetError(f"bad overlap {part!r}; expected author:author=count") from None
+        if key in overlap or key[::-1] in overlap:
+            raise AicnetError(f"overlap pair {key[0]}:{key[1]} is given twice")
+        overlap[key] = overlap_count
     return overlap
 
 
@@ -427,12 +430,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     save_corpus(generated, args.out / "corpus.jsonl")
     save_embeddings(store, args.out / "embeddings.jsonl")
-    payload = {
-        "expected_an": export.graph_to_json(gt.expected_an, "expected_an"),
-        "expected_in": export.graph_to_json(gt.expected_in, "expected_in"),
-        "expected_cn_edges": [list(pair) for pair in sorted(gt.expected_cn_edges)],
-        "seed": params.seed,
-    }
+    payload = {name: export.graph_to_json(g, name) for name, g in gt._asdict().items()}
+    payload["seed"] = params.seed
     _write_json(args.out / "ground_truth.json", payload)
     for name in ("corpus.jsonl", "embeddings.jsonl", "ground_truth.json"):
         print((args.out / name).as_posix())

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .corpus import Artifact, Corpus, Quote, Reading
 from .errors import InfeasibleParams
@@ -42,40 +42,41 @@ from .textpipe import WordSelectionParams, default_noun_lexicon, lemmatize
 _MAX_TEXT_TRIES = 200
 
 
-@dataclass
-class SynthParams:
+class SynthParams(NamedTuple):
     """Plan for one synthetic reading.
 
     ``attention_blocks`` partitions the authors into groups that will share a
     quote text; the authors the blocks name are the reading's authors, at
     least two. ``reply_edges`` is a multiset of author pairs realized as reply
     artifacts (second author replies to the first author's annotation);
-    ``vocab_overlap`` maps author pairs to the number of planted shared nouns.
+    ``vocab_overlap`` maps author pairs, each given in one order only, to the
+    number of planted shared nouns.
     """
 
     n_quotes: int
     attention_blocks: tuple[tuple[str, ...], ...]
     reply_edges: tuple[tuple[str, str], ...] = ()
-    vocab_overlap: Mapping[tuple[str, str], int] = field(default_factory=dict)
+    vocab_overlap: Mapping[tuple[str, str], int] = MappingProxyType({})
     seed: int = 0
 
 
-@dataclass
-class GroundTruth:
+class GroundTruth(NamedTuple):
+    """The three networks a plan must yield, over the plan's authors: AN weights
+    count the quote texts a pair shares, IN weights the replies between them,
+    and CN weights the nouns planted for them."""
+
     expected_an: WeightedGraph
     expected_in: WeightedGraph
-    expected_cn_edges: set[EdgeKey]
+    expected_cn: WeightedGraph
 
 
-@dataclass(frozen=True)
-class EdgeDiff:
+class EdgeDiff(NamedTuple):
     pair: EdgeKey
     expected: float | None
     actual: float | None
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Differences between built networks and the planted ground truth."""
 
     an_diffs: list[EdgeDiff]
@@ -84,17 +85,16 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return not (self.an_diffs or self.in_diffs or self.cn_diffs)
+        return not any(self)
 
     def summary(self) -> str:
         if self.passed:
             return "ground truth reproduced exactly"
-        lines = []
-        for label, diffs in (("attention", self.an_diffs), ("interaction", self.in_diffs),
-                             ("creation", self.cn_diffs)):
-            for d in diffs:
-                lines.append(f"{label} {d.pair[0]}--{d.pair[1]}: expected {d.expected}, got {d.actual}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{label} {d.pair[0]}--{d.pair[1]}: expected {d.expected}, got {d.actual}"
+            for label, diffs in zip(("attention", "interaction", "creation"), self)
+            for d in diffs
+        )
 
 
 def _validate(params: SynthParams, reading_id: str) -> list[str]:
@@ -126,6 +126,8 @@ def _validate(params: SynthParams, reading_id: str) -> list[str]:
             raise InfeasibleParams(f"vocab overlap ({x!r}, {y!r}) names an unknown author")
         if x == y:
             raise InfeasibleParams(f"vocab overlap on a single author {x!r}")
+        if (y, x) in params.vocab_overlap:
+            raise InfeasibleParams(f"vocab overlap ({x!r}, {y!r}) is given in both orders")
         if count < 0:
             raise InfeasibleParams("negative vocab overlap")
     return sorted(authors)
@@ -173,10 +175,7 @@ def generate(
     blocks = [tuple(block) for block in params.attention_blocks]
     block_of = {a: i for i, block in enumerate(blocks) for a in block}
 
-    overlap: dict[EdgeKey, int] = {}
-    for (x, y), count in params.vocab_overlap.items():
-        if count > 0:
-            overlap[edge_key(x, y)] = overlap.get(edge_key(x, y), 0) + count
+    overlap = {edge_key(x, y): count for (x, y), count in params.vocab_overlap.items() if count}
     n_planted = sum(overlap.values())
     if 2 * n_planted > word_params.top_k:
         raise InfeasibleParams(
@@ -272,19 +271,15 @@ def generate(
     gt = GroundTruth(
         expected_an=WeightedGraph(set(authors), {p: float(n) for p, n in shared.items() if n}),
         expected_in=WeightedGraph(set(authors), {p: float(n) for p, n in events.items()}),
-        expected_cn_edges=set(overlap),
+        expected_cn=WeightedGraph(set(authors), {p: float(n) for p, n in overlap.items()}),
     )
     return corpus, store, gt
 
 
-def _diff_graphs(expected: WeightedGraph, actual: WeightedGraph, tol: float) -> list[EdgeDiff]:
-    diffs = []
-    for pair in sorted(set(expected.edges) | set(actual.edges)):
-        want = expected.edges.get(pair)
-        got = actual.edges.get(pair)
-        if want is None or got is None or abs(want - got) > tol:
-            diffs.append(EdgeDiff(pair, want, got))
-    return diffs
+def _diff_graphs(expected: WeightedGraph, actual: WeightedGraph) -> list[EdgeDiff]:
+    pairs = sorted(set(expected.edges) | set(actual.edges))
+    diffs = [EdgeDiff(pair, expected.edges.get(pair), actual.edges.get(pair)) for pair in pairs]
+    return [d for d in diffs if d.expected != d.actual]
 
 
 def verify(
@@ -298,12 +293,12 @@ def verify(
     """Run the real builders over a generated corpus and diff the networks
     against the planted ground truth (empty diff means pass).
 
-    Every network is diffed by one rule, :func:`_diff_graphs`: a pair is
-    reported when one side lacks it or the weights differ by more than the
-    network's tolerance. AN weights are sums of float similarities, so they
-    may miss the planted counts by rounding and are compared within 1e-9; IN
-    weights must match exactly; CN is compared by edge set alone (an infinite
-    tolerance), each planted pair standing for an expected weight of 1.0.
+    Every network is diffed by one exact rule, :func:`_diff_graphs`: a pair is
+    reported when one side lacks it or the two weights are unequal. The planted
+    weights are whole counts, which the builders reproduce exactly: each quote
+    text two authors share scores exactly 1.0 and texts of different blocks
+    fall below ``tau``, so an AN weight is a sum of ones, and the IN and CN
+    count replies and shared words.
     """
     if reading_id is None:
         if len(corpus.readings) != 1:
@@ -314,13 +309,10 @@ def verify(
     an = build_an(reading, corpus, store, tau)
     in_ = build_in(reading, corpus)
     cn = project(build_cn_bipartite(reading, corpus, word_params))
-
-    cn_expected = WeightedGraph(set(gt.expected_an.nodes),
-                                dict.fromkeys(gt.expected_cn_edges, 1.0))
     return VerificationReport(
-        an_diffs=_diff_graphs(gt.expected_an, an, 1e-9),
-        in_diffs=_diff_graphs(gt.expected_in, in_, 0.0),
-        cn_diffs=_diff_graphs(cn_expected, cn, math.inf),
+        an_diffs=_diff_graphs(gt.expected_an, an),
+        in_diffs=_diff_graphs(gt.expected_in, in_),
+        cn_diffs=_diff_graphs(gt.expected_cn, cn),
     )
 
 

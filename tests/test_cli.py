@@ -615,11 +615,9 @@ def test_synth_emits_verifiable_files(tmp_path, capsys):
             g.add_edge(e["source"], e["target"], e["weight"])
         return g
 
-    gt = GroundTruth(
-        expected_an=graph_from(gt_data["expected_an"]),
-        expected_in=graph_from(gt_data["expected_in"]),
-        expected_cn_edges={tuple(p) for p in gt_data["expected_cn_edges"]},
-    )
+    assert set(gt_data) == {"expected_an", "expected_in", "expected_cn", "seed"}
+    gt = GroundTruth(*(graph_from(gt_data[name]) for name in GroundTruth._fields))
+    assert gt.expected_cn.edges == {("s02", "s04"): 2.0}
     report = verify(corpus, store, gt)
     assert report.passed, report.summary()
 
@@ -664,6 +662,19 @@ def test_synth_bad_overlap_count_is_input_error(tmp_path, capsys, spec):
     code, _, err = run_cli(capsys, "synth", "--vocab-overlap", spec, "--out", str(tmp_path / "x"))
     assert code == 1, err
     assert f"bad overlap {spec!r}" in err
+
+
+@pytest.mark.parametrize("spec, pair", [
+    ("s01:s02=2,s01:s02=3", "s01:s02"),
+    ("s01:s02=2,s02:s01=3", "s02:s01"),
+], ids=["same-order", "reversed"])
+def test_synth_overlap_pair_given_twice_is_input_error(tmp_path, capsys, spec, pair):
+    out_dir = tmp_path / "x"
+    code, _, err = run_cli(capsys, "synth", "--seed", "1", "--authors", "4",
+                           "--vocab-overlap", spec, "--out", str(out_dir))
+    assert code == 1
+    assert err == f"error: overlap pair {pair} is given twice\n"
+    assert not out_dir.exists()
 
 
 def test_unused_flags_are_rejected(sample, tmp_path, capsys):

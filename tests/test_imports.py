@@ -1,6 +1,6 @@
 """What a command imports: the measure commands load neither the exporters nor
-the generator, no command but ``synth`` loads :mod:`dataclasses`, no command
-needs numpy, and the package serves every public name on first use."""
+the generator, no command loads :mod:`dataclasses`, no command needs numpy,
+and the package serves every public name on first use."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ CORPUS = str(DATA / "sample_corpus.jsonl")
 VECTORS = str(DATA / "sample_embeddings.jsonl")
 
 # modules no measure command needs; each name stands for its submodules too.
-# dataclasses takes inspect, ast, dis and tokenize with it: only synth needs it
+# dataclasses takes inspect, ast, dis and tokenize with it: no command needs it
 UNNEEDED = ("urllib.request", "http", "ssl", "email", "xml.sax", "xml.etree",
             "aicnet.synth", "aicnet.export", "dataclasses", "inspect")
 
@@ -77,6 +77,14 @@ def test_build_loads_the_exporters_but_no_xml(tmp_path):
     seen = _probe(tmp_path, (*UNNEEDED, "xml"), [build])
     assert seen == [["import aicnet.cli", 0, []], ["build", 0, ["aicnet.export"]]]
     assert len(list((tmp_path / "graphs").iterdir())) == 5
+
+
+def test_synth_loads_the_generator_but_no_dataclasses_or_xml(tmp_path):
+    synth = ["synth", "--seed", "3", "--vocab-overlap", "s01:s02=1", "--out",
+             str(tmp_path / "synth")]
+    seen = _probe(tmp_path, (*UNNEEDED, "xml"), [synth])
+    assert seen == [["import aicnet.cli", 0, []],
+                    ["synth", 0, ["aicnet.export", "aicnet.synth"]]]
 
 
 def test_every_command_runs_without_numpy(tmp_path):

@@ -13,10 +13,12 @@ from aicnet.corpus import Artifact, Corpus, Quote, Reading, ReadingStats, StatsT
 from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NetworkMetricsRow, NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, JointPair
+from aicnet.synth import EdgeDiff, GroundTruth, SynthParams, VerificationReport
 from aicnet.textpipe import SelectedWord, WordSelectionParams
 
 _QUOTE = Quote("q1", "r1", "A  passage")
 _NOTE = Artifact("a1", "ana", "r1", "annotation", "body", "q1")
+_DIFF = EdgeDiff(("a", "b"), 1.0, None)
 
 # (class, frozen as a dataclass, two argument tuples that differ in every field)
 CASES = [
@@ -37,6 +39,14 @@ CASES = [
     (WordSelectionParams, True, (4, 1, 10, frozenset({"plie"}), frozenset({"idea"})),
      (5, 5, 70, frozenset(), None)),
     (SelectedWord, True, ("idea", "ana", 1.5), ("plan", "ben", 2.0)),
+    (SynthParams, False, (2, (("a", "b"),), (("a", "b"),), {("a", "b"): 1}, 7),
+     (3, (("c",), ("d",)), (), {}, 0)),
+    (GroundTruth, False,
+     (WeightedGraph({"a", "b"}, {("a", "b"): 1.0}), WeightedGraph({"a", "b"}),
+      WeightedGraph({"a", "b"}, {("a", "b"): 2.0})),
+     (WeightedGraph({"c"}), WeightedGraph({"c", "d"}, {("c", "d"): 1.0}), WeightedGraph())),
+    (EdgeDiff, True, (("a", "b"), 1.0, None), (("a", "c"), None, 2.0)),
+    (VerificationReport, False, ([_DIFF], [], []), ([], [_DIFF], [_DIFF])),
 ]
 
 
@@ -70,6 +80,9 @@ def test_defaults_are_the_dataclass_defaults():
     assert WeightedGraph() == WeightedGraph(set(), {})
     assert BipartiteGraph() == BipartiteGraph(set(), set())
     assert WordSelectionParams() == WordSelectionParams(5, 5, 70, frozenset(), None)
+    assert SynthParams(1, (("a", "b"),)) == SynthParams(1, (("a", "b"),), (), {}, 0)
+    with pytest.raises(TypeError):  # the shared default mapping is read-only
+        SynthParams(1, (("a", "b"),)).vocab_overlap[("a", "b")] = 1
     # each mutable default is a new container
     assert Corpus().authors is not Corpus().authors
     assert WeightedGraph().edges is not WeightedGraph().edges

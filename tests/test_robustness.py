@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from aicnet.cli import main
 from aicnet.corpus import load_corpus, save_corpus
 from aicnet.errors import AicnetError
-from aicnet.graphs import WeightedGraph
+from aicnet.graphs import WeightedGraph, edge_key
 from aicnet.metrics import betweenness, closeness
 from aicnet.semantic import save_embeddings
 from aicnet.synth import SynthParams, generate, random_params, verify
@@ -80,10 +81,13 @@ def test_semester_scale_corpus_end_to_end(tmp_path, capsys):
         replies = tuple(
             (rng.choice(authors), rng.choice(authors)) for _ in range(26)
         )
-        overlap = {}
+        drawn = {}
         for _ in range(4):
             u, v = rng.sample(authors, 2)
-            overlap[(u, v)] = rng.randint(1, 2)
+            drawn[(u, v)] = rng.randint(1, 2)
+        overlap = Counter()  # a plan names each pair once: one drawn in both orders plants both
+        for (u, v), count in drawn.items():
+            overlap[edge_key(u, v)] += count
         params = SynthParams(
             n_quotes=len(blocks) + 10, attention_blocks=tuple(blocks),
             reply_edges=replies, vocab_overlap=overlap, seed=week,

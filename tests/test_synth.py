@@ -45,7 +45,8 @@ def test_vocab_overlap_becomes_cn_edges():
         vocab_overlap={("A", "B"): 2, ("B", "C"): 1}, seed=4,
     )
     corpus, store, gt = generate(params)
-    assert gt.expected_cn_edges == {("A", "B"), ("B", "C")}
+    assert gt.expected_cn.edges == {("A", "B"): 2.0, ("B", "C"): 1.0}
+    assert gt.expected_cn.nodes == {"A", "B", "C"}
     assert verify(corpus, store, gt).passed
 
 
@@ -69,22 +70,23 @@ def test_same_seed_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("edit, diffs", [
     # the truth plants A--C, which the built CN lacks
-    (lambda edges: edges.add(("A", "C")), [EdgeDiff(("A", "C"), 1.0, None)]),
+    (lambda edges: edges.update({("A", "C"): 1.0}), [EdgeDiff(("A", "C"), 1.0, None)]),
     # the truth drops A--B, so the built CN holds an extra edge
-    (lambda edges: edges.discard(("A", "B")), [EdgeDiff(("A", "B"), None, 2.0)]),
-    (lambda edges: edges.symmetric_difference_update({("A", "B"), ("A", "C")}),
+    (lambda edges: edges.pop(("A", "B")), [EdgeDiff(("A", "B"), None, 2.0)]),
+    (lambda edges: edges.update({("A", "B"): 1.0}), [EdgeDiff(("A", "B"), 1.0, 2.0)]),
+    (lambda edges: edges.update({("A", "C"): 1.0}) or edges.pop(("A", "B")),
      [EdgeDiff(("A", "B"), None, 2.0), EdgeDiff(("A", "C"), 1.0, None)]),
-], ids=["missing", "extra", "both"])
-def test_verify_diffs_the_cn_by_edge_set(edit, diffs):
+], ids=["missing", "extra", "lighter", "both"])
+def test_verify_diffs_the_cn_by_weight(edit, diffs):
     params = SynthParams(
         n_quotes=3, attention_blocks=(("A",), ("B",), ("C",)),
         vocab_overlap={("A", "B"): 2, ("B", "C"): 1}, seed=4,
     )
     corpus, store, gt = generate(params)
-    edit(gt.expected_cn_edges)
+    edit(gt.expected_cn.edges)
     report = verify(corpus, store, gt)
     assert report.an_diffs == [] and report.in_diffs == []
-    # A--B shares 2 words against a planted 1.0 and is no diff while both sides hold it
+    # A--B shares 2 words: against a planted 1.0 it is a diff though both sides hold it
     assert report.cn_diffs == diffs
     assert report.summary().splitlines() == [
         f"creation {d.pair[0]}--{d.pair[1]}: expected {d.expected}, got {d.actual}" for d in diffs
@@ -131,6 +133,25 @@ def test_random_draws_verify(seed):
     assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("word_params", [
+    WordSelectionParams(), WordSelectionParams(1, 0, 70), WordSelectionParams(2, 3, 20),
+], ids=["default", "floor1-drop0", "floor2-drop3-top20"])
+@pytest.mark.parametrize("tau, dim", [(0.8, 256), (0.3, 8), (0.95, 64)])
+def test_random_draws_verify_exactly_across_settings(tau, dim, word_params):
+    # every planted weight is reproduced with ==, at any threshold, dimension
+    # and word selection the plan is feasible for
+    verified = 0
+    for seed in range(100, 140):
+        try:
+            corpus, store, gt = generate(random_params(seed), word_params, tau, dim)
+        except InfeasibleParams:
+            continue
+        report = verify(corpus, store, gt, tau, word_params)
+        assert report.passed, f"seed {seed}: {report.summary()}"
+        verified += 1
+    assert verified >= 20
+
+
 def test_generate_respects_custom_word_params():
     params = SynthParams(
         n_quotes=1, attention_blocks=(("A", "B"),),
@@ -147,7 +168,7 @@ def test_planted_words_score_above_zero_in_a_two_annotation_reading():
                          vocab_overlap={("A", "B"): 2}, seed=4)
     corpus, _, gt = generate(params)
     selected = select_cn_words(corpus.readings["r1"])
-    assert gt.expected_cn_edges == {("A", "B")}
+    assert gt.expected_cn.edges == {("A", "B"): 2.0}
     assert {s.author_id for s in selected} == {"A", "B"}
     assert all(s.score > 0 for s in selected)
 
@@ -182,6 +203,10 @@ def test_infeasible_params():
                 reply_edges=(("A", "Z"),), seed=0,
             )
         )
+    with pytest.raises(InfeasibleParams, match=r"\('A', 'B'\) is given in both orders"):
+        # the pair would otherwise plant 2 + 3 words
+        generate(SynthParams(n_quotes=1, attention_blocks=(("A", "B"),),
+                             vocab_overlap={("A", "B"): 2, ("B", "A"): 3}))
 
 
 def test_generated_corpus_round_trips(tmp_path):

@@ -162,11 +162,30 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/synth.py", "for p, n in shared.items() if n}", "for p, n in shared.items()}",
            ("tests/test_synth.py::test_blocks_give_exactly_one_edge",
             "tests/test_graphs.py::test_builders_make_canonical_edges_on_synthetic_corpora[0]")),
-    # verify: CN weights compared exactly, not by edge set alone
-    Mutant("src/aicnet/synth.py", "_diff_graphs(cn_expected, cn, math.inf)",
-           "_diff_graphs(cn_expected, cn, 0.0)",
-           ("tests/test_synth.py::test_verify_diffs_the_cn_by_edge_set[missing]",
-            "tests/test_synth.py::test_vocab_overlap_becomes_cn_edges")),
+    # verify: the CN diffed by edge set alone, a weight mismatch no diff
+    Mutant("src/aicnet/synth.py", "cn_diffs=_diff_graphs(gt.expected_cn, cn),",
+           "cn_diffs=[d for d in _diff_graphs(gt.expected_cn, cn) if None in d[1:]],",
+           ("tests/test_synth.py::test_verify_diffs_the_cn_by_weight[lighter]",)),
+    # verify: the CN not diffed at all
+    Mutant("src/aicnet/synth.py", "cn_diffs=_diff_graphs(gt.expected_cn, cn),", "cn_diffs=[],",
+           ("tests/test_synth.py::test_verify_diffs_the_cn_by_weight[missing]",)),
+    # verify: every network diffed by edge presence only
+    Mutant("src/aicnet/synth.py", "if d.expected != d.actual]",
+           "if (d.expected is None) != (d.actual is None)]",
+           ("tests/test_synth.py::test_verify_diffs_the_cn_by_weight[lighter]",
+            "tests/test_synth.py::test_deleting_a_reply_shows_in_diff")),
+    # synth: every planted CN weight 1.0, whatever the word count
+    Mutant("src/aicnet/synth.py", "{p: float(n) for p, n in overlap.items()}",
+           "{p: 1.0 for p in overlap}",
+           ("tests/test_synth.py::test_vocab_overlap_becomes_cn_edges",
+            "tests/test_cli.py::test_synth_emits_verifiable_files")),
+    # synth: a vocab-overlap pair given in both orders accepted
+    Mutant("src/aicnet/synth.py", "        if (y, x) in params.vocab_overlap:\n", "        if False:\n",
+           ("tests/test_synth.py::test_infeasible_params",)),
+    # synth --vocab-overlap: a pair given twice accepted, the last count winning
+    Mutant("src/aicnet/cli.py", "if key in overlap or key[::-1] in overlap:", "if False:",
+           ("tests/test_cli.py::test_synth_overlap_pair_given_twice_is_input_error[same-order]",
+            "tests/test_cli.py::test_synth_overlap_pair_given_twice_is_input_error[reversed]")),
     # synth: the kept block texts hashed a second time for the store
     Mutant("src/aicnet/synth.py", "vectors={q.id: vector_of[q.text] for",
            "vectors={q.id: hash_embed(q.text, dim) for",
