@@ -4,6 +4,8 @@ Every error raised on bad input derives from :class:`AicnetError` so callers
 (and the CLI) can distinguish input problems from genuine bugs. Any fault a
 load finds in a corpus, vector file or word list, of syntax or of content,
 raises :class:`ParseError`, which names the file and the line or byte offset.
+Outside a load, a vector that cannot be used raises :class:`InvalidVector`,
+whose reason names the part of the one vector rule it fails.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ class UnknownArtifact(AicnetError):
 
 # -- embeddings and similarity ------------------------------------------------
 
-class DimensionMismatch(AicnetError):
-    def __init__(self, quote_id: str, expected: int, got: int):
-        self.quote_id = quote_id
-        self.expected = expected
-        self.got = got
-        super().__init__(f"vector for {quote_id!r} has {got} components, expected {expected}")
-
-
-class ZeroVector(AicnetError):
-    def __init__(self, quote_id: str = ""):
-        self.quote_id = quote_id
-        detail = f" for {quote_id!r}" if quote_id else ""
-        super().__init__(f"all-zero vector{detail}")
-
-
 class MissingEmbedding(AicnetError):
     def __init__(self, quote_id: str):
         self.quote_id = quote_id
@@ -89,8 +76,9 @@ class MissingEmbedding(AicnetError):
 
 
 class InvalidVector(AicnetError):
-    """A vector that parses but cannot be used, such as one with a non-finite
-    component; a load reports it, or a repeated id, as ParseError."""
+    """A vector that breaks the one vector rule of ``semantic._check_vector``,
+    or that a file format cannot hold; a load reports it, or a repeated id, as
+    ParseError."""
 
     def __init__(self, quote_id: str, reason: str):
         self.quote_id = quote_id

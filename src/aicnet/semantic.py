@@ -19,8 +19,8 @@ Embedding file formats:
   0), the UTF-8 id, and ``dimension`` little-endian float32 components; no
   byte follows the last record, and the dimension is 1 or more if records are.
 
-Every vector must be finite, non-zero, of one shared dimension, given once per
-quote id, and have a squared norm within the normal float64 range.
+Every vector must be given once per quote id and pass the one vector rule,
+:func:`_check_vector`, which :meth:`EmbeddingStore.get` and :func:`cosine` share.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import Quote, _decoded, _json_objects, _Record, normalize_text
-from .errors import (
-    DimensionMismatch,
-    EmptyText,
-    InvalidVector,
-    MissingEmbedding,
-    ParseError,
-    ZeroVector,
-)
+from .errors import EmptyText, InvalidVector, MissingEmbedding, ParseError
 
 Vector = tuple[float, ...]
 
@@ -62,21 +55,13 @@ class EmbeddingStore(_Record):
         self.dim, self.vectors = dim, vectors
 
     def get(self, quote_id: str) -> Vector:
-        """The vector of ``quote_id``. A missing one, one not of ``dim``
-        components, one with a non-finite component, an all-zero one, or one
-        whose squared norm leaves the normal float64 range raises the error
-        naming the quote."""
+        """The vector of ``quote_id``. A missing one raises
+        :class:`MissingEmbedding`, and one that fails :func:`_check_vector`
+        at ``dim`` raises its :class:`InvalidVector`, both naming the quote."""
         vec = self.vectors.get(quote_id)
         if vec is None:
             raise MissingEmbedding(quote_id)
-        if len(vec) != self.dim:
-            raise DimensionMismatch(quote_id, self.dim, len(vec))
-        if not all(map(math.isfinite, vec)):
-            raise InvalidVector(quote_id, "has a non-finite component")
-        if not any(vec):
-            raise ZeroVector(quote_id)
-        if not sys.float_info.min <= _squared_norm(vec) < math.inf:
-            raise InvalidVector(quote_id, "has a norm outside the float64 range")
+        _check_vector(quote_id, vec, self.dim)
         return vec
 
 
@@ -102,7 +87,7 @@ def _validated_store(path: str | Path, unit: str,
                 store.dim = len(vec)
             store.vectors[quote_id] = vec
             store.get(quote_id)
-        except (DimensionMismatch, InvalidVector, ZeroVector) as exc:
+        except InvalidVector as exc:
             raise ParseError(path, f"{unit} {where}", str(exc)) from None
     return store
 
@@ -314,19 +299,32 @@ def _squared_norm(vec: Vector) -> float:
         return math.inf
 
 
+def _check_vector(quote_id: str, vec: Vector, dim: int) -> float:
+    """The squared norm of ``vec``, if it has ``dim`` components, all finite and
+    not all zero, and a squared norm in [``sys.float_info.min``, inf); else raise
+    :class:`InvalidVector` naming ``quote_id`` and the first part it fails. Below
+    the floor the squares lose precision, and :func:`_surely_below`'s bound fails."""
+    if len(vec) != dim:
+        raise InvalidVector(quote_id, f"has {len(vec)} components, expected {dim}")
+    if not all(map(math.isfinite, vec)):
+        raise InvalidVector(quote_id, "has a non-finite component")
+    if not any(vec):
+        raise InvalidVector(quote_id, "is all zeros")
+    squared = _squared_norm(vec)
+    if not sys.float_info.min <= squared < math.inf:
+        raise InvalidVector(quote_id, "has a norm outside the float64 range")
+    return squared
+
+
 def cosine(u: Vector, v: Vector) -> float:
     """Cosine similarity, clamped into [-1, 1], as :func:`_cosine` computes it.
 
-    Norms whose product is not a normal float64 (a NaN or infinite component
-    among them) raise :class:`InvalidVector`.
+    Both vectors must pass the rule every stored vector passes,
+    :func:`_check_vector`, at the length of ``u``; else :class:`InvalidVector`
+    names the quote id ``""``.
     """
-    if len(u) != len(v):
-        raise DimensionMismatch("", len(u), len(v))
-    nu, nv = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector()
-    if not sys.float_info.min <= nu * nv < math.inf:  # NaN fails too
-        raise InvalidVector("", "has a norm outside the float64 range")
+    nu = math.sqrt(_check_vector("", u, len(u)))
+    nv = math.sqrt(_check_vector("", v, len(u)))
     return _cosine(u, nu, v, nv)
 
 
@@ -356,8 +354,8 @@ def _surely_below(u: Vector, nu: float, v: Vector, nv: float, tau: float) -> boo
 
     The slack bounds every rounding. Let c = Σuᵢvᵢ/(nu·nv), exactly, and
     eta = 2⁻¹⁰⁷⁵, the error of a product that underflows; since
-    :meth:`EmbeddingStore.get` keeps both squared norms at least 2⁻¹⁰²²,
-    eta/(nu·nv) <= eps. To first order:
+    :func:`_check_vector`, which every read vector passes, keeps both squared
+    norms at least 2⁻¹⁰²², eta/(nu·nv) <= eps. To first order:
 
     * nu² is within 4·eps·nu² + n·eta of Σuᵢ² (rounded squares, the fsum,
       the square root), and nv² likewise;

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from aicnet.corpus import (
     Artifact,
+    Corpus,
     Reading,
     _collect,
     _parse_record,
@@ -228,6 +229,16 @@ def test_round_trip(tmp_path, jsonl_file, format):
     out2 = tmp_path / f"roundtrip2.{format}"
     save_corpus(again, out2, format)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_an_unknown_corpus_format_is_refused(tmp_path, jsonl_file):
+    path = jsonl_file(_minimal_records())
+    with pytest.raises(ValueError, match="^unknown corpus format 'xml'$"):
+        load_corpus(path, "xml")
+    out = tmp_path / "out.xml"
+    with pytest.raises(ValueError, match="^unknown corpus format 'xml'$"):
+        save_corpus(load_corpus(path), out, "xml")
+    assert not out.exists()
 
 
 def test_csv_round_trips_a_field_over_the_default_csv_limit(tmp_path, jsonl_file):
@@ -450,6 +461,10 @@ def test_stats_population_sd():
     table = descriptive_stats(corpus)
     assert table.posts_mean == pytest.approx(27.0)
     assert table.posts_sd == pytest.approx(1.0)  # population formula
+
+
+def test_stats_of_an_empty_corpus():
+    assert descriptive_stats(Corpus()) == ((), None, None, None, None)
 
 
 def test_stats_unknown_reading():

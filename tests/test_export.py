@@ -76,6 +76,13 @@ def test_round_trip_formats(tmp_path, writer, reader, suffix):
         _assert_same(reader(path), g)
 
 
+def test_read_graphml_refuses_a_file_without_a_graph(tmp_path):
+    path = tmp_path / "empty.graphml"
+    path.write_text('<graphml xmlns="http://graphml.graphdrawing.org/xmlns"/>\n')
+    with pytest.raises(ValueError, match="^no <graph> element$"):
+        read_graphml(path)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_round_trip_random(tmp_path, seed):
     g = _random_graph(seed)

@@ -25,11 +25,9 @@ from aicnet.corpus import Quote, load_corpus, thread_roots
 from aicnet.errors import (
     AicnetError,
     DanglingParent,
-    DimensionMismatch,
     InvalidVector,
     MissingEmbedding,
     MissingQuote,
-    ZeroVector,
 )
 from aicnet.semantic import (
     EmbeddingStore,
@@ -675,8 +673,8 @@ def test_joint_pairs_pairs_a_quote_with_itself_only_in_both_sets():
 
 @pytest.mark.parametrize("vectors, error", [
     ({"q1": np.array([1.0, 0.0])}, MissingEmbedding),
-    ({"q1": np.array([1.0, 0.0]), "q2": np.zeros(2)}, ZeroVector),
-    ({"q1": np.array([1.0, 0.0]), "q2": np.array([1.0, 0.0, 0.0])}, DimensionMismatch),
+    ({"q1": np.array([1.0, 0.0]), "q2": np.zeros(2)}, InvalidVector),
+    ({"q1": np.array([1.0, 0.0]), "q2": np.array([1.0, 0.0, 0.0])}, InvalidVector),
 ])
 def test_build_an_vector_errors_match_oracle(vectors, error):
     corpus = _two_author_corpus()

@@ -175,7 +175,7 @@ _MALFORMED = {
     "vectors_jsonl_nan": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [NaN, 1]}'),
                           "line 3: vector for 'q2' has a non-finite component"),
     "vectors_jsonl_zero": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [0, 0]}'),
-                           "line 3: all-zero vector for 'q2'"),
+                           "line 3: vector for 'q2' is all zeros"),
     "vectors_jsonl_dimension": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [1]}'),
                                 "line 3: vector for 'q2' has 1 components, expected 2"),
     "vectors_jsonl_norm": ("vectors_jsonl", _vectors('{"quote_id": "q2", "vector": [1e200, 1]}'),
@@ -183,7 +183,7 @@ _MALFORMED = {
     "vectors_binary_nan": ("vectors_binary", _binary_with_q2(math.nan, 1.0),
                            "byte 28: vector for 'q2' has a non-finite component"),
     "vectors_binary_zero": ("vectors_binary", _binary_with_q2(0.0, 0.0),
-                            "byte 28: all-zero vector for 'q2'"),
+                            "byte 28: vector for 'q2' is all zeros"),
 }
 
 

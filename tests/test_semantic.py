@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 from aicnet.corpus import Quote
 from aicnet.errors import (
     AicnetError,
-    DimensionMismatch,
     EmptyText,
     InvalidVector,
     MissingEmbedding,
     ParseError,
-    ZeroVector,
 )
 from aicnet.semantic import (
     EmbeddingStore,
+    _cosine,
+    _squared_norm,
     cosine,
     embed_quotes,
     hash_embed,
@@ -75,7 +75,7 @@ def test_load_rejects_dimension_mismatch(tmp_path):
 def test_load_rejects_zero_vector(tmp_path):
     path = tmp_path / "emb.jsonl"
     path.write_text(json.dumps({"quote_id": "q1", "vector": [0.0] * 16}) + "\n")
-    with pytest.raises(ParseError, match=r": line 1: all-zero vector for 'q1'$"):
+    with pytest.raises(ParseError, match=r": line 1: vector for 'q1' is all zeros$"):
         load_embeddings(path)
 
 
@@ -191,7 +191,7 @@ def test_load_names_the_byte_of_a_binary_id_that_is_not_utf8(tmp_path):
     ({"q1": (math.nan, 1.0)}, "vector for 'q1' has a non-finite component"),
     ({"q1": (1.0, -math.inf)}, "vector for 'q1' has a non-finite component"),
     ({"": (1.0, 0.0)}, "vector for '' needs a non-empty string id"),
-    ({"q1": (0.0, 0.0)}, "all-zero vector for 'q1'"),
+    ({"q1": (0.0, 0.0)}, "vector for 'q1' is all zeros"),
     ({"q1": (1.0, 0.0, 0.0)}, "vector for 'q1' has 3 components, expected 2"),
     ({"q1": (1e200, 1e200)}, "vector for 'q1' has a norm outside the float64 range"),
 ], ids=["nan", "inf", "empty_id", "zero", "long", "norm_overflow"])
@@ -205,6 +205,13 @@ def test_save_refuses_what_a_load_refuses(tmp_path, format, vectors, reason):
     del store.vectors[next(iter(vectors))]  # the good record alone saves and loads back
     save_embeddings(store, path, format=format)
     assert load_embeddings(path).vectors == {"q0": (0.5, 0.5)}
+
+
+def test_save_refuses_an_unknown_format(tmp_path):
+    path = tmp_path / "emb.npy"
+    with pytest.raises(ValueError, match="^unknown embedding format 'npy'$"):
+        save_embeddings(EmbeddingStore(2, {"q1": (1.0, 0.0)}), path, "npy")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("vector, reason", [
@@ -450,9 +457,9 @@ def test_cosine_hand_value():
 
 
 def test_cosine_rejects_zero_and_mismatch():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(InvalidVector, match=r"^vector for '' is all zeros$"):
         cosine(np.zeros(3), np.ones(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidVector, match=r"^vector for '' has 4 components, expected 3$"):
         cosine(np.ones(3), np.ones(4))
 
 
@@ -460,11 +467,70 @@ def test_cosine_rejects_zero_and_mismatch():
     ([np.nan, 1.0], [1.0, 0.0]),  # the NaN quotient was clamped to 1.0
     ([np.inf, 1.0], [1.0, 0.0]),
     ([1e-160, 1e-160], [1e-160, 0.0]),  # a subnormal norm product loses precision
+    # the norm product is normal, but one squared norm is subnormal: the cosine
+    # came out 0.7071107172647215, not 0.7071067811865476
+    ([1e-160, 1e-160], [1.0, 0.0]),
 ])
 def test_cosine_rejects_norms_outside_the_float64_range(u, v):
+    # a NaN or infinite norm comes of a non-finite component, which is named
+    finite = all(map(math.isfinite, u + v))
+    reason = "has a norm outside the float64 range" if finite else "has a non-finite component"
     for a, b in ((u, v), (v, u)):
-        with pytest.raises(InvalidVector, match="norm outside the float64 range"):
+        with pytest.raises(InvalidVector, match=f"^vector for '' {reason}$"):
             cosine(np.array(a), np.array(b))
+
+
+# components at the edges of the rule: squares that underflow (1e-160), squares
+# that are finite but whose sum can overflow (1e154), squares that overflow
+# (1e200), and components that are not finite
+_EDGE_COMPONENT = st.one_of(
+    st.sampled_from([0.0, 1e-160, -1e-160, 1e154, -1e154, 1e200, -1e200,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+# a pair of vectors, two times in three of one length
+_VECTOR_PAIR = st.lists(_EDGE_COMPONENT, min_size=1, max_size=5).flatmap(
+    lambda u: st.tuples(st.just(u), st.one_of(
+        st.lists(_EDGE_COMPONENT, min_size=len(u), max_size=len(u)),
+        st.lists(_EDGE_COMPONENT, min_size=len(u), max_size=len(u)),
+        st.lists(_EDGE_COMPONENT, min_size=1, max_size=5))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VECTOR_PAIR)
+@example(([1e-160, 1e-160], [1.0, 0.0]))
+@example(([1.0, 0.0], [1e-160, 1e-160]))
+@example(([1e154] * 8, [1.0] * 8))
+def test_cosine_refuses_exactly_what_a_store_refuses(pair):
+    u, v = map(tuple, pair)
+    store = EmbeddingStore(len(u), {"a": u, "b": v})
+    try:
+        store.get("a")
+        store.get("b")
+    except InvalidVector as refused:
+        with pytest.raises(InvalidVector) as exc:
+            cosine(u, v)
+        assert (exc.value.quote_id, exc.value.reason) == ("", refused.reason)
+    else:
+        nu, nv = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(v))
+        assert cosine(u, v) == _cosine(u, nu, v, nv)
+
+
+def test_a_norm_whose_sum_overflows_is_refused(tmp_path):
+    # each square, 1e308, is finite, but math.fsum of the eight overflows
+    vec = (1e154,) * 8
+    reason = "has a norm outside the float64 range"
+    with pytest.raises(InvalidVector, match=f"^vector for 'q1' {reason}$"):
+        EmbeddingStore(8, {"q1": vec}).get("q1")
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"quote_id": "q1", "vector": list(vec)}) + "\n")
+    with pytest.raises(ParseError, match=f": line 1: vector for 'q1' {reason}$"):
+        load_embeddings(path)
+    for a, b in ((vec, (1.0,) * 8), ((1.0,) * 8, vec)):
+        with pytest.raises(InvalidVector, match=f"^vector for '' {reason}$"):
+            cosine(a, b)
 
 
 def _similarities(quotes_u, quotes_v, store, tau=0.01):
@@ -501,7 +567,7 @@ def test_quote_similarity_missing_embedding():
     ({"q1": [1.0, 0.0], "q2": [1.0, 0.0, 0.0]}, "vector for 'q2' has 3 components, expected 2"),
     # the store's dim is expected even when both vectors share another length
     ({"q1": [1.0, 1.0, 1.0], "q2": [1.0, 0.0, 0.0]}, "vector for 'q1' has 3 components, expected 2"),
-    ({"q1": [1.0, 0.0], "q2": [0.0, 0.0]}, "all-zero vector for 'q2'"),
+    ({"q1": [1.0, 0.0], "q2": [0.0, 0.0]}, "vector for 'q2' is all zeros"),
     ({"q1": [1.0, 0.0], "q2": [math.nan, 1.0]}, "vector for 'q2' has a non-finite component"),
     ({"q1": [1.0, 0.0], "q2": [1.0, -math.inf]}, "vector for 'q2' has a non-finite component"),
     # not zero: its squared norm underflows
@@ -510,7 +576,7 @@ def test_quote_similarity_missing_embedding():
 ], ids=["one-long", "both-long", "zero", "nan", "inf", "tiny", "huge"])
 def test_vector_errors_name_the_quote(vectors, message):
     store = EmbeddingStore(dim=2, vectors={qid: tuple(v) for qid, v in vectors.items()})
-    with pytest.raises((DimensionMismatch, ZeroVector, InvalidVector)) as exc:
+    with pytest.raises(InvalidVector) as exc:
         joint_pairs({_q("q1", "one")}, {_q("q2", "two")}, store)
     assert str(exc.value) == message
 

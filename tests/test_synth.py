@@ -19,7 +19,8 @@ def test_two_authors_shared_quote():
     corpus, store, gt = generate(params)
     assert gt.expected_an.edges == {("A", "B"): 1.0}
     assert gt.expected_in.edges == {}
-    assert verify(corpus, store, gt).passed
+    report = verify(corpus, store, gt)
+    assert report.passed and report.summary() == "ground truth reproduced exactly"
 
 
 def test_double_reply_edge():
@@ -186,17 +187,19 @@ def test_empty_ids_are_infeasible(blocks, reading_id, reason):
 def test_infeasible_params():
     with pytest.raises(InfeasibleParams, match="need at least 2 authors"):
         generate(SynthParams(n_quotes=1, attention_blocks=(("A",),), seed=0))
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams, match="fewer quotes than attention blocks"):
         # two blocks cannot share one quote
         generate(SynthParams(n_quotes=1, attention_blocks=(("A",), ("B",)), seed=0))
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams,
+                       match="200 planted words need 400 ranking slots, top_k is "):
         generate(
             SynthParams(
                 n_quotes=1, attention_blocks=(("A", "B"),),
                 vocab_overlap={("A", "B"): 200}, seed=0,  # 400 slots > top_k
             )
         )
-    with pytest.raises(InfeasibleParams):
+    with pytest.raises(InfeasibleParams,
+                       match=r"^reply edge \('A', 'Z'\) names an unknown author$"):
         generate(
             SynthParams(
                 n_quotes=1, attention_blocks=(("A", "B"),),
@@ -207,6 +210,36 @@ def test_infeasible_params():
         # the pair would otherwise plant 2 + 3 words
         generate(SynthParams(n_quotes=1, attention_blocks=(("A", "B"),),
                              vocab_overlap={("A", "B"): 2, ("B", "A"): 3}))
+
+
+@pytest.mark.parametrize("params, word_params, reason", [
+    (SynthParams(1, (("A", "B"), ())), WordSelectionParams(), "empty attention block"),
+    (SynthParams(2, (("A", "B"), ("B",))), WordSelectionParams(),
+     "author 'B' appears in two blocks"),
+    (SynthParams(0, (("A", "B"),)), WordSelectionParams(), "need at least 1 quote"),
+    (SynthParams(1, (("A", "B"),), vocab_overlap={("Z", "A"): 1}), WordSelectionParams(),
+     r"vocab overlap \('Z', 'A'\) names an unknown author"),
+    (SynthParams(1, (("A", "B"),), vocab_overlap={("A", "A"): 1}), WordSelectionParams(),
+     "vocab overlap on a single author 'A'"),
+    (SynthParams(1, (("A", "B"),), vocab_overlap={("A", "B"): -1}), WordSelectionParams(),
+     "negative vocab overlap"),
+    (SynthParams(1, (("A", "B"),)), WordSelectionParams(drop_lowest=5000),
+     "word demand exceeds the bundled lexicon"),
+], ids=["empty_block", "two_blocks", "no_quotes", "overlap_unknown_author",
+        "overlap_one_author", "negative_overlap", "lexicon"])
+def test_each_infeasible_plan_names_its_fault(params, word_params, reason):
+    with pytest.raises(InfeasibleParams, match=f"^{reason}$"):
+        generate(params, word_params)
+
+
+def test_verify_needs_a_reading_id_for_two_readings():
+    params = SynthParams(n_quotes=1, attention_blocks=(("A", "B"),), seed=7)
+    corpus, store, gt = generate(params)
+    other, _, _ = generate(params, reading_id="r2", id_prefix="b-")
+    corpus.readings.update(other.readings)
+    with pytest.raises(ValueError, match="^reading_id required for multi-reading corpora$"):
+        verify(corpus, store, gt)
+    assert verify(corpus, store, gt, reading_id="r1").passed
 
 
 def test_generated_corpus_round_trips(tmp_path):

@@ -57,20 +57,20 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/semantic.py", "[{i: 1.0} for i in range(n)]",
            "[{i: 1.0} for i in range(n) if store.get(quotes[i].id)]",
            (_AN + "test_build_an_reads_no_vector_the_oracle_skips",)),
-    # an all-zero vector passes EmbeddingStore.get and is refused for its norm instead
+    # an all-zero vector passes the vector rule's zero check and is refused for its norm instead
     Mutant("src/aicnet/semantic.py",
-           "        if not any(vec):\n            raise ZeroVector(quote_id)\n", "",
+           "    if not any(vec):\n        raise InvalidVector(quote_id, \"is all zeros\")\n", "",
            (_AN + "test_build_an_vector_errors_match_oracle",
             "tests/test_semantic.py::test_vector_errors_name_the_quote")),
-    # a vector of another length passes EmbeddingStore.get
-    Mutant("src/aicnet/semantic.py", "if len(vec) != self.dim:", "if not len(vec):",
+    # a vector of another length passes the vector rule
+    Mutant("src/aicnet/semantic.py", "if len(vec) != dim:", "if not len(vec):",
            (_AN + "test_build_an_vector_errors_match_oracle",)),
     # vectors read from the map, bypassing EmbeddingStore.get
     Mutant("src/aicnet/semantic.py", "vec = store.get(quotes[k].id)",
            "vec = store.vectors[quotes[k].id]",
            (_AN + "test_build_an_vector_errors_match_oracle",
             _AN + "test_build_an_with_one_defective_vector_equals_oracle")),
-    # a non-finite vector passes EmbeddingStore.get's first check, and is refused for its norm
+    # a non-finite vector passes the vector rule's finiteness check, and is refused for its norm
     Mutant("src/aicnet/semantic.py", "if not all(map(math.isfinite, vec)):", "if False:",
            ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
     # a quote's normalized text recomputed on every read
@@ -231,9 +231,27 @@ MUTANTS: list[Mutant] = [
             _AN + "test_builders_make_canonical_edges_on_synthetic_corpora")),
     # a vector of another length read without naming its quote
     Mutant("src/aicnet/semantic.py",
-           "        if len(vec) != self.dim:\n"
-           "            raise DimensionMismatch(quote_id, self.dim, len(vec))\n", "",
-           ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
+           "    if len(vec) != dim:\n"
+           "        raise InvalidVector(quote_id, f\"has {len(vec)} components, expected {dim}\")\n",
+           "", ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
+    # cosine checks only its first vector, so a subnormal or mismatched second one is scored
+    Mutant("src/aicnet/semantic.py", 'nv = math.sqrt(_check_vector("", v, len(u)))',
+           "nv = math.sqrt(_squared_norm(v))",
+           ("tests/test_semantic.py::test_cosine_rejects_zero_and_mismatch",
+            "tests/test_semantic.py::test_cosine_refuses_exactly_what_a_store_refuses")),
+    # the vector rule's floor lowered to zero, so a subnormal squared norm passes
+    Mutant("src/aicnet/semantic.py", "if not sys.float_info.min <= squared < math.inf:",
+           "if not 0.0 < squared < math.inf:",
+           ("tests/test_semantic.py::test_load_rejects_norm_outside_the_float64_range",
+            "tests/test_semantic.py::test_cosine_rejects_norms_outside_the_float64_range",
+            "tests/test_semantic.py::test_cosine_refuses_exactly_what_a_store_refuses")),
+    # a squared norm whose finite squares overflow their sum escapes as OverflowError
+    Mutant("src/aicnet/semantic.py",
+           "    try:\n        return math.fsum(map(operator.mul, vec, vec))\n"
+           "    except OverflowError:  # the squares are finite but their sum is not\n"
+           "        return math.inf\n",
+           "    return math.fsum(map(operator.mul, vec, vec))\n",
+           ("tests/test_semantic.py::test_a_norm_whose_sum_overflows_is_refused",)),
     # Brandes betweenness: sources taken in reversed order
     Mutant("src/aicnet/metrics.py", "    for source in sources:\n",
            "    for source in reversed(sources):\n", (_BRANDES,)),
