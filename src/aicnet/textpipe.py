@@ -9,16 +9,20 @@ stopwords and a replacement noun lexicon, from :class:`WordSelectionParams`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 from .corpus import Artifact, Reading, _decoded, _Record
 
-_TOKEN = re.compile(r"\w+(?:['-]\w+)*", re.UNICODE)
+_TOKEN = re.compile(r"\w+(?:['-]\w+)*")
+# on ASCII text Unicode \w is [a-zA-Z0-9_], so both give the same tokens
+_ASCII_TOKEN = re.compile(_TOKEN.pattern, re.ASCII)
 
 # plural -> singular forms the suffix rules get wrong
 _IRREGULAR = {
@@ -92,12 +96,16 @@ def default_noun_lexicon() -> frozenset[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split on Unicode word boundaries, lowercase, strip punctuation.
+    """Lowercase, then split into runs of Unicode ``\\w`` joined by a single
+    inner ``'`` or ``-``; other punctuation is dropped.
 
     Internal hyphens and apostrophes are kept ("co-construction"), leading and
-    trailing ones are not ("dancers'" -> "dancers"). Order is preserved.
+    trailing ones are not ("dancers'" -> "dancers"). Order is preserved. When
+    the lowered text is ASCII, the same pattern runs in ASCII mode, which
+    matches the same tokens faster.
     """
-    return _TOKEN.findall(text.lower())
+    text = text.lower()
+    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
 
 
 def lemmatize(surface: str) -> str:
@@ -140,20 +148,22 @@ def _noun_lookup(noun_lexicon: frozenset[str] | None,
     ``None``). A surface or lemma in the bundled stopwords is no noun; else a
     lemma in the lexicon, or one of more than 5 letters ending in a noun suffix,
     is. The returned function maps each surface to its lemma, or to ``None`` if
-    it is no noun or its lemma is an extra stopword; its memo lives as long.
+    it is no noun or its lemma is an extra stopword. A call judges only the
+    distinct surfaces that no earlier call judged (a set difference against
+    the ``lemma_of`` map, which lives as long as the function), then maps
+    every surface through that map.
     """
     nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
     stops = default_stopwords()
-    memo: dict[str, str | None] = {}
+    lemma_of: dict[str, str | None] = {}
 
     def lookup(surfaces: list[str]) -> Iterator[str | None]:
-        for surface in dict.fromkeys(surfaces):
-            if surface not in memo:
-                lemma = _lemmatize(surface, nouns)
-                noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
-                stopped = surface in stops or lemma in stops or lemma in extra_stopwords
-                memo[surface] = lemma if noun and not stopped else None
-        return map(memo.__getitem__, surfaces)
+        for surface in set(surfaces).difference(lemma_of):
+            lemma = _lemmatize(surface, nouns)
+            noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
+            stopped = surface in stops or lemma in stops or lemma in extra_stopwords
+            lemma_of[surface] = lemma if noun and not stopped else None
+        return map(lemma_of.__getitem__, surfaces)
 
     return lookup
 
@@ -161,8 +171,7 @@ def _noun_lookup(noun_lexicon: frozenset[str] | None,
 def noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
                 extra_stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Full pipeline for one text: noun lemmas in order of appearance."""
-    lookup = _noun_lookup(noun_lexicon, extra_stopwords)
-    return [lemma for lemma in lookup(tokenize(text)) if lemma is not None]
+    return list(filter(None, _noun_lookup(noun_lexicon, extra_stopwords)(tokenize(text))))
 
 
 # -- tf-idf over a reading ----------------------------------------------------
@@ -171,13 +180,15 @@ def _documents(reading: Reading, noun_lexicon: frozenset[str] | None = None,
                extra_stopwords: frozenset[str] = frozenset()) -> list[tuple[Artifact, Counter]]:
     """Noun-lemma counts per artifact; artifacts with no nouns are not documents.
 
-    Each distinct surface of the reading is lemmatized and judged once.
+    Bodies are tokenized one at a time. Each distinct surface of the reading
+    is lemmatized and judged once, by one lookup shared across the bodies;
+    a body's counts are then taken in C over its surfaces' lemmas, with the
+    rejected surfaces (``None``) filtered out.
     """
     lookup = _noun_lookup(noun_lexicon, extra_stopwords)
     docs = []
     for art in reading.artifacts:
-        counts = Counter(lookup(tokenize(art.body)))
-        del counts[None]  # rejected surfaces; Counter ignores a missing key
+        counts = Counter(filter(None, lookup(tokenize(art.body))))
         if counts:
             docs.append((art, counts))
     return docs
@@ -260,41 +271,33 @@ def select_cn_words(reading: Reading,
     independent of artifact iteration order.
     """
     docs = _documents(reading, params.noun_lexicon, params.stopwords)
-    totals: Counter = Counter()
-    for _, counts in docs:
-        totals.update(counts)
+    totals = Counter(chain.from_iterable(counts.elements() for _, counts in docs))
     # candidates: lemmas at or above the frequency floor, with their idf
     idf = {lemma: v for lemma, v in _idf(docs).items() if totals[lemma] >= params.min_frequency}
     if not idf:
         return []
 
-    # (lemma, artifact) scores for every occurrence pair, and each lemma's max
-    pair_scores: dict[tuple[str, str], tuple[float, str]] = {}
-    aggregate: dict[str, float] = {}
+    # each (lemma, artifact id) pair's ranking tuple, the last occurrence
+    # winning, and each lemma's max score over every occurrence (scores >= 0)
+    pairs: dict[tuple[str, str], tuple[float, str, str, str]] = {}
+    aggregate = dict.fromkeys(idf, 0.0)
     for art, counts in docs:
-        for lemma, tf in counts.items():
-            if lemma in idf:
-                score = tf * idf[lemma]
-                pair_scores[(lemma, art.id)] = (score, art.author_id)
-                aggregate[lemma] = max(aggregate.get(lemma, score), score)
+        for lemma in counts.keys() & idf.keys():
+            score = counts[lemma] * idf[lemma]
+            pairs[lemma, art.id] = (-score, lemma, art.id, art.author_id)
+            if score > aggregate[lemma]:
+                aggregate[lemma] = score
 
-    dropped = {
-        lemma
-        for lemma, _ in sorted(aggregate.items(), key=lambda kv: (kv[1], kv[0]))[: params.drop_lowest]
-    }
-
-    ranked = sorted(
-        ((lemma, art_id, score, author) for (lemma, art_id), (score, author) in pair_scores.items()
-         if lemma not in dropped),
-        key=lambda item: (-item[2], item[0], item[1]),
-    )[: params.top_k]
+    lowest = heapq.nsmallest(params.drop_lowest,
+                             [(score, lemma) for lemma, score in aggregate.items()])
+    dropped = {lemma for _, lemma in lowest}
+    # (-score, lemma, artifact id) never ties: the pairs' keys are distinct
+    ranked = heapq.nsmallest(params.top_k,
+                             [pair for pair in pairs.values() if pair[1] not in dropped])
 
     best: dict[tuple[str, str], float] = {}
-    for lemma, _, score, author in ranked:
-        key = (lemma, author)
-        if key not in best or score > best[key]:
-            best[key] = score
-    return [
-        SelectedWord(lemma, author, score)
-        for (lemma, author), score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-    ]
+    for neg_score, lemma, _, author in ranked:
+        best.setdefault((lemma, author), neg_score)  # best first: the first is the max
+    return [SelectedWord(lemma, author, -neg_score)
+            for neg_score, lemma, author in sorted((neg_score, lemma, author)
+                                                   for (lemma, author), neg_score in best.items())]

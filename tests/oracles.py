@@ -14,6 +14,10 @@ before its one-pass measures: one sorted BFS per author, each on a freshly
 built adjacency, and Brandes with neighbours sorted at every visit. The
 library's report must equal it with ``==``.
 
+The tokenizer oracle is the tokenizer the library used before its ASCII fast
+path: the token pattern in Unicode mode over the lowered text. The
+word-selection oracles tokenize with it.
+
 The hash-embed oracle is the per-gram embedder the library used before it
 hashed all n-gram windows at once: one FNV-1a loop per 3-, 4- and 5-gram,
 each adding its sign into a bucket. The library's vectors must equal it with
@@ -23,6 +27,7 @@ each adding its sign into a bucket. The library's vectors must equal it with
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, deque
 from collections.abc import Iterable
 from itertools import combinations
@@ -41,7 +46,6 @@ from aicnet.textpipe import (
     _lemmatize,
     default_noun_lexicon,
     default_stopwords,
-    tokenize,
 )
 
 
@@ -341,6 +345,15 @@ def oracle_node_report(
     ]
 
 
+_ORACLE_TOKEN = re.compile(r"\w+(?:['-]\w+)*")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """Runs of Unicode ``\\w`` joined by a single inner ``'`` or ``-`` in the
+    lowered text, matched in Unicode mode whatever the text holds."""
+    return _ORACLE_TOKEN.findall(text.lower())
+
+
 def _oracle_is_noun(surface: str, lemma: str, noun_lexicon: frozenset[str] | None) -> bool:
     if surface in default_stopwords() or lemma in default_stopwords():
         return False
@@ -354,7 +367,7 @@ def oracle_noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
     """Noun lemmas of one text, token by token, with no memo; the lemmatizer
     reads the same lexicon as the noun rule."""
     lemmas = []
-    for surface in tokenize(text):
+    for surface in oracle_tokenize(text):
         nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
         lemma = _lemmatize(surface, nouns)
         if _oracle_is_noun(surface, lemma, noun_lexicon) and lemma not in extra_stopwords:

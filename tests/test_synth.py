@@ -261,6 +261,26 @@ def test_id_prefix_and_reading_id():
     assert verify(corpus, store, gt, reading_id="week3").passed
 
 
+def test_block_texts_skips_a_repeated_draw_unhashed_then_gives_up(monkeypatch):
+    import random
+
+    import aicnet.synth as synth
+
+    real = synth.hash_embed
+    hashed: Counter = Counter()
+
+    def counting(text: str, dim: int = 256):
+        hashed[text] += 1
+        return real(text, dim)
+
+    monkeypatch.setattr(synth, "hash_embed", counting)
+    # the pool draws one text only: the first block takes it, the second never draws another
+    with pytest.raises(InfeasibleParams) as exc:
+        synth._block_texts(2, random.Random(0), ["a"] * 8, 0.8, 256)
+    assert str(exc.value) == "could not draw quote texts below the similarity threshold"
+    assert hashed == Counter({"a a a a a a a a": 1})
+
+
 def test_generate_hashes_each_text_once(monkeypatch):
     import aicnet.semantic as semantic
     import aicnet.synth as synth

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet import textpipe
@@ -25,7 +26,7 @@ from aicnet.textpipe import (
 )
 
 from conftest import mk_corpus
-from oracles import oracle_documents, oracle_noun_lemmas, oracle_select_cn_words
+from oracles import oracle_documents, oracle_noun_lemmas, oracle_select_cn_words, oracle_tokenize
 
 LN2 = math.log(2.0)
 LN43 = math.log(4.0 / 3.0)
@@ -41,6 +42,51 @@ def test_tokenize_strips_punctuation():
 
 def test_tokenize_keeps_internal_hyphens():
     assert tokenize("co-construction of ideas") == ["co-construction", "of", "ideas"]
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("\u212a", ["k"]),  # the Kelvin sign lowers to ASCII "k"
+    ("\u0130stanbul", ["i", "stanbul"]),  # lowers to "i" and a combining dot, which is no \w
+    ("Stra\u00dfe", ["stra\u00dfe"]),
+    ("snake_case 2023 x2", ["snake_case", "2023", "x2"]),
+    ("learner\u2019s learner's", ["learner", "s", "learner's"]),  # only ' and - join
+    ("a--b -x- 'y' rock'n'roll", ["a", "b", "x", "y", "rock'n'roll"]),
+])
+def test_tokenize_cases(text, tokens):
+    assert tokenize(text) == oracle_tokenize(text) == tokens
+
+
+# ASCII letters, digits, joiners and separators, and characters whose case
+# mapping or \w class differs between the ASCII and Unicode rules
+_TOKEN_CHARS = list("aZk09_ '-.,\n") + [
+    "\u212a", "\u0130", "\u00df", "\u00e9", "\u03a9", "\u01c5", "\u0307", "\u0663",
+    "\u00a0", "\u2019", "\u00b2", "\u017f",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=st.characters(max_codepoint=127)),
+                 st.text(alphabet=st.sampled_from(_TOKEN_CHARS)), st.text()))
+@example("caf\u00e9 ballet").via("ASCII words beside a non-ASCII one")
+def test_tokenize_equals_the_unicode_oracle(text):
+    assert tokenize(text) == oracle_tokenize(text)
+
+
+@pytest.mark.parametrize("text, pattern", [
+    ("Ballet, rhythm", "_ASCII_TOKEN"),
+    ("\u212a", "_ASCII_TOKEN"),  # ASCII once lowered
+    ("caf\u00e9", "_TOKEN"),
+    ("\u0130stanbul", "_TOKEN"),
+])
+def test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii(monkeypatch, text,
+                                                                        pattern):
+    used = []
+    for name in ("_TOKEN", "_ASCII_TOKEN"):
+        real = getattr(textpipe, name)
+        monkeypatch.setattr(textpipe, name, SimpleNamespace(
+            findall=lambda s, real=real, name=name: used.append(name) or real.findall(s)))
+    assert tokenize(text) == oracle_tokenize(text)
+    assert used == [pattern]
 
 
 @pytest.mark.parametrize(
@@ -208,6 +254,87 @@ def test_selection_insensitive_to_artifact_order():
     ).readings["r1"]
     reversed_reading.artifacts = list(reversed(reading.artifacts))
     assert select_cn_words(reversed_reading) == select_cn_words(reading)
+
+
+def _tie_reading():
+    """Five lemmas, each once in one of three documents: every score is ln 3."""
+    return mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[("d1", "r1", "A", "q1", "ballet rhythm"),
+                     ("d2", "r1", "B", "q1", "music tempo"),
+                     ("d3", "r1", "C", "q1", "costume")],
+    ).readings["r1"]
+
+
+_BY_LEMMA = [("ballet", "A"), ("costume", "C"), ("music", "B"), ("rhythm", "A"), ("tempo", "B")]
+
+
+@pytest.mark.parametrize("top_k", range(1, 6))
+def test_equal_scores_across_the_top_k_cut_keep_the_first_lemmas(top_k):
+    reading, params = _tie_reading(), WordSelectionParams(1, 0, top_k)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == _BY_LEMMA[:top_k]
+    assert {s.score for s in selection} == {math.log(3)}
+
+
+@pytest.mark.parametrize("drop", range(0, 6))
+def test_equal_scores_across_the_drop_cut_drop_the_first_lemmas(drop):
+    reading, params = _tie_reading(), WordSelectionParams(1, drop, 70)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == _BY_LEMMA[drop:]
+
+
+def test_equal_scores_of_one_lemma_rank_by_artifact_id_not_author():
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[("d2", "r1", "a", "q1", "ballet"), ("d1", "r1", "b", "q1", "ballet"),
+                     ("d3", "r1", "c", "q1", "music")],
+    ).readings["r1"]
+    params = WordSelectionParams(1, 0, 2)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == [("music", "c"), ("ballet", "b")]
+
+
+@pytest.mark.parametrize("top_k, drop, pairs", [
+    (70, 0, [("music", "B"), ("rhythm", "A"), ("ballet", "A"), ("ballet", "B")]),
+    (3, 0, [("music", "B"), ("rhythm", "A"), ("ballet", "A")]),
+    (70, 1, [("music", "B"), ("rhythm", "A")]),
+])
+def test_a_lemma_in_every_document_scores_positive_zero(top_k, drop, pairs):
+    # ballet's idf is ln(2/2) = 0.0, so its ranking key is -0.0
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[("d1", "r1", "A", "q1", "ballet ballet rhythm"),
+                     ("d2", "r1", "B", "q1", "ballet music")],
+    ).readings["r1"]
+    params = WordSelectionParams(1, drop, top_k)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == pairs
+    zeros = [s.score for s in selection if s.lemma == "ballet"]
+    assert all(score == 0.0 and math.copysign(1.0, score) == 1.0 for score in zeros)
+
+
+@pytest.mark.parametrize("drop, pairs", [
+    (0, [("music", "C"), ("rhythm", "A"), ("ballet", "B"), ("tempo", "C")]),
+    # ballet's max is 3 ln 2 from the first d1, which the pair's last entry replaced
+    (1, [("music", "C"), ("rhythm", "A"), ("ballet", "B")]),
+])
+def test_a_repeated_artifact_id_ranks_its_last_pair_once(drop, pairs):
+    # the loader refuses a repeated id; a reading built by hand may hold one
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[("d1", "r1", "A", "q1", "ballet ballet ballet rhythm"),
+                     ("d1", "r1", "B", "q1", "ballet"),
+                     ("d2", "r1", "C", "q1", "tempo music"), ("d3", "r1", "C", "q1", "tempo")],
+    ).readings["r1"]
+    params = WordSelectionParams(1, drop, 70)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == pairs
 
 
 def test_extra_stopwords_excluded():

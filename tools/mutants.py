@@ -99,8 +99,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/textpipe.py", '.read_bytes()).split("\\n"):', ".read_bytes()).splitlines():",
            ("tests/test_textpipe.py::test_load_wordlist_lines_end_at_a_line_feed_alone",)),
     # word selection: ranking ties left in artifact order, which the file's record order sets
-    Mutant("src/aicnet/textpipe.py", "key=lambda item: (-item[2], item[0], item[1])",
-           "key=lambda item: -item[2]",
+    Mutant("src/aicnet/textpipe.py", "[pair for pair in pairs.values() if pair[1] not in dropped])",
+           "[pair for pair in pairs.values() if pair[1] not in dropped], key=lambda pair: pair[0])",
            (_FILES + "test_record_order_does_not_change_a_report[creation_text]",)),
     # stats --out: a reading's row dumped as a JSON list, not an object
     Mutant("src/aicnet/cli.py", 'readings = [row._asdict() for row in summary.pop("rows")]',
@@ -378,8 +378,9 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "at_most=65536", "at_most=None",
            ("tests/test_cli.py::test_oversized_dim_is_an_input_error[metrics]",)),
     # word selection: a lemma's aggregate is its last score, not its max
-    Mutant("src/aicnet/textpipe.py", "aggregate[lemma] = max(aggregate.get(lemma, score), score)",
-           "aggregate[lemma] = score",
+    Mutant("src/aicnet/textpipe.py",
+           "            if score > aggregate[lemma]:\n                aggregate[lemma] = score\n",
+           "            aggregate[lemma] = score\n",
            ("tests/test_textpipe.py::test_selection_insensitive_to_artifact_order",)),
     # word selection: idf as a difference of logs, which rounds differently
     Mutant("src/aicnet/textpipe.py", "math.log(len(docs) / n)",
@@ -392,6 +393,27 @@ MUTANTS: list[Mutant] = [
            "    docs = []\n    for art in reading.artifacts:\n"
            "        lookup = _noun_lookup(noun_lexicon, extra_stopwords)\n",
            ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
+    # word selection: the surfaces judged so far forgotten at every body
+    Mutant("src/aicnet/textpipe.py",
+           "        for surface in set(surfaces).difference(lemma_of):\n",
+           "        lemma_of.clear()\n        for surface in set(surfaces):\n",
+           ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
+    # word selection: pairs ranked from a list, so a repeated artifact id ranks twice
+    Mutant("src/aicnet/textpipe.py", "pairs[lemma, art.id] = (", "pairs[len(pairs)] = (",
+           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_its_last_pair_once",)),
+    # tokenizer: the ASCII pattern run on text that is not ASCII
+    Mutant("src/aicnet/textpipe.py",
+           "return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)",
+           "return _ASCII_TOKEN.findall(text)",
+           ("tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle",)),
+    # tokenizer: ASCII tested before lowering, so the Kelvin sign misses the fast path
+    Mutant("src/aicnet/textpipe.py",
+           "    text = text.lower()\n    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)\n",
+           "    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text.lower())\n",
+           ("tests/test_textpipe.py::test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii",)),
+    # synth: a quote text drawn again is hashed and compared again
+    Mutant("src/aicnet/synth.py", "            if text in chosen:\n                continue\n", "",
+           ("tests/test_synth.py::test_block_texts_skips_a_repeated_draw_unhashed_then_gives_up",)),
     # word selection: a bundled-stopword surface judged by its lemma alone
     Mutant("src/aicnet/textpipe.py", "stopped = surface in stops or lemma in stops",
            "stopped = lemma in stops",
