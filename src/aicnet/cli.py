@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -24,6 +23,8 @@ from .corpus import (
     Reading,
     StatsTable,
     _csv_lines,
+    _json_text,
+    _write,
     descriptive_stats,
     load_corpus,
     save_corpus,
@@ -244,8 +245,10 @@ def _file_stem(reading_id: str, stem: str) -> str:
     return stem
 
 
-def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_report(out: Path, stem: str, table: str, payload: object) -> None:
+    """``<stem>.csv``, a report's display table, and ``<stem>.json``, its full-precision values."""
+    _write(out / f"{stem}.csv", table)
+    _write(out / f"{stem}.json", _json_text(payload))
 
 
 # -- commands -------------------------------------------------------------------
@@ -271,10 +274,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     sys.stdout.write(display)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "stats.csv").write_text(display, encoding="utf-8")
         summary = table._asdict()
         readings = [row._asdict() for row in summary.pop("rows")]
-        _write_json(args.out / "stats.json", {"readings": readings, "summary": summary})
+        _write_report(args.out, "stats", display, {"readings": readings, "summary": summary})
     return 0
 
 
@@ -335,8 +337,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         table = _network_table(rows)
         sys.stdout.write(table)
         if args.out:
-            (args.out / "metrics_network.csv").write_text(table, encoding="utf-8")
-            _write_json(args.out / "metrics_network.json", [r._asdict() for r in rows])
+            _write_report(args.out, "metrics_network", table, [r._asdict() for r in rows])
         return 0
 
     roster = set(loaded.authors)
@@ -348,8 +349,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         print(f"# reading {rid}")
         sys.stdout.write(table)
         if stem:
-            (args.out / f"{stem}.csv").write_text(table, encoding="utf-8")
-            _write_json(args.out / f"{stem}.json", [r._asdict() for r in rows])
+            _write_report(args.out, stem, table, [r._asdict() for r in rows])
     return 0
 
 
@@ -432,7 +432,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_embeddings(store, args.out / "embeddings.jsonl")
     payload = {name: export.graph_to_json(g, name) for name, g in gt._asdict().items()}
     payload["seed"] = params.seed
-    _write_json(args.out / "ground_truth.json", payload)
+    _write(args.out / "ground_truth.json", _json_text(payload))
     for name in ("corpus.jsonl", "embeddings.jsonl", "ground_truth.json"):
         print((args.out / name).as_posix())
     return 0

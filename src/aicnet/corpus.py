@@ -42,6 +42,7 @@ from .errors import (
 Format = Literal["jsonl", "csv"]
 
 _WS = re.compile(r"\s+")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def normalize_text(text: str) -> str:
@@ -205,17 +206,23 @@ def _parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
     def fault(reason: str) -> ParseError:
         return ParseError(path, f"line {lineno}", reason)
 
+    def encodable(key: str, value: str) -> str:
+        # a JSON escape such as "\ud800" gives a lone surrogate, which UTF-8 cannot encode
+        if not value.isascii() and _SURROGATE.search(value):
+            raise fault(f"field {key!r} holds a lone surrogate")
+        return value
+
     def need(key: str) -> str:
         value = rec.get(key)
         if not isinstance(value, str) or value == "":
             raise fault(f"missing or empty field {key!r}")
-        return value
+        return encodable(key, value)
 
     def optional(key: str) -> str | None:
         value = rec.get(key)
         if value is not None and not isinstance(value, str):
             raise fault(f"field {key!r} must be a string")
-        return value
+        return value and encodable(key, value)
 
     if rec.get("record") == "quote":
         quote = Quote(id=need("id"), reading_id=need("reading_id"), text=need("text"))
@@ -234,7 +241,7 @@ def _parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
         author_id=need("author_id"),
         reading_id=need("reading_id"),
         kind=kind,  # type: ignore[arg-type]
-        body=body,
+        body=encodable("body", body),
         quote_id=optional("quote_id"),
         parent_id=optional("parent_id"),
         ts=optional("ts"),
@@ -329,6 +336,17 @@ def load_corpus(path: str | Path, format: Format = "jsonl") -> Corpus:
 
 # -- serialization ------------------------------------------------------------
 
+def _write(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, line ends as they are, encoded whole before the file
+    is opened: text UTF-8 cannot encode raises and leaves the file as it was."""
+    Path(path).write_bytes(text.encode("utf-8"))
+
+
+def _json_text(payload: object) -> str:
+    """``payload`` as a JSON document: sorted keys, indent 2, a final line feed."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _quote_record(q: Quote) -> dict:
     return {"record": "quote", "id": q.id, "reading_id": q.reading_id, "text": q.text}
 
@@ -369,25 +387,18 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path, format: Format = "jsonl") -> None:
-    """Write the corpus back out; ``load_corpus`` of the result round-trips."""
-    path = Path(path)
+    """Write the corpus back out; ``load_corpus`` of the result round-trips.
+    CSV rows end in a line feed, as :func:`_csv_lines` ends them."""
     if format == "jsonl":
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for rec in iter_records(corpus):
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in iter_records(corpus))
     elif format == "csv":
         columns = ["record", "id", "reading_id", "author_id", "kind",
                    "quote_id", "parent_id", "body", "ts", "text"]
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            for rec in iter_records(corpus):
-                row = {col: rec.get(col, "") for col in columns}
-                if "record" not in rec:
-                    row["record"] = "artifact"
-                writer.writerow(row)
+        rows = ({"record": "artifact", **rec} for rec in iter_records(corpus))
+        text = _csv_lines([columns, *([row.get(col, "") for col in columns] for row in rows)])
     else:
         raise ValueError(f"unknown corpus format {format!r}")
+    _write(path, text)
 
 
 # -- thread resolution --------------------------------------------------------

@@ -4,7 +4,7 @@ Writers emit nodes and edges in sorted order so repeated runs are
 byte-identical; weights are written with full ``repr`` precision. Isolated
 nodes are kept in every format and flagged ``isolated=true``. The readers
 understand exactly what the writers emit and exist so exports can be verified
-to round-trip.
+to round-trip. Files are written and decoded as corpus files are.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import re
 from pathlib import Path
 
-from .corpus import _csv_lines
+from .corpus import _csv_lines, _decoded, _json_text, _write
 from .graphs import WeightedGraph
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -60,7 +60,7 @@ def write_graphml(g: WeightedGraph, path: str | Path, name: str = "graph") -> No
             f'<data key="d1">{escape(w)}</data></edge>'
         )
     lines += ["  </graph>", "</graphml>", ""]
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    _write(path, "\n".join(lines))
 
 
 def read_graphml(path: str | Path) -> WeightedGraph:
@@ -94,7 +94,7 @@ def write_dot(g: WeightedGraph, path: str | Path, name: str = "graph") -> None:
     for (u, v) in sorted(g.edges):
         lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [weight={g.edges[(u, v)]!r}];")
     lines += ["}", ""]
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    _write(path, "\n".join(lines))
 
 
 # one node or edge statement of write_dot's; a quoted id may hold a line break
@@ -109,10 +109,8 @@ def _dot_unquote(s: str) -> str:
 
 def read_dot(path: str | Path) -> WeightedGraph:
     g = WeightedGraph()
-    # statements are matched over the whole text, read without newline translation
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        statements = _DOT_STATEMENT.findall(fh.read())
-    for u, v, weight in statements:
+    # statements are matched over the whole text, decoded without newline translation
+    for u, v, weight in _DOT_STATEMENT.findall(_decoded(path, Path(path).read_bytes())):
         if weight:
             g.add_edge(_dot_unquote(u), _dot_unquote(v), float(weight))
         else:
@@ -124,10 +122,8 @@ def write_csv(g: WeightedGraph, edges_path: str | Path, nodes_path: str | Path) 
     isolates = _isolates(g)
     nodes = [[node, str(node in isolates).lower()] for node in sorted(g.nodes)]
     edges = [[u, v, repr(g.edges[(u, v)])] for (u, v) in sorted(g.edges)]
-    Path(nodes_path).write_text(_csv_lines([["node", "isolated"], *nodes]), encoding="utf-8",
-                                newline="")
-    Path(edges_path).write_text(_csv_lines([["source", "target", "weight"], *edges]),
-                                encoding="utf-8", newline="")
+    _write(nodes_path, _csv_lines([["node", "isolated"], *nodes]))
+    _write(edges_path, _csv_lines([["source", "target", "weight"], *edges]))
 
 
 def graph_to_json(g: WeightedGraph, name: str = "graph") -> dict:
@@ -143,13 +139,11 @@ def graph_to_json(g: WeightedGraph, name: str = "graph") -> dict:
 
 
 def write_json(g: WeightedGraph, path: str | Path, name: str = "graph") -> None:
-    Path(path).write_text(
-        json.dumps(graph_to_json(g, name), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write(path, _json_text(graph_to_json(g, name)))
 
 
 def read_json(path: str | Path) -> WeightedGraph:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(_decoded(path, Path(path).read_bytes()))
     g = WeightedGraph()
     for node in data["nodes"]:
         g.nodes.add(node["id"])

@@ -9,8 +9,8 @@
   author-word graph built from the selected words; edge weight counts shared
   words.
 
-All builders are pure functions of immutable inputs and are insensitive to
-artifact iteration order.
+All builders leave their (mutable) inputs as they were, but for the normalized
+text a quote caches, and are insensitive to artifact iteration order.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Quote, _decoded, _json_objects, _Record, normalize_text
+from .corpus import Quote, _decoded, _json_objects, _Record, _write, normalize_text
 from .errors import EmptyText, InvalidVector, MissingEmbedding, ParseError
 
 Vector = tuple[float, ...]
@@ -179,11 +179,9 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "json
         if not isinstance(quote_id, str) or not quote_id:
             raise InvalidVector(quote_id, "needs a non-empty string id")
         store.get(quote_id)
-    path = Path(path)
     if format == "jsonl":
         rows = ({"quote_id": qid, "vector": list(map(float, store.vectors[qid]))} for qid in ids)
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8",
-                        newline="\n")
+        _write(path, "".join(json.dumps(row) + "\n" for row in rows))
     elif format == "binary":
         chunks = [_MAGIC, struct.pack("<II", store.dim, len(ids))]
         for quote_id in ids:
@@ -202,7 +200,7 @@ def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "json
             if any(vec) and not any(struct.unpack(layout, packed)):
                 raise InvalidVector(quote_id, "rounds to all zeros in float32")
             chunks += [struct.pack("<H", len(encoded)), encoded, packed]
-        path.write_bytes(b"".join(chunks))
+        Path(path).write_bytes(b"".join(chunks))
     else:
         raise ValueError(f"unknown embedding format {format!r}")
 

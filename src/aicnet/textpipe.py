@@ -194,15 +194,6 @@ def _documents(reading: Reading, noun_lexicon: frozenset[str] | None = None,
     return docs
 
 
-def _idf(docs: list[tuple[Artifact, Counter]]) -> dict[str, float]:
-    """ln(N / df) of each lemma of the documents: N is their count and df the
-    number containing the lemma."""
-    df: Counter = Counter()
-    for _, counts in docs:
-        df.update(counts.keys())
-    return {lemma: math.log(len(docs) / n) for lemma, n in df.items()}
-
-
 def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
     """Raw term frequency times ln(N / df).
 
@@ -212,7 +203,8 @@ def tfidf(lemma: str, artifact: Artifact, reading: Reading) -> float:
     """
     docs = _documents(reading)
     tf = next((counts[lemma] for art, counts in docs if art.id == artifact.id), 0)
-    return tf * _idf(docs)[lemma] if tf else 0.0
+    df = sum(lemma in counts for _, counts in docs)
+    return tf * math.log(len(docs) / df) if tf else 0.0
 
 
 # -- word selection for the creation network -----------------------------------
@@ -272,8 +264,10 @@ def select_cn_words(reading: Reading,
     """
     docs = _documents(reading, params.noun_lexicon, params.stopwords)
     totals = Counter(chain.from_iterable(counts.elements() for _, counts in docs))
-    # candidates: lemmas at or above the frequency floor, with their idf
-    idf = {lemma: v for lemma, v in _idf(docs).items() if totals[lemma] >= params.min_frequency}
+    df = Counter(chain.from_iterable(counts for _, counts in docs))  # documents per lemma
+    # candidates: lemmas at or above the frequency floor, with their idf ln(N / df)
+    idf = {lemma: math.log(len(docs) / n) for lemma, n in df.items()
+           if totals[lemma] >= params.min_frequency}
     if not idf:
         return []
 

@@ -827,6 +827,30 @@ def test_a_malformed_corpus_record_is_an_input_error_naming_its_line(jsonl_file,
     assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
+# a JSON escape such as "\ud800" loads as a string UTF-8 cannot encode
+@pytest.mark.parametrize("lines, field, value, commands", [
+    ((2,), "author_id", "A\ud800",
+     (("metrics", "--level", "node"), ("build", "--reading", "r1", "--network", "an"))),
+    ((1,), "text", "x \udc80 y", (("metrics", "--level", "network"),)),
+    ((1, 2, 3), "reading_id", "r\ud800", (("stats",),)),
+], ids=["author_id", "quote_text", "reading_id"])
+def test_a_lone_surrogate_is_an_input_error(jsonl_file, tmp_path, capsys, lines, field, value,
+                                            commands):
+    records = [dict(r) for r in _MINI_RECORDS]
+    for line in lines:
+        records[line - 1][field] = value
+    path = jsonl_file(records)
+    faults = [f"error: {path}: line {n}: field {field!r} holds a lone surrogate" for n in lines]
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    # parse faults come first; a refused record's dependants follow
+    assert (code, out.splitlines()[:len(lines)]) == (1, faults)
+    for command in commands:
+        out_dir = ("--out", str(tmp_path / "out")) if command[0] == "build" else ()
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:], *out_dir)
+        assert (code, out, err) == (1, "", faults[0] + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_rejects_an_unknown_format(jsonl_file, tmp_path, capsys):
     out_dir = tmp_path / "graphs"
     code, out, err = run_cli(capsys, "build", str(jsonl_file(_MINI_RECORDS)), "--reading", "r1",

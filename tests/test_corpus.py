@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
 import pytest
@@ -229,6 +230,37 @@ def test_round_trip(tmp_path, jsonl_file, format):
     out2 = tmp_path / f"roundtrip2.{format}"
     save_corpus(again, out2, format)
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("format", ["jsonl", "csv"])
+def test_save_that_cannot_encode_leaves_the_file_as_it_was(tmp_path, format):
+    corpus = mk_corpus([("q1", "r1", "A quote.")],
+                       [("a1", "r1", "A", "q1", "fine"), ("a2", "r1", "B", "q1", "lone \ud800")])
+    path = tmp_path / f"corpus.{format}"
+    path.write_bytes(b"existing bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        save_corpus(corpus, path, format)
+    assert path.read_bytes() == b"existing bytes\n"
+
+
+def test_csv_corpus_rows_end_in_a_line_feed(tmp_path, jsonl_file):
+    records = _minimal_records() + [
+        {"id": "rep1", "reading_id": "r1", "author_id": "B", "kind": "reply",
+         "parent_id": "a1", "body": "two\nlines, quoted"},
+    ]
+    corpus = load_corpus(jsonl_file(records))
+    path = tmp_path / "corpus.csv"
+    save_corpus(corpus, path, "csv")
+    data = path.read_bytes()
+    assert b"\r" not in data
+    assert data.count(b"\n") == len(records) + 2  # a header, a row per record, one cell break
+    assert load_corpus(path, "csv") == corpus
+    # a corpus whose rows end in CRLF, as csv.writer ends them by default, loads the same
+    crlf = tmp_path / "crlf.csv"
+    with crlf.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(csv.reader(io.StringIO(data.decode("utf-8"))))
+    assert crlf.read_bytes().count(b"\r\n") == len(records) + 1
+    assert load_corpus(crlf, "csv") == corpus
 
 
 def test_an_unknown_corpus_format_is_refused(tmp_path, jsonl_file):

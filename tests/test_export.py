@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from aicnet.errors import ParseError
 from aicnet.export import (
     escape,
     quoteattr,
@@ -163,3 +164,38 @@ def test_csv_export(tmp_path):
     edge_lines = edges.read_text().splitlines()
     assert edge_lines[0] == "source,target,weight"
     assert f"s01,s02,{1.9!r}" in edge_lines
+
+
+@pytest.mark.parametrize("write", [
+    write_graphml, write_dot, lambda g, path: write_csv(g, path, path.with_suffix(".nodes")),
+], ids=["graphml", "dot", "csv"])
+def test_a_writer_that_cannot_encode_leaves_the_file_as_it_was(tmp_path, write):
+    g = WeightedGraph(nodes={"lone \ud800"})
+    g.add_edge("s01", "s02", 1.0)
+    path = tmp_path / "g.out"
+    for target in (path, path.with_suffix(".nodes")):
+        target.write_bytes(b"existing bytes\n")
+    with pytest.raises(UnicodeEncodeError):
+        write(g, path)
+    for target in (path, path.with_suffix(".nodes")):
+        assert target.read_bytes() == b"existing bytes\n"
+
+
+@pytest.mark.parametrize("writer,reader,suffix", [
+    (write_dot, read_dot, "dot"),
+    (write_json, read_json, "json"),
+])
+def test_readers_decode_as_every_input_file_is_decoded(tmp_path, writer, reader, suffix):
+    g = _sample_graph()
+    path = tmp_path / f"g.{suffix}"
+    writer(g, path, name="an")
+    data = path.read_bytes()
+    # a leading byte-order mark is dropped
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    _assert_same(reader(path), g)
+    # a byte that is not UTF-8 is an input error at its offset
+    at = data.index(b"s01")
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert (exc.value.where, exc.value.reason) == (f"byte {at}", "not valid UTF-8")

@@ -305,8 +305,31 @@ MUTANTS: list[Mutant] = [
            "            raise ParseError(path, f\"byte {offset}\", \"quote id is empty\")\n",
            "", ("tests/test_semantic.py::test_load_rejects_an_empty_binary_id",)),
     # read_dot reads with newline translation, so an id's "\r" comes back as "\n"
-    Mutant("src/aicnet/export.py", 'open(encoding="utf-8", newline="")', 'open(encoding="utf-8")',
+    Mutant("src/aicnet/export.py",
+           "_DOT_STATEMENT.findall(_decoded(path, Path(path).read_bytes()))",
+           '_DOT_STATEMENT.findall(Path(path).read_text(encoding="utf-8"))',
            (_EXPORT + "test_round_trip_formats[write_dot-read_dot-dot]",)),
+    # read_json reads past the shared decoder: a byte-order mark or a byte that is not UTF-8
+    # stops it with a bare decode error
+    Mutant("src/aicnet/export.py", "json.loads(_decoded(path, Path(path).read_bytes()))",
+           'json.loads(Path(path).read_text(encoding="utf-8"))',
+           (_EXPORT + "test_readers_decode_as_every_input_file_is_decoded"
+            "[write_json-read_json-json]",)),
+    # output files opened before their text is encoded, so a failed write leaves a truncated file
+    Mutant("src/aicnet/corpus.py", 'Path(path).write_bytes(text.encode("utf-8"))',
+           'Path(path).write_text(text, encoding="utf-8", newline="")',
+           (_EXPORT + "test_a_writer_that_cannot_encode_leaves_the_file_as_it_was",
+            "tests/test_corpus.py::test_save_that_cannot_encode_leaves_the_file_as_it_was[csv]")),
+    # corpus files: a lone surrogate from a JSON escape loads, and fails later as exit 2
+    Mutant("src/aicnet/corpus.py", "if not value.isascii() and _SURROGATE.search(value):",
+           "if False:",
+           ("tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[author_id]",
+            "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[quote_text]",
+            "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[reading_id]")),
+    # CSV corpora written with CRLF for every LF, as a text-mode write on Windows translates
+    Mutant("src/aicnet/corpus.py", "for row in rows)])\n",
+           'for row in rows)]).replace("\\n", "\\r\\n")\n',
+           ("tests/test_corpus.py::test_csv_corpus_rows_end_in_a_line_feed",)),
     # validate parses a broken file a second time
     Mutant("src/aicnet/cli.py", "    if errors:\n        for err in errors:\n",
            "    if errors:\n        errors = corpus_mod._collect(args.corpus, "
