@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 from .corpus import _csv_lines, _decoded, _json_text, _write
+from .errors import ParseError
 from .graphs import WeightedGraph
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
@@ -97,24 +98,59 @@ def write_dot(g: WeightedGraph, path: str | Path, name: str = "graph") -> None:
     _write(path, "\n".join(lines))
 
 
-# one node or edge statement of write_dot's; a quoted id may hold a line break
+# write_dot's header line, and one node or edge statement; a quoted id may hold a line break
 _DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_HEADER = re.compile(rf"graph {_DOT_ID} \{{\n")
 _DOT_STATEMENT = re.compile(
-    rf"^  {_DOT_ID} (?:\[isolated=(?:true|false)\]|-- {_DOT_ID} \[weight=([^\]]+)\]);$", re.M)
+    rf"  {_DOT_ID} (?:\[isolated=(?:true|false)\]|-- {_DOT_ID} \[weight=([^\]]+)\]);\n")
 
 
 def _dot_unquote(s: str) -> str:
     return s.replace('\\"', '"').replace("\\\\", "\\")
 
 
+def _line(text: str, pos: int) -> str:
+    """The line of ``text`` that holds offset ``pos``; lines end at a line feed alone."""
+    lineno = text.count("\n", 0, pos) + 1
+    return f"line {lineno}"
+
+
+def _add_edge(g: WeightedGraph, path: str | Path, where: str, u: str, v: str,
+              weight: str | float) -> None:
+    """Add a read edge to ``g``; a weight that is not a number, or an edge
+    :meth:`WeightedGraph.add_edge` refuses, raises :class:`ParseError` at ``where``."""
+    try:
+        number = float(weight)
+    except (ValueError, OverflowError):
+        raise ParseError(path, where, f"weight {weight!r} is not a number") from None
+    try:
+        g.add_edge(u, v, number)
+    except ValueError as exc:
+        raise ParseError(path, where, str(exc)) from None
+
+
 def read_dot(path: str | Path) -> WeightedGraph:
-    g = WeightedGraph()
-    # statements are matched over the whole text, decoded without newline translation
-    for u, v, weight in _DOT_STATEMENT.findall(_decoded(path, Path(path).read_bytes())):
+    """The graph of a file in :func:`write_dot`'s form: its header line, node
+    and edge statements, then a closing ``}`` line that ends the file. The
+    first line that breaks this form, or holds an edge :class:`WeightedGraph`
+    refuses, raises :class:`ParseError`. The text is decoded without newline
+    translation, and a line ends at a line feed alone."""
+    text = _decoded(path, Path(path).read_bytes())
+    header = _DOT_HEADER.match(text)
+    if header is None:
+        raise ParseError(path, "line 1", 'expected the header graph "<name>" {')
+    g, pos = WeightedGraph(), header.end()
+    while statement := _DOT_STATEMENT.match(text, pos):
+        u, v, weight = statement.groups()
         if weight:
-            g.add_edge(_dot_unquote(u), _dot_unquote(v), float(weight))
+            _add_edge(g, path, _line(text, pos), _dot_unquote(u), _dot_unquote(v), weight)
         else:
             g.nodes.add(_dot_unquote(u))
+        pos = statement.end()
+    if not text.startswith("}\n", pos):
+        raise ParseError(path, _line(text, pos), "expected a node or edge statement or the closing }")
+    if pos + 2 < len(text):
+        raise ParseError(path, _line(text, pos + 2), "text after the closing }")
     return g
 
 
@@ -142,11 +178,40 @@ def write_json(g: WeightedGraph, path: str | Path, name: str = "graph") -> None:
     _write(path, _json_text(graph_to_json(g, name)))
 
 
+# the keys each node and edge of a JSON graph file must have, with their types; JSON
+# numbers only, since true and false parse as bool, which is an int subclass
+_STRING, _NUMBER = (str,), (int, float)
+_JSON_KEYS = {"nodes": {"id": _STRING},
+              "edges": {"source": _STRING, "target": _STRING, "weight": _NUMBER}}
+
+
 def read_json(path: str | Path) -> WeightedGraph:
-    data = json.loads(_decoded(path, Path(path).read_bytes()))
-    g = WeightedGraph()
-    for node in data["nodes"]:
-        g.nodes.add(node["id"])
-    for edge in data["edges"]:
-        g.add_edge(edge["source"], edge["target"], float(edge["weight"]))
+    """The graph of a file in :func:`write_json`'s form: an object whose
+    ``nodes`` list holds objects with a string ``id``, and whose ``edges``
+    list holds objects with a string ``source`` and ``target`` and a number
+    ``weight``; other keys are ignored. Text that is not JSON raises
+    :class:`ParseError` at its line. A node or edge that is not an object,
+    lacks a key or has one of another type, or an edge
+    :class:`WeightedGraph` refuses, raises it at the item, as ``edges[3]``."""
+    try:
+        data = json.loads(_decoded(path, Path(path).read_bytes()))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, f"line {exc.lineno}", f"invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # too-long integers, deep nesting
+        raise ParseError(path, "top level", f"invalid JSON ({exc})") from None
+    if not isinstance(data, dict) or not all(isinstance(data.get(k), list) for k in _JSON_KEYS):
+        raise ParseError(path, "top level", "expected an object with 'nodes' and 'edges' lists")
+    for part, keys in _JSON_KEYS.items():
+        for i, item in enumerate(data[part]):
+            if not isinstance(item, dict):
+                raise ParseError(path, f"{part}[{i}]", "is not a JSON object")
+            for key, kinds in keys.items():
+                if key not in item:
+                    raise ParseError(path, f"{part}[{i}]", f"lacks {key!r}")
+                if type(item[key]) not in kinds:
+                    kind = "string" if kinds is _STRING else "number"
+                    raise ParseError(path, f"{part}[{i}]", f"{key!r} is not a {kind}")
+    g = WeightedGraph(nodes={node["id"] for node in data["nodes"]})
+    for i, edge in enumerate(data["edges"]):
+        _add_edge(g, path, f"edges[{i}]", edge["source"], edge["target"], edge["weight"])
     return g

@@ -44,6 +44,8 @@ _MAGIC = b"AICEMB01"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_LANE_ONE = (1).to_bytes(16, "little")  # one 128-bit lane holding 1
+_FNV_BLOCK = 4096  # window starts hashed at once, so a lane integer is at most 64 KB
 
 
 class EmbeddingStore(_Record):
@@ -221,10 +223,19 @@ def hash_embed(text: str, dim: int = 256) -> Vector:
     when bit 63 of its hash is set, -1; the count vector is then L2-normalized.
     Identical normalized texts give identical vectors on every platform.
 
-    One FNV-1a loop per window start folds in up to five bytes, and its
-    states after the third, fourth and fifth are the 3-, 4- and 5-gram hashes.
-    The bucket counts are integers, so their squared norm and every quotient
-    are exact up to one rounding each.
+    All window starts advance through FNV-1a together. Starts go in blocks
+    of :data:`_FNV_BLOCK`, and each block reads its own bytes and the next
+    four. Start ``block + i`` is 128-bit lane ``i`` of one integer ``h``, and
+    lane ``i`` of ``column`` holds byte ``block + i``. Step ``k`` (0 to 4)
+    xors ``column`` shifted down ``k`` lanes into ``h``, multiplies ``h`` by
+    the prime and masks every lane back to its low 64 bits. A lane's state
+    is below 2⁶⁴ and the prime below 2⁴¹, so a lane's product is below
+    2¹⁰⁵ < 2¹²⁸ and never carries into the next lane. After steps 2, 3 and
+    4, the low halves of the lanes, read as little-endian uint64, are the 3-,
+    4- and 5-gram hashes; only the starts with ``k + 1`` bytes left are
+    counted. The blocks bound each integer to 64 KB, whatever the text's
+    length. The bucket counts are integers, so their squared norm and every
+    quotient are exact up to one rounding each.
     """
     if dim < 8:
         raise ValueError("embedding dimension must be >= 8")
@@ -233,18 +244,28 @@ def hash_embed(text: str, dim: int = 256) -> Vector:
         raise EmptyText()
     encoded = ("\x02" + normalized + "\x03").encode("utf-8")
     counts = [0] * dim
-    for start in range(len(encoded) - 2):
-        h = _FNV_OFFSET
-        for k, byte in enumerate(encoded[start : start + 5]):
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    starts = len(encoded) - 2
+    for block in range(0, starts, _FNV_BLOCK):
+        width = min(_FNV_BLOCK, starts - block)
+        window = encoded[block : block + width + 4]
+        spread = bytearray(16 * len(window))
+        spread[::16] = window
+        column = int.from_bytes(spread, "little")
+        ones = int.from_bytes(_LANE_ONE * width, "little")
+        h, mask = ones * _FNV_OFFSET, ones * _MASK64
+        for k in range(min(5, len(window))):
+            h = ((h ^ (column >> 128 * k)) * _FNV_PRIME) & mask
             if k >= 2:
-                counts[h % dim] += 1 - 2 * (h >> 63)
-    norm = math.sqrt(sum(c * c for c in counts))
+                states = h.to_bytes(16 * width, "little")
+                grams = min(width, len(window) - k)  # the starts with k + 1 bytes left
+                for g in struct.unpack_from(f"<{2 * grams}Q", states)[::2]:
+                    counts[g % dim] += 1 if g < 1 << 63 else -1
+    norm = math.sqrt(sum(map(operator.mul, counts, counts)))
     if norm == 0.0:
         # all buckets cancelled; salt with the whole string so no text maps to zero
         counts[_fnv1a(encoded) % dim] = 1
         norm = 1.0
-    return tuple(c / norm for c in counts)
+    return tuple([c / norm for c in counts])
 
 
 class _HashVectors(Mapping):

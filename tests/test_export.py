@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from xml.sax import saxutils  # the oracle of the local escapers
 
@@ -199,3 +200,86 @@ def test_readers_decode_as_every_input_file_is_decoded(tmp_path, writer, reader,
     with pytest.raises(ParseError) as exc:
         reader(path)
     assert (exc.value.where, exc.value.reason) == (f"byte {at}", "not valid UTF-8")
+
+
+_DOT_LINES = ['graph "an" {', '  "a" [isolated=false];', '  "a" -- "b" [weight=0.5];', "}", ""]
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    ("not a dot file at all", "line 1", 'expected the header graph "<name>" {'),
+    ("", "line 1", 'expected the header graph "<name>" {'),
+    ("\n".join(_DOT_LINES[:3] + [""]), "line 4",
+     "expected a node or edge statement or the closing }"),
+    ("\n".join(_DOT_LINES[:2] + ["  a -- b;"] + _DOT_LINES[2:]), "line 3",
+     "expected a node or edge statement or the closing }"),
+    ("\n".join(_DOT_LINES[:4]), "line 4", "expected a node or edge statement or the closing }"),
+    ("\r\n".join(_DOT_LINES), "line 1", 'expected the header graph "<name>" {'),
+    ("\n".join(_DOT_LINES + ['  "c" [isolated=true];', ""]), "line 5",
+     "text after the closing }"),
+    ("\n".join(_DOT_LINES[:2] + ['  "a\nb" -- "c" [weight=one];'] + _DOT_LINES[3:]), "line 3",
+     "weight 'one' is not a number"),
+    ("\n".join(_DOT_LINES[:2] + ['  "a" -- "a" [weight=1.0];'] + _DOT_LINES[3:]), "line 3",
+     "self-loop on 'a'"),
+    ("\n".join(_DOT_LINES[:2] + ['  "a" -- "b" [weight=-1.0];'] + _DOT_LINES[3:]), "line 3",
+     "non-positive weight -1.0 on ('a', 'b')"),
+], ids=["no_dot", "empty", "no_closing_line", "foreign_statement", "no_final_newline", "crlf",
+        "after_closing_line", "weight_not_a_number", "self_loop", "negative_weight"])
+def test_read_dot_refuses_what_write_dot_does_not_write(tmp_path, text, where, reason):
+    path = tmp_path / "g.dot"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        read_dot(path)
+    assert (exc.value.path, exc.value.where, exc.value.reason) == (str(path), where, reason)
+
+
+def test_read_dot_reads_what_it_accepts(tmp_path):
+    path = tmp_path / "g.dot"
+    path.write_bytes("\n".join(_DOT_LINES).encode("utf-8"))
+    _assert_same(read_dot(path), WeightedGraph(nodes={"a", "b"}, edges={("a", "b"): 0.5}))
+
+
+_NODE = {"id": "a"}
+_EDGE = {"source": "a", "target": "b", "weight": 0.5}
+
+
+@pytest.mark.parametrize("data,where,reason", [
+    ({"nodes": [], "edges": [{"source": "a"}]}, "edges[0]", "lacks 'target'"),
+    ({"nodes": [_NODE, {}], "edges": []}, "nodes[1]", "lacks 'id'"),
+    ({"nodes": [{"id": 7}], "edges": []}, "nodes[0]", "'id' is not a string"),
+    ({"nodes": ["a"], "edges": []}, "nodes[0]", "is not a JSON object"),
+    ({"nodes": [], "edges": [_EDGE, {**_EDGE, "target": None}]}, "edges[1]",
+     "'target' is not a string"),
+    ({"nodes": [], "edges": [{**_EDGE, "weight": "0.5"}]}, "edges[0]", "'weight' is not a number"),
+    ({"nodes": [], "edges": [{**_EDGE, "weight": True}]}, "edges[0]", "'weight' is not a number"),
+    ({"nodes": [], "edges": [{**_EDGE, "weight": 10**400}]}, "edges[0]",
+     f"weight {10**400!r} is not a number"),
+    ({"nodes": [], "edges": [{**_EDGE, "target": "a"}]}, "edges[0]", "self-loop on 'a'"),
+    ({"nodes": [], "edges": [{**_EDGE, "weight": 0}]}, "edges[0]",
+     "non-positive weight 0.0 on ('a', 'b')"),
+    ({"nodes": []}, "top level", "expected an object with 'nodes' and 'edges' lists"),
+    ({"nodes": {}, "edges": []}, "top level", "expected an object with 'nodes' and 'edges' lists"),
+    ([], "top level", "expected an object with 'nodes' and 'edges' lists"),
+], ids=["no_target", "no_id", "id_not_a_string", "node_not_an_object", "target_not_a_string",
+        "weight_a_string", "weight_a_bool", "weight_too_large", "self_loop", "zero_weight",
+        "no_edges", "nodes_not_a_list", "not_an_object"])
+def test_read_json_names_the_item_it_cannot_read(tmp_path, data, where, reason):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_json(path)
+    assert (exc.value.path, exc.value.where, exc.value.reason) == (str(path), where, reason)
+
+
+# the interpreter's message follows "invalid JSON (" for the last two
+@pytest.mark.parametrize("text,where,reason", [
+    ('{"nodes": [],\n "edges": [}\n', "line 2", "invalid JSON (Expecting value)"),
+    ('{"nodes": [' + "1" * 5000 + '], "edges": []}', "top level", "invalid JSON ("),
+    ('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}', "top level",
+     "invalid JSON ("),
+], ids=["syntax", "long_integer", "deep_nesting"])
+def test_read_json_refuses_text_that_is_not_json(tmp_path, text, where, reason):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_json(path)
+    assert exc.value.where == where and exc.value.reason.startswith(reason)

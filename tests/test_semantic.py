@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aicnet.corpus import Quote
+from aicnet.corpus import Quote, normalize_text
 from aicnet.errors import (
     AicnetError,
     EmptyText,
@@ -377,22 +379,66 @@ def test_hash_embed_unit_norm(text, dim):
 _EMBED_TEXT = st.text(alphabet=st.sampled_from("abXZ 09.é漢🙂\t\n"), min_size=1, max_size=60)
 
 
+def _oracle_vector(text: str, dim: int) -> tuple[float, ...]:
+    return tuple(oracle_hash_embed(text, dim).tolist())
+
+
 @settings(max_examples=300, deadline=None)
 @given(_EMBED_TEXT.filter(lambda t: t.strip()), st.sampled_from([8, 13, 256, 1024]))
-@example("a", 8)
-@example("ab", 13)
+@example("a", 8)  # 1 byte: one 3-gram, no 4- or 5-gram
+@example("ab", 13)  # 2 bytes: no 5-gram
 @example("é", 1024)
+@example("abc", 9)  # 3 bytes: one 5-gram
+@example("漢", 257)
 @example("🙂", 256)
 @example("Grand   Jete\n", 256)
 def test_hash_embed_equals_per_gram_oracle(text, dim):
-    assert np.array_equal(hash_embed(text, dim), oracle_hash_embed(text, dim))
+    assert hash_embed(text, dim) == _oracle_vector(text, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text().filter(normalize_text), st.integers(8, 300))
+def test_hash_embed_equals_oracle_on_any_text(text, dim):
+    assert hash_embed(text, dim) == _oracle_vector(text, dim)
+
+
+def _letters(n: int, shift: int = 0) -> str:
+    return "".join(chr(97 + (shift + 7 * i) % 26) for i in range(n))
+
+
+# hash_embed takes window starts 4,096 at a time. The marked text holds text
+# byte j at byte j + 1, so texts of 4,094-4,098 bytes end around the first
+# block edge, and in the last text a 4-byte emoji straddles each of two edges.
+_BLOCK_EDGE_TEXTS = [_letters(n) for n in range(4094, 4099)] + [
+    _letters(4093) + "🙂" + _letters(4092, 1) + "🙂" + _letters(803, 2)]
+
+
+@pytest.mark.parametrize("text", _BLOCK_EDGE_TEXTS,
+                         ids=[f"{len(t.encode())}_bytes" for t in _BLOCK_EDGE_TEXTS])
+def test_hash_embed_equals_oracle_across_block_edges(text):
+    assert len(normalize_text(text).encode()) == len(text.encode())
+    for dim in (8, 257):
+        assert hash_embed(text, dim) == _oracle_vector(text, dim)
+
+
+def test_hash_embed_memory_does_not_grow_with_the_text():
+    # a non-periodic text keeps the bucket counts small, and tracing fast
+    rng = random.Random(0)
+    text = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=240_000))
+    tracemalloc.start()
+    try:
+        hash_embed(text, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_hash_embed_all_cancel_salt_branch():
     # the six n-grams of "\x02ahb\x03" cancel to a zero count vector at dim 8
     vec = hash_embed("ahb", 8)
     assert np.count_nonzero(vec) == 1
-    assert np.array_equal(vec, oracle_hash_embed("ahb", 8))
+    assert vec == _oracle_vector("ahb", 8)
 
 
 def test_embed_quotes_twins_share_one_vector(monkeypatch):

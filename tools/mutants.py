@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 _AN = "tests/test_graphs.py::"
 _EXPORT = "tests/test_export.py::"
+_HASH = "tests/test_semantic.py::"
 _IMPORTS = "tests/test_imports.py::"
 _RECORDS = "tests/test_records.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
@@ -73,6 +74,50 @@ MUTANTS: list[Mutant] = [
     # a non-finite vector passes the vector rule's finiteness check, and is refused for its norm
     Mutant("src/aicnet/semantic.py", "if not all(map(math.isfinite, vec)):", "if False:",
            ("tests/test_semantic.py::test_vector_errors_name_the_quote",)),
+    # hash embedder: 64-bit lanes, so a lane's product carries into the next lane
+    Mutant("src/aicnet/semantic.py",
+           "        spread = bytearray(16 * len(window))\n"
+           "        spread[::16] = window\n"
+           "        column = int.from_bytes(spread, \"little\")\n"
+           "        ones = int.from_bytes(_LANE_ONE * width, \"little\")\n"
+           "        h, mask = ones * _FNV_OFFSET, ones * _MASK64\n"
+           "        for k in range(min(5, len(window))):\n"
+           "            h = ((h ^ (column >> 128 * k)) * _FNV_PRIME) & mask\n"
+           "            if k >= 2:\n"
+           "                states = h.to_bytes(16 * width, \"little\")\n"
+           "                grams = min(width, len(window) - k)  # the starts with k + 1 bytes left\n"
+           "                for g in struct.unpack_from(f\"<{2 * grams}Q\", states)[::2]:\n",
+           "        spread = bytearray(8 * len(window))\n"
+           "        spread[::8] = window\n"
+           "        column = int.from_bytes(spread, \"little\")\n"
+           "        ones = int.from_bytes((1).to_bytes(8, \"little\") * width, \"little\")\n"
+           "        h, mask = ones * _FNV_OFFSET, ones * _MASK64\n"
+           "        for k in range(min(5, len(window))):\n"
+           "            h = ((h ^ (column >> 64 * k)) * _FNV_PRIME) & mask\n"
+           "            if k >= 2:\n"
+           "                states = h.to_bytes(8 * width, \"little\")\n"
+           "                grams = min(width, len(window) - k)\n"
+           "                for g in struct.unpack_from(f\"<{grams}Q\", states):\n",
+           (_HASH + "test_hash_embed_equals_per_gram_oracle",)),
+    # hash embedder: every lane masked after the first step only, so products carry
+    Mutant("src/aicnet/semantic.py", "* _FNV_PRIME) & mask",
+           "* _FNV_PRIME) & (mask if k == 0 else -1)",
+           (_HASH + "test_hash_embed_equals_per_gram_oracle",)),
+    # hash embedder: the 4- and 5-gram slices one lane too long, into the zero padding
+    Mutant("src/aicnet/semantic.py", "grams = min(width, len(window) - k)",
+           "grams = min(width, len(window) - k + 1)",
+           (_HASH + "test_hash_embed_equals_per_gram_oracle",)),
+    # hash embedder: a full block reads only its own bytes, not the next four
+    Mutant("src/aicnet/semantic.py", "window = encoded[block : block + width + 4]",
+           "window = encoded[block : block + min(width + 4, _FNV_BLOCK)]",
+           (_HASH + "test_hash_embed_equals_oracle_across_block_edges",)),
+    # hash embedder: the sign test inverted
+    Mutant("src/aicnet/semantic.py", "+= 1 if g < 1 << 63 else -1", "+= -1 if g < 1 << 63 else 1",
+           (_HASH + "test_hash_embed_equals_per_gram_oracle",
+            _HASH + "test_hash_embed_equals_oracle_on_any_text")),
+    # hash embedder: all window starts in one block, so memory grows with the text
+    Mutant("src/aicnet/semantic.py", "_FNV_BLOCK = 4096", "_FNV_BLOCK = 1 << 62",
+           (_HASH + "test_hash_embed_memory_does_not_grow_with_the_text",)),
     # a quote's normalized text recomputed on every read
     Mutant("src/aicnet/corpus.py", "if self._normalized is None:", "if True:",
            (_AN + "test_build_an_normalizes_each_quote_text_once",)),
@@ -306,9 +351,25 @@ MUTANTS: list[Mutant] = [
            "", ("tests/test_semantic.py::test_load_rejects_an_empty_binary_id",)),
     # read_dot reads with newline translation, so an id's "\r" comes back as "\n"
     Mutant("src/aicnet/export.py",
-           "_DOT_STATEMENT.findall(_decoded(path, Path(path).read_bytes()))",
-           '_DOT_STATEMENT.findall(Path(path).read_text(encoding="utf-8"))',
+           "text = _decoded(path, Path(path).read_bytes())\n    header = _DOT_HEADER",
+           'text = Path(path).read_text(encoding="utf-8")\n    header = _DOT_HEADER',
            (_EXPORT + "test_round_trip_formats[write_dot-read_dot-dot]",)),
+    # read_dot: a file that ends before the closing line reads as a graph
+    Mutant("src/aicnet/export.py", 'if not text.startswith("}\\n", pos):',
+           'if pos < len(text) and not text.startswith("}\\n", pos):',
+           (_EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[no_closing_line]",)),
+    # read_dot: text after the closing line is ignored
+    Mutant("src/aicnet/export.py", "    if pos + 2 < len(text):\n", "    if False:\n",
+           (_EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[after_closing_line]",)),
+    # read_json: true and false taken for numbers
+    Mutant("src/aicnet/export.py", "if type(item[key]) not in kinds:",
+           "if not isinstance(item[key], kinds):",
+           (_EXPORT + "test_read_json_names_the_item_it_cannot_read[weight_a_bool]",)),
+    # read_json: an edge without a target reaches the graph as a bare KeyError
+    Mutant("src/aicnet/export.py",
+           "                if key not in item:\n"
+           "                    raise ParseError(path, f\"{part}[{i}]\", f\"lacks {key!r}\")\n",
+           "", (_EXPORT + "test_read_json_names_the_item_it_cannot_read[no_target]",)),
     # read_json reads past the shared decoder: a byte-order mark or a byte that is not UTF-8
     # stops it with a bare decode error
     Mutant("src/aicnet/export.py", "json.loads(_decoded(path, Path(path).read_bytes()))",
