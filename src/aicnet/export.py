@@ -65,20 +65,36 @@ def write_graphml(g: WeightedGraph, path: str | Path, name: str = "graph") -> No
 
 
 def read_graphml(path: str | Path) -> WeightedGraph:
+    """The graph of a GraphML file's first ``<graph>`` element: its nodes' ``id``
+    and its edges' ``source``, ``target`` and weight, the first ``<data>`` text
+    (1.0 when absent or empty). Text that is not XML raises :class:`ParseError`
+    at its line, a file without a ``<graph>`` raises it at ``top level``, and a
+    node or edge that lacks an attribute, or an edge :func:`_add_edge` refuses,
+    raises it at the item, as ``edges[3]``."""
     import xml.etree.ElementTree as ET  # only a read-back loads an XML parser
+    from xml.parsers.expat import ErrorString
 
-    root = ET.parse(path).getroot()
+    try:
+        root = ET.fromstring(_decoded(path, Path(path).read_bytes()))
+    except ET.ParseError as exc:
+        raise ParseError(path, f"line {exc.position[0]}",
+                         f"invalid XML ({ErrorString(exc.code)})") from None
     ns = {"g": _GRAPHML_NS}
     g = WeightedGraph()
     graph = root.find("g:graph", ns)
     if graph is None:
-        raise ValueError("no <graph> element")
+        raise ParseError(path, "top level", "no <graph> element")
+    for part, keys in (("node", ("id",)), ("edge", ("source", "target"))):
+        for i, item in enumerate(graph.findall(f"g:{part}", ns)):
+            for key in keys:
+                if key not in item.attrib:
+                    raise ParseError(path, f"{part}s[{i}]", f"lacks {key!r}")
     for node in graph.findall("g:node", ns):
         g.nodes.add(node.attrib["id"])
-    for edge in graph.findall("g:edge", ns):
+    for i, edge in enumerate(graph.findall("g:edge", ns)):
         data = edge.find("g:data", ns)
-        weight = float(data.text) if data is not None and data.text else 1.0
-        g.add_edge(edge.attrib["source"], edge.attrib["target"], weight)
+        weight = data.text if data is not None and data.text else 1.0
+        _add_edge(g, path, f"edges[{i}]", edge.attrib["source"], edge.attrib["target"], weight)
     return g
 
 

@@ -13,7 +13,7 @@ import heapq
 import math
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -21,8 +21,10 @@ from typing import Callable, Iterator, NamedTuple
 from .corpus import Artifact, Reading, _decoded, _Record
 
 _TOKEN = re.compile(r"\w+(?:['-]\w+)*")
-# on ASCII text Unicode \w is [a-zA-Z0-9_], so both give the same tokens
-_ASCII_TOKEN = re.compile(_TOKEN.pattern, re.ASCII)
+# on ASCII text: a joiner without a word character on each side, and the
+# table that keeps [0-9A-Za-z_'-] and makes every other byte a space
+_LONE_JOINER = re.compile(r"['-](?!\w)|(?<!\w)['-]", re.ASCII)
+_TOKEN_BYTES = bytes(b if bytes([b]).isalnum() or b in b"_'-" else 32 for b in range(256))
 
 # plural -> singular forms the suffix rules get wrong
 _IRREGULAR = {
@@ -100,12 +102,21 @@ def tokenize(text: str) -> list[str]:
     inner ``'`` or ``-``; other punctuation is dropped.
 
     Internal hyphens and apostrophes are kept ("co-construction"), leading and
-    trailing ones are not ("dancers'" -> "dancers"). Order is preserved. When
-    the lowered text is ASCII, the same pattern runs in ASCII mode, which
-    matches the same tokens faster.
+    trailing ones are not ("dancers'" -> "dancers"). Order is preserved.
+
+    When the lowered text is ASCII, where ``\\w`` is ``[0-9A-Za-z_]``, no
+    pattern is matched per token: each joiner without a word character on
+    both sides becomes a space, then a byte table turns every byte outside
+    ``[0-9A-Za-z_'-]`` into a space, and the text is split at spaces. Every
+    joiner left sits between two word characters, so each maximal run of
+    ``[\\w'-]`` is exactly one greedy match of ``\\w+(?:['-]\\w+)*``.
     """
     text = text.lower()
-    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
+    if not text.isascii():
+        return _TOKEN.findall(text)
+    if "'" in text or "-" in text:
+        text = _LONE_JOINER.sub(" ", text)
+    return text.encode("ascii").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 def lemmatize(surface: str) -> str:
@@ -140,6 +151,24 @@ def _lemmatize(surface: str, lexicon: frozenset[str]) -> str:
     return surface
 
 
+class _Verdicts(dict):
+    """surface -> noun lemma, or ``None``; a surface is lemmatized and judged on
+    its first miss, and the verdict kept."""
+
+    def __init__(self, nouns: frozenset[str], stops: frozenset[str],
+                 extra_stopwords: frozenset[str]) -> None:
+        super().__init__()
+        self.rules = nouns, stops, extra_stopwords
+
+    def __missing__(self, surface: str) -> str | None:
+        nouns, stops, extra_stopwords = self.rules
+        lemma = _lemmatize(surface, nouns)
+        noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
+        stopped = surface in stops or lemma in stops or lemma in extra_stopwords
+        verdict = self[surface] = lemma if noun and not stopped else None
+        return verdict
+
+
 def _noun_lookup(noun_lexicon: frozenset[str] | None,
                  extra_stopwords: frozenset[str]) -> Callable[[list[str]], Iterator[str | None]]:
     """A surface -> noun-lemma map that lemmatizes and judges each distinct surface once.
@@ -148,24 +177,12 @@ def _noun_lookup(noun_lexicon: frozenset[str] | None,
     ``None``). A surface or lemma in the bundled stopwords is no noun; else a
     lemma in the lexicon, or one of more than 5 letters ending in a noun suffix,
     is. The returned function maps each surface to its lemma, or to ``None`` if
-    it is no noun or its lemma is an extra stopword. A call judges only the
-    distinct surfaces that no earlier call judged (a set difference against
-    the ``lemma_of`` map, which lives as long as the function), then maps
-    every surface through that map.
+    it is no noun or its lemma is an extra stopword. The verdicts live in a
+    dict as long as the function: a surface is judged on its first miss, so
+    every later lookup of it is one dict lookup in C.
     """
     nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
-    stops = default_stopwords()
-    lemma_of: dict[str, str | None] = {}
-
-    def lookup(surfaces: list[str]) -> Iterator[str | None]:
-        for surface in set(surfaces).difference(lemma_of):
-            lemma = _lemmatize(surface, nouns)
-            noun = lemma in nouns or (lemma.endswith(_NOUN_SUFFIXES) and len(lemma) > 5)
-            stopped = surface in stops or lemma in stops or lemma in extra_stopwords
-            lemma_of[surface] = lemma if noun and not stopped else None
-        return map(lemma_of.__getitem__, surfaces)
-
-    return lookup
+    return partial(map, _Verdicts(nouns, default_stopwords(), extra_stopwords).__getitem__)
 
 
 def noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,

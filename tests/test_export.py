@@ -81,8 +81,44 @@ def test_round_trip_formats(tmp_path, writer, reader, suffix):
 def test_read_graphml_refuses_a_file_without_a_graph(tmp_path):
     path = tmp_path / "empty.graphml"
     path.write_text('<graphml xmlns="http://graphml.graphdrawing.org/xmlns"/>\n')
-    with pytest.raises(ValueError, match="^no <graph> element$"):
+    with pytest.raises(ParseError) as exc:
         read_graphml(path)
+    assert (exc.value.path, exc.value.where, exc.value.reason) == (
+        str(path), "top level", "no <graph> element")
+
+
+def _graphml(*items: str) -> str:
+    return "\n".join(['<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+                      '  <graph edgedefault="undirected">', *items, "  </graph>", "</graphml>", ""])
+
+
+_GRAPHML_EDGE = '    <edge source="a" target="b"><data key="d1">{}</data></edge>'
+
+
+@pytest.mark.parametrize("text,where,reason", [
+    ("not a graphml file at all", "line 1", "invalid XML (syntax error)"),
+    (_graphml('    <node id="a">'), "line 4", "invalid XML (mismatched tag)"),
+    (_graphml('    <node id="a"/>', "    <node/>"), "nodes[1]", "lacks 'id'"),
+    (_graphml('    <edge source="a"/>'), "edges[0]", "lacks 'target'"),
+    (_graphml(_GRAPHML_EDGE.format(0.5), '    <edge target="b"/>'), "edges[1]",
+     "lacks 'source'"),
+    (_graphml('    <edge source="a" target="a"/>'), "edges[0]", "self-loop on 'a'"),
+    (_graphml(_GRAPHML_EDGE.format("heavy")), "edges[0]", "weight 'heavy' is not a number"),
+    (_graphml(_GRAPHML_EDGE.format(-1.0)), "edges[0]", "non-positive weight -1.0 on ('a', 'b')"),
+], ids=["not_xml", "mismatched_tag", "node_without_id", "edge_without_target",
+        "edge_without_source", "self_loop", "weight_not_a_number", "negative_weight"])
+def test_read_graphml_names_where_it_cannot_read(tmp_path, text, where, reason):
+    path = tmp_path / "g.graphml"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        read_graphml(path)
+    assert (exc.value.path, exc.value.where, exc.value.reason) == (str(path), where, reason)
+
+
+def test_read_graphml_reads_an_edge_without_a_weight_as_one(tmp_path):
+    path = tmp_path / "g.graphml"
+    path.write_bytes(_graphml('    <edge source="a" target="b"/>').encode("utf-8"))
+    _assert_same(read_graphml(path), WeightedGraph(nodes={"a", "b"}, edges={("a", "b"): 1.0}))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -183,6 +219,7 @@ def test_a_writer_that_cannot_encode_leaves_the_file_as_it_was(tmp_path, write):
 
 
 @pytest.mark.parametrize("writer,reader,suffix", [
+    (write_graphml, read_graphml, "graphml"),
     (write_dot, read_dot, "dot"),
     (write_json, read_json, "json"),
 ])

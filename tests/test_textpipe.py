@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -72,21 +73,32 @@ def test_tokenize_equals_the_unicode_oracle(text):
     assert tokenize(text) == oracle_tokenize(text)
 
 
-@pytest.mark.parametrize("text, pattern", [
-    ("Ballet, rhythm", "_ASCII_TOKEN"),
-    ("\u212a", "_ASCII_TOKEN"),  # ASCII once lowered
+def test_tokenize_equals_the_unicode_oracle_on_every_short_string():
+    # every joiner placement the ASCII path must handle, up to three joiners in a row
+    for n in range(7):
+        for chars in product("a0_'- .", repeat=n):
+            text = "".join(chars)
+            assert tokenize(text) == oracle_tokenize(text), text
+
+
+@pytest.mark.parametrize("text, path", [
+    ("Ballet, rhythm", "_TOKEN_BYTES"),
+    ("\u212a", "_TOKEN_BYTES"),  # ASCII once lowered
+    ("co-construction, dancers'", "_LONE_JOINER then _TOKEN_BYTES"),
+    ("it's", "_LONE_JOINER then _TOKEN_BYTES"),
     ("caf\u00e9", "_TOKEN"),
     ("\u0130stanbul", "_TOKEN"),
 ])
-def test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii(monkeypatch, text,
-                                                                        pattern):
+def test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii(monkeypatch, text, path):
     used = []
-    for name in ("_TOKEN", "_ASCII_TOKEN"):
-        real = getattr(textpipe, name)
-        monkeypatch.setattr(textpipe, name, SimpleNamespace(
-            findall=lambda s, real=real, name=name: used.append(name) or real.findall(s)))
+    real_token, real_joiner = textpipe._TOKEN, textpipe._LONE_JOINER
+    monkeypatch.setattr(textpipe, "_TOKEN", SimpleNamespace(
+        findall=lambda s: used.append("_TOKEN") or real_token.findall(s)))
+    monkeypatch.setattr(textpipe, "_LONE_JOINER", SimpleNamespace(
+        sub=lambda repl, s: used.append("_LONE_JOINER") or real_joiner.sub(repl, s)))
     assert tokenize(text) == oracle_tokenize(text)
-    assert used == [pattern]
+    assert used == {"_TOKEN_BYTES": [], "_TOKEN": ["_TOKEN"],
+                    "_LONE_JOINER then _TOKEN_BYTES": ["_LONE_JOINER"]}[path]
 
 
 @pytest.mark.parametrize(

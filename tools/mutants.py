@@ -42,6 +42,8 @@ _RECORDS = "tests/test_records.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
+# every string of length <= 6 over the characters that decide a token
+_SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
 _BRANDES = "tests/test_metrics.py::test_node_report_equals_oracle_on_larger_random_graphs"
 MUTANTS: list[Mutant] = [
@@ -479,22 +481,35 @@ MUTANTS: list[Mutant] = [
            ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
     # word selection: the surfaces judged so far forgotten at every body
     Mutant("src/aicnet/textpipe.py",
-           "        for surface in set(surfaces).difference(lemma_of):\n",
-           "        lemma_of.clear()\n        for surface in set(surfaces):\n",
+           "return partial(map, _Verdicts(nouns, default_stopwords(), extra_stopwords).__getitem__)",
+           "return lambda surfaces: map(_Verdicts(nouns, default_stopwords(),\n"
+           "                                          extra_stopwords).__getitem__, surfaces)",
+           ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
+    # word selection: a verdict returned on a miss but not kept, so it is judged again
+    Mutant("src/aicnet/textpipe.py", "verdict = self[surface] = lemma if", "verdict = lemma if",
            ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
     # word selection: pairs ranked from a list, so a repeated artifact id ranks twice
     Mutant("src/aicnet/textpipe.py", "pairs[lemma, art.id] = (", "pairs[len(pairs)] = (",
            ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_its_last_pair_once",)),
-    # tokenizer: the ASCII pattern run on text that is not ASCII
+    # tokenizer: the byte table run on text that is not ASCII
     Mutant("src/aicnet/textpipe.py",
-           "return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)",
-           "return _ASCII_TOKEN.findall(text)",
+           "    if not text.isascii():\n        return _TOKEN.findall(text)\n", "",
            ("tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle",)),
-    # tokenizer: ASCII tested before lowering, so the Kelvin sign misses the fast path
+    # tokenizer: ASCII tested before lowering, so the Kelvin sign misses the byte table
     Mutant("src/aicnet/textpipe.py",
-           "    text = text.lower()\n    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)\n",
-           "    return (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text.lower())\n",
+           "    text = text.lower()\n    if not text.isascii():\n        return _TOKEN.findall(text)\n",
+           "    if not text.isascii():\n        return _TOKEN.findall(text.lower())\n"
+           "    text = text.lower()\n",
            ("tests/test_textpipe.py::test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii",)),
+    # tokenizer: a joiner that follows no word character kept ("'a" -> "'a")
+    Mutant("src/aicnet/textpipe.py", r"|(?<!\w)['-]", "",
+           (_SHORT_STRINGS,)),
+    # tokenizer: "_" made a separator by the byte table
+    Mutant("src/aicnet/textpipe.py", """b in b"_'-" else 32""", """b in b"'-" else 32""",
+           (_SHORT_STRINGS,)),
+    # tokenizer: digits made separators by the byte table
+    Mutant("src/aicnet/textpipe.py", "bytes([b]).isalnum()", "bytes([b]).isalpha()",
+           (_SHORT_STRINGS,)),
     # synth: a quote text drawn again is hashed and compared again
     Mutant("src/aicnet/synth.py", "            if text in chosen:\n                continue\n", "",
            ("tests/test_synth.py::test_block_texts_skips_a_repeated_draw_unhashed_then_gives_up",)),
@@ -567,6 +582,10 @@ MUTANTS: list[Mutant] = [
     # cold start: build loads an XML parser it only needs to read GraphML back
     Mutant("src/aicnet/export.py", "import re\n", "import re\nimport xml.etree.ElementTree as ET\n",
            (_IMPORTS + "test_build_loads_the_exporters_but_no_xml",)),
+    # GraphML read-back: bytes handed to the XML parser, not decoded as every input file is
+    Mutant("src/aicnet/export.py", "root = ET.fromstring(_decoded(path, Path(path).read_bytes()))",
+           "root = ET.parse(path).getroot()",
+           (_EXPORT + "test_readers_decode_as_every_input_file_is_decoded[write_graphml-read_graphml-graphml]",)),
     # GraphML attributes: a newline left raw, which an XML parser reads as a space
     Mutant("src/aicnet/export.py", '.replace("\\n", "&#10;")', "",
            (_EXPORT + "test_escapers_equal_saxutils",
