@@ -6,15 +6,23 @@ round to 2 decimals and write ``na`` for nulls; JSON output keeps full
 precision and native nulls. Commands are deterministic: identical inputs and
 seed give byte-identical stdout and files.
 
+``metrics`` and ``compare`` split their readings into contiguous chunks, at
+most one per CPU in ``os.sched_getaffinity(0)``. This process builds and
+measures the first chunk, and a forked child each other chunk; the output is
+byte-identical to a one-process run, which ``taskset -c 0`` gives, as does a
+platform without ``os.fork`` or ``os.sched_getaffinity``.
+
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
+import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import corpus as corpus_mod
 from . import metrics
@@ -313,19 +321,92 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reading_networks(args: argparse.Namespace, corpus: Corpus,
-                      reading_ids: list[str]) -> dict[str, tuple[WeightedGraph, ...]]:
-    """The (AN, IN, CN) triple of each named reading; unknown ids are input errors."""
+def _chunks(items: list) -> list[list]:
+    """``items`` split into contiguous chunks of near-equal length, one per
+    CPU this process may run on, at most; one chunk where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    n = len(items)
+    k = max(1, min(n, cpus))
+    return [items[i * n // k:(i + 1) * n // k] for i in range(k)]
+
+
+def _in_chunks(compute: Callable[[Reading], object], chunks: list[list[Reading]]) -> list:
+    """``compute(reading)`` for every reading of the chunks, in order; each
+    result is marshal data (plain tuples and lists of str, float and None).
+
+    This process computes the first chunk, and a forked child each other
+    chunk, which it sends back as marshal bytes over a pipe and then ends in
+    ``os._exit``. A child that fails, or cannot be forked, has its chunk
+    computed here in turn, so an error is raised as a serial run raises it.
+    Every pipe is read to its end and every child reaped; on an error here,
+    the children are killed first."""
+    children: list[tuple[int, int, list[Reading]]] = []  # (pid, or -1; read end; chunk)
+    try:
+        for chunk in chunks[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare, as under a process limit
+                pid = -1
+            if pid == 0:  # the child never returns to its caller, nor writes to fd 1 or 2
+                status = 1
+                try:
+                    data = memoryview(marshal.dumps([compute(r) for r in chunk]))
+                    while data:
+                        data = data[os.write(write_end, data):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, read_end, chunk))
+        results = [compute(r) for r in chunks[0]]
+        while children:
+            pid, read_end, chunk = children[0]
+            parts = []
+            while part := os.read(read_end, 1 << 16):
+                parts.append(part)
+            done = pid > 0 and os.waitpid(pid, 0)[1] == 0
+            del children[0]
+            os.close(read_end)
+            results += marshal.loads(b"".join(parts)) if done else [compute(r) for r in chunk]
+        return results
+    finally:
+        for pid, read_end, _ in children:
+            if pid > 0:
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+            os.close(read_end)
+
+
+def _per_reading(args: argparse.Namespace, corpus: Corpus, reading_ids: list[str],
+                 result: Callable[[Reading, tuple[WeightedGraph, ...]], object]) -> dict:
+    """``result(reading, (AN, IN, CN))`` of each named reading, by id, computed
+    by :func:`_in_chunks` in the order named; unknown ids are input errors."""
     readings = [corpus.reading(rid) for rid in dict.fromkeys(reading_ids)]
     store = _store_for(args, corpus, readings)
-    return {r.id: tuple(_network(args, corpus, r, which, store) for which in ("an", "in", "cn"))
-            for r in readings}
+
+    def compute(reading: Reading) -> object:
+        return result(reading, tuple(_network(args, corpus, reading, which, store)
+                                     for which in ("an", "in", "cn")))
+
+    return dict(zip((r.id for r in readings), _in_chunks(compute, _chunks(readings))))
+
+
+def _network_row(reading: Reading, graphs: tuple[WeightedGraph, ...]) -> tuple:
+    return tuple(metrics.network_report({reading.id: graphs})[0])
+
+
+def _node_rows(roster: set[str]) -> Callable[[Reading, tuple[WeightedGraph, ...]], list]:
+    return lambda reading, graphs: [tuple(r) for r in metrics.node_report(*graphs, roster)]
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     reading_ids = sorted(loaded.readings) if args.reading is None else [args.reading]
-    graphs = _reading_networks(args, loaded, reading_ids)
+    result = _network_row if args.level == "network" else _node_rows(set(loaded.authors))
+    results = _per_reading(args, loaded, reading_ids, result)
     # every file name is checked before the first report is printed or written
     named = args.out is not None and args.level == "node"
     stems = [_file_stem(rid, f"metrics_node_{rid}") if named else None for rid in reading_ids]
@@ -333,16 +414,15 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     if args.level == "network":
-        rows = metrics.network_report(graphs)
+        rows = [metrics.NetworkMetricsRow(*results[rid]) for rid in reading_ids]
         table = _network_table(rows)
         sys.stdout.write(table)
         if args.out:
             _write_report(args.out, "metrics_network", table, [r._asdict() for r in rows])
         return 0
 
-    roster = set(loaded.authors)
     for i, (rid, stem) in enumerate(zip(reading_ids, stems)):
-        rows = metrics.node_report(*graphs[rid], roster)
+        rows = [metrics.NodeMetricsRow(*row) for row in results[rid]]
         table = _node_table(rows)
         if i:
             print()
@@ -356,18 +436,20 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     a, b = args.reading_a, args.reading_b
-    graphs = _reading_networks(args, loaded, [a, b])
-    net = {r.reading_id: r for r in metrics.network_report(graphs)}
+    roster_a = loaded.reading(a).active_authors()
+    roster_b = loaded.reading(b).active_authors()
+    roster = roster_a | roster_b
+    node_rows = _node_rows(roster)
+    results = _per_reading(args, loaded, [a, b], lambda reading, graphs: (
+        _network_row(reading, graphs), node_rows(reading, graphs)))
+    net = {rid: metrics.NetworkMetricsRow(*results[rid][0]) for rid in (a, b)}
     sys.stdout.write(_csv_lines([["Measure", a, b, "delta"],
                                  *_compared(net[a], net[b], _NETWORK_MEASURES)]))
 
-    roster_a = loaded.reading(a).active_authors()
-    roster_b = loaded.reading(b).active_authors()
     if not roster_a & roster_b:
         print("warning: the two readings share no authors", file=sys.stderr)
-    roster = roster_a | roster_b
-    rows_a = {r.author_id: r for r in metrics.node_report(*graphs[a], roster)}
-    rows_b = {r.author_id: r for r in metrics.node_report(*graphs[b], roster)}
+    rows_a, rows_b = ({row[0]: metrics.NodeMetricsRow(*row) for row in results[rid][1]}
+                      for rid in (a, b))
     lines = [[], ["Student", "Measure", a, b, "delta"]]
     for author in sorted(roster):
         lines += ([author, *row] for row in _compared(rows_a[author], rows_b[author],

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .corpus import _csv_lines, _decoded, _json_text, _write
 from .errors import ParseError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, edge_key
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -65,12 +65,15 @@ def write_graphml(g: WeightedGraph, path: str | Path, name: str = "graph") -> No
 
 
 def read_graphml(path: str | Path) -> WeightedGraph:
-    """The graph of a GraphML file's first ``<graph>`` element: its nodes' ``id``
-    and its edges' ``source``, ``target`` and weight, the first ``<data>`` text
-    (1.0 when absent or empty). Text that is not XML raises :class:`ParseError`
-    at its line, a file without a ``<graph>`` raises it at ``top level``, and a
-    node or edge that lacks an attribute, or an edge :func:`_add_edge` refuses,
-    raises it at the item, as ``edges[3]``."""
+    """The graph of a GraphML file's first ``<graph>`` element, read as
+    :func:`write_graphml` writes it: its nodes' ``id``, and its edges'
+    ``source``, ``target`` and weight, the text of the ``<data>`` whose
+    ``key`` is the id of the edge ``<key>`` named ``weight`` (1.0 when absent
+    or empty). Text that is not XML raises :class:`ParseError` at its line; a
+    file without a ``<graph>``, or whose graph is directed, raises it at
+    ``top level``; a node or edge that lacks an attribute, an edge ``<data>``
+    of another key, or an edge :func:`_add_edge` refuses, raises it at the
+    item, as ``edges[3]``."""
     import xml.etree.ElementTree as ET  # only a read-back loads an XML parser
     from xml.parsers.expat import ErrorString
 
@@ -84,6 +87,10 @@ def read_graphml(path: str | Path) -> WeightedGraph:
     graph = root.find("g:graph", ns)
     if graph is None:
         raise ParseError(path, "top level", "no <graph> element")
+    if graph.get("edgedefault") == "directed":
+        raise ParseError(path, "top level", "the graph is directed")
+    weight_key = next((key.get("id") for key in root.findall("g:key", ns)
+                       if key.get("for") == "edge" and key.get("attr.name") == "weight"), None)
     for part, keys in (("node", ("id",)), ("edge", ("source", "target"))):
         for i, item in enumerate(graph.findall(f"g:{part}", ns)):
             for key in keys:
@@ -92,8 +99,12 @@ def read_graphml(path: str | Path) -> WeightedGraph:
     for node in graph.findall("g:node", ns):
         g.nodes.add(node.attrib["id"])
     for i, edge in enumerate(graph.findall("g:edge", ns)):
-        data = edge.find("g:data", ns)
-        weight = data.text if data is not None and data.text else 1.0
+        weight: str | float = 1.0
+        for data in edge.findall("g:data", ns):
+            if weight_key is None or data.get("key") != weight_key:
+                raise ParseError(path, f"edges[{i}]", f"<data> key {data.get('key')!r} is not "
+                                                      "the weight key")
+            weight = data.text or 1.0
         _add_edge(g, path, f"edges[{i}]", edge.attrib["source"], edge.attrib["target"], weight)
     return g
 
@@ -133,12 +144,15 @@ def _line(text: str, pos: int) -> str:
 
 def _add_edge(g: WeightedGraph, path: str | Path, where: str, u: str, v: str,
               weight: str | float) -> None:
-    """Add a read edge to ``g``; a weight that is not a number, or an edge
-    :meth:`WeightedGraph.add_edge` refuses, raises :class:`ParseError` at ``where``."""
+    """Add a read edge to ``g``; a weight that is not a number, an edge ``g``
+    already holds in either direction, or an edge :meth:`WeightedGraph.add_edge`
+    refuses, raises :class:`ParseError` at ``where``."""
     try:
         number = float(weight)
     except (ValueError, OverflowError):
         raise ParseError(path, where, f"weight {weight!r} is not a number") from None
+    if edge_key(u, v) in g.edges:
+        raise ParseError(path, where, f"repeated edge {u} -- {v}")
     try:
         g.add_edge(u, v, number)
     except ValueError as exc:

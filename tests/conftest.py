@@ -1,5 +1,6 @@
-"""Shared fixture helpers: in-memory corpus assembly, JSONL writing, the
-environment for child interpreters and the benchmark's runner."""
+"""Shared fixture helpers: in-memory corpus assembly, JSONL writing, running
+the CLI, recording calls across forked processes, the environment for child
+interpreters and the benchmark's runner."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import aicnet
+from aicnet.cli import main
 from aicnet.corpus import Artifact, Corpus, Quote, Reading
 from aicnet.errors import CyclicThread, DanglingParent
 
@@ -91,6 +93,44 @@ def jsonl_file(tmp_path):
         return write_jsonl(tmp_path / name, records)
 
     return write
+
+
+def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``aicnet`` command run in process
+    (``capsys`` or ``capfd``), which must leave no child process behind."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    return code, out, err
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Let the commands run on ``n`` CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class Calls:
+    """A log of calls that every process appends to, the children a command
+    forks included: one JSON line per call, written with one ``os.write`` on an
+    ``O_APPEND`` descriptor, so lines of several processes never mix."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.clear()
+
+    def add(self, value: object) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (json.dumps(value) + "\n").encode("utf-8"))
+        finally:
+            os.close(fd)
+
+    def read(self) -> list:
+        return [json.loads(line) for line in self.path.read_text(encoding="utf-8").splitlines()]
+
+    def clear(self) -> None:
+        self.path.write_bytes(b"")
 
 
 def child_env() -> dict[str, str]:

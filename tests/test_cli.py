@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import re
 import struct
 import subprocess
@@ -12,20 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from aicnet.cli import main
 from aicnet.corpus import load_corpus, normalize_text, save_corpus
 from aicnet.export import read_dot, read_graphml, read_json
 from aicnet.semantic import embed_quotes, load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
 from aicnet.textpipe import WordSelectionParams
 
-from conftest import child_env
-
-
-def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+from conftest import Calls, child_env, run_cli, use_cpus
 
 
 @pytest.fixture
@@ -430,29 +424,32 @@ def test_a_reading_id_that_names_no_file_is_an_input_error(jsonl_file, tmp_path,
 
 
 @pytest.mark.parametrize("corpus", ["sample_corpus.jsonl", "widened_corpus.jsonl"])
-def test_metrics_hashes_exactly_the_texts_build_an_reads(monkeypatch, capsys, corpus):
+def test_metrics_hashes_exactly_the_texts_build_an_reads(tmp_path, monkeypatch, capsys, corpus):
     import aicnet.semantic as semantic
 
-    hashed: list[str] = []
-    read: set[str] = set()
+    # the calls of every process, the one forked for the second reading included
+    hashed, read = Calls(tmp_path / "hashed"), Calls(tmp_path / "read")
     hash_embed, get = semantic.hash_embed, semantic.EmbeddingStore.get
 
     def counting_hash(text: str, dim: int = 256):
-        hashed.append(normalize_text(text))
+        hashed.add(normalize_text(text))
         return hash_embed(text, dim)
 
     def recording_get(store, quote_id: str):
         read.add(quote_id)
         return get(store, quote_id)
 
+    use_cpus(monkeypatch, 2)
     monkeypatch.setattr(semantic, "hash_embed", counting_hash)
     monkeypatch.setattr(semantic.EmbeddingStore, "get", recording_get)
     code, _, err = run_cli(capsys, "metrics", str(_DATA / corpus), "--level", "network")
     assert code == 0, err
     quotes = {q.id: q for r in load_corpus(_DATA / corpus).readings.values()
               for q in r.quotes.values()}
-    assert len(hashed) == len(set(hashed))  # each text once
-    assert set(hashed) == {quotes[qid].normalized_text for qid in read}
+    assert len(hashed.read()) == len(set(hashed.read()))  # each text once
+    assert set(hashed.read()) == {quotes[qid].normalized_text for qid in read.read()}
+    # both readings' texts are hashed: the child's calls are counted
+    assert {quotes[qid].reading_id for qid in read.read()} == {"r1", "r2"}
 
 
 def test_compare_self_is_all_zero(sample, capsys):
@@ -889,13 +886,14 @@ def test_hash_embedder_embeds_only_the_built_readings(tmp_path, capsys, monkeypa
 
     path = _three_readings(tmp_path)
     corpus = load_corpus(path)
-    embedded: list[str] = []
+    embedded = Calls(tmp_path / "embedded")  # counts the calls of forked children too
     real = semantic.hash_embed
 
     def counting(text: str, dim: int = 256):
-        embedded.append(text)
+        embedded.add(text)
         return real(text, dim)
 
+    use_cpus(monkeypatch, 3)
     monkeypatch.setattr(semantic, "hash_embed", counting)
     for argv, rids in (
         (["compare", str(path), "r1", "r3"], ("r1", "r3")),
@@ -907,7 +905,7 @@ def test_hash_embedder_embeds_only_the_built_readings(tmp_path, capsys, monkeypa
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
         # one hash per distinct normalized text: twin quotes share a vector
-        assert sorted(normalize_text(t) for t in embedded) == sorted(
+        assert sorted(normalize_text(t) for t in embedded.read()) == sorted(
             {q.normalized_text for rid in rids for q in corpus.readings[rid].quotes.values()})
 
 

@@ -87,9 +87,13 @@ def test_read_graphml_refuses_a_file_without_a_graph(tmp_path):
         str(path), "top level", "no <graph> element")
 
 
-def _graphml(*items: str) -> str:
+def _graphml(*items: str, edgedefault: str = "undirected") -> str:
+    """A GraphML file that declares the weight key ``d1`` as write_graphml
+    does, and holds ``items`` in its graph."""
     return "\n".join(['<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-                      '  <graph edgedefault="undirected">', *items, "  </graph>", "</graphml>", ""])
+                      '  <key id="d1" for="edge" attr.name="weight" attr.type="double"/>',
+                      f'  <graph edgedefault="{edgedefault}">', *items, "  </graph>",
+                      "</graphml>", ""])
 
 
 _GRAPHML_EDGE = '    <edge source="a" target="b"><data key="d1">{}</data></edge>'
@@ -97,7 +101,7 @@ _GRAPHML_EDGE = '    <edge source="a" target="b"><data key="d1">{}</data></edge>
 
 @pytest.mark.parametrize("text,where,reason", [
     ("not a graphml file at all", "line 1", "invalid XML (syntax error)"),
-    (_graphml('    <node id="a">'), "line 4", "invalid XML (mismatched tag)"),
+    (_graphml('    <node id="a">'), "line 5", "invalid XML (mismatched tag)"),
     (_graphml('    <node id="a"/>', "    <node/>"), "nodes[1]", "lacks 'id'"),
     (_graphml('    <edge source="a"/>'), "edges[0]", "lacks 'target'"),
     (_graphml(_GRAPHML_EDGE.format(0.5), '    <edge target="b"/>'), "edges[1]",
@@ -105,8 +109,24 @@ _GRAPHML_EDGE = '    <edge source="a" target="b"><data key="d1">{}</data></edge>
     (_graphml('    <edge source="a" target="a"/>'), "edges[0]", "self-loop on 'a'"),
     (_graphml(_GRAPHML_EDGE.format("heavy")), "edges[0]", "weight 'heavy' is not a number"),
     (_graphml(_GRAPHML_EDGE.format(-1.0)), "edges[0]", "non-positive weight -1.0 on ('a', 'b')"),
+    (_graphml(_GRAPHML_EDGE.format(0.5),
+              '    <edge source="b" target="a"><data key="d1">0.25</data></edge>'),
+     "edges[1]", "repeated edge b -- a"),
+    (_graphml(_GRAPHML_EDGE.format(0.5), edgedefault="directed"), "top level",
+     "the graph is directed"),
+    (_graphml('    <edge source="a" target="b"><data key="d9">strong</data>'
+              '<data key="d1">0.5</data></edge>'), "edges[0]",
+     "<data> key 'd9' is not the weight key"),
+    ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="undirected">'
+     + _GRAPHML_EDGE.format(0.5) + "</graph></graphml>", "edges[0]",
+     "<data> key 'd1' is not the weight key"),
+    ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns"><graph edgedefault="undirected">'
+     '<edge source="a" target="b"><data>0.5</data></edge></graph></graphml>', "edges[0]",
+     "<data> key None is not the weight key"),
 ], ids=["not_xml", "mismatched_tag", "node_without_id", "edge_without_target",
-        "edge_without_source", "self_loop", "weight_not_a_number", "negative_weight"])
+        "edge_without_source", "self_loop", "weight_not_a_number", "negative_weight",
+        "repeated_edge", "directed_graph", "data_of_another_key", "undeclared_weight_key",
+        "keyless_data"])
 def test_read_graphml_names_where_it_cannot_read(tmp_path, text, where, reason):
     path = tmp_path / "g.graphml"
     path.write_bytes(text.encode("utf-8"))
@@ -259,8 +279,11 @@ _DOT_LINES = ['graph "an" {', '  "a" [isolated=false];', '  "a" -- "b" [weight=0
      "self-loop on 'a'"),
     ("\n".join(_DOT_LINES[:2] + ['  "a" -- "b" [weight=-1.0];'] + _DOT_LINES[3:]), "line 3",
      "non-positive weight -1.0 on ('a', 'b')"),
+    ("\n".join(_DOT_LINES[:3] + ['  "b" -- "a" [weight=0.25];'] + _DOT_LINES[3:]), "line 4",
+     "repeated edge b -- a"),
 ], ids=["no_dot", "empty", "no_closing_line", "foreign_statement", "no_final_newline", "crlf",
-        "after_closing_line", "weight_not_a_number", "self_loop", "negative_weight"])
+        "after_closing_line", "weight_not_a_number", "self_loop", "negative_weight",
+        "repeated_edge"])
 def test_read_dot_refuses_what_write_dot_does_not_write(tmp_path, text, where, reason):
     path = tmp_path / "g.dot"
     path.write_bytes(text.encode("utf-8"))
@@ -293,12 +316,14 @@ _EDGE = {"source": "a", "target": "b", "weight": 0.5}
     ({"nodes": [], "edges": [{**_EDGE, "target": "a"}]}, "edges[0]", "self-loop on 'a'"),
     ({"nodes": [], "edges": [{**_EDGE, "weight": 0}]}, "edges[0]",
      "non-positive weight 0.0 on ('a', 'b')"),
+    ({"nodes": [], "edges": [_EDGE, {**_EDGE, "source": "b", "target": "a", "weight": 0.25}]},
+     "edges[1]", "repeated edge b -- a"),
     ({"nodes": []}, "top level", "expected an object with 'nodes' and 'edges' lists"),
     ({"nodes": {}, "edges": []}, "top level", "expected an object with 'nodes' and 'edges' lists"),
     ([], "top level", "expected an object with 'nodes' and 'edges' lists"),
 ], ids=["no_target", "no_id", "id_not_a_string", "node_not_an_object", "target_not_a_string",
         "weight_a_string", "weight_a_bool", "weight_too_large", "self_loop", "zero_weight",
-        "no_edges", "nodes_not_a_list", "not_an_object"])
+        "repeated_edge", "no_edges", "nodes_not_a_list", "not_an_object"])
 def test_read_json_names_the_item_it_cannot_read(tmp_path, data, where, reason):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data), encoding="utf-8")

@@ -42,6 +42,7 @@ _RECORDS = "tests/test_records.py::"
 _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_error"
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
+_CHUNKS = "tests/test_cli_chunks.py::"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
@@ -164,6 +165,22 @@ MUTANTS: list[Mutant] = [
     # build: every one-file format written by the json writer
     Mutant("src/aicnet/cli.py", 'getattr(export, f"write_{fmt}")', 'getattr(export, "write_json")',
            ("tests/test_cli.py::test_build_writes_each_format_its_reader_reads_back",)),
+    # readings in chunks: a child's results put before the chunks computed ahead of it
+    Mutant("src/aicnet/cli.py", "results += marshal.loads(b\"\".join(parts)) if done",
+           "results[:0] = marshal.loads(b\"\".join(parts)) if done",
+           (_CHUNKS + "test_every_cpu_count_gives_the_same_output",)),
+    # readings in chunks: a failed child's readings dropped, not computed again in the parent
+    Mutant("src/aicnet/cli.py", "else [compute(r) for r in chunk]", "else []",
+           (_CHUNKS + "test_a_failure_in_a_later_chunk_is_the_serial_error",)),
+    # readings in chunks: a child that sent its results left unreaped
+    Mutant("src/aicnet/cli.py", "done = pid > 0 and os.waitpid(pid, 0)[1] == 0", "done = pid > 0",
+           (_CHUNKS + "test_every_cpu_count_gives_the_same_output",)),
+    # readings in chunks: a chunk whose child cannot be forked dropped, not computed in the parent
+    Mutant("src/aicnet/cli.py", "                pid = -1\n", "                raise\n",
+           (_CHUNKS + "test_a_chunk_that_cannot_be_forked_is_computed_here",)),
+    # readings in chunks: the parent's error raised without killing the children first
+    Mutant("src/aicnet/cli.py", "                os.kill(pid, 9)  # SIGKILL\n", "",
+           (_CHUNKS + "test_a_failure_in_the_first_chunk_kills_the_children",)),
     # compare: the delta taken as a - b
     Mutant("src/aicnet/cli.py", "else vb - va", "else va - vb",
            ("tests/test_cli.py::test_compare_layout_matches_golden",)),
@@ -586,6 +603,22 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/export.py", "root = ET.fromstring(_decoded(path, Path(path).read_bytes()))",
            "root = ET.parse(path).getroot()",
            (_EXPORT + "test_readers_decode_as_every_input_file_is_decoded[write_graphml-read_graphml-graphml]",)),
+    # graph readers: an edge given twice keeps its last weight
+    Mutant("src/aicnet/export.py", "    if edge_key(u, v) in g.edges:\n", "    if False:\n",
+           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[repeated_edge]",
+            _EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[repeated_edge]",
+            _EXPORT + "test_read_json_names_the_item_it_cannot_read[repeated_edge]")),
+    # GraphML reader: a directed graph read as undirected
+    Mutant("src/aicnet/export.py", 'if graph.get("edgedefault") == "directed":', "if False:",
+           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[directed_graph]",)),
+    # GraphML reader: a <data> of any key read as the weight
+    Mutant("src/aicnet/export.py", 'if weight_key is None or data.get("key") != weight_key:',
+           "if False:",
+           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[data_of_another_key]",)),
+    # GraphML reader: a keyless <data> read as the weight of a file that declares no weight key
+    Mutant("src/aicnet/export.py", 'if weight_key is None or data.get("key") != weight_key:',
+           'if data.get("key") != weight_key:',
+           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[keyless_data]",)),
     # GraphML attributes: a newline left raw, which an XML parser reads as a space
     Mutant("src/aicnet/export.py", '.replace("\\n", "&#10;")', "",
            (_EXPORT + "test_escapers_equal_saxutils",
