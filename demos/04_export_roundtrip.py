@@ -1,12 +1,14 @@
-"""Export a network to GraphML and DOT, then parse both back.
+"""Export a network to GraphML, DOT and JSON, then read the JSON back.
 
 The files are written into ./demo_out so you can open them in Gephi,
-Cytoscape, or graphviz.
+Cytoscape, or graphviz. aicnet only writes them: the JSON export is read
+back here with the standard library's ``json`` module.
 """
 
+import json
 from pathlib import Path
 
-from aicnet.export import read_dot, read_graphml, write_dot, write_graphml
+from aicnet.export import write_dot, write_graphml, write_json
 from aicnet.graphs import build_an
 from aicnet.synth import SynthParams, generate
 
@@ -23,21 +25,22 @@ def main() -> None:
 
     out = Path("demo_out")
     out.mkdir(exist_ok=True)
-    graphml = out / "attention.graphml"
-    dot = out / "attention.dot"
-    write_graphml(graph, graphml, name="attention")
-    write_dot(graph, dot, name="attention")
-    print(f"wrote {graphml} and {dot}")
+    paths = [out / f"attention.{suffix}" for suffix in ("graphml", "dot", "json")]
+    for path, write in zip(paths, (write_graphml, write_dot, write_json)):
+        write(graph, path, name="attention")
+    print("wrote", ", ".join(path.as_posix() for path in paths))
 
-    for label, loaded in (("graphml", read_graphml(graphml)), ("dot", read_dot(dot))):
-        same = loaded.nodes == graph.nodes and loaded.edges == graph.edges
-        print(f"{label} parse-back identical: {same}")
+    data = json.loads(paths[2].read_text(encoding="utf-8"))
+    nodes = {node["id"] for node in data["nodes"]}
+    edges = {(edge["source"], edge["target"]): edge["weight"] for edge in data["edges"]}
+    same = nodes == graph.nodes and edges == graph.edges
+    print(f"json.loads of the JSON export equals the graph: {same}")
 
     print("\nsame export via the command line:")
     print("  aicnet synth --seed 8 --authors 5 --blocks kim,lee,mia|noa|oli "
           "--reply-edges kim:noa --out demo_out/synth")
     print("  aicnet build demo_out/synth/corpus.jsonl --reading r1 --network an "
-          "--embeddings demo_out/synth/embeddings.jsonl --format graphml,dot "
+          "--embeddings demo_out/synth/embeddings.jsonl --format graphml,dot,json "
           "--out demo_out")
 
 

@@ -28,6 +28,7 @@ from . import corpus as corpus_mod
 from . import metrics
 from .corpus import (
     Corpus,
+    Quote,
     Reading,
     StatsTable,
     _csv_lines,
@@ -41,6 +42,7 @@ from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import (
     EmbeddingStore,
+    Vector,
     _check_threshold,
     embed_quotes,
     load_embeddings,
@@ -176,19 +178,32 @@ def _corpus_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
 
-def _store_for(args: argparse.Namespace, corpus: Corpus,
-               readings: list[Reading]) -> EmbeddingStore:
-    """Quote vectors from ``--embeddings``, or hash vectors for the quotes of
-    ``readings`` alone; vectors of no corpus quote are kept and reported as one
-    ``warning:`` line on stderr."""
+def _stores_for(args: argparse.Namespace, corpus: Corpus,
+                readings: list[Reading]) -> dict[str, EmbeddingStore]:
+    """The quote vectors of each of ``readings``, by reading id.
+
+    Without ``--embeddings``, each reading's store holds hash vectors of its
+    own quotes, and a normalized text that several readings hold is hashed once
+    between them. With it, every reading reads the file's one store, whose ids
+    name quotes across the corpus: a quote id that two readings hold with
+    different normalized texts is an input error. Vectors of no corpus quote
+    are kept and reported as one ``warning:`` line on stderr."""
     if args.embeddings is None:
-        return embed_quotes([q for r in readings for q in r.quotes.values()], args.dim)
+        texts: dict[str, Vector] = {}
+        return {r.id: embed_quotes(r.quotes.values(), args.dim, texts) for r in readings}
+    first: dict[str, Quote] = {}
+    for reading in corpus.readings.values():
+        for quote in reading.quotes.values():
+            other = first.setdefault(quote.id, quote)
+            if other.normalized_text != quote.normalized_text:
+                raise AicnetError(f"quote id {quote.id!r} has different texts in readings "
+                                  f"{other.reading_id!r} and {quote.reading_id!r}, which "
+                                  "one vector file cannot tell apart")
     store = load_embeddings(args.embeddings)
-    known = {qid for r in corpus.readings.values() for qid in r.quotes}
-    orphans = sorted(set(store.vectors) - known)
+    orphans = sorted(set(store.vectors) - set(first))
     if orphans:
         print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", file=sys.stderr)
-    return store
+    return dict.fromkeys((r.id for r in readings), store)
 
 
 def _network(args: argparse.Namespace, corpus: Corpus, reading: Reading, which: str,
@@ -299,7 +314,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise AicnetError(f"unknown export format(s): {', '.join(unknown)}")
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     reading = loaded.reading(args.reading)
-    store = _store_for(args, loaded, [reading]) if args.network == "an" else None
+    store = _stores_for(args, loaded, [reading])[reading.id] if args.network == "an" else None
     graph = _network(args, loaded, reading, args.network, store)
     if args.roster == "all":
         graph.nodes |= loaded.authors  # the authors inactive in this reading, as isolates
@@ -385,10 +400,10 @@ def _per_reading(args: argparse.Namespace, corpus: Corpus, reading_ids: list[str
     """``result(reading, (AN, IN, CN))`` of each named reading, by id, computed
     by :func:`_in_chunks` in the order named; unknown ids are input errors."""
     readings = [corpus.reading(rid) for rid in dict.fromkeys(reading_ids)]
-    store = _store_for(args, corpus, readings)
+    stores = _stores_for(args, corpus, readings)
 
     def compute(reading: Reading) -> object:
-        return result(reading, tuple(_network(args, corpus, reading, which, store)
+        return result(reading, tuple(_network(args, corpus, reading, which, stores[reading.id])
                                      for which in ("an", "in", "cn")))
 
     return dict(zip((r.id for r in readings), _in_chunks(compute, _chunks(readings))))

@@ -270,11 +270,10 @@ def hash_embed(text: str, dim: int = 256) -> Vector:
 
 class _HashVectors(Mapping):
     """Quote id -> hash vector, read-only; a quote's text is hashed the first
-    time a quote of that normalized text is looked up, then kept."""
+    time a quote of that normalized text is looked up, then kept in ``by_text``."""
 
-    def __init__(self, quotes: dict[str, Quote], dim: int) -> None:
-        self._quotes, self._dim = quotes, dim
-        self._by_text: dict[str, Vector] = {}
+    def __init__(self, quotes: dict[str, Quote], dim: int, by_text: dict[str, Vector]) -> None:
+        self._quotes, self._dim, self._by_text = quotes, dim, by_text
 
     def __getitem__(self, quote_id: str) -> Vector:
         quote = self._quotes[quote_id]
@@ -290,13 +289,17 @@ class _HashVectors(Mapping):
         return len(self._quotes)
 
 
-def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
-    """A store of hash vectors for the quotes, keyed by quote id.
+def embed_quotes(quotes: Iterable[Quote], dim: int = 256,
+                 texts: dict[str, Vector] | None = None) -> EmbeddingStore:
+    """A store of hash vectors for the quotes, keyed by quote id: the quotes
+    need distinct ids, as the quotes of one reading have.
 
     A vector is hashed when it is first read, so quotes whose vectors nothing
     reads cost no hashing. Each distinct normalized text is hashed once: twin
     quotes, whose texts differ only in case or whitespace, share one vector
-    object. A dimension below 8, or a blank quote text, raises the error of
+    object. The vectors are kept by normalized text in ``texts``, so stores
+    of one ``dim`` that are given the same dict hash each text once between
+    them. A dimension below 8, or a blank quote text, raises the error of
     :func:`hash_embed` here, not at a read.
     """
     by_id: dict[str, Quote] = {}
@@ -304,7 +307,8 @@ def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
         if dim < 8 or not q.normalized_text:
             hash_embed(q.text, dim)  # raises
         by_id[q.id] = q
-    return EmbeddingStore(dim=dim, vectors=_HashVectors(by_id, dim))
+    by_text = {} if texts is None else texts
+    return EmbeddingStore(dim=dim, vectors=_HashVectors(by_id, dim, by_text))
 
 
 _CLAMP_TOL = 1e-9

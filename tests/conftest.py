@@ -1,6 +1,6 @@
 """Shared fixture helpers: in-memory corpus assembly, JSONL writing, running
-the CLI, recording calls across forked processes, the environment for child
-interpreters and the benchmark's runner."""
+the CLI, reading graph exports back, recording calls across forked processes,
+the environment for child interpreters and the benchmark's runner."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import aicnet
 from aicnet.cli import main
 from aicnet.corpus import Artifact, Corpus, Quote, Reading
 from aicnet.errors import CyclicThread, DanglingParent
+from aicnet.graphs import WeightedGraph, edge_key
 
 
 def mk_corpus(
@@ -103,6 +104,32 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
     return code, out, err
+
+
+def read_export(path: Path) -> WeightedGraph:
+    """The graph of a GraphML, JSON or DOT export, read back by
+    ``networkx.read_graphml``, ``json.loads`` or ``oracles.oracle_read_dot``,
+    none of which shares code with the writers. A directed graph, or an edge
+    given twice, fails the read."""
+    if path.suffix == ".dot":
+        from oracles import oracle_read_dot
+
+        return oracle_read_dot(path)
+    if path.suffix == ".graphml":
+        import networkx as nx
+
+        h = nx.read_graphml(path)
+        assert type(h) is nx.Graph, f"{path} is directed or repeats an edge"
+        nodes, edges = list(h.nodes), list(h.edges(data="weight"))
+    else:
+        data = json.loads(path.read_bytes().decode("utf-8"))
+        nodes = [node["id"] for node in data["nodes"]]
+        edges = [(edge["source"], edge["target"], edge["weight"]) for edge in data["edges"]]
+    g = WeightedGraph(nodes=set(nodes))
+    for u, v, weight in edges:
+        assert edge_key(u, v) not in g.edges, f"repeated edge {u} -- {v}"
+        g.add_edge(u, v, weight)
+    return g
 
 
 def use_cpus(monkeypatch, n: int) -> None:

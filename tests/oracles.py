@@ -22,6 +22,9 @@ The hash-embed oracle is the per-gram embedder the library used before it
 hashed all n-gram windows at once: one FNV-1a loop per 3-, 4- and 5-gram,
 each adding its sign into a bucket. The library's vectors must equal it with
 ``np.array_equal``.
+
+The DOT oracle reads a DOT export back with regular expressions of its own,
+sharing no code with the writer.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ import re
 from collections import Counter, deque
 from collections.abc import Iterable
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from aicnet.corpus import Artifact, Corpus, Quote, Reading, normalize_text
 from aicnet.errors import CyclicThread, DanglingParent, EmptyText, MissingQuote
-from aicnet.graphs import BipartiteGraph, WeightedGraph
+from aicnet.graphs import BipartiteGraph, WeightedGraph, edge_key
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, JointPair, cosine
 from aicnet.textpipe import (
@@ -486,3 +490,27 @@ def oracle_hash_embed(text: str, dim: int = 256) -> np.ndarray:
         vec[h % dim] = 1.0
         norm = 1.0
     return vec / norm
+
+
+# a quoted DOT id, whose only escapes are \\ and \"; and one node or edge statement
+_DOT_ID = r'"((?:[^"\\]|\\[\\"])*)"'
+_DOT_STATEMENT = (rf"  {_DOT_ID} "
+                  rf"(?:\[isolated=(?:true|false)\]|-- {_DOT_ID} \[weight=([^\]]+)\]);\n")
+
+
+def oracle_read_dot(path: Path) -> WeightedGraph:
+    """The graph of a DOT export. One anchored pattern must match the whole
+    file, decoded without newline translation: the header line, node and edge
+    statements, then a closing ``}`` line. An edge given twice fails."""
+    text = path.read_bytes().decode("utf-8")
+    whole = re.fullmatch(rf"graph {_DOT_ID} \{{\n((?:{_DOT_STATEMENT})*)\}}\n", text)
+    assert whole, f"{path} is not in the writer's DOT form"
+    g = WeightedGraph()
+    for u, v, weight in re.findall(_DOT_STATEMENT, whole.group(2)):
+        u, v = (re.sub(r'\\([\\"])', r"\1", s) for s in (u, v))
+        if weight:
+            assert edge_key(u, v) not in g.edges, f"repeated edge {u} -- {v}"
+            g.add_edge(u, v, float(weight))
+        else:
+            g.nodes.add(u)
+    return g

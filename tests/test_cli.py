@@ -14,12 +14,11 @@ from pathlib import Path
 import pytest
 
 from aicnet.corpus import load_corpus, normalize_text, save_corpus
-from aicnet.export import read_dot, read_graphml, read_json
 from aicnet.semantic import embed_quotes, load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
 from aicnet.textpipe import WordSelectionParams
 
-from conftest import Calls, child_env, run_cli, use_cpus
+from conftest import Calls, child_env, read_export, run_cli, use_cpus
 
 
 @pytest.fixture
@@ -171,7 +170,7 @@ def test_build_an_matches_ground_truth(sample, tmp_path, capsys):
         "--out", str(out_dir),
     )
     assert code == 0
-    graph = read_graphml(out_dir / "r1_an.graphml")
+    graph = read_export(out_dir / "r1_an.graphml")
     assert graph.nodes == gt1.expected_an.nodes
     assert graph.edges == gt1.expected_an.edges
     for name in ("r1_an.graphml", "r1_an.dot", "r1_an.json", "r1_an_edges.csv", "r1_an_nodes.csv"):
@@ -187,8 +186,8 @@ def test_build_writes_each_format_its_reader_reads_back(sample, tmp_path, capsys
         "--embeddings", str(emb_path), "--format", "graphml,dot,json", "--out", str(out_dir),
     )
     assert code == 0, err
-    for reader, suffix in ((read_graphml, "graphml"), (read_dot, "dot"), (read_json, "json")):
-        graph = reader(out_dir / f"r1_an.{suffix}")
+    for suffix in ("graphml", "dot", "json"):
+        graph = read_export(out_dir / f"r1_an.{suffix}")
         assert (graph.nodes, graph.edges) == (gt1.expected_an.nodes, gt1.expected_an.edges)
 
 
@@ -202,7 +201,7 @@ def test_build_in_reply_free_reading(jsonl_file, tmp_path, capsys):
     code, _, _ = run_cli(capsys, "build", str(path), "--reading", "r1", "--network", "in",
                          "--out", str(out_dir))
     assert code == 0
-    graph = read_graphml(out_dir / "r1_in.graphml")
+    graph = read_export(out_dir / "r1_in.graphml")
     assert graph.nodes == {"A"}
     assert graph.edges == {}
 
@@ -533,8 +532,8 @@ def test_build_roster_all_exports_match_goldens(tmp_path, capsys, network):
                         "--roster", "all")
     _assert_match_goldens(tmp_path, _EXPORT_GOLDEN / "roster_all", f"r1_{network}")
     # s99 joins r1's network as an isolate, and nothing else changes
-    active = read_json(_EXPORT_GOLDEN / f"r1_{network}.json")
-    widened = read_json(tmp_path / f"r1_{network}.json")
+    active = read_export(_EXPORT_GOLDEN / f"r1_{network}.json")
+    widened = read_export(tmp_path / f"r1_{network}.json")
     assert "s99" not in active.nodes
     assert (widened.nodes, widened.edges) == (active.nodes | {"s99"}, active.edges)
 
@@ -552,7 +551,7 @@ def test_build_an_under_bridge_vectors_matches_golden(tmp_path, capsys):
     bridged = build("--embeddings", str(_DATA / "bridge_embeddings.jsonl"))
     assert bridged.read_bytes() == (_EXPORT_GOLDEN / "bridged" / "r1_an.json").read_bytes()
     # the vector file, not the quote texts, makes some of the edges
-    assert set(read_json(build()).edges) < set(read_json(bridged).edges)
+    assert set(read_export(build()).edges) < set(read_export(bridged).edges)
 
 
 def test_compare_unknown_reading(sample, capsys):
@@ -965,8 +964,8 @@ def test_custom_stopword_file_drops_word(jsonl_file, tmp_path, capsys):
                              "--network", "cn", "--drop-lowest", "0", "--out", str(out),
                              *extra)
         assert code == 0
-    plain = read_graphml(out_a / "r1_cn.graphml")
-    stopped = read_graphml(out_b / "r1_cn.graphml")
+    plain = read_export(out_a / "r1_cn.graphml")
+    stopped = read_export(out_b / "r1_cn.graphml")
     assert plain.edges == {("A", "B"): 2.0}    # pedagogy and rhythm shared
     assert stopped.edges == {("A", "B"): 1.0}  # pedagogy suppressed
 
@@ -985,7 +984,7 @@ def test_build_roster_all_includes_inactive_authors(sample, tmp_path, capsys):
     code, _, _ = run_cli(capsys, "build", str(widened), "--reading", "r1",
                          "--network", "in", "--roster", "all", "--out", str(out))
     assert code == 0
-    graph = read_graphml(out / "r1_in.graphml")
+    graph = read_export(out / "r1_in.graphml")
     assert "s99" in graph.nodes          # roster-wide isolate
     assert graph.degree("s99") == 0
 
@@ -1010,7 +1009,7 @@ def test_binary_embeddings_through_cli(sample, tmp_path, capsys):
                          "--network", "an", "--embeddings", str(binary),
                          "--out", str(out))
     assert code == 0
-    graph = read_graphml(out / "r1_an.graphml")
+    graph = read_export(out / "r1_an.graphml")
     # float32 storage wiggles similarities, not the common-reference edge set
     assert set(graph.edges) == set(gt1.expected_an.edges)
 
@@ -1126,7 +1125,7 @@ def test_custom_noun_lexicon(jsonl_file, tmp_path, capsys):
                          "--network", "cn", "--drop-lowest", "0",
                          "--noun-lexicon", str(lexicon), "--out", str(out))
     assert code == 0
-    graph = read_graphml(out / "r1_cn.graphml")
+    graph = read_export(out / "r1_cn.graphml")
     assert graph.edges == {("A", "B"): 1.0}
 
 
@@ -1139,7 +1138,7 @@ def test_empty_noun_lexicon_means_no_lexicon_nouns(jsonl_file, tmp_path, capsys)
                            "--network", "cn", "--drop-lowest", "0",
                            "--noun-lexicon", str(lexicon), "--out", str(out))
     assert code == 0, err
-    assert read_graphml(out / "r1_cn.graphml").edges == {}
+    assert read_export(out / "r1_cn.graphml").edges == {}
 
 
 def _run_subprocess(args: list[str], cwd: Path) -> subprocess.CompletedProcess:

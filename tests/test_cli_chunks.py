@@ -1,9 +1,10 @@
 """Readings computed in forked children: the same output on every CPU count,
-serial errors, and no child left behind."""
+serial errors, no child left behind, and each reading's own quote vectors."""
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from aicnet.corpus import save_corpus
 from aicnet.errors import AicnetError
 from aicnet.synth import SynthParams, generate
 
-from conftest import Calls, run_cli, use_cpus
+from conftest import Calls, run_cli, use_cpus, write_jsonl
 
 _DATA = Path(__file__).parent / "data"
 
@@ -115,3 +116,68 @@ def test_a_failure_in_the_first_chunk_kills_the_children(tmp_path, capsys, monke
                              "--level", "network")
     assert (code, out, err) == (1, "", "error: r1 cannot be built\n")
     assert not finished.exists()
+
+
+def _shared_id_corpus(path: Path, r2_text: str) -> Path:
+    """Reading r1 holds q1 and q2, of nearly one text; A and C annotate q1 and
+    B q2. Reading r2 holds its own q1, of ``r2_text``, and a q2 of r1's q2
+    text; A annotates q1 and B q2."""
+    text = "Learners build meaning together when they annotate {} shared text."
+    return write_jsonl(path, [
+        {"record": "quote", "id": "q1", "reading_id": "r1", "text": text.format("a")},
+        {"record": "quote", "id": "q2", "reading_id": "r1", "text": text.format("the")},
+        {"record": "quote", "id": "q1", "reading_id": "r2", "text": r2_text},
+        {"record": "quote", "id": "q2", "reading_id": "r2", "text": text.format("the")},
+        *({"id": f"{rid}-{author}", "reading_id": rid, "author_id": author, "kind": "annotation",
+           "quote_id": qid, "body": "note"}
+          for rid, author, qid in (("r1", "A", "q1"), ("r1", "B", "q2"), ("r1", "C", "q1"),
+                                   ("r2", "A", "q1"), ("r2", "B", "q2"))),
+    ])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_reading_hashes_the_texts_of_its_own_quotes(tmp_path, capfd, monkeypatch, cpus):
+    import aicnet.semantic as semantic
+
+    # r2's q1 must not stand in for r1's, whose vector joins A, B and C in a triangle
+    path = _shared_id_corpus(tmp_path / "corpus.jsonl",
+                             "Photosynthesis turns light into chemical energy.")
+    hashed, hash_embed = Calls(tmp_path / "hashed"), semantic.hash_embed
+
+    def counting_hash(text: str, dim: int = 256):
+        hashed.add([os.getpid(), text])
+        return hash_embed(text, dim)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(semantic, "hash_embed", counting_hash)
+    header = "Reading,AN transitivity,IN centralization,CN transitivity\n"
+    assert run_cli(capfd, "metrics", str(path), "--level", "network", "--reading", "r1") == (
+        0, header + "r1,1.00,na,na\n", "")
+    hashed.clear()
+    assert run_cli(capfd, "metrics", str(path), "--level", "network") == (
+        0, header + "r1,1.00,na,na\nr2,na,na,na\n", "")
+    # the q2 text both readings hold is hashed once in each process that reads it
+    calls = [tuple(call) for call in hashed.read()]
+    assert len(calls) == len(set(calls)) == 2 + cpus
+
+
+@pytest.mark.parametrize("command", [["metrics", "--level", "network", "--reading", "r1"],
+                                     ["compare", "r1", "r2"],
+                                     ["build", "--reading", "r1", "--network", "an"]],
+                         ids=["metrics", "compare", "build"])
+def test_with_a_vector_file_a_quote_id_names_one_text(tmp_path, capsys, command):
+    vectors = write_jsonl(tmp_path / "vectors.jsonl", [{"quote_id": "q1", "vector": [1.0, 0.0]},
+                                                       {"quote_id": "q2", "vector": [1.0, 0.1]}])
+
+    out = ["--out", str(tmp_path / "out")] if command[0] == "build" else []
+
+    def run(r2_text: str) -> tuple[int, str, str]:
+        path = _shared_id_corpus(tmp_path / "corpus.jsonl", r2_text)
+        return run_cli(capsys, command[0], str(path), *command[1:], "--embeddings", str(vectors),
+                       *out)
+
+    assert run("Photosynthesis turns light into chemical energy.") == (
+        1, "", "error: quote id 'q1' has different texts in readings 'r1' and 'r2', "
+               "which one vector file cannot tell apart\n")
+    # the same normalized text: both readings' q1 is one quote of the file
+    assert run("learners build  meaning together when they annotate A shared text.")[0] == 0

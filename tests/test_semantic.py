@@ -452,12 +452,17 @@ def test_embed_quotes_twins_share_one_vector(monkeypatch):
         return real(text, dim)
 
     monkeypatch.setattr(semantic, "hash_embed", counting)
-    store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64)
+    texts: dict = {}
+    store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64,
+                         texts)
     assert hashed == []  # nothing is hashed before a read
     assert store.get("q1") is store.get("q2")
     assert np.array_equal(store.get("q1"), real("grand jete", 64))
     assert len(hashed) == 1
     store.get("q3")
+    assert len(hashed) == 2
+    # a store given the same dict reads a text hashed for the other
+    assert embed_quotes([_q("q1", "PLIE")], 64, texts).get("q1") is store.get("q3")
     assert len(hashed) == 2
 
 

@@ -267,8 +267,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "build_an(reading, corpus, store, args.threshold)",
            "build_an(reading, corpus, store)", (_FLAG + "[threshold]",)),
     # --dim dropped on its way to the hash embedder
-    Mutant("src/aicnet/cli.py", "for q in r.quotes.values()], args.dim)",
-           "for q in r.quotes.values()])", (_FLAG + "[dim]",)),
+    Mutant("src/aicnet/cli.py", "embed_quotes(r.quotes.values(), args.dim, texts)",
+           "embed_quotes(r.quotes.values(), 256, texts)", (_FLAG + "[dim]",)),
     # --min-freq dropped on its way to word selection
     Mutant("src/aicnet/cli.py",
            "WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords,",
@@ -341,8 +341,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/semantic.py", "min(tau, 1.0 - _CLAMP_TOL)", "tau",
            (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
     # hash vectors: every quote's text hashed up front again
-    Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim))",
-           "vectors=dict(_HashVectors(by_id, dim)))",
+    Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim, by_text))",
+           "vectors=dict(_HashVectors(by_id, dim, by_text)))",
            ("tests/test_semantic.py::test_embed_quotes_twins_share_one_vector",
             "tests/test_cli.py::test_metrics_hashes_exactly_the_texts_build_an_reads"
             "[widened_corpus.jsonl]")),
@@ -368,33 +368,6 @@ MUTANTS: list[Mutant] = [
            "        if not quote_id:\n"
            "            raise ParseError(path, f\"byte {offset}\", \"quote id is empty\")\n",
            "", ("tests/test_semantic.py::test_load_rejects_an_empty_binary_id",)),
-    # read_dot reads with newline translation, so an id's "\r" comes back as "\n"
-    Mutant("src/aicnet/export.py",
-           "text = _decoded(path, Path(path).read_bytes())\n    header = _DOT_HEADER",
-           'text = Path(path).read_text(encoding="utf-8")\n    header = _DOT_HEADER',
-           (_EXPORT + "test_round_trip_formats[write_dot-read_dot-dot]",)),
-    # read_dot: a file that ends before the closing line reads as a graph
-    Mutant("src/aicnet/export.py", 'if not text.startswith("}\\n", pos):',
-           'if pos < len(text) and not text.startswith("}\\n", pos):',
-           (_EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[no_closing_line]",)),
-    # read_dot: text after the closing line is ignored
-    Mutant("src/aicnet/export.py", "    if pos + 2 < len(text):\n", "    if False:\n",
-           (_EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[after_closing_line]",)),
-    # read_json: true and false taken for numbers
-    Mutant("src/aicnet/export.py", "if type(item[key]) not in kinds:",
-           "if not isinstance(item[key], kinds):",
-           (_EXPORT + "test_read_json_names_the_item_it_cannot_read[weight_a_bool]",)),
-    # read_json: an edge without a target reaches the graph as a bare KeyError
-    Mutant("src/aicnet/export.py",
-           "                if key not in item:\n"
-           "                    raise ParseError(path, f\"{part}[{i}]\", f\"lacks {key!r}\")\n",
-           "", (_EXPORT + "test_read_json_names_the_item_it_cannot_read[no_target]",)),
-    # read_json reads past the shared decoder: a byte-order mark or a byte that is not UTF-8
-    # stops it with a bare decode error
-    Mutant("src/aicnet/export.py", "json.loads(_decoded(path, Path(path).read_bytes()))",
-           'json.loads(Path(path).read_text(encoding="utf-8"))',
-           (_EXPORT + "test_readers_decode_as_every_input_file_is_decoded"
-            "[write_json-read_json-json]",)),
     # output files opened before their text is encoded, so a failed write leaves a truncated file
     Mutant("src/aicnet/corpus.py", 'Path(path).write_bytes(text.encode("utf-8"))',
            'Path(path).write_text(text, encoding="utf-8", newline="")',
@@ -568,9 +541,22 @@ MUTANTS: list[Mutant] = [
            "    finally:\n        pass",
            ("tests/test_corpus.py::test_csv_round_trips_a_field_over_the_default_csv_limit",)),
     # --embeddings ignored: quotes always get hash vectors
-    Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n        return embed_quotes(",
-           "    if True:\n        return embed_quotes(",
+    Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n        texts",
+           "    if True:\n        texts",
            ("tests/test_cli.py::test_embeddings_flag_alone_picks_the_vectors",)),
+    # hash vectors: one store for every reading, where a later reading's q1 replaces an earlier's
+    Mutant("src/aicnet/cli.py",
+           "{r.id: embed_quotes(r.quotes.values(), args.dim, texts) for r in readings}",
+           "dict.fromkeys((r.id for r in readings), embed_quotes("
+           "[q for r in readings for q in r.quotes.values()], args.dim, texts))",
+           (_CHUNKS + "test_each_reading_hashes_the_texts_of_its_own_quotes[1]",)),
+    # hash vectors: a text that two readings hold hashed once for each
+    Mutant("src/aicnet/cli.py", "embed_quotes(r.quotes.values(), args.dim, texts)",
+           "embed_quotes(r.quotes.values(), args.dim)",
+           (_CHUNKS + "test_each_reading_hashes_the_texts_of_its_own_quotes[1]",)),
+    # --embeddings: a quote id with two texts read as one quote
+    Mutant("src/aicnet/cli.py", "if other.normalized_text != quote.normalized_text:", "if False:",
+           (_CHUNKS + "test_with_a_vector_file_a_quote_id_names_one_text[metrics]",)),
     # --embeddings: the orphan line dropped
     Mutant("src/aicnet/cli.py",
            """print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", """
@@ -596,33 +582,20 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/graphs.py", "from collections import Counter\n",
            "from collections import Counter\n\nimport numpy as np\n",
            (_IMPORTS + "test_every_command_runs_without_numpy",)),
-    # cold start: build loads an XML parser it only needs to read GraphML back
-    Mutant("src/aicnet/export.py", "import re\n", "import re\nimport xml.etree.ElementTree as ET\n",
+    # cold start: build loads an XML parser, which no command needs
+    Mutant("src/aicnet/export.py", "from pathlib import Path\n",
+           "from pathlib import Path\nimport xml.etree.ElementTree as ET\n",
            (_IMPORTS + "test_build_loads_the_exporters_but_no_xml",)),
-    # GraphML read-back: bytes handed to the XML parser, not decoded as every input file is
-    Mutant("src/aicnet/export.py", "root = ET.fromstring(_decoded(path, Path(path).read_bytes()))",
-           "root = ET.parse(path).getroot()",
-           (_EXPORT + "test_readers_decode_as_every_input_file_is_decoded[write_graphml-read_graphml-graphml]",)),
-    # graph readers: an edge given twice keeps its last weight
-    Mutant("src/aicnet/export.py", "    if edge_key(u, v) in g.edges:\n", "    if False:\n",
-           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[repeated_edge]",
-            _EXPORT + "test_read_dot_refuses_what_write_dot_does_not_write[repeated_edge]",
-            _EXPORT + "test_read_json_names_the_item_it_cannot_read[repeated_edge]")),
-    # GraphML reader: a directed graph read as undirected
-    Mutant("src/aicnet/export.py", 'if graph.get("edgedefault") == "directed":', "if False:",
-           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[directed_graph]",)),
-    # GraphML reader: a <data> of any key read as the weight
-    Mutant("src/aicnet/export.py", 'if weight_key is None or data.get("key") != weight_key:',
-           "if False:",
-           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[data_of_another_key]",)),
-    # GraphML reader: a keyless <data> read as the weight of a file that declares no weight key
-    Mutant("src/aicnet/export.py", 'if weight_key is None or data.get("key") != weight_key:',
-           'if data.get("key") != weight_key:',
-           (_EXPORT + "test_read_graphml_names_where_it_cannot_read[keyless_data]",)),
     # GraphML attributes: a newline left raw, which an XML parser reads as a space
     Mutant("src/aicnet/export.py", '.replace("\\n", "&#10;")', "",
            (_EXPORT + "test_escapers_equal_saxutils",
             _EXPORT + "test_graphml_ids_with_markup_and_whitespace_round_trip")),
+    # GraphML attributes: a newline left raw, caught by a round trip without the escaper oracle
+    Mutant("src/aicnet/export.py", '.replace("\\n", "&#10;")', "",
+           (_EXPORT + "test_round_trip_formats[write_graphml-graphml]",)),
+    # DOT ids: a backslash left unescaped, so it escapes the character after it
+    Mutant("src/aicnet/export.py", '.replace("\\\\", "\\\\\\\\")', "",
+           (_EXPORT + "test_round_trip_formats[write_dot-dot]",)),
     # GraphML attributes: a value holding both quote characters left unquotable
     Mutant("src/aicnet/export.py", """data.replace('"', "&quot;")""", "data",
            (_EXPORT + "test_escapers_equal_saxutils",
