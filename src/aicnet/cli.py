@@ -12,12 +12,20 @@ measures the first chunk, and a forked child each other chunk; the output is
 byte-identical to a one-process run, which ``taskset -c 0`` gives, as does a
 platform without ``os.fork`` or ``os.sched_getaffinity``.
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+:func:`main` flushes stdout before it returns, and registers ``gc.freeze`` to
+run at interpreter exit, so that a command's process leaves the objects still
+alive then to the OS instead of collecting them; an in-process caller of
+:func:`main` keeps its collector as it was.
+
+Exit codes: 0 success, 1 input error (a stdout that cannot be written
+included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import marshal
 import os
 import sys
@@ -545,10 +553,29 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _flush_stdout() -> None:
+    """Write out what the command printed. When that fails, fd 1 is pointed at
+    ``os.devnull`` before the error is raised, so that the interpreter's own
+    flush at exit, which would fail again and exit 120, succeeds."""
     try:
-        args = build_parser().parse_args(argv)  # word-list flags load their files here
-        return _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
+def main(argv: list[str] | None = None) -> int:
+    # nothing alive at exit needs a finalizer: files closed, children reaped, stdout flushed
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    try:
+        try:
+            args = build_parser().parse_args(argv)  # word-list flags load their files here
+            return _COMMANDS[args.command](args)
+        finally:
+            _flush_stdout()
     except SystemExit as exc:  # argparse: --help, or a flag error already reported
         return int(exc.code or 0)
     except (AicnetError, OSError) as exc:

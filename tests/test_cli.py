@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import operator
 import os
@@ -1165,3 +1166,39 @@ def test_cli_byte_identical_runs(sample, tmp_path):
         outputs.append((result.stdout, files))
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("argv", [["validate", "sample_corpus.jsonl"], ["--help"],
+                                  ["metrics", "sample_corpus.jsonl", "--level", "node"]],
+                         ids=["validate", "help", "metrics"])
+def test_a_stdout_that_cannot_be_written_is_an_input_error(argv):
+    # buffered stdout, so that the write fails at a flush, not at the print
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "aicnet.cli", *argv], stdout=full,
+                                stderr=subprocess.PIPE, cwd=_DATA, env=env, check=False)
+    assert (result.returncode, result.stderr) == (
+        1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
+
+
+# gc.freeze counts its calls; the probe, registered first, runs after every other exit handler
+_EXIT_PROBE = """
+import atexit, gc, json, sys
+from aicnet import cli
+
+calls, freeze = [], gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print(json.dumps([len(calls), gc.get_freeze_count()])))
+print(json.dumps([cli.main(["validate", sys.argv[1]]) for _ in range(2)]))
+"""
+
+
+def test_a_command_process_freezes_its_heap_once_at_exit():
+    result = subprocess.run([sys.executable, "-c", _EXIT_PROBE, "sample_corpus.jsonl"],
+                            capture_output=True, text=True, cwd=_DATA, env=child_env(),
+                            check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    codes, (freezes, frozen) = map(json.loads, result.stdout.splitlines()[-2:])
+    assert (codes, freezes) == ([0, 0], 1)
+    assert frozen > 0

@@ -3,6 +3,7 @@ serial errors, no child left behind, and each reading's own quote vectors."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -181,3 +182,14 @@ def test_with_a_vector_file_a_quote_id_names_one_text(tmp_path, capsys, command)
                "which one vector file cannot tell apart\n")
     # the same normalized text: both readings' q1 is one quote of the file
     assert run("learners build  meaning together when they annotate A shared text.")[0] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", [["metrics", "--level", "network"], ["compare", "r1", "r2"]],
+                         ids=["metrics", "compare"])
+def test_an_in_process_call_leaves_the_collector_as_it_was(capsys, monkeypatch, cpus, command):
+    use_cpus(monkeypatch, cpus)
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _, err = run_cli(capsys, command[0], str(_DATA / "sample_corpus.jsonl"), *command[1:])
+    assert (code, err) == (0, "")
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

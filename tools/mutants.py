@@ -43,6 +43,7 @@ _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_err
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
 _CHUNKS = "tests/test_cli_chunks.py::"
+_FREEZE_AT_EXIT = "    atexit.unregister(gc.freeze)\n    atexit.register(gc.freeze)\n"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
@@ -181,6 +182,16 @@ MUTANTS: list[Mutant] = [
     # readings in chunks: the parent's error raised without killing the children first
     Mutant("src/aicnet/cli.py", "                os.kill(pid, 9)  # SIGKILL\n", "",
            (_CHUNKS + "test_a_failure_in_the_first_chunk_kills_the_children",)),
+    # exit: the heap left to the interpreter's collections, not frozen at exit
+    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "",
+           ("tests/test_cli.py::test_a_command_process_freezes_its_heap_once_at_exit",)),
+    # exit: the heap frozen when main starts, so an in-process caller's collector changes
+    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "    gc.freeze()\n",
+           (_CHUNKS + "test_an_in_process_call_leaves_the_collector_as_it_was",)),
+    # exit: stdout flushed by the interpreter, whose failure is exit 120
+    Mutant("src/aicnet/cli.py", "        finally:\n            _flush_stdout()\n",
+           "        finally:\n            pass\n",
+           ("tests/test_cli.py::test_a_stdout_that_cannot_be_written_is_an_input_error",)),
     # compare: the delta taken as a - b
     Mutant("src/aicnet/cli.py", "else vb - va", "else va - vb",
            ("tests/test_cli.py::test_compare_layout_matches_golden",)),
