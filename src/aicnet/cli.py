@@ -12,10 +12,10 @@ measures the first chunk, and a forked child each other chunk; the output is
 byte-identical to a one-process run, which ``taskset -c 0`` gives, as does a
 platform without ``os.fork`` or ``os.sched_getaffinity``.
 
-:func:`main` flushes stdout before it returns, and registers ``gc.freeze`` to
-run at interpreter exit, so that a command's process leaves the objects still
-alive then to the OS instead of collecting them; an in-process caller of
-:func:`main` keeps its collector as it was.
+:func:`main` flushes stdout before it returns, and on its first call registers
+``gc.freeze`` to run at interpreter exit, so that a command's process leaves
+the objects still alive then to the OS instead of collecting them; an
+in-process caller of :func:`main` keeps its collector as it was.
 
 Exit codes: 0 success, 1 input error (a stdout that cannot be written
 included), 2 internal invariant violation.
@@ -50,7 +50,6 @@ from .errors import AicnetError
 from .graphs import WeightedGraph, build_an, build_cn_bipartite, build_in, project
 from .semantic import (
     EmbeddingStore,
-    Vector,
     _check_threshold,
     embed_quotes,
     load_embeddings,
@@ -70,12 +69,16 @@ _NETWORK_MEASURES = (("AN transitivity", "an_transitivity"),
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with flag errors reported as input errors (exit 1, not 2)."""
+    """argparse with flag errors reported as input errors (exit 1, not 2), and
+    a help or usage text that cannot be written raising its ``OSError``."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def _print_message(self, message: str, file=None) -> None:
+        (file or sys.stderr).write(message)  # argparse's own swallows an OSError
 
 
 def _positive_threshold(value: str) -> float:
@@ -191,14 +194,13 @@ def _stores_for(args: argparse.Namespace, corpus: Corpus,
     """The quote vectors of each of ``readings``, by reading id.
 
     Without ``--embeddings``, each reading's store holds hash vectors of its
-    own quotes, and a normalized text that several readings hold is hashed once
-    between them. With it, every reading reads the file's one store, whose ids
-    name quotes across the corpus: a quote id that two readings hold with
-    different normalized texts is an input error. Vectors of no corpus quote
-    are kept and reported as one ``warning:`` line on stderr."""
+    own quotes, so each reading hashes the texts it reads. With it, every
+    reading reads the file's one store, whose ids name quotes across the
+    corpus: a quote id that two readings hold with different normalized texts
+    is an input error. Vectors of no corpus quote are kept and reported as one
+    ``warning:`` line on stderr."""
     if args.embeddings is None:
-        texts: dict[str, Vector] = {}
-        return {r.id: embed_quotes(r.quotes.values(), args.dim, texts) for r in readings}
+        return {r.id: embed_quotes(r.quotes.values(), args.dim) for r in readings}
     first: dict[str, Quote] = {}
     for reading in corpus.readings.values():
         for quote in reading.quotes.values():
@@ -481,9 +483,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _listed(spec: str, sep: str = ",") -> list[str]:
-    """The stripped, non-empty items of a ``sep``-separated list."""
-    return [item.strip() for item in spec.split(sep) if item.strip()]
+def _listed(spec: str) -> list[str]:
+    """The stripped, non-empty items of a comma-separated list."""
+    return [item.strip() for item in spec.split(",") if item.strip()]
 
 
 def _parse_pairs(spec: str) -> tuple[tuple[str, str], ...]:
@@ -566,10 +568,15 @@ def _flush_stdout() -> None:
         raise
 
 
+_freeze_at_exit = False  # whether main has registered gc.freeze in this process
+
+
 def main(argv: list[str] | None = None) -> int:
-    # nothing alive at exit needs a finalizer: files closed, children reaped, stdout flushed
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # nothing alive at exit needs a finalizer: files closed, children reaped, stdout flushed
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     try:
         try:
             args = build_parser().parse_args(argv)  # word-list flags load their files here

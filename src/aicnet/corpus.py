@@ -386,19 +386,11 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
     return "".join(lines)
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: Format = "jsonl") -> None:
-    """Write the corpus back out; ``load_corpus`` of the result round-trips.
-    CSV rows end in a line feed, as :func:`_csv_lines` ends them."""
-    if format == "jsonl":
-        text = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in iter_records(corpus))
-    elif format == "csv":
-        columns = ["record", "id", "reading_id", "author_id", "kind",
-                   "quote_id", "parent_id", "body", "ts", "text"]
-        rows = ({"record": "artifact", **rec} for rec in iter_records(corpus))
-        text = _csv_lines([columns, *([row.get(col, "") for col in columns] for row in rows)])
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-    _write(path, text)
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write the corpus back out as JSONL, one record per line in
+    :func:`iter_records` order; ``load_corpus`` of the result round-trips."""
+    _write(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                         for rec in iter_records(corpus)))
 
 
 # -- thread resolution --------------------------------------------------------

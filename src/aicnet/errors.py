@@ -19,8 +19,7 @@ class AicnetError(Exception):
 
 class ParseError(AicnetError):
     """A malformed input file: its path, where the fault is (``line N`` or
-    ``byte N``, counted from the file's first byte; in a JSON or GraphML graph file,
-    ``top level`` or an item such as ``edges[3]``) and why; printed as
+    ``byte N``, counted from the file's first byte) and why; printed as
     ``<path>: <where>: <reason>``."""
 
     def __init__(self, path: object, where: str, reason: str):

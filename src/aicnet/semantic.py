@@ -1,9 +1,9 @@
 """Quote embeddings and similarity.
 
 Vectors normally arrive from a file produced by an external sentence encoder
-(JSONL or a binary columnar format, both documented below). For tests and for
-corpora without precomputed vectors there is :func:`hash_embed`, a fully
-deterministic character-n-gram hashing embedder.
+(JSONL or a binary columnar format, both documented below); aicnet writes
+JSONL alone. For tests and for corpora without precomputed vectors there is
+:func:`hash_embed`, a fully deterministic character-n-gram hashing embedder.
 
 A vector is a tuple of floats. Every dot product and squared norm is an
 exactly rounded :func:`math.fsum`, so a similarity has the same bits on every
@@ -170,41 +170,17 @@ def _read_binary(path: str | Path, raw: bytes) -> Iterator[tuple[int, str, Vecto
                          f"{len(raw) - offset} bytes past the declared record count ({count})")
 
 
-def save_embeddings(store: EmbeddingStore, path: str | Path, format: str = "jsonl") -> None:
-    """Write the store's vectors in quote-id order, if each passes the load
-    rule (a non-empty string id, then :meth:`EmbeddingStore.get`) and, for the
-    binary format, fits it (an id of at most 65,535 UTF-8 bytes; no component
-    beyond the float32 range, not all rounding to zero); else raise the first
-    record's error and write no file."""
+def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
+    """Write the store's vectors as JSONL, in quote-id order, if each passes
+    the load rule (a non-empty string id, then :meth:`EmbeddingStore.get`);
+    else raise the first record's error and write no file."""
     ids = sorted(store.vectors)
     for quote_id in ids:
         if not isinstance(quote_id, str) or not quote_id:
             raise InvalidVector(quote_id, "needs a non-empty string id")
         store.get(quote_id)
-    if format == "jsonl":
-        rows = ({"quote_id": qid, "vector": list(map(float, store.vectors[qid]))} for qid in ids)
-        _write(path, "".join(json.dumps(row) + "\n" for row in rows))
-    elif format == "binary":
-        chunks = [_MAGIC, struct.pack("<II", store.dim, len(ids))]
-        for quote_id in ids:
-            try:
-                encoded = quote_id.encode("utf-8")
-            except UnicodeEncodeError:
-                raise InvalidVector(quote_id, "has an id UTF-8 cannot encode") from None
-            if len(encoded) > 0xFFFF:
-                raise InvalidVector(quote_id, "has an id over 65,535 UTF-8 bytes")
-            vec = store.vectors[quote_id]
-            layout = f"<{len(vec)}f"
-            try:
-                packed = struct.pack(layout, *vec)
-            except OverflowError:
-                raise InvalidVector(quote_id, "has a component beyond the float32 range") from None
-            if any(vec) and not any(struct.unpack(layout, packed)):
-                raise InvalidVector(quote_id, "rounds to all zeros in float32")
-            chunks += [struct.pack("<H", len(encoded)), encoded, packed]
-        Path(path).write_bytes(b"".join(chunks))
-    else:
-        raise ValueError(f"unknown embedding format {format!r}")
+    rows = ({"quote_id": qid, "vector": list(map(float, store.vectors[qid]))} for qid in ids)
+    _write(path, "".join(json.dumps(row) + "\n" for row in rows))
 
 
 def _fnv1a(data: bytes) -> int:
@@ -270,10 +246,10 @@ def hash_embed(text: str, dim: int = 256) -> Vector:
 
 class _HashVectors(Mapping):
     """Quote id -> hash vector, read-only; a quote's text is hashed the first
-    time a quote of that normalized text is looked up, then kept in ``by_text``."""
+    time a quote of that normalized text is looked up, then kept by that text."""
 
-    def __init__(self, quotes: dict[str, Quote], dim: int, by_text: dict[str, Vector]) -> None:
-        self._quotes, self._dim, self._by_text = quotes, dim, by_text
+    def __init__(self, quotes: dict[str, Quote], dim: int) -> None:
+        self._quotes, self._dim, self._by_text = quotes, dim, {}
 
     def __getitem__(self, quote_id: str) -> Vector:
         quote = self._quotes[quote_id]
@@ -289,26 +265,22 @@ class _HashVectors(Mapping):
         return len(self._quotes)
 
 
-def embed_quotes(quotes: Iterable[Quote], dim: int = 256,
-                 texts: dict[str, Vector] | None = None) -> EmbeddingStore:
+def embed_quotes(quotes: Iterable[Quote], dim: int = 256) -> EmbeddingStore:
     """A store of hash vectors for the quotes, keyed by quote id: the quotes
     need distinct ids, as the quotes of one reading have.
 
     A vector is hashed when it is first read, so quotes whose vectors nothing
-    reads cost no hashing. Each distinct normalized text is hashed once: twin
-    quotes, whose texts differ only in case or whitespace, share one vector
-    object. The vectors are kept by normalized text in ``texts``, so stores
-    of one ``dim`` that are given the same dict hash each text once between
-    them. A dimension below 8, or a blank quote text, raises the error of
-    :func:`hash_embed` here, not at a read.
+    reads cost no hashing. Each distinct normalized text is hashed once per
+    store: twin quotes, whose texts differ only in case or whitespace, share
+    one vector object. A dimension below 8, or a blank quote text, raises the
+    error of :func:`hash_embed` here, not at a read.
     """
     by_id: dict[str, Quote] = {}
     for q in quotes:
         if dim < 8 or not q.normalized_text:
             hash_embed(q.text, dim)  # raises
         by_id[q.id] = q
-    by_text = {} if texts is None else texts
-    return EmbeddingStore(dim=dim, vectors=_HashVectors(by_id, dim, by_text))
+    return EmbeddingStore(dim=dim, vectors=_HashVectors(by_id, dim))
 
 
 _CLAMP_TOL = 1e-9

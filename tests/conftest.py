@@ -1,12 +1,16 @@
-"""Shared fixture helpers: in-memory corpus assembly, JSONL writing, running
-the CLI, reading graph exports back, recording calls across forked processes,
-the environment for child interpreters and the benchmark's runner."""
+"""Shared fixture helpers: in-memory corpus assembly, JSONL writing, CSV
+corpora and binary vector files written without aicnet, running the CLI,
+reading graph exports back, recording calls across forked processes, the
+environment for child interpreters and the benchmark's runner."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
+import struct
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -86,6 +90,40 @@ BROKEN_CHAIN_ROOTS: dict[str, str | tuple[type, str]] = {
 def write_jsonl(path: Path, records: list[dict]) -> Path:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     return path
+
+
+_CSV_COLUMNS = ("record", "id", "reading_id", "author_id", "kind", "quote_id", "parent_id",
+                "body", "ts", "text")
+
+
+def write_csv_corpus(corpus: Corpus, path: Path) -> Path:
+    """The corpus as a CSV file, written by ``csv.writer`` in its default
+    dialect (CRLF row ends, as Excel writes them): a header, then per reading,
+    by id, its quotes by id and its artifacts as stored; an absent field is an
+    empty cell. aicnet reads CSV corpora and writes none."""
+    rows = []
+    for rid in sorted(corpus.readings):
+        reading = corpus.readings[rid]
+        rows += ({"record": "quote", "id": q.id, "reading_id": rid, "text": q.text}
+                 for _, q in sorted(reading.quotes.items()))
+        rows += ({"record": "artifact", **a._asdict()} for a in reading.artifacts)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows([row.get(column) for column in _CSV_COLUMNS] for row in rows)
+    return path
+
+
+def binary_vectors(vectors: dict[str | bytes, Sequence[float]], dim: int) -> bytes:
+    """A binary vector file, packed with ``struct``: the magic bytes, ``dim``
+    and the record count, then per record, in dict order, the id's byte length,
+    the id (a str in UTF-8) and the components as float32. Each vector is
+    packed at its own length, so a record may disagree with ``dim``."""
+    parts = [b"AICEMB01", struct.pack("<II", dim, len(vectors))]
+    for quote_id, vec in vectors.items():
+        raw = quote_id.encode("utf-8") if isinstance(quote_id, str) else quote_id
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack(f"<{len(vec)}f", *vec)]
+    return b"".join(parts)
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import json
 import operator
 import os
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,15 @@ from aicnet.semantic import embed_quotes, load_embeddings, save_embeddings
 from aicnet.synth import SynthParams, generate, verify
 from aicnet.textpipe import WordSelectionParams
 
-from conftest import Calls, child_env, read_export, run_cli, use_cpus
+from conftest import (
+    Calls,
+    binary_vectors,
+    child_env,
+    read_export,
+    run_cli,
+    use_cpus,
+    write_csv_corpus,
+)
 
 
 @pytest.fixture
@@ -992,8 +999,7 @@ def test_build_roster_all_includes_inactive_authors(sample, tmp_path, capsys):
 
 def test_csv_corpus_through_cli(sample, tmp_path, capsys):
     corpus_path, _, _ = sample
-    csv_path = tmp_path / "sample.csv"
-    save_corpus(load_corpus(corpus_path), csv_path, "csv")
+    csv_path = write_csv_corpus(load_corpus(corpus_path), tmp_path / "sample.csv")
     code, out, _ = run_cli(capsys, "validate", str(csv_path))
     assert code == 0 and out.startswith("ok:")
     code, out, _ = run_cli(capsys, "stats", str(csv_path))
@@ -1004,7 +1010,7 @@ def test_csv_corpus_through_cli(sample, tmp_path, capsys):
 def test_binary_embeddings_through_cli(sample, tmp_path, capsys):
     corpus_path, emb_path, (gt1, _) = sample
     binary = tmp_path / "emb.bin"
-    save_embeddings(load_embeddings(emb_path), binary, format="binary")
+    binary.write_bytes(_binary_of(emb_path))
     out = tmp_path / "bin_out"
     code, _, _ = run_cli(capsys, "build", str(corpus_path), "--reading", "r1",
                          "--network", "an", "--embeddings", str(binary),
@@ -1015,25 +1021,28 @@ def test_binary_embeddings_through_cli(sample, tmp_path, capsys):
     assert set(graph.edges) == set(gt1.expected_an.edges)
 
 
+def _binary_of(good: Path) -> bytes:
+    """The vectors of a JSONL vector file as a binary one, in the file's order."""
+    store = load_embeddings(good)
+    return binary_vectors(store.vectors, store.dim)
+
+
 def _truncated_binary(good: Path, path: Path) -> None:
-    save_embeddings(load_embeddings(good), path, format="binary")
-    path.write_bytes(path.read_bytes()[:-3])
+    path.write_bytes(_binary_of(good)[:-3])
 
 
 def _trailing_binary(good: Path, path: Path) -> None:
-    save_embeddings(load_embeddings(good), path, format="binary")
-    path.write_bytes(path.read_bytes() + b"garbage")
+    path.write_bytes(_binary_of(good) + b"garbage")
 
 
 def _zero_dimension_binary(good: Path, path: Path) -> None:
     # one record of a two-byte id and no component: the header alone is wrong
-    path.write_bytes(b"AICEMB01" + struct.pack("<IIH", 0, 1, 2) + b"q1")
+    path.write_bytes(binary_vectors({"q1": ()}, 0))
 
 
 def _non_utf8_id_binary(good: Path, path: Path) -> None:
     # one record of dimension 2 whose one-byte id starts at byte 18
-    path.write_bytes(b"AICEMB01" + struct.pack("<IIH", 2, 1, 1) + b"\xff"
-                     + struct.pack("<2f", 1.0, 0.0))
+    path.write_bytes(binary_vectors({b"\xff": (1.0, 0.0)}, 2))
 
 
 def _edited_jsonl(edit):
@@ -1169,12 +1178,15 @@ def test_cli_byte_identical_runs(sample, tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("argv", [["validate", "sample_corpus.jsonl"], ["--help"],
-                                  ["metrics", "sample_corpus.jsonl", "--level", "node"]],
-                         ids=["validate", "help", "metrics"])
-def test_a_stdout_that_cannot_be_written_is_an_input_error(argv):
-    # buffered stdout, so that the write fails at a flush, not at the print
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["validate", "sample_corpus.jsonl"], False), (["--help"], False),
+    (["metrics", "sample_corpus.jsonl", "--level", "node"], False), (["--help"], True),
+], ids=["validate", "help", "metrics", "help_unbuffered"])
+def test_a_stdout_that_cannot_be_written_is_an_input_error(argv, unbuffered):
+    # buffered, the write fails at main's flush; unbuffered, at argparse's write of the help
     env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "aicnet.cli", *argv], stdout=full,
                                 stderr=subprocess.PIPE, cwd=_DATA, env=env, check=False)
@@ -1202,3 +1214,22 @@ def test_a_command_process_freezes_its_heap_once_at_exit():
     codes, (freezes, frozen) = map(json.loads, result.stdout.splitlines()[-2:])
     assert (codes, freezes) == ([0, 0], 1)
     assert frozen > 0
+
+
+# five calls of main in one process, and how many exit handlers they added
+_REGISTRATIONS = """
+import atexit, json, sys
+from aicnet import cli
+
+before = atexit._ncallbacks()
+codes = [cli.main(["validate", sys.argv[1]]) for _ in range(5)]
+print(json.dumps([codes, atexit._ncallbacks() - before]))
+"""
+
+
+def test_main_registers_its_exit_handler_once_per_process():
+    result = subprocess.run([sys.executable, "-c", _REGISTRATIONS, "sample_corpus.jsonl"],
+                            capture_output=True, text=True, cwd=_DATA, env=child_env(),
+                            check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout.splitlines()[-1]) == [[0] * 5, 1]

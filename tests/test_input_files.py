@@ -12,7 +12,6 @@ import json
 import math
 import random
 import re
-import struct
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,8 @@ from aicnet.errors import (
 from aicnet.semantic import EmbeddingStore, load_embeddings, save_embeddings
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import load_wordlist
+
+from conftest import binary_vectors, write_csv_corpus
 
 _DATA = Path(__file__).parent / "data"
 
@@ -56,9 +57,9 @@ def _valid_files(root: Path) -> dict[str, Path]:
     files = {"corpus_jsonl": corpus, "corpus_csv": root / "corpus.csv",
              "vectors_jsonl": root / "emb.jsonl", "vectors_binary": root / "emb.bin",
              "stopwords": root / "stop.txt"}
-    save_corpus(load_corpus(corpus), files["corpus_csv"], "csv")
+    write_csv_corpus(load_corpus(corpus), files["corpus_csv"])
     save_embeddings(_STORE, files["vectors_jsonl"])
-    save_embeddings(_STORE, files["vectors_binary"], format="binary")
+    files["vectors_binary"].write_bytes(binary_vectors(_STORE.vectors, _STORE.dim))
     files["stopwords"].write_text("# extra stopwords\nrhythm\n", encoding="utf-8")
     return files
 
@@ -84,9 +85,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 def _binary_with_q2(*components: float) -> bytes:
     """A binary vector file of dimension 2: q1, then q2 holding ``components``
     in its record, which starts at byte 28."""
-    return (b"AICEMB01" + struct.pack("<II", 2, 2)
-            + struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.0)
-            + struct.pack("<H", 2) + b"q2" + struct.pack(f"<{len(components)}f", *components))
+    return binary_vectors({"q1": (1.0, 0.0), "q2": components}, 2)
 
 
 def _csv_with_kind(kind: str) -> bytes:
@@ -226,9 +225,9 @@ def test_jsonl_lines_end_at_line_feeds_alone(tmp_path):
     source.write_bytes(_jsonl(*records))
     corpus = load_corpus(source)
     assert corpus.readings["r1"].artifact_by_id("p1").body == f"a{odd}b"
-    for format in ("jsonl", "csv"):
+    for format, save in (("jsonl", save_corpus), ("csv", write_csv_corpus)):
         path = tmp_path / f"corpus.{format}"
-        save_corpus(corpus, path, format)
+        save(corpus, path)
         assert odd in path.read_text(encoding="utf-8")
         assert load_corpus(path, format) == corpus
     vectors = tmp_path / "emb.jsonl"
@@ -344,9 +343,9 @@ def test_csv_and_jsonl_give_identical_reports(tmp_path, source):
     else:
         corpus = _two_reading_corpus(int(source.removeprefix("random_")))
     reports = []
-    for format in ("jsonl", "csv"):
+    for format, save in (("jsonl", save_corpus), ("csv", write_csv_corpus)):
         path = tmp_path / f"corpus.{format}"
-        save_corpus(corpus, path, format)
+        save(corpus, path)
         reports.append(_reports(path, tmp_path / f"out_{format}"))
     assert reports[0] == reports[1]
     assert len(reports[0][0]) == 6  # two node reports of two files each, one network pair

@@ -17,8 +17,6 @@ from aicnet.metrics import betweenness, closeness
 from aicnet.semantic import save_embeddings
 from aicnet.synth import SynthParams, generate, random_params, verify
 
-from conftest import write_jsonl
-
 
 _FIELDS = ["id", "reading_id", "author_id", "kind", "quote_id", "parent_id", "body", "ts", "record", "text"]
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import struct
 import tracemalloc
 import warnings
 
@@ -33,6 +32,7 @@ from aicnet.semantic import (
     load_embeddings,
     save_embeddings,
 )
+from conftest import binary_vectors
 from oracles import oracle_hash_embed, oracle_quote_similarity
 
 # a JSONL vector line past the integer-digit limit, and one past the recursion limit
@@ -102,7 +102,7 @@ def test_binary_round_trip(tmp_path):
         },
     )
     path = tmp_path / "emb.bin"
-    save_embeddings(store, path, format="binary")
+    path.write_bytes(binary_vectors(store.vectors, store.dim))
     again = load_embeddings(path)
     assert again.dim == 8
     assert set(again.vectors) == set(store.vectors)
@@ -157,16 +157,9 @@ def test_load_jsonl_drops_one_byte_order_mark(tmp_path):
         load_embeddings(path)
 
 
-def _binary_file(dim: int, records: list[tuple[bytes, list[float]]]) -> bytes:
-    """A binary vector file, packed by hand: (id bytes, components) records."""
-    body = b"".join(struct.pack(f"<H{len(qid)}s{dim}f", len(qid), qid, *vec)
-                    for qid, vec in records)
-    return b"AICEMB01" + struct.pack("<II", dim, len(records)) + body
-
-
 def test_load_rejects_non_finite_binary_component(tmp_path):
     path = tmp_path / "emb.bin"
-    path.write_bytes(_binary_file(2, [(b"q1", [1.0, math.nan])]))
+    path.write_bytes(binary_vectors({"q1": (1.0, math.nan)}, 2))
     with pytest.raises(ParseError, match=r": byte 16: vector for 'q1' has a non-finite "
                                          r"component$"):
         load_embeddings(path)
@@ -174,7 +167,7 @@ def test_load_rejects_non_finite_binary_component(tmp_path):
 
 def test_load_rejects_an_empty_binary_id(tmp_path):
     path = tmp_path / "emb.bin"
-    path.write_bytes(_binary_file(2, [(b"q1", [0.0, 1.0]), (b"", [1.0, 0.0])]))
+    path.write_bytes(binary_vectors({"q1": (0.0, 1.0), "": (1.0, 0.0)}, 2))
     # the second record's id would start at 16 + (2 + 2 + 8) + 2
     with pytest.raises(ParseError, match=r"emb\.bin: byte 30: quote id is empty"):
         load_embeddings(path)
@@ -182,13 +175,12 @@ def test_load_rejects_an_empty_binary_id(tmp_path):
 
 def test_load_names_the_byte_of_a_binary_id_that_is_not_utf8(tmp_path):
     path = tmp_path / "emb.bin"
-    path.write_bytes(_binary_file(2, [(b"\xffq", [1.0, 0.0])]))
+    path.write_bytes(binary_vectors({b"\xffq": (1.0, 0.0)}, 2))
     with pytest.raises(ParseError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}: byte 18: quote id is not valid UTF-8"
 
 
-@pytest.mark.parametrize("format", ["jsonl", "binary"])
 @pytest.mark.parametrize("vectors, reason", [
     ({"q1": (math.nan, 1.0)}, "vector for 'q1' has a non-finite component"),
     ({"q1": (1.0, -math.inf)}, "vector for 'q1' has a non-finite component"),
@@ -197,56 +189,22 @@ def test_load_names_the_byte_of_a_binary_id_that_is_not_utf8(tmp_path):
     ({"q1": (1.0, 0.0, 0.0)}, "vector for 'q1' has 3 components, expected 2"),
     ({"q1": (1e200, 1e200)}, "vector for 'q1' has a norm outside the float64 range"),
 ], ids=["nan", "inf", "empty_id", "zero", "long", "norm_overflow"])
-def test_save_refuses_what_a_load_refuses(tmp_path, format, vectors, reason):
+def test_save_refuses_what_a_load_refuses(tmp_path, vectors, reason):
     store = EmbeddingStore(dim=2, vectors={"q0": (0.5, 0.5), **vectors})
     path = tmp_path / "emb"
     with pytest.raises(AicnetError) as exc:
-        save_embeddings(store, path, format=format)
+        save_embeddings(store, path)
     assert str(exc.value) == reason
     assert not path.exists()
     del store.vectors[next(iter(vectors))]  # the good record alone saves and loads back
-    save_embeddings(store, path, format=format)
+    save_embeddings(store, path)
     assert load_embeddings(path).vectors == {"q0": (0.5, 0.5)}
 
 
-def test_save_refuses_an_unknown_format(tmp_path):
-    path = tmp_path / "emb.npy"
-    with pytest.raises(ValueError, match="^unknown embedding format 'npy'$"):
-        save_embeddings(EmbeddingStore(2, {"q1": (1.0, 0.0)}), path, "npy")
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("vector, reason", [
-    ([1e100, 1.0], "vector for 'q2' has a component beyond the float32 range"),
-    ([1e-50, -1e-60], "vector for 'q2' rounds to all zeros in float32"),
-], ids=["overflow", "underflow"])
-def test_binary_save_refuses_what_float32_cannot_hold(tmp_path, vector, reason):
-    source = tmp_path / "emb.jsonl"
-    source.write_text(json.dumps({"quote_id": "q1", "vector": [0.5, 1.5]}) + "\n"
-                      + json.dumps({"quote_id": "q2", "vector": vector}) + "\n")
-    store = load_embeddings(source)  # both vectors are usable in float64
-    path = tmp_path / "emb.bin"
-    with pytest.raises(InvalidVector) as exc:
-        save_embeddings(store, path, format="binary")
-    assert str(exc.value) == reason
-    assert not path.exists()
-    del store.vectors["q2"]
-    save_embeddings(store, path, format="binary")
-    assert load_embeddings(path).vectors == {"q1": (0.5, 1.5)}
-
-
-@pytest.mark.parametrize("quote_id, reason", [
-    ("\ud800", "has an id UTF-8 cannot encode"),
-    ("q" * 70_000, "has an id over 65,535 UTF-8 bytes"),
-], ids=["lone_surrogate", "long"])
-def test_binary_save_refuses_ids_it_cannot_hold(tmp_path, quote_id, reason):
+@pytest.mark.parametrize("quote_id", ["\ud800", "q" * 70_000], ids=["lone_surrogate", "long"])
+def test_save_holds_any_non_empty_string_id(tmp_path, quote_id):
     store = EmbeddingStore(dim=2, vectors={"q0": (0.5, 0.5), quote_id: (1.0, 0.0)})
-    path = tmp_path / "emb.bin"
-    with pytest.raises(InvalidVector) as exc:
-        save_embeddings(store, path, format="binary")
-    assert exc.value.quote_id == quote_id and exc.value.reason == reason
-    assert not path.exists()
-    save_embeddings(store, tmp_path / "emb.jsonl")  # JSONL holds both ids
+    save_embeddings(store, tmp_path / "emb.jsonl")
     assert load_embeddings(tmp_path / "emb.jsonl").vectors == store.vectors
 
 
@@ -301,9 +259,8 @@ def test_load_jsonl_takes_integer_components(tmp_path):
 @pytest.mark.parametrize("tail", [b"garbage", b"\x02\x00q2" + bytes(8)],
                          ids=["garbage", "uncounted_record"])
 def test_load_binary_rejects_bytes_after_the_last_record(tmp_path, tail):
-    record = struct.pack("<H", 2) + b"q1" + struct.pack("<2f", 1.0, 0.5)
     path = tmp_path / "emb.bin"
-    path.write_bytes(b"AICEMB01" + struct.pack("<II", 2, 1) + record + tail)
+    path.write_bytes(binary_vectors({"q1": (1.0, 0.5)}, 2) + tail)
     with pytest.raises(ParseError, match=rf"emb\.bin: byte 28: {len(tail)} bytes past"):
         load_embeddings(path)
 
@@ -319,8 +276,8 @@ def test_load_rejects_non_utf8_jsonl(tmp_path):
 def test_load_truncated_binary_names_the_offset(tmp_path, cut):
     store = EmbeddingStore(dim=2, vectors={"q1": np.array([1.0, 2.0]), "q2": np.array([3.0, 4.0])})
     path = tmp_path / "emb.bin"
-    save_embeddings(store, path, format="binary")
-    path.write_bytes(path.read_bytes()[:cut])  # full file: 16 + 2 * (2 + 2 + 8) = 40 bytes
+    # the full file: 16 + 2 * (2 + 2 + 8) = 40 bytes
+    path.write_bytes(binary_vectors(store.vectors, store.dim)[:cut])
     with pytest.raises(ParseError, match=r"byte \d+: truncated"):
         load_embeddings(path)
 
@@ -452,17 +409,12 @@ def test_embed_quotes_twins_share_one_vector(monkeypatch):
         return real(text, dim)
 
     monkeypatch.setattr(semantic, "hash_embed", counting)
-    texts: dict = {}
-    store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64,
-                         texts)
+    store = embed_quotes([_q("q1", "Grand  Jete"), _q("q2", "grand jete\n"), _q("q3", "Plie")], 64)
     assert hashed == []  # nothing is hashed before a read
     assert store.get("q1") is store.get("q2")
     assert np.array_equal(store.get("q1"), real("grand jete", 64))
     assert len(hashed) == 1
     store.get("q3")
-    assert len(hashed) == 2
-    # a store given the same dict reads a text hashed for the other
-    assert embed_quotes([_q("q1", "PLIE")], 64, texts).get("q1") is store.get("q3")
     assert len(hashed) == 2
 
 

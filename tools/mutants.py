@@ -43,7 +43,7 @@ _STEM = "tests/test_cli.py::test_a_reading_id_that_names_no_file_is_an_input_err
 _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
 _CHUNKS = "tests/test_cli_chunks.py::"
-_FREEZE_AT_EXIT = "    atexit.unregister(gc.freeze)\n    atexit.register(gc.freeze)\n"
+_FREEZE_AT_EXIT = "        atexit.register(gc.freeze)\n        _freeze_at_exit = True\n"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
@@ -183,11 +183,19 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "                os.kill(pid, 9)  # SIGKILL\n", "",
            (_CHUNKS + "test_a_failure_in_the_first_chunk_kills_the_children",)),
     # exit: the heap left to the interpreter's collections, not frozen at exit
-    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "",
+    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "        _freeze_at_exit = True\n",
            ("tests/test_cli.py::test_a_command_process_freezes_its_heap_once_at_exit",)),
     # exit: the heap frozen when main starts, so an in-process caller's collector changes
-    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "    gc.freeze()\n",
+    Mutant("src/aicnet/cli.py", _FREEZE_AT_EXIT, "        gc.freeze()\n",
            (_CHUNKS + "test_an_in_process_call_leaves_the_collector_as_it_was",)),
+    # exit: gc.freeze registered again on every call of main
+    Mutant("src/aicnet/cli.py", "    if not _freeze_at_exit:\n", "    if True:\n",
+           ("tests/test_cli.py::test_main_registers_its_exit_handler_once_per_process",)),
+    # --help: a write that fails swallowed by argparse, so an unbuffered stdout's failure is exit 0
+    Mutant("src/aicnet/cli.py", "    def _print_message(self, message: str, file=None) -> None:\n",
+           "    def _unused_print_message(self, message: str, file=None) -> None:\n",
+           ("tests/test_cli.py::test_a_stdout_that_cannot_be_written_is_an_input_error"
+            "[help_unbuffered]",)),
     # exit: stdout flushed by the interpreter, whose failure is exit 120
     Mutant("src/aicnet/cli.py", "        finally:\n            _flush_stdout()\n",
            "        finally:\n            pass\n",
@@ -278,8 +286,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "build_an(reading, corpus, store, args.threshold)",
            "build_an(reading, corpus, store)", (_FLAG + "[threshold]",)),
     # --dim dropped on its way to the hash embedder
-    Mutant("src/aicnet/cli.py", "embed_quotes(r.quotes.values(), args.dim, texts)",
-           "embed_quotes(r.quotes.values(), 256, texts)", (_FLAG + "[dim]",)),
+    Mutant("src/aicnet/cli.py", "embed_quotes(r.quotes.values(), args.dim)",
+           "embed_quotes(r.quotes.values(), 256)", (_FLAG + "[dim]",)),
     # --min-freq dropped on its way to word selection
     Mutant("src/aicnet/cli.py",
            "WordSelectionParams(args.min_freq, args.drop_lowest, args.top_words, args.stopwords,",
@@ -352,8 +360,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/semantic.py", "min(tau, 1.0 - _CLAMP_TOL)", "tau",
            (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
     # hash vectors: every quote's text hashed up front again
-    Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim, by_text))",
-           "vectors=dict(_HashVectors(by_id, dim, by_text)))",
+    Mutant("src/aicnet/semantic.py", "vectors=_HashVectors(by_id, dim))",
+           "vectors=dict(_HashVectors(by_id, dim)))",
            ("tests/test_semantic.py::test_embed_quotes_twins_share_one_vector",
             "tests/test_cli.py::test_metrics_hashes_exactly_the_texts_build_an_reads"
             "[widened_corpus.jsonl]")),
@@ -372,8 +380,8 @@ MUTANTS: list[Mutant] = [
            "            raise InvalidVector(quote_id, \"needs a non-empty string id\")\n"
            "        store.get(quote_id)\n",
            "            raise InvalidVector(quote_id, \"needs a non-empty string id\")\n",
-           ("tests/test_semantic.py::test_save_refuses_what_a_load_refuses[nan-jsonl]",
-            "tests/test_semantic.py::test_save_refuses_what_a_load_refuses[zero-binary]")),
+           ("tests/test_semantic.py::test_save_refuses_what_a_load_refuses[nan]",
+            "tests/test_semantic.py::test_save_refuses_what_a_load_refuses[zero]")),
     # a binary record with an empty id loads
     Mutant("src/aicnet/semantic.py",
            "        if not quote_id:\n"
@@ -383,17 +391,13 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/corpus.py", 'Path(path).write_bytes(text.encode("utf-8"))',
            'Path(path).write_text(text, encoding="utf-8", newline="")',
            (_EXPORT + "test_a_writer_that_cannot_encode_leaves_the_file_as_it_was",
-            "tests/test_corpus.py::test_save_that_cannot_encode_leaves_the_file_as_it_was[csv]")),
+            "tests/test_corpus.py::test_save_that_cannot_encode_leaves_the_file_as_it_was")),
     # corpus files: a lone surrogate from a JSON escape loads, and fails later as exit 2
     Mutant("src/aicnet/corpus.py", "if not value.isascii() and _SURROGATE.search(value):",
            "if False:",
            ("tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[author_id]",
             "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[quote_text]",
             "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[reading_id]")),
-    # CSV corpora written with CRLF for every LF, as a text-mode write on Windows translates
-    Mutant("src/aicnet/corpus.py", "for row in rows)])\n",
-           'for row in rows)]).replace("\\n", "\\r\\n")\n',
-           ("tests/test_corpus.py::test_csv_corpus_rows_end_in_a_line_feed",)),
     # validate parses a broken file a second time
     Mutant("src/aicnet/cli.py", "    if errors:\n        for err in errors:\n",
            "    if errors:\n        errors = corpus_mod._collect(args.corpus, "
@@ -524,17 +528,6 @@ MUTANTS: list[Mutant] = [
            "noun_lexicon or default_noun_lexicon()",
            ("tests/test_cli.py::test_empty_noun_lexicon_means_no_lexicon_nouns",
             "tests/test_textpipe.py::test_noun_lemmas_replacement_lexicon")),
-    # binary vector files: an id UTF-8 cannot encode reaches str.encode unguarded
-    Mutant("src/aicnet/semantic.py",
-           "            try:\n                encoded = quote_id.encode(\"utf-8\")\n"
-           "            except UnicodeEncodeError:\n"
-           "                raise InvalidVector(quote_id, \"has an id UTF-8 cannot encode\") from None\n",
-           "            encoded = quote_id.encode(\"utf-8\")\n",
-           ("tests/test_semantic.py::test_binary_save_refuses_ids_it_cannot_hold[lone_surrogate]",)),
-    # binary vector files: an id over 65,535 bytes reaches struct.pack unguarded
-    Mutant("src/aicnet/semantic.py", "            if len(encoded) > 0xFFFF:\n"
-           "                raise InvalidVector(quote_id, \"has an id over 65,535 UTF-8 bytes\")\n", "",
-           ("tests/test_semantic.py::test_binary_save_refuses_ids_it_cannot_hold[long]",)),
     # synth: an empty reading id accepted
     Mutant("src/aicnet/synth.py", '    if not reading_id:\n        raise InfeasibleParams("empty reading id")\n',
            "", ("tests/test_synth.py::test_empty_ids_are_infeasible[reading_id]",
@@ -552,18 +545,13 @@ MUTANTS: list[Mutant] = [
            "    finally:\n        pass",
            ("tests/test_corpus.py::test_csv_round_trips_a_field_over_the_default_csv_limit",)),
     # --embeddings ignored: quotes always get hash vectors
-    Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n        texts",
-           "    if True:\n        texts",
+    Mutant("src/aicnet/cli.py", "    if args.embeddings is None:\n", "    if True:\n",
            ("tests/test_cli.py::test_embeddings_flag_alone_picks_the_vectors",)),
     # hash vectors: one store for every reading, where a later reading's q1 replaces an earlier's
     Mutant("src/aicnet/cli.py",
-           "{r.id: embed_quotes(r.quotes.values(), args.dim, texts) for r in readings}",
+           "{r.id: embed_quotes(r.quotes.values(), args.dim) for r in readings}",
            "dict.fromkeys((r.id for r in readings), embed_quotes("
-           "[q for r in readings for q in r.quotes.values()], args.dim, texts))",
-           (_CHUNKS + "test_each_reading_hashes_the_texts_of_its_own_quotes[1]",)),
-    # hash vectors: a text that two readings hold hashed once for each
-    Mutant("src/aicnet/cli.py", "embed_quotes(r.quotes.values(), args.dim, texts)",
-           "embed_quotes(r.quotes.values(), args.dim)",
+           "[q for r in readings for q in r.quotes.values()], args.dim))",
            (_CHUNKS + "test_each_reading_hashes_the_texts_of_its_own_quotes[1]",)),
     # --embeddings: a quote id with two texts read as one quote
     Mutant("src/aicnet/cli.py", "if other.normalized_text != quote.normalized_text:", "if False:",
