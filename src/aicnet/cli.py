@@ -194,12 +194,15 @@ def _stores_for(args: argparse.Namespace, corpus: Corpus,
     """The quote vectors of each of ``readings``, by reading id.
 
     Without ``--embeddings``, each reading's store holds hash vectors of its
-    own quotes, so each reading hashes the texts it reads. With it, every
+    own quotes, so each reading hashes the texts it reads, and one ``note:``
+    line on stderr names the hash embedder and ``--dim``. With it, every
     reading reads the file's one store, whose ids name quotes across the
     corpus: a quote id that two readings hold with different normalized texts
     is an input error. Vectors of no corpus quote are kept and reported as one
     ``warning:`` line on stderr."""
     if args.embeddings is None:
+        print(f"note: no --embeddings file, so quote vectors come from the hash embedder "
+              f"at --dim {args.dim}", file=sys.stderr)
         return {r.id: embed_quotes(r.quotes.values(), args.dim) for r in readings}
     first: dict[str, Quote] = {}
     for reading in corpus.readings.values():

@@ -11,10 +11,11 @@ File formats (UTF-8; one leading byte-order mark is dropped):
   ``{"id", "reading_id", "author_id", "kind": "annotation"|"reply",
   "quote_id"?, "parent_id"?, "body", "ts"?}``. Quote records:
   ``{"record": "quote", "id", "reading_id", "text"}``.
-* CSV with the same fields as columns:
+* CSV with the same fields as header columns, in any order:
   ``record,id,reading_id,author_id,kind,quote_id,parent_id,body,ts,text``.
-  Empty cells stand for absent optional fields; ``record`` is ``quote`` for
-  quote rows and ``artifact`` (or blank) for artifact rows.
+  Of two columns of one name the last counts; an empty cell, or one a short
+  row lacks, is absent; cells past the header are ignored. A row whose
+  ``record`` is not ``quote`` (``artifact``, or blank) is an artifact.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import csv
 import io
 import json
 import math
+import operator
 import re
-from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, NamedTuple
 
@@ -176,22 +177,29 @@ def _json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | Pa
         yield lineno, rec
 
 
-def _records_from_csv(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
-    """(first line, record) per non-blank row after the header, keyed as :class:`csv.DictReader`
-    keys it, an empty cell absent; a row the reader refuses ends the text as a ParseError."""
+# the fields _collect reads
+_FIELDS = ("record", "id", "reading_id", "author_id", "kind", "body", "text", "quote_id",
+           "parent_id", "ts")
+
+
+def _csv_rows(path: str | Path, text: str) -> Iterator[tuple[int, tuple] | ParseError]:
+    """(first line, fields) per non-blank row after the header, the fields in
+    ``_FIELDS`` order, ``""`` when absent; a row the reader refuses ends the
+    text as a ParseError."""
     reader = csv.reader(io.StringIO(text))
     # no field is longer than the text; the process-wide limit is restored after
     limit = csv.field_size_limit(len(text) + 1)
     try:
         header = next(reader, [])
+        # a name's last column counts; a field with no column, or a short row, reads the pad
+        column = {name: i for i, name in enumerate(header)}
+        cells = operator.itemgetter(*(column.get(key, -1) for key in _FIELDS))
+        pad = [""] * (len(header) + 1)
         start = reader.line_num + 1  # a quoted cell may run a row over several lines
         for row in reader:
             if row:
-                rec = dict(zip_longest(header, row))  # keys None and values None past either end
-                cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
-                if cleaned.get("record") != "quote":
-                    cleaned["body"] = rec.get("body") or ""  # empty reply bodies are legal
-                yield start, cleaned
+                row += pad
+                yield start, cells(row)
             start = reader.line_num + 1
     except csv.Error as exc:
         yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
@@ -199,66 +207,17 @@ def _records_from_csv(path: str | Path, text: str) -> Iterator[tuple[int, dict] 
         csv.field_size_limit(limit)
 
 
-def _parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
-    """The quote or artifact of one record; a field of the wrong type, a
-    missing one, or one its kind forbids raises :class:`ParseError` naming
-    the file and the line."""
-    def fault(reason: str) -> ParseError:
-        return ParseError(path, f"line {lineno}", reason)
-
-    def encodable(key: str, value: str) -> str:
-        # a JSON escape such as "\ud800" gives a lone surrogate, which UTF-8 cannot encode
-        if not value.isascii() and _SURROGATE.search(value):
-            raise fault(f"field {key!r} holds a lone surrogate")
-        return value
-
-    def need(key: str) -> str:
-        value = rec.get(key)
-        if not isinstance(value, str) or value == "":
-            raise fault(f"missing or empty field {key!r}")
-        return encodable(key, value)
-
-    def optional(key: str) -> str | None:
-        value = rec.get(key)
-        if value is not None and not isinstance(value, str):
-            raise fault(f"field {key!r} must be a string")
-        return value and encodable(key, value)
-
-    if rec.get("record") == "quote":
-        quote = Quote(id=need("id"), reading_id=need("reading_id"), text=need("text"))
-        if not quote.text.strip():
-            raise fault("quote text is empty")
-        return quote
-
-    kind = need("kind")
-    if kind not in ("annotation", "reply"):
-        raise fault(f"unknown kind {kind!r}")
-    body = rec.get("body")
-    if not isinstance(body, str):
-        raise fault("missing field 'body'")
-    art = Artifact(
-        id=need("id"),
-        author_id=need("author_id"),
-        reading_id=need("reading_id"),
-        kind=kind,  # type: ignore[arg-type]
-        body=encodable("body", body),
-        quote_id=optional("quote_id"),
-        parent_id=optional("parent_id"),
-        ts=optional("ts"),
-    )
-    if kind == "annotation":
-        if not art.quote_id:
-            raise fault(f"annotation {art.id!r} has no quote_id")
-        if art.parent_id:
-            raise fault(f"annotation {art.id!r} must not have a parent_id")
-        if not art.body.strip():
-            raise fault(f"annotation {art.id!r} has an empty body")
-    else:
-        if not art.parent_id:
-            raise fault(f"reply {art.id!r} has no parent_id")
-        if art.quote_id:
-            raise fault(f"reply {art.id!r} must not carry a quote_id")
-    return art
+def _unfit(escaped: bool, key: str, value: object, need: bool = True) -> str | None:
+    """Why a field is unfit, if it is: a required one empty or no string, an
+    optional one neither None nor a string, or one of an ``escaped`` text
+    that holds a lone surrogate, which UTF-8 cannot encode."""
+    if need and (not isinstance(value, str) or not value):
+        return f"missing or empty field {key!r}"
+    if not (need or value is None or isinstance(value, str)):
+        return f"field {key!r} must be a string"
+    if escaped and value and _SURROGATE.search(value):
+        return f"field {key!r} holds a lone surrogate"
+    return None
 
 
 def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
@@ -281,34 +240,61 @@ def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError
     errors: list[AicnetError] = []
     duplicates: list[AicnetError] = []
     lines: dict[tuple[str, str], int] = {}  # (reading id, record id) -> line
-    split = _json_objects if format == "jsonl" else _records_from_csv
-    for item in split(path, text):
+    readings = corpus.readings
+    jsonl = format == "jsonl"
+    escaped = jsonl and "\\u" in text  # a lone surrogate comes from a \u escape alone
+    for item in (_json_objects if jsonl else _csv_rows)(path, text):
         if isinstance(item, ParseError):
             errors.append(item)
             continue
-        lineno, rec = item
-        try:
-            record = _parse_record(path, lineno, rec)
-        except ParseError as exc:
-            errors.append(exc)
+        lineno, fields = item
+        record, id, reading_id, author_id, kind, body, quoted, quote_id, parent_id, ts = (
+            map(fields.get, _FIELDS) if jsonl else fields)
+        if record == "quote":
+            reason = (_unfit(escaped, "id", id) or _unfit(escaped, "reading_id", reading_id)
+                      or _unfit(escaped, "text", quoted)
+                      or not quoted.strip() and "quote text is empty")
+        else:
+            reason = (
+                _unfit(escaped, "kind", kind)
+                or kind not in ("annotation", "reply") and f"unknown kind {kind!r}"
+                or not isinstance(body, str) and "missing field 'body'"
+                or _unfit(escaped, "id", id) or _unfit(escaped, "author_id", author_id)
+                or _unfit(escaped, "reading_id", reading_id)
+                or jsonl and (_unfit(escaped, "body", body, False)  # no CSV cell is unfit here
+                              or _unfit(escaped, "quote_id", quote_id, False)
+                              or _unfit(escaped, "parent_id", parent_id, False)
+                              or _unfit(escaped, "ts", ts, False))
+                or kind == "annotation" and (
+                    not quote_id and f"annotation {id!r} has no quote_id"
+                    or parent_id and f"annotation {id!r} must not have a parent_id"
+                    or not body.strip() and f"annotation {id!r} has an empty body")
+                or kind == "reply" and (
+                    not parent_id and f"reply {id!r} has no parent_id"
+                    or quote_id and f"reply {id!r} must not carry a quote_id"))
+        if reason:
+            errors.append(ParseError(path, f"line {lineno}", reason))
             continue
-        key = (record.reading_id, record.id)
+        key = (reading_id, id)
         if key in lines:
-            duplicates.append(ParseError(path, f"line {lineno}", f"duplicate id {record.id!r} "
-                                         f"in reading {record.reading_id!r}"))
+            duplicates.append(ParseError(path, f"line {lineno}",
+                                         f"duplicate id {id!r} in reading {reading_id!r}"))
             continue
         lines[key] = lineno
-        reading = corpus.readings.setdefault(record.reading_id, Reading(id=record.reading_id))
-        if isinstance(record, Quote):
-            reading.quotes[record.id] = record
+        reading = readings.get(reading_id) or readings.setdefault(reading_id, Reading(reading_id))
+        if record == "quote":
+            reading.quotes[id] = Quote(id, reading_id, quoted)
         else:
-            reading.artifacts.append(record)
-            corpus.authors.add(record.author_id)
+            if not jsonl:  # an empty CSV cell is an absent field
+                quote_id, parent_id, ts = quote_id or None, parent_id or None, ts or None
+            reading.artifacts.append(Artifact(id, author_id, reading_id, kind, body,
+                                              quote_id, parent_id, ts))
+            corpus.authors.add(author_id)
     if not lines and not errors:
         return corpus, [EmptyCorpus(path)]
     errors += duplicates
 
-    for reading in corpus.readings.values():
+    for reading in readings.values():
         roots = thread_roots(reading)
         faults: list[AicnetError] = []
         for art in reading.artifacts:
@@ -347,30 +333,8 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _quote_record(q: Quote) -> dict:
-    return {"record": "quote", "id": q.id, "reading_id": q.reading_id, "text": q.text}
-
-
-def _artifact_record(a: Artifact) -> dict:
-    rec: dict = {"id": a.id, "reading_id": a.reading_id, "author_id": a.author_id, "kind": a.kind}
-    if a.quote_id is not None:
-        rec["quote_id"] = a.quote_id
-    if a.parent_id is not None:
-        rec["parent_id"] = a.parent_id
-    rec["body"] = a.body
-    if a.ts is not None:
-        rec["ts"] = a.ts
-    return rec
-
-
-def iter_records(corpus: Corpus) -> Iterator[dict]:
-    """Canonical record order: readings by id, quotes by id, then artifacts as stored."""
-    for reading_id in sorted(corpus.readings):
-        reading = corpus.readings[reading_id]
-        for quote_id in sorted(reading.quotes):
-            yield _quote_record(reading.quotes[quote_id])
-        for art in reading.artifacts:
-            yield _artifact_record(art)
+# an artifact's fields as save_corpus orders them
+_SAVED = ("id", "reading_id", "author_id", "kind", "quote_id", "parent_id", "body", "ts")
 
 
 def _csv_lines(rows: Iterable[list[str]]) -> str:
@@ -387,10 +351,17 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out as JSONL, one record per line in
-    :func:`iter_records` order; ``load_corpus`` of the result round-trips."""
-    _write(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n"
-                         for rec in iter_records(corpus)))
+    """Write the corpus back out as JSONL, one record per line: readings by id,
+    each one's quotes by id, then its artifacts as stored, an absent field
+    left out; ``load_corpus`` of the result round-trips."""
+    records: list[dict] = []
+    for reading_id in sorted(corpus.readings):
+        reading = corpus.readings[reading_id]
+        records += ({"record": "quote", "id": q.id, "reading_id": q.reading_id, "text": q.text}
+                    for _, q in sorted(reading.quotes.items()))
+        records += ({key: getattr(a, key) for key in _SAVED if getattr(a, key) is not None}
+                    for a in reading.artifacts)
+    _write(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
 
 
 # -- thread resolution --------------------------------------------------------

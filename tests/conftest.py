@@ -21,6 +21,10 @@ from aicnet.corpus import Artifact, Corpus, Quote, Reading
 from aicnet.errors import CyclicThread, DanglingParent
 from aicnet.graphs import WeightedGraph, edge_key
 
+# the stderr line of a command that hashes quote vectors, at the default --dim
+HASH_NOTE = ("note: no --embeddings file, so quote vectors come from the hash embedder "
+             "at --dim 256\n")
+
 
 def mk_corpus(
     quotes: list[tuple[str, str, str]],

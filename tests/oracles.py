@@ -25,21 +25,38 @@ each adding its sign into a bucket. The library's vectors must equal it with
 
 The DOT oracle reads a DOT export back with regular expressions of its own,
 sharing no code with the writer.
+
+The loader oracle is the corpus loader the library used before it built each
+record straight from its CSV row or JSON object: a dict per CSV row, then one
+record parser for both formats with a closure per field check. Thread faults
+come from :func:`oracle_thread_root`. The text-normalization oracle splits on
+``str.split`` whitespace where the library uses a regular expression.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import re
 from collections import Counter, deque
-from collections.abc import Iterable
-from itertools import combinations
+from collections.abc import Iterable, Iterator
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from aicnet.corpus import Artifact, Corpus, Quote, Reading, normalize_text
-from aicnet.errors import CyclicThread, DanglingParent, EmptyText, MissingQuote
+from aicnet.corpus import Artifact, Corpus, Quote, Reading
+from aicnet.errors import (
+    AicnetError,
+    CyclicThread,
+    DanglingParent,
+    EmptyCorpus,
+    EmptyText,
+    MissingQuote,
+    ParseError,
+)
 from aicnet.graphs import BipartiteGraph, WeightedGraph, edge_key
 from aicnet.metrics import NodeMetricsRow
 from aicnet.semantic import EmbeddingStore, JointPair, cosine
@@ -472,7 +489,7 @@ def oracle_hash_embed(text: str, dim: int = 256) -> np.ndarray:
     marked UTF-8 text is hashed on its own and adds its sign to its bucket."""
     if dim < 8:
         raise ValueError("embedding dimension must be >= 8")
-    normalized = normalize_text(text)
+    normalized = oracle_normalize_text(text)
     if not normalized:
         raise EmptyText()
     marked = "\x02" + normalized + "\x03"
@@ -514,3 +531,158 @@ def oracle_read_dot(path: Path) -> WeightedGraph:
         else:
             g.nodes.add(u)
     return g
+
+
+def oracle_normalize_text(text: str) -> str:
+    """Lowercase, with the text's ``str.split`` words joined by single spaces."""
+    return " ".join(text.split()).lower()
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _oracle_json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            yield ParseError(path, f"line {lineno}", f"invalid JSON ({getattr(exc, 'msg', exc)})")
+            continue
+        if not isinstance(rec, dict):
+            yield ParseError(path, f"line {lineno}", "record is not a JSON object")
+            continue
+        yield lineno, rec
+
+
+def _oracle_records_from_csv(path: str | Path, text: str) -> Iterator[tuple[int, dict] | ParseError]:
+    reader = csv.reader(io.StringIO(text))
+    limit = csv.field_size_limit(len(text) + 1)
+    try:
+        header = next(reader, [])
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rec = dict(zip_longest(header, row))
+                cleaned = {k: v for k, v in rec.items() if k is not None and v not in (None, "")}
+                if cleaned.get("record") != "quote":
+                    cleaned["body"] = rec.get("body") or ""
+                yield start, cleaned
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _oracle_parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Artifact:
+    def fault(reason: str) -> ParseError:
+        return ParseError(path, f"line {lineno}", reason)
+
+    def encodable(key: str, value: str) -> str:
+        if not value.isascii() and _SURROGATE.search(value):
+            raise fault(f"field {key!r} holds a lone surrogate")
+        return value
+
+    def need(key: str) -> str:
+        value = rec.get(key)
+        if not isinstance(value, str) or value == "":
+            raise fault(f"missing or empty field {key!r}")
+        return encodable(key, value)
+
+    def optional(key: str) -> str | None:
+        value = rec.get(key)
+        if value is not None and not isinstance(value, str):
+            raise fault(f"field {key!r} must be a string")
+        return value and encodable(key, value)
+
+    if rec.get("record") == "quote":
+        quote = Quote(id=need("id"), reading_id=need("reading_id"), text=need("text"))
+        if not quote.text.strip():
+            raise fault("quote text is empty")
+        return quote
+
+    kind = need("kind")
+    if kind not in ("annotation", "reply"):
+        raise fault(f"unknown kind {kind!r}")
+    body = rec.get("body")
+    if not isinstance(body, str):
+        raise fault("missing field 'body'")
+    art = Artifact(
+        id=need("id"),
+        author_id=need("author_id"),
+        reading_id=need("reading_id"),
+        kind=kind,  # type: ignore[arg-type]
+        body=encodable("body", body),
+        quote_id=optional("quote_id"),
+        parent_id=optional("parent_id"),
+        ts=optional("ts"),
+    )
+    if kind == "annotation":
+        if not art.quote_id:
+            raise fault(f"annotation {art.id!r} has no quote_id")
+        if art.parent_id:
+            raise fault(f"annotation {art.id!r} must not have a parent_id")
+        if not art.body.strip():
+            raise fault(f"annotation {art.id!r} has an empty body")
+    else:
+        if not art.parent_id:
+            raise fault(f"reply {art.id!r} has no parent_id")
+        if art.quote_id:
+            raise fault(f"reply {art.id!r} must not carry a quote_id")
+    return art
+
+
+def oracle_collect(path: str | Path, format: str) -> tuple[Corpus, list[AicnetError]]:
+    """The corpus and every fault of a corpus file, as the library's
+    ``_collect`` states them, from a dict per record."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        return Corpus(), [ParseError(path, f"byte {exc.start}", "not valid UTF-8")]
+    corpus = Corpus()
+    errors: list[AicnetError] = []
+    duplicates: list[AicnetError] = []
+    lines: dict[tuple[str, str], int] = {}
+    split = _oracle_json_objects if format == "jsonl" else _oracle_records_from_csv
+    for item in split(path, text):
+        if isinstance(item, ParseError):
+            errors.append(item)
+            continue
+        lineno, rec = item
+        try:
+            record = _oracle_parse_record(path, lineno, rec)
+        except ParseError as exc:
+            errors.append(exc)
+            continue
+        key = (record.reading_id, record.id)
+        if key in lines:
+            duplicates.append(ParseError(path, f"line {lineno}", f"duplicate id {record.id!r} "
+                                         f"in reading {record.reading_id!r}"))
+            continue
+        lines[key] = lineno
+        reading = corpus.readings.setdefault(record.reading_id, Reading(id=record.reading_id))
+        if isinstance(record, Quote):
+            reading.quotes[record.id] = record
+        else:
+            reading.artifacts.append(record)
+            corpus.authors.add(record.author_id)
+    if not lines and not errors:
+        return corpus, [EmptyCorpus(path)]
+    errors += duplicates
+
+    for reading in corpus.readings.values():
+        faults: list[AicnetError] = []
+        for art in reading.artifacts:
+            if art.kind == "annotation" and art.quote_id not in reading.quotes:
+                faults.append(MissingQuote(art.id))
+                continue
+            try:
+                oracle_thread_root(art, reading)
+            except (CyclicThread, DanglingParent) as exc:
+                if exc.artifact_id == art.id:  # a dangling parent at its reply alone
+                    faults.append(exc)
+        errors += (ParseError(path, f"line {lines[reading.id, err.artifact_id]}", str(err))
+                   for err in sorted(faults, key=lambda err: isinstance(err, CyclicThread)))
+    return corpus, errors

@@ -19,6 +19,7 @@ from aicnet.synth import SynthParams, generate, verify
 from aicnet.textpipe import WordSelectionParams
 
 from conftest import (
+    HASH_NOTE,
     Calls,
     binary_vectors,
     child_env,
@@ -408,7 +409,7 @@ def test_metrics_node_out_checks_every_file_name_first(jsonl_file, tmp_path, cap
     code, out, err = run_cli(capsys, "metrics", str(path), "--level", "node",
                              "--out", str(tmp_path / "out"))
     assert (code, out) == (1, "")
-    assert err == "error: reading 'r/2' cannot name an output file\n"
+    assert err == HASH_NOTE + "error: reading 'r/2' cannot name an output file\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -422,7 +423,9 @@ def test_a_reading_id_that_names_no_file_is_an_input_error(jsonl_file, tmp_path,
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:], *reading,
                              "--out", str(tmp_path / "deep" / "out"))
     assert (code, out) == (1, "")
-    assert err == f"error: reading {reading_id!r} cannot name an output file\n"
+    # metrics hashes its vectors before it names its files; build --network in reads none
+    note = HASH_NOTE if command[0] == "metrics" else ""
+    assert err == f"{note}error: reading {reading_id!r} cannot name an output file\n"
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
     # a command that names no file still reads the corpus
     code, out, err = run_cli(capsys, "metrics", str(path), "--level", "node")
@@ -553,7 +556,7 @@ def test_build_an_under_bridge_vectors_matches_golden(tmp_path, capsys):
             capsys, "build", str(_DATA / "sample_corpus.jsonl"), "--reading", "r1",
             "--network", "an", "--format", "json", *flags, "--out", str(out),
         )
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, "" if flags else HASH_NOTE)
         return out / "r1_an.json"
 
     bridged = build("--embeddings", str(_DATA / "bridge_embeddings.jsonl"))
@@ -855,6 +858,27 @@ def test_a_lone_surrogate_is_an_input_error(jsonl_file, tmp_path, capsys, lines,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command, err", [
+    (["validate"], ""), (["stats"], ""),
+    (["build", "--reading", "r1", "--network", "in"], ""),
+    (["build", "--reading", "r1", "--network", "cn"], ""),
+    (["build", "--reading", "r1", "--network", "an"], HASH_NOTE),
+    (["metrics", "--level", "network"], HASH_NOTE),
+    (["metrics", "--level", "node", "--dim", "64"], HASH_NOTE.replace("256", "64")),
+    (["compare", "r1", "r2"], HASH_NOTE),
+    (["metrics", "--level", "node", "--embeddings", str(_DATA / "sample_embeddings.jsonl")], ""),
+], ids=["validate", "stats", "build_in", "build_cn", "build_an", "metrics_network",
+        "metrics_node_dim", "compare", "metrics_embeddings"])
+def test_the_hash_fallback_is_announced_once_per_command(tmp_path, capfd, monkeypatch, cpus,
+                                                         command, err):
+    use_cpus(monkeypatch, cpus)
+    out = ["--out", str(tmp_path / "out")] if command[0] == "build" else []
+    code, _, got = run_cli(capfd, command[0], str(_DATA / "sample_corpus.jsonl"), *command[1:],
+                           *out)
+    assert (code, got) == (0, err)
+
+
 def test_build_rejects_an_unknown_format(jsonl_file, tmp_path, capsys):
     out_dir = tmp_path / "graphs"
     code, out, err = run_cli(capsys, "build", str(jsonl_file(_MINI_RECORDS)), "--reading", "r1",
@@ -944,7 +968,7 @@ def test_embeddings_flag_alone_picks_the_vectors(jsonl_file, tmp_path, capsys):
     for label, extra in (("hash", []), ("file", ["--embeddings", str(emb)])):
         code, _, err = run_cli(capsys, "build", str(corpus), "--reading", "r1", "--network", "an",
                                "--format", "json", "--out", str(tmp_path / label), *extra)
-        assert (code, err) == (0, "")
+        assert (code, err) == (0, "" if extra else HASH_NOTE)
         edges[label] = json.loads((tmp_path / label / "r1_an.json").read_text())["edges"]
     # the file makes the two texts identical; their hash vectors are far apart
     assert edges == {"hash": [], "file": [{"source": "A", "target": "B", "weight": 1.0}]}
@@ -1190,8 +1214,9 @@ def test_a_stdout_that_cannot_be_written_is_an_input_error(argv, unbuffered):
     with open("/dev/full", "wb") as full:
         result = subprocess.run([sys.executable, "-m", "aicnet.cli", *argv], stdout=full,
                                 stderr=subprocess.PIPE, cwd=_DATA, env=env, check=False)
+    note = HASH_NOTE if argv[0] == "metrics" else ""
     assert (result.returncode, result.stderr) == (
-        1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
+        1, f"{note}error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
 
 
 # gc.freeze counts its calls; the probe, registered first, runs after every other exit handler

@@ -16,7 +16,7 @@ from aicnet.corpus import save_corpus
 from aicnet.errors import AicnetError
 from aicnet.synth import SynthParams, generate
 
-from conftest import Calls, run_cli, use_cpus, write_jsonl
+from conftest import HASH_NOTE, Calls, run_cli, use_cpus, write_jsonl
 
 _DATA = Path(__file__).parent / "data"
 
@@ -115,7 +115,7 @@ def test_a_failure_in_the_first_chunk_kills_the_children(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "build_in", build_in)
     code, out, err = run_cli(capsys, "metrics", str(_DATA / "sample_corpus.jsonl"),
                              "--level", "network")
-    assert (code, out, err) == (1, "", "error: r1 cannot be built\n")
+    assert (code, out, err) == (1, "", HASH_NOTE + "error: r1 cannot be built\n")
     assert not finished.exists()
 
 
@@ -153,10 +153,10 @@ def test_each_reading_hashes_the_texts_of_its_own_quotes(tmp_path, capfd, monkey
     monkeypatch.setattr(semantic, "hash_embed", counting_hash)
     header = "Reading,AN transitivity,IN centralization,CN transitivity\n"
     assert run_cli(capfd, "metrics", str(path), "--level", "network", "--reading", "r1") == (
-        0, header + "r1,1.00,na,na\n", "")
+        0, header + "r1,1.00,na,na\n", HASH_NOTE)
     hashed.clear()
     assert run_cli(capfd, "metrics", str(path), "--level", "network") == (
-        0, header + "r1,1.00,na,na\nr2,na,na,na\n", "")
+        0, header + "r1,1.00,na,na\nr2,na,na,na\n", HASH_NOTE)
     # each reading hashes the two texts it reads, so the q2 text both hold is
     # hashed twice, whether one process computes the readings or two do
     texts = [text for _, text in hashed.read()]
@@ -192,5 +192,5 @@ def test_an_in_process_call_leaves_the_collector_as_it_was(capsys, monkeypatch, 
     use_cpus(monkeypatch, cpus)
     before = gc.isenabled(), gc.get_freeze_count()
     code, _, err = run_cli(capsys, command[0], str(_DATA / "sample_corpus.jsonl"), *command[1:])
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, HASH_NOTE)
     assert (gc.isenabled(), gc.get_freeze_count()) == before

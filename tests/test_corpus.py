@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 from aicnet.corpus import (
     Artifact,
     Corpus,
+    Quote,
     Reading,
     _collect,
-    _parse_record,
     descriptive_stats,
     load_corpus,
     normalize_text,
@@ -34,7 +36,7 @@ from aicnet.errors import (
 )
 
 from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus, write_csv_corpus
-from oracles import oracle_thread_root
+from oracles import oracle_collect, oracle_normalize_text, oracle_thread_root
 
 
 def _minimal_records() -> list[dict]:
@@ -259,6 +261,149 @@ def test_csv_round_trips_a_field_over_the_default_csv_limit(tmp_path, jsonl_file
     assert csv.field_size_limit() == limit  # the process-wide setting is left as it was
 
 
+# generated corpus files: records of few ids, so that ids repeat, parents dangle and
+# threads cycle; then damage to some of them, and lines that are no records
+_VALID = {"id": ["a1", "a2", "a3", "q1", "q2"], "reading_id": ["r1", "r1", "r2"],
+          "author_id": ["A", "B", "café"], "quote_id": ["q1", "q2", "gone"],
+          "parent_id": ["a1", "a2", "a3", "gone"], "body": ["note", 'two\nlines, "quoted"'],
+          "ts": ["5"], "text": ["A quote.", "Another quote."]}
+_RECORD_KEYS = {"quote": ["id", "reading_id", "text"],
+           "annotation": ["id", "reading_id", "author_id", "quote_id", "body", "ts"],
+           "reply": ["id", "reading_id", "author_id", "parent_id", "body", "ts"]}
+_KEYS = ["record", "kind", *_VALID]
+# values no record should hold; in JSON "\\ud800" is text, "\ud800" a lone surrogate
+_CSV_ODD = ["", " ", "\t", "Quote", "Reply", "artifact", "\\ud800", "x\r\ny"]
+_JSON_ODD = [*_CSV_ODD, "\ud800", "x\udfff", None, 7, True, [], {"k": "v"}]
+# lines that are not records, or not whole ones; the two halves of an array join validly
+_JSON_RAW = ["", "  ", "not json", "[1, 2]", "null", '{"a":1},{"b":[2', "3]}"]
+_CSV_RAW = ["x\ry,z", 'q1,"unterminated']
+
+
+def _drawn_record(draw, odd: list) -> dict:
+    kind = draw(st.sampled_from(list(_RECORD_KEYS)))
+    rec = {"record": "quote"} if kind == "quote" else {
+        "record": draw(st.sampled_from([None, "", "artifact"])), "kind": kind}
+    rec.update((key, draw(st.sampled_from(_VALID[key]))) for key in _RECORD_KEYS[kind])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        key = draw(st.sampled_from(_KEYS))
+        rec[key] = draw(st.sampled_from([*odd, *_VALID.get(key, ["quote"])]))
+    return {k: v for k, v in rec.items() if v is not None or draw(st.booleans())}
+
+
+def _json_line(draw) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_JSON_RAW))
+    line = json.dumps(_drawn_record(draw, _JSON_ODD))  # a lone surrogate as \ud800, lower case
+    if draw(st.booleans()):  # upper-case hex digits; a "\\" before a "u" escapes itself
+        line = re.sub(r"(?<!\\)\\u(d[89a-f]..)", lambda m: "\\u" + m.group(1).upper(), line)
+    return line
+
+
+@st.composite
+def corpus_files(draw) -> tuple[str, bytes]:
+    """The format and bytes of a corpus file, valid or not: records that break
+    each rule of a record, duplicate ids, dangling parents, cycles and lines
+    that are no records; in CSV also repeated, missing and unknown columns,
+    short, long and blank rows, quoted line breaks and CRLF."""
+    format = draw(st.sampled_from(["jsonl", "csv"]))
+    n = draw(st.integers(0, 12))
+    if format == "jsonl":
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        return format, "".join(_json_line(draw) + end for _ in range(n)).encode("utf-8")
+    header = draw(st.permutations(_KEYS))
+    if draw(st.booleans()):  # columns dropped, repeated and unknown
+        header = header[draw(st.integers(0, 2)):] + draw(
+            st.lists(st.sampled_from([*_KEYS, "extra", ""]), max_size=3))
+        header = draw(st.permutations(header))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    writer.writerow(header)
+    for _ in range(n):
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            writer.writerow([])
+        elif shape == 1:
+            buf.write(draw(st.sampled_from(_CSV_RAW)) + "\n")
+        else:
+            rec = _drawn_record(draw, _CSV_ODD)
+            row = [rec.get(name) or "" for name in header]
+            if shape == 2:  # short or long
+                row = (row + ["surplus", "q9"])[:draw(st.integers(1, len(row) + 2))]
+            writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return format, (bom + buf.getvalue()).encode("utf-8")
+
+
+@settings(max_examples=500, deadline=None)
+@given(corpus_files())
+@example(("jsonl", b'{"record":"quote","id":"q1","reading_id":"r1","text":"\\uDFFF"}\n'))
+@example(("csv", b"record,id,reading_id,text,text\nquote,q1,r1,first\n"))
+@example(("jsonl", b'{"id":"a1","reading_id":"r1","kind":"reply","body":"\\ud800","ts":1}\n'))
+@example(("jsonl", b'{"id":"a1","reading_id":"r1","author_id":"A","kind":"reply",'
+                  b'"parent_id":2,"body":"","ts":3}\n'))
+def test_collect_equals_the_oracle_loader(tmp_path_factory, file):
+    format, data = file
+    path = tmp_path_factory.mktemp("oracle") / f"corpus.{format}"
+    path.write_bytes(data)
+    got, want = _collect(path, format), oracle_collect(path, format)
+    assert got[0] == want[0] and got[0].authors == want[0].authors
+    assert [(type(e), str(e)) for e in got[1]] == [(type(e), str(e)) for e in want[1]]
+
+
+_CSV_HEADER = "record,id,reading_id,author_id,kind,quote_id,body,parent_id,ts,text\n"
+_CSV_QUOTE = "quote,q1,r1,,,,,,,A quote.\n"
+
+
+@pytest.mark.parametrize("rows, want", [
+    # of two columns of one name the last counts, also where a short row lacks it
+    ("record,id,reading_id,text,text\nquote,q1,r1,first,kept\n",
+     [Quote("q1", "r1", "kept")]),
+    ("record,id,reading_id,text,text\nquote,q1,r1,first\n",
+     "line 2: missing or empty field 'text'"),
+    # a short row's missing cells are absent; so is an empty cell
+    (_CSV_HEADER + _CSV_QUOTE + ",a1,r1,A,annotation,q1,a note\n",
+     [Quote("q1", "r1", "A quote."), Artifact("a1", "A", "r1", "annotation", "a note", "q1")]),
+    (_CSV_HEADER + _CSV_QUOTE + "artifact,a1,r1,A,annotation,q1,a note,,,\n",
+     [Quote("q1", "r1", "A quote."), Artifact("a1", "A", "r1", "annotation", "a note", "q1")]),
+    # cells past the header are ignored
+    (_CSV_HEADER + _CSV_QUOTE + ",a1,r1,A,annotation,q1,a note,,,,a1,q9\n",
+     [Quote("q1", "r1", "A quote."), Artifact("a1", "A", "r1", "annotation", "a note", "q1")]),
+    # a blank record, or any but "quote", makes an artifact
+    (_CSV_HEADER + _CSV_QUOTE + "Quote,a1,r1,A,annotation,q1,a note\n",
+     [Quote("q1", "r1", "A quote."), Artifact("a1", "A", "r1", "annotation", "a note", "q1")]),
+    # a short row's body is "", which a reply may have
+    ("id,reading_id,author_id,kind,parent_id,body\nr9,r1,A,reply,a1\n",
+     "line 2: reply 'r9' names a parent that does not exist in its reading"),
+], ids=["repeated_name", "repeated_name_short_row", "short_row", "empty_cells", "long_row",
+        "other_record", "short_row_body"])
+def test_csv_columns_follow_the_documented_rules(tmp_path, rows, want):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(rows.encode("utf-8"))
+    corpus, errors = _collect(path, "csv")
+    if isinstance(want, str):
+        assert [str(e) for e in errors] == [f"{path}: {want}"]
+    else:
+        reading = corpus.readings["r1"]
+        assert (errors, [*reading.quotes.values(), *reading.artifacts]) == ([], want)
+
+
+@pytest.mark.parametrize("escape, lone", [
+    ("\\ud800", True), ("\\uD800", True), ("\\uDFFF", True), ("\\udBfF", True),
+    ("\\\\ud800", False), ("\\u00e9", False),
+], ids=["lower", "upper", "upper_low_half", "mixed", "escaped_backslash", "not_a_surrogate"])
+def test_a_lone_surrogate_escape_is_refused_in_either_case(tmp_path, escape, lone):
+    body = f'"x{escape}"'
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"record": "quote", "id": "q1", "reading_id": "r1", "text": "A quote."}\n'
+                    '{"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation", '
+                    f'"quote_id": "q1", "body": {body}}}\n', encoding="utf-8")
+    corpus, errors = _collect(path, "jsonl")
+    if lone:
+        assert [str(e) for e in errors] == [f"{path}: line 2: field 'body' holds a lone surrogate"]
+    else:
+        assert (errors, corpus.readings["r1"].artifacts[0].body) == ([], json.loads(body))
+
+
 def test_thread_root_identity_and_idempotence(jsonl_file):
     records = _minimal_records() + [
         {"id": "rep1", "reading_id": "r1", "author_id": "B", "kind": "reply",
@@ -370,10 +515,12 @@ def test_thread_root_on_broken_chains():
     ({"id": "p1", "reading_id": "r1", "author_id": "B", "kind": "reply", "parent_id": "a1",
       "quote_id": "q1", "body": ""}, "line 7: reply 'p1' must not carry a quote_id"),
 ], ids=["ts_not_a_string", "blank_quote_text", "annotation_with_parent", "reply_with_quote"])
-def test_parse_record_raises_a_parse_error_naming_the_line(rec, message):
+def test_parse_record_raises_a_parse_error_naming_the_line(rec, message, tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n" * 6 + json.dumps(rec) + "\n", encoding="utf-8")  # the record on line 7
     with pytest.raises(ParseError) as exc:
-        _parse_record("c.jsonl", 7, rec)
-    assert (exc.value.where, str(exc.value)) == ("line 7", f"c.jsonl: {message}")
+        load_corpus(path)
+    assert (exc.value.where, str(exc.value)) == ("line 7", f"{path}: {message}")
 
 
 def test_artifact_by_id_names_an_unknown_id():
@@ -477,6 +624,19 @@ def test_stats_unknown_reading():
     corpus = mk_corpus(quotes=[("q1", "r1", "t")], annotations=[])
     with pytest.raises(UnknownReading):
         descriptive_stats(corpus, "r9")
+
+
+# every whitespace character (none lies above U+3000), and letters whose case maps are special
+_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_CASED = "AaZzßẞİIıΣσςǅǄǆﬁ\u0130\u212a"
+
+
+@settings(max_examples=300)
+@given(st.text(_SPACES + _CASED + "x\u200b") | st.text())
+@example("Straße STRASSE")  # .casefold() would make these two one text
+@example("\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000 ǅ")
+def test_normalize_text_equals_the_oracle(text):
+    assert normalize_text(text) == oracle_normalize_text(text)
 
 
 @given(st.text())

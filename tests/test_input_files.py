@@ -31,7 +31,7 @@ from aicnet.semantic import EmbeddingStore, load_embeddings, save_embeddings
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import load_wordlist
 
-from conftest import binary_vectors, write_csv_corpus
+from conftest import HASH_NOTE, binary_vectors, write_csv_corpus
 
 _DATA = Path(__file__).parent / "data"
 
@@ -246,7 +246,7 @@ def test_an_empty_corpus_names_its_file(tmp_path):
 
 
 @pytest.mark.parametrize("value, code, err", [
-    ("1", 0, ""),
+    ("1", 0, HASH_NOTE),
     ("one", 1, "aicnet metrics: error: argument --threshold: "
                "invalid _positive_threshold value: 'one'\n"),
 ], ids=["one", "not_a_number"])
@@ -256,7 +256,7 @@ def test_threshold_one_passes_and_a_non_number_keeps_argparse_message(tmp_path, 
     got_code, _, got_err = _run(["metrics", str(files["corpus_jsonl"]), "--level", "network",
                                  "--threshold", value])
     assert got_code == code
-    assert got_err.endswith(err) if err else got_err == ""
+    assert got_err == err if code == 0 else got_err.endswith(err)
 
 
 # -- byte-mutation fuzz ---------------------------------------------------------

@@ -44,6 +44,8 @@ _FLAG = "tests/test_cli.py::test_each_network_flag_reaches_its_builder"
 _FILES = "tests/test_input_files.py::"
 _CHUNKS = "tests/test_cli_chunks.py::"
 _FREEZE_AT_EXIT = "        atexit.register(gc.freeze)\n        _freeze_at_exit = True\n"
+_COLUMNS = "tests/test_corpus.py::test_csv_columns_follow_the_documented_rules"
+_SURROGATES = "tests/test_corpus.py::test_a_lone_surrogate_escape_is_refused_in_either_case"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
@@ -393,8 +395,8 @@ MUTANTS: list[Mutant] = [
            (_EXPORT + "test_a_writer_that_cannot_encode_leaves_the_file_as_it_was",
             "tests/test_corpus.py::test_save_that_cannot_encode_leaves_the_file_as_it_was")),
     # corpus files: a lone surrogate from a JSON escape loads, and fails later as exit 2
-    Mutant("src/aicnet/corpus.py", "if not value.isascii() and _SURROGATE.search(value):",
-           "if False:",
+    Mutant("src/aicnet/corpus.py", "    if escaped and value and _SURROGATE.search(value):\n",
+           "    if False:\n",
            ("tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[author_id]",
             "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[quote_text]",
             "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[reading_id]")),
@@ -433,8 +435,8 @@ MUTANTS: list[Mutant] = [
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_dangling_parent]",)),
     # CSV corpus files: a record located at its last line, where a multi-line cell ends
-    Mutant("src/aicnet/corpus.py", "                yield start, cleaned\n",
-           "                yield reader.line_num, cleaned\n",
+    Mutant("src/aicnet/corpus.py", "                yield start, cells(row)",
+           "                yield reader.line_num, cells(row)",
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_csv_multiline]",
             _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
@@ -536,6 +538,24 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/synth.py",
            '            if not author:\n                raise InfeasibleParams("empty author id")\n',
            "", ("tests/test_synth.py::test_empty_ids_are_infeasible[author_id]",)),
+    # CSV corpora: of two columns of one name, the first counts
+    Mutant("src/aicnet/corpus.py", "column = {name: i for i, name in enumerate(header)}",
+           "column = {name: i for i, name in reversed(list(enumerate(header)))}",
+           (_COLUMNS + "[repeated_name]", _COLUMNS + "[repeated_name_short_row]")),
+    # CSV corpora: a short row's missing cells read as "-", not absent
+    Mutant("src/aicnet/corpus.py", 'pad = [""] * (len(header) + 1)',
+           'pad = ["-"] * len(header) + [""]', (_COLUMNS + "[short_row]",)),
+    # CSV corpora: an empty ts cell loaded as "", not absent
+    Mutant("src/aicnet/corpus.py", "parent_id or None, ts or None\n", "parent_id or None, ts\n",
+           (_COLUMNS + "[empty_cells]",)),
+    # JSONL corpora: the surrogate check skipped unless a \ud escape is in lower case
+    Mutant("src/aicnet/corpus.py", 'escaped = jsonl and "\\\\u" in text',
+           'escaped = jsonl and "\\\\ud" in text',
+           (_SURROGATES + "[upper]", _SURROGATES + "[upper_low_half]")),
+    # quote texts folded by full Unicode case folding, so "Straße" and "STRASSE" are twins
+    Mutant("src/aicnet/corpus.py", 'return _WS.sub(" ", text.strip()).lower()',
+           'return _WS.sub(" ", text.strip()).casefold()',
+           ("tests/test_corpus.py::test_normalize_text_equals_the_oracle",)),
     # CSV corpora: read under csv's default 131,072-character field limit
     Mutant("src/aicnet/corpus.py", "limit = csv.field_size_limit(len(text) + 1)",
            "limit = csv.field_size_limit()",
