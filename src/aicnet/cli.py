@@ -189,20 +189,28 @@ def _corpus_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
 
+def _inform(line: str) -> None:
+    """Write a note or warning line on stderr, lost if stderr is closed (None) or unwritable."""
+    try:
+        if sys.stderr:
+            sys.stderr.write(line + "\n")
+    except OSError:
+        pass
+
+
 def _stores_for(args: argparse.Namespace, corpus: Corpus,
                 readings: list[Reading]) -> dict[str, EmbeddingStore]:
     """The quote vectors of each of ``readings``, by reading id.
 
     Without ``--embeddings``, each reading's store holds hash vectors of its
-    own quotes, so each reading hashes the texts it reads, and one ``note:``
-    line on stderr names the hash embedder and ``--dim``. With it, every
-    reading reads the file's one store, whose ids name quotes across the
-    corpus: a quote id that two readings hold with different normalized texts
-    is an input error. Vectors of no corpus quote are kept and reported as one
-    ``warning:`` line on stderr."""
+    own quotes, so each reading hashes the texts it reads; a ``note:`` line on
+    stderr says so. With it, every reading reads the file's one store, whose
+    ids name quotes across the corpus: a quote id that two readings hold with
+    different normalized texts is an input error. Vectors of no corpus quote
+    are kept and reported as one ``warning:`` line on stderr."""
     if args.embeddings is None:
-        print(f"note: no --embeddings file, so quote vectors come from the hash embedder "
-              f"at --dim {args.dim}", file=sys.stderr)
+        _inform(f"note: no --embeddings file, so quote vectors come from the hash embedder "
+                f"at --dim {args.dim}")
         return {r.id: embed_quotes(r.quotes.values(), args.dim) for r in readings}
     first: dict[str, Quote] = {}
     for reading in corpus.readings.values():
@@ -215,7 +223,7 @@ def _stores_for(args: argparse.Namespace, corpus: Corpus,
     store = load_embeddings(args.embeddings)
     orphans = sorted(set(store.vectors) - set(first))
     if orphans:
-        print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", file=sys.stderr)
+        _inform(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}")
     return dict.fromkeys((r.id for r in readings), store)
 
 
@@ -475,7 +483,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                                  *_compared(net[a], net[b], _NETWORK_MEASURES)]))
 
     if not roster_a & roster_b:
-        print("warning: the two readings share no authors", file=sys.stderr)
+        _inform("warning: the two readings share no authors")
     rows_a, rows_b = ({row[0]: metrics.NodeMetricsRow(*row) for row in results[rid][1]}
                       for rid in (a, b))
     lines = [[], ["Student", "Measure", a, b, "delta"]]

@@ -13,9 +13,9 @@ File formats (UTF-8; one leading byte-order mark is dropped):
   ``{"record": "quote", "id", "reading_id", "text"}``.
 * CSV with the same fields as header columns, in any order:
   ``record,id,reading_id,author_id,kind,quote_id,parent_id,body,ts,text``.
-  Of two columns of one name the last counts; an empty cell, or one a short
-  row lacks, is absent; cells past the header are ignored. A row whose
-  ``record`` is not ``quote`` (``artifact``, or blank) is an artifact.
+  The last of two same-named columns counts; a missing or empty cell is
+  absent; cells past the header are ignored. A row whose ``record`` is not
+  ``quote`` (``artifact``, or blank) is an artifact.
 """
 
 from __future__ import annotations
@@ -177,29 +177,27 @@ def _json_objects(path: str | Path, text: str) -> Iterator[tuple[int, dict] | Pa
         yield lineno, rec
 
 
-# the fields _collect reads
 _FIELDS = ("record", "id", "reading_id", "author_id", "kind", "body", "text", "quote_id",
            "parent_id", "ts")
 
 
 def _csv_rows(path: str | Path, text: str) -> Iterator[tuple[int, tuple] | ParseError]:
-    """(first line, fields) per non-blank row after the header, the fields in
-    ``_FIELDS`` order, ``""`` when absent; a row the reader refuses ends the
-    text as a ParseError."""
+    """(first line, values of ``_FIELDS``) per non-blank row after the header, an empty
+    optional cell None; a row the reader refuses ends the text as a ParseError."""
     reader = csv.reader(io.StringIO(text))
     # no field is longer than the text; the process-wide limit is restored after
     limit = csv.field_size_limit(len(text) + 1)
     try:
         header = next(reader, [])
-        # a name's last column counts; a field with no column, or a short row, reads the pad
+        # a name's last column counts; a missing cell reads the pad
         column = {name: i for i, name in enumerate(header)}
         cells = operator.itemgetter(*(column.get(key, -1) for key in _FIELDS))
         pad = [""] * (len(header) + 1)
         start = reader.line_num + 1  # a quoted cell may run a row over several lines
         for row in reader:
             if row:
-                row += pad
-                yield start, cells(row)
+                *fields, quote_id, parent_id, ts = cells(row + pad)
+                yield start, (*fields, quote_id or None, parent_id or None, ts or None)
             start = reader.line_num + 1
     except csv.Error as exc:
         yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
@@ -207,17 +205,48 @@ def _csv_rows(path: str | Path, text: str) -> Iterator[tuple[int, tuple] | Parse
         csv.field_size_limit(limit)
 
 
-def _unfit(escaped: bool, key: str, value: object, need: bool = True) -> str | None:
-    """Why a field is unfit, if it is: a required one empty or no string, an
-    optional one neither None nor a string, or one of an ``escaped`` text
-    that holds a lone surrogate, which UTF-8 cannot encode."""
+def _unfit(key: str, value: object, need: bool = True) -> str | None:
+    """Why a field is unfit, if it is: required and empty or no string, optional and
+    neither None nor a string, or holding a lone surrogate, which UTF-8 cannot encode."""
     if need and (not isinstance(value, str) or not value):
         return f"missing or empty field {key!r}"
     if not (need or value is None or isinstance(value, str)):
         return f"field {key!r} must be a string"
-    if escaped and value and _SURROGATE.search(value):
+    if value and not value.isascii() and _SURROGATE.search(value):
         return f"field {key!r} holds a lone surrogate"
     return None
+
+
+def _parse_record(rec: dict | tuple) -> Quote | Artifact | str:
+    """The quote or artifact of a JSON object or a CSV row's ``_FIELDS``, or why it makes none."""
+    record, id, reading_id, author_id, kind, body, text, quote_id, parent_id, ts = (
+        map(rec.get, _FIELDS) if isinstance(rec, dict) else rec)
+    if record == "quote":
+        if fault := _unfit("id", id) or _unfit("reading_id", reading_id) or _unfit("text", text):
+            return fault
+        return Quote(id, reading_id, text) if text.strip() else "quote text is empty"
+    if kind not in ("annotation", "reply"):
+        return _unfit("kind", kind) or f"unknown kind {kind!r}"
+    if not isinstance(body, str):
+        return "missing field 'body'"
+    if fault := (_unfit("id", id) or _unfit("author_id", author_id)
+                 or _unfit("reading_id", reading_id)):
+        return fault
+    if fault := (_unfit("body", body, False) or _unfit("quote_id", quote_id, False)
+                 or _unfit("parent_id", parent_id, False) or _unfit("ts", ts, False)):
+        return fault
+    if kind == "annotation":
+        if not quote_id:
+            return f"annotation {id!r} has no quote_id"
+        if parent_id:
+            return f"annotation {id!r} must not have a parent_id"
+        if not body.strip():
+            return f"annotation {id!r} has an empty body"
+    elif not parent_id:
+        return f"reply {id!r} has no parent_id"
+    elif quote_id:
+        return f"reply {id!r} must not carry a quote_id"
+    return Artifact(id, author_id, reading_id, kind, body, quote_id, parent_id, ts)
 
 
 def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:
@@ -240,61 +269,33 @@ def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError
     errors: list[AicnetError] = []
     duplicates: list[AicnetError] = []
     lines: dict[tuple[str, str], int] = {}  # (reading id, record id) -> line
-    readings = corpus.readings
-    jsonl = format == "jsonl"
-    escaped = jsonl and "\\u" in text  # a lone surrogate comes from a \u escape alone
-    for item in (_json_objects if jsonl else _csv_rows)(path, text):
+    split = _json_objects if format == "jsonl" else _csv_rows
+    for item in split(path, text):
         if isinstance(item, ParseError):
             errors.append(item)
             continue
-        lineno, fields = item
-        record, id, reading_id, author_id, kind, body, quoted, quote_id, parent_id, ts = (
-            map(fields.get, _FIELDS) if jsonl else fields)
-        if record == "quote":
-            reason = (_unfit(escaped, "id", id) or _unfit(escaped, "reading_id", reading_id)
-                      or _unfit(escaped, "text", quoted)
-                      or not quoted.strip() and "quote text is empty")
-        else:
-            reason = (
-                _unfit(escaped, "kind", kind)
-                or kind not in ("annotation", "reply") and f"unknown kind {kind!r}"
-                or not isinstance(body, str) and "missing field 'body'"
-                or _unfit(escaped, "id", id) or _unfit(escaped, "author_id", author_id)
-                or _unfit(escaped, "reading_id", reading_id)
-                or jsonl and (_unfit(escaped, "body", body, False)  # no CSV cell is unfit here
-                              or _unfit(escaped, "quote_id", quote_id, False)
-                              or _unfit(escaped, "parent_id", parent_id, False)
-                              or _unfit(escaped, "ts", ts, False))
-                or kind == "annotation" and (
-                    not quote_id and f"annotation {id!r} has no quote_id"
-                    or parent_id and f"annotation {id!r} must not have a parent_id"
-                    or not body.strip() and f"annotation {id!r} has an empty body")
-                or kind == "reply" and (
-                    not parent_id and f"reply {id!r} has no parent_id"
-                    or quote_id and f"reply {id!r} must not carry a quote_id"))
-        if reason:
-            errors.append(ParseError(path, f"line {lineno}", reason))
+        lineno, rec = item
+        record = _parse_record(rec)
+        if isinstance(record, str):
+            errors.append(ParseError(path, f"line {lineno}", record))
             continue
-        key = (reading_id, id)
+        key = (record.reading_id, record.id)
         if key in lines:
-            duplicates.append(ParseError(path, f"line {lineno}",
-                                         f"duplicate id {id!r} in reading {reading_id!r}"))
+            duplicates.append(ParseError(path, f"line {lineno}", f"duplicate id {record.id!r} "
+                                         f"in reading {record.reading_id!r}"))
             continue
         lines[key] = lineno
-        reading = readings.get(reading_id) or readings.setdefault(reading_id, Reading(reading_id))
-        if record == "quote":
-            reading.quotes[id] = Quote(id, reading_id, quoted)
+        reading = corpus.readings.get(key[0]) or corpus.readings.setdefault(key[0], Reading(key[0]))
+        if isinstance(record, Quote):
+            reading.quotes[record.id] = record
         else:
-            if not jsonl:  # an empty CSV cell is an absent field
-                quote_id, parent_id, ts = quote_id or None, parent_id or None, ts or None
-            reading.artifacts.append(Artifact(id, author_id, reading_id, kind, body,
-                                              quote_id, parent_id, ts))
-            corpus.authors.add(author_id)
+            reading.artifacts.append(record)
+            corpus.authors.add(record.author_id)
     if not lines and not errors:
         return corpus, [EmptyCorpus(path)]
     errors += duplicates
 
-    for reading in readings.values():
+    for reading in corpus.readings.values():
         roots = thread_roots(reading)
         faults: list[AicnetError] = []
         for art in reading.artifacts:
@@ -333,8 +334,30 @@ def _json_text(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# an artifact's fields as save_corpus orders them
-_SAVED = ("id", "reading_id", "author_id", "kind", "quote_id", "parent_id", "body", "ts")
+def _quote_record(q: Quote) -> dict:
+    return {"record": "quote", "id": q.id, "reading_id": q.reading_id, "text": q.text}
+
+
+def _artifact_record(a: Artifact) -> dict:
+    rec: dict = {"id": a.id, "reading_id": a.reading_id, "author_id": a.author_id, "kind": a.kind}
+    if a.quote_id is not None:
+        rec["quote_id"] = a.quote_id
+    if a.parent_id is not None:
+        rec["parent_id"] = a.parent_id
+    rec["body"] = a.body
+    if a.ts is not None:
+        rec["ts"] = a.ts
+    return rec
+
+
+def iter_records(corpus: Corpus) -> Iterator[dict]:
+    """Canonical record order: readings by id, quotes by id, then artifacts as stored."""
+    for reading_id in sorted(corpus.readings):
+        reading = corpus.readings[reading_id]
+        for quote_id in sorted(reading.quotes):
+            yield _quote_record(reading.quotes[quote_id])
+        for art in reading.artifacts:
+            yield _artifact_record(art)
 
 
 def _csv_lines(rows: Iterable[list[str]]) -> str:
@@ -351,17 +374,10 @@ def _csv_lines(rows: Iterable[list[str]]) -> str:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out as JSONL, one record per line: readings by id,
-    each one's quotes by id, then its artifacts as stored, an absent field
-    left out; ``load_corpus`` of the result round-trips."""
-    records: list[dict] = []
-    for reading_id in sorted(corpus.readings):
-        reading = corpus.readings[reading_id]
-        records += ({"record": "quote", "id": q.id, "reading_id": q.reading_id, "text": q.text}
-                    for _, q in sorted(reading.quotes.items()))
-        records += ({key: getattr(a, key) for key in _SAVED if getattr(a, key) is not None}
-                    for a in reading.artifacts)
-    _write(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
+    """Write the corpus back out as JSONL, one record per line in
+    :func:`iter_records` order; ``load_corpus`` of the result round-trips."""
+    _write(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                         for rec in iter_records(corpus)))
 
 
 # -- thread resolution --------------------------------------------------------

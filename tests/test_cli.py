@@ -1219,6 +1219,29 @@ def test_a_stdout_that_cannot_be_written_is_an_input_error(argv, unbuffered):
         1, f"{note}error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("flags, err", [
+    ([], HASH_NOTE), (["--embeddings", "orphans.jsonl"], "warning: embeddings for unknown quote "
+                                                          "ids: ghost\n"),
+], ids=["note", "warning"])
+def test_a_stderr_that_is_closed_or_full_loses_the_line_alone(tmp_path, stderr, flags, err):
+    # fd 2 closed at startup leaves sys.stderr None, where print(file=None) writes to stdout
+    lines = (_DATA / "sample_embeddings.jsonl").read_text(encoding="utf-8").splitlines()
+    (tmp_path / "orphans.jsonl").write_text(
+        "\n".join(lines + [json.dumps(dict(json.loads(lines[0]), quote_id="ghost"))]) + "\n",
+        encoding="utf-8")
+    argv = [sys.executable, "-m", "aicnet.cli", "metrics", str(_DATA / "sample_corpus.jsonl"),
+            "--level", "network", *flags]
+    kept = subprocess.run(argv, capture_output=True, cwd=tmp_path, env=child_env(), check=False)
+    assert (kept.returncode, kept.stderr) == (0, err.encode())
+    with open("/dev/full", "wb") as full:
+        lost = subprocess.run(argv, stdout=subprocess.PIPE, cwd=tmp_path, env=child_env(),
+                              check=False, **({"stderr": full} if stderr == "full" else
+                                              {"preexec_fn": lambda: os.close(2)}))
+    assert (lost.returncode, lost.stdout) == (0, kept.stdout)
+
+
 # gc.freeze counts its calls; the probe, registered first, runs after every other exit handler
 _EXIT_PROBE = """
 import atexit, gc, json, sys

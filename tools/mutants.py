@@ -45,7 +45,7 @@ _FILES = "tests/test_input_files.py::"
 _CHUNKS = "tests/test_cli_chunks.py::"
 _FREEZE_AT_EXIT = "        atexit.register(gc.freeze)\n        _freeze_at_exit = True\n"
 _COLUMNS = "tests/test_corpus.py::test_csv_columns_follow_the_documented_rules"
-_SURROGATES = "tests/test_corpus.py::test_a_lone_surrogate_escape_is_refused_in_either_case"
+_STDERR_LOST = "tests/test_cli.py::test_a_stderr_that_is_closed_or_full_loses_the_line_alone"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
 # 20-30-node graphs, where another summation order changes low bits
@@ -395,7 +395,8 @@ MUTANTS: list[Mutant] = [
            (_EXPORT + "test_a_writer_that_cannot_encode_leaves_the_file_as_it_was",
             "tests/test_corpus.py::test_save_that_cannot_encode_leaves_the_file_as_it_was")),
     # corpus files: a lone surrogate from a JSON escape loads, and fails later as exit 2
-    Mutant("src/aicnet/corpus.py", "    if escaped and value and _SURROGATE.search(value):\n",
+    Mutant("src/aicnet/corpus.py",
+           "    if value and not value.isascii() and _SURROGATE.search(value):\n",
            "    if False:\n",
            ("tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[author_id]",
             "tests/test_cli.py::test_a_lone_surrogate_is_an_input_error[quote_text]",
@@ -435,8 +436,8 @@ MUTANTS: list[Mutant] = [
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_dangling_parent]",)),
     # CSV corpus files: a record located at its last line, where a multi-line cell ends
-    Mutant("src/aicnet/corpus.py", "                yield start, cells(row)",
-           "                yield reader.line_num, cells(row)",
+    Mutant("src/aicnet/corpus.py", "                yield start, (*fields,",
+           "                yield reader.line_num, (*fields,",
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_csv_multiline]",
             _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
@@ -546,12 +547,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/corpus.py", 'pad = [""] * (len(header) + 1)',
            'pad = ["-"] * len(header) + [""]', (_COLUMNS + "[short_row]",)),
     # CSV corpora: an empty ts cell loaded as "", not absent
-    Mutant("src/aicnet/corpus.py", "parent_id or None, ts or None\n", "parent_id or None, ts\n",
+    Mutant("src/aicnet/corpus.py", "parent_id or None, ts or None)", "parent_id or None, ts)",
            (_COLUMNS + "[empty_cells]",)),
-    # JSONL corpora: the surrogate check skipped unless a \ud escape is in lower case
-    Mutant("src/aicnet/corpus.py", 'escaped = jsonl and "\\\\u" in text',
-           'escaped = jsonl and "\\\\ud" in text',
-           (_SURROGATES + "[upper]", _SURROGATES + "[upper_low_half]")),
     # quote texts folded by full Unicode case folding, so "Straße" and "STRASSE" are twins
     Mutant("src/aicnet/corpus.py", 'return _WS.sub(" ", text.strip()).lower()',
            'return _WS.sub(" ", text.strip()).casefold()',
@@ -578,9 +575,16 @@ MUTANTS: list[Mutant] = [
            (_CHUNKS + "test_with_a_vector_file_a_quote_id_names_one_text[metrics]",)),
     # --embeddings: the orphan line dropped
     Mutant("src/aicnet/cli.py",
-           """print(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}", """
-           "file=sys.stderr)", "pass",
+           """_inform(f"warning: embeddings for unknown quote ids: {', '.join(orphans)}")""",
+           "pass",
            ("tests/test_cli.py::test_orphan_vectors_warn_on_one_stderr_line",)),
+    # a note or warning line written through print(file=None) when fd 2 is closed: into stdout
+    Mutant("src/aicnet/cli.py", "        if sys.stderr:\n", "        if True:\n",
+           (_STDERR_LOST + "[note-closed]", _STDERR_LOST + "[warning-closed]")),
+    # a note or warning line that cannot be written fails the command
+    Mutant("src/aicnet/cli.py", '            sys.stderr.write(line + "\\n")\n    except OSError:\n',
+           '            sys.stderr.write(line + "\\n")\n    except ValueError:\n',
+           (_STDERR_LOST + "[note-full]", _STDERR_LOST + "[warning-full]")),
     # cold start: the exporters imported with the CLI again
     Mutant("src/aicnet/cli.py", "from . import metrics\n", "from . import export, metrics\n",
            (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
