@@ -69,12 +69,12 @@ _NETWORK_MEASURES = (("AN transitivity", "an_transitivity"),
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with flag errors reported as input errors (exit 1, not 2), and
-    a help or usage text that cannot be written raising its ``OSError``."""
+    """argparse with flag errors reported as input errors (exit 1, not 2), their
+    usage and error lines on stderr alone (:func:`_inform`), and a help text
+    that cannot be written raising its ``OSError``."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _inform(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(1)
 
     def _print_message(self, message: str, file=None) -> None:
@@ -190,7 +190,8 @@ def _corpus_format(path: Path) -> str:
 
 
 def _inform(line: str) -> None:
-    """Write a note or warning line on stderr, lost if stderr is closed (None) or unwritable."""
+    """Write a line on stderr, lost if stderr is closed (None) or unwritable;
+    never on stdout, where ``print`` writes when ``sys.stderr`` is None."""
     try:
         if sys.stderr:
             sys.stderr.write(line + "\n")
@@ -597,10 +598,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse: --help, or a flag error already reported
         return int(exc.code or 0)
     except (AicnetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _inform(f"error: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - invariant violations surface as exit 2
-        print(f"internal error: {exc}", file=sys.stderr)
+        _inform(f"internal error: {exc}")
         return 2
 
 

@@ -182,8 +182,8 @@ _FIELDS = ("record", "id", "reading_id", "author_id", "kind", "body", "text", "q
 
 
 def _csv_rows(path: str | Path, text: str) -> Iterator[tuple[int, tuple] | ParseError]:
-    """(first line, values of ``_FIELDS``) per non-blank row after the header, an empty
-    optional cell None; a row the reader refuses ends the text as a ParseError."""
+    """(first line, values of ``_FIELDS``) per non-blank row after the header, a
+    missing cell ""; a row the reader refuses ends the text as a ParseError."""
     reader = csv.reader(io.StringIO(text))
     # no field is longer than the text; the process-wide limit is restored after
     limit = csv.field_size_limit(len(text) + 1)
@@ -196,8 +196,7 @@ def _csv_rows(path: str | Path, text: str) -> Iterator[tuple[int, tuple] | Parse
         start = reader.line_num + 1  # a quoted cell may run a row over several lines
         for row in reader:
             if row:
-                *fields, quote_id, parent_id, ts = cells(row + pad)
-                yield start, (*fields, quote_id or None, parent_id or None, ts or None)
+                yield start, cells(row + pad)
             start = reader.line_num + 1
     except csv.Error as exc:
         yield ParseError(path, f"line {reader.line_num}", f"invalid CSV ({exc})")
@@ -246,7 +245,9 @@ def _parse_record(rec: dict | tuple) -> Quote | Artifact | str:
         return f"reply {id!r} has no parent_id"
     elif quote_id:
         return f"reply {id!r} must not carry a quote_id"
-    return Artifact(id, author_id, reading_id, kind, body, quote_id, parent_id, ts)
+    # an empty optional field is absent, in a CSV cell as in a JSON object
+    return Artifact(id, author_id, reading_id, kind, body, quote_id or None, parent_id or None,
+                    ts or None)
 
 
 def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError]]:

@@ -13,7 +13,7 @@ import heapq
 import math
 import re
 from collections import Counter
-from functools import lru_cache, partial
+from functools import cmp_to_key, lru_cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -260,6 +260,41 @@ class SelectedWord(NamedTuple):
     score: float
 
 
+def _tfidf_order(n_docs: int, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The sign of tf1 ln(N/df1) - tf2 ln(N/df2) for ``a = (tf1, df1)`` and
+    ``b = (tf2, df2)``, exactly: (N/df1)^tf1 against (N/df2)^tf2, which is
+    N^tf1 df2^tf2 against N^tf2 df1^tf1 in integers."""
+    left, right = n_docs ** a[0] * b[1] ** b[0], n_docs ** b[0] * a[1] ** a[0]
+    return (left > right) - (left < right)
+
+
+def _tfidf_ranks(n_docs: int, scores: dict[tuple[int, int], float]) -> dict[tuple[int, int], int]:
+    """Each (tf, df) pair's rank in the exact ascending order of tf ln(N/df),
+    from its float score; pairs of equal tf-idf share a rank.
+
+    The pairs are sorted by float score, and each run of neighbours at most
+    ``slack`` apart is sorted again by :func:`_tfidf_order`. The division, the
+    logarithm (within one ulp) and the product each round once, so a score's
+    float is off by less than tf (1 + 3 ln N) 2^-53, and two scores' errors
+    sum to less than ``slack`` / 32: floats further apart are in exact order.
+    """
+    ordered = sorted(scores, key=scores.__getitem__)
+    slack = max(tf for tf, _ in scores) * (1.0 + math.log(n_docs)) * 2.0 ** -45
+    order = partial(_tfidf_order, n_docs)
+    ranks: dict[tuple[int, int], int] = {}
+    rank, start = -1, 0
+    for end in range(1, len(ordered) + 1):
+        if end < len(ordered) and scores[ordered[end]] - scores[ordered[end - 1]] <= slack:
+            continue
+        run = sorted(ordered[start:end], key=cmp_to_key(order))
+        for i, pair in enumerate(run):
+            if i == 0 or order(run[i - 1], pair):
+                rank += 1
+            ranks[pair] = rank
+        start = end
+    return ranks
+
+
 def select_cn_words(reading: Reading,
                     params: WordSelectionParams = WordSelectionParams()) -> list[SelectedWord]:
     """Run the full selection: frequency floor, tf-idf scoring, bottom drop,
@@ -276,39 +311,80 @@ def select_cn_words(reading: Reading,
        lemma, then artifact id) and keep the first ``top_k``;
     6. map pairs to (lemma, author), keeping the max score per pair.
 
-    All ties are broken by the stated total orders, so the selection is
-    independent of artifact iteration order.
+    Scores are compared exactly (:func:`_tfidf_ranks`), not as floats, and
+    all ties are broken by the stated total orders, so the selection is
+    independent of artifact iteration order. The result lists the kept
+    (lemma, author) pairs by score descending, then lemma, then author.
+
+    A score depends on its lemma and tf alone, so stages 2-5 work on the
+    reading's distinct (lemma, tf) groups and the documents that hold each.
+    A lemma's count, df and max score come from its groups. The groups are
+    ranked by (score descending, lemma), and taken in that order until they
+    hold ``top_k`` pairs; only their pairs get a ranking tuple. A reading
+    built by hand may repeat an artifact id: each (lemma, artifact id) pair
+    then ranks once, from the last document that holds it, while every
+    document counts for count, df and max.
     """
     docs = _documents(reading, params.noun_lexicon, params.stopwords)
-    totals = Counter(chain.from_iterable(counts.elements() for _, counts in docs))
-    df = Counter(chain.from_iterable(counts for _, counts in docs))  # documents per lemma
+    n_docs = len(docs)
+    groups = Counter(chain.from_iterable(counts.items() for _, counts in docs))  # documents per group
+    df: dict[str, int] = {}
+    totals: dict[str, int] = {}
+    top_tf: dict[str, int] = {}
+    for (lemma, tf), n in groups.items():
+        if lemma in df:
+            df[lemma] += n
+            totals[lemma] += tf * n
+            if tf > top_tf[lemma]:
+                top_tf[lemma] = tf
+        else:
+            df[lemma], totals[lemma], top_tf[lemma] = n, tf * n, tf
     # candidates: lemmas at or above the frequency floor, with their idf ln(N / df)
-    idf = {lemma: math.log(len(docs) / n) for lemma, n in df.items()
+    idf = {lemma: math.log(n_docs / n) for lemma, n in df.items()
            if totals[lemma] >= params.min_frequency}
     if not idf:
         return []
-
-    # each (lemma, artifact id) pair's ranking tuple, the last occurrence
-    # winning, and each lemma's max score over every occurrence (scores >= 0)
-    pairs: dict[tuple[str, str], tuple[float, str, str, str]] = {}
-    aggregate = dict.fromkeys(idf, 0.0)
-    for art, counts in docs:
-        for lemma in counts.keys() & idf.keys():
-            score = counts[lemma] * idf[lemma]
-            pairs[lemma, art.id] = (-score, lemma, art.id, art.author_id)
-            if score > aggregate[lemma]:
-                aggregate[lemma] = score
+    candidates = [(lemma, tf, n) for (lemma, tf), n in groups.items() if lemma in idf]
+    rank = _tfidf_ranks(n_docs, {(tf, df[lemma]): tf * idf[lemma] for lemma, tf, _ in candidates})
 
     lowest = heapq.nsmallest(params.drop_lowest,
-                             [(score, lemma) for lemma, score in aggregate.items()])
+                             [(rank[top_tf[lemma], df[lemma]], lemma) for lemma in idf])
     dropped = {lemma for _, lemma in lowest}
-    # (-score, lemma, artifact id) never ties: the pairs' keys are distinct
-    ranked = heapq.nsmallest(params.top_k,
-                             [pair for pair in pairs.values() if pair[1] not in dropped])
 
-    best: dict[tuple[str, str], float] = {}
-    for neg_score, lemma, _, author in ranked:
-        best.setdefault((lemma, author), neg_score)  # best first: the first is the max
-    return [SelectedWord(lemma, author, -neg_score)
-            for neg_score, lemma, author in sorted((neg_score, lemma, author)
-                                                   for (lemma, author), neg_score in best.items())]
+    # each document's pairs that no later document of its artifact id holds,
+    # and the pairs of each group that a later one does
+    ranked_docs, shadowed = docs, Counter()
+    if len({art.id for art, _ in docs}) < n_docs:
+        ranked_docs, later = [], {}
+        for art, counts in reversed(docs):
+            held = later.setdefault(art.id, set())
+            shadowed.update((lemma, tf) for lemma, tf in counts.items() if lemma in held)
+            ranked_docs.append((art, {lemma: tf for lemma, tf in counts.items()
+                                      if lemma not in held}))
+            held.update(counts)
+    keys: dict[tuple[int, str], list[int]] = {}  # (-rank, lemma) -> [pairs, least tf]
+    for lemma, tf, n in candidates:
+        if lemma not in dropped:
+            entry = keys.setdefault((-rank[tf, df[lemma]], lemma), [0, tf])
+            entry[0] += n - shadowed[lemma, tf]
+            entry[1] = min(entry[1], tf)  # several tfs share a key where idf is 0
+    # a lemma's keys come by tf descending, so the groups taken are those of
+    # tf >= least_tf[lemma]
+    least_tf: dict[str, int] = {}
+    reach = 0
+    for key in sorted(keys):
+        if reach >= params.top_k:
+            break
+        reach += keys[key][0]
+        least_tf[key[1]] = keys[key][1]
+
+    # (-rank, lemma, artifact id) never ties: each pair occurs once
+    ranked = heapq.nsmallest(params.top_k, [
+        (-rank[counts[lemma], df[lemma]], lemma, art.id, art.author_id, counts[lemma] * idf[lemma])
+        for art, counts in ranked_docs for lemma in counts.keys() & least_tf.keys()
+        if counts[lemma] >= least_tf[lemma]])
+
+    best: dict[tuple[str, str], tuple[int, str, str, float]] = {}
+    for neg_rank, lemma, _, author, score in ranked:  # best first: the first is the max
+        best.setdefault((lemma, author), (neg_rank, lemma, author, score))
+    return [SelectedWord(lemma, author, score) for _, lemma, author, score in sorted(best.values())]

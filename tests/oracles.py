@@ -16,7 +16,9 @@ library's report must equal it with ``==``.
 
 The tokenizer oracle is the tokenizer the library used before its ASCII fast
 path: the token pattern in Unicode mode over the lowered text. The
-word-selection oracles tokenize with it.
+word-selection oracles tokenize with it, lemmatize with a lemmatizer written
+from README's rules with its own irregular table, and rank each
+(lemma, artifact) pair by the exact rational whose logarithm is its score.
 
 The hash-embed oracle is the per-gram embedder the library used before it
 hashed all n-gram windows at once: one FNV-1a loop per 3-, 4- and 5-gram,
@@ -42,6 +44,7 @@ import math
 import re
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 from itertools import combinations, zip_longest
 from pathlib import Path
 
@@ -64,7 +67,6 @@ from aicnet.textpipe import (
     _NOUN_SUFFIXES,
     SelectedWord,
     WordSelectionParams,
-    _lemmatize,
     default_noun_lexicon,
     default_stopwords,
 )
@@ -375,6 +377,47 @@ def oracle_tokenize(text: str) -> list[str]:
     return _ORACLE_TOKEN.findall(text.lower())
 
 
+# irregular plural -> lemma, as README lists them
+_ORACLE_IRREGULAR = dict(entry.split(":") for entry in """
+    children:child people:person men:man women:woman feet:foot teeth:tooth mice:mouse
+    geese:goose lives:life wives:wife knives:knife leaves:leaf shelves:shelf selves:self
+    halves:half wolves:wolf analyses:analysis crises:crisis hypotheses:hypothesis
+    theses:thesis bases:basis criteria:criterion phenomena:phenomenon curricula:curriculum
+    indices:index appendices:appendix matrices:matrix media:medium series:series
+    species:species movies:movie lens:lens news:news""".split())
+_ORACLE_ES = ("sses", "shes", "ches", "xes", "zes", "oes")
+_ORACLE_ING_ED = re.compile(r"(?P<stem>.{3,})(?:ing|ed)", re.DOTALL)
+
+
+def oracle_lemmatize(surface: str, lexicon: frozenset[str]) -> str:
+    """The lemma of a lowercase surface by README's rules, the first that applies:
+    the irregular table; a surface in ``lexicon`` is its own lemma; -ies -> -y
+    from 5 letters; -sses, -shes, -ches, -xes, -zes and -oes lose -es from 5
+    letters; -s (not -ss, -us or -is) comes off from 4 letters; -ing from 6
+    letters and -ed from 5 come off when the stem, the stem + e or the stem
+    with its doubled last letter undoubled, the first that is, is in
+    ``lexicon`` or is a lemma of the irregular table; else the surface."""
+    if surface in _ORACLE_IRREGULAR:
+        return _ORACLE_IRREGULAR[surface]
+    if surface in lexicon:
+        return surface
+    size = len(surface)
+    if size >= 5 and surface[-3:] == "ies":
+        return surface[:-3] + "y"
+    if size >= 5 and any(surface[-len(end):] == end for end in _ORACLE_ES):
+        return surface[:-2]
+    if size >= 4 and surface[-1:] == "s" and surface[-2:] not in ("ss", "us", "is"):
+        return surface[:-1]
+    match = _ORACLE_ING_ED.fullmatch(surface)
+    if match:
+        stem = match["stem"]
+        undoubled = [stem[:-1]] if stem[-1] == stem[-2] else []
+        for candidate in [stem, stem + "e", *undoubled]:
+            if candidate in lexicon or candidate in _ORACLE_IRREGULAR.values():
+                return candidate
+    return surface
+
+
 def _oracle_is_noun(surface: str, lemma: str, noun_lexicon: frozenset[str] | None) -> bool:
     if surface in default_stopwords() or lemma in default_stopwords():
         return False
@@ -390,7 +433,7 @@ def oracle_noun_lemmas(text: str, noun_lexicon: frozenset[str] | None = None,
     lemmas = []
     for surface in oracle_tokenize(text):
         nouns = default_noun_lexicon() if noun_lexicon is None else noun_lexicon
-        lemma = _lemmatize(surface, nouns)
+        lemma = oracle_lemmatize(surface, nouns)
         if _oracle_is_noun(surface, lemma, noun_lexicon) and lemma not in extra_stopwords:
             lemmas.append(lemma)
     return lemmas
@@ -409,7 +452,9 @@ def oracle_documents(reading: Reading, noun_lexicon: frozenset[str] | None = Non
 
 def oracle_select_cn_words(reading: Reading,
                            params: WordSelectionParams = WordSelectionParams()) -> list[SelectedWord]:
-    """Word selection with one logarithm per (lemma, artifact) pair."""
+    """Word selection with one logarithm per (lemma, artifact) pair, ordered by
+    each score's exact value: a score tf ln(N/df) is the logarithm of the
+    rational (N/df)^tf, so the rationals compare as the scores do."""
     docs = oracle_documents(reading, params.noun_lexicon, params.stopwords)
     n_docs = len(docs)
 
@@ -424,36 +469,39 @@ def oracle_select_cn_words(reading: Reading,
     for _, counts in docs:
         df.update(lemma for lemma in counts if lemma in candidates)
 
-    pair_scores: dict[tuple[str, str], tuple[float, str]] = {}
-    per_lemma: dict[str, list[float]] = {lemma: [] for lemma in candidates}
+    # (lemma, artifact id) -> (exact value, float score, author), the last occurrence kept
+    pair_scores: dict[tuple[str, str], tuple[Fraction, float, str]] = {}
+    per_lemma: dict[str, list[Fraction]] = {lemma: [] for lemma in candidates}
     for art, counts in docs:
         for lemma in counts:
             if lemma not in candidates:
                 continue
+            exact = Fraction(n_docs, df[lemma]) ** counts[lemma]
             score = counts[lemma] * math.log(n_docs / df[lemma])
-            pair_scores[(lemma, art.id)] = (score, art.author_id)
-            per_lemma[lemma].append(score)
+            pair_scores[(lemma, art.id)] = (exact, score, art.author_id)
+            per_lemma[lemma].append(exact)
 
-    aggregate = {lemma: max(scores) for lemma, scores in per_lemma.items()}
+    aggregate = {lemma: max(values) for lemma, values in per_lemma.items()}
     dropped = {
         lemma
         for lemma, _ in sorted(aggregate.items(), key=lambda kv: (kv[1], kv[0]))[: params.drop_lowest]
     }
 
     ranked = sorted(
-        ((lemma, art_id, score, author) for (lemma, art_id), (score, author) in pair_scores.items()
-         if lemma not in dropped),
+        ((lemma, art_id, exact, score, author)
+         for (lemma, art_id), (exact, score, author) in pair_scores.items() if lemma not in dropped),
         key=lambda item: (-item[2], item[0], item[1]),
     )[: params.top_k]
 
-    best: dict[tuple[str, str], float] = {}
-    for lemma, _, score, author in ranked:
+    best: dict[tuple[str, str], tuple[Fraction, float]] = {}
+    for lemma, _, exact, score, author in ranked:
         key = (lemma, author)
-        if key not in best or score > best[key]:
-            best[key] = score
+        if key not in best or exact > best[key][0]:
+            best[key] = (exact, score)
     return [
         SelectedWord(lemma, author, score)
-        for (lemma, author), score in sorted(best.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+        for (lemma, author), (_, score) in sorted(
+            best.items(), key=lambda kv: (-kv[1][0], kv[0][0], kv[0][1]))
     ]
 
 
@@ -595,7 +643,7 @@ def _oracle_parse_record(path: str | Path, lineno: int, rec: dict) -> Quote | Ar
         value = rec.get(key)
         if value is not None and not isinstance(value, str):
             raise fault(f"field {key!r} must be a string")
-        return value and encodable(key, value)
+        return encodable(key, value) if value else None
 
     if rec.get("record") == "quote":
         quote = Quote(id=need("id"), reading_id=need("reading_id"), text=need("text"))

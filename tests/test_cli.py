@@ -1242,6 +1242,32 @@ def test_a_stderr_that_is_closed_or_full_loses_the_line_alone(tmp_path, stderr, 
     assert (lost.returncode, lost.stdout) == (0, kept.stdout)
 
 
+# an internal error: a command that raises what no input error is
+_INTERNAL_ERROR = """
+import sys
+from aicnet import cli
+
+cli._COMMANDS["validate"] = lambda args: 1 / 0
+sys.exit(cli.main(["validate", "missing.jsonl"]))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-m", "aicnet.cli", "validate", "missing.jsonl"], 1),
+    (["-m", "aicnet.cli", "metrics", "--bogus"], 1),
+    (["-c", _INTERNAL_ERROR], 2),
+], ids=["input_error", "usage", "internal_error"])
+def test_with_fd_2_closed_an_error_writes_nothing_on_stdout(tmp_path, argv, code):
+    # fd 2 closed at startup leaves sys.stderr None, where print(file=None) writes to stdout
+    result = subprocess.run([sys.executable, *argv], stdout=subprocess.PIPE, cwd=tmp_path,
+                            env=child_env(), check=False, preexec_fn=lambda: os.close(2))
+    assert (result.returncode, result.stdout) == (code, b"")
+    kept = subprocess.run([sys.executable, *argv], capture_output=True, cwd=tmp_path,
+                          env=child_env(), check=False)
+    assert (kept.returncode, kept.stdout) == (code, b"")
+    assert re.match(r"(aicnet metrics: |internal )?error: ", kept.stderr.decode().splitlines()[-1])
+
+
 # gc.freeze counts its calls; the probe, registered first, runs after every other exit handler
 _EXIT_PROBE = """
 import atexit, gc, json, sys

@@ -341,6 +341,9 @@ def corpus_files(draw) -> tuple[str, bytes]:
 @example(("jsonl", b'{"id":"a1","reading_id":"r1","kind":"reply","body":"\\ud800","ts":1}\n'))
 @example(("jsonl", b'{"id":"a1","reading_id":"r1","author_id":"A","kind":"reply",'
                   b'"parent_id":2,"body":"","ts":3}\n'))
+@example(("jsonl", b'{"record":"quote","id":"q1","reading_id":"r1","text":"t"}\n'
+                  b'{"id":"a1","reading_id":"r1","author_id":"A","kind":"annotation",'
+                  b'"quote_id":"q1","parent_id":"","body":"x","ts":""}\n'))
 def test_collect_equals_the_oracle_loader(tmp_path_factory, file):
     format, data = file
     path = tmp_path_factory.mktemp("oracle") / f"corpus.{format}"
@@ -348,6 +351,24 @@ def test_collect_equals_the_oracle_loader(tmp_path_factory, file):
     got, want = _collect(path, format), oracle_collect(path, format)
     assert got[0] == want[0] and got[0].authors == want[0].authors
     assert [(type(e), str(e)) for e in got[1]] == [(type(e), str(e)) for e in want[1]]
+
+
+def test_an_empty_optional_field_is_absent_in_either_format(tmp_path):
+    records = [
+        {"record": "quote", "id": "q1", "reading_id": "r1", "text": "A quote."},
+        {"id": "a1", "reading_id": "r1", "author_id": "A", "kind": "annotation",
+         "quote_id": "q1", "parent_id": "", "body": "a note", "ts": ""},
+        {"id": "p1", "reading_id": "r1", "author_id": "B", "kind": "reply",
+         "quote_id": "", "parent_id": "a1", "body": "a reply", "ts": ""},
+    ]
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    from_jsonl = load_corpus(jsonl)
+    from_csv = load_corpus(write_csv_corpus(from_jsonl, tmp_path / "corpus.csv"), "csv")
+    assert from_jsonl == from_csv
+    assert from_jsonl.readings["r1"].artifacts == [
+        Artifact("a1", "A", "r1", "annotation", "a note", "q1", None, None),
+        Artifact("p1", "B", "r1", "reply", "a reply", None, "a1", None)]
 
 
 _CSV_HEADER = "record,id,reading_id,author_id,kind,quote_id,body,parent_id,ts,text\n"

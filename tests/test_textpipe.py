@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -12,12 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet import textpipe
+from aicnet.corpus import load_corpus
 from aicnet.errors import AicnetError
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import (
     WordSelectionParams,
     _documents,
     _lemmatize,
+    default_noun_lexicon,
     lemmatize,
     load_wordlist,
     noun_lemmas,
@@ -27,7 +32,13 @@ from aicnet.textpipe import (
 )
 
 from conftest import mk_corpus
-from oracles import oracle_documents, oracle_noun_lemmas, oracle_select_cn_words, oracle_tokenize
+from oracles import (
+    oracle_documents,
+    oracle_lemmatize,
+    oracle_noun_lemmas,
+    oracle_select_cn_words,
+    oracle_tokenize,
+)
 
 LN2 = math.log(2.0)
 LN43 = math.log(4.0 / 3.0)
@@ -115,7 +126,29 @@ def test_tokenize_takes_the_ascii_pattern_when_the_lowered_text_is_ascii(monkeyp
     ],
 )
 def test_lemmatize(surface, lemma):
-    assert lemmatize(surface) == lemma
+    assert lemmatize(surface) == oracle_lemmatize(surface, default_noun_lexicon()) == lemma
+
+
+# stems and endings around every rule's letter count and exceptions
+_STEMS = ["", "a", "b", "sk", "ti", "cla", "her", "bo", "stop", "danc", "glorp", "ss", "u", "i"]
+_ENDINGS = ["", "s", "es", "ies", "sses", "shes", "ches", "xes", "zes", "oes", "us", "is", "ss",
+            "ing", "ed", "ping", "ped", "eing", "ied"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(st.sampled_from(_STEMS), st.sampled_from(_ENDINGS)).map("".join)
+       | st.text(alphabet="abdegiknoprstuxyz", max_size=9),
+       st.sampled_from(["bundled", "empty", "glorp"]))
+@example("skies", "bundled")  # 5 letters: -ies -> -y, where the -s rule would give "skie"
+@example("ties", "bundled")
+@example("oxes", "bundled")
+@example("boxes", "bundled")
+@example("stopping", "glorp")
+@example("glorpped", "glorp")
+def test_lemmatize_equals_the_readme_oracle(surface, lexicon):
+    lexicon = {"bundled": default_noun_lexicon(), "empty": frozenset(),
+               "glorp": frozenset({"glorp", "stop", "dance"})}[lexicon]
+    assert _lemmatize(surface, lexicon) == oracle_lemmatize(surface, lexicon)
 
 
 def test_noun_lemmas_empty():
@@ -349,6 +382,123 @@ def test_a_repeated_artifact_id_ranks_its_last_pair_once(drop, pairs):
     assert [(s.lemma, s.author_id) for s in selection] == pairs
 
 
+@pytest.mark.parametrize("twelve, nine, drop, top_k, kept", [
+    # the top-k cut keeps alpha by lemma, though zeta's float is the larger
+    ("alpha", "zeta", 0, 1, {"alpha"}),
+    # the drop cut drops alpha by lemma, though zeta's float is the smaller
+    ("zeta", "alpha", 1, 70, {"zeta"}),
+], ids=["top_k", "drop"])
+def test_equal_tfidf_with_unequal_floats_ties_by_lemma(twelve, nine, drop, top_k, kept):
+    # 16 documents: twelve in 12 (twice in one), nine in 9; 2 ln(16/12) = ln(16/9) exactly,
+    # but the floats are 0.5753641449035617 and 0.5753641449035618
+    bodies = [f"{twelve} {twelve}"] + [twelve] * 6 + [f"{twelve} {nine}"] * 5 + [nine] * 4
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[(f"d{i:02}", "r1", f"a{i}", "q1", body) for i, body in enumerate(bodies)],
+    ).readings["r1"]
+    assert 2 * math.log(16 / 12) < math.log(16 / 9)
+    params = WordSelectionParams(1, drop, top_k, noun_lexicon=frozenset({"alpha", "zeta"}))
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert {s.lemma for s in selection} == kept
+
+
+@st.composite
+def _ranking_inputs(draw):
+    """Readings whose artifact ids may repeat and that may hold a lemma in every
+    document (idf 0), with a top_k that may end inside a (score, lemma) group."""
+    n_arts = draw(st.integers(1, 8))
+    n_ids = draw(st.integers(1, n_arts))
+    everywhere = draw(st.booleans())
+    annotations = []
+    for _ in range(n_arts):
+        words = draw(st.lists(st.sampled_from(_WORDS[:6]), min_size=0 if everywhere else 1,
+                              max_size=8))
+        words += ["dance"] * draw(st.integers(1, 3)) if everywhere else []
+        annotations.append((f"d{draw(st.integers(0, n_ids - 1))}", "r1",
+                            f"a{draw(st.integers(1, 3))}", "q1", " ".join(words)))
+    reading = mk_corpus(quotes=[("q1", "r1", "t")], annotations=annotations).readings["r1"]
+    return reading, WordSelectionParams(draw(st.integers(1, 3)), draw(st.integers(0, 3)),
+                                        draw(st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranking_inputs())
+def test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero(inputs):
+    reading, params = inputs
+    assert select_cn_words(reading, params) == oracle_select_cn_words(reading, params)
+
+
+# per N, the pairs of (tf, df) with tf <= 3 and equal tf-idf: (N/df1)^tf1 = (N/df2)^tf2;
+# some differ as floats, as 1 ln(16/9) and 2 ln(16/12) do
+_TIES = {n: [(a, b) for a, b in combinations([(tf, df) for tf in (1, 2, 3) for df in range(1, n)], 2)
+             if a[0] != b[0] and Fraction(n, a[1]) ** a[0] == Fraction(n, b[1]) ** b[0]]
+         for n in (16, 64, 81)}
+_GREEK = ["alpha", "beta", "gamma", "delta", "zeta", "theta", "kappa", "sigma"]
+
+
+@st.composite
+def _planted_ties(draw):
+    """N documents, each holding ``omega`` (idf 0), two lemmas of one tie of
+    ``_TIES`` and up to four more, each lemma with one tf in each of its df
+    documents; top_k at most the pairs."""
+    n_docs = draw(st.sampled_from(sorted(_TIES)))
+    lemmas = draw(st.permutations(_GREEK))[:draw(st.integers(2, 6))]
+    plan = [*draw(st.sampled_from(_TIES[n_docs])),
+            *[(draw(st.integers(1, 3)), draw(st.integers(1, n_docs))) for _ in lemmas[2:]]]
+    bodies: list[list[str]] = [["omega"] for _ in range(n_docs)]
+    for lemma, (tf, df) in zip(lemmas, plan):
+        start = draw(st.integers(0, n_docs - 1))
+        for j in range(start, start + df):
+            bodies[j % n_docs] += [lemma] * tf
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[(f"d{i:02}", "r1", f"a{draw(st.integers(1, 4))}", "q1", " ".join(body))
+                     for i, body in enumerate(bodies)],
+    ).readings["r1"]
+    params = WordSelectionParams(1, draw(st.integers(0, 3)),
+                                 draw(st.integers(1, sum(df for _, df in plan))),
+                                 noun_lexicon=frozenset(_GREEK + ["omega"]))
+    return reading, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_ties())
+def test_selection_equals_oracle_on_planted_exact_ties(inputs):
+    reading, params = inputs
+    assert select_cn_words(reading, params) == oracle_select_cn_words(reading, params)
+
+
+# sha-256 prefixes of the selections, under the default parameters and under
+# 1/0/70, of every reading of each workload's full-size benchmark corpus, as
+# the selection gave them before it ranked (lemma, tf) groups
+_WORKLOAD_SELECTIONS = {
+    ("attention_dense", 0): "8dd2e6e8c5dc24b5",
+    ("attention_dense", 5): "5771fe2e307f10ad",
+    ("attention_dense", 11): "2770fec8a8eab1c5",
+    ("class_roster", 0): "720d06e6e8ee9da0",
+    ("class_roster", 5): "2c9fee98711aef01",
+    ("class_roster", 11): "4f9f9e6a6e619e86",
+    ("creation_text", 0): "2cf63e0719189b88",
+    ("creation_text", 5): "1d122aaf2edb05be",
+    ("creation_text", 11): "b28f7c54d269ecc1",
+}
+
+
+def _selection_digest(corpus) -> str:
+    selections = [[rid, [list(map(list, select_cn_words(corpus.readings[rid], params)))
+                         for params in (WordSelectionParams(), WordSelectionParams(1, 0, 70))]]
+                  for rid in sorted(corpus.readings)]
+    return hashlib.sha256(json.dumps(selections).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workload, seed", sorted(_WORKLOAD_SELECTIONS))
+def test_workload_selections_equal_the_recorded_ones(bench, tmp_path, workload, seed):
+    inputs, _ = bench.prepare(workload, seed, tmp_path, bench.corpora.SIZES[workload])
+    corpus = load_corpus(inputs.corpus, bench.corpora.FORMATS[workload])
+    assert _selection_digest(corpus) == _WORKLOAD_SELECTIONS[workload, seed]
+
+
 def test_extra_stopwords_excluded():
     params = WordSelectionParams(drop_lowest=0, stopwords=frozenset({"pedagogy"}))
     selection = select_cn_words(_cn_reading(), params)
@@ -496,7 +646,7 @@ def test_lemmatize_called_once_per_distinct_surface_per_reading(monkeypatch):
         calls[surface] += 1
         return _lemmatize(surface, lexicon)
 
-    monkeypatch.setattr(textpipe, "_lemmatize", counting)  # the oracle keeps its own binding
+    monkeypatch.setattr(textpipe, "_lemmatize", counting)  # the oracle has its own lemmatizer
     for reading in corpus.readings.values():
         calls.clear()
         selection = select_cn_words(reading, WordSelectionParams())

@@ -138,6 +138,10 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/corpus.py", "        return hash(self._key())",
            "        return hash((self.id, self.text))",
            (_RECORDS + "test_record_behaves_as_its_dataclass",)),
+    # an empty optional quote_id or parent_id loaded as "", not absent
+    Mutant("src/aicnet/corpus.py", "body, quote_id or None, parent_id or None,",
+           "body, quote_id, parent_id,",
+           ("tests/test_corpus.py::test_an_empty_optional_field_is_absent_in_either_format",)),
     # record equality across classes: a subclass instance equal to its base's
     Mutant("src/aicnet/corpus.py", "if other.__class__ is self.__class__",
            "if isinstance(other, type(self))",
@@ -150,8 +154,8 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/textpipe.py", '.read_bytes()).split("\\n"):', ".read_bytes()).splitlines():",
            ("tests/test_textpipe.py::test_load_wordlist_lines_end_at_a_line_feed_alone",)),
     # word selection: ranking ties left in artifact order, which the file's record order sets
-    Mutant("src/aicnet/textpipe.py", "[pair for pair in pairs.values() if pair[1] not in dropped])",
-           "[pair for pair in pairs.values() if pair[1] not in dropped], key=lambda pair: pair[0])",
+    Mutant("src/aicnet/textpipe.py", "        if counts[lemma] >= least_tf[lemma]])",
+           "        if counts[lemma] >= least_tf[lemma]], key=lambda pair: pair[0])",
            (_FILES + "test_record_order_does_not_change_a_report[creation_text]",)),
     # stats --out: a reading's row dumped as a JSON list, not an object
     Mutant("src/aicnet/cli.py", 'readings = [row._asdict() for row in summary.pop("rows")]',
@@ -436,8 +440,8 @@ MUTANTS: list[Mutant] = [
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_dangling_parent]",)),
     # CSV corpus files: a record located at its last line, where a multi-line cell ends
-    Mutant("src/aicnet/corpus.py", "                yield start, (*fields,",
-           "                yield reader.line_num, (*fields,",
+    Mutant("src/aicnet/corpus.py", "                yield start, cells(row + pad)",
+           "                yield reader.line_num, cells(row + pad)",
            (_FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
             "[corpus_csv_multiline]",
             _FILES + "test_a_malformed_input_file_is_named_with_its_line_or_byte"
@@ -471,15 +475,34 @@ MUTANTS: list[Mutant] = [
     # --dim without its upper bound
     Mutant("src/aicnet/cli.py", "at_most=65536", "at_most=None",
            ("tests/test_cli.py::test_oversized_dim_is_an_input_error[metrics]",)),
-    # word selection: a lemma's aggregate is its last score, not its max
+    # word selection: a lemma's max score from its last group's tf, not its largest
     Mutant("src/aicnet/textpipe.py",
-           "            if score > aggregate[lemma]:\n                aggregate[lemma] = score\n",
-           "            aggregate[lemma] = score\n",
+           "            if tf > top_tf[lemma]:\n                top_tf[lemma] = tf\n",
+           "            top_tf[lemma] = tf\n",
            ("tests/test_textpipe.py::test_selection_insensitive_to_artifact_order",)),
     # word selection: idf as a difference of logs, which rounds differently
-    Mutant("src/aicnet/textpipe.py", "math.log(len(docs) / n)",
-           "math.log(len(docs)) - math.log(n)",
+    Mutant("src/aicnet/textpipe.py", "math.log(n_docs / n)",
+           "math.log(n_docs) - math.log(n)",
            ("tests/test_textpipe.py::test_selection_equals_oracle_on_synthetic_corpora[3]",)),
+    # word selection: the (score, lemma) group that reaches top_k pairs not taken
+    Mutant("src/aicnet/textpipe.py",
+           "        if reach >= params.top_k:\n            break\n        reach += keys[key][0]\n",
+           "        reach += keys[key][0]\n        if reach >= params.top_k:\n            break\n",
+           ("tests/test_textpipe.py::test_equal_scores_of_one_lemma_rank_by_artifact_id_not_author",
+            "tests/test_textpipe.py::"
+            "test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero")),
+    # word selection: (tf, df) pairs of equal tf-idf ranked apart, in float order
+    Mutant("src/aicnet/textpipe.py", "if i == 0 or order(run[i - 1], pair):", "if True:",
+           ("tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[top_k]",
+            "tests/test_textpipe.py::test_selection_equals_oracle_on_planted_exact_ties")),
+    # word selection: only equal floats compared exactly
+    Mutant("src/aicnet/textpipe.py", "* 2.0 ** -45", "* 0.0",
+           ("tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[drop]",
+            "tests/test_textpipe.py::test_selection_equals_oracle_on_planted_exact_ties")),
+    # lemmatizer: -ies -> -y from 6 letters, so "skies" gives "skie"
+    Mutant("src/aicnet/textpipe.py", 'surface.endswith("ies") and len(surface) > 4',
+           'surface.endswith("ies") and len(surface) > 5',
+           ("tests/test_textpipe.py::test_lemmatize_equals_the_readme_oracle",)),
     # word selection: each body judged with a fresh memo
     Mutant("src/aicnet/textpipe.py",
            "    lookup = _noun_lookup(noun_lexicon, extra_stopwords)\n    docs = []\n"
@@ -496,9 +519,11 @@ MUTANTS: list[Mutant] = [
     # word selection: a verdict returned on a miss but not kept, so it is judged again
     Mutant("src/aicnet/textpipe.py", "verdict = self[surface] = lemma if", "verdict = lemma if",
            ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
-    # word selection: pairs ranked from a list, so a repeated artifact id ranks twice
-    Mutant("src/aicnet/textpipe.py", "pairs[lemma, art.id] = (", "pairs[len(pairs)] = (",
-           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_its_last_pair_once",)),
+    # word selection: every document's pairs ranked, so a repeated artifact id ranks twice
+    Mutant("src/aicnet/textpipe.py", "if len({art.id for art, _ in docs}) < n_docs:", "if False:",
+           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_its_last_pair_once",
+            "tests/test_textpipe.py::"
+            "test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero")),
     # tokenizer: the byte table run on text that is not ASCII
     Mutant("src/aicnet/textpipe.py",
            "    if not text.isascii():\n        return _TOKEN.findall(text)\n", "",
@@ -546,9 +571,10 @@ MUTANTS: list[Mutant] = [
     # CSV corpora: a short row's missing cells read as "-", not absent
     Mutant("src/aicnet/corpus.py", 'pad = [""] * (len(header) + 1)',
            'pad = ["-"] * len(header) + [""]', (_COLUMNS + "[short_row]",)),
-    # CSV corpora: an empty ts cell loaded as "", not absent
-    Mutant("src/aicnet/corpus.py", "parent_id or None, ts or None)", "parent_id or None, ts)",
-           (_COLUMNS + "[empty_cells]",)),
+    # corpora: an empty ts cell or field loaded as "", not absent
+    Mutant("src/aicnet/corpus.py", "                    ts or None)", "                    ts)",
+           (_COLUMNS + "[empty_cells]",
+            "tests/test_corpus.py::test_an_empty_optional_field_is_absent_in_either_format")),
     # quote texts folded by full Unicode case folding, so "Straße" and "STRASSE" are twins
     Mutant("src/aicnet/corpus.py", 'return _WS.sub(" ", text.strip()).lower()',
            'return _WS.sub(" ", text.strip()).casefold()',
@@ -585,6 +611,13 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", '            sys.stderr.write(line + "\\n")\n    except OSError:\n',
            '            sys.stderr.write(line + "\\n")\n    except ValueError:\n',
            (_STDERR_LOST + "[note-full]", _STDERR_LOST + "[warning-full]")),
+    # an error line written through print(file=None) when fd 2 is closed: into stdout
+    Mutant("src/aicnet/cli.py", '_inform(f"error: {exc}")', 'print(f"error: {exc}", file=sys.stderr)',
+           ("tests/test_cli.py::test_with_fd_2_closed_an_error_writes_nothing_on_stdout[input_error]",)),
+    # a flag error's usage written by argparse, to stdout when fd 2 is closed
+    Mutant("src/aicnet/cli.py", '_inform(f"{self.format_usage()}{self.prog}: error: {message}")',
+           'self.print_usage(sys.stderr)\n        _inform(f"{self.prog}: error: {message}")',
+           ("tests/test_cli.py::test_with_fd_2_closed_an_error_writes_nothing_on_stdout[usage]",)),
     # cold start: the exporters imported with the CLI again
     Mutant("src/aicnet/cli.py", "from . import metrics\n", "from . import export, metrics\n",
            (_IMPORTS + "test_metrics_and_compare_load_no_exporter_generator_or_xml",)),
