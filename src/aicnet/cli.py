@@ -17,8 +17,8 @@ platform without ``os.fork`` or ``os.sched_getaffinity``.
 the objects still alive then to the OS instead of collecting them; an
 in-process caller of :func:`main` keeps its collector as it was.
 
-Exit codes: 0 success, 1 input error (a stdout that cannot be written
-included), 2 internal invariant violation.
+Exit codes: 0 success, 1 input error (a stdout that is closed or cannot be
+written included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -418,32 +418,29 @@ def _in_chunks(compute: Callable[[Reading], object], chunks: list[list[Reading]]
 
 
 def _per_reading(args: argparse.Namespace, corpus: Corpus, reading_ids: list[str],
-                 result: Callable[[Reading, tuple[WeightedGraph, ...]], object]) -> dict:
-    """``result(reading, (AN, IN, CN))`` of each named reading, by id, computed
-    by :func:`_in_chunks` in the order named; unknown ids are input errors."""
+                 roster: set[str]) -> dict:
+    """The network row and the node rows for ``roster`` (none for an empty
+    one) of each named reading, by id, from :func:`metrics._reading_rows`, which
+    builds each graph's adjacency once; :func:`_in_chunks` computes them in the
+    order named. Unknown ids are input errors."""
     readings = [corpus.reading(rid) for rid in dict.fromkeys(reading_ids)]
     stores = _stores_for(args, corpus, readings)
 
-    def compute(reading: Reading) -> object:
-        return result(reading, tuple(_network(args, corpus, reading, which, stores[reading.id])
-                                     for which in ("an", "in", "cn")))
+    def compute(r: Reading) -> tuple:
+        graphs = [_network(args, corpus, r, which, stores[r.id]) for which in ("an", "in", "cn")]
+        network, nodes = metrics._reading_rows(r.id, *graphs, roster)
+        return tuple(network), [tuple(row) for row in nodes]
 
-    return dict(zip((r.id for r in readings), _in_chunks(compute, _chunks(readings))))
-
-
-def _network_row(reading: Reading, graphs: tuple[WeightedGraph, ...]) -> tuple:
-    return tuple(metrics.network_report({reading.id: graphs})[0])
-
-
-def _node_rows(roster: set[str]) -> Callable[[Reading, tuple[WeightedGraph, ...]], list]:
-    return lambda reading, graphs: [tuple(r) for r in metrics.node_report(*graphs, roster)]
+    reports = _in_chunks(compute, _chunks(readings))
+    return {r.id: (metrics.NetworkMetricsRow(*net), [metrics.NodeMetricsRow(*n) for n in nodes])
+            for r, (net, nodes) in zip(readings, reports)}
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     reading_ids = sorted(loaded.readings) if args.reading is None else [args.reading]
-    result = _network_row if args.level == "network" else _node_rows(set(loaded.authors))
-    results = _per_reading(args, loaded, reading_ids, result)
+    roster = loaded.authors if args.level == "node" else set()
+    results = _per_reading(args, loaded, reading_ids, roster)
     # every file name is checked before the first report is printed or written
     named = args.out is not None and args.level == "node"
     stems = [_file_stem(rid, f"metrics_node_{rid}") if named else None for rid in reading_ids]
@@ -451,7 +448,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
 
     if args.level == "network":
-        rows = [metrics.NetworkMetricsRow(*results[rid]) for rid in reading_ids]
+        rows = [results[rid][0] for rid in reading_ids]
         table = _network_table(rows)
         sys.stdout.write(table)
         if args.out:
@@ -459,7 +456,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return 0
 
     for i, (rid, stem) in enumerate(zip(reading_ids, stems)):
-        rows = [metrics.NodeMetricsRow(*row) for row in results[rid]]
+        rows = results[rid][1]
         table = _node_table(rows)
         if i:
             print()
@@ -473,24 +470,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     a, b = args.reading_a, args.reading_b
-    roster_a = loaded.reading(a).active_authors()
-    roster_b = loaded.reading(b).active_authors()
-    roster = roster_a | roster_b
-    node_rows = _node_rows(roster)
-    results = _per_reading(args, loaded, [a, b], lambda reading, graphs: (
-        _network_row(reading, graphs), node_rows(reading, graphs)))
-    net = {rid: metrics.NetworkMetricsRow(*results[rid][0]) for rid in (a, b)}
+    roster_a, roster_b = (loaded.reading(rid).active_authors() for rid in (a, b))
+    results = _per_reading(args, loaded, [a, b], roster_a | roster_b)
+    (net_a, nodes_a), (net_b, nodes_b) = results[a], results[b]
     sys.stdout.write(_csv_lines([["Measure", a, b, "delta"],
-                                 *_compared(net[a], net[b], _NETWORK_MEASURES)]))
+                                 *_compared(net_a, net_b, _NETWORK_MEASURES)]))
 
     if not roster_a & roster_b:
         _inform("warning: the two readings share no authors")
-    rows_a, rows_b = ({row[0]: metrics.NodeMetricsRow(*row) for row in results[rid][1]}
-                      for rid in (a, b))
     lines = [[], ["Student", "Measure", a, b, "delta"]]
-    for author in sorted(roster):
-        lines += ([author, *row] for row in _compared(rows_a[author], rows_b[author],
-                                                      _NODE_MEASURES))
+    for row_a, row_b in zip(nodes_a, nodes_b):  # one row per author of either, by id
+        lines += ([row_a.author_id, *row] for row in _compared(row_a, row_b, _NODE_MEASURES))
     sys.stdout.write(_csv_lines(lines))
     return 0
 
@@ -589,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         # nothing alive at exit needs a finalizer: files closed, children reaped, stdout flushed
         atexit.register(gc.freeze)
         _freeze_at_exit = True
+    if sys.stdout is None:  # fd 1 closed at start-up: refused before a flag is read
+        _inform("error: stdout is closed")
+        return 1
     try:
         try:
             args = build_parser().parse_args(argv)  # word-list flags load their files here

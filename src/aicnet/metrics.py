@@ -4,13 +4,15 @@ Every measure runs on the unweighted skeleton of the graph: weights carry
 display meaning only, and distances are hop counts, so nodes of a fully
 connected component score closeness 1.00.
 
-Each measure builds one adjacency of its graph and makes one pass over all
-nodes. Nodes are numbered in sorted id order, and a node's row is an ``int``
-whose bit ``j`` marks node ``j`` as a neighbour: closeness is a BFS over bitset
-frontiers, transitivity and centralization count bits, and Brandes (2001)
-betweenness visits sources and neighbours in id order. So closeness,
-transitivity and centralization are ratios of exact integer counts, and
-Brandes adds its floats in an order fixed by the ids alone.
+Each measure is a kernel on one adjacency of its graph and makes one pass over
+all nodes. ``metrics`` and ``compare`` measure each reading through
+:func:`_reading_rows`, which builds one adjacency per network. Nodes are
+numbered in sorted id order, and a node's row is an ``int`` whose bit ``j``
+marks node ``j`` as a neighbour: closeness is a BFS over bitset frontiers,
+transitivity and centralization count bits, and Brandes (2001) betweenness
+visits sources and neighbours in id order. So closeness, transitivity and
+centralization are ratios of exact integer counts, and Brandes adds its floats
+in an order fixed by the ids alone.
 
 Null conventions: a measure whose denominator is zero is ``None``, never NaN,
 and isolated or absent nodes get ``None`` in node reports.
@@ -46,10 +48,8 @@ def _members(bits: int) -> list[int]:
     return out
 
 
-def transitivity(g: WeightedGraph) -> float | None:
-    """Global clustering coefficient: 3 x triangles / connected triples,
-    on the skeleton. None when no triples exist; isolates add none."""
-    position, rows = _adjacency(g)
+def _transitivity(g: WeightedGraph, position: dict[str, int], rows: list[int]) -> float | None:
+    """:func:`transitivity` of g, from its adjacency."""
     wedges = sum(d * (d - 1) // 2 for d in map(int.bit_count, rows))
     if wedges == 0:
         return None
@@ -58,16 +58,26 @@ def transitivity(g: WeightedGraph) -> float | None:
     return closed / wedges
 
 
-def degree_centralization(g: WeightedGraph) -> float | None:
-    """Freeman degree centralization over the skeleton without isolates:
-    sum(d_max - d_i) / ((n-1)(n-2)). None when fewer than 3 nodes remain."""
-    _, rows = _adjacency(g)
+def transitivity(g: WeightedGraph) -> float | None:
+    """Global clustering coefficient: 3 x triangles / connected triples,
+    on the skeleton. None when no triples exist; isolates add none."""
+    return _transitivity(g, *_adjacency(g))
+
+
+def _centralization(rows: list[int]) -> float | None:
+    """:func:`degree_centralization` of the graph whose adjacency rows are ``rows``."""
     degrees = [d for d in map(int.bit_count, rows) if d]
     n = len(degrees)
     if n < 3:
         return None
     d_max = max(degrees)
     return sum(d_max - d for d in degrees) / ((n - 1) * (n - 2))
+
+
+def degree_centralization(g: WeightedGraph) -> float | None:
+    """Freeman degree centralization over the skeleton without isolates:
+    sum(d_max - d_i) / ((n-1)(n-2)). None when fewer than 3 nodes remain."""
+    return _centralization(_adjacency(g)[1])
 
 
 def _closeness_from(rows: list[int], source: int) -> float | None:
@@ -89,10 +99,14 @@ def _closeness_from(rows: list[int], source: int) -> float | None:
     return reached / total if total else None
 
 
+def _closeness(position: dict[str, int], rows: list[int]) -> dict[str, float | None]:
+    """:func:`closeness_all` of a graph, from its adjacency."""
+    return {v: _closeness_from(rows, i) for v, i in position.items()}
+
+
 def closeness_all(g: WeightedGraph) -> dict[str, float | None]:
     """Component-normalized closeness of every node of g (see :func:`closeness`)."""
-    position, rows = _adjacency(g)
-    return {v: _closeness_from(rows, i) for v, i in position.items()}
+    return _closeness(*_adjacency(g))
 
 
 def closeness(g: WeightedGraph, v: str) -> float | None:
@@ -105,14 +119,10 @@ def closeness(g: WeightedGraph, v: str) -> float | None:
     return _closeness_from(rows, position[v])
 
 
-def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
-    """Betweenness of every node of g, normalized by (n-1)(n-2)/2 with n
-    counting the non-isolated nodes. None for isolates and when n < 3.
-
-    Brandes' accumulation over unordered pairs, with sources and neighbour
-    lists in ascending position, so every float is summed in id order.
-    """
-    position, rows = _adjacency(g)
+def _betweenness(position: dict[str, int], rows: list[int]) -> dict[str, float | None]:
+    """:func:`betweenness_all` of a graph, from its adjacency: Brandes'
+    accumulation over unordered pairs, with sources and neighbour lists in
+    ascending position, so every float is summed in id order."""
     out: dict[str, float | None] = dict.fromkeys(position)
     sources = [i for i, row in enumerate(rows) if row]
     n = len(sources)
@@ -152,6 +162,12 @@ def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
     return out
 
 
+def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
+    """Betweenness of every node of g, normalized by (n-1)(n-2)/2 with n
+    counting the non-isolated nodes. None for isolates and when n < 3."""
+    return _betweenness(*_adjacency(g))
+
+
 def betweenness(g: WeightedGraph, v: str) -> float | None:
     """Betweenness normalized by (n-1)(n-2)/2, n counting the non-isolated
     nodes of the network. None for isolates and when n < 3; a v not in g
@@ -179,26 +195,26 @@ class NetworkMetricsRow(NamedTuple):
     cn_transitivity: float | None
 
 
-def node_report(
-    an: WeightedGraph,
-    in_: WeightedGraph,
-    cn: WeightedGraph,
-    roster: set[str],
-) -> list[NodeMetricsRow]:
+def _reading_rows(reading_id: str, an: WeightedGraph, in_: WeightedGraph, cn: WeightedGraph,
+                  roster: set[str]) -> tuple[NetworkMetricsRow, list[NodeMetricsRow]]:
+    """The reading's network row, and one node row per ``roster`` author,
+    sorted by id, from one adjacency of each of its three networks. An empty
+    roster takes no node measure."""
+    an_adj, in_adj, cn_adj = _adjacency(an), _adjacency(in_), _adjacency(cn)
+    network = NetworkMetricsRow(reading_id, _transitivity(an, *an_adj),
+                                _centralization(in_adj[1]), _transitivity(cn, *cn_adj))
+    if not roster:
+        return network, []
+    clo, in_btw, cn_btw = _closeness(*an_adj), _betweenness(*in_adj), _betweenness(*cn_adj)
+    return network, [NodeMetricsRow(author, clo.get(author), in_btw.get(author),
+                                    cn_btw.get(author)) for author in sorted(roster)]
+
+
+def node_report(an: WeightedGraph, in_: WeightedGraph, cn: WeightedGraph,
+                roster: set[str]) -> list[NodeMetricsRow]:
     """One row per roster author, sorted by author id: closeness in the
     attention network, betweenness in the interaction and creation networks."""
-    an_clo = closeness_all(an)
-    in_btw = betweenness_all(in_)
-    cn_btw = betweenness_all(cn)
-    return [
-        NodeMetricsRow(
-            author_id=author,
-            an_closeness=an_clo.get(author),
-            in_betweenness=in_btw.get(author),
-            cn_betweenness=cn_btw.get(author),
-        )
-        for author in sorted(roster)
-    ]
+    return _reading_rows("", an, in_, cn, roster)[1]
 
 
 def network_report(
@@ -206,15 +222,5 @@ def network_report(
 ) -> list[NetworkMetricsRow]:
     """One row per reading (sorted by id): attention-network transitivity,
     interaction-network degree centralization, creation-network transitivity."""
-    rows = []
-    for reading_id in sorted(graphs_by_reading):
-        an, in_, cn = graphs_by_reading[reading_id]
-        rows.append(
-            NetworkMetricsRow(
-                reading_id=reading_id,
-                an_transitivity=transitivity(an),
-                in_centralization=degree_centralization(in_),
-                cn_transitivity=transitivity(cn),
-            )
-        )
-    return rows
+    return [_reading_rows(rid, *graphs_by_reading[rid], set())[0]
+            for rid in sorted(graphs_by_reading)]

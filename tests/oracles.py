@@ -33,6 +33,10 @@ record straight from its CSV row or JSON object: a dict per CSV row, then one
 record parser for both formats with a closure per field check. Thread faults
 come from :func:`oracle_thread_root`. The text-normalization oracle splits on
 ``str.split`` whitespace where the library uses a regular expression.
+
+The cosine oracle is written from README's statement of the rule. From
+``aicnet`` this module imports records, errors and the bundled word lists
+only, so that no fault of a library kernel is shared by its oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import json
 import math
 import re
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from pathlib import Path
@@ -60,9 +64,9 @@ from aicnet.errors import (
     MissingQuote,
     ParseError,
 )
-from aicnet.graphs import BipartiteGraph, WeightedGraph, edge_key
+from aicnet.graphs import BipartiteGraph, WeightedGraph
 from aicnet.metrics import NodeMetricsRow
-from aicnet.semantic import EmbeddingStore, JointPair, cosine
+from aicnet.semantic import EmbeddingStore, JointPair
 from aicnet.textpipe import (
     _NOUN_SUFFIXES,
     SelectedWord,
@@ -119,7 +123,20 @@ def oracle_quote_similarity(q1: Quote, q2: Quote, store: EmbeddingStore) -> floa
     """
     if q1.id == q2.id or q1.normalized_text == q2.normalized_text:
         return 1.0
-    return cosine(store.get(q1.id), store.get(q2.id))
+    return oracle_cosine(store.get(q1.id), store.get(q2.id))
+
+
+def oracle_cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine by README's rule: the ``math.fsum`` of the component products
+    over the product of the two norms, each the square root of a ``math.fsum``
+    of squares. A value within 1e-9 of -1 or 1 snaps to it; the rest are
+    clamped into [-1, 1]."""
+    value = math.fsum(a * b for a, b in zip(u, v)) / (
+        math.sqrt(math.fsum(a * a for a in u)) * math.sqrt(math.fsum(b * b for b in v)))
+    for end in (1.0, -1.0):
+        if abs(value - end) <= 1e-9:
+            return end
+    return min(1.0, max(-1.0, value))
 
 
 def oracle_joint_pairs(
@@ -574,7 +591,7 @@ def oracle_read_dot(path: Path) -> WeightedGraph:
     for u, v, weight in re.findall(_DOT_STATEMENT, whole.group(2)):
         u, v = (re.sub(r'\\([\\"])', r"\1", s) for s in (u, v))
         if weight:
-            assert edge_key(u, v) not in g.edges, f"repeated edge {u} -- {v}"
+            assert tuple(sorted((u, v))) not in g.edges, f"repeated edge {u} -- {v}"
             g.add_edge(u, v, float(weight))
         else:
             g.nodes.add(u)

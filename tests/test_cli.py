@@ -462,6 +462,34 @@ def test_metrics_hashes_exactly_the_texts_build_an_reads(tmp_path, monkeypatch, 
     assert {quotes[qid].reading_id for qid in read.read()} == {"r1", "r2"}
 
 
+@pytest.mark.parametrize("command", [["compare", "r1", "r2"], ["metrics", "--level", "node"],
+                                     ["metrics", "--level", "network"]],
+                         ids=["compare", "node", "network"])
+def test_each_command_builds_one_adjacency_per_graph(monkeypatch, capsys, command):
+    import aicnet.metrics as metrics
+
+    # one CPU, so every reading is measured in this process, where the calls are seen
+    use_cpus(monkeypatch, 1)
+    graphs, kernels = [], []  # the graphs are kept alive, so no two share an id
+    adjacency = metrics._adjacency
+
+    def counted(g):
+        graphs.append(g)
+        return adjacency(g)
+
+    def traced(name, kernel):
+        return lambda *args: kernels.append(name) or kernel(*args)
+
+    monkeypatch.setattr(metrics, "_adjacency", counted)
+    for name in ("_closeness", "_betweenness"):
+        monkeypatch.setattr(metrics, name, traced(name, getattr(metrics, name)))
+    code, _, err = run_cli(capsys, command[0], str(_DATA / "sample_corpus.jsonl"), *command[1:])
+    assert code == 0, err
+    assert len(graphs) == 3 * 2 and len(set(map(id, graphs))) == len(graphs)
+    node_level = command[-1] != "network"
+    assert kernels == ["_closeness", "_betweenness", "_betweenness"] * 2 * node_level
+
+
 def test_compare_self_is_all_zero(sample, capsys):
     corpus_path, emb_path, _ = sample
     code, out, _ = run_cli(capsys, "compare", str(corpus_path), "r1", "r1",
@@ -490,6 +518,11 @@ def test_compare_disjoint_rosters_warns(tmp_path, capsys):
     code, out, err = run_cli(capsys, "compare", str(path), "r1", "r2")
     assert code == 0
     assert "share no authors" in err
+    # each author of either reading has its three rows, na in the reading it is absent from
+    students = out.split("\n\n")[1].splitlines()[1:]
+    assert [row.split(",")[0] for row in students] == [a for a in ("a1", "a2", "b1", "b2")
+                                                       for _ in range(3)]
+    assert all(row.split(",")[2 + row.startswith("a")] == "na" for row in students)
     node_lines = [l for l in out.splitlines() if l.startswith(("a", "b"))]
     assert node_lines
     for line in node_lines:
@@ -1217,6 +1250,25 @@ def test_a_stdout_that_cannot_be_written_is_an_input_error(argv, unbuffered):
     note = HASH_NOTE if argv[0] == "metrics" else ""
     assert (result.returncode, result.stderr) == (
         1, f"{note}error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
+
+
+@pytest.mark.parametrize("argv, fds", [
+    (["validate", "sample_corpus.jsonl"], (1,)),
+    (["metrics", "sample_corpus.jsonl", "--level", "network", "--out", "OUT"], (1,)),
+    (["--help"], (1,)),
+    (["metrics", "sample_corpus.jsonl", "--level", "network", "--out", "OUT"], (1, 2)),
+], ids=["validate", "metrics_out", "help", "stderr_closed_too"])
+def test_a_closed_stdout_is_refused_before_the_command_runs(tmp_path, argv, fds):
+    # fd 1 closed at startup leaves sys.stdout None
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else str(_DATA / a) if a.endswith(".jsonl") else a
+            for a in argv]
+    result = subprocess.run([sys.executable, "-m", "aicnet.cli", *argv], stderr=subprocess.PIPE,
+                            cwd=tmp_path, env=child_env(), check=False,
+                            preexec_fn=lambda: [os.close(fd) for fd in fds])
+    expected = b"" if 2 in fds else b"error: stdout is closed\n"
+    assert (result.returncode, result.stderr) == (1, expected)
+    assert not out.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")

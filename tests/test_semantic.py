@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aicnet.corpus import Quote, normalize_text
@@ -33,7 +35,7 @@ from aicnet.semantic import (
     save_embeddings,
 )
 from conftest import binary_vectors
-from oracles import oracle_hash_embed, oracle_quote_similarity
+from oracles import oracle_cosine, oracle_hash_embed, oracle_quote_similarity
 
 # a JSONL vector line past the integer-digit limit, and one past the recursion limit
 _LONG_INT_LINE = '{"quote_id": "q2", "vector": [' + "1" * 5000 + "]}"
@@ -519,6 +521,74 @@ def test_cosine_refuses_exactly_what_a_store_refuses(pair):
     else:
         nu, nv = math.sqrt(_squared_norm(u)), math.sqrt(_squared_norm(v))
         assert cosine(u, v) == _cosine(u, nu, v, nv)
+
+
+def _cosine_at_least(dot: Fraction, norms: Fraction, x: Fraction) -> bool:
+    """Whether the exact cosine dot / sqrt(norms) is at least x."""
+    if x <= 0:
+        return dot >= 0 or dot * dot <= x * x * norms
+    return dot > 0 and dot * dot >= x * x * norms
+
+
+def _cosine_within(dot: Fraction, norms: Fraction, x: Fraction, r: Fraction) -> bool:
+    """Whether the exact cosine dot / sqrt(norms) lies within r of x."""
+    return _cosine_at_least(dot, norms, x - r) and _cosine_at_least(-dot, norms, -x - r)
+
+
+def _checked_cosine(u: tuple[float, ...], v: tuple[float, ...]) -> float:
+    """``_cosine`` of u and v, checked against the exact cosine c: it equals
+    the README oracle; it is within (n + 4)·2⁻⁵³ of c, the bound that
+    ``_surely_below``'s docstring derives for it; it is ±1 whenever c is
+    surely within the snap tolerance, 1e-9, of ±1; and it is ±1 only where c
+    may be within that tolerance of it."""
+    value = _cosine(u, math.sqrt(_squared_norm(u)), v, math.sqrt(_squared_norm(v)))
+    assert value == oracle_cosine(u, v)
+    dot = sum(Fraction(a) * Fraction(b) for a, b in zip(u, v))
+    norms = sum(Fraction(a) ** 2 for a in u) * sum(Fraction(b) ** 2 for b in v)
+    bound, tol = Fraction(len(u) + 4, 2**53), Fraction(1e-9)
+    for end in (1, -1):
+        if _cosine_within(dot, norms, Fraction(end), tol - bound):
+            assert value == end
+    if abs(value) != 1.0 or not _cosine_within(dot, norms, Fraction(value), tol + bound):
+        assert _cosine_within(dot, norms, Fraction(value), bound)
+    return value
+
+
+_COMPONENT = st.floats(min_value=-1e3, max_value=1e3)
+
+
+def _near(u: list[float], k: float, noise: list[float], scale: float) -> list[float]:
+    return [k * a + scale * e for a, e in zip(u, noise)]
+
+
+# a pair of vectors, one time in two near-parallel or near-antiparallel
+_COSINE_PAIR = st.lists(_COMPONENT, min_size=1, max_size=8).flatmap(lambda u: st.tuples(
+    st.just(u), st.one_of(
+        st.lists(_COMPONENT, min_size=len(u), max_size=len(u)),
+        st.builds(_near, st.just(u), st.sampled_from([1.0, -1.0, 3.0, -0.25]),
+                  st.lists(st.floats(-1.0, 1.0), min_size=len(u), max_size=len(u)),
+                  st.sampled_from([1e-2, 1e-4, 1e-5, 1e-6, 1e-8])))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COSINE_PAIR)
+@example(([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
+@example(([1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]))
+@example(([5e-324, 1.0], [1.0, 5e-324]))
+def test_cosine_is_within_its_stated_bound_of_the_exact_cosine(pair):
+    u, v = map(tuple, pair)
+    assume(all(math.fsum(x * x for x in w) >= sys.float_info.min for w in (u, v)))
+    _checked_cosine(u, v)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+@pytest.mark.parametrize("gap, snaps", [(5e-10, True), (0.99e-9, True), (1.01e-9, False),
+                                        (5e-8, False)])
+def test_cosine_snaps_exactly_within_its_tolerance_of_an_endpoint(sign, gap, snaps):
+    # the exact cosine of (1, 0) and (sign, t) is sign / sqrt(1 + t²), about sign·(1 - t²/2)
+    value = _checked_cosine((1.0, 0.0), (sign, math.sqrt(2 * gap)))
+    assert (value == sign) is snaps
+    assert snaps or abs(value - sign) > 1e-9
 
 
 def test_a_norm_whose_sum_overflows_is_refused(tmp_path):

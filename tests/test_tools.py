@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import runpy
 import shutil
@@ -15,6 +16,30 @@ TOOLS = REPO / "tools"
 
 def test_every_mutant_anchor_matches_once():
     assert runpy.run_path(str(TOOLS / "mutants.py"))["anchor_errors"]() == []
+
+
+# what tests/oracles.py may take from aicnet: records, errors and the bundled word lists
+_ORACLE_IMPORTS = {
+    "aicnet.corpus": {"Artifact", "Corpus", "Quote", "Reading"},
+    "aicnet.graphs": {"BipartiteGraph", "WeightedGraph"},
+    "aicnet.metrics": {"NodeMetricsRow"},
+    "aicnet.semantic": {"EmbeddingStore", "JointPair"},
+    "aicnet.textpipe": {"SelectedWord", "WordSelectionParams", "_NOUN_SUFFIXES",
+                        "default_noun_lexicon", "default_stopwords"},
+}
+
+
+def test_the_oracles_import_no_computing_code_from_aicnet():
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken += [(alias.name, None) for alias in node.names if alias.name.startswith("aicnet")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("aicnet"):
+            taken += [(node.module, alias.name) for alias in node.names]
+    assert taken, "no import from aicnet found"
+    assert [(module, name) for module, name in taken if not (
+        module == "aicnet.errors" or name in _ORACLE_IMPORTS.get(module, ()))] == []
 
 
 def _files(folder: Path) -> dict[str, bytes]:

@@ -45,6 +45,8 @@ _FILES = "tests/test_input_files.py::"
 _CHUNKS = "tests/test_cli_chunks.py::"
 _FREEZE_AT_EXIT = "        atexit.register(gc.freeze)\n        _freeze_at_exit = True\n"
 _COLUMNS = "tests/test_corpus.py::test_csv_columns_follow_the_documented_rules"
+_CLOSED_STDOUT = "tests/test_cli.py::test_a_closed_stdout_is_refused_before_the_command_runs"
+_ONE_ADJACENCY = "tests/test_cli.py::test_each_command_builds_one_adjacency_per_graph"
 _STDERR_LOST = "tests/test_cli.py::test_a_stderr_that_is_closed_or_full_loses_the_line_alone"
 # every string of length <= 6 over the characters that decide a token
 _SHORT_STRINGS = "tests/test_textpipe.py::test_tokenize_equals_the_unicode_oracle_on_every_short_string"
@@ -206,6 +208,14 @@ MUTANTS: list[Mutant] = [
     Mutant("src/aicnet/cli.py", "        finally:\n            _flush_stdout()\n",
            "        finally:\n            pass\n",
            ("tests/test_cli.py::test_a_stdout_that_cannot_be_written_is_an_input_error",)),
+    # compare: node rows measured for the first reading's authors alone
+    Mutant("src/aicnet/cli.py", "_per_reading(args, loaded, [a, b], roster_a | roster_b)",
+           "_per_reading(args, loaded, [a, b], roster_a)",
+           ("tests/test_cli.py::test_compare_disjoint_rosters_warns",)),
+    # a closed stdout: the command runs, and fails as an internal error once done
+    Mutant("src/aicnet/cli.py", "    if sys.stdout is None:", "    if False:",
+           (_CLOSED_STDOUT + "[validate]", _CLOSED_STDOUT + "[metrics_out]",
+            _CLOSED_STDOUT + "[help]")),
     # compare: the delta taken as a - b
     Mutant("src/aicnet/cli.py", "else vb - va", "else va - vb",
            ("tests/test_cli.py::test_compare_layout_matches_golden",)),
@@ -356,9 +366,20 @@ MUTANTS: list[Mutant] = [
            "    reached = total = 0\n    depth = 1\n",
            ("tests/test_metrics.py::test_closeness_p3",)),
     # closeness: an adjacency built per node, not once per graph
-    Mutant("src/aicnet/metrics.py", "{v: _closeness_from(rows, i) for v, i in position.items()}",
-           "{v: _closeness_from(_adjacency(g)[1], i) for v, i in position.items()}",
-           ("tests/test_metrics.py::test_node_report_builds_one_adjacency_per_graph",)),
+    Mutant("src/aicnet/metrics.py", "_closeness(*an_adj)", "{v: closeness(an, v) for v in an.nodes}",
+           ("tests/test_metrics.py::test_node_report_builds_one_adjacency_per_graph",
+            _ONE_ADJACENCY + "[compare]")),
+    # a reading's report: IN and CN betweenness taken from each other's adjacency
+    Mutant("src/aicnet/metrics.py", "_betweenness(*in_adj), _betweenness(*cn_adj)",
+           "_betweenness(*cn_adj), _betweenness(*in_adj)",
+           ("tests/test_metrics.py::test_node_report_rows",
+            "tests/test_acceptance.py::test_criterion_09_report_formats")),
+    # a reading's report: IN centralization taken from the AN adjacency
+    Mutant("src/aicnet/metrics.py", "_centralization(in_adj[1])", "_centralization(an_adj[1])",
+           ("tests/test_metrics.py::test_network_report_composition",)),
+    # the cosine snap tolerance widened, so near-parallel vectors count exactly 1.0
+    Mutant("src/aicnet/semantic.py", "_CLAMP_TOL = 1e-9", "_CLAMP_TOL = 1e-7",
+           (_HASH + "test_cosine_snaps_exactly_within_its_tolerance_of_an_endpoint",)),
     # quote-pair scorer: no slack for rounding in the reject test
     Mutant("src/aicnet/semantic.py", "est + (len(u) + 8) * 2.0**-51 * r <", "est <",
            (_AN + "test_surely_below_rejects_only_pairs_cosine_puts_below_tau",)),
