@@ -100,13 +100,8 @@ def _closeness_from(rows: list[int], source: int) -> float | None:
 
 
 def _closeness(position: dict[str, int], rows: list[int]) -> dict[str, float | None]:
-    """:func:`closeness_all` of a graph, from its adjacency."""
+    """:func:`closeness` of every node of a graph, from its adjacency."""
     return {v: _closeness_from(rows, i) for v, i in position.items()}
-
-
-def closeness_all(g: WeightedGraph) -> dict[str, float | None]:
-    """Component-normalized closeness of every node of g (see :func:`closeness`)."""
-    return _closeness(*_adjacency(g))
 
 
 def closeness(g: WeightedGraph, v: str) -> float | None:
@@ -120,7 +115,7 @@ def closeness(g: WeightedGraph, v: str) -> float | None:
 
 
 def _betweenness(position: dict[str, int], rows: list[int]) -> dict[str, float | None]:
-    """:func:`betweenness_all` of a graph, from its adjacency: Brandes'
+    """:func:`betweenness` of every node of a graph, from its adjacency: Brandes'
     accumulation over unordered pairs, with sources and neighbour lists in
     ascending position, so every float is summed in id order."""
     out: dict[str, float | None] = dict.fromkeys(position)
@@ -162,19 +157,13 @@ def _betweenness(position: dict[str, int], rows: list[int]) -> dict[str, float |
     return out
 
 
-def betweenness_all(g: WeightedGraph) -> dict[str, float | None]:
-    """Betweenness of every node of g, normalized by (n-1)(n-2)/2 with n
-    counting the non-isolated nodes. None for isolates and when n < 3."""
-    return _betweenness(*_adjacency(g))
-
-
 def betweenness(g: WeightedGraph, v: str) -> float | None:
     """Betweenness normalized by (n-1)(n-2)/2, n counting the non-isolated
     nodes of the network. None for isolates and when n < 3; a v not in g
     raises :class:`UnknownNode`."""
     if v not in g.nodes:
         raise UnknownNode(v)
-    return betweenness_all(g)[v]
+    return _betweenness(*_adjacency(g))[v]
 
 
 # -- reports -------------------------------------------------------------------

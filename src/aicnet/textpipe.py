@@ -260,38 +260,30 @@ class SelectedWord(NamedTuple):
     score: float
 
 
-def _tfidf_order(n_docs: int, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """The sign of tf1 ln(N/df1) - tf2 ln(N/df2) for ``a = (tf1, df1)`` and
-    ``b = (tf2, df2)``, exactly: (N/df1)^tf1 against (N/df2)^tf2, which is
-    N^tf1 df2^tf2 against N^tf2 df1^tf1 in integers."""
-    left, right = n_docs ** a[0] * b[1] ** b[0], n_docs ** b[0] * a[1] ** a[0]
-    return (left > right) - (left < right)
-
-
 def _tfidf_ranks(n_docs: int, scores: dict[tuple[int, int], float]) -> dict[tuple[int, int], int]:
     """Each (tf, df) pair's rank in the exact ascending order of tf ln(N/df),
     from its float score; pairs of equal tf-idf share a rank.
 
-    The pairs are sorted by float score, and each run of neighbours at most
-    ``slack`` apart is sorted again by :func:`_tfidf_order`. The division, the
-    logarithm (within one ulp) and the product each round once, so a score's
-    float is off by less than tf (1 + 3 ln N) 2^-53, and two scores' errors
-    sum to less than ``slack`` / 32: floats further apart are in exact order.
+    One sort orders the pairs. The division, the logarithm (within one ulp)
+    and the product each round once, so a score's float is off by less than
+    tf (1 + 3 ln N) 2^-53, and two scores' errors sum to less than ``slack`` /
+    32: floats further apart than ``slack`` compare as floats. Closer pairs
+    compare exactly, (N/df1)^tf1 against (N/df2)^tf2, which is N^tf1 df2^tf2
+    against N^tf2 df1^tf1 in integers.
     """
-    ordered = sorted(scores, key=scores.__getitem__)
     slack = max(tf for tf, _ in scores) * (1.0 + math.log(n_docs)) * 2.0 ** -45
-    order = partial(_tfidf_order, n_docs)
-    ranks: dict[tuple[int, int], int] = {}
-    rank, start = -1, 0
-    for end in range(1, len(ordered) + 1):
-        if end < len(ordered) and scores[ordered[end]] - scores[ordered[end - 1]] <= slack:
-            continue
-        run = sorted(ordered[start:end], key=cmp_to_key(order))
-        for i, pair in enumerate(run):
-            if i == 0 or order(run[i - 1], pair):
-                rank += 1
-            ranks[pair] = rank
-        start = end
+
+    def order(a: tuple[int, int], b: tuple[int, int]) -> int:
+        gap = scores[a] - scores[b]
+        if abs(gap) > slack:
+            return 1 if gap > 0 else -1
+        left, right = n_docs ** a[0] * b[1] ** b[0], n_docs ** b[0] * a[1] ** a[0]
+        return (left > right) - (left < right)
+
+    ordered = sorted(scores, key=cmp_to_key(order))
+    ranks = {ordered[0]: 0}
+    for low, pair in zip(ordered, ordered[1:]):
+        ranks[pair] = ranks[low] + (order(low, pair) != 0)
     return ranks
 
 
@@ -308,7 +300,7 @@ def select_cn_words(reading: Reading,
     4. drop the ``drop_lowest`` lemmas with the smallest max score over
        their artifacts (ties broken by lemma, ascending);
     5. rank the surviving (lemma, artifact) pairs by score descending (ties:
-       lemma, then artifact id) and keep the first ``top_k``;
+       lemma, then artifact id, then author) and keep the first ``top_k``;
     6. map pairs to (lemma, author), keeping the max score per pair.
 
     Scores are compared exactly (:func:`_tfidf_ranks`), not as floats, and
@@ -320,10 +312,7 @@ def select_cn_words(reading: Reading,
     reading's distinct (lemma, tf) groups and the documents that hold each.
     A lemma's count, df and max score come from its groups. The groups are
     ranked by (score descending, lemma), and taken in that order until they
-    hold ``top_k`` pairs; only their pairs get a ranking tuple. A reading
-    built by hand may repeat an artifact id: each (lemma, artifact id) pair
-    then ranks once, from the last document that holds it, while every
-    document counts for count, df and max.
+    hold ``top_k`` pairs; only their pairs get a ranking tuple.
     """
     docs = _documents(reading, params.noun_lexicon, params.stopwords)
     n_docs = len(docs)
@@ -351,22 +340,11 @@ def select_cn_words(reading: Reading,
                              [(rank[top_tf[lemma], df[lemma]], lemma) for lemma in idf])
     dropped = {lemma for _, lemma in lowest}
 
-    # each document's pairs that no later document of its artifact id holds,
-    # and the pairs of each group that a later one does
-    ranked_docs, shadowed = docs, Counter()
-    if len({art.id for art, _ in docs}) < n_docs:
-        ranked_docs, later = [], {}
-        for art, counts in reversed(docs):
-            held = later.setdefault(art.id, set())
-            shadowed.update((lemma, tf) for lemma, tf in counts.items() if lemma in held)
-            ranked_docs.append((art, {lemma: tf for lemma, tf in counts.items()
-                                      if lemma not in held}))
-            held.update(counts)
     keys: dict[tuple[int, str], list[int]] = {}  # (-rank, lemma) -> [pairs, least tf]
     for lemma, tf, n in candidates:
         if lemma not in dropped:
             entry = keys.setdefault((-rank[tf, df[lemma]], lemma), [0, tf])
-            entry[0] += n - shadowed[lemma, tf]
+            entry[0] += n
             entry[1] = min(entry[1], tf)  # several tfs share a key where idf is 0
     # a lemma's keys come by tf descending, so the groups taken are those of
     # tf >= least_tf[lemma]
@@ -378,10 +356,11 @@ def select_cn_words(reading: Reading,
         reach += keys[key][0]
         least_tf[key[1]] = keys[key][1]
 
-    # (-rank, lemma, artifact id) never ties: each pair occurs once
+    # (-rank, lemma, artifact id) ties only where a reading built by hand
+    # repeats an artifact id; the author breaks the tie
     ranked = heapq.nsmallest(params.top_k, [
         (-rank[counts[lemma], df[lemma]], lemma, art.id, art.author_id, counts[lemma] * idf[lemma])
-        for art, counts in ranked_docs for lemma in counts.keys() & least_tf.keys()
+        for art, counts in docs for lemma in counts.keys() & least_tf.keys()
         if counts[lemma] >= least_tf[lemma]])
 
     best: dict[tuple[str, str], tuple[int, str, str, float]] = {}

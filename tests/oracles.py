@@ -17,8 +17,9 @@ library's report must equal it with ``==``.
 The tokenizer oracle is the tokenizer the library used before its ASCII fast
 path: the token pattern in Unicode mode over the lowered text. The
 word-selection oracles tokenize with it, lemmatize with a lemmatizer written
-from README's rules with its own irregular table, and rank each
-(lemma, artifact) pair by the exact rational whose logarithm is its score.
+from README's rules with its own irregular table, and rank each document's
+(lemma, artifact) pair by the exact rational whose logarithm is its score,
+then by lemma, artifact id and author.
 
 The hash-embed oracle is the per-gram embedder the library used before it
 hashed all n-gram windows at once: one FNV-1a loop per 3-, 4- and 5-gram,
@@ -469,9 +470,10 @@ def oracle_documents(reading: Reading, noun_lexicon: frozenset[str] | None = Non
 
 def oracle_select_cn_words(reading: Reading,
                            params: WordSelectionParams = WordSelectionParams()) -> list[SelectedWord]:
-    """Word selection with one logarithm per (lemma, artifact) pair, ordered by
-    each score's exact value: a score tf ln(N/df) is the logarithm of the
-    rational (N/df)^tf, so the rationals compare as the scores do."""
+    """Word selection with one logarithm per document's (lemma, artifact) pair,
+    ordered by each score's exact value, then lemma, artifact id and author: a
+    score tf ln(N/df) is the logarithm of the rational (N/df)^tf, so the
+    rationals compare as the scores do."""
     docs = oracle_documents(reading, params.noun_lexicon, params.stopwords)
     n_docs = len(docs)
 
@@ -486,8 +488,8 @@ def oracle_select_cn_words(reading: Reading,
     for _, counts in docs:
         df.update(lemma for lemma in counts if lemma in candidates)
 
-    # (lemma, artifact id) -> (exact value, float score, author), the last occurrence kept
-    pair_scores: dict[tuple[str, str], tuple[Fraction, float, str]] = {}
+    # one (lemma, artifact id, exact value, float score, author) per document's pair
+    pairs: list[tuple[str, str, Fraction, float, str]] = []
     per_lemma: dict[str, list[Fraction]] = {lemma: [] for lemma in candidates}
     for art, counts in docs:
         for lemma in counts:
@@ -495,7 +497,7 @@ def oracle_select_cn_words(reading: Reading,
                 continue
             exact = Fraction(n_docs, df[lemma]) ** counts[lemma]
             score = counts[lemma] * math.log(n_docs / df[lemma])
-            pair_scores[(lemma, art.id)] = (exact, score, art.author_id)
+            pairs.append((lemma, art.id, exact, score, art.author_id))
             per_lemma[lemma].append(exact)
 
     aggregate = {lemma: max(values) for lemma, values in per_lemma.items()}
@@ -505,9 +507,8 @@ def oracle_select_cn_words(reading: Reading,
     }
 
     ranked = sorted(
-        ((lemma, art_id, exact, score, author)
-         for (lemma, art_id), (exact, score, author) in pair_scores.items() if lemma not in dropped),
-        key=lambda item: (-item[2], item[0], item[1]),
+        (pair for pair in pairs if pair[0] not in dropped),
+        key=lambda item: (-item[2], item[0], item[1], item[4]),
     )[: params.top_k]
 
     best: dict[tuple[str, str], tuple[Fraction, float]] = {}

@@ -543,6 +543,20 @@ _DATA = Path(__file__).parent / "data"
 _EXPORT_GOLDEN = Path(__file__).parent / "golden" / "exports"
 
 
+@pytest.mark.parametrize("args, golden", [
+    (("metrics", "--level", "network"), "metrics_network.txt"),
+    (("metrics", "--level", "node"), "metrics_node.txt"),
+    (("compare", "r1", "r2"), "compare_r1_r2.txt"),
+], ids=["network", "node", "compare"])
+def test_non_ascii_corpus_reports_match_goldens(capsys, args, golden):
+    # French, German, Greek and Chinese bodies and quotes, under hash vectors:
+    # twins differ in case or whitespace alone, and "Große Straße" is no twin
+    # of "GROSSE STRASSE"
+    code, out, err = run_cli(capsys, args[0], str(_DATA / "unicode_corpus.jsonl"), *args[1:])
+    assert (code, err) == (0, HASH_NOTE)
+    assert out.encode("utf-8") == (_DATA.parent / "golden" / "unicode" / golden).read_bytes()
+
+
 def _build_every_format(capsys, out: Path, corpus: str, reading: str, network: str,
                         *flags: str) -> None:
     """``build`` of one network, in all four formats and under the sample

@@ -364,12 +364,13 @@ def test_a_lemma_in_every_document_scores_positive_zero(top_k, drop, pairs):
 
 
 @pytest.mark.parametrize("drop, pairs", [
-    (0, [("music", "C"), ("rhythm", "A"), ("ballet", "B"), ("tempo", "C")]),
-    # ballet's max is 3 ln 2 from the first d1, which the pair's last entry replaced
-    (1, [("music", "C"), ("rhythm", "A"), ("ballet", "B")]),
+    (0, [("ballet", "A"), ("music", "C"), ("rhythm", "A"), ("ballet", "B"), ("tempo", "C")]),
+    # tempo's max is ln 2, the smallest
+    (1, [("ballet", "A"), ("music", "C"), ("rhythm", "A"), ("ballet", "B")]),
 ])
-def test_a_repeated_artifact_id_ranks_its_last_pair_once(drop, pairs):
-    # the loader refuses a repeated id; a reading built by hand may hold one
+def test_a_repeated_artifact_id_ranks_every_documents_pairs(drop, pairs):
+    # the loader refuses a repeated id; a reading built by hand may hold one,
+    # and each of its documents ranks its own pairs
     reading = mk_corpus(
         quotes=[("q1", "r1", "t")],
         annotations=[("d1", "r1", "A", "q1", "ballet ballet ballet rhythm"),
@@ -380,6 +381,20 @@ def test_a_repeated_artifact_id_ranks_its_last_pair_once(drop, pairs):
     selection = select_cn_words(reading, params)
     assert selection == oracle_select_cn_words(reading, params)
     assert [(s.lemma, s.author_id) for s in selection] == pairs
+
+
+@pytest.mark.parametrize("first, second", [("B", "A"), ("A", "B")])
+def test_a_repeated_artifact_id_ties_by_author(first, second):
+    # ballet/d1 ties on (score, lemma, artifact id); the top_k cut keeps author A's
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[("d1", "r1", first, "q1", "ballet"), ("d1", "r1", second, "q1", "ballet"),
+                     ("d2", "r1", "C", "q1", "music")],
+    ).readings["r1"]
+    params = WordSelectionParams(1, 0, 2)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [(s.lemma, s.author_id) for s in selection] == [("music", "C"), ("ballet", "A")]
 
 
 @pytest.mark.parametrize("twelve, nine, drop, top_k, kept", [
@@ -426,7 +441,10 @@ def _ranking_inputs(draw):
 @given(_ranking_inputs())
 def test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero(inputs):
     reading, params = inputs
-    assert select_cn_words(reading, params) == oracle_select_cn_words(reading, params)
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    reading.artifacts = list(reversed(reading.artifacts))
+    assert select_cn_words(reading, params) == selection
 
 
 # per N, the pairs of (tf, df) with tf <= 3 and equal tf-idf: (N/df1)^tf1 = (N/df2)^tf2;
@@ -467,6 +485,56 @@ def _planted_ties(draw):
 def test_selection_equals_oracle_on_planted_exact_ties(inputs):
     reading, params = inputs
     assert select_cn_words(reading, params) == oracle_select_cn_words(reading, params)
+
+
+def _exact_ranks(n_docs: int, pairs: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Each (tf, df) pair's rank among the distinct rationals (N/df)^tf, ascending."""
+    values = {pair: Fraction(n_docs, pair[1]) ** pair[0] for pair in pairs}
+    index = {value: i for i, value in enumerate(sorted(set(values.values())))}
+    return {pair: index[value] for pair, value in values.items()}
+
+
+@st.composite
+def _rank_inputs(draw):
+    """N and its (tf, df) pairs: ties of ``_TIES`` scaled by up to 1,000, whose
+    floats may differ, and pairs of tf up to 3 or in the thousands."""
+    n_docs = draw(st.sampled_from(sorted(_TIES)) | st.integers(2, 300))
+    ties, pairs = _TIES.get(n_docs), set()
+    for a, b in draw(st.lists(st.sampled_from(ties), max_size=4)) if ties else []:
+        k = draw(st.integers(1, 1000))
+        pairs |= {(a[0] * k, a[1]), (b[0] * k, b[1])}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(1, 3) | st.integers(1000, 3000),
+                                         st.integers(1, n_docs)),
+                               min_size=0 if pairs else 1, max_size=12)))
+    return n_docs, sorted(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_inputs())
+# equal values, floats 0.5753641449035617 and 0.5753641449035618
+@example((16, [(1, 9), (2, 12)]))
+# the first two differ by 2.1809e-10: tf 1153 puts that gap just inside the
+# slack, so integers decide it, and tf 1152 just beyond it, so floats do
+@example((287, [(124, 210), (289, 251), (1153, 287)]))
+@example((287, [(124, 210), (289, 251), (1152, 287)]))
+def test_tfidf_ranks_equal_the_exact_ranks(inputs):
+    n_docs, pairs = inputs
+    scores = {(tf, df): tf * math.log(n_docs / df) for tf, df in pairs}
+    assert textpipe._tfidf_ranks(n_docs, scores) == _exact_ranks(n_docs, pairs)
+
+
+def test_selection_equals_oracle_where_one_lemma_per_document_has_tf_in_the_thousands():
+    # 100 documents, w00 to w99, wi 20 (i + 1) times in document i alone
+    lemmas = [f"w{i:02}" for i in range(100)]
+    reading = mk_corpus(
+        quotes=[("q1", "r1", "t")],
+        annotations=[(f"d{i:02}", "r1", f"a{i % 7}", "q1", " ".join([lemma] * 20 * (i + 1)))
+                     for i, lemma in enumerate(lemmas)],
+    ).readings["r1"]
+    params = WordSelectionParams(noun_lexicon=frozenset(lemmas))
+    selection = select_cn_words(reading, params)
+    assert selection == oracle_select_cn_words(reading, params)
+    assert [s.lemma for s in selection] == lemmas[:29:-1]
 
 
 # sha-256 prefixes of the selections, under the default parameters and under

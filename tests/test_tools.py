@@ -8,7 +8,9 @@ import runpy
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 REPO = Path(__file__).resolve().parents[1]
 TOOLS = REPO / "tools"
@@ -64,3 +66,51 @@ def test_fixtures_are_what_the_fixture_tool_writes(tmp_path):
         want, got = _files(REPO / folder), _files(tmp_path / folder)
         assert sorted(got) == sorted(want), folder
         assert [name for name in want if got[name] != want[name]] == [], folder
+
+
+# argparse calls it; nothing in the repository names it
+_CALLED_FROM_OUTSIDE = {"_Parser._print_message"}
+
+
+def _names(node: ast.AST) -> Counter:
+    """Each name used under ``node``: a ``Name``, an attribute, an imported
+    name or alias, or a string constant that is an identifier."""
+    used: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            used[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            used.update({sub.name.rpartition(".")[2], sub.asname} - {None})
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            used[sub.value] += 1
+    return used
+
+
+def _definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """The module's top-level functions and classes and its classes' methods,
+    each with its qualified name; ``__x__`` names are left out, as Python
+    calls them."""
+    def named(node: ast.AST) -> bool:
+        return not (node.name.startswith("__") and node.name.endswith("__"))
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and named(node):
+            yield node.name, node
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and named(sub):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_src_definition_is_named_outside_itself():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "demos", "tools", "benchmarks")
+             for path in sorted((REPO / folder).rglob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.relative_to(REPO).as_posix()}:{qualified}"
+              for path, tree in trees.items() if REPO / "src" / "aicnet" in path.parents
+              for qualified, node in _definitions(tree)
+              if qualified not in _CALLED_FROM_OUTSIDE
+              and used[node.name] == _names(node)[node.name]]
+    assert unused == []

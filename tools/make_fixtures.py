@@ -14,6 +14,13 @@ goldens export reading r1 of the widened corpus, the sample plus a reading r3
 whose one author, s99, is active nowhere else, so s99 joins each r1 network as
 an isolate.
 
+The non-ASCII corpus holds two hand-written readings whose quotes and bodies
+are in French, German, Greek and Chinese: ``'`` and ``-`` at word edges,
+suffix-rule nouns such as ``éducation``, quotes that differ only in case or
+whitespace (twins), and ``Straße`` against ``STRASSE`` (no twins). Its goldens
+are the stdout of ``metrics`` at both levels and of ``compare``, under hash
+vectors.
+
 Usage: python tools/make_fixtures.py
 """
 
@@ -50,6 +57,65 @@ WIDENING = (
     {"record": "quote", "id": "r3-q1", "reading_id": "r3", "text": "extra reading"},
     {"id": "r3-a1", "reading_id": "r3", "author_id": "s99", "kind": "annotation",
      "quote_id": "r3-q1", "body": "only active in r3"},
+)
+
+# (reading, [(quote id, text)], [(artifact id, author, quote or parent id, body)]);
+# an artifact whose third field names an artifact is a reply
+UNICODE_READINGS = (
+    ("r1", [
+        ("r1-q1", "L'éducation est un événement."),
+        ("r1-q2", "l'ÉDUCATION   est un\tévénement."),
+        ("r1-q3", "Große Straße"),
+        ("r1-q4", "GROSSE STRASSE"),
+        ("r1-q5", "学习共同体与知识建构"),
+        ("r1-q6", "Η γνώση είναι κοινή"),
+        ("r1-q7", "η  ΓΝΏΣΗ  είναι κοινή"),
+    ], [
+        ("r1-a1", "anaïs", "r1-q1",
+         "'Éducation' et événement: l'éducation crée un -événement- et une émotion; "
+         "expérience, éducation, émotion!"),
+        ("r1-a2", "björn", "r1-q2",
+         "Die Erziehung ist ein événement, eine expérience: éducation -éducation- "
+         "co-création."),
+        ("r1-a3", "chloé", "r1-q3",
+         "Straße, Straßenbahn und Erinnerung: émotion, émotion, présence 'présence'."),
+        ("r1-a4", "δήμητρα", "r1-q4",
+         "STRASSE — η μνήμη, présence, expérience et co-création, γνώση."),
+        ("r1-a5", "王芳", "r1-q5",
+         "学习共同体：connaissance、connaissance、éducation 与 événements。"),
+        ("r1-a6", "zoë", "r1-q6",
+         "η γνώση — connaissance' et 'expérience', présence, évaluation."),
+        ("r1-a7", "jürgen", "r1-q7",
+         "ΓΝΏΣΗ: évaluation, évaluation, connaissance, co-création; l’éducation."),
+        ("r1-a8", "anaïs", "r1-q6",
+         "γνώση et éducation: événements, évaluations, émotion."),
+        ("r1-p1", "björn", "r1-a1", "-Événement- et émotion? Oui: expérience, co-création."),
+        ("r1-p2", "chloé", "r1-a2", "éducation! présence, connaissance; Erziehung."),
+        ("r1-p3", "zoë", "r1-a5", "知识 — connaissance, évaluation, événement."),
+        ("r1-p4", "anaïs", "r1-p3", "présence 'émotion' et expérience."),
+    ]),
+    ("r2", [
+        ("r2-q1", "La rédaction du mouvement"),
+        ("r2-q2", "LA RÉDACTION  DU MOUVEMENT"),
+        ("r2-q3", "Αρχή της μάθησης"),
+        ("r2-q4", "Fußball auf der Straße"),
+        ("r2-q5", "fussball auf der strasse"),
+    ], [
+        ("r2-a1", "anaïs", "r2-q1",
+         "rédaction, mouvement, 'développement' et -rédaction-; organisation, situation."),
+        ("r2-a2", "chloé", "r2-q2",
+         "Rédaction: mouvement, mouvements, communication, développement, événement."),
+        ("r2-a3", "zoë", "r2-q3",
+         "μάθηση — différence, organisation, rédaction, l’expérience, communication."),
+        ("r2-a4", "王芳", "r2-q4",
+         "足球：situation, développement, expérience, expérience, événements."),
+        ("r2-a5", "jürgen", "r2-q5",
+         "Fußball, Straße: différence, différence, situation, mouvement, organisation."),
+        ("r2-p1", "zoë", "r2-a1", "développement' et 'mouvement: expérience, communication."),
+        ("r2-p2", "anaïs", "r2-a4", "différence — événement — situation — organisation."),
+        ("r2-p3", "jürgen", "r2-a2", "expérience, communication, différence, événement!"),
+        ("r2-p4", "王芳", "r2-p3", "situation; organisation; événement; rédaction."),
+    ]),
 )
 
 AUTHORS = tuple(f"s{i:02d}" for i in range(1, 14))
@@ -186,6 +252,22 @@ def build_widened(corpus_path: Path) -> Path:
     return path
 
 
+def build_unicode() -> Path:
+    path = DATA / "unicode_corpus.jsonl"
+    lines = []
+    for rid, quotes, artifacts in UNICODE_READINGS:
+        lines += [{"record": "quote", "id": qid, "reading_id": rid, "text": text}
+                  for qid, text in quotes]
+        for aid, author, target, body in artifacts:
+            kind, link = (("annotation", "quote_id") if target in dict(quotes)
+                          else ("reply", "parent_id"))
+            lines.append({"id": aid, "reading_id": rid, "author_id": author, "kind": kind,
+                          link: target, "body": body})
+    path.write_bytes("".join(json.dumps(line, ensure_ascii=False) + "\n"
+                             for line in lines).encode("utf-8"))
+    return path
+
+
 def _cli(*args: str) -> bytes:
     return subprocess.run([sys.executable, "-m", "aicnet.cli", *args],
                           capture_output=True, check=True).stdout
@@ -225,6 +307,15 @@ def freeze_goldens(corpus_path: Path, emb_path: Path) -> None:
         leftover.unlink()  # goldens are the display CSVs only
 
 
+def freeze_unicode_goldens(unicode_path: Path) -> None:
+    folder = GOLDEN / "unicode"
+    folder.mkdir(parents=True, exist_ok=True)
+    for args, name in ((["metrics", "--level", "network"], "metrics_network.txt"),
+                       (["metrics", "--level", "node"], "metrics_node.txt"),
+                       (["compare", "r1", "r2"], "compare_r1_r2.txt")):
+        (folder / name).write_bytes(_cli(args[0], str(unicode_path), *args[1:]))
+
+
 def main() -> None:
     corpus_path, emb_path = build_sample()
     oracle_check(corpus_path, emb_path)
@@ -233,7 +324,9 @@ def main() -> None:
     widened_path = build_widened(corpus_path)
     freeze_goldens(corpus_path, emb_path)
     freeze_build_goldens(corpus_path, emb_path, bridge_path, widened_path)
-    for path in (corpus_path, emb_path, bridge_path, widened_path,
+    unicode_path = build_unicode()
+    freeze_unicode_goldens(unicode_path)
+    for path in (corpus_path, emb_path, bridge_path, widened_path, unicode_path,
                  *sorted(GOLDEN.rglob("*.*"))):
         print(f"wrote {path}")
 

@@ -512,14 +512,27 @@ MUTANTS: list[Mutant] = [
            ("tests/test_textpipe.py::test_equal_scores_of_one_lemma_rank_by_artifact_id_not_author",
             "tests/test_textpipe.py::"
             "test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero")),
-    # word selection: (tf, df) pairs of equal tf-idf ranked apart, in float order
-    Mutant("src/aicnet/textpipe.py", "if i == 0 or order(run[i - 1], pair):", "if True:",
-           ("tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[top_k]",
-            "tests/test_textpipe.py::test_selection_equals_oracle_on_planted_exact_ties")),
-    # word selection: only equal floats compared exactly
-    Mutant("src/aicnet/textpipe.py", "* 2.0 ** -45", "* 0.0",
-           ("tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[drop]",
-            "tests/test_textpipe.py::test_selection_equals_oracle_on_planted_exact_ties")),
+    # word selection: (tf, df) pairs of equal tf-idf ranked apart, in sorted order
+    Mutant("src/aicnet/textpipe.py", "ranks[low] + (order(low, pair) != 0)", "ranks[low] + 1",
+           ("tests/test_textpipe.py::test_tfidf_ranks_equal_the_exact_ranks",
+            "tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[top_k]")),
+    # word selection: (tf, df) pairs compared as floats alone
+    Mutant("src/aicnet/textpipe.py",
+           "        left, right = n_docs ** a[0] * b[1] ** b[0], n_docs ** b[0] * a[1] ** a[0]\n"
+           "        return (left > right) - (left < right)\n",
+           "        return (gap > 0) - (gap < 0)\n",
+           ("tests/test_textpipe.py::test_tfidf_ranks_equal_the_exact_ranks",
+            "tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[top_k]")),
+    # word selection: a slack below the floats' rounding bound, so floats decide equal values;
+    # a larger slack only sends more pairs to the integers, so widening it is sound and
+    # a mutant that does survives by design
+    Mutant("src/aicnet/textpipe.py", "* 2.0 ** -45", "* 2.0 ** -60",
+           ("tests/test_textpipe.py::test_tfidf_ranks_equal_the_exact_ranks",
+            "tests/test_textpipe.py::test_equal_tfidf_with_unequal_floats_ties_by_lemma[drop]")),
+    # word selection: pairs tied on (score, lemma, artifact id) left in document order
+    Mutant("src/aicnet/textpipe.py", "        if counts[lemma] >= least_tf[lemma]])",
+           "        if counts[lemma] >= least_tf[lemma]], key=lambda pair: pair[:3])",
+           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ties_by_author",)),
     # lemmatizer: -ies -> -y from 6 letters, so "skies" gives "skie"
     Mutant("src/aicnet/textpipe.py", 'surface.endswith("ies") and len(surface) > 4',
            'surface.endswith("ies") and len(surface) > 5',
@@ -540,9 +553,10 @@ MUTANTS: list[Mutant] = [
     # word selection: a verdict returned on a miss but not kept, so it is judged again
     Mutant("src/aicnet/textpipe.py", "verdict = self[surface] = lemma if", "verdict = lemma if",
            ("tests/test_textpipe.py::test_lemmatize_called_once_per_distinct_surface_per_reading",)),
-    # word selection: every document's pairs ranked, so a repeated artifact id ranks twice
-    Mutant("src/aicnet/textpipe.py", "if len({art.id for art, _ in docs}) < n_docs:", "if False:",
-           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_its_last_pair_once",
+    # word selection: one document ranked per artifact id, so a repeated id ranks its last alone
+    Mutant("src/aicnet/textpipe.py", "        for art, counts in docs for lemma in",
+           "        for art, counts in {a.id: (a, c) for a, c in docs}.values() for lemma in",
+           ("tests/test_textpipe.py::test_a_repeated_artifact_id_ranks_every_documents_pairs",
             "tests/test_textpipe.py::"
             "test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_zero")),
     # tokenizer: the byte table run on text that is not ASCII
@@ -599,7 +613,8 @@ MUTANTS: list[Mutant] = [
     # quote texts folded by full Unicode case folding, so "Straße" and "STRASSE" are twins
     Mutant("src/aicnet/corpus.py", 'return _WS.sub(" ", text.strip()).lower()',
            'return _WS.sub(" ", text.strip()).casefold()',
-           ("tests/test_corpus.py::test_normalize_text_equals_the_oracle",)),
+           ("tests/test_corpus.py::test_normalize_text_equals_the_oracle",
+            "tests/test_cli.py::test_non_ascii_corpus_reports_match_goldens")),
     # CSV corpora: read under csv's default 131,072-character field limit
     Mutant("src/aicnet/corpus.py", "limit = csv.field_size_limit(len(text) + 1)",
            "limit = csv.field_size_limit()",
