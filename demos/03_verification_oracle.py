@@ -1,9 +1,10 @@
 """The synthetic oracle end to end: plant structure, rebuild, diff.
 
-Also demonstrates what a failure looks like by mutating the corpus (deleting
-one reply) and verifying again.
+Also demonstrates what a failure looks like by mutating the corpus (rebuilding
+its reading without one reply) and verifying again.
 """
 
+from aicnet.corpus import Reading
 from aicnet.synth import SynthParams, generate, verify
 
 
@@ -20,9 +21,11 @@ def main() -> None:
     report = verify(corpus, store, gt)
     print("fresh corpus:", report.summary())
 
+    # a reading is fixed when it is made, so the mutant is a new reading
     reading = corpus.readings["r1"]
     victim = next(a for a in reversed(reading.artifacts) if a.kind == "reply")
-    reading.artifacts.remove(victim)
+    kept = [a for a in reading.artifacts if a is not victim]
+    corpus.readings["r1"] = Reading(reading.id, reading.quotes, kept)
     print(f"\ndeleted reply {victim.id} (by {victim.author_id})")
 
     report = verify(corpus, store, gt)

@@ -6,7 +6,7 @@ scores) next to the final selection so each stage is visible.
 
 from collections import Counter
 
-from aicnet.corpus import Artifact, Corpus, Quote, Reading
+from aicnet.corpus import Artifact, Quote, Reading
 from aicnet.textpipe import WordSelectionParams, noun_lemmas, select_cn_words, tfidf
 
 
@@ -17,14 +17,13 @@ def main() -> None:
         "d3": ("ana", "rhythm rhythm waltz waltz waltz and the history of costume"),
         "d4": ("ben", "pedagogy again, with rhythm and costume and costume everywhere"),
     }
-    reading = Reading(id="r1")
-    reading.quotes["q1"] = Quote(id="q1", reading_id="r1", text="a passage")
-    for art_id, (author, body) in bodies.items():
-        reading.artifacts.append(
-            Artifact(id=art_id, author_id=author, reading_id="r1",
-                     kind="annotation", body=body, quote_id="q1")
-        )
-    corpus = Corpus(readings={"r1": reading}, authors={"ana", "ben"})
+    reading = Reading(
+        id="r1",
+        quotes={"q1": Quote(id="q1", reading_id="r1", text="a passage")},
+        artifacts=[Artifact(id=art_id, author_id=author, reading_id="r1",
+                            kind="annotation", body=body, quote_id="q1")
+                   for art_id, (author, body) in bodies.items()],
+    )
 
     totals: Counter = Counter()
     for art in reading.artifacts:

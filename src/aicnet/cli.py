@@ -17,8 +17,8 @@ platform without ``os.fork`` or ``os.sched_getaffinity``.
 the objects still alive then to the OS instead of collecting them; an
 in-process caller of :func:`main` keeps its collector as it was.
 
-Exit codes: 0 success, 1 input error (a stdout that is closed or cannot be
-written included), 2 internal invariant violation.
+Exit codes: 0 success, 1 input error (a stdout that is closed, unwritable or
+unable to encode the output included), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -185,6 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out(text: str) -> None:
+    """Write ``text`` on stdout; text its encoding cannot hold is an input error."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise AicnetError(f"stdout's encoding {sys.stdout.encoding} cannot write "
+                          f"{exc.object[exc.start:exc.end]!a}") from None
+
+
 def _corpus_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
@@ -303,12 +312,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     loaded, errors = corpus_mod._collect(args.corpus, _corpus_format(args.corpus))
     if errors:
         for err in errors:
-            print(f"error: {err}")
-        print(f"{len(errors)} problem(s) found")
+            _out(f"error: {err}\n")
+        _out(f"{len(errors)} problem(s) found\n")
         return 1
     n_artifacts = sum(len(r.artifacts) for r in loaded.readings.values())
-    print(f"ok: {len(loaded.readings)} reading(s), {n_artifacts} artifact(s), "
-          f"{len(loaded.authors)} author(s)")
+    _out(f"ok: {len(loaded.readings)} reading(s), {n_artifacts} artifact(s), "
+         f"{len(loaded.authors)} author(s)\n")
     return 0
 
 
@@ -316,7 +325,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     loaded = load_corpus(args.corpus, _corpus_format(args.corpus))
     table = descriptive_stats(loaded, args.reading)
     display = _stats_display(table)
-    sys.stdout.write(display)
+    _out(display)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         summary = table._asdict()
@@ -354,7 +363,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             getattr(export, f"write_{fmt}")(graph, path, name=stem)
             written.append(path)
     for path in written:
-        print(path.as_posix())
+        _out(path.as_posix() + "\n")
     return 0
 
 
@@ -450,7 +459,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.level == "network":
         rows = [results[rid][0] for rid in reading_ids]
         table = _network_table(rows)
-        sys.stdout.write(table)
+        _out(table)
         if args.out:
             _write_report(args.out, "metrics_network", table, [r._asdict() for r in rows])
         return 0
@@ -458,10 +467,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for i, (rid, stem) in enumerate(zip(reading_ids, stems)):
         rows = results[rid][1]
         table = _node_table(rows)
-        if i:
-            print()
-        print(f"# reading {rid}")
-        sys.stdout.write(table)
+        _out(("\n" if i else "") + f"# reading {rid}\n{table}")
         if stem:
             _write_report(args.out, stem, table, [r._asdict() for r in rows])
     return 0
@@ -473,15 +479,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     roster_a, roster_b = (loaded.reading(rid).active_authors() for rid in (a, b))
     results = _per_reading(args, loaded, [a, b], roster_a | roster_b)
     (net_a, nodes_a), (net_b, nodes_b) = results[a], results[b]
-    sys.stdout.write(_csv_lines([["Measure", a, b, "delta"],
-                                 *_compared(net_a, net_b, _NETWORK_MEASURES)]))
+    _out(_csv_lines([["Measure", a, b, "delta"], *_compared(net_a, net_b, _NETWORK_MEASURES)]))
 
     if not roster_a & roster_b:
         _inform("warning: the two readings share no authors")
     lines = [[], ["Student", "Measure", a, b, "delta"]]
     for row_a, row_b in zip(nodes_a, nodes_b):  # one row per author of either, by id
         lines += ([row_a.author_id, *row] for row in _compared(row_a, row_b, _NODE_MEASURES))
-    sys.stdout.write(_csv_lines(lines))
+    _out(_csv_lines(lines))
     return 0
 
 
@@ -543,7 +548,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     payload["seed"] = params.seed
     _write(args.out / "ground_truth.json", _json_text(payload))
     for name in ("corpus.jsonl", "embeddings.jsonl", "ground_truth.json"):
-        print((args.out / name).as_posix())
+        _out((args.out / name).as_posix() + "\n")
     return 0
 
 

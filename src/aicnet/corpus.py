@@ -1,7 +1,7 @@
 """Discourse data model and ingestion.
 
 A corpus is a set of readings; each reading holds the quotes learners
-highlighted and an ordered list of artifacts (annotations anchored to a quote,
+highlighted and an ordered tuple of artifacts (annotations anchored to a quote,
 and replies anchored to another artifact). Loading validates everything up
 front and rejects malformed data instead of repairing it.
 
@@ -27,7 +27,8 @@ import math
 import operator
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import (
     AicnetError,
@@ -103,22 +104,27 @@ class Artifact(NamedTuple):
 
 
 class Reading(_Record):
-    """A single discourse episode: its quotes plus the artifacts written about them."""
+    """A single discourse episode: its quotes and the artifacts written about them,
+    fixed when it is made; its constructor indexes artifacts, authors and threads."""
 
     _fields = ("id", "quotes", "artifacts")
+    quotes = property(operator.attrgetter("_quotes"))
+    artifacts = property(operator.attrgetter("_artifacts"))
 
-    def __init__(self, id: str, quotes: dict[str, Quote] | None = None,
-                 artifacts: list[Artifact] | None = None) -> None:
+    def __init__(self, id: str, quotes: Mapping[str, Quote] | None = None,
+                 artifacts: Iterable[Artifact] | None = None) -> None:
         self.id = id
-        self.quotes = {} if quotes is None else quotes
-        self.artifacts = [] if artifacts is None else artifacts
+        self._quotes = MappingProxyType(dict(quotes or {}))
+        self._artifacts = tuple(artifacts or ())
+        self._by_id = {a.id: a for a in self._artifacts}
+        self._authors = frozenset(a.author_id for a in self._artifacts)
+        self._roots = _walk_threads(self)
 
     def artifact_by_id(self, artifact_id: str) -> Artifact:
         """The artifact of that id; an unknown id raises :class:`UnknownArtifact`."""
-        for art in self.artifacts:
-            if art.id == artifact_id:
-                return art
-        raise UnknownArtifact(artifact_id)
+        if (art := self._by_id.get(artifact_id)) is None:
+            raise UnknownArtifact(artifact_id)
+        return art
 
     @property
     def annotations(self) -> list[Artifact]:
@@ -129,7 +135,7 @@ class Reading(_Record):
         return [a for a in self.artifacts if a.kind == "reply"]
 
     def active_authors(self) -> set[str]:
-        return {a.author_id for a in self.artifacts}
+        return set(self._authors)
 
 
 class Corpus(_Record):
@@ -266,7 +272,7 @@ def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError
         text = _decoded(path, Path(path).read_bytes())
     except ParseError as exc:
         return Corpus(), [exc]
-    corpus = Corpus()
+    parts: dict[str, tuple[dict[str, Quote], list[Artifact]]] = {}  # reading id -> its records
     errors: list[AicnetError] = []
     duplicates: list[AicnetError] = []
     lines: dict[tuple[str, str], int] = {}  # (reading id, record id) -> line
@@ -286,25 +292,22 @@ def _collect(path: str | Path, format: Format) -> tuple[Corpus, list[AicnetError
                                          f"in reading {record.reading_id!r}"))
             continue
         lines[key] = lineno
-        reading = corpus.readings.get(key[0]) or corpus.readings.setdefault(key[0], Reading(key[0]))
+        quotes, artifacts = parts.get(key[0]) or parts.setdefault(key[0], ({}, []))
         if isinstance(record, Quote):
-            reading.quotes[record.id] = record
+            quotes[record.id] = record
         else:
-            reading.artifacts.append(record)
-            corpus.authors.add(record.author_id)
+            artifacts.append(record)
+    readings = {rid: Reading(rid, *part) for rid, part in parts.items()}
+    corpus = Corpus(readings, set().union(*(r._authors for r in readings.values())))
     if not lines and not errors:
         return corpus, [EmptyCorpus(path)]
     errors += duplicates
 
-    for reading in corpus.readings.values():
-        roots = thread_roots(reading)
-        faults: list[AicnetError] = []
-        for art in reading.artifacts:
-            root = roots[art.id]
-            if art.kind == "annotation" and art.quote_id not in reading.quotes:
-                faults.append(MissingQuote(art.id))
-            elif isinstance(root, AicnetError) and root.artifact_id == art.id:
-                faults.append(root)  # a dangling parent at its reply alone, a cycle at each member
+    for reading in readings.values():
+        # a thread's fault once, at the artifact it names (a cycle names each member)
+        faults = [root for art in reading.artifacts
+                  if isinstance(root := reading._roots[art.id], AicnetError)
+                  and root.artifact_id == art.id]
         # cycles last; each fault is at the line of the artifact it names
         errors += (ParseError(path, f"line {lines[reading.id, err.artifact_id]}", str(err))
                    for err in sorted(faults, key=lambda err: isinstance(err, CyclicThread)))
@@ -383,27 +386,18 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 # -- thread resolution --------------------------------------------------------
 
-def thread_roots(reading: Reading) -> dict[str, Artifact | AicnetError]:
-    """Every artifact of the reading mapped to the annotation at the head of
-    its reply chain, or to the error the chain hits.
-
-    Annotations map to themselves. A chain that reaches a missing parent maps
-    to :class:`DanglingParent` naming the reply whose parent is missing; a
-    chain that enters a cycle maps to :class:`CyclicThread` naming the
-    artifact itself. Each chain is walked once: a walk stops at the first
-    artifact already mapped.
-    """
-    by_id = {a.id: a for a in reading.artifacts}
+def _walk_threads(reading: Reading) -> dict[str, Artifact | AicnetError]:
+    """The map :func:`thread_roots` views; a walk stops at the first artifact already mapped."""
     roots: dict[str, Artifact | AicnetError] = {}
     for art in reading.artifacts:
         chain: dict[str, None] = {}  # replies walked from art, in order
         cur = art
         while cur.id not in roots:
             if cur.kind == "annotation":
-                roots[cur.id] = cur
+                roots[cur.id] = cur if cur.quote_id in reading.quotes else MissingQuote(cur.id)
             elif cur.id in chain:
                 roots[cur.id] = CyclicThread(cur.id)
-            elif (parent := by_id.get(cur.parent_id or "")) is None:
+            elif (parent := reading._by_id.get(cur.parent_id or "")) is None:
                 roots[cur.id] = DanglingParent(cur.id)
             else:
                 chain[cur.id] = None
@@ -414,13 +408,21 @@ def thread_roots(reading: Reading) -> dict[str, Artifact | AicnetError]:
     return roots
 
 
+def thread_roots(reading: Reading) -> Mapping[str, Artifact | AicnetError]:
+    """Every artifact of the reading mapped to the annotation at the head of
+    its reply chain, or to the error its thread hits: :class:`MissingQuote`
+    naming the annotation if the reading lacks its quote, :class:`DanglingParent`
+    naming the reply whose parent is missing, or :class:`CyclicThread` naming
+    the artifact itself if its chain enters a cycle. A read-only view of the
+    map the reading's constructor made."""
+    return MappingProxyType(reading._roots)
+
+
 def thread_root(artifact: Artifact, corpus: Corpus) -> Artifact:
     """The annotation at the head of the artifact's reply chain (see
     :func:`thread_roots`); raises the chain's error, or
     :class:`UnknownArtifact`."""
-    root = thread_roots(corpus.reading(artifact.reading_id)).get(artifact.id)
-    if root is None:
-        raise UnknownArtifact(artifact.id)
+    root = corpus.reading(artifact.reading_id)._roots.get(artifact.id, UnknownArtifact(artifact.id))
     if isinstance(root, AicnetError):
         raise root
     return root

@@ -9,8 +9,8 @@
   author-word graph built from the selected words; edge weight counts shared
   words.
 
-All builders leave their (mutable) inputs as they were, but for the normalized
-text a quote caches, and are insensitive to artifact iteration order.
+All builders leave their inputs as they were, but for the normalized text a
+quote caches, and are insensitive to artifact iteration order.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .corpus import Corpus, Quote, Reading, _Record, thread_roots
-from .errors import AicnetError, DanglingParent, MissingQuote
+from .corpus import Corpus, Quote, Reading, _Record
+from .errors import AicnetError, DanglingParent
 from .semantic import EmbeddingStore, _check_threshold, _confirmed_pairs
 from .textpipe import WordSelectionParams, select_cn_words
 
@@ -71,18 +71,15 @@ class BipartiteGraph(_Record):
 def _attended(reading: Reading, authors: list[str]) -> dict[str, set[str]]:
     """Ids of the quotes each author attended to: the quotes of their own
     annotations and the root quotes of the threads they replied in. The first
-    of their artifacts whose reply chain is broken raises the chain's error, or,
-    if the reading lacks its root's quote, :class:`MissingQuote` for the root."""
-    roots = thread_roots(reading)
+    of their artifacts whose thread is broken raises the error that
+    :func:`~aicnet.corpus.thread_roots` maps it to."""
     attended: dict[str, set[str]] = {a: set() for a in authors}
     for art in reading.artifacts:
         if art.author_id not in attended:
             continue
-        root = roots[art.id]
+        root = reading._roots[art.id]
         if isinstance(root, AicnetError):
             raise root
-        if root.quote_id not in reading.quotes:
-            raise MissingQuote(root.id)
         attended[art.author_id].add(root.quote_id)
     return attended
 
@@ -109,10 +106,10 @@ def build_an(
     have the same normalized text, else the cosine of their stored vectors. A
     quote both attend pairs with itself at 1.0.
 
-    One pass per reading: thread roots are resolved once, the scorer of
-    :mod:`aicnet.semantic` scores each distinct quote pair that two authors
-    hold once, and each distinct pair of attended-quote sets sums its joint
-    pairs once, with :func:`math.fsum`, for all the author pairs that hold
+    One pass per reading: thread roots come from the reading's index, the
+    scorer of :mod:`aicnet.semantic` scores each distinct quote pair that two
+    authors hold once, and each distinct pair of attended-quote sets sums its
+    joint pairs once, with :func:`math.fsum`, for all the author pairs that hold
     those two sets. The sum is exactly rounded, so a weight does not depend on
     the order of its terms, and the result is identical, weights and edge
     order included, to summing ``joint_pairs`` for every author pair.
@@ -165,12 +162,11 @@ def build_an(
 def build_in(reading: Reading, corpus: Corpus) -> WeightedGraph:
     """Interaction network: every reply is one event between its author and the
     parent artifact's author; same-author events are discarded."""
-    by_id = {a.id: a for a in reading.artifacts}
     events: Counter = Counter()
     for art in reading.artifacts:
         if art.kind != "reply":
             continue
-        parent = by_id.get(art.parent_id)
+        parent = reading._by_id.get(art.parent_id)
         if parent is None:
             raise DanglingParent(art.id)
         if parent.author_id == art.author_id:

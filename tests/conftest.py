@@ -37,26 +37,25 @@ def mk_corpus(
     annotations: (id, reading_id, author_id, quote_id, body)
     replies: (id, reading_id, author_id, parent_id, body)
     """
-    corpus = Corpus()
+    parts: dict[str, tuple[dict[str, Quote], list[Artifact]]] = {}  # reading id -> its records
 
-    def reading(rid: str) -> Reading:
-        return corpus.readings.setdefault(rid, Reading(id=rid))
+    def part(rid: str) -> tuple[dict[str, Quote], list[Artifact]]:
+        return parts.setdefault(rid, ({}, []))
 
     for qid, rid, text in quotes:
-        reading(rid).quotes[qid] = Quote(id=qid, reading_id=rid, text=text)
+        part(rid)[0][qid] = Quote(id=qid, reading_id=rid, text=text)
     for aid, rid, author, qid, body in annotations:
-        reading(rid).artifacts.append(
+        part(rid)[1].append(
             Artifact(id=aid, author_id=author, reading_id=rid, kind="annotation",
                      body=body, quote_id=qid)
         )
-        corpus.authors.add(author)
     for aid, rid, author, parent, body in replies:
-        reading(rid).artifacts.append(
+        part(rid)[1].append(
             Artifact(id=aid, author_id=author, reading_id=rid, kind="reply",
                      body=body, parent_id=parent)
         )
-        corpus.authors.add(author)
-    return corpus
+    readings = {rid: Reading(rid, *records) for rid, records in parts.items()}
+    return Corpus(readings, {a.author_id for r in readings.values() for a in r.artifacts})
 
 
 def broken_chain_corpus() -> Corpus:

@@ -78,7 +78,8 @@ from aicnet.textpipe import (
 
 
 def oracle_thread_root(artifact: Artifact, reading: Reading) -> Artifact:
-    """Follow one reply chain parent by parent to its annotation."""
+    """Follow one reply chain parent by parent to its annotation; an
+    annotation whose quote the reading lacks raises :class:`MissingQuote`."""
     by_id = {a.id: a for a in reading.artifacts}
     seen = set()
     cur = artifact
@@ -90,20 +91,16 @@ def oracle_thread_root(artifact: Artifact, reading: Reading) -> Artifact:
         if parent is None:
             raise DanglingParent(cur.id)
         cur = parent
+    if cur.quote_id not in reading.quotes:
+        raise MissingQuote(cur.id)
     return cur
 
 
 def oracle_attention_quotes(author: str, reading: Reading) -> set[Quote]:
-    """The quotes of the author's annotations and of their threads' roots; a
-    root whose quote the reading lacks raises :class:`MissingQuote`."""
-    quotes = set()
-    for art in reading.artifacts:
-        if art.author_id == author:
-            root = oracle_thread_root(art, reading)
-            if root.quote_id not in reading.quotes:
-                raise MissingQuote(root.id)
-            quotes.add(reading.quotes[root.quote_id])
-    return quotes
+    """The quotes of the author's annotations and of their threads' roots;
+    raises as :func:`oracle_thread_root`."""
+    return {reading.quotes[oracle_thread_root(art, reading).quote_id]
+            for art in reading.artifacts if art.author_id == author}
 
 
 def _dedupe_by_text(quotes: set[Quote]) -> set[Quote]:
@@ -707,7 +704,7 @@ def oracle_collect(path: str | Path, format: str) -> tuple[Corpus, list[AicnetEr
         text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         return Corpus(), [ParseError(path, f"byte {exc.start}", "not valid UTF-8")]
-    corpus = Corpus()
+    records: dict[str, tuple[dict[str, Quote], list[Artifact]]] = {}  # reading id -> its records
     errors: list[AicnetError] = []
     duplicates: list[AicnetError] = []
     lines: dict[tuple[str, str], int] = {}
@@ -728,12 +725,13 @@ def oracle_collect(path: str | Path, format: str) -> tuple[Corpus, list[AicnetEr
                                          f"in reading {record.reading_id!r}"))
             continue
         lines[key] = lineno
-        reading = corpus.readings.setdefault(record.reading_id, Reading(id=record.reading_id))
+        quotes, artifacts = records.setdefault(record.reading_id, ({}, []))
         if isinstance(record, Quote):
-            reading.quotes[record.id] = record
+            quotes[record.id] = record
         else:
-            reading.artifacts.append(record)
-            corpus.authors.add(record.author_id)
+            artifacts.append(record)
+    corpus = Corpus({rid: Reading(rid, *part) for rid, part in records.items()},
+                    {a.author_id for _, artifacts in records.values() for a in artifacts})
     if not lines and not errors:
         return corpus, [EmptyCorpus(path)]
     errors += duplicates
@@ -741,13 +739,11 @@ def oracle_collect(path: str | Path, format: str) -> tuple[Corpus, list[AicnetEr
     for reading in corpus.readings.values():
         faults: list[AicnetError] = []
         for art in reading.artifacts:
-            if art.kind == "annotation" and art.quote_id not in reading.quotes:
-                faults.append(MissingQuote(art.id))
-                continue
             try:
                 oracle_thread_root(art, reading)
-            except (CyclicThread, DanglingParent) as exc:
-                if exc.artifact_id == art.id:  # a dangling parent at its reply alone
+            except (CyclicThread, DanglingParent, MissingQuote) as exc:
+                # a missing quote at its annotation alone, a dangling parent at its reply alone
+                if exc.artifact_id == art.id:
                     faults.append(exc)
         errors += (ParseError(path, f"line {lines[reading.id, err.artifact_id]}", str(err))
                    for err in sorted(faults, key=lambda err: isinstance(err, CyclicThread)))

@@ -1266,6 +1266,31 @@ def test_a_stdout_that_cannot_be_written_is_an_input_error(argv, unbuffered):
         1, f"{note}error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode())
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["metrics", "unicode_corpus.jsonl", "--level", "node"], 1),
+    (["compare", "unicode_corpus.jsonl", "r1", "r2"], 1),
+    (["metrics", "unicode_corpus.jsonl", "--level", "network"], 0),
+    (["validate", "unicode_corpus.jsonl"], 0),
+], ids=["metrics_node", "compare", "metrics_network", "validate"])
+def test_a_stdout_that_cannot_encode_the_output_is_an_input_error(argv, code):
+    def run(encoding: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "aicnet.cli", *argv], capture_output=True,
+                              cwd=_DATA, env=dict(child_env(), PYTHONIOENCODING=encoding),
+                              check=False)
+
+    utf8, ascii_only = run("utf-8"), run("ascii")
+    assert utf8.returncode == 0, utf8.stderr
+    if code == 0:  # these print ASCII alone
+        assert ascii_only.stdout.isascii()
+        assert (ascii_only.returncode, ascii_only.stdout, ascii_only.stderr) == (
+            0, utf8.stdout, utf8.stderr)
+        return
+    # the first author id that ASCII cannot hold is anaïs
+    assert ascii_only.returncode == 1
+    assert ascii_only.stderr == utf8.stderr + b"error: stdout's encoding ascii cannot write '\\xef'\n"
+    assert utf8.stdout.startswith(ascii_only.stdout)
+
+
 @pytest.mark.parametrize("argv, fds", [
     (["validate", "sample_corpus.jsonl"], (1,)),
     (["metrics", "sample_corpus.jsonl", "--level", "network", "--out", "OUT"], (1,)),

@@ -366,9 +366,9 @@ def test_an_empty_optional_field_is_absent_in_either_format(tmp_path):
     from_jsonl = load_corpus(jsonl)
     from_csv = load_corpus(write_csv_corpus(from_jsonl, tmp_path / "corpus.csv"), "csv")
     assert from_jsonl == from_csv
-    assert from_jsonl.readings["r1"].artifacts == [
+    assert from_jsonl.readings["r1"].artifacts == (
         Artifact("a1", "A", "r1", "annotation", "a note", "q1", None, None),
-        Artifact("p1", "B", "r1", "reply", "a reply", None, "a1", None)]
+        Artifact("p1", "B", "r1", "reply", "a reply", None, "a1", None))
 
 
 _CSV_HEADER = "record,id,reading_id,author_id,kind,quote_id,body,parent_id,ts,text\n"
@@ -560,10 +560,55 @@ def test_thread_root_unknown_artifact():
         thread_root(stranger, corpus)
 
 
+def test_a_reading_is_fixed_when_it_is_made():
+    quotes = {"q1": Quote("q1", "r1", "a passage")}
+    note = Artifact("a1", "A", "r1", "annotation", "a note", "q1")
+    reply = Artifact("p1", "B", "r1", "reply", "a reply", None, "a1")
+    artifacts = [note, reply]
+    reading = Reading("r1", quotes, artifacts)
+    changes = [lambda: reading.artifacts.append(note), lambda: reading.artifacts.remove(note),
+               lambda: reading.artifacts.reverse(), lambda: setattr(reading, "quotes", {}),
+               lambda: setattr(reading, "artifacts", [])]
+    for change in changes:
+        with pytest.raises(AttributeError):
+            change()
+    with pytest.raises(TypeError):
+        reading.quotes["q2"] = Quote("q2", "r1", "another passage")
+    with pytest.raises(TypeError):
+        thread_roots(reading)["a1"] = reply
+    # what the caller passed is the caller's to change
+    quotes.clear()
+    artifacts.pop()
+    assert reading == Reading("r1", {"q1": Quote("q1", "r1", "a passage")}, (note, reply))
+    assert dict(thread_roots(reading)) == {"a1": note, "p1": note}
+
+
+def test_a_reading_indexes_its_artifacts_authors_and_threads():
+    corpus = mk_corpus(
+        quotes=[("q1", "r1", "first passage")],
+        annotations=[("a1", "r1", "A", "q1", "note"), ("a2", "r1", "B", "ghost", "note")],
+        replies=[("p1", "r1", "C", "a1", "reply"), ("p2", "r1", "D", "a2", "reply")],
+    )
+    reading = corpus.readings["r1"]
+    a1, a2, p1, p2 = reading.artifacts
+    assert [reading.artifact_by_id(a.id) for a in reading.artifacts] == [a1, a2, p1, p2]
+    # authors of replies too, in a new set on every call
+    authors = reading.active_authors()
+    assert authors == {"A", "B", "C", "D"}
+    authors.add("E")
+    assert reading.active_authors() == {"A", "B", "C", "D"}
+    roots = thread_roots(reading)
+    assert roots["a1"] is roots["p1"] is a1
+    # a thread whose annotation lacks its quote maps to one error naming the annotation
+    assert isinstance(roots["a2"], MissingQuote) and roots["p2"] is roots["a2"]
+    assert roots["a2"].artifact_id == "a2"
+
+
 @st.composite
 def reply_forests(draw):
     """Artifacts whose parents are drawn at random: valid threads, cycles,
-    self-replies and missing parents, in any reading order."""
+    self-replies and missing parents, in any reading order, in a reading that
+    may lack the quote its annotations name."""
     n = draw(st.integers(1, 14))
     ids = [f"x{i}" for i in range(n)]
     artifacts = []
@@ -575,13 +620,14 @@ def reply_forests(draw):
             parent = draw(st.sampled_from(ids + ["gone"]))
             artifacts.append(Artifact(id=aid, author_id="A", reading_id="r1",
                                       kind="reply", body="", parent_id=parent))
-    return Reading(id="r1", artifacts=artifacts)
+    quotes = {"q1": Quote("q1", "r1", "a passage")} if draw(st.booleans()) else {}
+    return Reading(id="r1", quotes=quotes, artifacts=artifacts)
 
 
 def _outcome(resolve):
     try:
         return resolve()
-    except (CyclicThread, DanglingParent) as exc:
+    except (CyclicThread, DanglingParent, MissingQuote) as exc:
         return type(exc), exc.artifact_id
 
 

@@ -21,7 +21,7 @@ from aicnet.graphs import (
     build_in,
     project,
 )
-from aicnet.corpus import Quote, load_corpus, thread_roots
+from aicnet.corpus import Quote, Reading, load_corpus
 from aicnet.errors import (
     AicnetError,
     DanglingParent,
@@ -40,7 +40,7 @@ from aicnet.semantic import (
 from aicnet.synth import SynthParams, generate, random_params
 from aicnet.textpipe import WordSelectionParams
 
-from conftest import BROKEN_CHAIN_ROOTS, broken_chain_corpus, mk_corpus
+from conftest import BROKEN_CHAIN_ROOTS, Calls, broken_chain_corpus, mk_corpus, run_cli, use_cpus
 from oracles import (
     oracle_attention_quotes,
     oracle_build_an,
@@ -163,33 +163,35 @@ def test_build_an_raises_first_broken_chain_in_reading_order():
     corpus = broken_chain_corpus()
     reading = corpus.readings["r1"]
     store = embed_quotes(reading.quotes.values(), 16)
-    artifacts = list(reading.artifacts)
+    artifacts = reading.artifacts
     for shift in range(len(artifacts)):
-        reading.artifacts = artifacts[shift:] + artifacts[:shift]
-        error, artifact_id = _first_broken(reading.artifacts)
+        rotated = Reading("r1", reading.quotes, artifacts[shift:] + artifacts[:shift])
+        error, artifact_id = _first_broken(rotated.artifacts)
         with pytest.raises(error) as exc:
-            build_an(reading, corpus, store)
+            build_an(rotated, corpus, store)
         assert exc.value.artifact_id == artifact_id
 
 
-def test_thread_roots_runs_once_per_reading(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", [["metrics", "--level", "node"],
+                                     ["metrics", "--level", "network"], ["compare", "r1", "r2"]],
+                         ids=["metrics_node", "metrics_network", "compare"])
+def test_each_reading_walks_its_threads_once_per_command(tmp_path, capfd, monkeypatch, cpus,
+                                                         command):
     import aicnet.corpus as corpus_mod
-    import aicnet.graphs as graphs
 
-    calls = []
+    walked, walk = Calls(tmp_path / "walked"), corpus_mod._walk_threads
 
     def counting(reading):
-        calls.append(reading.id)
-        return thread_roots(reading)
+        walked.add(reading.id)
+        return walk(reading)
 
-    monkeypatch.setattr(corpus_mod, "thread_roots", counting)
-    monkeypatch.setattr(graphs, "thread_roots", counting)
-    corpus = load_corpus(DATA / "sample_corpus.jsonl")
-    assert sorted(calls) == sorted(corpus.readings) == ["r1", "r2"]
-    for reading in corpus.readings.values():
-        calls.clear()
-        build_an(reading, corpus, embed_quotes(reading.quotes.values(), 16))
-        assert calls == [reading.id]
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(corpus_mod, "_walk_threads", counting)
+    code, _, err = run_cli(capfd, command[0], str(DATA / "sample_corpus.jsonl"), *command[1:])
+    assert code == 0, err
+    # at load, in this process alone: the builders and thread_root walk nothing
+    assert walked.read() == ["r1", "r2"]
 
 
 def test_build_an_figure_construction():
@@ -444,7 +446,7 @@ def test_builders_insensitive_to_artifact_order():
         build_in(reading, corpus),
         project(build_cn_bipartite(reading, corpus, params)),
     )
-    reading.artifacts.reverse()
+    reading = Reading("r1", reading.quotes, reversed(reading.artifacts))
     after = (
         build_an(reading, corpus, store, 0.8),
         build_in(reading, corpus),
@@ -453,6 +455,22 @@ def test_builders_insensitive_to_artifact_order():
     for g1, g2 in zip(before, after):
         assert g1.nodes == g2.nodes
         assert g1.edges == g2.edges
+
+
+def test_a_reading_rebuilt_without_a_reply_gives_the_new_networks():
+    plan = {"quotes": [("q1", "r1", "text one"), ("q2", "r1", "text two")],
+            "annotations": [("a1", "r1", "A", "q1", "pedagogy rhythm"),
+                            ("a2", "r1", "B", "q2", "pedagogy rhythm")]}
+    replies = [("p1", "r1", "B", "a1", "rhythm"), ("p2", "r1", "C", "a1", "pedagogy rhythm")]
+    corpus = mk_corpus(**plan, replies=replies)
+    reading = corpus.readings["r1"]
+    rebuilt = Reading("r1", reading.quotes, [a for a in reading.artifacts if a.id != "p2"])
+    want = mk_corpus(**plan, replies=replies[:1]).readings["r1"]
+    store = embed_quotes(reading.quotes.values(), 16)
+    params = WordSelectionParams(min_frequency=1, drop_lowest=0)
+    for build in (lambda r: build_an(r, corpus, store), lambda r: build_in(r, corpus),
+                  lambda r: project(build_cn_bipartite(r, corpus, params))):
+        assert build(rebuilt) == build(want) != build(reading)
 
 
 # -- one-pass attention network against the pairwise oracle -------------------

@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -326,14 +327,17 @@ def _two_reading_corpus(seed_: int) -> Corpus:
     return Corpus(readings={**c1.readings, **c2.readings}, authors=c1.authors | c2.authors)
 
 
-def _reports(path: Path, out: Path, *extra: str) -> tuple[dict[str, bytes], str]:
+def _reports(path: Path, out: Path, *extra: str) -> tuple[dict[str, bytes], list[str]]:
     """Every report file of ``metrics --level node|network --out``, and the
-    stdout of ``compare r1 r2``, each given the ``extra`` arguments."""
-    for level in ("node", "network"):
-        assert _run(["metrics", str(path), "--level", level, "--out", str(out), *extra])[0] == 0
-    code, compared, _ = _run(["compare", str(path), "r1", "r2", *extra])
-    assert code == 0
-    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}, compared
+    stdout of both and of ``compare r1 r2``, each given the ``extra`` arguments."""
+    printed = []
+    for argv in (["metrics", str(path), "--level", "node", "--out", str(out)],
+                 ["metrics", str(path), "--level", "network", "--out", str(out)],
+                 ["compare", str(path), "r1", "r2"]):
+        code, stdout, stderr = _run([*argv, *extra])
+        assert code == 0, stderr
+        printed.append(stdout)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}, printed
 
 
 @pytest.mark.parametrize("source", ["sample_corpus", "random_3", "random_8"])
@@ -368,16 +372,100 @@ def _shuffled(path: Path, to: Path, rng: random.Random) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
+def _source(source: str, tmp_path: Path, bench) -> tuple[Path, Path | None]:
+    """A test corpus file, or a benchmark workload's at its tiny sizes, and its vector file."""
+    if source.endswith("_corpus"):
+        return _DATA / f"{source}.jsonl", None
+    inputs, _ = bench.prepare(source, 0, tmp_path, bench.corpora.TINY[source])
+    return inputs.corpus, inputs.vectors
+
+
 @pytest.mark.parametrize("source", ["sample_corpus", "attention_dense", "creation_text",
                                     "class_roster"])
 def test_record_order_does_not_change_a_report(tmp_path, bench, source):
-    path, extra = _DATA / "sample_corpus.jsonl", []
-    if source != "sample_corpus":
-        inputs, _ = bench.prepare(source, 0, tmp_path, bench.corpora.TINY[source])
-        path, extra = inputs.corpus, ["--embeddings", str(inputs.vectors)] if inputs.vectors else []
+    path, vectors = _source(source, tmp_path, bench)
+    extra = ["--embeddings", str(vectors)] if vectors else []
     shuffled = tmp_path / f"shuffled{path.suffix}"
     _shuffled(path, shuffled, random.Random(source))
     assert shuffled.read_bytes() != path.read_bytes()
     reports = [_reports(p, tmp_path / f"out_{p.stem}", *extra) for p in (path, shuffled)]
     assert reports[0] == reports[1]
     assert reports[0][0] and reports[0][1]
+
+
+# -- ids and the other readings do not change a report ------------------------
+
+_SOURCES = ["sample_corpus", "unicode_corpus", "attention_dense", "creation_text", "class_roster"]
+_ID_FIELDS = ("id", "quote_id", "parent_id")
+
+
+def _rewritten(path: Path, to: Path, edit: Callable[[dict], dict | None]) -> None:
+    """A copy of a JSONL or CSV file whose records, read as dicts, ``edit``
+    maps to the record to write, or to None to drop the record."""
+    text = path.read_bytes().decode("utf-8")
+    if path.suffix == ".jsonl":
+        records = [edit(json.loads(line)) for line in text.split("\n") if line.strip()]
+        to.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                              for r in records if r is not None), encoding="utf-8", newline="")
+        return
+    header, *rows = csv.reader(io.StringIO(text))
+    records = [edit(dict(zip(header, row))) for row in rows]
+    with to.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *([r.get(name, "") for name in header]
+                                            for r in records if r is not None)])
+
+
+def _prefixed(record: dict) -> dict:
+    """The record with ``x-`` before each quote or artifact id it holds: a
+    bijection that keeps the ids' order."""
+    return {k: f"x-{v}" if k in _ID_FIELDS and v else v for k, v in record.items()}
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+def test_renaming_ids_in_order_does_not_change_a_report(tmp_path, bench, source):
+    path, vectors = _source(source, tmp_path, bench)
+    renamed = tmp_path / f"renamed{path.suffix}"
+    _rewritten(path, renamed, _prefixed)
+    assert renamed.read_bytes() != path.read_bytes()
+    reports = []
+    for corpus, name in ((path, "ids"), (renamed, "renamed")):
+        extra = []
+        if vectors:
+            extra = ["--embeddings", str(tmp_path / f"{name}_vectors.jsonl")]
+            _rewritten(vectors, Path(extra[1]), _prefixed if corpus == renamed else lambda r: r)
+        reports.append(_reports(corpus, tmp_path / f"out_{name}", *extra))
+    assert reports[0] == reports[1]
+    assert reports[0][0] and all(reports[0][1])
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+def test_a_reading_reports_alike_without_the_other_readings(tmp_path, bench, source):
+    path, vectors = _source(source, tmp_path, bench)
+    extra = ["--embeddings", str(vectors)] if vectors else []
+    full = tmp_path / "full"
+    assert _run(["metrics", str(path), "--level", "node", "--out", str(full), *extra])[0] == 0
+    reading_ids = sorted(f.stem.removeprefix("metrics_node_") for f in full.glob("*.json"))
+    assert len(reading_ids) >= 2
+    for rid in reading_ids:
+        alone = tmp_path / f"{rid}{path.suffix}"
+        authors: set[str] = set()
+
+        def keep(record: dict) -> dict | None:
+            if record["reading_id"] != rid:
+                return None
+            if record.get("author_id"):
+                authors.add(record["author_id"])
+            return record
+
+        _rewritten(path, alone, keep)
+        network = ["metrics", "--level", "network", *extra]
+        got = _run([network[0], str(alone), *network[1:]])
+        want = _run([network[0], str(path), *network[1:], "--reading", rid])
+        # only the stderr may differ: a vector file holds the other readings' quotes
+        assert got[:2] == want[:2] and got[0] == 0
+        out = tmp_path / f"alone_{rid}"
+        assert _run(["metrics", str(alone), "--level", "node", "--out", str(out), *extra])[0] == 0
+        name = f"metrics_node_{rid}.json"
+        want_rows = [r for r in json.loads((full / name).read_bytes()) if r["author_id"] in authors]
+        assert json.loads((out / name).read_bytes()) == want_rows
+        assert sorted(r["author_id"] for r in want_rows) == sorted(authors)

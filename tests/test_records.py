@@ -6,6 +6,7 @@ class is checked against a dataclass made from its field names."""
 from __future__ import annotations
 
 from dataclasses import asdict, make_dataclass
+from types import MappingProxyType
 
 import pytest
 
@@ -25,7 +26,8 @@ CASES = [
     (Quote, True, ("q1", "r1", "A  passage"), ("q2", "r2", "other")),
     (Artifact, True, ("a1", "ana", "r1", "annotation", "body", "q1", None, "t0"),
      ("p1", "ben", "r2", "reply", "", None, "a1", None)),
-    (Reading, False, ("r1", {"q1": _QUOTE}, [_NOTE]), ("r2", {}, [])),
+    (Reading, False, ("r1", MappingProxyType({"q1": _QUOTE}), (_NOTE,)),
+     ("r2", MappingProxyType({}), ())),
     (Corpus, False, ({"r1": Reading("r1", {"q1": _QUOTE}, [_NOTE])}, {"ana"}), ({}, set())),
     (ReadingStats, True, ("r1", 2, 1, 3.5), ("r2", 3, 0, None)),
     (StatsTable, True, ((ReadingStats("r1", 2, 1, 3.5),), 2.0, 0.0, 1.0, 0.0),

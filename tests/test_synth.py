@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from aicnet.corpus import save_corpus
+from aicnet.corpus import Reading, save_corpus
 from aicnet.errors import InfeasibleParams
 from aicnet.semantic import save_embeddings
 from aicnet.synth import EdgeDiff, SynthParams, generate, random_params, verify
@@ -102,7 +102,8 @@ def test_deleting_a_reply_shows_in_diff():
     corpus, store, gt = generate(params)
     reading = corpus.readings["r1"]
     replies = [a for a in reading.artifacts if a.kind == "reply"]
-    reading.artifacts.remove(replies[-1])
+    corpus.readings["r1"] = Reading("r1", reading.quotes,
+                                    [a for a in reading.artifacts if a != replies[-1]])
 
     report = verify(corpus, store, gt)
     assert not report.passed

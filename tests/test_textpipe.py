@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aicnet import textpipe
-from aicnet.corpus import load_corpus
+from aicnet.corpus import Reading, load_corpus
 from aicnet.errors import AicnetError
 from aicnet.synth import generate, random_params
 from aicnet.textpipe import (
@@ -293,11 +293,7 @@ def test_select_dedupes_same_author_only():
 
 def test_selection_insensitive_to_artifact_order():
     reading = _cn_reading()
-    reversed_reading = mk_corpus(
-        quotes=[(q.id, "r1", q.text) for q in reading.quotes.values()],
-        annotations=[],
-    ).readings["r1"]
-    reversed_reading.artifacts = list(reversed(reading.artifacts))
+    reversed_reading = Reading("r1", reading.quotes, reversed(reading.artifacts))
     assert select_cn_words(reversed_reading) == select_cn_words(reading)
 
 
@@ -443,7 +439,7 @@ def test_selection_equals_oracle_where_ids_repeat_cuts_split_groups_or_idf_is_ze
     reading, params = inputs
     selection = select_cn_words(reading, params)
     assert selection == oracle_select_cn_words(reading, params)
-    reading.artifacts = list(reversed(reading.artifacts))
+    reading = Reading(reading.id, reading.quotes, reversed(reading.artifacts))
     assert select_cn_words(reading, params) == selection
 
 

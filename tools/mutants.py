@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 _AN = "tests/test_graphs.py::"
+_INDEX = "tests/test_corpus.py::"
 _EXPORT = "tests/test_export.py::"
 _HASH = "tests/test_semantic.py::"
 _IMPORTS = "tests/test_imports.py::"
@@ -319,9 +320,9 @@ MUTANTS: list[Mutant] = [
 
     # interaction network: a missing parent surfaces as a bare KeyError
     Mutant("src/aicnet/graphs.py",
-           "        parent = by_id.get(art.parent_id)\n        if parent is None:\n"
+           "        parent = reading._by_id.get(art.parent_id)\n        if parent is None:\n"
            "            raise DanglingParent(art.id)\n",
-           "        parent = by_id[art.parent_id]\n",
+           "        parent = reading._by_id[art.parent_id]\n",
            (_AN + "test_build_in_names_a_reply_whose_parent_is_missing",)),
     # interaction network: same-author replies kept, as self-loops
     Mutant("src/aicnet/graphs.py",
@@ -479,12 +480,35 @@ MUTANTS: list[Mutant] = [
             "[vectors_binary_nan]",)),
     # attention network: a thread whose quote the reading lacks skipped in silence
     Mutant("src/aicnet/graphs.py",
-           "        if root.quote_id not in reading.quotes:\n"
-           "            raise MissingQuote(root.id)\n"
-           "        attended[art.author_id].add(root.quote_id)\n",
-           "        if root.quote_id in reading.quotes:\n"
-           "            attended[art.author_id].add(root.quote_id)\n",
+           "        if isinstance(root, AicnetError):\n            raise root\n",
+           "        if isinstance(root, AicnetError):\n"
+           "            if type(root).__name__ == \"MissingQuote\":\n                continue\n"
+           "            raise root\n",
            (_AN + "test_a_thread_whose_quote_is_missing_raises_missing_quote",)),
+    # the thread walk: an annotation whose quote the reading lacks heads its thread all the same
+    Mutant("src/aicnet/corpus.py",
+           "roots[cur.id] = cur if cur.quote_id in reading.quotes else MissingQuote(cur.id)",
+           "roots[cur.id] = cur",
+           (_INDEX + "test_a_reading_indexes_its_artifacts_authors_and_threads",
+            _INDEX + "test_thread_roots_equal_one_walk_per_artifact",
+            _AN + "test_a_thread_whose_quote_is_missing_raises_missing_quote")),
+    # the reading's index: the authors of its annotations alone
+    Mutant("src/aicnet/corpus.py",
+           "frozenset(a.author_id for a in self._artifacts)",
+           "frozenset(a.author_id for a in self._artifacts if a.kind == \"annotation\")",
+           (_INDEX + "test_a_reading_indexes_its_artifacts_authors_and_threads",)),
+    # a reading shares the quote dict its maker passed, which the maker may change
+    Mutant("src/aicnet/corpus.py", "MappingProxyType(dict(quotes or {}))",
+           "MappingProxyType(quotes or {})",
+           (_INDEX + "test_a_reading_is_fixed_when_it_is_made",)),
+    # thread_roots hands out the reading's own map, which a caller may change
+    Mutant("src/aicnet/corpus.py", "    return MappingProxyType(reading._roots)\n",
+           "    return reading._roots\n",
+           (_INDEX + "test_a_reading_is_fixed_when_it_is_made",)),
+    # output that stdout's encoding cannot hold reported as an internal error
+    Mutant("src/aicnet/cli.py", "    except UnicodeEncodeError as exc:\n",
+           "    except UnicodeDecodeError as exc:\n",
+           ("tests/test_cli.py::test_a_stdout_that_cannot_encode_the_output_is_an_input_error",)),
     # word selection: a replacement noun lexicon kept from the lemmatizer
     Mutant("src/aicnet/textpipe.py", "lemma = _lemmatize(surface, nouns)",
            "lemma = lemmatize(surface)",
